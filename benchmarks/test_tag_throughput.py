@@ -1,5 +1,4 @@
-"""Tag-update write-path throughput: segments + group commit vs the
-whole-document flush.
+"""Tag-update write-path throughput: segments + group commit.
 
 Not a paper figure — a repo-trajectory benchmark guarding the tag-update
 hot path. The latency *model* is pinned by Fig 11 (a sequential update
@@ -7,14 +6,18 @@ still pays exactly one 22.5 ms disk commit); what this benchmark measures
 is the modeled *work per commit*:
 
 - **bytes written per update** on a 1,000-policy database: the segmented
-  store reseals only the dirty tables plus the manifest, and must move at
-  least 10x fewer bytes than the legacy monolithic flush (it measures
-  ~50x), which is also what the wall-clock serialization gap tracks;
+  store reseals only the dirty tables plus the manifest, so an update
+  must write at most a tenth of the sealed database on the volume (it
+  measures ~55x less, the same factor the former whole-document flush
+  lost by);
 - **group-commit batching**: N concurrent ``update_tag`` callers coalesce
   into one ``DiskModel.commit``, finishing together in a single commit
   window, and leave the same durable state serial commits would.
 """
 
+import pytest
+
+from repro import calibration
 from repro.benchlib import tagbench
 from repro.benchlib.tables import format_table
 
@@ -24,40 +27,28 @@ POLICIES = 1000
 
 
 def test_sequential_bytes_ratio(benchmark):
-    """Segmented flush must move >= 10x fewer bytes than the legacy one."""
-
-    def measure():
-        segmented, wall_segmented = tagbench.measure_sequential(
-            POLICIES, updates=6)
-        legacy, wall_legacy = tagbench.measure_sequential(
-            POLICIES, updates=3, legacy=True)
-        return segmented, legacy, wall_segmented, wall_legacy
-
-    segmented, legacy, wall_segmented, wall_legacy = run_once(
-        benchmark, measure)
-    ratio = (legacy["bytes_written_per_update"]
-             / segmented["bytes_written_per_update"])
+    """An update writes at most a tenth of the sealed database."""
+    sequential, wall_seconds = run_once(
+        benchmark, lambda: tagbench.measure_sequential(POLICIES, updates=6))
+    ratio = (sequential["database_bytes"]
+             / sequential["bytes_written_per_update"])
     print()
     print(format_table(
-        ["mode", "bytes/update", "sim s/update", "disk commits"],
-        [["segmented", segmented["bytes_written_per_update"],
-          f"{segmented['sim_seconds_per_update']:.4f}",
-          segmented["disk_commits"]],
-         ["legacy", legacy["bytes_written_per_update"],
-          f"{legacy['sim_seconds_per_update']:.4f}",
-          legacy["disk_commits"]]]))
-    print(f"bytes ratio: {ratio:.1f}x; wall clock: segmented "
-          f"{segmented['updates'] / wall_segmented:.0f} updates/s, legacy "
-          f"{legacy['updates'] / wall_legacy:.0f} updates/s")
+        ["bytes/update", "sealed database bytes", "sim s/update",
+         "disk commits"],
+        [[sequential["bytes_written_per_update"],
+          sequential["database_bytes"],
+          f"{sequential['sim_seconds_per_update']:.4f}",
+          sequential["disk_commits"]]]))
+    print(f"database/update: {ratio:.1f}x; wall clock: "
+          f"{sequential['updates'] / wall_seconds:.0f} updates/s")
     assert ratio >= 10.0
     # The latency model is untouched: one disk commit per sequential
     # update, each paying the calibrated commit window.
-    assert segmented["disk_commits"] == segmented["updates"]
-    assert legacy["disk_commits"] == legacy["updates"]
-    import pytest
-
-    assert segmented["sim_seconds_per_update"] == pytest.approx(
-        legacy["sim_seconds_per_update"])
+    assert sequential["disk_commits"] == sequential["updates"]
+    assert sequential["sim_seconds_per_update"] == pytest.approx(
+        calibration.TAG_UPDATE_LATENCY_SECONDS
+        - calibration.TAG_READ_LATENCY_SECONDS)
 
 
 def test_concurrent_updates_coalesce(benchmark):

@@ -3,8 +3,9 @@
 "ongoing work" on availability).
 
 Three PALAEMON instances — local, same data centre, and another continent —
-peer after mutually attesting via the CA; a consumer policy on the local
-instance imports a secret exported by a policy held on the remote one.
+peer after mutually attesting via the CA and talk over one simulated
+network; a consumer policy on the local instance imports a secret exported
+by a policy held on the remote one.
 Then the local instance crashes, and its synchronous backup is promoted
 without losing the replicated tag state, while the crashed primary stays
 fenced forever.
@@ -22,7 +23,7 @@ from repro.core.service import PalaemonService
 from repro.crypto.primitives import DeterministicRandom
 from repro.fs.blockstore import BlockStore
 from repro.sim.core import Simulator
-from repro.sim.network import Site
+from repro.sim.network import Network, Site
 from repro.tee.ias import IntelAttestationService
 from repro.tee.image import build_image
 from repro.tee.platform import SGXPlatform
@@ -63,12 +64,13 @@ def main() -> None:
     regional = make_instance(simulator, ias, ca, "regional", b"seed-regional")
     remote = make_instance(simulator, ias, ca, "remote", b"seed-remote")
 
+    network = Network(simulator, rng.fork(b"network"))
     federation = Federation()
     sites = {"local": Site.SAME_RACK, "regional": Site.SAME_DC,
              "remote": Site.INTERCONTINENTAL_11000KM}
     for service in (local, regional, remote):
         federation.add(FederatedInstance(service, sites[service.name],
-                                         ca.root_public_key))
+                                         ca.root_public_key, network))
     simulator.run_process(federation.connect_all())
     print(f"Federation meshed: "
           f"{ {name: inst.peers() for name, inst in federation.instances.items()} }")
@@ -107,7 +109,7 @@ def main() -> None:
     # --- fail-over -----------------------------------------------------------
     backup = make_instance(simulator, ias, ca, "local-backup",
                            b"seed-backup")
-    coordinator = FailoverCoordinator(local, backup)
+    coordinator = FailoverCoordinator(local, backup, network)
 
     def replicate():
         for index in range(3):

@@ -27,12 +27,12 @@ Commands
     asserts the two driver-level invariants (same seed twice is
     byte-identical; retries disabled deadlocks). See ``docs/CHAOS.md``.
 ``bench-tags``
-    Run the tag-update write-path benchmark (sequential segmented vs
-    legacy monolithic flush, plus concurrent group-commit batching) and
-    export the deterministic results to ``results/tag_throughput.json``.
-    ``--smoke`` runs a reduced configuration, asserts the batching and
-    10x-bytes invariants, and checks the export is byte-identical across
-    reruns. See ``docs/PERFORMANCE.md``.
+    Run the tag-update write-path benchmark (sequential updates plus
+    concurrent group-commit batching) and export the deterministic results
+    to ``results/tag_throughput.json``. ``--smoke`` runs a reduced
+    configuration, asserts the batching invariant and that an update
+    writes at most a tenth of the sealed database, and checks the export
+    is byte-identical across reruns. See ``docs/PERFORMANCE.md``.
 ``bench-dispatch``
     Drive an N-client burst through the operation-dispatch pipeline's
     admission control and export the deterministic results
@@ -174,11 +174,10 @@ def cmd_bench_tags(smoke: bool, out: str) -> int:
     from repro.benchlib import tagbench
 
     if smoke:
-        config = dict(policies=150, sequential_updates=6, legacy_updates=3,
-                      workers=6)
+        config = dict(policies=150, sequential_updates=6, workers=6)
     else:
         config = dict(policies=tagbench.DEFAULT_POLICIES,
-                      sequential_updates=12, legacy_updates=6, workers=8)
+                      sequential_updates=12, workers=8)
     document, wall_clock = tagbench.run_benchmark(**config)
     try:
         tagbench.check_invariants(document)
@@ -207,17 +206,15 @@ def cmd_bench_tags(smoke: bool, out: str) -> int:
     sequential = document["sequential"]
     concurrent = document["concurrent"]
     print(json.dumps(document, indent=2, sort_keys=True))
-    print(f"bytes/update: legacy "
-          f"{sequential['legacy']['bytes_written_per_update']} vs segmented "
-          f"{sequential['segmented']['bytes_written_per_update']} "
-          f"({sequential['bytes_written_ratio_legacy_over_segmented']}x)")
+    per_update = sequential["bytes_written_per_update"]
+    print(f"bytes/update: {per_update} of a "
+          f"{sequential['database_bytes']}-byte sealed database "
+          f"({sequential['database_bytes'] / per_update:.1f}x)")
     print(f"group commit: {concurrent['workers']} workers -> "
           f"{concurrent['disk_commits']} disk commit(s), "
           f"{concurrent['coalesced_commits']} coalesced")
     print(f"wall clock (host-dependent, not exported): "
-          f"segmented {wall_clock['segmented_updates_per_second']:.0f} "
-          f"updates/s, legacy "
-          f"{wall_clock['legacy_updates_per_second']:.0f} updates/s")
+          f"{wall_clock['updates_per_second']:.0f} updates/s")
     return 0
 
 
@@ -311,7 +308,7 @@ def main(argv=None) -> int:
     bench_tags = subparsers.add_parser(
         "bench-tags", help="tag-update write-path throughput benchmark")
     bench_tags.add_argument("--smoke", action="store_true",
-                            help="reduced run: assert batching + 10x-bytes "
+                            help="reduced run: assert batching + bytes "
                                  "invariants and export determinism")
     bench_tags.add_argument("--out", default="results/tag_throughput.json",
                             help="export path (full runs only)")

@@ -237,39 +237,19 @@ def _check_service_class(source: SourceFile,
             hint="call self.telemetry.audit(...) on every outcome")
 
 
-#: Function names allowed to serialize the whole document: the migration
-#: path off the pre-segmentation format, and nothing else.
-_WHOLE_DOCUMENT_ALLOWED = re.compile(r"legacy|migrat")
-
-
 @rule("SRC106", "whole-database serialization on the flush path",
       scope="source", severity=Severity.ERROR,
-      hint="serialize dirty per-table segments; only legacy/migration "
-           "helpers may pickle the whole document")
+      hint="serialize dirty per-table segments, never the whole document")
 def check_whole_document_flush(source: SourceFile) -> Iterator[Finding]:
-    yield from _scan_whole_document(source, source.tree, allowed=False)
-
-
-def _scan_whole_document(source: SourceFile, node: ast.AST,
-                         allowed: bool) -> Iterator[Finding]:
-    for child in ast.iter_child_nodes(node):
-        child_allowed = allowed
-        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            child_allowed = (allowed
-                             or bool(_WHOLE_DOCUMENT_ALLOWED.search(
-                                 child.name)))
-        if (not child_allowed and isinstance(child, ast.Call)
-                and _is_whole_document_dump(child)):
+    for node in ast.walk(source.tree):
+        if isinstance(node, ast.Call) and _is_whole_document_dump(node):
             yield Finding(
                 code="SRC106", severity=Severity.ERROR,
-                subject=source.display, line=child.lineno,
+                subject=source.display, line=node.lineno,
                 message=("pickle.dumps(self._data) serializes the whole "
                          "document per flush — the O(database) write path "
                          "the segmented store exists to avoid"),
-                hint="reseal only dirty tables; whole-document "
-                     "serialization belongs in *legacy*/*migration* "
-                     "helpers only")
-        yield from _scan_whole_document(source, child, child_allowed)
+                hint="reseal only dirty tables")
 
 
 def _is_whole_document_dump(call: ast.Call) -> bool:

@@ -1,15 +1,13 @@
 """Tag-update throughput benchmark (the Fig 10/11 hot path, end to end).
 
 Measures the cost of ``PalaemonService.update_tag`` — the paper's most
-frequent write — against a database of many policies, in three ways:
+frequent write — against a database of many policies, in two ways:
 
-- **sequential, segmented** (the default write path): each update reseals
-  only the dirty tables plus the manifest;
-- **sequential, legacy monolithic** (the pre-segmentation format, kept via
-  :meth:`PolicyStore.use_legacy_monolithic_format`): each update re-pickles
-  and re-encrypts the whole document — the O(database) baseline;
-- **concurrent, segmented**: N simultaneous updaters exercising the
-  group-commit batching in :meth:`PolicyStore.commit`.
+- **sequential**: each update reseals only the dirty tables plus the
+  manifest, which must stay a small fraction of the sealed database
+  already on the volume;
+- **concurrent**: N simultaneous updaters exercising the group-commit
+  batching in :meth:`PolicyStore.commit`.
 
 Two kinds of numbers come out. *Deterministic* facts — simulated elapsed
 time, bytes written to the untrusted store, disk-commit and coalescing
@@ -41,10 +39,13 @@ from repro.tee.platform import SGXPlatform
 DEFAULT_PAYLOAD_BYTES = 2048
 DEFAULT_POLICIES = 1000
 
+#: Every blob of the sealed database (manifest and segments) lives under
+#: this path on the volume; the sealed identity does not.
+_DATABASE_PATH_PREFIX = "/palaemon.db"
+
 
 def build_service(name: str, seed: bytes, policies: int,
                   payload_bytes: int = DEFAULT_PAYLOAD_BYTES,
-                  legacy: bool = False,
                   ) -> Tuple[Simulator, PalaemonService]:
     """A minimal started PALAEMON instance seeded with ``policies`` entries.
 
@@ -59,8 +60,6 @@ def build_service(name: str, seed: bytes, policies: int,
     service = PalaemonService(platform, BlockStore(f"{name}-volume"),
                               rng.fork(b"service"), name=name,
                               telemetry=Telemetry.for_simulator(simulator))
-    if legacy:
-        service.store.use_legacy_monolithic_format()
     simulator.run_process(service.start(), name=f"{name}-start")
     payload_rng = rng.fork(b"payloads")
     for index in range(policies):
@@ -81,12 +80,15 @@ def _policy_name(index: int) -> str:
 
 def measure_sequential(policies: int, updates: int,
                        payload_bytes: int = DEFAULT_PAYLOAD_BYTES,
-                       legacy: bool = False) -> Tuple[Dict[str, Any], float]:
-    """Sequential tag updates; returns (deterministic facts, wall seconds)."""
-    mode = "legacy" if legacy else "segmented"
+                       ) -> Tuple[Dict[str, Any], float]:
+    """Sequential tag updates; returns (deterministic facts, wall seconds).
+
+    ``database_bytes`` is the sealed database left on the volume (segment
+    blobs plus manifest): the size a whole-document flush would rewrite.
+    """
     simulator, service = build_service(
-        f"tagbench-{mode}", b"tagbench:" + mode.encode(), policies,
-        payload_bytes=payload_bytes, legacy=legacy)
+        "tagbench-segmented", b"tagbench:segmented", policies,
+        payload_bytes=payload_bytes)
     backing = service.store.store
     bytes_before = backing.bytes_written
     commits_before = service.store.disk.commits
@@ -100,13 +102,15 @@ def measure_sequential(policies: int, updates: int,
             name=f"update-{index}")
     wall_seconds = time.perf_counter() - wall_before
     return {
-        "mode": mode,
         "policies": policies,
         "updates": updates,
         "sim_seconds_per_update":
             (simulator.now - sim_before) / updates,
         "bytes_written_per_update":
             (backing.bytes_written - bytes_before) // updates,
+        "database_bytes": sum(
+            len(backing.read(path)) for path in backing.list()
+            if path.startswith(_DATABASE_PATH_PREFIX)),
         "disk_commits": service.store.disk.commits - commits_before,
     }, wall_seconds
 
@@ -135,7 +139,6 @@ def measure_concurrent(policies: int, workers: int,
     coalesced = service.telemetry.metrics.counter(
         "palaemon_db_commits_coalesced_total").value
     return {
-        "mode": "concurrent-segmented",
         "policies": policies,
         "workers": workers,
         "sim_seconds_total": finished - sim_before,
@@ -150,45 +153,32 @@ def measure_concurrent(policies: int, workers: int,
 
 def run_benchmark(policies: int = DEFAULT_POLICIES,
                   sequential_updates: int = 12,
-                  legacy_updates: int = 6,
                   workers: int = 8,
                   payload_bytes: int = DEFAULT_PAYLOAD_BYTES,
                   ) -> Tuple[Dict[str, Any], Dict[str, float]]:
-    """Run all three phases.
+    """Run both phases.
 
     Returns ``(document, wall_clock)``: the document holds only
     deterministic facts (stable across reruns, suitable for committing),
     ``wall_clock`` the host-dependent serialization timings.
     """
-    segmented, wall_segmented = measure_sequential(
+    sequential, wall_seconds = measure_sequential(
         policies, sequential_updates, payload_bytes=payload_bytes)
-    legacy, wall_legacy = measure_sequential(
-        policies, legacy_updates, payload_bytes=payload_bytes, legacy=True)
     concurrent = measure_concurrent(policies, workers,
                                     payload_bytes=payload_bytes)
-    bytes_ratio = (legacy["bytes_written_per_update"]
-                   / max(1, segmented["bytes_written_per_update"]))
     document = {
         "config": {
             "policies": policies,
             "payload_bytes": payload_bytes,
             "sequential_updates": sequential_updates,
-            "legacy_updates": legacy_updates,
             "concurrent_workers": workers,
         },
-        "sequential": {
-            "segmented": segmented,
-            "legacy": legacy,
-            "bytes_written_ratio_legacy_over_segmented":
-                round(bytes_ratio, 2),
-        },
+        "sequential": sequential,
         "concurrent": concurrent,
     }
     wall_clock = {
-        "segmented_updates_per_second":
-            sequential_updates / wall_segmented if wall_segmented else 0.0,
-        "legacy_updates_per_second":
-            legacy_updates / wall_legacy if wall_legacy else 0.0,
+        "updates_per_second":
+            sequential_updates / wall_seconds if wall_seconds else 0.0,
     }
     return document, wall_clock
 
@@ -204,10 +194,10 @@ def check_invariants(document: Dict[str, Any]) -> None:
 
     - concurrent updaters must coalesce: fewer disk commits than workers,
       at least one coalesced commit, and every worker's tag recorded;
-    - the segmented write path must move >= 10x fewer bytes per update
-      than the legacy whole-document flush;
-    - the latency model is untouched: a sequential segmented update still
-      pays exactly one disk commit.
+    - a sequential update must write at most a tenth of the sealed
+      database already on the volume;
+    - the latency model is untouched: a sequential update still pays
+      exactly one disk commit.
     """
     concurrent = document["concurrent"]
     if concurrent["coalesced_commits"] < 1:
@@ -219,11 +209,12 @@ def check_invariants(document: Dict[str, Any]) -> None:
     if concurrent["expected_tags_recorded"] != concurrent["workers"]:
         raise AssertionError("a coalesced update lost its tag")
     sequential = document["sequential"]
-    ratio = sequential["bytes_written_ratio_legacy_over_segmented"]
-    if ratio < 10.0:
+    if (10 * sequential["bytes_written_per_update"]
+            > sequential["database_bytes"]):
         raise AssertionError(
-            f"segmented flush only {ratio:.1f}x smaller than the legacy "
-            f"whole-document flush (need >= 10x)")
-    segmented = sequential["segmented"]
-    if segmented["disk_commits"] != segmented["updates"]:
+            f"a sequential update wrote "
+            f"{sequential['bytes_written_per_update']} bytes, more than a "
+            f"tenth of the {sequential['database_bytes']}-byte sealed "
+            f"database")
+    if sequential["disk_commits"] != sequential["updates"]:
         raise AssertionError("sequential updates must pay one commit each")

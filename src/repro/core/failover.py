@@ -24,16 +24,14 @@ promotion epoch increments so stale primaries are fenced.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Generator, List
-
-from typing import Optional
+from typing import Any, Generator, List, Optional
 
 from repro.core.dispatch import AUTH_PEER, DEFAULT_REGISTRY, DispatchContext
 from repro.core.service import PalaemonService
 from repro.crypto.primitives import DeterministicRandom
 from repro.errors import PolicyError, RetryExhaustedError, RollbackDetectedError
 from repro.sim.core import Event, ProcessInterrupt, Simulator
-from repro.sim.network import Network, Site, rtt_between
+from repro.sim.network import Network, Site
 from repro.sim.retry import RetryPolicy
 
 
@@ -58,23 +56,20 @@ class ReplicaState:
 class FailoverCoordinator:
     """Manages a primary and one synchronous backup.
 
-    Two replication transports:
-
-    - **legacy** (``network=None``) — replication is modelled as one round
-      trip of latency and the backup acknowledges unconditionally.
-    - **network** (``network`` given) — updates travel as messages between
-      real ``{name}-repl`` endpoints, so a partition or an attached
-      :class:`~repro.sim.faults.FaultPlan` genuinely prevents the ack.
-      :meth:`replicate` then retries under ``retry_policy`` and, on
-      giving up, leaves :meth:`replication_lag` > 0 — which
-      :meth:`promote_backup` honours by replaying only the updates the
-      backup actually acknowledged (bounded-freshness fail-over).
+    Updates travel as messages between real ``{name}-repl`` endpoints on
+    ``network``, so a partition or an attached
+    :class:`~repro.sim.faults.FaultPlan` genuinely prevents the ack. The
+    backup applies only batches sent from the primary's endpoint.
+    :meth:`replicate` retries under ``retry_policy`` and, on giving up,
+    leaves :meth:`replication_lag` > 0 — which :meth:`promote_backup`
+    honours by replaying only the updates the backup actually
+    acknowledged (bounded-freshness fail-over).
     """
 
     def __init__(self, primary: PalaemonService, backup: PalaemonService,
+                 network: Network,
                  primary_site: Site = Site.SAME_DC,
                  backup_site: Site = Site.SAME_DC,
-                 network: Optional[Network] = None,
                  retry_policy: Optional[RetryPolicy] = None,
                  rng: Optional[DeterministicRandom] = None) -> None:
         if primary.platform is backup.platform:
@@ -82,29 +77,23 @@ class FailoverCoordinator:
                 "backup must run on a different platform (its own counter)")
         self.primary = primary
         self.backup = backup
-        self.primary_site = primary_site
-        self.backup_site = backup_site
         self.epoch = 1
         self._sequence = 0
         self._replica = ReplicaState()
         self.active: PalaemonService = primary
         self.fenced: List[str] = []
-        self.network = network
         self.retry_policy = retry_policy or RetryPolicy(
             max_attempts=4, base_delay=0.05, attempt_timeout=0.5)
         self._rng = rng or DeterministicRandom(b"failover-retry")
         #: Updates the primary committed locally but the backup has not
         #: acknowledged; resent in order on every attempt.
         self._pending: List[StateUpdate] = []
-        self._primary_ep = None
-        self._backup_ep = None
-        if network is not None:
-            self._primary_ep = network.endpoint(
-                f"{primary.name}-repl", primary_site)
-            self._backup_ep = network.endpoint(
-                f"{backup.name}-repl", backup_site)
-            self.simulator.process(self._backup_serve_loop(),
-                                   name=f"repl-serve-{backup.name}")
+        self._primary_ep = network.endpoint(
+            f"{primary.name}-repl", primary_site)
+        self._backup_ep = network.endpoint(
+            f"{backup.name}-repl", backup_site)
+        self.simulator.process(self._backup_serve_loop(),
+                               name=f"repl-serve-{backup.name}")
 
     @property
     def simulator(self) -> Simulator:
@@ -129,24 +118,16 @@ class FailoverCoordinator:
             started = self.simulator.now
             self.primary.store.put(table, key, value)
             self.primary.store.commit_instant()
-            if self.network is None:
-                yield self.simulator.timeout(
-                    rtt_between(self.primary_site, self.backup_site))
-                self._replica.updates.append(update)
-                self._replica.applied_sequence = update.sequence
-            else:
-                self._pending.append(update)
-                try:
-                    ack = yield from self._replicate_pending(update.sequence)
-                except RetryExhaustedError:
-                    # Locally committed but unacknowledged: the lag gauge
-                    # goes positive and promote_backup() will not expose
-                    # this update.
-                    telemetry.gauge("palaemon_failover_replication_lag",
-                                    self.replication_lag())
-                    raise
-                self._pending = [u for u in self._pending
-                                 if u.sequence > ack]
+            self._pending.append(update)
+            try:
+                ack = yield from self._replicate_pending(update.sequence)
+            except RetryExhaustedError:
+                # Locally committed but unacknowledged: the lag gauge goes
+                # positive and promote_backup() will not expose this update.
+                telemetry.gauge("palaemon_failover_replication_lag",
+                                self.replication_lag())
+                raise
+            self._pending = [u for u in self._pending if u.sequence > ack]
             telemetry.observe("palaemon_failover_replication_seconds",
                               self.simulator.now - started)
         telemetry.inc("palaemon_failover_replications_total")
@@ -193,9 +174,10 @@ class FailoverCoordinator:
         requests; the registered handler applies updates in order
         (idempotently — only the next expected sequence number is
         applied, everything else is skipped and re-acknowledged) and the
-        cumulative ack travels back. Malformed payloads and refused
-        requests produce no ack, so the primary's retry/backoff layer
-        treats them exactly like a lost message.
+        cumulative ack travels back. Messages from any endpoint other than
+        the primary's are dropped unanswered. Malformed payloads and
+        refused requests produce no ack, so the primary's retry/backoff
+        layer treats them exactly like a lost message.
         """
         from repro.sim.resources import StoreClosed
 
@@ -204,6 +186,8 @@ class FailoverCoordinator:
                 message = yield self._backup_ep.receive()
             except StoreClosed:
                 return
+            if message.sender is not self._primary_ep:
+                continue
             payload = message.payload
             if not isinstance(payload, dict):
                 continue

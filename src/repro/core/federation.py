@@ -10,8 +10,8 @@ other KMSs (§VII). This module implements that federation layer:
 - a policy's secrets can be fetched from a peer when the local instance
   does not hold the policy, subject to the same export rules that govern
   cross-policy imports;
-- all peer traffic is modelled over TLS, so the Fig 12 benchmark's
-  geography sensitivity comes from connection establishment.
+- all peer traffic travels as sealed messages over the simulated network,
+  so a fetch's latency is the real round trip between the two sites.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from repro.errors import (
     ReproError,
 )
 from repro.sim.core import Event, ProcessInterrupt, Simulator
-from repro.sim.network import Network, Site, rtt_between
+from repro.sim.network import Network, Site
 from repro.sim.retry import RetryPolicy
 from repro.tls.handshake import handshake_latency
 
@@ -43,51 +43,40 @@ class PeerLink:
     """An attested, long-lived connection to a remote instance."""
 
     peer: "FederatedInstance"
-    established: bool = False
+    #: AEAD box for link traffic, keyed at peering.
+    box: SecretBox = field(repr=False)
     requests: int = 0
-    #: AEAD box for link traffic in network mode (None in legacy mode).
-    box: Optional[SecretBox] = field(default=None, repr=False)
 
 
 class FederatedInstance:
     """A PALAEMON instance participating in a federation mesh.
 
-    Two transport modes:
-
-    - **legacy** (``network=None``) — peer traffic is modelled as pure
-      latency (:func:`rtt_between`); the remote handler runs in-process.
-      Kept because it is what single-threaded benchmarks (Fig 12) need.
-    - **network** (``network`` given) — every instance owns a real
-      ``fed-{name}`` endpoint and a serve loop; fetches are request/reply
-      messages that can be dropped, duplicated, delayed, or blacked out
-      by an attached :class:`~repro.sim.faults.FaultPlan`, and payloads
-      cross the wire AEAD-sealed under a per-link key derived at peering
-      (the paper's "all peer traffic is TLS", checkable via the wire log).
+    Every instance owns a real ``fed-{name}`` endpoint and a serve loop on
+    ``network``. Fetches are request/reply messages that can be dropped,
+    duplicated, delayed, or blacked out by an attached
+    :class:`~repro.sim.faults.FaultPlan`, and payloads cross the wire
+    AEAD-sealed under a per-link key derived at peering (the paper's "all
+    peer traffic is TLS", checkable via the wire log).
     """
 
     def __init__(self, service: PalaemonService, site: Site,
-                 ca_root: PublicKey,
-                 network: Optional[Network] = None,
+                 ca_root: PublicKey, network: Network,
                  rng: Optional[DeterministicRandom] = None) -> None:
         self.service = service
         self.site = site
         self.ca_root = ca_root
         self._links: Dict[str, PeerLink] = {}
-        self.network = network
         self._rng = rng or DeterministicRandom(
             b"federation:" + service.name.encode())
         self._request_seq = 0
         #: Serve endpoint (requests in) and client endpoint (replies in).
         #: Distinct so the serve loop's mailbox getter can never consume a
         #: reply meant for an in-flight fetch.
-        self.endpoint = None
-        self.client_endpoint = None
-        if network is not None:
-            self.endpoint = network.endpoint(f"fed-{service.name}", site)
-            self.client_endpoint = network.endpoint(
-                f"fed-{service.name}-client", site)
-            self.simulator.process(self._serve_loop(),
-                                   name=f"fed-serve-{service.name}")
+        self.endpoint = network.endpoint(f"fed-{service.name}", site)
+        self.client_endpoint = network.endpoint(
+            f"fed-{service.name}-client", site)
+        self.simulator.process(self._serve_loop(),
+                               name=f"fed-serve-{service.name}")
 
     @property
     def simulator(self) -> Simulator:
@@ -115,24 +104,17 @@ class FederatedInstance:
                     f"for a different key")
         yield self.simulator.timeout(
             handshake_latency(self.site, other.site))
-        link_key = None
-        if self.network is not None and other.network is not None:
-            # Per-link AEAD key, derived at peering like a TLS master
-            # secret; both sides hold the same key but fork their own
-            # nonce streams.
-            link_key = hkdf(sha256(
-                *sorted((self.service.public_key.to_bytes(),
-                         other.service.public_key.to_bytes()))),
-                b"palaemon-federation-link")
-        self._links[other.name] = PeerLink(
-            peer=other, established=True,
-            box=SecretBox(link_key, self._rng.fork(
-                b"link:" + other.name.encode())) if link_key else None)
-        other._links[self.name] = PeerLink(
-            peer=self, established=True,
-            box=SecretBox(link_key, other._rng.fork(
-                b"link:" + self.name.encode())) if link_key else None)
+        # Per-link AEAD key, derived at peering like a TLS master secret;
+        # both sides hold the same key but fork their own nonce streams.
+        link_key = hkdf(sha256(
+            *sorted((self.service.public_key.to_bytes(),
+                     other.service.public_key.to_bytes()))),
+            b"palaemon-federation-link")
         for side, counterpart in ((self, other), (other, self)):
+            side._links[counterpart.name] = PeerLink(
+                peer=counterpart,
+                box=SecretBox(link_key, side._rng.fork(
+                    b"link:" + counterpart.name.encode())))
             side.service.telemetry.inc("palaemon_federation_peers_total")
             side.service.telemetry.gauge("palaemon_federation_peer_links",
                                          len(side._links))
@@ -157,22 +139,13 @@ class FederatedInstance:
         secrets (the Fig 12 flatness).
         """
         link = self._links.get(peer_name)
-        if link is None or not link.established:
+        if link is None:
             raise AttestationError(f"no attested link to {peer_name!r}")
         telemetry = self.service.telemetry
         with telemetry.span("federation.fetch", peer=peer_name,
                             policy=policy_name):
-            if (self.network is not None and link.box is not None
-                    and link.peer.endpoint is not None):
-                secrets = yield from self._fetch_over_network(
-                    link, policy_name, requesting_policy, secret_names)
-            else:
-                round_trip = rtt_between(self.site, link.peer.site)
-                yield self.simulator.timeout(round_trip)
-                link.requests += 1
-                secrets = link.peer._serve_secret_request(policy_name,
-                                                          requesting_policy,
-                                                          secret_names)
+            secrets = yield from self._fetch_over_network(
+                link, policy_name, requesting_policy, secret_names)
         telemetry.inc("palaemon_federation_fetches_total")
         telemetry.audit("federation.fetch", peer=peer_name,
                         policy=policy_name,
@@ -232,7 +205,7 @@ class FederatedInstance:
             if not isinstance(payload, dict) or "data" not in payload:
                 continue
             peer_link = self._links.get(payload.get("from"))
-            if peer_link is None or peer_link.box is None:
+            if peer_link is None:
                 continue
             reply = pickle.loads(peer_link.box.open(payload["data"]))
             if reply.get("rid") != rid:
@@ -266,7 +239,7 @@ class FederatedInstance:
             if not isinstance(payload, dict) or "data" not in payload:
                 continue
             link = self._links.get(payload.get("from"))
-            if link is None or link.box is None:
+            if link is None:
                 continue
             try:
                 request = pickle.loads(link.box.open(payload["data"]))

@@ -12,9 +12,9 @@ tag updates cost ~6x tag reads (Fig 11 left). To keep that commit cheap the
 database is persisted as **dirty-table segments**: each table seals to its
 own blob under the DB key, and a sealed manifest binds every segment hash to
 the database version. A tag update therefore re-encrypts only the tags
-table, not the whole document. Stores written by older builds as a single
-monolithic blob are loaded transparently and migrated to segments on the
-next flush.
+table, not the whole document. A volume without a manifest opens as an
+empty database at version 0, which the Fig 6 check refuses once the
+counter is ahead.
 
 ``commit()`` adds **group-commit batching**: concurrent committers inside
 one disk-commit window coalesce into a single :meth:`DiskModel.commit`,
@@ -36,8 +36,6 @@ from repro.obs.telemetry import NULL_TELEMETRY, Telemetry
 from repro.sim.core import Event, Simulator
 from repro.sim.resources import DiskModel
 
-#: Pre-segmentation builds persisted the whole document at this path.
-_DB_LEGACY_PATH = "/palaemon.db"
 _MANIFEST_PATH = "/palaemon.db.manifest"
 _SEGMENT_PREFIX = "/palaemon.db.seg/"
 
@@ -83,15 +81,12 @@ class PolicyStore:
         self._mutations = 0
         self._committer_active = False
         self._commit_waiters: List[Tuple[int, Event]] = []
-        self._segmented = True
         if store.exists(_MANIFEST_PATH):
-            self._load_segmented()
-        elif store.exists(_DB_LEGACY_PATH):
-            self._load_legacy_monolithic()
+            self._load()
 
     # -- persistence -----------------------------------------------------
 
-    def _load_segmented(self) -> None:
+    def _load(self) -> None:
         sealed = self.store.read(_MANIFEST_PATH)
         try:
             payload = self._box.open(sealed,
@@ -123,27 +118,8 @@ class PolicyStore:
         self._data = {"version": manifest["version"], "tables": tables}
         self._segment_hashes = hashes
 
-    def _load_legacy_monolithic(self) -> None:
-        """Load a pre-segmentation whole-document blob (migration path).
-
-        Every table is marked dirty so the next flush rewrites the store
-        in segmented form and retires the monolithic blob.
-        """
-        sealed = self.store.read(_DB_LEGACY_PATH)
-        try:
-            payload = self._box.open(sealed, associated_data=b"palaemon-db")
-        except IntegrityError:
-            raise IntegrityError(
-                "policy database failed integrity verification") from None
-        self._data = pickle.loads(payload)
-        self._dirty_tables = set(self._data["tables"])
-        self._meta_dirty = True
-
     def _flush(self) -> None:
         """Reseal and rewrite only the dirty segments plus the manifest."""
-        if not self._segmented:
-            self._flush_legacy_monolithic()
-            return
         if not self._dirty_tables and not self._meta_dirty:
             return
         bytes_written = 0
@@ -162,30 +138,10 @@ class PolicyStore:
             manifest_payload, associated_data=b"palaemon-db-manifest")
         self.store.write(_MANIFEST_PATH, manifest_blob)
         bytes_written += len(manifest_blob)
-        if self.store.exists(_DB_LEGACY_PATH):
-            # Migration complete: the segmented form is now authoritative.
-            self.store.delete(_DB_LEGACY_PATH)
         self._dirty_tables.clear()
         self._meta_dirty = False
         self.telemetry.inc("palaemon_db_segment_bytes_written",
                            amount=bytes_written)
-
-    def _flush_legacy_monolithic(self) -> None:
-        """Whole-document flush, kept only for migration/benchmark use."""
-        payload = pickle.dumps(self._data)
-        self.store.write(_DB_LEGACY_PATH,
-                         self._box.seal(payload,
-                                        associated_data=b"palaemon-db"))
-        self._dirty_tables.clear()
-        self._meta_dirty = False
-
-    def use_legacy_monolithic_format(self) -> None:
-        """Persist as one whole-document blob (pre-segmentation format).
-
-        Exists so benchmarks and migration tests can produce stores in the
-        old format; the segmented path is the default everywhere else.
-        """
-        self._segmented = False
 
     def commit(self) -> Generator[Event, Any, None]:
         """Durably persist the database (simulated disk latency).

@@ -195,18 +195,20 @@ class TestWholeDocumentFlush:
         assert [finding.code for finding in findings] == ["SRC106"]
         assert findings[0].line == 5
 
-    def test_legacy_helper_exempt(self, tmp_path):
-        write_module(tmp_path, "repro.core.fine", """\
+    def test_legacy_helper_flagged(self, tmp_path):
+        write_module(tmp_path, "repro.core.bad", """\
             import pickle
 
             class Store:
                 def _flush_legacy_monolithic(self):
                     return pickle.dumps(self._data)
             """)
-        assert lint(tmp_path) == []
+        findings = lint(tmp_path)
+        assert [(finding.code, finding.line) for finding in findings] == [
+            ("SRC106", 5)]
 
-    def test_migration_helper_exempt(self, tmp_path):
-        write_module(tmp_path, "repro.core.fine", """\
+    def test_migration_helper_flagged(self, tmp_path):
+        write_module(tmp_path, "repro.core.bad", """\
             import pickle
 
             class Store:
@@ -215,7 +217,9 @@ class TestWholeDocumentFlush:
                         return pickle.dumps(self._data)
                     return seal()
             """)
-        assert lint(tmp_path) == []
+        findings = lint(tmp_path)
+        assert [(finding.code, finding.line) for finding in findings] == [
+            ("SRC106", 6)]
 
     def test_partial_dumps_are_fine(self, tmp_path):
         write_module(tmp_path, "repro.core.fine", """\

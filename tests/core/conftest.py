@@ -10,6 +10,7 @@ import pytest
 from repro.core.board import ApprovalService, BoardEvaluator
 from repro.core.ca import PalaemonCA
 from repro.core.client import PalaemonClient
+from repro.core.federation import FederatedInstance
 from repro.core.policy import (
     BoardSpec,
     PolicyBoardMember,
@@ -23,7 +24,7 @@ from repro.crypto.primitives import DeterministicRandom
 from repro.crypto.signatures import KeyPair
 from repro.fs.blockstore import BlockStore
 from repro.sim.core import Simulator
-from repro.sim.network import Site
+from repro.sim.network import Network, Site
 from repro.tee.ias import IntelAttestationService
 from repro.tee.image import build_image
 from repro.tee.platform import SGXPlatform
@@ -137,6 +138,39 @@ class Deployment:
         return AttestationEvidence(quote=quote, policy_name=policy_name,
                                    service_name=service_name,
                                    tls_public_key=tls_keys.public)
+
+
+def make_second_instance(deployment, name="palaemon-2"):
+    """A second genuine PALAEMON on its own platform, CA-certified."""
+    rng = DeterministicRandom(name.encode())
+    platform = SGXPlatform(deployment.simulator, f"{name}-node",
+                           rng.fork(b"platform"))
+    deployment.ias.register_platform(
+        platform.quoting_enclave.attestation_public_key,
+        platform.microcode.revision)
+    service = PalaemonService(platform, BlockStore(f"{name}-volume"),
+                              rng.fork(b"service"), name=name,
+                              board_evaluator=deployment.evaluator)
+    service.platform_registry.enroll(
+        platform.platform_id,
+        platform.quoting_enclave.attestation_public_key)
+    deployment.simulator.run_process(service.start())
+    service.obtain_certificate(deployment.ca)
+    return service
+
+
+def make_networked_pair(deployment, remote_site=Site.SAME_DC):
+    """Two CA-certified instances peered over the message fabric."""
+    network = Network(deployment.simulator, deployment.rng.fork(b"fed-net"))
+    local = FederatedInstance(
+        deployment.palaemon, Site.SAME_RACK, deployment.ca.root_public_key,
+        network=network, rng=deployment.rng.fork(b"fed-local"))
+    remote_service = make_second_instance(deployment)
+    remote = FederatedInstance(
+        remote_service, remote_site, deployment.ca.root_public_key,
+        network=network, rng=deployment.rng.fork(b"fed-remote"))
+    deployment.simulator.run_process(local.peer_with(remote))
+    return local, remote, remote_service
 
 
 @pytest.fixture()

@@ -25,7 +25,6 @@ from repro.core.dispatch import (
     default_registry,
     error_code,
 )
-from repro.core.federation import FederatedInstance
 from repro.crypto.primitives import DeterministicRandom, sha256
 from repro.errors import (
     AttestationError,
@@ -36,10 +35,8 @@ from repro.errors import (
     ServiceOverloadedError,
     UnknownRouteError,
 )
-from repro.sim.network import Network, Site
 
-from tests.core.conftest import Deployment
-from tests.test_extensions import make_second_instance
+from tests.core.conftest import Deployment, make_networked_pair
 
 TRANSPORTS = ("rest", "federation", "failover", "inprocess")
 
@@ -207,20 +204,6 @@ class TestUniformErrorsAcrossTransports:
         assert metrics.counter(
             "palaemon_dispatch_errors_total", route="unknown",
             transport="failover", code="bad_request").value == 1
-
-
-def make_networked_pair(deployment):
-    """Two CA-certified instances peered over the message fabric."""
-    network = Network(deployment.simulator, deployment.rng.fork(b"fed-net"))
-    local = FederatedInstance(
-        deployment.palaemon, Site.SAME_RACK, deployment.ca.root_public_key,
-        network=network, rng=deployment.rng.fork(b"fed-local"))
-    remote_service = make_second_instance(deployment)
-    remote = FederatedInstance(
-        remote_service, Site.SAME_DC, deployment.ca.root_public_key,
-        network=network, rng=deployment.rng.fork(b"fed-remote"))
-    deployment.simulator.run_process(local.peer_with(remote))
-    return local, remote, remote_service
 
 
 def sealed_exchange(deployment, local, remote, request):

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core.rollback import RollbackGuard
+from repro.core.service import PalaemonService
 from repro.core.store import PolicyStore
 from repro.crypto.primitives import DeterministicRandom
 from repro.errors import (
@@ -14,6 +15,8 @@ from repro.errors import (
 from repro.fs.blockstore import BlockStore
 from repro.sim.core import Simulator
 from repro.tee.counters import PlatformCounterService
+
+from tests.core.conftest import Deployment
 
 
 def make_store(store=None, seed=b"store-tests", sim=None):
@@ -87,16 +90,6 @@ class TestPolicyStore:
         db.put("t", "k", "new")
         db.commit_instant()
         backing.tamper("/palaemon.db.seg/t", stale)
-        with pytest.raises(IntegrityError):
-            make_store(store=backing)
-
-    def test_legacy_monolithic_tampering_detected(self):
-        db, backing, _ = make_store()
-        db.use_legacy_monolithic_format()
-        db.put("t", "k", "v")
-        db.commit_instant()
-        raw = backing.read("/palaemon.db")
-        backing.tamper("/palaemon.db", raw[:-1] + bytes([raw[-1] ^ 1]))
         with pytest.raises(IntegrityError):
             make_store(store=backing)
 
@@ -264,3 +257,22 @@ class TestRollbackProtocol:
 
         sim.run_process(run())
         assert counters.writes("c") == 1  # ...one hardware increment
+
+
+def test_stray_pre_segment_blob_cannot_reset_state():
+    """A volume holding only a whole-document ``/palaemon.db`` blob and no
+    manifest opens empty at version 0, and the Fig 6 check refuses it."""
+    deployment = Deployment(seed=b"stray-blob")
+    deployment.stop_palaemon()  # clean shutdown: v == c == 1
+    volume = deployment.volume
+    for path in volume.list():
+        if path.startswith("/palaemon.db"):
+            volume.delete(path)
+    volume.tamper("/palaemon.db", b"\x5a" * 256)
+    restarted = PalaemonService(deployment.platform, volume,
+                                DeterministicRandom(b"restart"))
+    assert restarted.store.version == 0
+    with pytest.raises(StaleDatabaseError, match="version 0 != monotonic "
+                                                 "counter 1"):
+        deployment.simulator.run_process(restarted.start())
+    assert not restarted.running

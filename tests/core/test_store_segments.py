@@ -1,9 +1,9 @@
-"""Tests for dirty-segment persistence, migration, and group commit.
+"""Tests for dirty-segment persistence and group commit.
 
 Companion to ``test_store_rollback.py``: that file covers integrity and
 the Fig 6 version protocol; this one covers the write-path mechanics —
-which segments get rewritten, how the legacy monolithic blob migrates,
-and how concurrent committers coalesce into one disk commit.
+which segments get rewritten, and how concurrent committers coalesce
+into one disk commit.
 """
 
 import pytest
@@ -14,9 +14,6 @@ from repro.crypto.primitives import DeterministicRandom
 from repro.fs.blockstore import BlockStore
 from repro.obs.telemetry import Telemetry
 from repro.sim.core import Simulator
-
-LEGACY_PATH = "/palaemon.db"
-MANIFEST_PATH = "/palaemon.db.manifest"
 
 
 def make_store(store=None, seed=b"segment-tests", sim=None, telemetry=None):
@@ -47,42 +44,27 @@ OPERATIONS = st.lists(
 
 class TestSegmentedPersistence:
     @settings(max_examples=40, deadline=None)
-    @given(OPERATIONS)
-    def test_round_trips_like_legacy_monolithic(self, operations):
-        """Segmented and whole-document persistence agree on every state."""
-        segmented, segmented_backing, _ = make_store(seed=b"rt")
-        legacy, legacy_backing, _ = make_store(seed=b"rt")
-        legacy.use_legacy_monolithic_format()
-        for db in (segmented, legacy):
-            apply_operations(db, operations)
-            db.set_version(3)
-            db.commit_instant()
-        reopened_segmented, _, _ = make_store(store=segmented_backing,
-                                              seed=b"rt")
-        # The reopened legacy store exercises the pre-migration load path.
-        reopened_legacy, _, _ = make_store(store=legacy_backing, seed=b"rt")
-        assert reopened_segmented.version == reopened_legacy.version == 3
+    @given(OPERATIONS, OPERATIONS)
+    def test_round_trips_like_dict_model(self, first, second):
+        """A reopened store holds exactly what a plain dict model of the
+        applied operations holds, across two flushes."""
+        db, backing, _ = make_store(seed=b"rt")
+        model = {}
+        for operation, table, key, value in first + second:
+            if operation == "put":
+                model.setdefault(table, {})[key] = value
+            else:
+                model.get(table, {}).pop(key, None)
+        apply_operations(db, first)
+        db.commit_instant()
+        apply_operations(db, second)
+        db.set_version(3)
+        db.commit_instant()
+        reopened, _, _ = make_store(store=backing, seed=b"rt")
+        assert reopened.version == 3
         for table in ("policies", "state", "tags"):
-            assert (reopened_segmented.table(table)
-                    == reopened_legacy.table(table))
-
-    @settings(max_examples=25, deadline=None)
-    @given(OPERATIONS)
-    def test_legacy_blob_migrates_to_segments(self, operations):
-        """A pre-segmentation blob loads, then migrates on the next flush."""
-        old, backing, _ = make_store(seed=b"mig")
-        old.use_legacy_monolithic_format()
-        apply_operations(old, operations)
-        old.commit_instant()
-        assert backing.exists(LEGACY_PATH)
-        migrated, _, _ = make_store(store=backing, seed=b"mig")
-        assert migrated._data == old._data
-        migrated.commit_instant()
-        # The first segmented flush retires the monolithic blob.
-        assert not backing.exists(LEGACY_PATH)
-        assert backing.exists(MANIFEST_PATH)
-        reopened, _, _ = make_store(store=backing, seed=b"mig")
-        assert reopened._data == old._data
+            assert reopened.table(table) == model.get(table, {})
+            assert reopened.keys(table) == sorted(model.get(table, {}))
 
     def test_clean_commit_writes_nothing(self):
         db, backing, _ = make_store()

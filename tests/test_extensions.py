@@ -3,7 +3,7 @@
 import pytest
 
 from repro import calibration
-from repro.core.failover import FailoverCoordinator
+from repro.core.failover import FailoverCoordinator, StateUpdate
 from repro.core.federation import FederatedInstance, Federation
 from repro.core.policy import SecurityPolicy, ServiceSpec
 from repro.core.secrets import SecretKind, SecretSpec
@@ -17,12 +17,16 @@ from repro.errors import (
     QuoteError,
 )
 from repro.fs.blockstore import BlockStore
-from repro.sim.network import Site
+from repro.sim.network import Network, Site
 from repro.tee.dcap import DCAPVerifier, ProvisioningAuthority
 from repro.tee.image import build_image
 from repro.tee.platform import SGXPlatform
 
-from tests.core.conftest import Deployment
+from tests.core.conftest import (
+    Deployment,
+    make_networked_pair,
+    make_second_instance,
+)
 
 
 @pytest.fixture()
@@ -102,35 +106,14 @@ class TestDCAP:
         assert authority.lookup(b"\x00" * 16) is None
 
 
-def make_second_instance(deployment, name="palaemon-2", site=Site.SAME_DC):
-    """A second genuine PALAEMON on its own platform, CA-certified."""
-    rng = DeterministicRandom(name.encode())
-    platform = SGXPlatform(deployment.simulator, f"{name}-node",
-                           rng.fork(b"platform"))
-    deployment.ias.register_platform(
-        platform.quoting_enclave.attestation_public_key,
-        platform.microcode.revision)
-    service = PalaemonService(platform, BlockStore(f"{name}-volume"),
-                              rng.fork(b"service"), name=name,
-                              board_evaluator=deployment.evaluator)
-    service.platform_registry.enroll(
-        platform.platform_id,
-        platform.quoting_enclave.attestation_public_key)
-    deployment.simulator.run_process(service.start())
-    service.obtain_certificate(deployment.ca)
-    return service
+def make_network(deployment, label=b"net"):
+    return Network(deployment.simulator, deployment.rng.fork(label))
 
 
 class TestFederation:
     def make_pair(self, deployment):
-        local = FederatedInstance(deployment.palaemon, Site.SAME_RACK,
-                                  deployment.ca.root_public_key)
-        remote_service = make_second_instance(deployment)
-        remote = FederatedInstance(remote_service,
-                                   Site.CONTINENTAL_7000KM,
-                                   deployment.ca.root_public_key)
-        deployment.simulator.run_process(local.peer_with(remote))
-        return local, remote, remote_service
+        return make_networked_pair(deployment,
+                                   remote_site=Site.CONTINENTAL_7000KM)
 
     def seed_remote_policy(self, deployment, remote_service,
                            export_to=("consumer_policy",)):
@@ -150,8 +133,9 @@ class TestFederation:
         assert local.name in remote.peers()
 
     def test_uncertified_peer_rejected(self, deployment):
+        network = make_network(deployment)
         local = FederatedInstance(deployment.palaemon, Site.SAME_RACK,
-                                  deployment.ca.root_public_key)
+                                  deployment.ca.root_public_key, network)
         rng = DeterministicRandom(b"rogue-fed")
         rogue_platform = SGXPlatform(deployment.simulator, "rogue-node",
                                      rng.fork(b"p"))
@@ -160,7 +144,7 @@ class TestFederation:
                                 version="tampered")
         deployment.simulator.run_process(rogue.start())
         rogue_fed = FederatedInstance(rogue, Site.SAME_DC,
-                                      deployment.ca.root_public_key)
+                                      deployment.ca.root_public_key, network)
         with pytest.raises(AttestationError):
             deployment.simulator.run_process(local.peer_with(rogue_fed))
         assert rogue_fed.name not in local.peers()
@@ -207,7 +191,8 @@ class TestFederation:
 
     def test_fetch_without_link_rejected(self, deployment):
         local = FederatedInstance(deployment.palaemon, Site.SAME_RACK,
-                                  deployment.ca.root_public_key)
+                                  deployment.ca.root_public_key,
+                                  make_network(deployment))
 
         def main():
             yield deployment.simulator.process(
@@ -233,14 +218,15 @@ class TestFederation:
 
     def test_federation_mesh_and_lookup(self, deployment):
         federation = Federation()
+        network = make_network(deployment)
         local = FederatedInstance(deployment.palaemon, Site.SAME_RACK,
-                                  deployment.ca.root_public_key)
+                                  deployment.ca.root_public_key, network)
         second = FederatedInstance(make_second_instance(deployment),
                                    Site.SAME_DC,
-                                   deployment.ca.root_public_key)
+                                   deployment.ca.root_public_key, network)
         third = FederatedInstance(
             make_second_instance(deployment, name="palaemon-3"),
-            Site.REGIONAL_300KM, deployment.ca.root_public_key)
+            Site.REGIONAL_300KM, deployment.ca.root_public_key, network)
         for instance in (local, second, third):
             federation.add(instance)
         deployment.simulator.run_process(federation.connect_all())
@@ -251,15 +237,18 @@ class TestFederation:
 
 
 class TestFailover:
-    def make_coordinator(self, deployment):
+    def make_coordinator(self, deployment, network=None):
         backup = make_second_instance(deployment, name="palaemon-backup")
-        return FailoverCoordinator(deployment.palaemon, backup)
+        return FailoverCoordinator(
+            deployment.palaemon, backup,
+            network or make_network(deployment, b"repl-net"))
 
     def test_same_platform_backup_rejected(self, deployment):
         twin = PalaemonService(deployment.platform, BlockStore("twin"),
                                DeterministicRandom(b"twin"), name="twin")
         with pytest.raises(PolicyError, match="different platform"):
-            FailoverCoordinator(deployment.palaemon, twin)
+            FailoverCoordinator(deployment.palaemon, twin,
+                                make_network(deployment))
 
     def test_replication_flows(self, deployment):
         coordinator = self.make_coordinator(deployment)
@@ -320,3 +309,31 @@ class TestFailover:
 
         with pytest.raises(PolicyError, match="before promotion"):
             deployment.simulator.run_process(run())
+
+    def test_batch_from_unknown_sender_is_dropped(self, deployment):
+        """A forged replication batch is neither applied nor acknowledged,
+        so a later promotion replays nothing."""
+        network = make_network(deployment, b"repl-net")
+        coordinator = self.make_coordinator(deployment, network)
+        backup = coordinator.backup
+        forger = network.endpoint("forger", Site.SAME_DC)
+        forged = StateUpdate(sequence=1, table="tags", key="app",
+                             value=b"\x66" * 32)
+
+        def run():
+            forger.send(network.endpoint(f"{backup.name}-repl", Site.SAME_DC),
+                        {"kind": "repl", "updates": [forged]},
+                        size_bytes=256, reply_to=forger)
+            yield deployment.simulator.timeout(1.0)
+            coordinator.primary_crashed()
+            yield deployment.simulator.process(coordinator.promote_backup())
+
+        deployment.simulator.run_process(run())
+        assert forger.bytes_received == 0  # no ack went back
+        assert coordinator.replication_lag() == 0
+        promotions = [record.details for record
+                      in backup.telemetry.audit_log.records
+                      if record.kind == "failover.promote"]
+        assert promotions == [{"backup": backup.name, "epoch": 2,
+                               "replayed": 0, "applied_sequence": 0}]
+        assert backup.store.get("tags", "app") is None

@@ -7,7 +7,9 @@ Commands
     that regenerates it.
 ``bench <id> [id ...]``
     Run the named experiments (e.g. ``fig10``, ``table2``, ``all``) through
-    pytest-benchmark, printing the paper-style tables.
+    pytest-benchmark, printing the paper-style tables. ``tags`` and
+    ``dispatch`` regenerate ``results/tag_throughput.json`` and
+    ``results/dispatch_load.json``.
 ``examples``
     List the runnable example scripts.
 ``observe``
@@ -22,25 +24,9 @@ Commands
     findings. See ``docs/ANALYSIS.md``.
 ``chaos``
     Run the seeded fault-injection scenario and print the recovery
-    summary. ``--seed`` picks the fault schedule's RNG seed,
-    ``--no-retry`` reproduces the pre-retry deadlock, and ``--check``
-    asserts the two driver-level invariants (same seed twice is
-    byte-identical; retries disabled deadlocks). See ``docs/CHAOS.md``.
-``bench-tags``
-    Run the tag-update write-path benchmark (sequential updates plus
-    concurrent group-commit batching) and export the deterministic results
-    to ``results/tag_throughput.json``. ``--smoke`` runs a reduced
-    configuration, asserts the batching invariant and that an update
-    writes at most a tenth of the sealed database, and checks the export
-    is byte-identical across reruns. See ``docs/PERFORMANCE.md``.
-``bench-dispatch``
-    Drive an N-client burst through the operation-dispatch pipeline's
-    admission control and export the deterministic results
-    (p50/p99 latency of admitted requests, shed counts by reason) to
-    ``results/dispatch_load.json``. ``--smoke`` runs a reduced burst,
-    asserts the shedding invariants (typed ``overloaded`` code, admitted
-    requests succeed), and checks the export is byte-identical across
-    reruns. See ``docs/API.md`` and ``docs/OBSERVABILITY.md``.
+    summary. ``--seed`` picks the fault schedule's RNG seed, and
+    ``--no-retry`` reproduces the pre-retry deadlock. See
+    ``docs/CHAOS.md``.
 """
 
 from __future__ import annotations
@@ -129,8 +115,8 @@ def cmd_observe(seed: str = "observe") -> int:
     return 0 if print_observe_report(service) else 1
 
 
-def cmd_chaos(seed: int, check: bool, no_retry: bool) -> int:
-    """Run (or verify) the seeded chaos scenario."""
+def cmd_chaos(seed: int, no_retry: bool) -> int:
+    """Run the seeded chaos scenario."""
     from repro.chaos import render_summary, run_chaos
     from repro.errors import SimulationError
 
@@ -144,126 +130,7 @@ def cmd_chaos(seed: int, check: bool, no_retry: bool) -> int:
         print("chaos (retries disabled): unexpectedly completed",
               file=sys.stderr)
         return 1
-    if check:
-        first = render_summary(run_chaos(seed))
-        second = render_summary(run_chaos(seed))
-        if first != second:
-            print("chaos --check: two same-seed runs differ", file=sys.stderr)
-            return 1
-        try:
-            run_chaos(seed, retries=False)
-        except SimulationError:
-            pass
-        else:
-            print("chaos --check: the no-retry run should deadlock "
-                  "but completed", file=sys.stderr)
-            return 1
-        print(first)
-        print(f"chaos --check: seed {seed} deterministic; "
-              f"no-retry run deadlocks as expected")
-        return 0
     print(render_summary(run_chaos(seed)))
-    return 0
-
-
-def cmd_bench_tags(smoke: bool, out: str) -> int:
-    """Run the tag-update throughput benchmark; export deterministic JSON."""
-    import json
-    import tempfile
-
-    from repro.benchlib import tagbench
-
-    if smoke:
-        config = dict(policies=150, sequential_updates=6, workers=6)
-    else:
-        config = dict(policies=tagbench.DEFAULT_POLICIES,
-                      sequential_updates=12, workers=8)
-    document, wall_clock = tagbench.run_benchmark(**config)
-    try:
-        tagbench.check_invariants(document)
-    except AssertionError as exc:
-        print(f"bench-tags: invariant violated: {exc}", file=sys.stderr)
-        return 1
-    if smoke:
-        # Determinism: a rerun of the same configuration must export
-        # byte-identical JSON (wall-clock numbers are never exported).
-        rerun, _ = tagbench.run_benchmark(**config)
-        with tempfile.TemporaryDirectory() as scratch:
-            first = Path(scratch) / "first.json"
-            second = Path(scratch) / "second.json"
-            tagbench.export_results(str(first), document)
-            tagbench.export_results(str(second), rerun)
-            if first.read_bytes() != second.read_bytes():
-                print("bench-tags --smoke: rerun export differs",
-                      file=sys.stderr)
-                return 1
-    else:
-        path = Path(out)
-        if not path.is_absolute():
-            path = _repo_root() / path
-        tagbench.export_results(str(path), document)
-        print(f"wrote {path}")
-    sequential = document["sequential"]
-    concurrent = document["concurrent"]
-    print(json.dumps(document, indent=2, sort_keys=True))
-    per_update = sequential["bytes_written_per_update"]
-    print(f"bytes/update: {per_update} of a "
-          f"{sequential['database_bytes']}-byte sealed database "
-          f"({sequential['database_bytes'] / per_update:.1f}x)")
-    print(f"group commit: {concurrent['workers']} workers -> "
-          f"{concurrent['disk_commits']} disk commit(s), "
-          f"{concurrent['coalesced_commits']} coalesced")
-    print(f"wall clock (host-dependent, not exported): "
-          f"{wall_clock['updates_per_second']:.0f} updates/s")
-    return 0
-
-
-def cmd_bench_dispatch(smoke: bool, out: str) -> int:
-    """Run the dispatch admission-control burst; export deterministic JSON."""
-    import json
-    import tempfile
-
-    from repro.benchlib import dispatchbench
-
-    if smoke:
-        config = dict(clients=16, requests_per_client=2, policies=60,
-                      max_concurrency=3, max_queue=4, queue_deadline=0.5)
-    else:
-        config = dict(dispatchbench.DEFAULT_CONFIG)
-    document = dispatchbench.run_benchmark(**config)
-    try:
-        dispatchbench.check_invariants(document)
-    except AssertionError as exc:
-        print(f"bench-dispatch: invariant violated: {exc}", file=sys.stderr)
-        return 1
-    if smoke:
-        # Determinism: a rerun of the same configuration must export
-        # byte-identical JSON (only simulated time is measured).
-        rerun = dispatchbench.run_benchmark(**config)
-        with tempfile.TemporaryDirectory() as scratch:
-            first = Path(scratch) / "first.json"
-            second = Path(scratch) / "second.json"
-            dispatchbench.export_results(str(first), document)
-            dispatchbench.export_results(str(second), rerun)
-            if first.read_bytes() != second.read_bytes():
-                print("bench-dispatch --smoke: rerun export differs",
-                      file=sys.stderr)
-                return 1
-    else:
-        path = Path(out)
-        if not path.is_absolute():
-            path = _repo_root() / path
-        dispatchbench.export_results(str(path), document)
-        print(f"wrote {path}")
-    print(json.dumps(document, indent=2, sort_keys=True))
-    admitted = document["admitted"]
-    shed = document["shed"]
-    print(f"burst: {document['requests_total']} requests -> "
-          f"{admitted['count']} admitted (p50 "
-          f"{admitted['latency']['p50'] * 1e3:.1f}ms, p99 "
-          f"{admitted['latency']['p99'] * 1e3:.1f}ms), "
-          f"{shed['count']} shed with code "
-          f"{'/'.join(shed['codes'])}")
     return 0
 
 
@@ -300,28 +167,9 @@ def main(argv=None) -> int:
         "chaos", help="seeded fault injection + recovery summary")
     chaos.add_argument("--seed", type=int, default=7,
                        help="fault-schedule seed (same seed, same output)")
-    chaos.add_argument("--check", action="store_true",
-                       help="assert determinism and the no-retry deadlock")
     chaos.add_argument("--no-retry", action="store_true",
                        help="run without the retry layer (demonstrates "
                             "the deadlock the retry layer fixes)")
-    bench_tags = subparsers.add_parser(
-        "bench-tags", help="tag-update write-path throughput benchmark")
-    bench_tags.add_argument("--smoke", action="store_true",
-                            help="reduced run: assert batching + bytes "
-                                 "invariants and export determinism")
-    bench_tags.add_argument("--out", default="results/tag_throughput.json",
-                            help="export path (full runs only)")
-    bench_dispatch = subparsers.add_parser(
-        "bench-dispatch",
-        help="dispatch-pipeline admission-control burst benchmark")
-    bench_dispatch.add_argument(
-        "--smoke", action="store_true",
-        help="reduced burst: assert shedding invariants and export "
-             "determinism")
-    bench_dispatch.add_argument(
-        "--out", default="results/dispatch_load.json",
-        help="export path (full runs only)")
     if argv is None:
         argv = sys.argv[1:]
     if argv and argv[0] == "lint":
@@ -337,11 +185,7 @@ def main(argv=None) -> int:
     if args.command == "observe":
         return cmd_observe(args.seed)
     if args.command == "chaos":
-        return cmd_chaos(args.seed, args.check, args.no_retry)
-    if args.command == "bench-tags":
-        return cmd_bench_tags(args.smoke, args.out)
-    if args.command == "bench-dispatch":
-        return cmd_bench_dispatch(args.smoke, args.out)
+        return cmd_chaos(args.seed, args.no_retry)
     return cmd_examples()
 
 

@@ -13,10 +13,10 @@ the three admission outcomes all occur:
   millions of users" goal requires — instead of growing an unbounded
   backlog.
 
-Everything measured is simulated time and counters, so the exported
-document (``results/dispatch_load.json``) is byte-identical across runs
-of the same configuration. Used by ``python -m repro bench-dispatch``
-and ``benchmarks/test_dispatch_load.py``.
+Everything measured is simulated time and counters, so the document is
+identical across runs of the same configuration. Used by
+``benchmarks/test_dispatch_load.py``, which exports
+``results/dispatch_load.json`` (``python -m repro bench dispatch``).
 """
 
 from __future__ import annotations
@@ -24,15 +24,10 @@ from __future__ import annotations
 from typing import Any, Dict, Generator, List
 
 from repro.benchlib import tagbench
-from repro.benchlib.export import export_experiment
 from repro.core.dispatch import AdmissionControl, RouteLimits
 from repro.crypto.primitives import sha256
 from repro.sim.core import Event
 from repro.sim.metrics import summarize, summary_to_dict
-
-#: The burst configuration ``bench-dispatch`` runs by default.
-DEFAULT_CONFIG = dict(clients=32, requests_per_client=4, policies=200,
-                      max_concurrency=4, max_queue=8, queue_deadline=0.5)
 
 #: Clients do not all fire in the same instant: client ``i`` starts at
 #: ``i * CLIENT_STAGGER_SECONDS``, a sub-millisecond ramp that keeps the
@@ -113,33 +108,3 @@ def run_benchmark(clients: int = 32, requests_per_client: int = 4,
             max(o["elapsed"] for o in outcomes), 9),
     }
 
-
-def export_results(path: str, document: Dict[str, Any]) -> None:
-    """Write the deterministic document via the benchlib export format."""
-    export_experiment(path, experiment_id="dispatch_load", extra=document)
-
-
-def check_invariants(document: Dict[str, Any]) -> None:
-    """What ``bench-dispatch --smoke`` enforces.
-
-    - the burst genuinely overloads: at least one request is shed, and
-      every shed request carries exactly the typed ``overloaded`` code;
-    - load shedding is not lockout: admitted requests all succeed, and
-      there is at least one per concurrency slot;
-    - accounting closes: admitted + shed == requests sent.
-    """
-    shed = document["shed"]
-    admitted = document["admitted"]
-    if shed["count"] < 1:
-        raise AssertionError("the burst shed nothing — no overload")
-    if shed["codes"] != ["overloaded"]:
-        raise AssertionError(
-            f"shed requests must fail with the typed 'overloaded' code, "
-            f"got {shed['codes']}")
-    config = document["config"]
-    if admitted["count"] < config["max_concurrency"]:
-        raise AssertionError("admission shed more than the excess load")
-    if admitted["count"] + shed["count"] != document["requests_total"]:
-        raise AssertionError("admitted + shed != requests sent")
-    if admitted["latency"]["p50"] <= 0.0:
-        raise AssertionError("admitted requests paid no simulated latency")

@@ -9,23 +9,19 @@ frequent write — against a database of many policies, in two ways:
 - **concurrent**: N simultaneous updaters exercising the group-commit
   batching in :meth:`PolicyStore.commit`.
 
-Two kinds of numbers come out. *Deterministic* facts — simulated elapsed
-time, bytes written to the untrusted store, disk-commit and coalescing
-counts — are identical across runs with the same configuration and are
-what gets exported to ``results/tag_throughput.json``. *Wall-clock*
-serialization timings vary by host and are reported separately for
-display, never exported.
+Every number is deterministic — simulated elapsed time, bytes written to
+the untrusted store, disk-commit and coalescing counts — so runs with the
+same configuration give identical documents. Host time is measured by
+``perfbench/``, not here.
 
-Used by ``python -m repro bench-tags`` and
-``benchmarks/test_tag_throughput.py``.
+Used by ``benchmarks/test_tag_throughput.py``, which exports
+``results/tag_throughput.json`` (``python -m repro bench tags``).
 """
 
 from __future__ import annotations
 
-import time
 from typing import Any, Dict, Generator, Tuple
 
-from repro.benchlib.export import export_experiment
 from repro.core.service import PalaemonService, _ServiceState
 from repro.crypto.primitives import DeterministicRandom, sha256
 from repro.fs.blockstore import BlockStore
@@ -80,8 +76,8 @@ def _policy_name(index: int) -> str:
 
 def measure_sequential(policies: int, updates: int,
                        payload_bytes: int = DEFAULT_PAYLOAD_BYTES,
-                       ) -> Tuple[Dict[str, Any], float]:
-    """Sequential tag updates; returns (deterministic facts, wall seconds).
+                       ) -> Dict[str, Any]:
+    """Sequential tag updates through the timed write path.
 
     ``database_bytes`` is the sealed database left on the volume (segment
     blobs plus manifest): the size a whole-document flush would rewrite.
@@ -93,14 +89,12 @@ def measure_sequential(policies: int, updates: int,
     bytes_before = backing.bytes_written
     commits_before = service.store.disk.commits
     sim_before = simulator.now
-    wall_before = time.perf_counter()
     for index in range(updates):
         target = _policy_name((index * 37) % policies)
         tag = sha256(b"tag:%d" % index)
         simulator.run_process(
             service.update_tag(target, "svc", tag),
             name=f"update-{index}")
-    wall_seconds = time.perf_counter() - wall_before
     return {
         "policies": policies,
         "updates": updates,
@@ -112,7 +106,7 @@ def measure_sequential(policies: int, updates: int,
             len(backing.read(path)) for path in backing.list()
             if path.startswith(_DATABASE_PATH_PREFIX)),
         "disk_commits": service.store.disk.commits - commits_before,
-    }, wall_seconds
+    }
 
 
 def measure_concurrent(policies: int, workers: int,
@@ -155,66 +149,17 @@ def run_benchmark(policies: int = DEFAULT_POLICIES,
                   sequential_updates: int = 12,
                   workers: int = 8,
                   payload_bytes: int = DEFAULT_PAYLOAD_BYTES,
-                  ) -> Tuple[Dict[str, Any], Dict[str, float]]:
-    """Run both phases.
-
-    Returns ``(document, wall_clock)``: the document holds only
-    deterministic facts (stable across reruns, suitable for committing),
-    ``wall_clock`` the host-dependent serialization timings.
-    """
-    sequential, wall_seconds = measure_sequential(
-        policies, sequential_updates, payload_bytes=payload_bytes)
-    concurrent = measure_concurrent(policies, workers,
-                                    payload_bytes=payload_bytes)
-    document = {
+                  ) -> Dict[str, Any]:
+    """Run both phases; return the deterministic result document."""
+    return {
         "config": {
             "policies": policies,
             "payload_bytes": payload_bytes,
             "sequential_updates": sequential_updates,
             "concurrent_workers": workers,
         },
-        "sequential": sequential,
-        "concurrent": concurrent,
+        "sequential": measure_sequential(
+            policies, sequential_updates, payload_bytes=payload_bytes),
+        "concurrent": measure_concurrent(
+            policies, workers, payload_bytes=payload_bytes),
     }
-    wall_clock = {
-        "updates_per_second":
-            sequential_updates / wall_seconds if wall_seconds else 0.0,
-    }
-    return document, wall_clock
-
-
-def export_results(path: str, document: Dict[str, Any]) -> None:
-    """Write the deterministic document via the benchlib export format."""
-    export_experiment(path, experiment_id="tag_throughput",
-                      extra=document)
-
-
-def check_invariants(document: Dict[str, Any]) -> None:
-    """The batching + throughput invariants ``bench-tags --smoke`` enforces.
-
-    - concurrent updaters must coalesce: fewer disk commits than workers,
-      at least one coalesced commit, and every worker's tag recorded;
-    - a sequential update must write at most a tenth of the sealed
-      database already on the volume;
-    - the latency model is untouched: a sequential update still pays
-      exactly one disk commit.
-    """
-    concurrent = document["concurrent"]
-    if concurrent["coalesced_commits"] < 1:
-        raise AssertionError("no coalesced commits under concurrent load")
-    if concurrent["disk_commits"] >= concurrent["workers"]:
-        raise AssertionError(
-            f"{concurrent['workers']} workers required "
-            f"{concurrent['disk_commits']} disk commits — no batching")
-    if concurrent["expected_tags_recorded"] != concurrent["workers"]:
-        raise AssertionError("a coalesced update lost its tag")
-    sequential = document["sequential"]
-    if (10 * sequential["bytes_written_per_update"]
-            > sequential["database_bytes"]):
-        raise AssertionError(
-            f"a sequential update wrote "
-            f"{sequential['bytes_written_per_update']} bytes, more than a "
-            f"tenth of the {sequential['database_bytes']}-byte sealed "
-            f"database")
-    if sequential["disk_commits"] != sequential["updates"]:
-        raise AssertionError("sequential updates must pay one commit each")

@@ -24,8 +24,9 @@ can inject:
 Everything probabilistic draws from one seeded
 :class:`~repro.crypto.primitives.DeterministicRandom`, all fault windows
 are virtual-time, and the summary renders with sorted keys — so the same
-seed produces a byte-identical report (``--check`` asserts this, and
-also that the same scenario *deadlocks* when retries are disabled).
+seed produces a byte-identical report (``tests/test_chaos_recovery.py``
+asserts this, and also that the same scenario *deadlocks* when retries
+are disabled).
 """
 
 from __future__ import annotations

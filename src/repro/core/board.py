@@ -202,14 +202,6 @@ class BoardEvaluator:
         self._services = services
         self.telemetry = telemetry if telemetry is not None else NULL_TELEMETRY
 
-    def service_for(self, member: PolicyBoardMember) -> ApprovalService:
-        try:
-            return self._services[member.approval_endpoint]
-        except KeyError:
-            raise ApprovalDeniedError(
-                f"no approval service at {member.approval_endpoint!r}"
-            ) from None
-
     def evaluate_local(self, board: BoardSpec,
                        request: AccessRequest) -> ApprovalOutcome:
         """Run a board round without simulating time."""

@@ -32,7 +32,7 @@ Entry points, one per transport style:
 - :meth:`Dispatcher.dispatch` — the same pipeline as a simulation
   process: admission may *queue* (virtual time passes) and operations
   with a timed handler pay their modelled latency. Used by the load
-  benchmark (``python -m repro bench-dispatch``).
+  benchmark (``python -m repro bench dispatch``).
 - :meth:`Dispatcher.invoke` — in-process invoker: returns the handler
   value or raises the typed error. Used by :class:`PalaemonClient`.
 """

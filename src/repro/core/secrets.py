@@ -14,7 +14,7 @@ Three kinds cover every use in the paper's policies and macro-benchmarks:
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from repro.crypto.certificates import Certificate, CertificateAuthority
@@ -93,8 +93,6 @@ class SecretValue:
     value: bytes
     #: For X509 secrets: the generated certificate (public half).
     certificate: Optional[Certificate] = None
-    #: Accounting: which policies imported this secret.
-    imported_by: List[str] = field(default_factory=list)
 
 
 def materialize(spec: SecretSpec, rng: DeterministicRandom,

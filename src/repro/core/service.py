@@ -592,8 +592,6 @@ class PalaemonService:
             source_secrets = self.store.get("secrets",
                                             import_spec.from_policy)
             secret = source_secrets[import_spec.secret_name]
-            secret.imported_by.append(policy.name)
-            self.store.touch("secrets")
             resolved[import_spec.bound_name] = SecretValue(
                 name=import_spec.bound_name, kind=secret.kind,
                 value=secret.value, certificate=secret.certificate)

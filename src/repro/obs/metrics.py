@@ -127,9 +127,6 @@ class MetricsRegistry:
         """Distinct metric family names, sorted."""
         return sorted(self._kinds)
 
-    def kind_of(self, name: str) -> str:
-        return self._kinds[name]
-
     def series(self) -> Iterator[object]:
         """Every metric series in deterministic (name, labels) order."""
         for key in sorted(self._metrics):

@@ -9,7 +9,7 @@ tag updates back to PALAEMON on close/sync/exit.
 
 from repro.runtime.scone import SconeRuntime
 from repro.runtime.application import RunningApplication
-from repro.runtime.startup import AttestationVariant, StartupModel, startup_process
+from repro.runtime.startup import AttestationVariant, StartupModel
 
 from repro.tee.enclave import ExecutionMode
 
@@ -19,5 +19,4 @@ __all__ = [
     "RunningApplication",
     "SconeRuntime",
     "StartupModel",
-    "startup_process",
 ]

@@ -103,13 +103,6 @@ class StartupModel:
             calibration.ATTEST_RECEIVE_CONFIG_SECONDS)
 
 
-def startup_process(model: StartupModel, variant: AttestationVariant,
-                    ) -> Generator[Event, Any, float]:
-    """Convenience wrapper usable as a workload factory target."""
-    duration = yield model.simulator.process(model.start_one(variant))
-    return duration
-
-
 def attestation_phase_latencies(variant: AttestationVariant,
                                 ias_site: Site = Site.IAS_US) -> dict:
     """Closed-form per-phase latencies for Fig 8 (single attestation)."""

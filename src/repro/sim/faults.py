@@ -24,7 +24,7 @@ Determinism: all probabilistic decisions draw from one
 :class:`~repro.crypto.primitives.DeterministicRandom` forked off the
 plan's seed, and all windows are in virtual time, so the same seed and
 the same event order produce the same faults — byte-identical recovery
-summaries across runs (the chaos CLI's ``--check`` asserts exactly
+summaries across runs (``tests/test_chaos_recovery.py`` asserts exactly
 this). Every injected fault is counted in :attr:`FaultPlan.injected`
 and, when a telemetry domain is attached, in the
 ``palaemon_faults_injected_total`` metric by ``kind``.
@@ -253,9 +253,6 @@ class FaultPlan:
     def _record(self, kind: str) -> None:
         self.injected[kind] = self.injected.get(kind, 0) + 1
         self.telemetry.inc("palaemon_faults_injected_total", kind=kind)
-
-    def total_injected(self) -> int:
-        return sum(self.injected.values())
 
     def summary(self) -> Dict[str, int]:
         """Injected fault counts by kind, sorted for stable rendering."""

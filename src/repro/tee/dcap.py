@@ -121,6 +121,3 @@ class DCAPVerifier:
                 f"platform TCB 0x{pck.tcb_revision:x} below required "
                 f"0x{self.minimum_tcb:x}")
         self.quotes_verified += 1
-
-    def known_platforms(self) -> int:
-        return len(self._cache)

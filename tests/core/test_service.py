@@ -7,6 +7,7 @@ from repro.core.attestation import AttestationEvidence
 from repro.core.policy import ImportSpec
 from repro.core.secrets import SecretKind, SecretSpec
 from repro.core.service import PalaemonService
+from repro.core.store import _segment_path
 from repro.crypto.primitives import DeterministicRandom, sha256
 from repro.crypto.signatures import KeyPair
 from repro.errors import (
@@ -173,6 +174,16 @@ class TestAttestation:
         evidence = deployment.evidence_for("ml_policy", platform=rogue)
         with pytest.raises(AttestationError, match="unenrolled"):
             deployment.palaemon.attest_application(evidence)
+
+    def test_revoked_platform_rejected(self, deployment):
+        self.create(deployment)
+        evidence = deployment.evidence_for("ml_policy")
+        deployment.palaemon.attest_application(evidence)
+        deployment.palaemon.platform_registry.revoke(
+            deployment.platform.platform_id)
+        with pytest.raises(AttestationError, match="unenrolled"):
+            deployment.palaemon.attest_application(
+                deployment.evidence_for("ml_policy"))
 
     def test_tls_key_binding_enforced(self, deployment):
         """Evidence must bind the TLS key: a MITM swapping keys fails."""
@@ -360,6 +371,33 @@ class TestSecretImportExport:
         config = deployment.palaemon.attest_application(
             deployment.evidence_for("consumer"))
         assert "UPSTREAM_KEY" in config.secrets
+
+    def test_repeated_import_attestation_leaves_secrets_alone(self,
+                                                              deployment):
+        """Attesting an importer reads the exporter's secret; it never
+        reseals the secrets segment, and every attest writes the same
+        number of database bytes."""
+        producer = deployment.make_policy(
+            name="producer", secrets=[SecretSpec(
+                name="MODEL_KEY", kind=SecretKind.RANDOM,
+                export_to=("consumer",))])
+        deployment.client.create_policy(deployment.palaemon, producer)
+        consumer = deployment.make_policy(
+            name="consumer", secrets=[],
+            imports=[ImportSpec(from_policy="producer",
+                                secret_name="MODEL_KEY")])
+        deployment.client.create_policy(deployment.palaemon, consumer)
+        volume = deployment.volume
+        secrets_segment = _segment_path("secrets")
+        generation = volume.generation(secrets_segment)
+        written = []
+        for _ in range(4):
+            before = volume.bytes_written
+            deployment.palaemon.attest_application(
+                deployment.evidence_for("consumer"))
+            written.append(volume.bytes_written - before)
+        assert volume.generation(secrets_segment) == generation
+        assert len(set(written)) == 1
 
     def test_import_from_unknown_policy(self, deployment):
         consumer = deployment.make_policy(

@@ -103,6 +103,30 @@ class TestDelivery:
         with pytest.raises(NetworkError):
             a.send(b, "payload")
 
+    def test_reopening_a_closed_endpoint_name(self):
+        """A restarted front-end reuses its name and gets a fresh inbox."""
+        sim, net = self.make_net()
+        a = net.endpoint("a")
+        b = net.endpoint("b")
+
+        def before_close():
+            a.send(b, "queued, then lost with the old inbox")
+            yield sim.timeout(1.0)
+
+        sim.run_process(before_close())
+        b.close()
+        reopened = net.endpoint("b")
+        assert reopened is b
+        assert len(reopened.inbox) == 0
+
+        def after_reopen():
+            reopened.send(a, "reply from the new inbox's owner")
+            a.send(reopened, "after restart")
+            message = yield reopened.receive()
+            return message.payload
+
+        assert sim.run_process(after_reopen()) == "after restart"
+
     def test_partition_drops_messages(self):
         sim, net = self.make_net()
         a = net.endpoint("a")

@@ -55,6 +55,20 @@ class TestCli:
         assert main(["observe", "--seed", "repeatable"]) == 0
         assert capsys.readouterr().out == first
 
+    def test_chaos_prints_the_recovery_summary(self, capsys):
+        assert main(["chaos", "--seed", "7"]) == 0
+        assert capsys.readouterr().out.strip()
+
+    def test_chaos_without_retries_deadlocks(self, capsys):
+        assert main(["chaos", "--no-retry"]) == 0
+        assert "hangs without the retry layer" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("argv", [["chaos", "--check"], ["bench-tags"],
+                                      ["bench-dispatch"]])
+    def test_removed_commands_rejected(self, argv):
+        with pytest.raises(SystemExit):
+            main(argv)
+
 
 class TestYamlishDumps:
     def test_empty_top_level_mapping_rejected(self):

@@ -8,6 +8,7 @@ from repro.crypto.primitives import DeterministicRandom
 from repro.crypto.signatures import KeyPair
 from repro.errors import CertificateError
 from repro.sim.core import Simulator
+from repro.sim.faults import FaultPlan
 from repro.sim.network import Network, Site
 from repro.tls.channel import TLSConnection, TLSServer
 from repro.tls.handshake import handshake_latency, perform_handshake
@@ -174,6 +175,34 @@ class TestConnection:
         reply, elapsed = sim.run_process(main())
         assert reply == 42
         assert elapsed >= 0.010
+
+    def test_duplicated_replies_dropped_as_stale(self, rng):
+        """A reply the network delivers twice is never taken as the answer
+        to the next request."""
+        sim = Simulator()
+        net = Network(sim, rng.fork(b"net"))
+        plan = FaultPlan(sim).duplicate_link("server", "client",
+                                             probability=1.0)
+        plan.attach_network(net)
+        server = self.make_server(
+            sim, net, lambda request, _session: {"echo": request})
+
+        def main():
+            connection = yield sim.process(TLSConnection.connect(
+                net, "client", Site.SAME_DC, server.endpoint, rng))
+            server.register_session(connection.session)
+            first = yield sim.process(connection.request(1))
+            second = yield sim.process(connection.request(2))
+            server.stop()
+            return connection, first, second
+
+        connection, first, second = sim.run_process(main())
+        assert (first, second) == ({"echo": 1}, {"echo": 2})
+        # The first request arrives twice and each of its two replies is
+        # duplicated: one answer plus three stale copies, which the second
+        # request reads and drops before its own reply.
+        assert plan.injected["duplicate"] >= 3
+        assert connection.stale_replies_dropped == 3
 
     def test_unknown_session_dropped(self, rng):
         sim = Simulator()

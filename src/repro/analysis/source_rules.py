@@ -30,9 +30,18 @@ _NOW_ATTRS = frozenset(("now", "utcnow", "today"))
 _SNAKE_CASE = re.compile(r"^[a-z][a-z0-9_]*$")
 
 
-def _in_deterministic_package(module: str) -> bool:
+#: Packages that own raw endpoint traffic: the message fabric and the
+#: one TLS request/reply channel every transport rides.
+RAW_TRAFFIC_PACKAGES = ("repro.sim", "repro.tls")
+
+
+def _in_packages(module: str, packages) -> bool:
     return any(module == package or module.startswith(package + ".")
-               for package in DETERMINISTIC_PACKAGES)
+               for package in packages)
+
+
+def _in_deterministic_package(module: str) -> bool:
+    return _in_packages(module, DETERMINISTIC_PACKAGES)
 
 
 @rule("SRC101", "wall clock in deterministic package", scope="source",
@@ -283,7 +292,7 @@ _SERVICE_OPERATION_METHODS = frozenset((
 @rule("SRC107", "direct service call from a transport module",
       scope="source", severity=Severity.ERROR,
       hint="route the request through the dispatcher "
-           "(service.dispatcher.handle/dispatch/invoke)")
+           "(service.dispatcher.handle/dispatch)")
 def check_transport_bypasses_dispatcher(source: SourceFile,
                                         ) -> Iterator[Finding]:
     if source.module not in _TRANSPORT_MODULES:
@@ -303,6 +312,35 @@ def check_transport_bypasses_dispatcher(source: SourceFile,
                          f"error mapping)"),
                 hint="transports are codecs: build a request dict and "
                      "hand it to the service's Dispatcher")
+
+
+@rule("SRC108", "raw endpoint traffic outside repro.sim/repro.tls",
+      scope="source", severity=Severity.ERROR,
+      hint="send through TLSConnection.request and serve with TLSServer")
+def check_raw_endpoint_traffic(source: SourceFile) -> Iterator[Finding]:
+    if _in_packages(source.module, RAW_TRAFFIC_PACKAGES):
+        return
+    for node in ast.walk(source.tree):
+        if not (isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)):
+            continue
+        if node.func.attr == "send" and (
+                len(node.args) >= 2
+                or any(keyword.arg in ("size_bytes", "reply_to")
+                       for keyword in node.keywords)):
+            call = ".send(...)"
+        elif (node.func.attr == "receive"
+              and not node.args and not node.keywords):
+            call = ".receive()"
+        else:
+            continue
+        yield Finding(
+            code="SRC108", severity=Severity.ERROR,
+            subject=source.display, line=node.lineno,
+            message=(f"{source.module} moves raw endpoint traffic "
+                     f"({call}); a hand-rolled channel skips the sealing, "
+                     f"request ids and junk dropping of repro.tls"),
+            hint="use TLSConnection.request / TLSServer")
 
 
 def _method_facts(method: ast.AST, method_names: Set[str]):

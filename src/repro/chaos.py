@@ -133,7 +133,7 @@ def run_chaos(seed: int, retries: bool = True) -> Dict[str, Any]:
     rest_server = PalaemonRestServer(primary, network)
 
     # The fault schedule (all windows in virtual seconds).
-    plan.drop_link("fed-palaemon-1-client", "fed-palaemon-2",
+    plan.drop_link("fed-palaemon-1-to-palaemon-2", "fed-palaemon-2",
                    start=0.0, end=2.5)
     plan.counter_outage("counters-3", start=0.0, end=11.0)
     plan.attach_disk(primary.store.disk)

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from typing import Any, FrozenSet
 
+from repro.core.dispatch import decode_reply
 from repro.core.service import PalaemonService
 from repro.crypto.certificates import Certificate, self_signed_certificate
 from repro.crypto.primitives import DeterministicRandom, sha256
@@ -148,13 +149,15 @@ class PalaemonClient:
     def invoke(self, instance: PalaemonService, route: str, **fields) -> Any:
         """Send one operation through the instance's dispatch pipeline.
 
-        The in-process transport: the same registry, middleware, and
-        admission control as REST and federation, minus the network.
-        Raises the typed error (not a structured reply) on refusal.
+        The in-process transport: the same registry, middleware, admission
+        control and reply decoding as REST and federation, minus the
+        network. Raises the typed error (not a structured reply) on
+        refusal.
         """
         self.require_attested(instance)
-        return instance.dispatcher.invoke(route, certificate=self.certificate,
-                                          **fields)
+        return decode_reply(instance.dispatcher.handle(
+            dict(fields, route=route), transport="inprocess",
+            certificate=self.certificate))
 
     def create_policy(self, instance: PalaemonService, policy) -> None:
         self.invoke(instance, "policy.create", policy=policy)

@@ -28,13 +28,16 @@ Entry points, one per transport style:
 
 - :meth:`Dispatcher.handle` — synchronous request → structured reply
   dict (``{"ok": ...}`` or ``{"error", "kind", "code"}``); never raises.
-  Used by the REST server, federation serve loop, and failover backup.
+  Used by the REST server, federation and failover TLS servers, and the
+  in-process :class:`PalaemonClient`.
 - :meth:`Dispatcher.dispatch` — the same pipeline as a simulation
   process: admission may *queue* (virtual time passes) and operations
   with a timed handler pay their modelled latency. Used by the load
   benchmark (``python -m repro bench dispatch``).
-- :meth:`Dispatcher.invoke` — in-process invoker: returns the handler
-  value or raises the typed error. Used by :class:`PalaemonClient`.
+
+Every caller turns a reply back into a value with :func:`decode_reply`,
+which re-raises an error reply as its typed :mod:`repro.errors` class —
+so a refusal raises the same exception over every transport.
 """
 
 from __future__ import annotations
@@ -53,6 +56,7 @@ from typing import (
     Tuple,
 )
 
+import repro.errors
 from repro.errors import (
     BadRequestError,
     CertificateRequiredError,
@@ -92,6 +96,30 @@ def error_code(exc: BaseException) -> str:
     if name.endswith("Error"):
         name = name[:-len("Error")]
     return re.sub(r"(?<!^)(?=[A-Z])", "_", name).lower()
+
+
+#: Reply ``kind`` -> exception class. Only :class:`ReproError` subclasses
+#: defined in :mod:`repro.errors` resolve; any other kind decodes as
+#: :class:`ReproError`.
+_ERROR_CLASSES = {
+    name: value for name, value in vars(repro.errors).items()
+    if isinstance(value, type) and issubclass(value, ReproError)}
+
+
+def decode_reply(reply: Any) -> Any:
+    """The value of a structured reply, or its error re-raised as the
+    typed :mod:`repro.errors` class the server decided.
+
+    A reply that is neither shape (a Byzantine peer's) raises
+    :class:`ReproError`.
+    """
+    if isinstance(reply, dict) and "ok" in reply and "error" not in reply:
+        return reply["ok"]
+    reply = reply if isinstance(reply, dict) else {}
+    kind = reply.get("kind")
+    error_class = _ERROR_CLASSES.get(kind if isinstance(kind, str) else "",
+                                     ReproError)
+    raise error_class(str(reply.get("error", "malformed reply")))
 
 
 @dataclass
@@ -485,21 +513,6 @@ class Dispatcher:
         except Exception as exc:  # noqa: BLE001 - serve loops never crash
             return self._crash_reply(exc, operation, transport)
 
-    def invoke(self, route: str, *, certificate: Any = None,
-               target: Any = None, **fields) -> Any:
-        """In-process invoker: returns the value or raises the typed error."""
-        request = dict(fields)
-        request["route"] = route
-        operation = self._resolve(request)
-        self._count_request(operation.name, "inprocess")
-        try:
-            return self._run(operation, request, "inprocess",
-                             certificate=certificate, peer=None,
-                             target=target)
-        except ReproError as exc:
-            self._count_error(operation.name, "inprocess", error_code(exc))
-            raise
-
     # -- the pipeline ----------------------------------------------------
 
     def _resolve(self, request: Any) -> Operation:
@@ -528,7 +541,7 @@ class Dispatcher:
                 f"{', '.join(missing)}")
         context = DispatchContext(
             service=self.service, request=request, transport=transport,
-            certificate=certificate or request.get("client_certificate"),
+            certificate=certificate,
             peer=peer, target=target if target is not None else self.service)
         if (operation.auth == AUTH_CLIENT_CERTIFICATE
                 and context.certificate is None):

@@ -26,13 +26,19 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Generator, List, Optional
 
-from repro.core.dispatch import AUTH_PEER, DEFAULT_REGISTRY, DispatchContext
+from repro.core.dispatch import (
+    AUTH_PEER,
+    DEFAULT_REGISTRY,
+    DispatchContext,
+    decode_reply,
+)
 from repro.core.service import PalaemonService
 from repro.crypto.primitives import DeterministicRandom
 from repro.errors import PolicyError, RetryExhaustedError, RollbackDetectedError
-from repro.sim.core import Event, ProcessInterrupt, Simulator
+from repro.sim.core import Event, Simulator
 from repro.sim.network import Network, Site
 from repro.sim.retry import RetryPolicy
+from repro.tls.channel import TLSConnection, TLSServer
 
 
 @dataclass(frozen=True)
@@ -56,10 +62,12 @@ class ReplicaState:
 class FailoverCoordinator:
     """Manages a primary and one synchronous backup.
 
-    Updates travel as messages between real ``{name}-repl`` endpoints on
-    ``network``, so a partition or an attached
-    :class:`~repro.sim.faults.FaultPlan` genuinely prevents the ack. The
-    backup applies only batches sent from the primary's endpoint.
+    The primary connects from its ``{primary}-repl`` endpoint to a
+    :class:`~repro.tls.channel.TLSServer` on ``{backup}-repl``, and
+    updates travel as sealed TLS records on ``network`` — so a partition
+    or an attached :class:`~repro.sim.faults.FaultPlan` genuinely
+    prevents the ack, while no update value is readable on the wire. The
+    backup serves only the session the coordinator opened for the primary.
     :meth:`replicate` retries under ``retry_policy`` and, on giving up,
     leaves :meth:`replication_lag` > 0 — which :meth:`promote_backup`
     honours by replaying only the updates the backup actually
@@ -88,16 +96,30 @@ class FailoverCoordinator:
         #: Updates the primary committed locally but the backup has not
         #: acknowledged; resent in order on every attempt.
         self._pending: List[StateUpdate] = []
-        self._primary_ep = network.endpoint(
-            f"{primary.name}-repl", primary_site)
-        self._backup_ep = network.endpoint(
-            f"{backup.name}-repl", backup_site)
-        self.simulator.process(self._backup_serve_loop(),
-                               name=f"repl-serve-{backup.name}")
+        self._server = TLSServer(
+            network, network.endpoint(f"{backup.name}-repl", backup_site),
+            lambda request, _session: backup.dispatcher.handle(
+                request, transport="failover", peer=primary.name,
+                target=self))
+        self._server.start()
+        self._connection = self.simulator.process(
+            self._connect(network, primary_site),
+            name=f"repl-connect-{primary.name}")
 
     @property
     def simulator(self) -> Simulator:
         return self.primary.simulator
+
+    def _connect(self, network: Network, site: Site,
+                 ) -> Generator[Event, Any, TLSConnection]:
+        """The primary's TLS connection to the backup's server."""
+        connection = yield from TLSConnection.connect(
+            network, f"{self.primary.name}-repl", site,
+            self._server.endpoint, self._rng.fork(b"repl-tls"),
+            server_certificate=self.backup.certificate,
+            client_certificate=self.primary.certificate)
+        self._server.register_session(connection.session)
+        return connection
 
     # -- replication -------------------------------------------------------
 
@@ -106,7 +128,9 @@ class FailoverCoordinator:
         """Write through the active instance and synchronously replicate.
 
         Returns the acknowledged sequence number. Costs one round trip to
-        the backup — the price of the availability the paper defers.
+        the backup — the price of the availability the paper defers (the
+        TLS connection itself is opened once, when the coordinator is
+        built).
         """
         if self.active is not self.primary:
             raise PolicyError("replicate() is only valid before promotion")
@@ -120,7 +144,7 @@ class FailoverCoordinator:
             self.primary.store.commit_instant()
             self._pending.append(update)
             try:
-                ack = yield from self._replicate_pending(update.sequence)
+                ack = yield from self._replicate_pending()
             except RetryExhaustedError:
                 # Locally committed but unacknowledged: the lag gauge goes
                 # positive and promote_backup() will not expose this update.
@@ -135,30 +159,18 @@ class FailoverCoordinator:
                         self.replication_lag())
         return update.sequence
 
-    def _replicate_pending(self, target_sequence: int,
-                           ) -> Generator[Event, Any, int]:
-        """Send all unacked updates; wait for a cumulative ack covering
-        ``target_sequence``, retrying under the coordinator's policy."""
+    def _replicate_pending(self) -> Generator[Event, Any, int]:
+        """Send all unacked updates in one sealed request; its reply is
+        the backup's cumulative ack. Retried under the coordinator's
+        policy; a refusal from the backup is a verdict and propagates."""
+        connection = yield self._connection
 
         def attempt() -> Generator[Event, Any, int]:
-            self._primary_ep.send(
-                self._backup_ep,
-                {"kind": "repl", "updates": list(self._pending)},
-                size_bytes=256 + 128 * len(self._pending),
-                reply_to=self._primary_ep)
-            while True:
-                pending = self._primary_ep.receive()
-                try:
-                    message = yield pending
-                except ProcessInterrupt:
-                    self._primary_ep.inbox.cancel(pending)
-                    raise
-                payload = message.payload
-                if not isinstance(payload, dict) or "ack" not in payload:
-                    continue
-                if payload["ack"] >= target_sequence:
-                    return payload["ack"]
-                # A stale (lower) cumulative ack: keep waiting.
+            reply = yield from connection.request(
+                {"route": "failover.replicate",
+                 "updates": list(self._pending)},
+                size_bytes=256 + 128 * len(self._pending))
+            return decode_reply(reply)["ack"]
 
         ack = yield self.simulator.process(self.retry_policy.call(
             self.simulator, attempt, self._rng,
@@ -166,43 +178,6 @@ class FailoverCoordinator:
             telemetry=self.primary.telemetry),
             name="failover-replicate-retry")
         return ack
-
-    def _backup_serve_loop(self) -> Generator[Event, Any, None]:
-        """Route replication batches through the backup's dispatch pipeline.
-
-        ``{"kind": "repl"}`` messages become ``failover.replicate``
-        requests; the registered handler applies updates in order
-        (idempotently — only the next expected sequence number is
-        applied, everything else is skipped and re-acknowledged) and the
-        cumulative ack travels back. Messages from any endpoint other than
-        the primary's are dropped unanswered. Malformed payloads and
-        refused requests produce no ack, so the primary's retry/backoff
-        layer treats them exactly like a lost message.
-        """
-        from repro.sim.resources import StoreClosed
-
-        while True:
-            try:
-                message = yield self._backup_ep.receive()
-            except StoreClosed:
-                return
-            if message.sender is not self._primary_ep:
-                continue
-            payload = message.payload
-            if not isinstance(payload, dict):
-                continue
-            kind = payload.get("kind")
-            route = ("failover.replicate" if kind == "repl"
-                     else f"failover.{kind}")
-            route_request = {key: value for key, value in payload.items()
-                             if key != "kind"}
-            route_request["route"] = route
-            outcome = self.backup.dispatcher.handle(
-                route_request, transport="failover",
-                peer=self.primary.name, target=self)
-            if message.reply_to is not None and "ok" in outcome:
-                self._backup_ep.send(message.reply_to, outcome["ok"],
-                                     size_bytes=64)
 
     # -- fail-over -----------------------------------------------------------
 

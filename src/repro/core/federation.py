@@ -10,53 +10,48 @@ other KMSs (§VII). This module implements that federation layer:
 - a policy's secrets can be fetched from a peer when the local instance
   does not hold the policy, subject to the same export rules that govern
   cross-policy imports;
-- all peer traffic travels as sealed messages over the simulated network,
-  so a fetch's latency is the real round trip between the two sites.
+- all peer traffic rides TLS sessions (:mod:`repro.tls.channel`) over the
+  simulated network, so a fetch's latency is the real round trip between
+  the two sites and its records are sealed under per-connection keys.
 """
 
 from __future__ import annotations
 
-import pickle
-from dataclasses import dataclass, field
 from typing import Any, Dict, Generator, List, Optional
 
-import repro.errors as errors
-from repro.core.dispatch import AUTH_PEER, DEFAULT_REGISTRY, DispatchContext
+from repro.core.dispatch import (
+    AUTH_PEER,
+    DEFAULT_REGISTRY,
+    DispatchContext,
+    decode_reply,
+)
 from repro.core.service import PalaemonService
-from repro.crypto.primitives import DeterministicRandom, hkdf, sha256
+from repro.crypto.primitives import DeterministicRandom
 from repro.crypto.signatures import PublicKey
-from repro.crypto.symmetric import SecretBox
 from repro.errors import (
     AccessDeniedError,
     AttestationError,
     PolicyNotFoundError,
-    ReproError,
 )
-from repro.sim.core import Event, ProcessInterrupt, Simulator
+from repro.sim.core import Event, Simulator
 from repro.sim.network import Network, Site
 from repro.sim.retry import RetryPolicy
-from repro.tls.handshake import handshake_latency
-
-
-@dataclass
-class PeerLink:
-    """An attested, long-lived connection to a remote instance."""
-
-    peer: "FederatedInstance"
-    #: AEAD box for link traffic, keyed at peering.
-    box: SecretBox = field(repr=False)
-    requests: int = 0
+from repro.tls.channel import TLSConnection, TLSServer
+from repro.tls.handshake import TLSSession
 
 
 class FederatedInstance:
     """A PALAEMON instance participating in a federation mesh.
 
-    Every instance owns a real ``fed-{name}`` endpoint and a serve loop on
-    ``network``. Fetches are request/reply messages that can be dropped,
-    duplicated, delayed, or blacked out by an attached
-    :class:`~repro.sim.faults.FaultPlan`, and payloads cross the wire
-    AEAD-sealed under a per-link key derived at peering (the paper's "all
-    peer traffic is TLS", checkable via the wire log).
+    Every instance serves a :class:`~repro.tls.channel.TLSServer` on its
+    ``fed-{name}`` endpoint. Peering opens one TLS connection per
+    direction, each from its own ``fed-{name}-to-{peer}`` client endpoint
+    (a shared inbox would mix the sessions' replies). Fetches are sealed
+    request/reply records under those per-connection session keys, so
+    they can be dropped, duplicated, delayed, or blacked out by an
+    attached :class:`~repro.sim.faults.FaultPlan`, but never read or
+    forged by anyone on the wire (the paper's "all peer traffic is TLS",
+    checkable via the wire log).
     """
 
     def __init__(self, service: PalaemonService, site: Site,
@@ -65,18 +60,17 @@ class FederatedInstance:
         self.service = service
         self.site = site
         self.ca_root = ca_root
-        self._links: Dict[str, PeerLink] = {}
+        self.network = network
+        #: Outbound connection to each attested peer, by peer name.
+        self._links: Dict[str, TLSConnection] = {}
+        #: Inbound session id -> the attested peer that opened it.
+        self._peer_sessions: Dict[bytes, str] = {}
         self._rng = rng or DeterministicRandom(
             b"federation:" + service.name.encode())
-        self._request_seq = 0
-        #: Serve endpoint (requests in) and client endpoint (replies in).
-        #: Distinct so the serve loop's mailbox getter can never consume a
-        #: reply meant for an in-flight fetch.
-        self.endpoint = network.endpoint(f"fed-{service.name}", site)
-        self.client_endpoint = network.endpoint(
-            f"fed-{service.name}-client", site)
-        self.simulator.process(self._serve_loop(),
-                               name=f"fed-serve-{service.name}")
+        self._server = TLSServer(
+            network, network.endpoint(f"fed-{service.name}", site),
+            self._serve)
+        self._server.start()
 
     @property
     def simulator(self) -> Simulator:
@@ -90,8 +84,13 @@ class FederatedInstance:
 
     def peer_with(self, other: "FederatedInstance",
                   ) -> Generator[Event, Any, None]:
-        """Mutually attest and establish a persistent TLS link."""
-        for side, counterpart in ((self, other), (other, self)):
+        """Mutually attest and open a TLS connection in each direction.
+
+        Both directions' handshakes run concurrently, so peering costs one
+        handshake latency.
+        """
+        pairs = ((self, other), (other, self))
+        for side, counterpart in pairs:
             certificate = counterpart.service.certificate
             if certificate is None:
                 raise AttestationError(
@@ -102,25 +101,32 @@ class FederatedInstance:
                 raise AttestationError(
                     f"instance {counterpart.name!r} presented a certificate "
                     f"for a different key")
-        yield self.simulator.timeout(
-            handshake_latency(self.site, other.site))
-        # Per-link AEAD key, derived at peering like a TLS master secret;
-        # both sides hold the same key but fork their own nonce streams.
-        link_key = hkdf(sha256(
-            *sorted((self.service.public_key.to_bytes(),
-                     other.service.public_key.to_bytes()))),
-            b"palaemon-federation-link")
-        for side, counterpart in ((self, other), (other, self)):
-            side._links[counterpart.name] = PeerLink(
-                peer=counterpart,
-                box=SecretBox(link_key, side._rng.fork(
-                    b"link:" + counterpart.name.encode())))
+        connections = yield self.simulator.all_of([
+            self.simulator.process(side._connect(counterpart),
+                                   name=f"fed-peer-{side.name}")
+            for side, counterpart in pairs])
+        for (side, counterpart), connection in zip(pairs, connections):
+            side._links[counterpart.name] = connection
             side.service.telemetry.inc("palaemon_federation_peers_total")
             side.service.telemetry.gauge("palaemon_federation_peer_links",
                                          len(side._links))
             side.service.telemetry.audit("federation.peer",
                                          peer=counterpart.name,
                                          site=counterpart.site.value)
+
+    def _connect(self, peer: "FederatedInstance",
+                 ) -> Generator[Event, Any, TLSConnection]:
+        """Handshake with ``peer``'s server, verifying its CA certificate."""
+        connection = yield from TLSConnection.connect(
+            self.network, f"fed-{self.name}-to-{peer.name}", self.site,
+            peer._server.endpoint,
+            self._rng.fork(b"link:" + peer.name.encode()),
+            server_certificate=peer.service.certificate,
+            trusted_root=self.ca_root,
+            client_certificate=self.service.certificate)
+        peer._server.register_session(connection.session)
+        peer._peer_sessions[connection.session.session_id] = self.name
+        return connection
 
     def peers(self) -> List[str]:
         return sorted(self._links)
@@ -136,16 +142,20 @@ class FederatedInstance:
         The peer enforces the owning policy's export list against the
         *requesting* policy's name — federation does not widen access, it
         only moves it across instances. One request fetches any number of
-        secrets (the Fig 12 flatness).
+        secrets (the Fig 12 flatness). A refusal re-raises the typed error
+        the peer decided.
         """
-        link = self._links.get(peer_name)
-        if link is None:
+        connection = self._links.get(peer_name)
+        if connection is None:
             raise AttestationError(f"no attested link to {peer_name!r}")
         telemetry = self.service.telemetry
         with telemetry.span("federation.fetch", peer=peer_name,
                             policy=policy_name):
-            secrets = yield from self._fetch_over_network(
-                link, policy_name, requesting_policy, secret_names)
+            reply = yield from connection.request(
+                {"route": "federation.fetch", "policy": policy_name,
+                 "requesting_policy": requesting_policy,
+                 "secrets": list(secret_names)})
+            secrets = decode_reply(reply)
         telemetry.inc("palaemon_federation_fetches_total")
         telemetry.audit("federation.fetch", peer=peer_name,
                         policy=policy_name,
@@ -178,96 +188,12 @@ class FederatedInstance:
             name=f"fed-fetch-retry-{self.name}")
         return result
 
-    def _fetch_over_network(self, link: PeerLink, policy_name: str,
-                            requesting_policy: str, secret_names: List[str],
-                            ) -> Generator[Event, Any, Dict[str, bytes]]:
-        """One sealed request/reply over the message fabric."""
-        self._request_seq += 1
-        rid = self._request_seq
-        request = {"kind": "fetch", "rid": rid, "policy": policy_name,
-                   "requesting_policy": requesting_policy,
-                   "secrets": list(secret_names)}
-        self.client_endpoint.send(
-            link.peer.endpoint,
-            {"from": self.name, "data": link.box.seal(pickle.dumps(request))},
-            size_bytes=512, reply_to=self.client_endpoint)
-        link.requests += 1
-        while True:
-            pending = self.client_endpoint.receive()
-            try:
-                message = yield pending
-            except ProcessInterrupt:
-                # Abandoned by a with_timeout deadline: release the
-                # mailbox getter so a retry sees the next reply.
-                self.client_endpoint.inbox.cancel(pending)
-                raise
-            payload = message.payload
-            if not isinstance(payload, dict) or "data" not in payload:
-                continue
-            peer_link = self._links.get(payload.get("from"))
-            if peer_link is None:
-                continue
-            reply = pickle.loads(peer_link.box.open(payload["data"]))
-            if reply.get("rid") != rid:
-                continue  # stale reply from a timed-out attempt
-            if "error_kind" in reply:
-                exc_cls = getattr(errors, reply["error_kind"], ReproError)
-                raise exc_cls(reply["message"])
-            return reply["secrets"]
-
-    def _serve_loop(self) -> Generator[Event, Any, None]:
-        """Answer sealed requests arriving on the serve endpoint.
-
-        A Byzantine or faulty sender cannot crash the loop: messages that
-        are malformed, from unknown peers, or fail AEAD verification are
-        dropped like a TLS alert. Well-formed requests go through the
-        service's dispatch pipeline (``federation.<kind>`` routes), so
-        refusals travel back as typed error replies (``error_kind`` names
-        the exception class) and the client re-raises the *same* verdict
-        it would get in-process — including ``unknown_route`` for kinds
-        the registry does not know.
-        """
-        from repro.errors import CryptoError
-        from repro.sim.resources import StoreClosed
-
-        while True:
-            try:
-                message = yield self.endpoint.receive()
-            except StoreClosed:
-                return
-            payload = message.payload
-            if not isinstance(payload, dict) or "data" not in payload:
-                continue
-            link = self._links.get(payload.get("from"))
-            if link is None:
-                continue
-            try:
-                request = pickle.loads(link.box.open(payload["data"]))
-            except CryptoError:
-                continue
-            if not isinstance(request, dict):
-                continue
-            route_request = {key: value for key, value in request.items()
-                             if key not in ("kind", "rid")}
-            route_request["route"] = f"federation.{request.get('kind')}"
-            outcome = self.service.dispatcher.handle(
-                route_request, transport="federation",
-                peer=payload.get("from"), target=self)
-            reply: Dict[str, Any] = {"rid": request.get("rid")}
-            if "error" in outcome:
-                reply["error_kind"] = outcome["kind"]
-                reply["message"] = outcome["error"]
-                reply["code"] = outcome["code"]
-            else:
-                reply["secrets"] = outcome["ok"]
-            if message.reply_to is not None:
-                sealed = link.box.seal(pickle.dumps(reply))
-                # Size the reply by its sealed payload, so the latency
-                # model reflects the secrets actually shipped.
-                self.endpoint.send(
-                    message.reply_to,
-                    {"from": self.name, "data": sealed},
-                    size_bytes=len(sealed))
+    def _serve(self, request: Any, session: TLSSession) -> Dict[str, Any]:
+        """Answer one peer request through the dispatch pipeline; the
+        caller is the peer whose attested session carried it."""
+        return self.service.dispatcher.handle(
+            request, transport="federation",
+            peer=self._peer_sessions.get(session.session_id), target=self)
 
     def _serve_secret_request(self, policy_name: str, requesting_policy: str,
                               secret_names: List[str]) -> Dict[str, bytes]:

@@ -322,16 +322,25 @@ class SecurityPolicy:
         def resolve(value: str) -> bytes:
             if isinstance(value, bytes):
                 return value
+            if not isinstance(value, str):
+                raise PolicyValidationError(
+                    f"measurement {value!r} is not a hex string (quote it)")
             if value.startswith("$"):
                 try:
                     return registry[value[1:]]
                 except KeyError:
                     raise PolicyValidationError(
                         f"unresolved placeholder {value!r}") from None
-            return bytes.fromhex(value)
+            try:
+                return bytes.fromhex(value)
+            except ValueError:
+                raise PolicyValidationError(
+                    f"measurement {value!r} is not valid hex") from None
 
         services = []
         for raw in data.get("services", []) or []:
+            if not isinstance(raw, dict) or "name" not in raw:
+                raise PolicyValidationError("every service needs a name")
             injection_files = {
                 path: (content.encode() if isinstance(content, str)
                        else content)

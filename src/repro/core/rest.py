@@ -13,9 +13,9 @@ Request shape (a dict, playing the role of a JSON body):
 
 The route table lives in the :class:`~repro.core.dispatch.
 OperationRegistry` (rendered into ``docs/API.md``); this module is a thin
-codec — it extracts the client certificate from the request body or the
-TLS session and hands the request to the service's
-:class:`~repro.core.dispatch.Dispatcher`, which runs the shared
+codec — it takes the client certificate from the TLS session (never from
+the request body, which any client can fill) and hands the request to the
+service's :class:`~repro.core.dispatch.Dispatcher`, which runs the shared
 middleware pipeline (serving check, auth, admission control, telemetry,
 uniform error mapping) for every transport.
 
@@ -24,6 +24,8 @@ structured reply ``{"error": message, "kind": ExceptionClass, "code":
 snake_case_code}`` — including programming errors inside a handler, which
 map to ``code="internal"`` — and is counted in the instance's
 ``palaemon_dispatch_errors_total`` metric by route, transport, and code.
+The client re-raises it as the typed error with
+:func:`~repro.core.dispatch.decode_reply`.
 """
 
 from __future__ import annotations
@@ -31,10 +33,9 @@ from __future__ import annotations
 from typing import Any, Dict, Generator
 
 from repro.core.client import PalaemonClient
-from repro.core.dispatch import error_code  # noqa: F401 - public re-export
+from repro.core.dispatch import decode_reply
 from repro.core.service import PalaemonService
 from repro.crypto.primitives import DeterministicRandom
-from repro.errors import ReproError
 from repro.sim.core import Event, ProcessInterrupt
 from repro.sim.network import Endpoint, Network, Site
 from repro.sim.retry import DEFAULT_RETRYABLE, RetryPolicy
@@ -63,13 +64,9 @@ class PalaemonRestServer:
     # -- codec -------------------------------------------------------------
 
     def _handle(self, request: Any, session: TLSSession) -> Any:
-        certificate = None
-        if isinstance(request, dict):
-            certificate = request.get("client_certificate")
-        if certificate is None and session is not None:
-            certificate = session.client_certificate
         return self.service.dispatcher.handle(
-            request, transport="rest", certificate=certificate)
+            request, transport="rest",
+            certificate=session.client_certificate)
 
 
 class PalaemonRestClient:
@@ -120,10 +117,7 @@ class PalaemonRestClient:
             raise
         self.telemetry.observe("palaemon_rest_client_seconds",
                                simulator.now - started, route=route)
-        if "error" in reply:
-            raise RemoteError(reply.get("kind", "ReproError"),
-                              reply["error"], code=reply.get("code"))
-        return reply["ok"]
+        return decode_reply(reply)
 
     def call_with_retry(self, route: str, policy: RetryPolicy,
                         rng: DeterministicRandom, *,
@@ -133,7 +127,7 @@ class PalaemonRestClient:
 
         Only transport-level faults (deadline expiry, network errors) are
         retried by default; an error *reply* from the server is a verdict
-        and propagates immediately as :class:`RemoteError`.
+        and propagates immediately as its typed error.
         """
         simulator = self.connection.network.simulator
         result = yield simulator.process(policy.call(
@@ -142,12 +136,3 @@ class PalaemonRestClient:
             telemetry=self.telemetry), name=f"rest-retry-{route}")
         return result
 
-
-class RemoteError(ReproError):
-    """An error reply from the REST front-end."""
-
-    def __init__(self, kind: str, message: str, code: str = None) -> None:
-        super().__init__(f"{kind}: {message}")
-        self.kind = kind
-        self.message = message
-        self.code = code or "error"

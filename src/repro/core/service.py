@@ -12,6 +12,7 @@ can place it anywhere, but cannot weaken it without changing its identity.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, field
 from typing import Any, Dict, Generator, List, Optional, Tuple
 
@@ -670,12 +671,18 @@ class PalaemonService:
 
 
 def _policy_digest(policy: SecurityPolicy) -> bytes:
-    import pickle
-
-    return sha256(pickle.dumps((policy.name,
-                                [(s.name, s.mrenclaves) for s in
-                                 policy.services],
-                                [s.name for s in policy.secrets])))
+    """SHA-256 over a canonical JSON encoding of the whole policy document,
+    so a board approval covers every field. Board members appear by
+    certificate fingerprint, and explicit secret values are left out
+    because the digest is written to the audit log."""
+    document, certificates = policy.to_dict()
+    for secret in document.get("secrets", []):
+        secret.pop("value", None)
+    for member in document.get("board", {}).get("members", []):
+        member["certificate"] = (
+            certificates[member["certificate"]].fingerprint().hex())
+    return sha256(json.dumps(document, sort_keys=True,
+                             separators=(",", ":")).encode())
 
 
 _IDENTITY_PATH = "/palaemon.identity"

@@ -28,13 +28,13 @@ from repro.core.policy import (
     ServiceSpec,
     VolumeSpec,
 )
-from repro.core.rest import PalaemonRestClient, PalaemonRestServer, RemoteError
+from repro.core.rest import PalaemonRestClient, PalaemonRestServer
 from repro.core.secrets import SecretKind, SecretSpec
 from repro.core.service import PalaemonService
 from repro.crypto.certificates import self_signed_certificate
 from repro.crypto.primitives import DeterministicRandom, sha256
 from repro.crypto.signatures import KeyPair
-from repro.errors import IntegrityError
+from repro.errors import IntegrityError, ReproError
 from repro.fs.blockstore import BlockStore
 from repro.sim.core import Simulator
 from repro.sim.network import Network, Site
@@ -134,7 +134,7 @@ def run_observe_workload(seed: bytes = b"observe") -> PalaemonService:
                                 service_name="app",
                                 tls_public_key=bogus.tls_public_key)
             yield simulator.process(rest.call("app.attest", evidence=bogus))
-        except RemoteError:
+        except ReproError:
             pass
         # Tag traffic: instant over REST, then the disk-committed path.
         for round_number in range(3):
@@ -157,11 +157,11 @@ def run_observe_workload(seed: bytes = b"observe") -> PalaemonService:
         try:
             yield simulator.process(rest.call("tag.get", policy="ghost",
                                               service="app"))
-        except RemoteError:
+        except ReproError:
             pass
         try:
             yield simulator.process(rest.call("no.such.route"))
-        except RemoteError:
+        except ReproError:
             pass
 
     simulator.run_process(workload(), name="observe-workload")

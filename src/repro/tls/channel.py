@@ -1,9 +1,16 @@
 """Request/reply channels over TLS sessions.
 
-:class:`TLSConnection` pairs a TLS session with two network endpoints and
-exposes ``request``/``serve`` generators. Payloads cross the simulated wire
-only in AEAD-sealed form; the paper's "all communication is TLS with PFS"
-guarantee (§V-A) is therefore checkable by scanning ``Network.wire_log``.
+:class:`TLSConnection` (client) and :class:`TLSServer` (server) are the one
+sealed request/reply channel every PALAEMON transport uses: REST, the
+federation mesh and fail-over replication. Payloads cross the simulated
+wire only in AEAD-sealed form under per-connection session keys; the
+paper's "all communication is TLS with PFS" guarantee (§V-A) is therefore
+checkable by scanning ``Network.wire_log``.
+
+A wire record is ``{"session": session_id, "data": sealed}``. Anything
+else a peer sends — a non-dict payload, an unknown session, a record that
+fails AEAD verification — is dropped like a TLS alert: it never crashes
+either end and never counts as an answer.
 """
 
 from __future__ import annotations
@@ -15,6 +22,7 @@ from repro import calibration
 from repro.crypto.certificates import Certificate
 from repro.crypto.primitives import DeterministicRandom
 from repro.crypto.signatures import PublicKey
+from repro.errors import CryptoError
 from repro.sim.core import Event, ProcessInterrupt
 from repro.sim.network import Endpoint, Network, Site
 from repro.tls.handshake import TLSSession, perform_handshake
@@ -44,6 +52,20 @@ class SecureChannel:
         box = (self._session.server_box if self._is_client
                else self._session.client_box)
         return _decode(box.open(sealed))
+
+
+def _open_record(channel: SecureChannel, session: TLSSession,
+                 payload: Any) -> Any:
+    """The opened body of a wire record for ``session``; ``None`` when the
+    payload is not one (junk, another session, or a failed AEAD check)."""
+    if (not isinstance(payload, dict)
+            or payload.get("session") != session.session_id
+            or not isinstance(payload.get("data"), bytes)):
+        return None
+    try:
+        return channel.open(payload["data"])
+    except CryptoError:
+        return None
 
 
 class TLSConnection:
@@ -98,7 +120,8 @@ class TLSConnection:
         request) is discarded instead of being mistaken for the answer.
         An interrupted request (a :meth:`Simulator.with_timeout` deadline)
         cancels its mailbox getter so the abandoned attempt cannot steal
-        the reply meant for the retry.
+        the reply meant for the retry. Records that are not authentic
+        replies on this session are dropped the same way.
         """
         simulator = self.network.simulator
         self._request_seq += 1
@@ -119,19 +142,21 @@ class TLSConnection:
                 self.client_endpoint.inbox.cancel(pending)
                 raise
             yield simulator.timeout(calibration.TLS_RECORD_CRYPTO_SECONDS)
-            reply = self.client_channel.open(message.payload["data"])
+            reply = _open_record(self.client_channel, self.session,
+                                 message.payload)
             if isinstance(reply, dict) and reply.get("rid") == rid:
-                return reply["body"]
+                return reply.get("body")
             self.stale_replies_dropped += 1
 
 
 class TLSServer:
     """Server-side dispatcher: one handler per connection-less request.
 
-    PALAEMON's REST API and approval services use this. Sessions are tracked
-    by id so the server can unseal with the right key; the handler is a
-    callable ``(request_payload, session) -> reply`` or a generator process
-    for handlers that consume simulated time.
+    PALAEMON's REST API, federation peers and fail-over backups use this.
+    Sessions are tracked by id so the server can unseal with the right key
+    (only registered sessions are served); the handler is a callable
+    ``(request_payload, session) -> reply`` or a generator process for
+    handlers that consume simulated time.
     """
 
     def __init__(self, network: Network, endpoint: Endpoint,
@@ -167,22 +192,27 @@ class TLSServer:
                 message = yield self.endpoint.receive()
             except StoreClosed:
                 return
-            session = self._sessions.get(message.payload["session"])
+            payload = message.payload
+            session_id = (payload.get("session")
+                          if isinstance(payload, dict) else None)
+            session = (self._sessions.get(session_id)
+                       if isinstance(session_id, bytes) else None)
             if session is None:
-                continue  # unknown session: drop, like a TLS alert
+                continue  # junk or unknown session: drop, like a TLS alert
             server_channel = SecureChannel(session, is_client=False)
-            envelope = server_channel.open(message.payload["data"])
-            rid = None
-            request = envelope
-            if isinstance(envelope, dict) and "rid" in envelope:
-                rid = envelope["rid"]
-                request = envelope["body"]
+            envelope = _open_record(server_channel, session, payload)
+            if not isinstance(envelope, dict) or "rid" not in envelope:
+                continue  # failed AEAD or not a request record: drop
             yield simulator.timeout(calibration.TLS_RECORD_CRYPTO_SECONDS)
-            result = self.handler(request, session)
+            result = self.handler(envelope.get("body"), session)
             if hasattr(result, "__next__"):
                 result = yield simulator.process(result)
-            sealed = server_channel.seal({"rid": rid, "body": result})
+            sealed = server_channel.seal({"rid": envelope["rid"],
+                                          "body": result})
             self.requests_served += 1
-            message.reply_to and self.endpoint.send(
-                message.reply_to,
-                {"session": session.session_id, "data": sealed})
+            # Size the reply by its sealed record, so the latency model
+            # reflects what the reply actually carries.
+            self.endpoint.send(message.reply_to,
+                               {"session": session.session_id,
+                                "data": sealed},
+                               size_bytes=len(sealed))

@@ -49,3 +49,18 @@ def test_unparseable_policy_file_is_a_critical_finding(tmp_path, capsys):
     assert finding["code"] == "PAL000"
     assert finding["severity"] == "CRITICAL"
     assert "does not parse" in finding["message"]
+
+
+def test_malformed_measurement_is_a_critical_finding(tmp_path, capsys):
+    """An unquoted all-digit MRENCLAVE parses as an int: PAL000, not a
+    crash."""
+    policy_file = tmp_path / "digits.yml"
+    policy_file.write_text(UNUSED_SECRET_POLICY.replace(
+        "ab0101", "120101").replace("secrets:\n  - name: SPARE\n"
+                                    "    kind: random\n", ""))
+    assert main(["lint", "--policy", str(policy_file),
+                 "--format=json"]) == 1
+    findings = json.loads(capsys.readouterr().out)["findings"]
+    assert [(f["code"], f["severity"]) for f in findings] == [
+        ("PAL000", "CRITICAL")]
+    assert "not a hex string" in findings[0]["message"]

@@ -232,6 +232,40 @@ class TestWholeDocumentFlush:
         assert lint(tmp_path) == []
 
 
+class TestRawEndpointTraffic:
+    def test_hand_rolled_channel_flagged(self, tmp_path):
+        write_module(tmp_path, "repro.core.bad", """\
+            def fetch(endpoint, peer, request):
+                endpoint.send(peer, request, size_bytes=512,
+                              reply_to=endpoint)
+                endpoint.send(peer, request)
+                endpoint.send(peer, reply_to=endpoint)
+                message = yield endpoint.receive()
+                return message
+            """)
+        findings = lint(tmp_path)
+        assert [(finding.code, finding.line) for finding in findings] == [
+            ("SRC108", 2), ("SRC108", 4), ("SRC108", 5), ("SRC108", 6)]
+
+    def test_sim_and_tls_own_the_wire(self, tmp_path):
+        body = """\
+            def serve(endpoint, peer):
+                message = yield endpoint.receive()
+                endpoint.send(peer, message, size_bytes=64)
+            """
+        write_module(tmp_path, "repro.sim.fabric", body)
+        write_module(tmp_path, "repro.tls.wire", body)
+        assert lint(tmp_path) == []
+
+    def test_generator_send_and_filtered_receive_are_fine(self, tmp_path):
+        write_module(tmp_path, "repro.core.fine", """\
+            def drive(generator, mailbox):
+                generator.send(None)
+                return mailbox.receive(timeout=1.0)
+            """)
+        assert lint(tmp_path) == []
+
+
 class TestBroadExcept:
     def test_except_exception_flagged(self, tmp_path):
         write_module(tmp_path, "repro.core.bad", """\

@@ -9,7 +9,6 @@ and overload the same ``overloaded`` code, and no serve loop ever
 crashes.
 """
 
-import pickle
 import re
 
 import pytest
@@ -22,6 +21,7 @@ from repro.core.dispatch import (
     Operation,
     OperationRegistry,
     RouteLimits,
+    decode_reply,
     default_registry,
     error_code,
 )
@@ -80,8 +80,6 @@ class TestErrorCodeAudit:
 
     @staticmethod
     def all_repro_error_classes():
-        import repro.core.rest  # noqa: F401 - defines RemoteError
-
         classes, stack = [], [ReproError]
         while stack:
             for sub in stack.pop().__subclasses__():
@@ -92,10 +90,7 @@ class TestErrorCodeAudit:
 
     @staticmethod
     def instantiate(exc_cls):
-        try:
-            return exc_cls("boom")
-        except TypeError:
-            return exc_cls("boom", "boom")  # e.g. RemoteError(kind, message)
+        return exc_cls("boom")
 
     def test_no_subclass_falls_through_to_internal(self):
         classes = self.all_repro_error_classes()
@@ -163,12 +158,17 @@ class TestUniformErrorsAcrossTransports:
     def test_invoker_raises_the_typed_errors(self):
         deployment = Deployment()
         dispatcher = deployment.palaemon.dispatcher
+
+        def invoke(**request):
+            return decode_reply(dispatcher.handle(request,
+                                                  transport="inprocess"))
+
         with pytest.raises(UnknownRouteError):
-            dispatcher.invoke("no.such.op")
+            invoke(route="no.such.op")
         with pytest.raises(BadRequestError):
-            dispatcher.invoke("tag.update")  # missing fields
+            invoke(route="tag.update")  # missing fields
         with pytest.raises(CertificateRequiredError):
-            dispatcher.invoke("policy.read", name="ml_policy")
+            invoke(route="policy.read", name="ml_policy")
 
     def test_peer_operations_unreachable_without_peer_link(self):
         """AUTH_PEER routes refuse REST/in-process callers uniformly."""
@@ -207,16 +207,12 @@ class TestUniformErrorsAcrossTransports:
 
 
 def sealed_exchange(deployment, local, remote, request):
-    """Send one raw sealed request to the peer; return the opened reply."""
-    link = local._links[remote.name]
+    """Send one request over the peer link; return the raw reply."""
+    connection = local._links[remote.name]
 
     def exchange():
-        local.client_endpoint.send(
-            remote.endpoint,
-            {"from": local.name, "data": link.box.seal(pickle.dumps(request))},
-            size_bytes=512, reply_to=local.client_endpoint)
-        message = yield local.client_endpoint.receive()
-        return pickle.loads(link.box.open(message.payload["data"]))
+        reply = yield from connection.request(request)
+        return reply
 
     return deployment.simulator.run_process(exchange())
 
@@ -228,19 +224,18 @@ class TestFederationTransportErrors:
         deployment = Deployment()
         local, remote, _ = make_networked_pair(deployment)
         reply = sealed_exchange(deployment, local, remote,
-                                {"kind": "bogus", "rid": 7})
-        assert reply["rid"] == 7
-        assert reply["error_kind"] == "UnknownRouteError"
+                                {"route": "federation.bogus"})
+        assert reply["kind"] == "UnknownRouteError"
         assert reply["code"] == "unknown_route"
 
     def test_missing_fields_get_bad_request_reply(self):
         deployment = Deployment()
         local, remote, _ = make_networked_pair(deployment)
         reply = sealed_exchange(deployment, local, remote,
-                                {"kind": "fetch", "rid": 8})
+                                {"route": "federation.fetch"})
         assert reply["code"] == "bad_request"
         for field in ("policy", "requesting_policy", "secrets"):
-            assert field in reply["message"]
+            assert field in reply["error"]
 
     def test_serve_loop_survives_garbage_then_serves(self):
         """Byzantine senders cannot crash the loop: after a barrage of
@@ -258,29 +253,29 @@ class TestFederationTransportErrors:
             secrets=[SecretSpec(name="SHARED_KEY", kind=SecretKind.RANDOM,
                                 export_to=("consumer_policy",))])
         remote_service.create_policy(producer, deployment.client.certificate)
-        link = local._links[remote.name]
+        connection = local._links[remote.name]
+        session_id = connection.session.session_id
+        sender, server = connection.client_endpoint, connection.server_endpoint
 
         def barrage():
             # Not a dict at all.
-            local.client_endpoint.send(remote.endpoint, b"noise",
-                                       size_bytes=64)
+            sender.send(server, b"noise", size_bytes=64)
             # A dict without the sealed payload.
-            local.client_endpoint.send(remote.endpoint,
-                                       {"from": local.name}, size_bytes=64)
-            # From a peer the remote never attested.
-            local.client_endpoint.send(
-                remote.endpoint, {"from": "stranger", "data": b"x" * 40},
-                size_bytes=64)
-            # AEAD garbage under a known peer name.
-            local.client_endpoint.send(
-                remote.endpoint, {"from": local.name, "data": b"x" * 40},
-                size_bytes=64)
-            # Sealed, authentic, but not a mapping.
-            local.client_endpoint.send(
-                remote.endpoint,
-                {"from": local.name,
-                 "data": link.box.seal(pickle.dumps([1, 2, 3]))},
-                size_bytes=64)
+            sender.send(server, {"session": session_id}, size_bytes=64)
+            # A session the remote never registered.
+            sender.send(server, {"session": b"stranger" * 2,
+                                 "data": b"x" * 40}, size_bytes=64)
+            # An unhashable session id.
+            sender.send(server, {"session": [1], "data": b"x" * 40},
+                        size_bytes=64)
+            # AEAD garbage under the attested session.
+            sender.send(server, {"session": session_id, "data": b"x" * 40},
+                        size_bytes=64)
+            # Sealed, authentic, but not a request record.
+            sender.send(server,
+                        {"session": session_id,
+                         "data": connection.client_channel.seal([1, 2, 3])},
+                        size_bytes=64)
             yield deployment.simulator.timeout(0.1)
             secrets = yield from local.fetch_remote_secrets(
                 remote.name, "producer_policy", "consumer_policy",

@@ -15,6 +15,7 @@ from repro.core.secrets import SecretKind, SecretSpec
 from repro.crypto.certificates import self_signed_certificate
 from repro.crypto.primitives import DeterministicRandom
 from repro.crypto.signatures import KeyPair
+from repro.errors import PolicyValidationError
 
 
 def rich_policy():
@@ -161,3 +162,60 @@ class TestImplicitThreshold:
         document["board"]["threshold"] = 2
         findings = Analyzer().analyze_document("implicit", document)
         assert "DOC001" not in {finding.code for finding in findings}
+
+
+class TestTypedParseErrors:
+    """Malformed documents raise PolicyValidationError, never a bare
+    AttributeError/ValueError/KeyError."""
+
+    @staticmethod
+    def document(**service):
+        return {"name": "p", "services": [dict({"name": "s"}, **service)]}
+
+    def test_all_digit_mrenclave_is_a_validation_error(self):
+        # An unquoted all-digit hex string parses as an int.
+        with pytest.raises(PolicyValidationError, match="not a hex string"):
+            SecurityPolicy.from_dict(self.document(mrenclaves=[1234]))
+
+    def test_bad_hex_is_a_validation_error(self):
+        with pytest.raises(PolicyValidationError, match="not valid hex"):
+            SecurityPolicy.from_dict(self.document(mrenclaves=["zz01"]))
+
+    def test_service_without_name_is_a_validation_error(self):
+        with pytest.raises(PolicyValidationError, match="needs a name"):
+            SecurityPolicy.from_dict(
+                {"name": "p", "services": [{"image_name": "img"}]})
+
+
+class TestBoardDigest:
+    """The digest a board approves covers the whole policy document."""
+
+    @staticmethod
+    def digest(policy):
+        from repro.core.service import _policy_digest
+
+        return _policy_digest(policy)
+
+    def test_export_list_changes_the_digest(self):
+        exported, other = rich_policy(), rich_policy()
+        other.secrets[0] = SecretSpec(name="K", kind=SecretKind.RANDOM,
+                                      size=48, export_to=("attacker",))
+        assert self.digest(exported) != self.digest(other)
+
+    def test_board_imports_and_injection_files_change_the_digest(self):
+        base = self.digest(rich_policy())
+        no_board = rich_policy()
+        no_board.board = None
+        no_imports = rich_policy()
+        no_imports.imports = []
+        new_file = rich_policy()
+        new_file.services[0].injection_files["/etc/b.conf"] = b"x"
+        assert len({base, self.digest(no_board), self.digest(no_imports),
+                    self.digest(new_file)}) == 4
+
+    def test_digest_is_stable_and_omits_explicit_secret_values(self):
+        policy, relabeled = rich_policy(), rich_policy()
+        relabeled.secrets[1] = SecretSpec(name="PW", kind=SecretKind.EXPLICIT,
+                                          value=b"other-password")
+        assert self.digest(policy) == self.digest(rich_policy())
+        assert self.digest(policy) == self.digest(relabeled)

@@ -3,9 +3,12 @@ REST failures become structured errors and error metrics, tampering with
 a live service's audit log is detected, and two runs of the same seed
 produce identical event streams."""
 
+from types import SimpleNamespace
+
 import pytest
 
-from repro.core.rest import RemoteError, error_code
+from repro.core.dispatch import decode_reply, error_code
+from repro.core.rest import PalaemonRestServer
 from repro.errors import (
     AttestationError,
     IntegrityError,
@@ -104,6 +107,17 @@ def _advance(simulator, delay):
     yield simulator.timeout(delay)
 
 
+#: A TLS session whose client presented no certificate.
+NO_CERTIFICATE = SimpleNamespace(client_certificate=None)
+
+
+def rest_codec(deployment):
+    """The REST front-end's codec, without a network behind it."""
+    server = PalaemonRestServer.__new__(PalaemonRestServer)
+    server.service = deployment.palaemon
+    return server
+
+
 class TestRestStructuredErrors:
     def test_error_code_mapping(self):
         assert error_code(PolicyNotFoundError("x")) == "policy_not_found"
@@ -112,13 +126,11 @@ class TestRestStructuredErrors:
 
     def test_missing_fields_become_bad_request(self):
         deployment = Deployment()
-        from repro.core.rest import PalaemonRestServer
-
-        server = PalaemonRestServer.__new__(PalaemonRestServer)
-        server.service = deployment.palaemon
+        server = rest_codec(deployment)
         # tag.update without its required fields: the pipeline's field
         # check refuses before the handler ever runs.
-        reply = server._handle({"route": "tag.update"}, session=None)
+        reply = server._handle({"route": "tag.update"},
+                               session=NO_CERTIFICATE)
         assert reply["code"] == "bad_request"
         assert reply["kind"] == "BadRequestError"
         for field in ("policy", "service", "tag"):
@@ -130,15 +142,12 @@ class TestRestStructuredErrors:
 
     def test_handler_crash_becomes_structured_internal_error(self):
         deployment = Deployment()
-        from repro.core.rest import PalaemonRestServer
-
-        server = PalaemonRestServer.__new__(PalaemonRestServer)
-        server.service = deployment.palaemon
+        server = rest_codec(deployment)
         # An unhashable policy key crashes inside the handler (TypeError);
         # it must surface as a structured reply, not an exception.
         reply = server._handle(
             {"route": "tag.update", "policy": {}, "service": "s",
-             "tag": b"t"}, session=None)
+             "tag": b"t"}, session=NO_CERTIFICATE)
         assert reply["code"] == "internal"
         assert reply["kind"] == "InternalError"
         assert "TypeError" in reply["error"]
@@ -149,31 +158,27 @@ class TestRestStructuredErrors:
 
     def test_unknown_route_structured(self):
         deployment = Deployment()
-        from repro.core.rest import PalaemonRestServer
-
-        server = PalaemonRestServer.__new__(PalaemonRestServer)
-        server.service = deployment.palaemon
-        reply = server._handle({"route": "nope"}, session=None)
+        server = rest_codec(deployment)
+        reply = server._handle({"route": "nope"}, session=NO_CERTIFICATE)
         assert reply["code"] == "unknown_route"
         assert "error" in reply
 
     def test_repro_error_keeps_kind_and_code(self):
         deployment = Deployment()
-        from repro.core.rest import PalaemonRestServer
-
-        server = PalaemonRestServer.__new__(PalaemonRestServer)
-        server.service = deployment.palaemon
+        server = rest_codec(deployment)
         reply = server._handle(
             {"route": "tag.get", "policy": "ghost", "service": "s"},
-            session=None)
+            session=NO_CERTIFICATE)
         assert reply["kind"] == "PolicyNotFoundError"
         assert reply["code"] == "policy_not_found"
 
-    def test_remote_error_carries_code(self):
-        error = RemoteError("PolicyNotFoundError", "no policy",
-                            code="policy_not_found")
-        assert error.code == "policy_not_found"
-        assert RemoteError("X", "y").code == "error"
+    def test_error_reply_raises_typed_class(self):
+        reply = {"error": "no policy", "kind": "PolicyNotFoundError",
+                 "code": "policy_not_found"}
+        with pytest.raises(PolicyNotFoundError, match="no policy") as info:
+            decode_reply(reply)
+        assert error_code(info.value) == reply["code"]
+        assert decode_reply({"ok": [1, 2]}) == [1, 2]
 
 
 class TestObserveWorkload:

@@ -9,10 +9,16 @@ provider's volume for leaks.
 import pytest
 
 from repro.core.policy import SecurityPolicy, ServiceSpec
-from repro.core.rest import PalaemonRestClient, PalaemonRestServer, RemoteError
+from repro.core.rest import PalaemonRestClient, PalaemonRestServer
 from repro.core.secrets import SecretKind, SecretSpec
 from repro.crypto.primitives import DeterministicRandom
-from repro.errors import CertificateError
+from repro.errors import (
+    AccessDeniedError,
+    CertificateError,
+    PolicyNotFoundError,
+    PolicyValidationError,
+    UnknownRouteError,
+)
 from repro.sim.network import Network, Site
 
 from tests.core.conftest import Deployment
@@ -96,13 +102,12 @@ class TestRestApi:
 
     def test_errors_carry_their_kind(self, deployment, network, rest_server):
         client = connect(deployment, network, rest_server)
-        with pytest.raises(RemoteError) as info:
+        with pytest.raises(PolicyNotFoundError):
             call(deployment, client, "policy.read", name="ghost")
-        assert info.value.kind == "PolicyNotFoundError"
 
     def test_unknown_route_rejected(self, deployment, network, rest_server):
         client = connect(deployment, network, rest_server)
-        with pytest.raises(RemoteError, match="unknown route"):
+        with pytest.raises(UnknownRouteError, match="unknown route"):
             call(deployment, client, "no.such.route")
 
     def test_describe_route(self, deployment, network, rest_server):
@@ -150,9 +155,8 @@ class TestRestApi:
                 connection.call("policy.read", name="ml_policy"))
             return result
 
-        with pytest.raises(RemoteError) as info:
+        with pytest.raises(AccessDeniedError):
             deployment.simulator.run_process(main())
-        assert info.value.kind == "AccessDeniedError"
 
 
 class TestWireConfidentiality:
@@ -206,10 +210,9 @@ class TestVolumeRoutes:
         client = connect(deployment, network, rest_server)
         call(deployment, client, "policy.create",
              policy=deployment.make_policy())
-        with pytest.raises(RemoteError) as info:
+        with pytest.raises(PolicyValidationError):
             call(deployment, client, "volume_tag.update", policy="ml_policy",
                  volume="ghost", tag=b"\x00" * 32)
-        assert info.value.kind == "PolicyValidationError"
 
     def test_policy_update_route(self, deployment, network, rest_server):
         from repro.core.secrets import SecretKind, SecretSpec

@@ -120,15 +120,34 @@ class PublicKey:
 
 @dataclass(frozen=True)
 class SigningKey:
-    """The private half of a key pair."""
+    """The private half of a key pair, with its CRT parameters.
+
+    Besides ``d`` itself the key keeps the primes and the Chinese-remainder
+    values ``d mod (p-1)``, ``d mod (q-1)`` and ``q^-1 mod p`` (PKCS #1
+    §3.2), so :meth:`sign` does two half-size exponentiations instead of
+    one full-modulus ``pow(m, d, n)``: about twice as fast, same signature.
+    """
 
     modulus: int
     private_exponent: int
+    prime_p: int
+    prime_q: int
+    exponent_p: int
+    exponent_q: int
+    coefficient: int
 
     def sign(self, message: bytes) -> bytes:
-        """Produce an RSA-FDH signature over ``message``."""
+        """Produce an RSA-FDH signature over ``message``.
+
+        Garner's recombination of ``m^d mod p`` and ``m^d mod q`` equals
+        ``m^d mod n`` for every ``m`` in ``Z_n``, so the bytes are those
+        of the textbook ``pow(m, d, n)``.
+        """
         digest = _full_domain_hash(message, self.modulus)
-        signature = pow(digest, self.private_exponent, self.modulus)
+        mod_p = pow(digest, self.exponent_p, self.prime_p)
+        mod_q = pow(digest, self.exponent_q, self.prime_q)
+        h = (self.coefficient * (mod_p - mod_q)) % self.prime_p
+        signature = mod_q + h * self.prime_q
         nbytes = (self.modulus.bit_length() + 7) // 8
         return signature.to_bytes(nbytes, "big")
 
@@ -158,8 +177,12 @@ class KeyPair:
             modulus = p * q
             private_exponent = _modular_inverse(exponent, totient)
             public = PublicKey(modulus=modulus, exponent=exponent)
-            private = SigningKey(modulus=modulus,
-                                 private_exponent=private_exponent)
+            private = SigningKey(
+                modulus=modulus, private_exponent=private_exponent,
+                prime_p=p, prime_q=q,
+                exponent_p=private_exponent % (p - 1),
+                exponent_q=private_exponent % (q - 1),
+                coefficient=_modular_inverse(q, p))
             return cls(public=public, private=private)
 
     def sign(self, message: bytes) -> bytes:

@@ -4,10 +4,21 @@ The cipher is SHA-256 in counter mode as a keystream generator, with an
 encrypt-then-MAC HMAC-SHA-256 tag over nonce, associated data, and
 ciphertext. This gives real confidentiality and integrity inside the
 simulation with zero dependencies; a deployment would use AES-GCM.
+
+Keystream block ``i`` is ``SHA-256(key || nonce || i)`` with ``i`` as a
+big-endian 64-bit counter. The ``key || nonce`` prefix is hashed once per
+message and each block continues from a copy of that state. The XOR runs
+on whole chunks as Python integers rather than byte by byte. Data is
+processed in :data:`CHUNK_SIZE` pieces so that the keystream and the
+integers alive at any moment stay one chunk long: the peak allocation of
+a seal is about twice its output (the chunk results and their join),
+however large the message. A whole-message keystream and integer would
+almost triple that for the ~2 MB segments of a 1,000-policy database.
 """
 
 from __future__ import annotations
 
+import hashlib
 import struct
 from dataclasses import dataclass
 
@@ -16,13 +27,17 @@ from repro.crypto.primitives import (
     constant_time_equal,
     hkdf,
     hmac_sha256,
-    sha256,
 )
 from repro.errors import IntegrityError
 
 KEY_SIZE = 32
 NONCE_SIZE = 16
 TAG_SIZE = 32
+#: Bytes XORed per step; a multiple of the 32-byte keystream block.
+CHUNK_SIZE = 64 * 1024
+
+_BLOCK_SIZE = 32
+_pack_counter = struct.Struct(">Q").pack
 
 
 @dataclass(frozen=True)
@@ -51,14 +66,25 @@ class Ciphertext:
         return len(self.nonce) + len(self.tag) + len(self.body)
 
 
-def _keystream(key: bytes, nonce: bytes, length: int) -> bytes:
-    """Generate ``length`` keystream bytes for (key, nonce)."""
-    blocks = bytearray()
-    counter = 0
-    while len(blocks) < length:
-        blocks.extend(sha256(key, nonce, struct.pack(">Q", counter)))
-        counter += 1
-    return bytes(blocks[:length])
+def _xor_keystream(key: bytes, nonce: bytes, data: bytes) -> bytes:
+    """XOR ``data`` with the (key, nonce) keystream, one chunk at a time."""
+    prefix = hashlib.sha256(key)
+    prefix.update(nonce)
+    pieces = []
+    for start in range(0, len(data), CHUNK_SIZE):
+        chunk = data[start:start + CHUNK_SIZE]
+        first = start // _BLOCK_SIZE
+        last = (start + len(chunk) + _BLOCK_SIZE - 1) // _BLOCK_SIZE
+        blocks = []
+        for counter in range(first, last):
+            block = prefix.copy()
+            block.update(_pack_counter(counter))
+            blocks.append(block.digest())
+        stream = b"".join(blocks)[:len(chunk)]
+        mixed = (int.from_bytes(chunk, "little")
+                 ^ int.from_bytes(stream, "little"))
+        pieces.append(mixed.to_bytes(len(chunk), "little"))
+    return b"".join(pieces)
 
 
 class AEADCipher:
@@ -84,8 +110,7 @@ class AEADCipher:
         """
         if len(nonce) != NONCE_SIZE:
             raise ValueError(f"nonce must be {NONCE_SIZE} bytes")
-        stream = _keystream(self._encryption_key, nonce, len(plaintext))
-        body = bytes(p ^ s for p, s in zip(plaintext, stream))
+        body = _xor_keystream(self._encryption_key, nonce, plaintext)
         tag = hmac_sha256(self._mac_key, nonce, associated_data, body)
         return Ciphertext(nonce=nonce, body=body, tag=tag)
 
@@ -96,9 +121,8 @@ class AEADCipher:
                                associated_data, ciphertext.body)
         if not constant_time_equal(expected, ciphertext.tag):
             raise IntegrityError("AEAD tag mismatch")
-        stream = _keystream(self._encryption_key, ciphertext.nonce,
-                            len(ciphertext.body))
-        return bytes(c ^ s for c, s in zip(ciphertext.body, stream))
+        return _xor_keystream(self._encryption_key, ciphertext.nonce,
+                              ciphertext.body)
 
 
 class SecretBox:

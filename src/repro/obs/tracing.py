@@ -10,12 +10,21 @@ and diffed.
 
 Span ids are sequence numbers assigned at start, which keeps them
 deterministic as well.
+
+A long-running service finishes spans without end, so the tracer keeps
+only the newest :data:`MAX_FINISHED_SPANS` of them: once ``finished``
+passes twice that many, the older ones are dropped in one step, which
+costs amortised O(1) per span. Exports read ``finished`` and so cover
+the retained window; span ids keep counting, so a gap shows what went.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
+
+#: Finished spans a tracer keeps; it trims back to this many at twice this.
+MAX_FINISHED_SPANS = 1024
 
 
 @dataclass
@@ -71,7 +80,11 @@ class _SpanHandle:
 
 
 class Tracer:
-    """Creates, nests, and retains spans against an injected clock."""
+    """Creates, nests, and retains spans against an injected clock.
+
+    ``finished`` is a list of the newest finished spans in finish order,
+    at most ``2 * MAX_FINISHED_SPANS`` long.
+    """
 
     def __init__(self, clock: Callable[[], float]) -> None:
         self._clock = clock
@@ -104,6 +117,8 @@ class Tracer:
             if top is span:
                 break
         self.finished.append(span)
+        if len(self.finished) > 2 * MAX_FINISHED_SPANS:
+            del self.finished[:-MAX_FINISHED_SPANS]
 
     def open_depth(self) -> int:
         return len(self._stack)

@@ -3,11 +3,14 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.crypto.primitives import DeterministicRandom
+from repro.core.secrets import SecretKind, SecretSpec, materialize
+from repro.core.service import _decode_identity, _encode_identity
+from repro.crypto.primitives import DeterministicRandom, sha256
 from repro.crypto.signatures import (
     KeyPair,
     PublicKey,
     verify_signature,
+    _full_domain_hash,
     _generate_prime,
     _is_probable_prime,
     _modular_inverse,
@@ -118,3 +121,64 @@ class TestPublicKeySerialization:
     def test_hashable(self, key_pair, other_key_pair):
         registry = {key_pair.public: "a", other_key_pair.public: "b"}
         assert registry[key_pair.public] == "a"
+
+
+@pytest.fixture(scope="module", params=[512, 768])
+def sized_key_pair(request):
+    return KeyPair.generate(DeterministicRandom(b"crt-pin"),
+                            bits=request.param)
+
+
+#: SHA-256 of the public key and of the signature on ``b"pinned message"``
+#: for ``KeyPair.generate(DeterministicRandom(b"crt-pin"), bits)``, recorded
+#: with full-modulus ``pow(m, d, n)`` signing: key generation draws the same
+#: DRBG bytes and CRT signing yields the same signature.
+PINNED_KEYS = {
+    512: ("a306b9dc9fd0467e2249312cfdaf2136b6b19e4baecc044b25b5a267933113af",
+          "022527406dc245d5b9082a48e1db93f0e5dea75fbd6d406fbba509747d119510"),
+    768: ("f1913e59243bc9ced06c039c3d9f46ec6aa215cc283c1ceddec62efbafd09eab",
+          "52ed6a2d5e02fddb7e11e3cb3ba1455b917a5d05b7b107fded5b8ab7b799f129"),
+}
+
+
+class TestCrtSigning:
+    def test_key_and_signature_match_the_pinned_reference(self,
+                                                          sized_key_pair):
+        bits = sized_key_pair.public.modulus.bit_length()
+        public_digest, signature_digest = PINNED_KEYS[bits]
+        assert sha256(sized_key_pair.public.to_bytes()).hex() == public_digest
+        assert (sha256(sized_key_pair.sign(b"pinned message")).hex()
+                == signature_digest)
+
+    @settings(max_examples=40, deadline=None)
+    @given(message=st.binary(max_size=512))
+    def test_sign_equals_full_modulus_pow(self, sized_key_pair, message):
+        private = sized_key_pair.private
+        digest = _full_domain_hash(message, private.modulus)
+        reference = pow(digest, private.private_exponent, private.modulus)
+        nbytes = (private.modulus.bit_length() + 7) // 8
+        signature = sized_key_pair.sign(message)
+        assert signature == reference.to_bytes(nbytes, "big")
+        assert verify_signature(sized_key_pair.public, message, signature)
+
+    def test_x509_secret_is_the_private_exponent(self):
+        value = materialize(
+            SecretSpec(name="TLS_KEY", kind=SecretKind.X509,
+                       common_name="svc"),
+            DeterministicRandom(b"x509-pin"), now=0.0)
+        # Digests recorded before signing used the CRT parameters.
+        assert sha256(value.value).hex() == (
+            "4be0f7eadff60d3ee01b60f50e86756c235ba144d66628c71ecd643e34524d3f")
+        assert sha256(value.certificate.signature).hex() == (
+            "bca8ebac1bfdf33c48ba45c93fc60a7fbec811aa4d51b054714f9f3215d1cbcc")
+        public = value.certificate.public_key
+        d = int.from_bytes(value.value, "big")
+        assert pow(pow(12345, public.exponent, public.modulus), d,
+                   public.modulus) == 12345
+
+    def test_pickled_service_identity_round_trips(self):
+        identity = KeyPair.generate(DeterministicRandom(b"identity"))
+        restored, db_key = _decode_identity(
+            _encode_identity(identity, b"k" * 32))
+        assert restored == identity and db_key == b"k" * 32
+        assert restored.sign(b"config") == identity.sign(b"config")

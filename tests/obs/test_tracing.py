@@ -3,7 +3,7 @@ byte-identical traces for identical seeds."""
 
 import pathlib
 
-from repro.obs.tracing import Tracer
+from repro.obs.tracing import MAX_FINISHED_SPANS, Tracer
 from repro.sim.core import Simulator
 
 
@@ -92,6 +92,30 @@ class TestSimulatorClock:
             return [span.to_dict() for span in tracer.finished]
 
         assert run() == run()
+
+
+class TestRetention:
+    def test_keeps_the_newest_spans_within_twice_the_cap(self):
+        _sim, tracer = sim_tracer()
+        longest = 0
+        for _ in range(5 * MAX_FINISHED_SPANS):
+            with tracer.span("outer"):
+                with tracer.span("inner"):
+                    pass
+            longest = max(longest, len(tracer.finished))
+        total = 10 * MAX_FINISHED_SPANS
+        assert isinstance(tracer.finished, list)
+        assert MAX_FINISHED_SPANS <= len(tracer.finished) <= longest
+        assert longest <= 2 * MAX_FINISHED_SPANS
+        # Finish order is inner (even id), then its outer (odd id).
+        everything = [i for k in range(1, total, 2) for i in (k + 1, k)]
+        kept = [span.span_id for span in tracer.finished]
+        assert kept == everything[-len(kept):]
+        for span in tracer.finished:
+            if span.name == "inner":
+                assert span.parent_id == span.span_id - 1
+            else:
+                assert span.parent_id is None
 
 
 def test_obs_sources_never_touch_the_wall_clock():

@@ -43,6 +43,8 @@ class TestCli:
         assert main(["observe"]) == 0
         output = capsys.readouterr().out
         assert "audit chain: valid" in output
+        # Well below the tracer's retention bound: every span is kept.
+        assert "# trace: 27 finished spans, 18 distinct operations" in output
         metric_names = {line.split(" ")[2]
                         for line in output.splitlines()
                         if line.startswith("# TYPE ")}

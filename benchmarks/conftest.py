@@ -10,10 +10,22 @@ numbers are the virtual-time results, not the harness runtime.
 
 import pytest
 
+from repro.sim.core import Simulator
+from repro.tee.epc import EnclavePageCache
+from repro.tee.loader import EnclaveLoader
+
 
 def run_once(benchmark, fn):
     """Run ``fn`` exactly once under pytest-benchmark and return its result."""
     return benchmark.pedantic(fn, rounds=1, iterations=1)
+
+
+def load_into_roomy_epc(image, scope):
+    """Load ``image`` into an EPC that holds it whole: nothing is evicted."""
+    sim = Simulator()
+    epc = EnclavePageCache(sim, size_bytes=image.total_bytes,
+                           usable_fraction=1.0)
+    return sim.run_process(EnclaveLoader(sim, epc).load(image, scope=scope))
 
 
 @pytest.fixture()

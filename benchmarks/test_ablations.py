@@ -16,9 +16,9 @@ from repro.sim.core import Simulator
 from repro.sim.network import Site
 from repro.tee.counters import PlatformCounterService
 from repro.tee.image import build_image
-from repro.tee.loader import EnclaveLoader, MeasurementScope
+from repro.tee.loader import MeasurementScope
 
-from benchmarks.conftest import run_once
+from benchmarks.conftest import load_into_roomy_epc, run_once
 
 
 def _tag_updates_startup_only(updates):
@@ -89,8 +89,8 @@ def test_ablation_measurement_scope(benchmark):
 
     def experiment():
         image = build_image("ablation", heap_bytes=64 * calibration.MB)
-        code_only = EnclaveLoader.estimate(image, MeasurementScope.CODE_ONLY)
-        all_pages = EnclaveLoader.estimate(image, MeasurementScope.ALL_PAGES)
+        code_only = load_into_roomy_epc(image, MeasurementScope.CODE_ONLY)
+        all_pages = load_into_roomy_epc(image, MeasurementScope.ALL_PAGES)
         return code_only, all_pages
 
     code_only, all_pages = run_once(benchmark, experiment)

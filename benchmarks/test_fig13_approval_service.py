@@ -14,7 +14,6 @@ from repro.crypto.primitives import DeterministicRandom
 from repro.crypto.signatures import KeyPair
 from repro.sim.core import Simulator
 from repro.sim.network import Site
-from repro.sim.resources import Resource
 
 from benchmarks.conftest import run_once
 
@@ -44,14 +43,10 @@ def _variant_setup(variant_kwargs):
         keys = KeyPair.generate(DeterministicRandom(b"member"), bits=512)
         service = ApprovalService(simulator, "member", keys,
                                   **variant_kwargs)
-        workers = Resource(simulator, capacity=1, name="approval-worker")
 
         def factory(_request_id):
-            yield workers.acquire()
-            try:
-                yield simulator.timeout(service.service_seconds)
-            finally:
-                workers.release()
+            yield simulator.process(service.decide(
+                _request(), caller_site=Site.SAME_RACK))
 
         return factory
 

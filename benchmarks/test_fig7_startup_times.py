@@ -8,9 +8,9 @@ linearly at the ~148 MB/s measurement rate, reaching ~800 ms at 128 MB.
 from repro import calibration
 from repro.benchlib.tables import format_table
 from repro.tee.image import build_image
-from repro.tee.loader import EnclaveLoader, MeasurementScope
+from repro.tee.loader import MeasurementScope
 
-from benchmarks.conftest import run_once
+from benchmarks.conftest import load_into_roomy_epc, run_once
 
 _SIZES_MB = (1, 2, 4, 8, 16, 32, 64, 128)
 
@@ -22,8 +22,8 @@ def _startup_sweep():
                             data_size=16 * calibration.KB,
                             heap_bytes=size_mb * calibration.MB
                             - 96 * calibration.KB)
-        palaemon = EnclaveLoader.estimate(image, MeasurementScope.CODE_ONLY)
-        naive = EnclaveLoader.estimate(image, MeasurementScope.ALL_PAGES)
+        palaemon = load_into_roomy_epc(image, MeasurementScope.CODE_ONLY)
+        naive = load_into_roomy_epc(image, MeasurementScope.ALL_PAGES)
         rows.append((size_mb, palaemon, naive))
     return rows
 

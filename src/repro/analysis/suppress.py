@@ -59,14 +59,6 @@ def load_baseline(path: Path) -> Set[str]:
     return set(entries)
 
 
-def dump_baseline(findings: Iterable[Finding]) -> str:
-    """Serialize current findings as a baseline document."""
-    return json.dumps(
-        {"version": BASELINE_VERSION,
-         "suppress": sorted(finding.identity() for finding in findings)},
-        indent=2, sort_keys=True) + "\n"
-
-
 def apply_baseline(findings: Iterable[Finding], suppressed: Set[str],
                    ) -> Tuple[List[Finding], int]:
     """Split findings into (kept, suppressed-count)."""

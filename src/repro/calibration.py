@@ -56,12 +56,6 @@ NATIVE_START_CPU_SECONDS = CPU_HYPERTHREADS / 3_700.0
 #: attestation at ~100 starts/s regardless of parallelism.
 SGX_DRIVER_LOCK_SECONDS_PER_START = 1 / 100.0
 
-#: PALAEMON-attested starts saturate at ~90 starts/s.
-PALAEMON_ATTESTED_START_RATE = 90.0
-
-#: IAS-attested starts peak near ~40 starts/s at 60 parallel instances.
-IAS_ATTESTED_START_RATE = 40.0
-
 # --------------------------------------------------------------------------
 # Fig 8 — attestation phase latencies (seconds)
 # --------------------------------------------------------------------------
@@ -87,14 +81,6 @@ ATTEST_WAIT_IAS_EU_SECONDS = 245.0e-3
 #: Receiving the configuration after successful attestation.
 ATTEST_RECEIVE_CONFIG_SECONDS = 1.5e-3
 
-#: End-to-end PALAEMON attestation ("around 15 ms").
-ATTEST_PALAEMON_TOTAL_SECONDS = (
-    ATTEST_INIT_SECONDS
-    + ATTEST_SEND_QUOTE_PALAEMON_SECONDS
-    + ATTEST_WAIT_PALAEMON_SECONDS
-    + ATTEST_RECEIVE_CONFIG_SECONDS
-)
-
 # --------------------------------------------------------------------------
 # Fig 10 — monotonic counter throughput (increments/second)
 # --------------------------------------------------------------------------
@@ -102,7 +88,6 @@ ATTEST_PALAEMON_TOTAL_SECONDS = (
 #: SGX platform counter: one increment every 50 ms, i.e. <= 20/s by spec;
 #: measured 13/s end to end.
 SGX_COUNTER_INCREMENT_INTERVAL_SECONDS = 50.0e-3
-SGX_COUNTER_MEASURED_RATE = 13.0
 
 #: SGX platform counters wear out; public measurements place NVRAM endurance
 #: in the ~1M-write class (paper cites TPM wear of 300k-1.4M).
@@ -112,9 +97,6 @@ SGX_COUNTER_WEAR_LIMIT = 1_000_000
 TPM_COUNTER_RATE = 10.0
 TPM_COUNTER_WEAR_LIMIT_MIN = 300_000
 TPM_COUNTER_WEAR_LIMIT_MAX = 1_400_000
-
-#: ROTE distributed counters: ~500 ops/s with 4 servers on a LAN.
-ROTE_COUNTER_RATE_4_SERVERS = 500.0
 
 #: File-based counter, native mode (open/increment/write/close): 682,721/s.
 FILE_COUNTER_NATIVE_RATE = 682_721.0
@@ -245,13 +227,8 @@ ZOOKEEPER_SHIELD_READ_ADVANTAGE = 1.15
 ZOOKEEPER_NATIVE_WRITE_PEAK_RPS = 42_000.0
 ZOOKEEPER_SHIELD_WRITE_FRACTION = 0.72
 
-#: MariaDB TPC-C: transactions/s anchors for the buffer-pool sweep.
-MARIADB_DISK_BOUND_TPS = 800.0
-MARIADB_NATIVE_PEAK_TPS = 2_700.0
 #: Buffer-pool sizes swept by the paper (MB).
 MARIADB_BUFFER_POOL_SIZES_MB = (8, 64, 128, 256, 512)
-#: Above this buffer-pool size, EPC paging dominates in hardware mode.
-MARIADB_EPC_KNEE_MB = 128
 
 #: Production ML use case (§VI): per-image inference latency.
 ML_NATIVE_INFERENCE_SECONDS = 0.323

@@ -62,9 +62,6 @@ class PlatformRegistry:
     def attestation_key(self, platform_id: bytes) -> Optional[PublicKey]:
         return self._platforms.get(platform_id)
 
-    def is_enrolled(self, platform_id: bytes) -> bool:
-        return platform_id in self._platforms
-
     def __len__(self) -> int:
         return len(self._platforms)
 

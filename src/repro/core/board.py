@@ -28,6 +28,7 @@ from repro.errors import ApprovalDeniedError, SignatureError, VetoError
 from repro.obs.telemetry import NULL_TELEMETRY, Telemetry
 from repro.sim.core import Event, Simulator
 from repro.sim.network import Site, rtt_between
+from repro.sim.resources import Resource
 from repro.tls.handshake import handshake_latency
 
 
@@ -101,6 +102,9 @@ class ApprovalService:
         self.requests_decided = 0
         #: Members may go offline; requests to them simply never answer.
         self.online = True
+        #: Decisions are made one at a time (the knee of Fig 13, left).
+        self.worker = Resource(simulator, capacity=1,
+                               name=f"approval-{member_name}")
 
     @property
     def service_seconds(self) -> float:
@@ -124,13 +128,22 @@ class ApprovalService:
 
     def decide(self, request: AccessRequest, caller_site: Site,
                ) -> Generator[Event, Any, Optional[Verdict]]:
-        """Decide with network + service latency; ``None`` if offline."""
+        """Decide with network + service latency; ``None`` if offline.
+
+        After the network, the request queues for the service's single
+        worker, which holds it for :attr:`service_seconds`.
+        """
         if not self.online:
             return None
         round_trip = rtt_between(caller_site, self.site)
         if self.use_tls:
             round_trip += handshake_latency(caller_site, self.site)
-        yield self.simulator.timeout(round_trip + self.service_seconds)
+        yield self.simulator.timeout(round_trip)
+        yield self.worker.acquire()
+        try:
+            yield self.simulator.timeout(self.service_seconds)
+        finally:
+            self.worker.release()
         return self.decide_local(request)
 
 

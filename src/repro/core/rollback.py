@@ -69,8 +69,13 @@ class RollbackGuard:
         except CounterNotFoundError:
             self.counters.create(self.counter_id)
 
-    def startup(self) -> Generator[Event, Any, None]:
-        """Steps 1-2 of the protocol; raises on rollback or cloning."""
+    def startup(self) -> Generator[Event, Any, int]:
+        """Steps 1-2 of the protocol; returns the incremented counter.
+
+        Raises on rollback or cloning. The returned value is never handed
+        out twice for this database: a crash leaves ``v < c`` and blocks
+        every later startup.
+        """
         with self.telemetry.span("guard.startup", counter=self.counter_id):
             counter_value = self.counters.read(self.counter_id)
             version = self.store.version
@@ -90,6 +95,7 @@ class RollbackGuard:
             self.active = True
         self.telemetry.audit("guard.startup", counter=self.counter_id,
                              version=version, counter_value=new_value)
+        return new_value
 
     def shutdown(self) -> Generator[Event, Any, None]:
         """Step 3: reconcile the version with the counter and commit."""

@@ -110,6 +110,9 @@ class PalaemonService:
         self.simulator: Simulator = platform.simulator
         self.name = name
         self._rng = rng
+        #: Creation-time randomness for policies (secrets, fs and volume
+        #: keys); keyed by this lifetime's counter value in :meth:`start`.
+        self._key_rng: Optional[DeterministicRandom] = None
         self.image = build_palaemon_image(version=version)
         self.enclave: Enclave = platform.launch_instant(self.image)
         self.board_evaluator = board_evaluator
@@ -173,7 +176,9 @@ class PalaemonService:
 
     def start(self) -> Generator[Event, Any, None]:
         """Run the Fig 6 startup protocol; raises on rollback/cloning."""
-        yield self.simulator.process(self.rollback_guard.startup())
+        counter_value = yield self.simulator.process(
+            self.rollback_guard.startup())
+        self._key_rng = self._rng.fork(b"lifetime:%d" % counter_value)
         self.running = True
         self.draining = False
 
@@ -267,15 +272,12 @@ class PalaemonService:
                        client_certificate: Certificate) -> None:
         self._approve(policy, "create", client_certificate,
                       change_digest=_policy_digest(policy))
-        secrets = materialize_all(
-            policy.secrets, self._rng.fork(b"secrets:" + policy.name.encode()),
-            now=self.simulator.now)
-        fs_keys = {service.name: self._rng.fork(
-            b"fs:" + policy.name.encode() + service.name.encode()).bytes(32)
-            for service in policy.services}
-        volume_keys = {volume.name: self._rng.fork(
-            b"vol:" + policy.name.encode() + volume.name.encode()).bytes(32)
-            for volume in policy.volumes}
+        secrets = materialize_all(policy.secrets, self._fresh_rng(),
+                                  now=self.simulator.now)
+        fs_keys = {service.name: self._fresh_rng().bytes(32)
+                   for service in policy.services}
+        volume_keys = {volume.name: self._fresh_rng().bytes(32)
+                       for volume in policy.volumes}
         self.store.put("policies", policy.name, policy)
         self.store.put("owners", policy.name, client_certificate)
         self.store.put("secrets", policy.name, secrets)
@@ -373,28 +375,29 @@ class PalaemonService:
                        client_certificate: Certificate) -> None:
         self._authorize(updated.name, "update", client_certificate,
                         change_digest=_policy_digest(updated))
-        existing_secrets: Dict[str, SecretValue] = self.store.get(
-            "secrets", updated.name)
+        # Secrets the update drops are forgotten, so re-adding one later
+        # materializes a fresh value.
+        wanted = {spec.name for spec in updated.secrets}
+        existing_secrets: Dict[str, SecretValue] = {
+            name: value for name, value
+            in self.store.get("secrets", updated.name).items()
+            if name in wanted}
         new_specs = [spec for spec in updated.secrets
                      if spec.name not in existing_secrets]
-        fresh = materialize_all(
-            new_specs, self._rng.fork(b"secrets:" + updated.name.encode()
-                                      + str(self.store.version).encode()),
-            now=self.simulator.now)
+        fresh = materialize_all(new_specs, self._fresh_rng(),
+                                now=self.simulator.now)
         existing_secrets.update(fresh)
         state: Dict[str, _ServiceState] = self.store.get("state", updated.name)
         fs_keys: Dict[str, bytes] = self.store.get("fs_keys", updated.name)
         for service in updated.services:
             state.setdefault(service.name, _ServiceState())
-            fs_keys.setdefault(service.name, self._rng.fork(
-                b"fs:" + updated.name.encode()
-                + service.name.encode()).bytes(32))
+            if service.name not in fs_keys:
+                fs_keys[service.name] = self._fresh_rng().bytes(32)
         volume_keys: Dict[str, bytes] = self.store.get(
             "volume_keys", updated.name, default={})
         for volume in updated.volumes:
-            volume_keys.setdefault(volume.name, self._rng.fork(
-                b"vol:" + updated.name.encode()
-                + volume.name.encode()).bytes(32))
+            if volume.name not in volume_keys:
+                volume_keys[volume.name] = self._fresh_rng().bytes(32)
         # The dicts above were mutated in place; re-put them so the dirty
         # tracker reseals their segments on the next flush.
         self.store.put("secrets", updated.name, existing_secrets)
@@ -405,6 +408,17 @@ class PalaemonService:
             self.store.put("volume_tags", updated.name, {})
         self.store.put("policies", updated.name, updated)
         self.store.commit_instant()
+
+    def _fresh_rng(self) -> DeterministicRandom:
+        """A child stream no earlier draw of this database has seen.
+
+        The lifetime stream is keyed by the Fig 6 counter value and
+        advances on every draw, so a deleted and re-created policy name
+        (or a removed and re-added secret) never gets its old keys back,
+        within a lifetime or after a clean restart.
+        """
+        assert self._key_rng is not None  # _check_serving() ran start()
+        return DeterministicRandom(self._key_rng.bytes(32))
 
     def delete_policy(self, policy_name: str,
                       client_certificate: Certificate) -> None:

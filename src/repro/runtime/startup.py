@@ -1,25 +1,35 @@
-"""Application startup cost model: the four variants of Fig 9.
+"""Application startup: the four variants of Fig 9 and the phases of Fig 8.
+
+Every start runs :meth:`SGXPlatform.launch` on the model's one platform:
+the EPC load under the driver's global lock, then the native process start
+on the platform's CPU threads. An attested start then runs one attestation
+leg, whose four phases are Fig 8's.
 
 - ``NATIVE``   — plain process start: CPU-bound, scales with hyper-threads
   to ~3700 starts/s.
 - ``SGX_ONLY`` — SGX enclave without attestation: serialized by the
   driver's global EPC lock at ~100 starts/s, independent of parallelism.
 - ``PALAEMON`` — SGX + attestation against a rack-local PALAEMON: ~15 ms per
-  start, saturating near ~90 starts/s.
-- ``IAS``      — SGX + per-start IAS attestation: ~280+ ms per start; only
-  heavy parallelism partially hides the latency (peaks ~40/s at 60
-  parallel instances, at >1 s latency).
+  start. PALAEMON serves one quote at a time from send-quote to
+  receive-config (11 ms), which saturates near ~90 starts/s.
+- ``IAS``      — SGX + per-start IAS attestation: ~280+ ms per start. IAS
+  verifies ten quotes at a time, so only heavy parallelism partially hides
+  the latency (peaks ~40/s at 60 parallel instances, at >1 s latency).
 """
 
 from __future__ import annotations
 
 import enum
-from typing import Any, Generator
+from typing import Any, Dict, Generator
 
 from repro import calibration
+from repro.crypto.primitives import DeterministicRandom
 from repro.sim.core import Event, Simulator
-from repro.sim.network import Site, rtt_between
-from repro.sim.resources import CpuPool, Resource, SimLock
+from repro.sim.network import Site
+from repro.sim.resources import Resource
+from repro.tee.enclave import ExecutionMode
+from repro.tee.image import build_image
+from repro.tee.platform import SGXPlatform
 
 
 class AttestationVariant(enum.Enum):
@@ -31,96 +41,101 @@ class AttestationVariant(enum.Enum):
     IAS = "ias"
 
 
+#: Fig 8's IAS wait phase per client site; it already includes the network.
+_IAS_WAIT_SECONDS = {
+    Site.IAS_US: calibration.ATTEST_WAIT_IAS_US_SECONDS,
+    Site.IAS_EU: calibration.ATTEST_WAIT_IAS_EU_SECONDS,
+}
+
+
 class StartupModel:
-    """Shared contended resources for a startup-throughput experiment."""
+    """One SGX machine and the attestation services its starts contend for."""
+
+    #: Quotes the IAS front end verifies concurrently.
+    IAS_FRONTEND_SLOTS = 10
 
     def __init__(self, simulator: Simulator,
-                 cpu_threads: int = calibration.CPU_HYPERTHREADS,
                  ias_site: Site = Site.IAS_US) -> None:
+        if ias_site not in _IAS_WAIT_SECONDS:
+            raise ValueError(f"no IAS wait phase for site {ias_site}")
         self.simulator = simulator
-        self.cpu = CpuPool(simulator, threads=cpu_threads, name="node-cpu")
-        self.driver_lock = SimLock(simulator, name="sgx-driver-lock")
-        #: PALAEMON serves attestations sequentially (one enclave, one DB);
-        #: the per-request time sets the ~90 starts/s ceiling.
-        self.palaemon_workers = Resource(simulator, capacity=1,
-                                         name="palaemon-workers")
-        self.palaemon_service_seconds = (
-            1.0 / calibration.PALAEMON_ATTESTED_START_RATE)
-        self.ias_site = ias_site
-        #: IAS verification is parallel server-side but throttled per
-        #: client; 10 in-flight slots at ~260 ms each peak near 40/s with
-        #: ~1.4 s latency at 60 parallel starts (Fig 9).
-        self.ias_verification_seconds = calibration.ATTEST_WAIT_IAS_US_SECONDS
-        self.ias_workers = Resource(simulator, capacity=10,
-                                    name="ias-frontend")
+        self.platform = SGXPlatform(simulator, "startup-node",
+                                    DeterministicRandom(b"startup-node"))
+        #: Fig 7's smallest enclave: the 80 kB binary in 1 MB.
+        self.image = build_image("startup-app", heap_bytes=(
+            calibration.MB - 96 * calibration.KB))
+        self.ias_wait_seconds = _IAS_WAIT_SECONDS[ias_site]
+        self.palaemon_worker = Resource(simulator, capacity=1,
+                                        name="palaemon-worker")
+        self.ias_frontend = Resource(simulator,
+                                     capacity=self.IAS_FRONTEND_SLOTS,
+                                     name="ias-frontend")
 
     def start_one(self, variant: AttestationVariant,
                   ) -> Generator[Event, Any, float]:
-        """One application start; returns the virtual duration."""
+        """One application start; returns the virtual duration.
+
+        The enclave is torn down when its start completes, so a sweep
+        never fills the EPC.
+        """
         began = self.simulator.now
-        if variant is not AttestationVariant.NATIVE:
-            # EPC setup under the driver-global lock (the Fig 9 bottleneck).
-            yield self.driver_lock.acquire()
-            try:
-                yield self.simulator.timeout(
-                    calibration.SGX_DRIVER_LOCK_SECONDS_PER_START)
-            finally:
-                self.driver_lock.release()
-        # The native part of process creation competes for CPU threads.
-        yield self.simulator.process(
-            self.cpu.execute(calibration.NATIVE_START_CPU_SECONDS))
-        if variant is AttestationVariant.PALAEMON:
-            yield self.simulator.process(self._attest_palaemon())
-        elif variant is AttestationVariant.IAS:
-            yield self.simulator.process(self._attest_ias())
+        mode = (ExecutionMode.NATIVE if variant is AttestationVariant.NATIVE
+                else ExecutionMode.HARDWARE)
+        enclave = yield self.simulator.process(
+            self.platform.launch(self.image, mode))
+        try:
+            if variant in (AttestationVariant.PALAEMON,
+                           AttestationVariant.IAS):
+                yield self.simulator.process(self.attest(variant))
+        finally:
+            enclave.destroy()
         return self.simulator.now - began
 
-    def _attest_palaemon(self) -> Generator[Event, Any, None]:
-        # Init: keygen, DNS, TCP+TLS handshake to the rack-local PALAEMON.
-        yield self.simulator.timeout(calibration.ATTEST_INIT_SECONDS)
-        yield self.simulator.timeout(
-            calibration.ATTEST_SEND_QUOTE_PALAEMON_SECONDS)
-        yield self.palaemon_workers.acquire()
+    def attest(self, variant: AttestationVariant,
+               ) -> Generator[Event, Any, Dict[str, float]]:
+        """One attestation leg; returns Fig 8's four phases in seconds.
+
+        PALAEMON holds its single worker from send-quote to receive-config;
+        IAS holds a front-end slot while it verifies the quote. Time spent
+        queueing for the server counts towards the phase that waits for it.
+        """
+        if variant not in (AttestationVariant.PALAEMON,
+                           AttestationVariant.IAS):
+            raise ValueError(f"no attestation phases for variant {variant}")
+        sim = self.simulator
+        phases: Dict[str, float] = {}
+        mark = sim.now
+
+        def lap(phase: str) -> None:
+            nonlocal mark
+            phases[phase] = sim.now - mark
+            mark = sim.now
+
+        # Key generation, DNS, TCP + TLS handshake: the same for both.
+        yield sim.timeout(calibration.ATTEST_INIT_SECONDS)
+        lap("initialization")
+        if variant is AttestationVariant.PALAEMON:
+            yield self.palaemon_worker.acquire()
+            try:
+                yield sim.timeout(
+                    calibration.ATTEST_SEND_QUOTE_PALAEMON_SECONDS)
+                lap("send_quote")
+                yield sim.timeout(calibration.ATTEST_WAIT_PALAEMON_SECONDS)
+                lap("wait_confirmation")
+                yield sim.timeout(calibration.ATTEST_RECEIVE_CONFIG_SECONDS)
+                lap("receive_config")
+            finally:
+                self.palaemon_worker.release()
+            return phases
+        # EPID crypto plus the extra round trip that embeds verifier data.
+        yield sim.timeout(calibration.ATTEST_SEND_QUOTE_IAS_SECONDS)
+        lap("send_quote")
+        yield self.ias_frontend.acquire()
         try:
-            yield self.simulator.timeout(self.palaemon_service_seconds)
+            yield sim.timeout(self.ias_wait_seconds)
         finally:
-            self.palaemon_workers.release()
-        yield self.simulator.timeout(
-            calibration.ATTEST_RECEIVE_CONFIG_SECONDS)
-
-    def _attest_ias(self) -> Generator[Event, Any, None]:
-        yield self.simulator.timeout(calibration.ATTEST_INIT_SECONDS)
-        # Extra round trip to embed verifier data in the quote + EPID crypto.
-        yield self.simulator.timeout(calibration.ATTEST_SEND_QUOTE_IAS_SECONDS)
-        round_trip = rtt_between(Site.SAME_RACK, self.ias_site)
-        yield self.ias_workers.acquire()
-        try:
-            yield self.simulator.timeout(round_trip
-                                         + self.ias_verification_seconds)
-        finally:
-            self.ias_workers.release()
-        yield self.simulator.timeout(
-            calibration.ATTEST_RECEIVE_CONFIG_SECONDS)
-
-
-def attestation_phase_latencies(variant: AttestationVariant,
-                                ias_site: Site = Site.IAS_US) -> dict:
-    """Closed-form per-phase latencies for Fig 8 (single attestation)."""
-    if variant is AttestationVariant.PALAEMON:
-        return {
-            "initialization": calibration.ATTEST_INIT_SECONDS,
-            "send_quote": calibration.ATTEST_SEND_QUOTE_PALAEMON_SECONDS,
-            "wait_confirmation": calibration.ATTEST_WAIT_PALAEMON_SECONDS,
-            "receive_config": calibration.ATTEST_RECEIVE_CONFIG_SECONDS,
-        }
-    if variant is AttestationVariant.IAS:
-        wait = (calibration.ATTEST_WAIT_IAS_US_SECONDS
-                if ias_site is Site.IAS_US
-                else calibration.ATTEST_WAIT_IAS_EU_SECONDS)
-        return {
-            "initialization": calibration.ATTEST_INIT_SECONDS,
-            "send_quote": calibration.ATTEST_SEND_QUOTE_IAS_SECONDS,
-            "wait_confirmation": wait,
-            "receive_config": calibration.ATTEST_RECEIVE_CONFIG_SECONDS,
-        }
-    raise ValueError(f"no attestation phases for variant {variant}")
+            self.ias_frontend.release()
+        lap("wait_confirmation")
+        yield sim.timeout(calibration.ATTEST_RECEIVE_CONFIG_SECONDS)
+        lap("receive_config")
+        return phases

@@ -43,10 +43,6 @@ class Resource:
         return self._in_use
 
     @property
-    def queue_length(self) -> int:
-        return len(self._waiters)
-
-    @property
     def peak_queue_length(self) -> int:
         return self._peak_queue_length
 

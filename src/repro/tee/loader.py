@@ -95,23 +95,3 @@ class EnclaveLoader:
     def unload(self, image: EnclaveImage) -> None:
         """Free the image's EPC pages."""
         self.epc.free(image.total_bytes)
-
-    @staticmethod
-    def estimate(image: EnclaveImage, scope: MeasurementScope,
-                 evicted_bytes: int = 0) -> LoadReport:
-        """Closed-form cost estimate without running the simulator.
-
-        Used by the Fig 7 benchmark to tabulate component times for a sweep
-        of enclave sizes.
-        """
-        total = image.total_bytes
-        measured = (total if scope is MeasurementScope.ALL_PAGES
-                    else image.measured_bytes)
-        return LoadReport(
-            image_name=image.name,
-            scope=scope,
-            addition_seconds=total / calibration.PAGE_ADDITION_BPS,
-            measurement_seconds=measured / calibration.PAGE_MEASUREMENT_BPS,
-            eviction_seconds=evicted_bytes / calibration.PAGE_EVICTION_BPS,
-            bookkeeping_seconds=total / calibration.PAGE_BOOKKEEPING_BPS,
-        )

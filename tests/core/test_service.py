@@ -4,7 +4,7 @@ tags, strict mode, imports, and the main attack scenarios."""
 import pytest
 
 from repro.core.attestation import AttestationEvidence
-from repro.core.policy import ImportSpec
+from repro.core.policy import ImportSpec, VolumeSpec
 from repro.core.secrets import SecretKind, SecretSpec
 from repro.core.service import PalaemonService
 from repro.core.store import _segment_path
@@ -454,3 +454,86 @@ class TestInstanceIdentity:
             deployment.evidence_for("ml_policy"))
         secret = config.secrets["API_KEY"]
         assert deployment.volume.scan_for(secret) == []
+
+
+class TestCreationKeysNeverRepeat:
+    """Creation-time keys come from a stream that never repeats.
+
+    A deleted policy's secrets and file-system/volume keys must not come
+    back when its name is reused, whoever reuses it and however often the
+    instance restarted in between.
+    """
+
+    @staticmethod
+    def make_policy(deployment):
+        policy = deployment.make_policy()
+        policy.volumes.append(VolumeSpec(name="data", path="/data"))
+        return policy
+
+    @staticmethod
+    def keys(service, name="ml_policy"):
+        return (service.store.get("secrets", name)["API_KEY"].value,
+                service.store.get("fs_keys", name)["ml_app"],
+                service.store.get("volume_keys", name)["data"])
+
+    @staticmethod
+    def other_owner(deployment):
+        from repro.core.client import PalaemonClient
+
+        other = PalaemonClient("other-owner",
+                               DeterministicRandom(b"other-owner"))
+        other.attest_instance_via_ca(deployment.palaemon,
+                                     deployment.ca.root_public_key,
+                                     now=deployment.simulator.now)
+        return other
+
+    def test_recreated_by_another_owner_gets_fresh_keys(self, deployment):
+        deployment.client.create_policy(deployment.palaemon,
+                                        self.make_policy(deployment))
+        first = self.keys(deployment.palaemon)
+        deployment.client.delete_policy(deployment.palaemon, "ml_policy")
+        self.other_owner(deployment).create_policy(
+            deployment.palaemon, self.make_policy(deployment))
+        second = self.keys(deployment.palaemon)
+        assert all(old != new for old, new in zip(first, second))
+
+    def test_recreated_after_clean_restart_gets_fresh_keys(self):
+        deployment = Deployment(seed=b"recreate-restart")
+        deployment.client.create_policy(deployment.palaemon,
+                                        self.make_policy(deployment))
+        first = self.keys(deployment.palaemon)
+        deployment.client.delete_policy(deployment.palaemon, "ml_policy")
+        deployment.stop_palaemon()
+        # The same binary with the same randomness source restarts.
+        restarted = PalaemonService(
+            deployment.platform, deployment.volume,
+            deployment.rng.fork(b"palaemon"),
+            board_evaluator=deployment.evaluator)
+        deployment.simulator.run_process(restarted.start())
+        restarted.obtain_certificate(deployment.ca)
+        deployment.client.create_policy(restarted,
+                                        self.make_policy(deployment))
+        second = self.keys(restarted)
+        assert all(old != new for old, new in zip(first, second))
+
+    def test_secret_removed_and_readded_gets_fresh_value(self, deployment):
+        policy = self.make_policy(deployment)
+        deployment.client.create_policy(deployment.palaemon, policy)
+        first = self.keys(deployment.palaemon)[0]
+        api_key = policy.secrets.pop()
+        deployment.client.update_policy(deployment.palaemon, policy)
+        assert "API_KEY" not in deployment.palaemon.store.get(
+            "secrets", "ml_policy")
+        policy.secrets.append(api_key)
+        deployment.client.update_policy(deployment.palaemon, policy)
+        assert self.keys(deployment.palaemon)[0] != first
+
+    def test_secrets_added_by_separate_updates_differ(self, deployment):
+        policy = deployment.make_policy()
+        deployment.client.create_policy(deployment.palaemon, policy)
+        for name in ("EXTRA_1", "EXTRA_2"):
+            policy.secrets.append(SecretSpec(name=name,
+                                             kind=SecretKind.RANDOM))
+            deployment.client.update_policy(deployment.palaemon, policy)
+        secrets = deployment.palaemon.store.get("secrets", "ml_policy")
+        assert secrets["EXTRA_1"].value != secrets["EXTRA_2"].value

@@ -85,23 +85,21 @@ class TestLoader:
                                usable_fraction=1.0)
         return sim, EnclaveLoader(sim, epc)
 
+    def load(self, image, scope=MeasurementScope.CODE_ONLY, epc_mb=128):
+        sim, loader = self.make(epc_mb)
+        return sim.run_process(loader.load(image, scope=scope))
+
     def test_code_only_measures_less_than_all_pages(self):
-        sim, loader = self.make()
         image = build_image("app", heap_bytes=32 * calibration.MB)
-
-        def main():
-            report = yield sim.process(
-                loader.load(image, scope=MeasurementScope.CODE_ONLY))
-            return report
-
-        report = sim.run_process(main())
-        naive = EnclaveLoader.estimate(image, MeasurementScope.ALL_PAGES)
+        report = self.load(image, MeasurementScope.CODE_ONLY)
+        naive = self.load(image, MeasurementScope.ALL_PAGES)
         assert report.measurement_seconds < naive.measurement_seconds / 100
 
     def test_measurement_dominates_naive_large_enclaves(self):
         """Fig 7 right bars: at 128 MB, measuring all pages dominates."""
         image = build_image("app", heap_bytes=128 * calibration.MB)
-        naive = EnclaveLoader.estimate(image, MeasurementScope.ALL_PAGES)
+        naive = self.load(image, MeasurementScope.ALL_PAGES, epc_mb=256)
+        assert naive.eviction_seconds == 0
         assert naive.measurement_seconds > naive.addition_seconds
         assert naive.measurement_seconds > naive.bookkeeping_seconds
         # ~865 ms at 148 MB/s for 128 MB.
@@ -110,22 +108,8 @@ class TestLoader:
     def test_bookkeeping_and_addition_dominate_palaemon_loads(self):
         """Fig 7 left bars: with code-only measurement, copying dominates."""
         image = build_image("app", heap_bytes=128 * calibration.MB)
-        fast = EnclaveLoader.estimate(image, MeasurementScope.CODE_ONLY)
+        fast = self.load(image, MeasurementScope.CODE_ONLY, epc_mb=256)
         assert fast.measurement_seconds < fast.bookkeeping_seconds
-
-    def test_estimate_matches_simulated_components(self):
-        sim, loader = self.make()
-        image = build_image("app", heap_bytes=8 * calibration.MB)
-
-        def main():
-            report = yield sim.process(loader.load(image))
-            return report
-
-        simulated = sim.run_process(main())
-        estimated = EnclaveLoader.estimate(image, MeasurementScope.CODE_ONLY)
-        assert simulated.addition_seconds == estimated.addition_seconds
-        assert simulated.measurement_seconds == estimated.measurement_seconds
-        assert simulated.bookkeeping_seconds == estimated.bookkeeping_seconds
 
     def test_driver_lock_serializes_parallel_loads(self):
         """Two concurrent loads cannot overlap their lock-held phase."""

@@ -2,9 +2,10 @@
 
 Each module provides a functional miniature of one of the paper's evaluated
 systems — real request semantics (stored values come back, quorum writes
-replicate, buffer pools hit and miss) — with per-execution-mode cost models
-so the NATIVE / EMU / HW throughput relationships of Figs 14-17 emerge from
-the discrete-event simulation.
+replicate, buffer pools hit and miss) — that charges one calibrated
+service time per request through :class:`repro.apps.base.SimulatedServer`,
+so the NATIVE / EMU / HW throughput curves of Figs 14-17 come out of
+queueing in the discrete-event simulation.
 """
 
 from repro.apps.base import SimulatedServer

@@ -1,73 +1,60 @@
 """Common machinery for macro-benchmark servers.
 
-A :class:`SimulatedServer` owns a pool of worker threads and a per-mode
-service-time model. Handlers run real application logic (so functional
-tests exercise semantics) and charge per-request time; throughput/latency
+A :class:`SimulatedServer` owns a pool of worker threads and one per-request
+service time. Handlers run real application logic (so functional tests
+exercise semantics) and hold a worker for that time; throughput/latency
 curves then come out of the DES queueing rather than formulae.
 
-Cost model: the server declares its *native* per-request CPU time (derived
-from the paper's native peak throughput and thread count) and per-mode
-multipliers derived from the measured HW/EMU fractions. The multipliers are
+Cost model: each app computes its service time once, at construction, from
+the paper's measured native peak and thread count divided by the measured
+fraction for its mode, variant or configuration (docs/SIMULATION.md).
+Enclave exits, syscalls and EPC faults are not charged one by one; the
+calibrated fraction stands for all of them. The service time is
 calibrated, the queueing is emergent — that split is stated in DESIGN.md.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Generator
+from typing import Any, Generator
 
 from repro import calibration
 from repro.sim.core import Event, Simulator
 from repro.sim.resources import Resource
-from repro.tee.enclave import ExecutionMode
+
+
+def calibrated_service_seconds(native_peak_rps: float, fraction: float = 1.0,
+                               threads: int = calibration.CPU_HYPERTHREADS,
+                               ) -> float:
+    """Per-request time at which ``threads`` workers reach ``fraction`` of
+    the paper's measured native peak."""
+    return threads / native_peak_rps / fraction
 
 
 class SimulatedServer:
-    """A threaded request server with per-mode service times."""
+    """A threaded request server with one calibrated service time."""
 
     def __init__(self, simulator: Simulator, name: str,
-                 native_peak_rps: float,
-                 mode_fractions: Dict[ExecutionMode, float],
-                 threads: int = calibration.CPU_HYPERTHREADS,
-                 microcode: calibration.MicrocodeLevel = (
-                     calibration.MICROCODE_POST_FORESHADOW)) -> None:
+                 service_seconds: float,
+                 threads: int = calibration.CPU_HYPERTHREADS) -> None:
+        if service_seconds <= 0:
+            raise ValueError(f"{name}: service time must be positive")
         self.simulator = simulator
         self.name = name
+        self.service_seconds = service_seconds
         self.threads = threads
-        self.microcode = microcode
-        self.native_service_seconds = threads / native_peak_rps
-        self._mode_fractions = dict(mode_fractions)
-        self._mode_fractions.setdefault(ExecutionMode.NATIVE, 1.0)
         self.workers = Resource(simulator, capacity=threads,
                                 name=f"{name}-workers")
         self.requests_served = 0
 
-    def service_seconds(self, mode: ExecutionMode) -> float:
-        """Per-request service time in the given mode."""
-        fraction = self._mode_fractions[mode]
-        if fraction <= 0:
-            raise ValueError(f"mode fraction for {mode} must be positive")
-        return self.native_service_seconds / fraction
+    def peak_rate(self) -> float:
+        """Theoretical saturation throughput."""
+        return self.threads / self.service_seconds
 
-    def peak_rate(self, mode: ExecutionMode) -> float:
-        """Theoretical saturation throughput in the given mode."""
-        return self.threads / self.service_seconds(mode)
-
-    def serve(self, mode: ExecutionMode,
-              extra_seconds: float = 0.0) -> Generator[Event, Any, None]:
+    def serve(self) -> Generator[Event, Any, None]:
         """Occupy one worker for one request's service time."""
         yield self.workers.acquire()
         try:
-            yield self.simulator.timeout(self.service_seconds(mode)
-                                         + extra_seconds)
+            yield self.simulator.timeout(self.service_seconds)
             self.requests_served += 1
         finally:
             self.workers.release()
-
-
-def fractions_for(hw: float, emu: float) -> Dict[ExecutionMode, float]:
-    """Build the mode->fraction map from the paper's two measured ratios."""
-    return {
-        ExecutionMode.NATIVE: 1.0,
-        ExecutionMode.EMULATED: emu,
-        ExecutionMode.HARDWARE: hw,
-    }

@@ -6,13 +6,14 @@ the paper measures:
 
 - **Barbican** (Fig 14) — an interpreted CPython service. Three variants:
   native (simple crypto plugin), PALAEMON-hardened (whole service in the
-  enclave; syscall-shield overhead), and BarbiE (only a small SGX "HSM"
-  enclave; fewer exits, less EPC pressure — *faster* than native thanks to
-  its compiled TCB). The post-Foreshadow microcode's L1 flush on exit costs
-  the PALAEMON variant ~30% but barely touches BarbiE.
+  enclave), and BarbiE (only a small SGX "HSM" enclave — *faster* than
+  native thanks to its compiled TCB). The post-Foreshadow microcode's L1
+  flush on exit costs the PALAEMON variant ~30% but barely touches BarbiE;
+  both are calibrated peak-rate factors, not per-exit costs.
 - **Vault** (Fig 15) — a Go service needing a 1.9 GB heap; in hardware mode
   the enclave far exceeds the EPC, so paging brings throughput to 61% of
-  native (82% in EMU, where no paging happens).
+  native (82% in EMU, where no paging happens). Both are calibrated
+  fractions of the native peak.
 """
 
 from __future__ import annotations
@@ -21,13 +22,12 @@ import enum
 from typing import Any, Dict, Generator, Optional
 
 from repro import calibration
-from repro.apps.base import SimulatedServer, fractions_for
+from repro.apps.base import SimulatedServer, calibrated_service_seconds
 from repro.crypto.primitives import DeterministicRandom
 from repro.crypto.symmetric import SecretBox
 from repro.errors import AccessDeniedError
 from repro.sim.core import Event, Simulator
 from repro.tee.enclave import ExecutionMode
-from repro.tee.epc import EnclavePageCache
 
 
 class _EncryptedSecretStore:
@@ -74,6 +74,22 @@ class BarbicanVariant(enum.Enum):
     BARBIE = "barbie"
 
 
+def _barbican_peak_rps(variant: BarbicanVariant,
+                       microcode: calibration.MicrocodeLevel) -> float:
+    """Variant- and microcode-dependent saturation throughput."""
+    if variant is BarbicanVariant.NATIVE:
+        return calibration.BARBICAN_NATIVE_PEAK_RPS
+    if variant is BarbicanVariant.BARBIE:
+        peak = calibration.BARBIE_PEAK_RPS
+        if microcode.flushes_l1_on_exit:
+            peak *= calibration.BARBIE_MICROCODE_PENALTY_FACTOR
+        return peak
+    peak = calibration.BARBICAN_PALAEMON_PEAK_RPS
+    if microcode.flushes_l1_on_exit:
+        peak *= calibration.MICROCODE_PENALTY_FACTOR
+    return peak
+
+
 class BarbicanServer(SimulatedServer):
     """Barbican: an interpreted-Python KMS."""
 
@@ -81,46 +97,32 @@ class BarbicanServer(SimulatedServer):
                  rng: Optional[DeterministicRandom] = None,
                  microcode: calibration.MicrocodeLevel = (
                      calibration.MICROCODE_PRE_SPECTRE)) -> None:
-        mode_fractions = {mode: 1.0 for mode in ExecutionMode}
         # Barbican's interpreted request path is effectively serial: one
         # worker at ~36 ms/request reproduces both the ~28 req/s native peak
         # and the sub-100 ms latency range of Fig 14.
         super().__init__(simulator, "barbican",
-                         native_peak_rps=calibration.BARBICAN_NATIVE_PEAK_RPS,
-                         mode_fractions=mode_fractions,
-                         threads=1,
-                         microcode=microcode)
+                         1 / _barbican_peak_rps(variant, microcode),
+                         threads=1)
         self.variant = variant
         self.secrets = _EncryptedSecretStore(
             rng or DeterministicRandom(b"barbican"))
 
-    def peak_rps(self) -> float:
-        """Variant- and microcode-dependent saturation throughput."""
-        if self.variant is BarbicanVariant.NATIVE:
-            return calibration.BARBICAN_NATIVE_PEAK_RPS
-        if self.variant is BarbicanVariant.BARBIE:
-            peak = calibration.BARBIE_PEAK_RPS
-            if self.microcode.flushes_l1_on_exit:
-                peak *= calibration.BARBIE_MICROCODE_PENALTY_FACTOR
-            return peak
-        peak = calibration.BARBICAN_PALAEMON_PEAK_RPS
-        if self.microcode.flushes_l1_on_exit:
-            peak *= calibration.MICROCODE_PENALTY_FACTOR
-        return peak
-
-    def service_seconds(self, _mode: ExecutionMode = ExecutionMode.NATIVE,
-                        ) -> float:
-        return self.threads / self.peak_rps()
-
     def handle_store(self, token: str, name: str,
                      value: bytes) -> Generator[Event, Any, None]:
-        yield self.simulator.process(self.serve(ExecutionMode.NATIVE))
+        yield self.simulator.process(self.serve())
         self.secrets.store(token, name, value)
 
     def handle_retrieve(self, token: str,
                         name: str) -> Generator[Event, Any, bytes]:
-        yield self.simulator.process(self.serve(ExecutionMode.NATIVE))
+        yield self.simulator.process(self.serve())
         return self.secrets.retrieve(token, name)
+
+
+_VAULT_MODE_FRACTIONS = {
+    ExecutionMode.NATIVE: 1.0,
+    ExecutionMode.EMULATED: calibration.VAULT_EMU_FRACTION,
+    ExecutionMode.HARDWARE: calibration.VAULT_HW_FRACTION,
+}
 
 
 class VaultServer(SimulatedServer):
@@ -130,30 +132,19 @@ class VaultServer(SimulatedServer):
 
     def __init__(self, simulator: Simulator,
                  mode: ExecutionMode = ExecutionMode.NATIVE,
-                 epc: Optional[EnclavePageCache] = None,
                  rng: Optional[DeterministicRandom] = None) -> None:
-        super().__init__(simulator, "vault",
-                         native_peak_rps=calibration.VAULT_NATIVE_PEAK_RPS,
-                         mode_fractions=fractions_for(
-                             hw=calibration.VAULT_HW_FRACTION,
-                             emu=calibration.VAULT_EMU_FRACTION))
+        super().__init__(simulator, "vault", calibrated_service_seconds(
+            calibration.VAULT_NATIVE_PEAK_RPS, _VAULT_MODE_FRACTIONS[mode]))
         self.mode = mode
-        self.epc = epc
         self.secrets = _EncryptedSecretStore(
             rng or DeterministicRandom(b"vault"))
 
-    def exceeds_epc(self) -> bool:
-        """The defining property: the heap dwarfs the EPC."""
-        if self.epc is None:
-            return self.HEAP_BYTES > calibration.EPC_SIZE_DEFAULT
-        return self.HEAP_BYTES > self.epc.usable_bytes
-
     def handle_retrieve(self, token: str,
                         name: str) -> Generator[Event, Any, bytes]:
-        yield self.simulator.process(self.serve(self.mode))
+        yield self.simulator.process(self.serve())
         return self.secrets.retrieve(token, name)
 
     def handle_store(self, token: str, name: str,
                      value: bytes) -> Generator[Event, Any, None]:
-        yield self.simulator.process(self.serve(self.mode))
+        yield self.simulator.process(self.serve())
         self.secrets.store(token, name, value)

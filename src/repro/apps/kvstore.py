@@ -12,9 +12,15 @@ from collections import OrderedDict
 from typing import Any, Generator, Optional
 
 from repro import calibration
-from repro.apps.base import SimulatedServer, fractions_for
+from repro.apps.base import SimulatedServer, calibrated_service_seconds
 from repro.sim.core import Event, Simulator
 from repro.tee.enclave import ExecutionMode
+
+_MODE_FRACTIONS = {
+    ExecutionMode.NATIVE: 1.0,
+    ExecutionMode.EMULATED: calibration.MEMCACHED_EMU_FRACTION,
+    ExecutionMode.HARDWARE: calibration.MEMCACHED_HW_FRACTION,
+}
 
 
 class MemcachedServer(SimulatedServer):
@@ -25,12 +31,8 @@ class MemcachedServer(SimulatedServer):
                  capacity_items: int = 100_000,
                  tls_certificate: Optional[bytes] = None,
                  tls_private_key: Optional[bytes] = None) -> None:
-        super().__init__(
-            simulator, "memcached",
-            native_peak_rps=calibration.MEMCACHED_NATIVE_PEAK_RPS,
-            mode_fractions=fractions_for(
-                hw=calibration.MEMCACHED_HW_FRACTION,
-                emu=calibration.MEMCACHED_EMU_FRACTION))
+        super().__init__(simulator, "memcached", calibrated_service_seconds(
+            calibration.MEMCACHED_NATIVE_PEAK_RPS, _MODE_FRACTIONS[mode]))
         self.mode = mode
         self.capacity_items = capacity_items
         self._items: "OrderedDict[str, bytes]" = OrderedDict()
@@ -73,10 +75,10 @@ class MemcachedServer(SimulatedServer):
     # -- timed request handlers -----------------------------------------------
 
     def handle_get(self, key: str) -> Generator[Event, Any, Optional[bytes]]:
-        yield self.simulator.process(self.serve(self.mode))
+        yield self.simulator.process(self.serve())
         return self.get(key)
 
     def handle_set(self, key: str,
                    value: bytes) -> Generator[Event, Any, None]:
-        yield self.simulator.process(self.serve(self.mode))
+        yield self.simulator.process(self.serve())
         self.set(key, value)

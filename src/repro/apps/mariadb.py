@@ -10,8 +10,9 @@ The mechanism behind the figure is a *buffer pool vs EPC* tension:
 - EMU mode has the shield overheads but no EPC, so it tracks native shape
   at a modest discount.
 
-Both effects are modelled mechanistically: the hit ratio comes from the
-pool/working-set ratio, the fault cost from the EPC overcommitment.
+Both effects set the per-transaction service time, computed once at
+construction: the hit ratio comes from the pool/working-set ratio, the
+fault cost from how far the pool overflows the usable EPC.
 """
 
 from __future__ import annotations
@@ -19,10 +20,10 @@ from __future__ import annotations
 from typing import Any, Dict, Generator, Optional
 
 from repro import calibration
+from repro.apps.base import SimulatedServer
 from repro.crypto.primitives import DeterministicRandom
 from repro.crypto.symmetric import SecretBox
 from repro.sim.core import Event, Simulator
-from repro.sim.resources import Resource
 from repro.tee.enclave import ExecutionMode
 
 #: TPC-C working set for the paper-scale run.
@@ -40,31 +41,30 @@ _SHIELD_PER_TX_SECONDS = 0.25e-3
 #: amplification from MEE crypto and TLB shootdowns under TPC-C locality.
 _EPC_FAULT_SECONDS = calibration.EPC_PAGE_FAULT_SECONDS
 _EPC_FAULT_AMPLIFICATION = 12
+#: Usable EPC of the evaluation cluster, in MB.
+_EPC_USABLE_MB = int(calibration.EPC_SIZE_DEFAULT // calibration.MB
+                     * calibration.EPC_USABLE_FRACTION)
 
 
-class MariaDBServer:
+class MariaDBServer(SimulatedServer):
     """A database server with encryption-at-rest and a buffer pool."""
 
     def __init__(self, simulator: Simulator,
                  buffer_pool_mb: int,
                  mode: ExecutionMode = ExecutionMode.NATIVE,
                  rng: Optional[DeterministicRandom] = None,
-                 threads: int = calibration.CPU_HYPERTHREADS,
-                 epc_mb: int = calibration.EPC_SIZE_DEFAULT
-                 // calibration.MB) -> None:
+                 threads: int = calibration.CPU_HYPERTHREADS) -> None:
         if buffer_pool_mb <= 0:
             raise ValueError("buffer pool must be positive")
-        self.simulator = simulator
         self.buffer_pool_mb = buffer_pool_mb
         self.mode = mode
-        self.epc_mb = int(epc_mb * calibration.EPC_USABLE_FRACTION)
-        self.workers = Resource(simulator, capacity=threads, name="db-workers")
+        super().__init__(simulator, "db", self._tx_service_seconds(),
+                         threads=threads)
         self._rng = rng or DeterministicRandom(b"mariadb")
         # Encryption at rest: rows sealed under the injected key.
         self._box = SecretBox(self._rng.fork(b"at-rest-key").bytes(32),
                               self._rng.fork(b"nonces"))
         self._rows: Dict[str, bytes] = {}
-        self.transactions = 0
 
     # -- functional row storage (encrypted at rest) ----------------------
 
@@ -93,11 +93,11 @@ class MariaDBServer:
         """Fraction of buffer-pool accesses that fault in HW mode."""
         if self.mode is not ExecutionMode.HARDWARE:
             return 0.0
-        if self.buffer_pool_mb <= self.epc_mb:
+        if self.buffer_pool_mb <= _EPC_USABLE_MB:
             return 0.0
-        return (self.buffer_pool_mb - self.epc_mb) / self.buffer_pool_mb
+        return (self.buffer_pool_mb - _EPC_USABLE_MB) / self.buffer_pool_mb
 
-    def tx_service_seconds(self) -> float:
+    def _tx_service_seconds(self) -> float:
         """End-to-end service time of one transaction in this configuration."""
         misses = _PAGES_PER_TX * (1.0 - self.hit_ratio())
         seconds = _CPU_PER_TX_SECONDS + misses * _DISK_READ_SECONDS
@@ -113,16 +113,7 @@ class MariaDBServer:
 
     def handle_transaction(self) -> Generator[Event, Any, None]:
         """One TPC-C-ish transaction (cost model only)."""
-        yield self.workers.acquire()
-        try:
-            yield self.simulator.timeout(self.tx_service_seconds())
-            self.transactions += 1
-        finally:
-            self.workers.release()
-
-    def peak_tps(self) -> float:
-        """Saturation throughput for this configuration."""
-        return self.workers.capacity / self.tx_service_seconds()
+        yield from self.serve()
 
     # -- functional TPC-C-flavoured transactions ------------------------------
 

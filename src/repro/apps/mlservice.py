@@ -16,26 +16,32 @@ from __future__ import annotations
 from typing import Any, Generator, Optional
 
 from repro import calibration
+from repro.apps.base import SimulatedServer
 from repro.crypto.primitives import DeterministicRandom, sha256
 from repro.fs.blockstore import BlockStore
 from repro.fs.shield import ProtectedFileSystem
 from repro.sim.core import Event, Simulator
-from repro.sim.resources import Resource
 from repro.tee.enclave import ExecutionMode
 
+_INFERENCE_SECONDS = {
+    ExecutionMode.NATIVE: calibration.ML_NATIVE_INFERENCE_SECONDS,
+    # EMU: shields without SGX costs — between the two.
+    ExecutionMode.EMULATED: calibration.ML_NATIVE_INFERENCE_SECONDS * 1.4,
+    ExecutionMode.HARDWARE: calibration.ML_PALAEMON_INFERENCE_SECONDS,
+}
 
-class InferenceService:
+
+class InferenceService(SimulatedServer):
     """The handwriting-inference pipeline over shielded volumes."""
 
     def __init__(self, simulator: Simulator,
                  mode: ExecutionMode = ExecutionMode.HARDWARE,
                  rng: Optional[DeterministicRandom] = None,
                  threads: int = 4) -> None:
-        self.simulator = simulator
+        super().__init__(simulator, "inference", _INFERENCE_SECONDS[mode],
+                         threads=threads)
         self.mode = mode
         self._rng = rng or DeterministicRandom(b"ml-service")
-        self.workers = Resource(simulator, capacity=threads,
-                                name="inference-workers")
         # Two separately keyed shielded volumes: the company's (code +
         # models) and the customer's (input images, output text).
         self.company_volume = BlockStore("company-volume")
@@ -60,14 +66,6 @@ class InferenceService:
         self.customer_fs.write(f"/inbox/{image_id}", pixels)
         return self.customer_fs.sync()
 
-    def inference_seconds(self) -> float:
-        if self.mode is ExecutionMode.NATIVE:
-            return calibration.ML_NATIVE_INFERENCE_SECONDS
-        if self.mode is ExecutionMode.HARDWARE:
-            return calibration.ML_PALAEMON_INFERENCE_SECONDS
-        # EMU: shields without SGX costs — between the two.
-        return calibration.ML_NATIVE_INFERENCE_SECONDS * 1.4
-
     def process_image(self, image_id: str, model: str,
                       ) -> Generator[Event, Any, str]:
         """Run inference on one image; returns the recognized text.
@@ -78,11 +76,7 @@ class InferenceService:
         """
         pixels = self.customer_fs.read(f"/inbox/{image_id}")
         weights = self.company_fs.read(f"/models/{model}")
-        yield self.workers.acquire()
-        try:
-            yield self.simulator.timeout(self.inference_seconds())
-        finally:
-            self.workers.release()
+        yield from self.serve()
         text = "text:" + sha256(weights, pixels).hex()[:24]
         self.customer_fs.write(f"/outbox/{image_id}", text.encode())
         self.customer_fs.sync()
@@ -93,5 +87,5 @@ class InferenceService:
         return self.customer_fs.read(f"/outbox/{image_id}")
 
     def slowdown_vs_native(self) -> float:
-        return (self.inference_seconds()
+        return (self.service_seconds
                 / calibration.ML_NATIVE_INFERENCE_SECONDS)

@@ -13,12 +13,11 @@ import enum
 from typing import Any, Generator, Optional
 
 from repro import calibration
-from repro.apps.base import SimulatedServer
+from repro.apps.base import SimulatedServer, calibrated_service_seconds
 from repro.crypto.primitives import DeterministicRandom
 from repro.fs.blockstore import BlockStore
 from repro.fs.shield import ProtectedFileSystem
 from repro.sim.core import Event, Simulator
-from repro.tee.enclave import ExecutionMode
 
 
 class NginxVariant(enum.Enum):
@@ -29,14 +28,6 @@ class NginxVariant(enum.Enum):
     PALAEMON_HW = "palaemon-hw"
     SHIELD_EMU = "emu+shield"
     SHIELD_HW = "hw+shield"
-
-    @property
-    def mode(self) -> ExecutionMode:
-        if self is NginxVariant.NATIVE:
-            return ExecutionMode.NATIVE
-        if self in (NginxVariant.PALAEMON_EMU, NginxVariant.SHIELD_EMU):
-            return ExecutionMode.EMULATED
-        return ExecutionMode.HARDWARE
 
     @property
     def encrypts_files(self) -> bool:
@@ -59,10 +50,8 @@ class NginxServer(SimulatedServer):
                  tls_certificate: Optional[bytes] = None,
                  tls_private_key: Optional[bytes] = None,
                  rng: Optional[DeterministicRandom] = None) -> None:
-        mode_fractions = {mode: 1.0 for mode in ExecutionMode}
-        super().__init__(simulator, "nginx",
-                         native_peak_rps=calibration.NGINX_NATIVE_PEAK_RPS,
-                         mode_fractions=mode_fractions)
+        super().__init__(simulator, "nginx", calibrated_service_seconds(
+            calibration.NGINX_NATIVE_PEAK_RPS, _VARIANT_FRACTIONS[variant]))
         self.variant = variant
         self.tls_certificate = tls_certificate
         self.tls_private_key = tls_private_key
@@ -74,11 +63,6 @@ class NginxServer(SimulatedServer):
                 self.store, self._rng.fork(b"docroot-key").bytes(32),
                 self._rng.fork(b"docroot"))
         self.requests_404 = 0
-
-    def service_seconds(self, mode: ExecutionMode) -> float:  # noqa: D401
-        """Per-request time is a property of the *variant*, not just mode."""
-        return (self.native_service_seconds
-                / _VARIANT_FRACTIONS[self.variant])
 
     def publish(self, path: str, content: bytes) -> None:
         """Install a file in the docroot (encrypted in shield variants)."""
@@ -98,7 +82,7 @@ class NginxServer(SimulatedServer):
 
     def handle_get(self, path: str) -> Generator[Event, Any, Optional[bytes]]:
         """One GET: worker time + the (real) file lookup."""
-        yield self.simulator.process(self.serve(self.variant.mode))
+        yield self.simulator.process(self.serve())
         content = self.read_document(path)
         if content is None:
             self.requests_404 += 1

@@ -18,7 +18,7 @@ from __future__ import annotations
 from typing import Any, Dict, Generator, List, Optional
 
 from repro import calibration
-from repro.apps.base import SimulatedServer
+from repro.apps.base import SimulatedServer, calibrated_service_seconds
 from repro.errors import NetworkError
 from repro.sim.core import Event, Simulator
 from repro.sim.network import Site, rtt_between
@@ -42,46 +42,43 @@ class _Node:
         self.zxid = zxid
 
 
+_READ_FRACTIONS = {
+    ExecutionMode.NATIVE: 1.0,
+    ExecutionMode.EMULATED: calibration.ZOOKEEPER_SHIELD_READ_ADVANTAGE,
+    ExecutionMode.HARDWARE: calibration.ZOOKEEPER_SHIELD_READ_ADVANTAGE,
+}
+_WRITE_FRACTIONS = {
+    ExecutionMode.NATIVE: 1.0,
+    ExecutionMode.EMULATED: calibration.ZOOKEEPER_SHIELD_WRITE_FRACTION * 1.1,
+    ExecutionMode.HARDWARE: calibration.ZOOKEEPER_SHIELD_WRITE_FRACTION,
+}
+
+
 class ZooKeeperCluster:
     """A 3-node (by default) replicated coordination service."""
 
     def __init__(self, simulator: Simulator,
                  mode: ExecutionMode = ExecutionMode.NATIVE,
-                 nodes: int = 3, site: Site = Site.SAME_DC,
-                 microcode: calibration.MicrocodeLevel = (
-                     calibration.MICROCODE_POST_FORESHADOW)) -> None:
+                 nodes: int = 3, site: Site = Site.SAME_DC) -> None:
         if nodes < 3 or nodes % 2 == 0:
             raise ValueError("cluster size must be an odd number >= 3")
         self.simulator = simulator
         self.mode = mode
         self.site = site
-        self.microcode = microcode
         self.nodes: List[_Node] = [_Node(i) for i in range(nodes)]
         self.leader_id = 0
         self._next_zxid = 1
         # Per-node request workers: reads scale across the cluster.
+        read_threads = calibration.CPU_HYPERTHREADS * nodes
         self._read_server = SimulatedServer(
-            simulator, "zk-read",
-            native_peak_rps=calibration.ZOOKEEPER_NATIVE_READ_PEAK_RPS,
-            mode_fractions={
-                ExecutionMode.NATIVE: 1.0,
-                ExecutionMode.EMULATED: (
-                    calibration.ZOOKEEPER_SHIELD_READ_ADVANTAGE),
-                ExecutionMode.HARDWARE: (
-                    calibration.ZOOKEEPER_SHIELD_READ_ADVANTAGE),
-            },
-            threads=calibration.CPU_HYPERTHREADS * nodes)
+            simulator, "zk-read", calibrated_service_seconds(
+                calibration.ZOOKEEPER_NATIVE_READ_PEAK_RPS,
+                _READ_FRACTIONS[mode], threads=read_threads),
+            threads=read_threads)
         self._write_server = SimulatedServer(
-            simulator, "zk-write",
-            native_peak_rps=calibration.ZOOKEEPER_NATIVE_WRITE_PEAK_RPS,
-            mode_fractions={
-                ExecutionMode.NATIVE: 1.0,
-                ExecutionMode.EMULATED: (
-                    calibration.ZOOKEEPER_SHIELD_WRITE_FRACTION * 1.1),
-                ExecutionMode.HARDWARE: (
-                    calibration.ZOOKEEPER_SHIELD_WRITE_FRACTION),
-            },
-            threads=calibration.CPU_HYPERTHREADS)
+            simulator, "zk-write", calibrated_service_seconds(
+                calibration.ZOOKEEPER_NATIVE_WRITE_PEAK_RPS,
+                _WRITE_FRACTIONS[mode]))
 
     @property
     def leader(self) -> _Node:
@@ -107,7 +104,7 @@ class ZooKeeperCluster:
         node = self.nodes[node_id if node_id is not None else 0]
         if not node.alive:
             raise NetworkError(f"node {node.node_id} is down")
-        yield self.simulator.process(self._read_server.serve(self.mode))
+        yield self.simulator.process(self._read_server.serve())
         return node.data.get(path)
 
     def handle_write(self, path: str, value: Optional[bytes],
@@ -117,7 +114,7 @@ class ZooKeeperCluster:
         if len(alive) < self.quorum:
             raise NetworkError("cluster has lost its quorum")
         # Leader-side processing (the contended resource under load).
-        yield self.simulator.process(self._write_server.serve(self.mode))
+        yield self.simulator.process(self._write_server.serve())
         # One proposal round trip to the followers (parallel; one RTT).
         yield self.simulator.timeout(rtt_between(self.site, self.site)
                                      + rtt_between(Site.SAME_RACK, self.site))

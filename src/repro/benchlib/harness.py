@@ -69,11 +69,3 @@ def concurrency_sweep(name: str, setup: SetupFn,
         point = run_closed_loop(simulator, concurrency, factory, duration)
         result.points.append(point)
     return result
-
-
-def geometric_rates(low: float, high: float, points: int) -> List[float]:
-    """A geometric ladder of offered rates from ``low`` to ``high``."""
-    if points < 2:
-        raise ValueError("need at least two points")
-    ratio = (high / low) ** (1.0 / (points - 1))
-    return [low * ratio ** i for i in range(points)]

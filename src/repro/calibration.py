@@ -162,25 +162,11 @@ APPROVAL_NATIVE_SERVICE_SECONDS = 1 / 420.0
 APPROVAL_TLS_EXTRA_SECONDS = 0.4e-3
 
 # --------------------------------------------------------------------------
-# TEE runtime cost model (macro-benchmarks)
+# EPC paging (Fig 17d's MariaDB model)
 # --------------------------------------------------------------------------
-
-#: Cost of an enclave transition (EENTER/EEXIT pair) with pre-Spectre
-#: microcode (0x58).
-ENCLAVE_EXIT_SECONDS_PRE_SPECTRE = 3.0e-6
-
-#: Post-Foreshadow microcode (0x8e) flushes L1 on exit: Barbican-class
-#: workloads drop ~30%; modelled as a higher per-exit cost.
-ENCLAVE_EXIT_SECONDS_POST_FORESHADOW = 9.0e-6
 
 #: Cost of one EPC page fault (evict + reload + crypto).
 EPC_PAGE_FAULT_SECONDS = 25.0e-6
-
-#: Syscall-shield overhead per shielded syscall (argument copy + check).
-SYSCALL_SHIELD_SECONDS = 1.0e-6
-
-#: EMU mode runs the shields without SGX hardware: transitions are cheap.
-EMU_TRANSITION_SECONDS = 0.3e-6
 
 # --------------------------------------------------------------------------
 # Fig 14-17 — macro-benchmark anchors (requests/second, transactions/second)
@@ -237,27 +223,22 @@ ML_PALAEMON_INFERENCE_SECONDS = 1.202
 
 @dataclass(frozen=True)
 class MicrocodeLevel:
-    """A CPU microcode revision and its enclave-exit cost.
+    """A CPU microcode revision.
 
     The paper evaluates pre-Spectre (0x58) and post-Foreshadow (0x8e)
-    microcodes; the latter flushes L1 on every enclave exit (L1TF mitigation).
+    microcodes; the latter flushes L1 on every enclave exit (L1TF
+    mitigation), which Fig 14 charges as a calibrated peak-rate factor.
     """
 
     name: str
     revision: int
-    enclave_exit_seconds: float
 
     @property
     def flushes_l1_on_exit(self) -> bool:
         return self.revision >= 0x8E
 
 
-MICROCODE_PRE_SPECTRE = MicrocodeLevel(
-    name="pre-Spectre", revision=0x58,
-    enclave_exit_seconds=ENCLAVE_EXIT_SECONDS_PRE_SPECTRE,
-)
+MICROCODE_PRE_SPECTRE = MicrocodeLevel(name="pre-Spectre", revision=0x58)
 
-MICROCODE_POST_FORESHADOW = MicrocodeLevel(
-    name="post-Foreshadow", revision=0x8E,
-    enclave_exit_seconds=ENCLAVE_EXIT_SECONDS_POST_FORESHADOW,
-)
+MICROCODE_POST_FORESHADOW = MicrocodeLevel(name="post-Foreshadow",
+                                           revision=0x8E)

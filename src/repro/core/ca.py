@@ -15,17 +15,38 @@ certificate lifetimes are kept short so retired PALAEMON versions age out.
 
 from __future__ import annotations
 
-from typing import FrozenSet
+from typing import FrozenSet, Optional
 
 from repro.crypto.certificates import Certificate, CertificateAuthority
 from repro.crypto.primitives import DeterministicRandom
 from repro.crypto.signatures import PublicKey
-from repro.errors import AttestationError, QuoteError
+from repro.errors import AttestationError, CertificateError, QuoteError
 from repro.tee.enclave import Enclave
 from repro.tee.ias import IntelAttestationService
 from repro.tee.image import EnclaveImage, build_image
 from repro.tee.platform import SGXPlatform
 from repro.tee.quoting import Quote
+
+
+def verify_instance_certificate(name: str,
+                                certificate: Optional[Certificate],
+                                public_key: PublicKey, ca_root: PublicKey,
+                                now: float) -> None:
+    """TLS-based attestation: the instance ``name`` holds a certificate
+    that chains to ``ca_root`` and binds its ``public_key``.
+
+    Every failure is an :class:`AttestationError`.
+    """
+    if certificate is None:
+        raise AttestationError(f"instance {name!r} has no CA certificate")
+    try:
+        certificate.verify(now=now, trusted_root=ca_root)
+    except CertificateError as exc:
+        raise AttestationError(
+            f"instance {name!r} certificate rejected: {exc}") from exc
+    if certificate.public_key != public_key:
+        raise AttestationError(
+            f"instance {name!r} certificate does not match its public key")
 
 
 def build_ca_image(approved_palaemon_mrenclaves: FrozenSet[bytes],

@@ -17,12 +17,13 @@ from __future__ import annotations
 
 from typing import Any, FrozenSet
 
+from repro.core.ca import verify_instance_certificate
 from repro.core.dispatch import decode_reply
 from repro.core.service import PalaemonService
 from repro.crypto.certificates import Certificate, self_signed_certificate
 from repro.crypto.primitives import DeterministicRandom, sha256
 from repro.crypto.signatures import KeyPair, PublicKey
-from repro.errors import AttestationError, CertificateError, QuoteError
+from repro.errors import AttestationError, QuoteError
 from repro.tee.ias import IASReport, IntelAttestationService
 
 
@@ -46,18 +47,8 @@ class PalaemonClient:
     def attest_instance_via_ca(self, instance: PalaemonService,
                                ca_root: PublicKey, now: float) -> None:
         """Path 1: check the instance certificate chains to the CA root."""
-        certificate = instance.certificate
-        if certificate is None:
-            raise AttestationError(
-                f"instance {instance.name!r} has no CA certificate")
-        try:
-            certificate.verify(now=now, trusted_root=ca_root)
-        except CertificateError as exc:
-            raise AttestationError(
-                f"instance certificate rejected: {exc}") from exc
-        if certificate.public_key != instance.public_key:
-            raise AttestationError(
-                "instance certificate does not match its public key")
+        verify_instance_certificate(instance.name, instance.certificate,
+                                    instance.public_key, ca_root, now)
         self.attested_instances.add(instance.name)
 
     def attest_instance_via_rest(self, rest_client, ca_root: PublicKey,
@@ -80,18 +71,10 @@ class PalaemonClient:
                 "instance.describe", retry_policy, rng)
         else:
             description = yield from rest_client.call("instance.describe")
-        certificate = description.get("certificate")
-        if certificate is None:
-            raise AttestationError(
-                f"instance {description.get('name')!r} has no CA certificate")
-        try:
-            certificate.verify(now=simulator.now, trusted_root=ca_root)
-        except CertificateError as exc:
-            raise AttestationError(
-                f"instance certificate rejected: {exc}") from exc
-        if certificate.public_key != description.get("public_key"):
-            raise AttestationError(
-                "instance certificate does not match its public key")
+        verify_instance_certificate(description.get("name"),
+                                    description.get("certificate"),
+                                    description.get("public_key"), ca_root,
+                                    simulator.now)
         self.attested_instances.add(description["name"])
         return description
 

@@ -354,6 +354,9 @@ class _RouteAdmission:
 class AdmissionControl:
     """Per-route concurrency caps with a bounded, deadline-guarded queue.
 
+    Every route gets its own slots and queue under the same
+    :class:`RouteLimits`.
+
     A request is *admitted* when a slot is free, *queued* (FIFO, virtual
     time) when the route is at its cap, and *shed* with
     :class:`~repro.errors.ServiceOverloadedError` when the queue is full
@@ -365,16 +368,11 @@ class AdmissionControl:
     """
 
     def __init__(self, simulator, telemetry,
-                 limits: Optional[RouteLimits] = None,
-                 per_route: Optional[Dict[str, RouteLimits]] = None) -> None:
+                 limits: Optional[RouteLimits] = None) -> None:
         self.simulator = simulator
         self.telemetry = telemetry
-        self.default_limits = limits or RouteLimits()
-        self.per_route = dict(per_route or {})
+        self.limits = limits or RouteLimits()
         self._routes: Dict[str, _RouteAdmission] = {}
-
-    def limits_for(self, route: str) -> RouteLimits:
-        return self.per_route.get(route, self.default_limits)
 
     def _state(self, route: str) -> _RouteAdmission:
         return self._routes.setdefault(route, _RouteAdmission())
@@ -387,7 +385,7 @@ class AdmissionControl:
 
     def admit_instant(self, route: str) -> None:
         """Admit or shed immediately (synchronous transports never queue)."""
-        limits = self.limits_for(route)
+        limits = self.limits
         state = self._state(route)
         if state.in_flight >= limits.max_concurrency:
             self._shed(route, "at_capacity")
@@ -398,7 +396,7 @@ class AdmissionControl:
 
     def admit(self, route: str) -> Generator[Event, Any, None]:
         """Admit, queue (bounded, deadline-guarded), or shed."""
-        limits = self.limits_for(route)
+        limits = self.limits
         state = self._state(route)
         if state.in_flight < limits.max_concurrency:
             self._enter(route, state, waited=0.0)

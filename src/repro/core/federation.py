@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, Generator, List, Optional
 
+from repro.core.ca import verify_instance_certificate
 from repro.core.dispatch import (
     AUTH_PEER,
     DEFAULT_REGISTRY,
@@ -91,16 +92,10 @@ class FederatedInstance:
         """
         pairs = ((self, other), (other, self))
         for side, counterpart in pairs:
-            certificate = counterpart.service.certificate
-            if certificate is None:
-                raise AttestationError(
-                    f"instance {counterpart.name!r} has no CA certificate")
-            certificate.verify(now=self.simulator.now,
-                               trusted_root=side.ca_root)
-            if certificate.public_key != counterpart.service.public_key:
-                raise AttestationError(
-                    f"instance {counterpart.name!r} presented a certificate "
-                    f"for a different key")
+            verify_instance_certificate(
+                counterpart.name, counterpart.service.certificate,
+                counterpart.service.public_key, side.ca_root,
+                self.simulator.now)
         connections = yield self.simulator.all_of([
             self.simulator.process(side._connect(counterpart),
                                    name=f"fed-peer-{side.name}")

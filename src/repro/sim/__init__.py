@@ -10,7 +10,6 @@ run in milliseconds of wall-clock time and are exactly reproducible.
 
 from repro.sim.core import Event, Process, Simulator, Timeout
 from repro.sim.resources import Resource, Store, SimLock
-from repro.sim.latency import LatencyModel, ConstantLatency, ExponentialLatency
 from repro.sim.network import Network, Site, Endpoint, Message
 from repro.sim.metrics import LatencyRecorder, ThroughputMeter, percentile
 from repro.sim.workload import OpenLoopGenerator, ClosedLoopGenerator
@@ -19,12 +18,9 @@ from repro.sim.retry import NO_RETRY, RetryPolicy
 
 __all__ = [
     "ClosedLoopGenerator",
-    "ConstantLatency",
     "Endpoint",
     "Event",
-    "ExponentialLatency",
     "FaultPlan",
-    "LatencyModel",
     "LatencyRecorder",
     "LinkFault",
     "Message",

@@ -150,16 +150,3 @@ def find_knee(points: Sequence[ThroughputLatencyPoint],
         if point.latency.mean <= latency_limit:
             best = max(best, point.achieved_rate)
     return best
-
-
-class CurveCollector:
-    """Accumulates named throughput/latency curves for table rendering."""
-
-    def __init__(self) -> None:
-        self.curves: Dict[str, List[ThroughputLatencyPoint]] = {}
-
-    def add(self, name: str, point: ThroughputLatencyPoint) -> None:
-        self.curves.setdefault(name, []).append(point)
-
-    def knee(self, name: str, latency_limit: float) -> float:
-        return find_knee(self.curves[name], latency_limit)

@@ -1,21 +1,19 @@
-"""Running enclaves: execution modes and transition costs.
+"""Running enclaves and their execution modes.
 
-An :class:`Enclave` is an image loaded on a platform. Code "inside" the
-enclave charges enclave-transition costs per OCALL (syscall), EPC paging
-penalties when its footprint exceeds the cache, and — depending on the
-platform's microcode — the L1-flush penalty on every exit that explains the
-post-Foreshadow throughput drop in Fig 14.
+An :class:`Enclave` is an image loaded on a platform: it has an identity
+(MRENCLAVE), private memory, and EPC pages that :meth:`Enclave.destroy`
+returns. Quoting and sealing refuse a destroyed enclave. Enclave exits,
+syscalls and EPC faults are not charged one by one: the macro-benchmark
+apps (Figs 14-17, §VI) charge calibrated per-request service times instead
+(docs/SIMULATION.md).
 """
 
 from __future__ import annotations
 
 import enum
 import itertools
-from typing import Any, Generator, Optional
+from typing import Any
 
-from repro import calibration
-from repro.errors import EnclaveError
-from repro.sim.core import Event, Simulator
 from repro.tee.image import EnclaveImage
 
 
@@ -26,7 +24,7 @@ class ExecutionMode(enum.Enum):
     NATIVE = "native"
     #: SCONE emulation mode: shields active, no SGX hardware costs.
     EMULATED = "emu"
-    #: Real SGX hardware: transitions, paging, microcode penalties.
+    #: Real SGX hardware: EPC, quotes, microcode.
     HARDWARE = "hw"
 
 
@@ -44,60 +42,8 @@ class Enclave:
         self.enclave_id = next(_enclave_ids)
         self.mrenclave = image.mrenclave()
         self.destroyed = False
-        self.ocall_count = 0
         #: Enclave-private memory (never visible to the untrusted side).
         self.private_memory: dict = {}
-
-    @property
-    def simulator(self) -> Simulator:
-        return self.platform.simulator
-
-    def _check_alive(self) -> None:
-        if self.destroyed:
-            raise EnclaveError(
-                f"enclave {self.image.name!r} has been destroyed")
-
-    def transition_cost(self) -> float:
-        """Cost of one enclave exit+re-entry in the current mode."""
-        if self.mode is ExecutionMode.NATIVE:
-            return 0.0
-        if self.mode is ExecutionMode.EMULATED:
-            return calibration.EMU_TRANSITION_SECONDS
-        return self.platform.microcode.enclave_exit_seconds
-
-    def ocall(self, syscall_seconds: float = 0.0,
-              copied_bytes: int = 0) -> Generator[Event, Any, None]:
-        """Perform one shielded syscall (OCALL).
-
-        Charges the enclave transition, the syscall-shield argument
-        copy/check, and the host syscall time itself.
-        """
-        self._check_alive()
-        self.ocall_count += 1
-        cost = syscall_seconds
-        if self.mode is not ExecutionMode.NATIVE:
-            cost += calibration.SYSCALL_SHIELD_SECONDS
-            cost += self.transition_cost()
-            # Copying arguments out and results back in costs per byte.
-            cost += copied_bytes * 0.2e-9
-        yield self.simulator.timeout(cost)
-
-    def compute(self, cpu_seconds: float,
-                touched_bytes: Optional[int] = None,
-                ) -> Generator[Event, Any, None]:
-        """Run a CPU burst inside the enclave.
-
-        In hardware mode, a footprint exceeding the EPC adds paging cost
-        proportional to the touched bytes (Vault / MariaDB behaviour).
-        """
-        self._check_alive()
-        cost = cpu_seconds
-        if self.mode is ExecutionMode.HARDWARE:
-            touched = (touched_bytes if touched_bytes is not None
-                       else min(self.image.total_bytes, calibration.MB))
-            cost += self.platform.epc.fault_penalty_seconds(
-                self.image.total_bytes, touched)
-        yield self.simulator.timeout(cost)
 
     def destroy(self) -> None:
         """Tear down the enclave and release its EPC pages."""

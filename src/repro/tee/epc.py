@@ -3,9 +3,10 @@
 Two properties of the real EPC shape the paper's results and are modelled
 here:
 
-1. **Capacity** — the evaluation cluster reserves 128 MB; enclaves whose
-   working set exceeds it page against main memory with an encryption cost
-   per fault (Vault's 1.9 GB heap, MariaDB's large buffer pools).
+1. **Capacity** — the evaluation cluster reserves 128 MB; allocating past
+   it evicts older pages, which the loader charges (Fig 7, Table II). The
+   paging of Vault's 1.9 GB heap and MariaDB's large buffer pools is part
+   of those apps' calibrated service times (``repro.apps``).
 2. **The driver's global allocation lock** — EPC page (de)allocation is
    serialized by a single lock in the SGX driver, which caps concurrent
    enclave startups at ~100/s no matter how many cores are present (Fig 9).
@@ -33,19 +34,11 @@ class EnclavePageCache:
         self.usable_bytes = int(size_bytes * usable_fraction)
         self.allocated_bytes = 0
         self.driver_lock = SimLock(simulator, name="sgx-driver-epc-lock")
-        self.page_faults = 0
         self.evicted_bytes = 0
 
     @property
     def free_bytes(self) -> int:
         return max(0, self.usable_bytes - self.allocated_bytes)
-
-    def overcommitment(self, enclave_bytes: int) -> float:
-        """How much of an enclave's footprint exceeds the free EPC (0..1)."""
-        if enclave_bytes <= 0:
-            return 0.0
-        excess = enclave_bytes - self.free_bytes
-        return max(0.0, min(1.0, excess / enclave_bytes))
 
     def allocate(self, nbytes: int,
                  hold_driver_lock_seconds: float = 0.0,
@@ -76,17 +69,3 @@ class EnclavePageCache:
         if nbytes < 0:
             raise EnclaveError("cannot free negative bytes")
         self.allocated_bytes = max(0, self.allocated_bytes - nbytes)
-
-    def fault_penalty_seconds(self, enclave_bytes: int,
-                              touched_bytes: int) -> float:
-        """Expected paging cost for touching ``touched_bytes`` of an enclave.
-
-        The fraction of the enclave's pages that cannot reside in the EPC
-        fault at :data:`calibration.EPC_PAGE_FAULT_SECONDS` each.
-        """
-        over = self.overcommitment(enclave_bytes)
-        if over == 0.0:
-            return 0.0
-        faulting_pages = (touched_bytes * over) / calibration.PAGE_SIZE
-        self.page_faults += int(faulting_pages)
-        return faulting_pages * calibration.EPC_PAGE_FAULT_SECONDS

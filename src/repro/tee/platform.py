@@ -1,8 +1,9 @@
 """The SGX platform: ties EPC, loader, quoting, sealing, and counters together.
 
 One :class:`SGXPlatform` corresponds to one physical machine of the paper's
-cluster (Dell R330, Xeon E3-1270 v6, 128 MB EPC). Its microcode level
-determines enclave-exit cost (pre-Spectre vs post-Foreshadow, Fig 14).
+cluster (Dell R330, Xeon E3-1270 v6, 128 MB EPC). Its microcode revision
+is the TCB level that IAS and DCAP attest (pre-Spectre vs
+post-Foreshadow).
 """
 
 from __future__ import annotations
@@ -76,5 +77,5 @@ class SGXPlatform:
         return Enclave(self, image, mode=mode)
 
     def set_microcode(self, microcode: calibration.MicrocodeLevel) -> None:
-        """Apply a microcode update (changes enclave-exit costs)."""
+        """Apply a microcode update (changes the attested TCB level)."""
         self.microcode = microcode

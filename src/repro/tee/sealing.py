@@ -50,6 +50,8 @@ class SealingService:
 
     def unseal(self, enclave: Enclave, blob: SealedBlob) -> bytes:
         """Unseal ``blob``; fails for a different MRENCLAVE or platform."""
+        if enclave.destroyed:
+            raise SealingError("cannot unseal into a destroyed enclave")
         cipher = AEADCipher(self._sealing_key(enclave.mrenclave, blob.label))
         try:
             return cipher.decrypt(Ciphertext.from_bytes(blob.ciphertext),

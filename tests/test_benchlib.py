@@ -5,7 +5,6 @@ import pytest
 from repro.benchlib.harness import (
     ExperimentResult,
     concurrency_sweep,
-    geometric_rates,
     rate_sweep,
 )
 from repro.benchlib.tables import (
@@ -75,22 +74,6 @@ class TestConcurrencySweep:
         result = concurrency_sweep("s", fixed_server_setup(0.01),
                                    concurrencies=[1, 2], duration=1.0)
         assert result.peak_rate() == pytest.approx(100, rel=0.1)
-
-
-class TestGeometricRates:
-    def test_endpoints(self):
-        rates = geometric_rates(10, 1000, 5)
-        assert rates[0] == pytest.approx(10)
-        assert rates[-1] == pytest.approx(1000)
-        assert len(rates) == 5
-
-    def test_monotone(self):
-        rates = geometric_rates(1, 100, 7)
-        assert rates == sorted(rates)
-
-    def test_too_few_points(self):
-        with pytest.raises(ValueError):
-            geometric_rates(1, 10, 1)
 
 
 class TestTables:

@@ -131,50 +131,6 @@ class TestNetworkJitter:
         assert all(base <= latency <= base * 1.6 for latency in arrivals)
 
 
-class TestEnclaveDataCopyCost:
-    def test_larger_copies_cost_more(self):
-        from repro.crypto.primitives import DeterministicRandom
-        from repro.sim.core import Simulator
-        from repro.tee.image import build_image
-        from repro.tee.platform import SGXPlatform
-
-        sim = Simulator()
-        platform = SGXPlatform(sim, "n", DeterministicRandom(b"copy"))
-        enclave = platform.launch_instant(build_image("app"))
-
-        def timed(copied_bytes):
-            def main():
-                start = sim.now
-                yield sim.process(enclave.ocall(copied_bytes=copied_bytes))
-                return sim.now - start
-
-            return sim.run_process(main())
-
-        small = timed(1_000)
-        large = timed(10_000_000)
-        assert large > small
-
-    def test_compute_touched_bytes_default(self):
-        from repro import calibration
-        from repro.crypto.primitives import DeterministicRandom
-        from repro.sim.core import Simulator
-        from repro.tee.image import build_image
-        from repro.tee.platform import SGXPlatform
-
-        sim = Simulator()
-        platform = SGXPlatform(sim, "n", DeterministicRandom(b"touch"))
-        small = platform.launch_instant(
-            build_image("small", heap_bytes=calibration.KB))
-
-        def main():
-            start = sim.now
-            yield sim.process(small.compute(0.001))
-            return sim.now - start
-
-        # Enclave fits the EPC: no paging surcharge.
-        assert sim.run_process(main()) == pytest.approx(0.001)
-
-
 class TestWorkloadWarmup:
     def test_warmup_requests_excluded(self):
         from repro.crypto.primitives import DeterministicRandom

@@ -9,6 +9,7 @@ from repro.core.policy import SecurityPolicy, ServiceSpec
 from repro.core.secrets import SecretKind, SecretSpec
 from repro.core.service import PalaemonService
 from repro.crypto.primitives import DeterministicRandom, sha256
+from repro.crypto.signatures import KeyPair
 from repro.errors import (
     AccessDeniedError,
     AttestationError,
@@ -148,6 +149,21 @@ class TestFederation:
         with pytest.raises(AttestationError):
             deployment.simulator.run_process(local.peer_with(rogue_fed))
         assert rogue_fed.name not in local.peers()
+
+    def test_peer_certified_by_another_root_rejected(self, deployment):
+        """A genuine peer whose certificate chains to a root the local
+        instance does not trust fails attestation, not with a bare
+        certificate error."""
+        network = make_network(deployment)
+        other_root = KeyPair.generate(DeterministicRandom(b"other-ca")).public
+        local = FederatedInstance(deployment.palaemon, Site.SAME_RACK,
+                                  other_root, network)
+        remote = FederatedInstance(make_second_instance(deployment),
+                                   Site.SAME_DC,
+                                   deployment.ca.root_public_key, network)
+        with pytest.raises(AttestationError, match="certificate rejected"):
+            deployment.simulator.run_process(local.peer_with(remote))
+        assert remote.name not in local.peers()
 
     def test_remote_secret_retrieval(self, deployment):
         local, remote, remote_service = self.make_pair(deployment)

@@ -109,8 +109,8 @@ class TestMixAccounting:
             return sim.now
 
         elapsed = sim.run_process(main())
-        assert db.transactions == 3
-        assert elapsed == pytest.approx(3 * db.tx_service_seconds())
+        assert db.requests_served == 3
+        assert elapsed == pytest.approx(3 * db.service_seconds)
 
     def test_rows_stay_encrypted_during_mix(self, server):
         sim, db = server

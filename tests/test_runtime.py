@@ -13,7 +13,6 @@ from repro.errors import (
 from repro.fs.blockstore import BlockStore
 from repro.runtime.scone import SconeRuntime
 from repro.runtime.startup import AttestationVariant, StartupModel
-from repro.runtime.syscall import SyscallProfile, mode_slowdown
 from repro.sim.core import Simulator
 from repro.sim.network import Site
 from repro.sim.workload import run_closed_loop
@@ -234,35 +233,3 @@ class TestAttestationPhases:
     def test_native_has_no_phases(self):
         with pytest.raises(ValueError):
             self.phases(AttestationVariant.NATIVE)
-
-
-class TestSyscallProfile:
-    def test_native_pays_host_time_only(self):
-        profile = SyscallProfile(syscalls=10, copied_bytes=4096,
-                                 host_seconds=1e-6)
-        assert profile.cost_seconds(
-            ExecutionMode.NATIVE,
-            calibration.MICROCODE_PRE_SPECTRE) == 1e-6
-
-    def test_hw_costs_more_than_emu(self):
-        profile = SyscallProfile(syscalls=10, copied_bytes=4096)
-        hw = profile.cost_seconds(ExecutionMode.HARDWARE,
-                                  calibration.MICROCODE_PRE_SPECTRE)
-        emu = profile.cost_seconds(ExecutionMode.EMULATED,
-                                   calibration.MICROCODE_PRE_SPECTRE)
-        assert hw > emu > 0
-
-    def test_microcode_penalty(self):
-        profile = SyscallProfile(syscalls=100)
-        pre = profile.cost_seconds(ExecutionMode.HARDWARE,
-                                   calibration.MICROCODE_PRE_SPECTRE)
-        post = profile.cost_seconds(ExecutionMode.HARDWARE,
-                                    calibration.MICROCODE_POST_FORESHADOW)
-        assert post > pre * 2
-
-    def test_mode_slowdown_above_one(self):
-        profile = SyscallProfile(syscalls=5, host_seconds=1e-6)
-        slowdown = mode_slowdown(profile, cpu_seconds=10e-6,
-                                 mode=ExecutionMode.HARDWARE,
-                                 microcode=calibration.MICROCODE_POST_FORESHADOW)
-        assert slowdown > 1.0

@@ -343,6 +343,32 @@ def check_raw_endpoint_traffic(source: SourceFile) -> Iterator[Finding]:
             hint="use TLSConnection.request / TLSServer")
 
 
+@rule("SRC109", "retry wrapper outside repro.sim.retry", scope="source",
+      severity=Severity.ERROR,
+      hint="compose RetryPolicy(...).call(...) at the call site")
+def check_retry_wrappers(source: SourceFile) -> Iterator[Finding]:
+    if source.module == "repro.sim.retry":
+        return
+    for node in ast.walk(source.tree):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        arguments = node.args
+        names = [arg.arg for arg in (arguments.posonlyargs + arguments.args
+                                     + arguments.kwonlyargs)]
+        if node.name.endswith("_with_retry"):
+            what = f"defines {node.name}()"
+        elif "retry_policy" in names:
+            what = f"{node.name}() takes a retry_policy parameter"
+        else:
+            continue
+        yield Finding(
+            code="SRC109", severity=Severity.ERROR,
+            subject=source.display, line=node.lineno,
+            message=(f"{source.module} {what}; a retry wrapper hides the "
+                     f"budget, rng and label a caller must still pass"),
+            hint="compose RetryPolicy(...).call(...) at the call site")
+
+
 def _method_facts(method: ast.AST, method_names: Set[str]):
     """(facts, helpers): which primitives a method touches directly."""
     direct: Set[str] = set()

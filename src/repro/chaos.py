@@ -6,8 +6,9 @@ front-end, and a third instance waiting to be installed — and then drives
 it through every fault class the :class:`~repro.sim.faults.FaultPlan`
 can inject:
 
-- **partition-then-heal** — the federation link drops all messages for a
-  window; the secret fetch times out, backs off, and recovers;
+- **partition-then-heal** — a ``drop_link`` window eats every message on
+  the federation link; the secret fetch times out, backs off, and
+  recovers;
 - **counter outage** — installing a new instance while its platform's
   monotonic-counter service is down fails *loudly* with
   :class:`~repro.errors.CounterUnavailableError` (never by minting a
@@ -83,7 +84,6 @@ def run_chaos(seed: int, retries: bool = True) -> Dict[str, Any]:
     telemetry = Telemetry.for_simulator(simulator)
     network = Network(simulator, rng.fork(b"net"))
     plan = FaultPlan(simulator, seed=label, telemetry=telemetry)
-    plan.attach_network(network)
 
     from repro.tee.ias import IntelAttestationService
 
@@ -125,25 +125,21 @@ def run_chaos(seed: int, retries: bool = True) -> Dict[str, Any]:
     remote = FederatedInstance(backup, Site.SAME_RACK, ca.root_public_key,
                                network=network, rng=rng.fork(b"fed-2"))
     simulator.run_process(local.peer_with(remote), name="peering")
-    coordinator = FailoverCoordinator(
-        primary, backup, network=network,
-        retry_policy=RetryPolicy(max_attempts=4, base_delay=0.05,
-                                 attempt_timeout=0.5),
-        rng=rng.fork(b"repl-retry"))
+    coordinator = FailoverCoordinator(primary, backup, network=network,
+                                      rng=rng.fork(b"repl-retry"))
     rest_server = PalaemonRestServer(primary, network)
 
     # The fault schedule (all windows in virtual seconds).
     plan.drop_link("fed-palaemon-1-to-palaemon-2", "fed-palaemon-2",
                    start=0.0, end=2.5)
-    plan.counter_outage("counters-3", start=0.0, end=11.0)
-    plan.attach_disk(primary.store.disk)
     plan.fail_disk("palaemon-db-disk", start=15.0, end=20.7)
     plan.blackout_endpoint("palaemon-1-rest", start=25.0, end=30.8)
     plan.drop_link("palaemon-1-repl", "palaemon-2-repl", start=40.5)
 
     platform3 = SGXPlatform(simulator, "palaemon-3-node",
                             rng.fork(b"platform-3"))
-    plan.attach_counters(platform3.counters, "counters-3")
+    plan.counter_outage(platform3.counters.fault_name, start=0.0, end=11.0)
+    plan.attach(network, primary.store.disk, platform3.counters)
     volume3 = BlockStore("palaemon-3-volume")
     rng3 = rng.fork(b"service-3")
 
@@ -167,12 +163,15 @@ def run_chaos(seed: int, retries: bool = True) -> Dict[str, Any]:
                 ["SHARED_KEY"]))
             return
         secrets = yield simulator.process(
-            local.fetch_remote_secrets_with_retry(
-                remote.name, "producer_policy", "consumer_policy",
-                ["SHARED_KEY"],
-                retry_policy=RetryPolicy(max_attempts=6, base_delay=0.2,
-                                         attempt_timeout=0.5),
-                rng=rng.fork(b"fetch-retry")))
+            RetryPolicy(max_attempts=6, base_delay=0.2,
+                        attempt_timeout=0.5).call(
+                simulator,
+                lambda: local.fetch_remote_secrets(
+                    remote.name, "producer_policy", "consumer_policy",
+                    ["SHARED_KEY"]),
+                rng.fork(b"fetch-retry"), operation="federation.fetch",
+                telemetry=telemetry),
+            name="federation-fetch-retry")
         summary["federation_fetch"] = (
             "recovered" if "SHARED_KEY" in secrets else "incomplete")
 
@@ -224,11 +223,13 @@ def run_chaos(seed: int, retries: bool = True) -> Dict[str, Any]:
         rest_client.telemetry = telemetry
         yield advance_to(25.1)
         description = yield simulator.process(
-            client.attest_instance_via_rest(
-                rest_client, ca.root_public_key,
-                retry_policy=RetryPolicy(max_attempts=8, base_delay=0.4,
-                                         attempt_timeout=0.8),
-                rng=rng.fork(b"attest-retry")),
+            RetryPolicy(max_attempts=8, base_delay=0.4,
+                        attempt_timeout=0.8).call(
+                simulator,
+                lambda: client.attest_instance_via_rest(
+                    rest_client, ca.root_public_key),
+                rng.fork(b"attest-retry"),
+                operation="rest.instance.describe", telemetry=telemetry),
             name="rest-attest")
         summary["rest_attestation"] = (
             "recovered" if description["name"] == primary.name else "failed")

@@ -18,11 +18,11 @@ from __future__ import annotations
 from typing import FrozenSet, Optional
 
 from repro.crypto.certificates import Certificate, CertificateAuthority
-from repro.crypto.primitives import DeterministicRandom
+from repro.crypto.primitives import DeterministicRandom, sha256
 from repro.crypto.signatures import PublicKey
 from repro.errors import AttestationError, CertificateError, QuoteError
 from repro.tee.enclave import Enclave
-from repro.tee.ias import IntelAttestationService
+from repro.tee.ias import IASReport, IntelAttestationService
 from repro.tee.image import EnclaveImage, build_image
 from repro.tee.platform import SGXPlatform
 from repro.tee.quoting import Quote
@@ -47,6 +47,29 @@ def verify_instance_certificate(name: str,
     if certificate.public_key != public_key:
         raise AttestationError(
             f"instance {name!r} certificate does not match its public key")
+
+
+def verify_instance_report(report: IASReport, ias_public_key: PublicKey,
+                           instance_public_key: PublicKey,
+                           allowed_mrenclaves: FrozenSet[bytes]) -> None:
+    """Explicit attestation: ``report`` is an IAS-signed ``OK`` verdict
+    that binds ``instance_public_key`` to an MRENCLAVE in
+    ``allowed_mrenclaves``.
+
+    Every failure is an :class:`AttestationError`.
+    """
+    try:
+        report.verify(ias_public_key)
+    except QuoteError as exc:
+        raise AttestationError(
+            f"IAS rejected the instance quote: {exc}") from exc
+    if report.report_data != sha256(instance_public_key.to_bytes()):
+        raise AttestationError(
+            "IAS report does not bind the instance public key")
+    if report.mrenclave not in allowed_mrenclaves:
+        raise AttestationError(
+            f"MRENCLAVE {report.mrenclave.hex()[:16]}... is not an "
+            f"approved PALAEMON version")
 
 
 def build_ca_image(approved_palaemon_mrenclaves: FrozenSet[bytes],
@@ -106,21 +129,9 @@ class PalaemonCA:
         The quote is verified through IAS (the CA's one place where IAS
         latency is paid — once per instance, not per client connection).
         """
-        from repro.crypto.primitives import sha256
-
         report = self.ias.verify_quote_local(quote)
-        try:
-            report.verify(self.ias.public_key)
-        except QuoteError as exc:
-            raise AttestationError(
-                f"IAS rejected the instance quote: {exc}") from exc
-        if report.report_data != sha256(instance_public_key.to_bytes()):
-            raise AttestationError(
-                "instance quote does not bind the instance public key")
-        if report.mrenclave not in self.approved_mrenclaves:
-            raise AttestationError(
-                f"MRENCLAVE {report.mrenclave.hex()[:16]}... is not an "
-                f"approved PALAEMON version")
+        verify_instance_report(report, self.ias.public_key,
+                               instance_public_key, self.approved_mrenclaves)
         now = self.platform.simulator.now
         certificate = self._authority.issue(
             subject=subject,

@@ -17,13 +17,13 @@ from __future__ import annotations
 
 from typing import Any, FrozenSet
 
-from repro.core.ca import verify_instance_certificate
+from repro.core.ca import verify_instance_certificate, verify_instance_report
 from repro.core.dispatch import decode_reply
 from repro.core.service import PalaemonService
 from repro.crypto.certificates import Certificate, self_signed_certificate
 from repro.crypto.primitives import DeterministicRandom, sha256
 from repro.crypto.signatures import KeyPair, PublicKey
-from repro.errors import AttestationError, QuoteError
+from repro.errors import AttestationError
 from repro.tee.ias import IASReport, IntelAttestationService
 
 
@@ -32,15 +32,17 @@ class PalaemonClient:
 
     def __init__(self, name: str, rng: DeterministicRandom) -> None:
         self.name = name
-        self._keys = KeyPair.generate(rng.fork(b"client:" + name.encode()))
+        #: Proves this identity in TLS handshakes (see :attr:`certificate`).
+        self.key_pair = KeyPair.generate(
+            rng.fork(b"client:" + name.encode()))
         self.certificate: Certificate = self_signed_certificate(
-            name, self._keys)
+            name, self.key_pair)
         #: Set after successful attestation of an instance.
         self.attested_instances: set = set()
 
     @property
     def public_key(self) -> PublicKey:
-        return self._keys.public
+        return self.key_pair.public
 
     # -- instance attestation -------------------------------------------------
 
@@ -51,26 +53,18 @@ class PalaemonClient:
                                     instance.public_key, ca_root, now)
         self.attested_instances.add(instance.name)
 
-    def attest_instance_via_rest(self, rest_client, ca_root: PublicKey,
-                                 retry_policy=None, rng=None):
+    def attest_instance_via_rest(self, rest_client, ca_root: PublicKey):
         """Path 1 over the wire: fetch ``instance.describe`` and verify.
 
         A simulation process. Unlike :meth:`attest_instance_via_ca` this
         works against a remote front-end the client can only reach over
-        the network; with a ``retry_policy`` (and the ``rng`` its jitter
-        draws from) the describe call survives transient faults. The
-        certificate checks themselves are never retried — a bad
-        certificate is a verdict, not a fault.
+        the network. To survive transient faults, run it under
+        :meth:`RetryPolicy.call <repro.sim.retry.RetryPolicy.call>`: a bad
+        certificate raises :class:`AttestationError`, a verdict that is
+        never retried.
         """
         simulator = rest_client.connection.network.simulator
-        if retry_policy is not None:
-            if rng is None:
-                raise AttestationError(
-                    "retrying attestation needs a deterministic rng")
-            description = yield from rest_client.call_with_retry(
-                "instance.describe", retry_policy, rng)
-        else:
-            description = yield from rest_client.call("instance.describe")
+        description = yield from rest_client.call("instance.describe")
         verify_instance_certificate(description.get("name"),
                                     description.get("certificate"),
                                     description.get("public_key"), ca_root,
@@ -90,17 +84,8 @@ class PalaemonClient:
         quote = instance.platform.quoting_enclave.quote(
             instance.enclave, sha256(instance.public_key.to_bytes()))
         report = ias.verify_quote_local(quote)
-        try:
-            report.verify(ias.public_key)
-        except QuoteError as exc:
-            raise AttestationError(f"IAS rejected the quote: {exc}") from exc
-        if report.report_data != sha256(instance.public_key.to_bytes()):
-            raise AttestationError(
-                "IAS report does not bind the instance's public key")
-        if report.mrenclave not in trusted_mrenclaves:
-            raise AttestationError(
-                f"instance MRENCLAVE {report.mrenclave.hex()[:16]}... is "
-                f"not a PALAEMON version this client trusts")
+        verify_instance_report(report, ias.public_key, instance.public_key,
+                               trusted_mrenclaves)
         self.attested_instances.add(instance.name)
         return report
 

@@ -41,6 +41,11 @@ from repro.sim.retry import RetryPolicy
 from repro.tls.channel import TLSConnection, TLSServer
 
 
+#: The replication link's retry budget: a 0.5 s deadline per attempt.
+REPLICATION_RETRY = RetryPolicy(max_attempts=4, base_delay=0.05,
+                                attempt_timeout=0.5)
+
+
 @dataclass(frozen=True)
 class StateUpdate:
     """One sequenced replication record (a tag update, policy write, ...)."""
@@ -64,21 +69,18 @@ class FailoverCoordinator:
 
     The primary connects from its ``{primary}-repl`` endpoint to a
     :class:`~repro.tls.channel.TLSServer` on ``{backup}-repl``, and
-    updates travel as sealed TLS records on ``network`` — so a partition
-    or an attached :class:`~repro.sim.faults.FaultPlan` genuinely
+    updates travel as sealed TLS records on ``network`` — so a fault
+    window of an attached :class:`~repro.sim.faults.FaultPlan` genuinely
     prevents the ack, while no update value is readable on the wire. The
     backup serves only the session the coordinator opened for the primary.
-    :meth:`replicate` retries under ``retry_policy`` and, on giving up,
-    leaves :meth:`replication_lag` > 0 — which :meth:`promote_backup`
-    honours by replaying only the updates the backup actually
-    acknowledged (bounded-freshness fail-over).
+    :meth:`replicate` retries under :data:`REPLICATION_RETRY` and, on
+    giving up, leaves :meth:`replication_lag` > 0 — which
+    :meth:`promote_backup` honours by replaying only the updates the
+    backup actually acknowledged (bounded-freshness fail-over).
     """
 
     def __init__(self, primary: PalaemonService, backup: PalaemonService,
                  network: Network,
-                 primary_site: Site = Site.SAME_DC,
-                 backup_site: Site = Site.SAME_DC,
-                 retry_policy: Optional[RetryPolicy] = None,
                  rng: Optional[DeterministicRandom] = None) -> None:
         if primary.platform is backup.platform:
             raise PolicyError(
@@ -90,34 +92,33 @@ class FailoverCoordinator:
         self._replica = ReplicaState()
         self.active: PalaemonService = primary
         self.fenced: List[str] = []
-        self.retry_policy = retry_policy or RetryPolicy(
-            max_attempts=4, base_delay=0.05, attempt_timeout=0.5)
         self._rng = rng or DeterministicRandom(b"failover-retry")
         #: Updates the primary committed locally but the backup has not
         #: acknowledged; resent in order on every attempt.
         self._pending: List[StateUpdate] = []
         self._server = TLSServer(
-            network, network.endpoint(f"{backup.name}-repl", backup_site),
+            network, network.endpoint(f"{backup.name}-repl", Site.SAME_DC),
             lambda request, _session: backup.dispatcher.handle(
                 request, transport="failover", peer=primary.name,
                 target=self))
         self._server.start()
         self._connection = self.simulator.process(
-            self._connect(network, primary_site),
+            self._connect(network),
             name=f"repl-connect-{primary.name}")
 
     @property
     def simulator(self) -> Simulator:
         return self.primary.simulator
 
-    def _connect(self, network: Network, site: Site,
+    def _connect(self, network: Network,
                  ) -> Generator[Event, Any, TLSConnection]:
         """The primary's TLS connection to the backup's server."""
         connection = yield from TLSConnection.connect(
-            network, f"{self.primary.name}-repl", site,
+            network, f"{self.primary.name}-repl", Site.SAME_DC,
             self._server.endpoint, self._rng.fork(b"repl-tls"),
             server_certificate=self.backup.certificate,
-            client_certificate=self.primary.certificate)
+            client_certificate=self.primary.certificate,
+            client_keys=self.primary.key_pair)
         self._server.register_session(connection.session)
         return connection
 
@@ -161,8 +162,9 @@ class FailoverCoordinator:
 
     def _replicate_pending(self) -> Generator[Event, Any, int]:
         """Send all unacked updates in one sealed request; its reply is
-        the backup's cumulative ack. Retried under the coordinator's
-        policy; a refusal from the backup is a verdict and propagates."""
+        the backup's cumulative ack. Retried under
+        :data:`REPLICATION_RETRY`; a refusal from the backup is a verdict
+        and propagates."""
         connection = yield self._connection
 
         def attempt() -> Generator[Event, Any, int]:
@@ -172,7 +174,7 @@ class FailoverCoordinator:
                 size_bytes=256 + 128 * len(self._pending))
             return decode_reply(reply)["ack"]
 
-        ack = yield self.simulator.process(self.retry_policy.call(
+        ack = yield self.simulator.process(REPLICATION_RETRY.call(
             self.simulator, attempt, self._rng,
             operation="failover.replicate",
             telemetry=self.primary.telemetry),

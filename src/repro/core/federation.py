@@ -36,7 +36,6 @@ from repro.errors import (
 )
 from repro.sim.core import Event, Simulator
 from repro.sim.network import Network, Site
-from repro.sim.retry import RetryPolicy
 from repro.tls.channel import TLSConnection, TLSServer
 from repro.tls.handshake import TLSSession
 
@@ -118,7 +117,8 @@ class FederatedInstance:
             self._rng.fork(b"link:" + peer.name.encode()),
             server_certificate=peer.service.certificate,
             trusted_root=self.ca_root,
-            client_certificate=self.service.certificate)
+            client_certificate=self.service.certificate,
+            client_keys=self.service.key_pair)
         peer._server.register_session(connection.session)
         peer._peer_sessions[connection.session.session_id] = self.name
         return connection
@@ -157,31 +157,6 @@ class FederatedInstance:
                         requesting_policy=requesting_policy,
                         secrets=len(secrets))
         return secrets
-
-    def fetch_remote_secrets_with_retry(
-            self, peer_name: str, policy_name: str, requesting_policy: str,
-            secret_names: List[str],
-            retry_policy: Optional[RetryPolicy] = None,
-            rng: Optional[DeterministicRandom] = None,
-            ) -> Generator[Event, Any, Dict[str, bytes]]:
-        """:meth:`fetch_remote_secrets` under a bounded retry budget.
-
-        The default policy gives every attempt a 1 s deadline, so a
-        partition turns into :class:`DeadlineExceededError` + backoff
-        instead of an unbounded hang; if the partition outlasts the
-        budget, :class:`~repro.errors.RetryExhaustedError` propagates.
-        """
-        retry_policy = retry_policy or RetryPolicy(
-            max_attempts=5, base_delay=0.1, attempt_timeout=1.0)
-        rng = rng or self._rng.fork(b"fetch-retry")
-        result = yield self.simulator.process(retry_policy.call(
-            self.simulator,
-            lambda: self.fetch_remote_secrets(
-                peer_name, policy_name, requesting_policy, secret_names),
-            rng, operation="federation.fetch",
-            telemetry=self.service.telemetry),
-            name=f"fed-fetch-retry-{self.name}")
-        return result
 
     def _serve(self, request: Any, session: TLSSession) -> Dict[str, Any]:
         """Answer one peer request through the dispatch pipeline; the

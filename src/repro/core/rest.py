@@ -38,7 +38,6 @@ from repro.core.service import PalaemonService
 from repro.crypto.primitives import DeterministicRandom
 from repro.sim.core import Event, ProcessInterrupt
 from repro.sim.network import Endpoint, Network, Site
-from repro.sim.retry import DEFAULT_RETRYABLE, RetryPolicy
 from repro.tls.channel import TLSConnection, TLSServer
 from repro.tls.handshake import TLSSession
 
@@ -91,6 +90,7 @@ class PalaemonRestClient:
             rng, server_certificate=server.service.certificate,
             trusted_root=trusted_root,
             client_certificate=client.certificate,
+            client_keys=client.key_pair,
             telemetry=server.service.telemetry))
         server.register_session(connection.session)
         return cls(connection)
@@ -118,21 +118,3 @@ class PalaemonRestClient:
         self.telemetry.observe("palaemon_rest_client_seconds",
                                simulator.now - started, route=route)
         return decode_reply(reply)
-
-    def call_with_retry(self, route: str, policy: RetryPolicy,
-                        rng: DeterministicRandom, *,
-                        retry_on=DEFAULT_RETRYABLE,
-                        **fields) -> Generator[Event, Any, Any]:
-        """Like :meth:`call`, but with bounded retries under ``policy``.
-
-        Only transport-level faults (deadline expiry, network errors) are
-        retried by default; an error *reply* from the server is a verdict
-        and propagates immediately as its typed error.
-        """
-        simulator = self.connection.network.simulator
-        result = yield simulator.process(policy.call(
-            simulator, lambda: self.call(route, **fields), rng,
-            operation=f"rest.{route}", retry_on=retry_on,
-            telemetry=self.telemetry), name=f"rest-retry-{route}")
-        return result
-

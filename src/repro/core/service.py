@@ -163,6 +163,11 @@ class PalaemonService:
         return self._identity.public
 
     @property
+    def key_pair(self) -> KeyPair:
+        """The instance identity behind :attr:`certificate` (in-enclave)."""
+        return self._identity
+
+    @property
     def mrenclave(self) -> bytes:
         return self.enclave.mrenclave
 

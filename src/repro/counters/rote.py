@@ -53,13 +53,14 @@ class ROTECounterGroup(MonotonicCounter):
             _Replica(i, site) for i in range(group_size)]
         self._value = 0
         #: Fault injection (:class:`repro.sim.faults.FaultPlan`), attached
-        #: via ``FaultPlan.attach_counters``.
+        #: via ``FaultPlan.attach``.
         self.fault_plan = None
         self.fault_name = "rote-group"
 
     def _check_available(self) -> None:
         if (self.fault_plan is not None
-                and self.fault_plan.counter_unavailable(self.fault_name)):
+                and self.fault_plan.injects("counter_outage",
+                                             self.fault_name)):
             raise CounterUnavailableError(
                 f"ROTE group {self.fault_name!r} is unreachable "
                 f"(injected outage)")

@@ -29,7 +29,7 @@ class TPMCounter(MonotonicCounter):
         self._writes = 0
         self._next_allowed = 0.0
         #: Fault injection (:class:`repro.sim.faults.FaultPlan`), attached
-        #: via ``FaultPlan.attach_counters``.
+        #: via ``FaultPlan.attach``.
         self.fault_plan = None
         self.fault_name = "tpm"
 
@@ -39,7 +39,8 @@ class TPMCounter(MonotonicCounter):
 
     def _check_available(self) -> None:
         if (self.fault_plan is not None
-                and self.fault_plan.counter_unavailable(self.fault_name)):
+                and self.fault_plan.injects("counter_outage",
+                                             self.fault_name)):
             raise CounterUnavailableError(
                 f"TPM {self.fault_name!r} is unreachable (injected outage)")
 

@@ -12,6 +12,8 @@ from __future__ import annotations
 
 from typing import Dict, List
 
+from repro.errors import StorageFaultError
+
 
 class BlockStore:
     """An untrusted persistent byte store with attack affordances."""
@@ -28,24 +30,29 @@ class BlockStore:
         # I last validated this path" without re-reading the content.
         self._generations: Dict[str, int] = {}
         self._write_epoch = 0
-        #: Fault-injection hook ``hook(operation, path)`` installed by
-        #: :meth:`repro.sim.faults.FaultPlan.attach_blockstore`; raises
-        #: :class:`repro.errors.StorageFaultError` during fault windows.
-        self.fault_hook = None
+        #: Fault injection (:class:`repro.sim.faults.FaultPlan`), attached
+        #: via ``FaultPlan.attach``.
+        self.fault_plan = None
+
+    def _check_fault(self, operation: str, path: str) -> None:
+        if (self.fault_plan is not None
+                and self.fault_plan.injects("store_fault",
+                                            f"{self.name}:{operation}")):
+            raise StorageFaultError(
+                f"store {self.name!r}: injected {operation} failure "
+                f"on {path!r}")
 
     # -- normal operation --------------------------------------------------
 
     def write(self, path: str, data: bytes) -> None:
-        if self.fault_hook is not None:
-            self.fault_hook("write", path)
+        self._check_fault("write", path)
         self._files[path] = data
         self.write_count += 1
         self.bytes_written += len(data)
         self._bump(path)
 
     def read(self, path: str) -> bytes:
-        if self.fault_hook is not None:
-            self.fault_hook("read", path)
+        self._check_fault("read", path)
         self.read_count += 1
         try:
             return self._files[path]

@@ -14,7 +14,7 @@ from repro.sim.network import Network, Site, Endpoint, Message
 from repro.sim.metrics import LatencyRecorder, ThroughputMeter, percentile
 from repro.sim.workload import OpenLoopGenerator, ClosedLoopGenerator
 from repro.sim.faults import FaultPlan, LinkFault, Window
-from repro.sim.retry import NO_RETRY, RetryPolicy
+from repro.sim.retry import RetryPolicy
 
 __all__ = [
     "ClosedLoopGenerator",
@@ -24,7 +24,6 @@ __all__ = [
     "LatencyRecorder",
     "LinkFault",
     "Message",
-    "NO_RETRY",
     "Network",
     "OpenLoopGenerator",
     "Process",

@@ -20,6 +20,11 @@ A :class:`FaultPlan` is a declarative, seed-driven schedule of faults:
 - **block-store faults** — windows during which a named
   :class:`~repro.fs.blockstore.BlockStore` fails reads or writes.
 
+Every windowed fault lives in one table keyed by ``(kind, name)``, and
+one query, :meth:`FaultPlan.injects`, answers it and counts the
+injection. Components hold the plan in a ``fault_plan`` attribute set by
+:meth:`FaultPlan.attach` and ask that query under their own name.
+
 Determinism: all probabilistic decisions draw from one
 :class:`~repro.crypto.primitives.DeterministicRandom` forked off the
 plan's seed, and all windows are in virtual time, so the same seed and
@@ -34,10 +39,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from repro.crypto.primitives import DeterministicRandom
-from repro.errors import StorageFaultError
 from repro.sim.core import Simulator
 
 
@@ -81,104 +85,91 @@ class FaultPlan:
             telemetry = NULL_TELEMETRY
         self.telemetry = telemetry
         self._link_faults: List[LinkFault] = []
-        self._blackouts: Dict[str, List[Window]] = {}
-        self._disk_faults: Dict[str, List[Window]] = {}
-        self._counter_outages: Dict[str, List[Window]] = {}
-        self._store_faults: Dict[Tuple[str, str], List[Window]] = {}
+        #: Windowed faults by (kind, component name); see :meth:`injects`.
+        self._windows: Dict[Tuple[str, str], List[Window]] = {}
         #: Injected fault counts by kind (drop/duplicate/delay/blackout/
         #: disk_fault/counter_outage/store_fault) — the chaos summary.
         self.injected: Dict[str, int] = {}
 
     # -- authoring ---------------------------------------------------------
 
-    def add_link_fault(self, fault: LinkFault) -> "FaultPlan":
-        self._link_faults.append(fault)
+    def _add_link_fault(self, **fields) -> "FaultPlan":
+        self._link_faults.append(LinkFault(**fields))
+        return self
+
+    def _add_window(self, kind: str, name: str, start: float,
+                    end: float) -> "FaultPlan":
+        self._windows.setdefault((kind, name), []).append(Window(start, end))
         return self
 
     def drop_link(self, a: str, b: str, start: float = 0.0,
                   end: float = math.inf,
                   probability: float = 1.0) -> "FaultPlan":
         """Drop traffic between ``a`` and ``b`` during the window."""
-        return self.add_link_fault(LinkFault(
-            a=a, b=b, drop_probability=probability,
-            window=Window(start, end)))
+        return self._add_link_fault(a=a, b=b, drop_probability=probability,
+                                    window=Window(start, end))
 
     def duplicate_link(self, a: str, b: str, probability: float,
                        start: float = 0.0,
                        end: float = math.inf) -> "FaultPlan":
         """Deliver some messages twice (retransmission storms)."""
-        return self.add_link_fault(LinkFault(
-            a=a, b=b, duplicate_probability=probability,
-            window=Window(start, end)))
+        return self._add_link_fault(a=a, b=b,
+                                    duplicate_probability=probability,
+                                    window=Window(start, end))
 
     def delay_link(self, a: str, b: str, extra_delay: float,
                    start: float = 0.0,
                    end: float = math.inf) -> "FaultPlan":
         """Add fixed extra one-way delay on a link (congestion)."""
-        return self.add_link_fault(LinkFault(
-            a=a, b=b, extra_delay=extra_delay, window=Window(start, end)))
+        return self._add_link_fault(a=a, b=b, extra_delay=extra_delay,
+                                    window=Window(start, end))
 
     def blackout_endpoint(self, name: str, start: float = 0.0,
                           end: float = math.inf) -> "FaultPlan":
         """The endpoint neither sends nor receives during the window."""
-        self._blackouts.setdefault(name, []).append(Window(start, end))
-        return self
+        return self._add_window("blackout", name, start, end)
 
     def fail_disk(self, disk_name: str, start: float = 0.0,
                   end: float = math.inf) -> "FaultPlan":
         """Commits on the named disk fail during the window."""
-        self._disk_faults.setdefault(disk_name, []).append(Window(start, end))
-        return self
+        return self._add_window("disk_fault", disk_name, start, end)
 
     def counter_outage(self, service_name: str, start: float = 0.0,
                        end: float = math.inf) -> "FaultPlan":
         """The named counter service is unreachable during the window."""
-        self._counter_outages.setdefault(service_name, []).append(
-            Window(start, end))
-        return self
+        return self._add_window("counter_outage", service_name, start, end)
 
     def fail_store(self, store_name: str, operation: str = "write",
                    start: float = 0.0, end: float = math.inf) -> "FaultPlan":
-        """The named block store fails ``operation`` (read/write)."""
+        """The named block store fails ``operation`` (read/write); the
+        store asks under the name ``"{store_name}:{operation}"``."""
         if operation not in ("read", "write"):
             raise ValueError(f"unknown store operation {operation!r}")
-        self._store_faults.setdefault((store_name, operation), []).append(
-            Window(start, end))
-        return self
+        return self._add_window("store_fault", f"{store_name}:{operation}",
+                                start, end)
 
     # -- attachment --------------------------------------------------------
 
-    def attach_network(self, network) -> "FaultPlan":
-        """Make :meth:`Network.deliver` consult this plan."""
-        network.fault_plan = self
-        return self
-
-    def attach_disk(self, disk) -> "FaultPlan":
-        """Make the :class:`DiskModel` consult this plan on commits."""
-        disk.fault_plan = self
-        return self
-
-    def attach_counters(self, service, name: str) -> "FaultPlan":
-        """Bind a counter service to this plan under ``name``."""
-        service.fault_plan = self
-        service.fault_name = name
-        return self
-
-    def attach_blockstore(self, store, name: Optional[str] = None,
-                          ) -> "FaultPlan":
-        """Install a fault hook on a :class:`BlockStore`."""
-        label = name or store.name
-
-        def hook(operation: str, path: str) -> None:
-            if self.store_faulty(label, operation):
-                raise StorageFaultError(
-                    f"store {label!r}: injected {operation} failure "
-                    f"on {path!r}")
-
-        store.fault_hook = hook
+    def attach(self, *components) -> "FaultPlan":
+        """Make each component (a :class:`Network`, ``DiskModel``, counter
+        service or ``BlockStore``) consult this plan."""
+        for component in components:
+            component.fault_plan = self
         return self
 
     # -- queries (called by instrumented components) -----------------------
+
+    def injects(self, kind: str, name: str) -> bool:
+        """Whether a ``kind`` window on component ``name`` is open now;
+        an open window counts as one injected ``kind`` fault."""
+        windows = self._windows.get((kind, name))
+        if not windows:
+            return False
+        now = self.simulator.now
+        if any(window.active(now) for window in windows):
+            self._record(kind)
+            return True
+        return False
 
     def message_fate(self, source: str,
                      destination: str) -> Tuple[str, float]:
@@ -188,11 +179,10 @@ class FaultPlan:
         delay applies to whatever is delivered. Blackouts are checked
         first: a blacked-out sender or receiver drops unconditionally.
         """
-        now = self.simulator.now
-        if (self.endpoint_blacked_out(source, now)
-                or self.endpoint_blacked_out(destination, now)):
-            self._record("blackout")
+        if (self.injects("blackout", source)
+                or self.injects("blackout", destination)):
             return "drop", 0.0
+        now = self.simulator.now
         fate = "deliver"
         extra_delay = 0.0
         for fault in self._link_faults:
@@ -212,41 +202,6 @@ class FaultPlan:
                 self._record("delay")
                 extra_delay += fault.extra_delay
         return fate, extra_delay
-
-    def endpoint_blacked_out(self, name: str,
-                             now: Optional[float] = None) -> bool:
-        windows = self._blackouts.get(name)
-        if not windows:
-            return False
-        at = self.simulator.now if now is None else now
-        return any(window.active(at) for window in windows)
-
-    def disk_faulty(self, disk_name: str) -> bool:
-        windows = self._disk_faults.get(disk_name)
-        if not windows:
-            return False
-        if any(window.active(self.simulator.now) for window in windows):
-            self._record("disk_fault")
-            return True
-        return False
-
-    def counter_unavailable(self, service_name: str) -> bool:
-        windows = self._counter_outages.get(service_name)
-        if not windows:
-            return False
-        if any(window.active(self.simulator.now) for window in windows):
-            self._record("counter_outage")
-            return True
-        return False
-
-    def store_faulty(self, store_name: str, operation: str) -> bool:
-        windows = self._store_faults.get((store_name, operation))
-        if not windows:
-            return False
-        if any(window.active(self.simulator.now) for window in windows):
-            self._record("store_fault")
-            return True
-        return False
 
     # -- accounting --------------------------------------------------------
 

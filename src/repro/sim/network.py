@@ -148,9 +148,8 @@ class Network:
         #: Wire log of (time, src, dst, payload) for plaintext-leak scans.
         self.wire_log: list = []
         self.wire_log_enabled = False
-        self._partitions: set = set()
         #: Optional fault injection (:class:`repro.sim.faults.FaultPlan`);
-        #: attach via ``FaultPlan.attach_network``.
+        #: attach via ``FaultPlan.attach``.
         self.fault_plan = None
 
     def endpoint(self, name: str, site: Site = Site.SAME_RACK) -> Endpoint:
@@ -172,13 +171,6 @@ class Network:
         self._endpoints[name] = endpoint
         return endpoint
 
-    def partition(self, a: str, b: str) -> None:
-        """Drop all traffic between endpoints ``a`` and ``b``."""
-        self._partitions.add(frozenset((a, b)))
-
-    def heal(self, a: str, b: str) -> None:
-        self._partitions.discard(frozenset((a, b)))
-
     def one_way_delay(self, source: Site, destination: Site,
                       size_bytes: int) -> float:
         propagation = rtt_between(source, destination) / 2.0
@@ -188,10 +180,6 @@ class Network:
 
     def deliver(self, source: Endpoint, destination: Endpoint,
                 message: Message) -> None:
-        if frozenset((source.name, destination.name)) in self._partitions:
-            if self.fault_plan is not None:
-                self.fault_plan._record("partition")
-            return  # dropped silently, like a real partition
         copies = 1
         extra_delay = 0.0
         if self.fault_plan is not None:
@@ -209,9 +197,8 @@ class Network:
             if destination._closed:
                 return
             if (self.fault_plan is not None
-                    and self.fault_plan.endpoint_blacked_out(
-                        destination.name)):
-                self.fault_plan._record("blackout")
+                    and self.fault_plan.injects("blackout",
+                                                destination.name)):
                 return
             destination.inbox.put(message)
             destination.bytes_received += message.size_bytes

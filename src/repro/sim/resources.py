@@ -167,7 +167,7 @@ class DiskModel:
         self.commits = 0
         self.failed_commits = 0
         #: Optional fault injection (:class:`repro.sim.faults.FaultPlan`);
-        #: attached via ``FaultPlan.attach_disk``, never set on hot paths.
+        #: attached via ``FaultPlan.attach``, never set on hot paths.
         self.fault_plan = None
 
     def commit(self) -> Generator[Event, Any, None]:
@@ -181,7 +181,7 @@ class DiskModel:
         try:
             yield self.simulator.timeout(self.commit_latency)
             if (self.fault_plan is not None
-                    and self.fault_plan.disk_faulty(self.name)):
+                    and self.fault_plan.injects("disk_fault", self.name)):
                 self.failed_commits += 1
                 raise StorageFaultError(
                     f"disk {self.name!r}: injected commit failure")

@@ -6,6 +6,11 @@ instead of exercising a recovery path. :class:`RetryPolicy` is the one
 reusable answer: a frozen description of *how hard to try* that turns a
 fallible simulation process into a bounded-recovery process.
 
+Callers compose it where the fault is expected —
+``RetryPolicy(...).call(simulator, lambda: op(...), rng.fork(...),
+operation=...)`` — rather than through ``*_with_retry`` twins or
+``retry_policy`` knobs (palint rule ``SRC109``).
+
 Design points:
 
 - **Deterministic jitter** — the jitter multiplier draws from a
@@ -17,7 +22,7 @@ Design points:
   with :class:`DeadlineExceededError` instead of hanging; the abandoned
   attempt process is interrupted so it can cancel its mailbox getters
   (see :meth:`repro.sim.resources.Store.cancel`).
-- **Typed retryability** — only exceptions in ``retry_on`` are retried;
+- **Typed retryability** — only ``DEFAULT_RETRYABLE`` faults are retried;
   anything else (an :class:`AccessDeniedError`, a rollback detection) is
   a *verdict*, not a fault, and propagates immediately.
 - **Telemetry** — every retry and giveup lands in
@@ -90,7 +95,6 @@ class RetryPolicy:
              attempt_factory: Callable[[], Generator[Event, Any, Any]],
              rng: DeterministicRandom, *,
              operation: str = "operation",
-             retry_on: Tuple[Type[BaseException], ...] = DEFAULT_RETRYABLE,
              telemetry=None,
              ) -> Generator[Event, Any, Any]:
         """Run ``attempt_factory()`` as a process until one attempt wins.
@@ -115,7 +119,7 @@ class RetryPolicy:
                 target = simulator.with_timeout(target, self.attempt_timeout)
             try:
                 value = yield target
-            except retry_on as exc:
+            except DEFAULT_RETRYABLE as exc:
                 last_error = exc
                 telemetry.inc("palaemon_retries_total", operation=operation,
                               outcome="retry")
@@ -133,8 +137,3 @@ class RetryPolicy:
             f"{operation!r} failed after {self.max_attempts} attempts: "
             f"{last_error}", attempts=self.max_attempts,
             last_error=last_error) from last_error
-
-
-#: A policy that tries exactly once with no deadline — the pre-retry
-#: behaviour, kept for regression tests demonstrating the deadlock.
-NO_RETRY = RetryPolicy(max_attempts=1, base_delay=0.0, jitter_fraction=0.0)

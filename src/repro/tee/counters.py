@@ -51,13 +51,14 @@ class PlatformCounterService:
         self._writes: Dict[str, int] = {}
         self._next_allowed: Dict[str, float] = {}
         #: Fault injection (:class:`repro.sim.faults.FaultPlan`), attached
-        #: via ``FaultPlan.attach_counters``.
+        #: via ``FaultPlan.attach``.
         self.fault_plan = None
         self.fault_name = "platform-counters"
 
     def _check_available(self) -> None:
         if (self.fault_plan is not None
-                and self.fault_plan.counter_unavailable(self.fault_name)):
+                and self.fault_plan.injects("counter_outage",
+                                             self.fault_name)):
             raise CounterUnavailableError(
                 f"counter service {self.fault_name!r} is unreachable "
                 f"(injected outage)")

@@ -21,7 +21,7 @@ from typing import Any, Callable, Generator, Optional
 from repro import calibration
 from repro.crypto.certificates import Certificate
 from repro.crypto.primitives import DeterministicRandom
-from repro.crypto.signatures import PublicKey
+from repro.crypto.signatures import KeyPair, PublicKey
 from repro.errors import CryptoError
 from repro.sim.core import Event, ProcessInterrupt
 from repro.sim.network import Endpoint, Network, Site
@@ -97,8 +97,12 @@ class TLSConnection:
                 trusted_root: Optional[PublicKey] = None,
                 client_certificate: Optional[Certificate] = None,
                 telemetry=None,
+                client_keys: Optional[KeyPair] = None,
                 ) -> Generator[Event, Any, "TLSConnection"]:
-        """Handshake and build a connection; a simulation process."""
+        """Handshake and build a connection; a simulation process.
+
+        A ``client_certificate`` needs the ``client_keys`` behind it (see
+        :func:`~repro.tls.handshake.perform_handshake`)."""
         session = yield network.simulator.process(perform_handshake(
             network.simulator, rng.fork(b"handshake:" + client_name.encode()),
             client_site, server_endpoint.site,
@@ -106,6 +110,7 @@ class TLSConnection:
             trusted_root=trusted_root,
             client_certificate=client_certificate,
             telemetry=telemetry,
+            client_keys=client_keys,
         ))
         client_endpoint = network.endpoint(client_name, client_site)
         return cls(network, client_endpoint, server_endpoint, session, rng)

@@ -2,7 +2,9 @@
 
 The handshake model: the client and server exchange ephemeral contributions
 (two network round trips), optionally verify the server's certificate
-against a trusted root, and derive a fresh session key via HKDF over both
+against a trusted root, check that a client presenting a certificate holds
+its private key (it signs the handshake transcript, like TLS
+CertificateVerify), and derive a fresh session key via HKDF over both
 contributions. Session keys are never reused across connections, mirroring
 the PFS-only cipher policy the paper's security analysis mandates (§V-A).
 """
@@ -15,7 +17,7 @@ from typing import Any, Generator, Optional
 from repro import calibration
 from repro.crypto.certificates import Certificate
 from repro.crypto.primitives import DeterministicRandom, hkdf
-from repro.crypto.signatures import PublicKey
+from repro.crypto.signatures import KeyPair, PublicKey, verify_signature
 from repro.crypto.symmetric import SecretBox
 from repro.errors import CertificateError
 from repro.obs.telemetry import NULL_TELEMETRY, Telemetry
@@ -50,6 +52,7 @@ def perform_handshake(simulator: Simulator,
                       trusted_root: Optional[PublicKey] = None,
                       client_certificate: Optional[Certificate] = None,
                       telemetry: Optional[Telemetry] = None,
+                      client_keys: Optional[KeyPair] = None,
                       ) -> Generator[Event, Any, TLSSession]:
     """Establish a TLS session; a process returning :class:`TLSSession`.
 
@@ -57,6 +60,12 @@ def perform_handshake(simulator: Simulator,
     it *during* the handshake — this is how clients of a managed PALAEMON
     instance attest it via the PALAEMON CA (§III-B): a provider-run instance
     without a CA-signed certificate fails here, before any request is sent.
+
+    A ``client_certificate`` is the session's identity (REST policy calls
+    authorize by it), so the client must prove it holds the certificate's
+    key: ``client_keys`` signs the transcript, and a missing or
+    non-verifying signature refuses the session with
+    :class:`CertificateError`.
 
     ``telemetry`` (typically the serving instance's) counts and times the
     handshake; verification failures land in its error counter before the
@@ -73,14 +82,24 @@ def perform_handshake(simulator: Simulator,
                     raise CertificateError("server presented no certificate")
                 server_certificate.verify(now=simulator.now,
                                           trusted_root=trusted_root)
+            client_random = rng.bytes(32)
+            server_random = rng.bytes(32)
+            if client_certificate is not None:
+                transcript = (b"tls-client-verify:" + client_random
+                              + server_random)
+                signature = (client_keys.sign(transcript)
+                             if client_keys is not None else b"")
+                if not verify_signature(client_certificate.public_key,
+                                        transcript, signature):
+                    raise CertificateError(
+                        f"client did not prove it holds the key of "
+                        f"{client_certificate.subject!r}")
         except CertificateError:
             telemetry.inc("palaemon_tls_handshakes_total", result="failed")
             raise
         telemetry.inc("palaemon_tls_handshakes_total", result="established")
         telemetry.observe("palaemon_tls_handshake_seconds",
                           simulator.now - started)
-    client_random = rng.bytes(32)
-    server_random = rng.bytes(32)
     master = hkdf(client_random + server_random, b"tls-master-secret")
     session_id = rng.bytes(16)
     # Directional keys, like real TLS key blocks.

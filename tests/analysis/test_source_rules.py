@@ -266,6 +266,36 @@ class TestRawEndpointTraffic:
         assert lint(tmp_path) == []
 
 
+class TestRetryWrappers:
+    def test_wrapper_and_retry_knob_flagged(self, tmp_path):
+        write_module(tmp_path, "repro.core.bad", """\
+            class Client:
+                def fetch_with_retry(self, name):
+                    return name
+
+            def attest(client, *, retry_policy=None):
+                return client
+            """)
+        findings = lint(tmp_path, codes={"SRC109"})
+        assert [(finding.code, finding.line) for finding in findings] == [
+            ("SRC109", 2), ("SRC109", 5)]
+
+    def test_call_site_composition_is_fine(self, tmp_path):
+        write_module(tmp_path, "repro.core.fine", """\
+            from repro.sim.retry import RetryPolicy
+
+            def fetch(simulator, client, rng):
+                return RetryPolicy(max_attempts=3).call(
+                    simulator, lambda: client.fetch(), rng,
+                    operation="fetch")
+            """)
+        write_module(tmp_path, "repro.sim.retry", """\
+            def call_with_retry(attempt, retry_policy):
+                return retry_policy.call(attempt)
+            """)
+        assert lint(tmp_path) == []
+
+
 class TestBroadExcept:
     def test_except_exception_flagged(self, tmp_path):
         write_module(tmp_path, "repro.core.bad", """\

@@ -116,7 +116,7 @@ class TestClientAttestation:
         """Clients that only trust older PALAEMON versions reject this one."""
         client = PalaemonClient("cautious", DeterministicRandom(b"c"))
         older_version = build_palaemon_image(version="0.9").mrenclave()
-        with pytest.raises(AttestationError, match="not a PALAEMON version"):
+        with pytest.raises(AttestationError, match="not an approved PALAEMON version"):
             client.attest_instance_explicitly(
                 deployment.palaemon, deployment.ias,
                 trusted_mrenclaves=frozenset({older_version}))

@@ -16,7 +16,7 @@ from repro.sim.core import ProcessInterrupt, Simulator
 from repro.sim.faults import FaultPlan, LinkFault, Window
 from repro.sim.network import Network, Site
 from repro.sim.resources import DiskModel, Store
-from repro.sim.retry import DEFAULT_RETRYABLE, NO_RETRY, RetryPolicy
+from repro.sim.retry import DEFAULT_RETRYABLE, RetryPolicy
 
 
 class TestWindow:
@@ -79,12 +79,14 @@ class TestFaultPlanQueries:
         plan = (FaultPlan(sim)
                 .counter_outage("ctr", start=0.0, end=1.0)
                 .fail_disk("disk", start=0.0, end=1.0))
-        assert plan.counter_unavailable("ctr")
-        assert plan.disk_faulty("disk")
-        assert not plan.counter_unavailable("other")
+        assert plan.injects("counter_outage", "ctr")
+        assert plan.injects("disk_fault", "disk")
+        assert not plan.injects("counter_outage", "other")
+        assert not plan.injects("disk_fault", "ctr")  # kinds do not mix
         sim.run(until=1.0)
-        assert not plan.counter_unavailable("ctr")
-        assert not plan.disk_faulty("disk")
+        assert not plan.injects("counter_outage", "ctr")
+        assert not plan.injects("disk_fault", "disk")
+        assert plan.summary() == {"counter_outage": 1, "disk_fault": 1}
 
     def test_fail_store_rejects_unknown_operation(self):
         with pytest.raises(ValueError):
@@ -95,7 +97,7 @@ class TestAttachment:
     def test_disk_commit_fails_during_window(self):
         sim = Simulator()
         disk = DiskModel(sim, 0.01, name="d")
-        plan = FaultPlan(sim).fail_disk("d", end=1.0).attach_disk(disk)
+        plan = FaultPlan(sim).fail_disk("d", end=1.0).attach(disk)
 
         def attempt():
             yield sim.process(disk.commit())
@@ -110,18 +112,20 @@ class TestAttachment:
         sim = Simulator()
         store = BlockStore("vol")
         plan = FaultPlan(sim).fail_store("vol", "write", end=1.0)
-        plan.attach_blockstore(store)
+        plan.attach(store)
+        store.tamper("/f", b"old")
         with pytest.raises(StorageFaultError):
             store.write("/f", b"x")
-        assert store.read  # reads unaffected by a write fault
+        assert store.read("/f") == b"old"  # reads unaffected
         sim.run(until=1.0)
         store.write("/f", b"x")
         assert store.read("/f") == b"x"
+        assert plan.summary() == {"store_fault": 1}
 
     def test_network_drop_then_heal(self):
         sim = Simulator()
         network = Network(sim, DeterministicRandom(b"net"))
-        FaultPlan(sim).drop_link("a", "b", end=1.0).attach_network(network)
+        FaultPlan(sim).drop_link("a", "b", end=1.0).attach(network)
         a = network.endpoint("a", Site.SAME_RACK)
         b = network.endpoint("b", Site.SAME_RACK)
 
@@ -301,7 +305,21 @@ class TestRetryPolicy:
         assert calls[1] == pytest.approx(0.6)  # deadline + backoff, not 100s
 
     def test_no_retry_policy_is_single_shot(self):
-        assert NO_RETRY.max_attempts == 1
-        assert NO_RETRY.attempt_timeout is None
+        sim = Simulator()
+        calls = []
+
+        def attempt():
+            calls.append(sim.now)
+            raise DeadlineExceededError("lost")
+            yield  # pragma: no cover
+
+        policy = RetryPolicy(max_attempts=1, base_delay=0.0,
+                             jitter_fraction=0.0)
+        assert policy.attempt_timeout is None
+        with pytest.raises(RetryExhaustedError) as info:
+            sim.run_process(policy.call(
+                sim, attempt, DeterministicRandom(b"r"), operation="op"))
+        assert calls == [0.0]
+        assert info.value.attempts == 1
         assert DeadlineExceededError in DEFAULT_RETRYABLE
         assert math.isinf(Window().end)

@@ -5,6 +5,7 @@ import pytest
 from repro import calibration
 from repro.errors import NetworkError
 from repro.sim.core import Simulator
+from repro.sim.faults import FaultPlan
 from repro.sim.network import Network, Site, rtt_between
 
 
@@ -131,23 +132,26 @@ class TestDelivery:
         sim, net = self.make_net()
         a = net.endpoint("a")
         b = net.endpoint("b")
-        net.partition("a", "b")
+        plan = FaultPlan(sim).drop_link("a", "b").attach(net)
 
         def main():
             a.send(b, "lost")
+            b.send(a, "lost too")
             yield sim.timeout(1.0)
-            return len(b.inbox)
+            return len(b.inbox) + len(a.inbox)
 
         assert sim.run_process(main()) == 0
+        assert plan.summary() == {"drop": 2}
 
     def test_heal_restores_delivery(self):
         sim, net = self.make_net()
         a = net.endpoint("a")
         b = net.endpoint("b")
-        net.partition("a", "b")
-        net.heal("a", "b")
+        FaultPlan(sim).drop_link("a", "b", end=1.0).attach(net)
 
         def main():
+            a.send(b, "lost")
+            yield sim.timeout(1.0)  # the drop window closes: healed
             a.send(b, "found")
             message = yield b.receive()
             return message.payload

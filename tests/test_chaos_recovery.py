@@ -13,12 +13,55 @@ from repro.sim.faults import FaultPlan
 from repro.tee.counters import PlatformCounterService
 
 
+#: The exact seed-7 report. Any change to a fault count, a retry outcome,
+#: the virtual end time or the audit head shows up here, not only a
+#: change in whether the run reproduces itself.
+SEED_7_REPORT = """\
+chaos recovery summary
+  audit_head: 093ce3b2b225372bd99487a54227463ee136edb3812e5cd77dbd00f5e856b8e2
+  audit_records: 17
+  counter_outage_error: CounterUnavailableError
+  faults_injected:
+    blackout: 4
+    counter_outage: 3
+    disk_fault: 3
+    drop: 6
+  federation_fetch: recovered
+  promoted: palaemon-2
+  promoted_epoch: 2
+  replayed_updates:
+    k1: acked
+    k2: None
+  replication_giveup: after-retries
+  replication_lag: 1
+  rest_attestation: recovered
+  retries: on
+  retries_by_operation:
+    failover.replicate:giveup: 1
+    failover.replicate:retry: 4
+    federation.fetch:recovered: 1
+    federation.fetch:retry: 2
+    instance.install:recovered: 1
+    instance.install:retry: 2
+    rest.instance.describe:recovered: 1
+    rest.instance.describe:retry: 4
+    tag.update:recovered: 1
+    tag.update:retry: 3
+  seed: 7
+  sim_time: 42.869627
+  tag_update: recovered
+  third_instance: started"""
+
+
 @pytest.fixture(scope="module")
 def summary():
     return run_chaos(7)
 
 
 class TestDeterminism:
+    def test_seed_7_report_is_pinned(self, summary):
+        assert render_summary(summary) == SEED_7_REPORT
+
     def test_same_seed_is_byte_identical(self, summary):
         again = run_chaos(7)
         assert render_summary(summary) == render_summary(again)
@@ -82,8 +125,8 @@ class TestCounterOutageUnit:
     def test_outage_propagates_from_ensure_counter(self):
         sim = Simulator()
         counters = PlatformCounterService(sim)
-        FaultPlan(sim).counter_outage("ctr", end=1.0).attach_counters(
-            counters, "ctr")
+        FaultPlan(sim).counter_outage(counters.fault_name,
+                                      end=1.0).attach(counters)
         guard = self.make_guard(sim, counters)
         with pytest.raises(CounterUnavailableError):
             guard.ensure_counter()

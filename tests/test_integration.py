@@ -6,6 +6,8 @@ traffic through the API — and then scan the simulated wire and the
 provider's volume for leaks.
 """
 
+from types import SimpleNamespace
+
 import pytest
 
 from repro.core.policy import SecurityPolicy, ServiceSpec
@@ -20,6 +22,7 @@ from repro.errors import (
     UnknownRouteError,
 )
 from repro.sim.network import Network, Site
+from repro.tls.channel import TLSConnection
 
 from tests.core.conftest import Deployment
 
@@ -156,6 +159,60 @@ class TestRestApi:
             return result
 
         with pytest.raises(AccessDeniedError):
+            deployment.simulator.run_process(main())
+
+
+class TestClientIdentity:
+    """The session's client certificate is the caller's identity, so a
+    client must hold the certificate's private key, not only the
+    (public) certificate."""
+
+    def impostor_attempt(self, deployment, network, rest_server, impostor):
+        rng = DeterministicRandom(b"impostor-conn")
+
+        def main():
+            connection = yield deployment.simulator.process(
+                PalaemonRestClient.connect(
+                    network, impostor, rest_server, Site.SAME_DC, rng,
+                    trusted_root=deployment.ca.root_public_key))
+            policy = yield deployment.simulator.process(
+                connection.call("policy.read", name="ml_policy"))
+            yield deployment.simulator.process(
+                connection.call("policy.delete", name="ml_policy"))
+            return policy
+
+        return main
+
+    def test_owner_certificate_without_its_key_is_refused(
+            self, deployment, network, rest_server):
+        from repro.core.client import PalaemonClient
+
+        owner = connect(deployment, network, rest_server)
+        call(deployment, owner, "policy.create",
+             policy=deployment.make_policy())
+        mallory = PalaemonClient("mallory", DeterministicRandom(b"mallory"))
+        # The owner's certificate is public; Mallory's key pair is not the
+        # one behind it.
+        impostor = SimpleNamespace(name="mallory",
+                                   certificate=deployment.client.certificate,
+                                   key_pair=mallory.key_pair)
+        with pytest.raises(CertificateError, match="prove"):
+            deployment.simulator.run_process(self.impostor_attempt(
+                deployment, network, rest_server, impostor)())
+        # The policy was neither read nor deleted.
+        fetched = call(deployment, owner, "policy.read", name="ml_policy")
+        assert fetched.name == "ml_policy"
+
+    def test_certificate_with_no_key_is_refused(self, deployment, network,
+                                                rest_server):
+        rng = DeterministicRandom(b"keyless")
+
+        def main():
+            yield deployment.simulator.process(TLSConnection.connect(
+                network, "keyless", Site.SAME_DC, rest_server.endpoint, rng,
+                client_certificate=deployment.client.certificate))
+
+        with pytest.raises(CertificateError, match="prove"):
             deployment.simulator.run_process(main())
 
 

@@ -183,7 +183,7 @@ class TestConnection:
         net = Network(sim, rng.fork(b"net"))
         plan = FaultPlan(sim).duplicate_link("server", "client",
                                              probability=1.0)
-        plan.attach_network(net)
+        plan.attach(net)
         server = self.make_server(
             sim, net, lambda request, _session: {"echo": request})
 

@@ -1,15 +1,15 @@
-"""Tag-update write-path throughput: segments + group commit.
+"""Tag-update write-path throughput: the store's log + group commit.
 
 Not a paper figure — a repo-trajectory benchmark guarding the tag-update
 hot path. The latency *model* is pinned by Fig 11 (a sequential update
 still pays exactly one 22.5 ms disk commit); what this benchmark measures
 is the modeled *work per commit*:
 
-- **bytes written per update** on a 1,000-policy database: the segmented
-  store reseals only the dirty tables plus the manifest, so an update
-  must write at most a tenth of the sealed database on the volume (it
-  measures ~55x less, the same factor the former whole-document flush
-  lost by);
+- **bytes written per update**: the log-structured store appends one
+  sealed record of the changed key plus the manifest, so an update must
+  write at most a tenth of the sealed database on the volume (it measures
+  thousands of times less), and under 1 KiB whatever the number of
+  policies — compaction included, amortized over 200 updates;
 - **group-commit batching**: N concurrent ``update_tag`` callers coalesce
   into one ``DiskModel.commit``, finishing together in a single commit
   window, and leave the same durable state serial commits would.
@@ -48,8 +48,10 @@ def test_default_configuration(benchmark):
           f"-> {concurrent['disk_commits']} disk commit(s), "
           f"{concurrent['coalesced_commits']} coalesced")
 
-    # An update writes at most a tenth of the sealed database.
+    # An update writes at most a tenth of the sealed database, and under
+    # 1 KiB.
     assert ratio >= 10.0
+    assert sequential["bytes_written_per_update"] < 1024
     # The latency model is untouched: one disk commit per sequential
     # update, each paying the calibrated commit window.
     assert sequential["disk_commits"] == sequential["updates"]
@@ -65,6 +67,26 @@ def test_default_configuration(benchmark):
 
     export_experiment("results/tag_throughput.json", "tag_throughput",
                       extra=document)
+
+
+def test_bytes_per_update_do_not_grow_with_policies(benchmark):
+    """An update writes the same small record at 100 and 4,000 policies."""
+
+    def measure():
+        return {policies: tagbench.measure_sequential(policies, 200)
+                for policies in (100, 4000)}
+
+    documents = run_once(benchmark, measure)
+    written = {policies: document["bytes_written_per_update"]
+               for policies, document in documents.items()}
+    print()
+    print(format_table(["policies", "bytes/update"],
+                       [[policies, value]
+                        for policies, value in written.items()]))
+    for document in documents.values():
+        assert document["bytes_written_per_update"] < 1024
+        assert document["disk_commits"] == 200
+    assert written[4000] <= 1.5 * written[100]
 
 
 def test_coalesced_state_matches_serial(benchmark):

@@ -248,7 +248,8 @@ def _check_service_class(source: SourceFile,
 
 @rule("SRC106", "whole-database serialization on the flush path",
       scope="source", severity=Severity.ERROR,
-      hint="serialize dirty per-table segments, never the whole document")
+      hint="append a log record of the changed keys, never the whole "
+           "document")
 def check_whole_document_flush(source: SourceFile) -> Iterator[Finding]:
     for node in ast.walk(source.tree):
         if isinstance(node, ast.Call) and _is_whole_document_dump(node):
@@ -257,8 +258,36 @@ def check_whole_document_flush(source: SourceFile) -> Iterator[Finding]:
                 subject=source.display, line=node.lineno,
                 message=("pickle.dumps(self._data) serializes the whole "
                          "document per flush — the O(database) write path "
-                         "the segmented store exists to avoid"),
-                hint="reseal only dirty tables")
+                         "the log-structured store exists to avoid"),
+                hint="append a log record")
+
+
+@rule("SRC110", "whole-table snapshot forced on a request path",
+      scope="source", severity=Severity.ERROR,
+      hint="log the changed value with store.put(table, key, value)")
+def check_service_table_touch(source: SourceFile) -> Iterator[Finding]:
+    if source.module != "repro.core.service":
+        return
+    for node in source.tree.body:
+        if not (isinstance(node, ast.ClassDef)
+                and node.name == "PalaemonService"):
+            continue
+        for call in ast.walk(node):
+            if not (isinstance(call, ast.Call)
+                    and isinstance(call.func, ast.Attribute)
+                    and call.func.attr == "touch"):
+                continue
+            owner = call.func.value
+            if isinstance(owner, ast.Attribute) and owner.attr == "store":
+                yield Finding(
+                    code="SRC110", severity=Severity.ERROR,
+                    subject=source.display, line=call.lineno,
+                    message=("PalaemonService calls store.touch(), which "
+                             "reseals the whole table at the next flush; "
+                             "on a request path that costs O(policies) "
+                             "per write"),
+                    hint="log the changed value with store.put(table, "
+                         "key, value)")
 
 
 def _is_whole_document_dump(call: ast.Call) -> bool:

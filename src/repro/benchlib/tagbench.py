@@ -3,9 +3,10 @@
 Measures the cost of ``PalaemonService.update_tag`` — the paper's most
 frequent write — against a database of many policies, in two ways:
 
-- **sequential**: each update reseals only the dirty tables plus the
-  manifest, which must stay a small fraction of the sealed database
-  already on the volume;
+- **sequential**: each update appends one sealed log record of the changed
+  key plus the manifest (and now and then a compaction reseals the state
+  table), so it writes a small, constant number of bytes however many
+  policies the sealed database on the volume holds;
 - **concurrent**: N simultaneous updaters exercising the group-commit
   batching in :meth:`PolicyStore.commit`.
 
@@ -35,8 +36,8 @@ from repro.tee.platform import SGXPlatform
 DEFAULT_PAYLOAD_BYTES = 2048
 DEFAULT_POLICIES = 1000
 
-#: Every blob of the sealed database (manifest and segments) lives under
-#: this path on the volume; the sealed identity does not.
+#: Every blob of the sealed database (manifest, snapshots and log records)
+#: lives under this path on the volume; the sealed identity does not.
 _DATABASE_PATH_PREFIX = "/palaemon.db"
 
 
@@ -79,8 +80,9 @@ def measure_sequential(policies: int, updates: int,
                        ) -> Dict[str, Any]:
     """Sequential tag updates through the timed write path.
 
-    ``database_bytes`` is the sealed database left on the volume (segment
-    blobs plus manifest): the size a whole-document flush would rewrite.
+    ``database_bytes`` is the sealed database left on the volume
+    (snapshots, log records and manifest): the size a whole-document
+    flush would rewrite.
     """
     simulator, service = build_service(
         "tagbench-segmented", b"tagbench:segmented", policies,

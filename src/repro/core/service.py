@@ -403,8 +403,8 @@ class PalaemonService:
         for volume in updated.volumes:
             if volume.name not in volume_keys:
                 volume_keys[volume.name] = self._fresh_rng().bytes(32)
-        # The dicts above were mutated in place; re-put them so the dirty
-        # tracker reseals their segments on the next flush.
+        # The dicts above were mutated in place; re-put them so the next
+        # flush logs them.
         self.store.put("secrets", updated.name, existing_secrets)
         self.store.put("state", updated.name, state)
         self.store.put("fs_keys", updated.name, fs_keys)
@@ -483,7 +483,7 @@ class PalaemonService:
                 f"requires a board-approved policy update to restart")
         state.clean_exit = False  # session open; set true again on exit
         state.executions += 1
-        self.store.touch("state")
+        self._log_states(policy.name)
         secrets = self._resolve_secrets(policy)
         secret_bytes = {name: value.value for name, value in secrets.items()}
         injected = {}
@@ -558,7 +558,7 @@ class PalaemonService:
         policy.volume(volume_name)  # raises if undeclared
         tags = self.store.get("volume_tags", policy_name)
         tags[volume_name] = tag
-        self.store.touch("volume_tags")
+        self.store.put("volume_tags", policy_name, tags)
         self.store.commit_instant()
         self.telemetry.inc("palaemon_volume_tag_updates_total")
         self.telemetry.audit("volume_tag.update", policy=policy_name,
@@ -632,6 +632,11 @@ class PalaemonService:
                 f"no state for {policy_name!r}/{service_name!r}")
         return states[service_name]
 
+    def _log_states(self, policy_name: str) -> None:
+        """Log one policy's service states after an in-place change."""
+        self.store.put("state", policy_name,
+                       self.store.get("state", policy_name))
+
     def update_tag_instant(self, policy_name: str, service_name: str,
                            tag: bytes, clean_exit: bool = False) -> None:
         """Record a new expected tag (functional path, no latency)."""
@@ -640,7 +645,7 @@ class PalaemonService:
         state.expected_tag = tag
         if clean_exit:
             state.clean_exit = True
-        self.store.touch("state")
+        self._log_states(policy_name)
         self.store.commit_instant()
         self.telemetry.inc("palaemon_tag_updates_total")
         self.telemetry.audit("tag.update", policy=policy_name,
@@ -658,7 +663,7 @@ class PalaemonService:
             state.expected_tag = tag
             if clean_exit:
                 state.clean_exit = True
-            self.store.touch("state")
+            self._log_states(policy_name)
             yield self.simulator.process(self.store.commit())
             self.telemetry.observe("palaemon_tag_update_seconds",
                                    self.simulator.now - started)

@@ -8,18 +8,38 @@ clean-exit flags — and the **version number** ``v`` that pairs with the
 hardware monotonic counter ``c`` in the rollback protocol (Fig 6).
 
 Reads are served from enclave memory; *updates* commit to disk, which is why
-tag updates cost ~6x tag reads (Fig 11 left). To keep that commit cheap the
-database is persisted as **dirty-table segments**: each table seals to its
-own blob under the DB key, and a sealed manifest binds every segment hash to
-the database version. A tag update therefore re-encrypts only the tags
-table, not the whole document. A volume without a manifest opens as an
-empty database at version 0, which the Fig 6 check refuses once the
-counter is ahead.
+tag updates cost ~6x tag reads (Fig 11 left). Like SQLite's write-ahead log,
+the database is **log-structured** so that a commit writes what changed,
+not the tables it changed:
+
+- each table seals to a *snapshot* blob;
+- each flush appends one sealed *record* holding that batch's put and
+  delete operations, its associated data binding its log position — a tag
+  update writes one small record whatever the number of policies;
+- a sealed *manifest* binds the version, every snapshot hash, the log
+  length and a hash chain over the record blobs. Loading checks every
+  snapshot's hash, replays the records and re-derives the chain, so a
+  swapped, truncated, reordered or replayed record raises
+  :class:`IntegrityError`. A snapshot the hash has pinned is decrypted on
+  the first use of its table, so a restart opens only what it serves.
+
+Compaction has no knob: a flush whose record would push the log's sealed
+bytes past the sealed bytes of the snapshots of the tables the log touches
+reseals those tables instead and starts an empty log. The log, its replay
+and the amortized write therefore stay bounded by the snapshot size, and a
+bulk load writes snapshots directly. ``touch(table)`` forces a snapshot of
+that table at the next flush.
+
+Writes are crash-safe: records and snapshots go to fresh paths, the
+manifest is written last, and superseded blobs are deleted only after it,
+so a failure at any write leaves the old state loadable. A volume without
+a manifest opens as an empty database at version 0, which the Fig 6 check
+refuses once the counter is ahead.
 
 ``commit()`` adds **group-commit batching**: concurrent committers inside
 one disk-commit window coalesce into a single :meth:`DiskModel.commit`,
-with one leader flushing the dirty segments and waiters sharing its
-completion event (the classic write-ahead-log group commit).
+with one leader flushing the batch and waiters sharing its completion
+event (the classic write-ahead-log group commit).
 """
 
 from __future__ import annotations
@@ -29,15 +49,22 @@ from typing import Any, Dict, Generator, List, Optional, Set, Tuple
 
 from repro import calibration
 from repro.crypto.primitives import DeterministicRandom, sha256
-from repro.crypto.symmetric import SecretBox
-from repro.errors import IntegrityError, PolicyValidationError
+from repro.crypto.symmetric import NONCE_SIZE, TAG_SIZE, SecretBox
+from repro.errors import (IntegrityError, PolicyValidationError,
+                          StorageFaultError)
 from repro.fs.blockstore import BlockStore
 from repro.obs.telemetry import NULL_TELEMETRY, Telemetry
 from repro.sim.core import Event, Simulator
 from repro.sim.resources import DiskModel
 
 _MANIFEST_PATH = "/palaemon.db.manifest"
-_SEGMENT_PREFIX = "/palaemon.db.seg/"
+_MANIFEST_AD = b"palaemon-db-manifest"
+_SNAPSHOT_PREFIX = "/palaemon.db.snap/"
+_LOG_PREFIX = "/palaemon.db.log/"
+_LOG_GENESIS = b"\x00" * 32
+
+#: Sealing adds a nonce and a tag to the plaintext.
+_SEAL_OVERHEAD = NONCE_SIZE + TAG_SIZE
 
 _MISSING = object()
 
@@ -47,18 +74,29 @@ _COMMIT_LATENCY_SECONDS = (calibration.TAG_UPDATE_LATENCY_SECONDS
                            - calibration.TAG_READ_LATENCY_SECONDS)
 
 
-def _segment_path(table: str) -> str:
-    return _SEGMENT_PREFIX + table
+def _snapshot_path(table: str, slot: int) -> str:
+    return f"{_SNAPSHOT_PREFIX}{table}.{slot}"
 
 
-def _segment_ad(table: str) -> bytes:
-    # Bind each segment to its table name so blobs cannot be swapped
+def _snapshot_ad(table: str) -> bytes:
+    # Bind each snapshot to its table name so blobs cannot be swapped
     # between tables by the untrusted store.
-    return b"palaemon-db-segment:" + table.encode()
+    return b"palaemon-db-snapshot:" + table.encode()
+
+
+def _record_path(epoch: int, index: int) -> str:
+    # Successive epochs alternate between two sets of paths, so the
+    # volume's path set stays bounded; the associated data binds the
+    # whole epoch.
+    return f"{_LOG_PREFIX}{epoch % 2}.{index}"
+
+
+def _record_ad(epoch: int, index: int) -> bytes:
+    return b"palaemon-db-log:%d:%d" % (epoch, index)
 
 
 class PolicyStore:
-    """An encrypted, segment-persisted database with an explicit version."""
+    """An encrypted, log-structured database with an explicit version."""
 
     def __init__(self, simulator: Simulator, store: BlockStore,
                  db_key: bytes, rng: DeterministicRandom,
@@ -70,11 +108,25 @@ class PolicyStore:
         self.disk = DiskModel(simulator, _COMMIT_LATENCY_SECONDS,
                               name="palaemon-db-disk")
         self._data: Dict[str, Any] = {"version": 0, "tables": {}}
-        # Dirty tracking: which tables (and whether the version) changed
-        # since the last flush; only those are re-sealed and rewritten.
+        # Changes since the last flush: keys to log (insertion-ordered, so
+        # records are deterministic), tables to snapshot whole, and whether
+        # the version moved.
+        self._dirty_keys: Dict[Tuple[str, str], None] = {}
         self._dirty_tables: Set[str] = set()
         self._meta_dirty = False
-        self._segment_hashes: Dict[str, bytes] = {}
+        # What the durable manifest binds: each table's snapshot as
+        # (slot, hash, sealed size), and the log of the current epoch. A
+        # snapshot alternates between two slots, so a new one never
+        # overwrites the durable one.
+        self._snapshots: Dict[str, Tuple[int, bytes, int]] = {}
+        # Loaded snapshot blobs not yet decrypted: the manifest's hash
+        # already pinned each one, so a table is opened on first use.
+        self._unopened: Dict[str, bytes] = {}
+        self._epoch = 0
+        self._log_length = 0
+        self._log_head = _LOG_GENESIS
+        self._log_bytes = 0
+        self._log_tables: Set[str] = set()
         self._keys_cache: Dict[str, List[str]] = {}
         # Group commit: a monotonically increasing mutation ticket, the
         # active-leader flag, and the queue of (ticket, event) waiters.
@@ -86,68 +138,143 @@ class PolicyStore:
 
     # -- persistence -----------------------------------------------------
 
-    def _load(self) -> None:
-        sealed = self.store.read(_MANIFEST_PATH)
+    def _read(self, path: str, what: str) -> bytes:
         try:
-            payload = self._box.open(sealed,
-                                     associated_data=b"palaemon-db-manifest")
+            return self.store.read(path)
+        except FileNotFoundError:
+            raise IntegrityError(
+                f"policy database {what} is missing from the "
+                f"volume") from None
+
+    def _open(self, blob: bytes, associated_data: bytes, what: str) -> Any:
+        try:
+            payload = self._box.open(blob, associated_data=associated_data)
         except IntegrityError:
             raise IntegrityError(
-                "policy database manifest failed integrity "
-                "verification") from None
-        manifest = pickle.loads(payload)
-        tables: Dict[str, Any] = {}
-        hashes: Dict[str, bytes] = {}
-        for table, expected_hash in sorted(manifest["segments"].items()):
-            blob = self.store.read(_segment_path(table))
-            if sha256(blob) != expected_hash:
-                # A swapped or stale segment: its hash no longer matches
+                f"policy database {what} failed integrity "
+                f"verification") from None
+        return pickle.loads(payload)
+
+    def _load(self) -> None:
+        version, epoch, length, head, snapshots = self._open(
+            self._read(_MANIFEST_PATH, "manifest"), _MANIFEST_AD, "manifest")
+        self._data["version"] = version
+        for table, (slot, digest) in snapshots.items():
+            what = f"snapshot {table!r}"
+            blob = self._read(_snapshot_path(table, slot), what)
+            if sha256(blob) != digest:
+                # A swapped or stale snapshot: its hash no longer matches
                 # what the sealed manifest committed to.
                 raise IntegrityError(
-                    f"policy database segment {table!r} does not match "
-                    f"the sealed manifest")
-            try:
-                segment = self._box.open(
-                    blob, associated_data=_segment_ad(table))
-            except IntegrityError:
-                raise IntegrityError(
-                    f"policy database segment {table!r} failed integrity "
-                    f"verification") from None
-            tables[table] = pickle.loads(segment)
-            hashes[table] = expected_hash
-        self._data = {"version": manifest["version"], "tables": tables}
-        self._segment_hashes = hashes
+                    f"policy database {what} does not match the sealed "
+                    f"manifest")
+            self._unopened[table] = blob
+            self._snapshots[table] = (slot, digest, len(blob))
+        chain = _LOG_GENESIS
+        for index in range(length):
+            what = f"log record {epoch}.{index}"
+            blob = self._read(_record_path(epoch, index), what)
+            chain = sha256(chain, blob)
+            # Each operation is a (table, key, value) put or a (table, key)
+            # delete.
+            for operation in self._open(blob, _record_ad(epoch, index), what):
+                rows = self.table(operation[0])
+                if len(operation) == 3:
+                    rows[operation[1]] = operation[2]
+                else:
+                    rows.pop(operation[1], None)
+                self._log_tables.add(operation[0])
+            self._log_bytes += len(blob)
+        if chain != head:
+            raise IntegrityError(
+                "policy database log does not match the sealed manifest: "
+                "a record was swapped, reordered, truncated or replayed")
+        self._epoch, self._log_length, self._log_head = epoch, length, head
 
     def _flush(self) -> None:
-        """Reseal and rewrite only the dirty segments plus the manifest."""
-        if not self._dirty_tables and not self._meta_dirty:
+        """Append one log record (or compact), then rewrite the manifest."""
+        if not (self._dirty_keys or self._dirty_tables or self._meta_dirty):
             return
-        bytes_written = 0
-        for table in sorted(self._dirty_tables):
-            payload = pickle.dumps(self._data["tables"][table])
-            blob = self._box.seal(payload,
-                                  associated_data=_segment_ad(table))
-            self.store.write(_segment_path(table), blob)
-            self._segment_hashes[table] = sha256(blob)
-            bytes_written += len(blob)
-        manifest_payload = pickle.dumps({
-            "version": self._data["version"],
-            "segments": dict(sorted(self._segment_hashes.items())),
-        })
-        manifest_blob = self._box.seal(
-            manifest_payload, associated_data=b"palaemon-db-manifest")
-        self.store.write(_MANIFEST_PATH, manifest_blob)
-        bytes_written += len(manifest_blob)
+        tables = self._data["tables"]
+        operations = []
+        for table, key in self._dirty_keys:
+            if table not in self._dirty_tables:
+                value = tables[table].get(key, _MISSING)
+                operations.append((table, key) if value is _MISSING
+                                  else (table, key, value))
+        log_tables = self._log_tables | {operation[0]
+                                         for operation in operations}
+        epoch, length, head = self._epoch, self._log_length, self._log_head
+        log_bytes = self._log_bytes
+        record = None
+        if operations and not self._dirty_tables:
+            room = sum(self._snapshots[table][2] for table in log_tables
+                       if table in self._snapshots)
+            room -= log_bytes + _SEAL_OVERHEAD
+            if room > 0:
+                record = pickle.dumps(operations)
+                if len(record) > room:
+                    record = None  # the compaction's snapshots hold it
+        snapshots = dict(self._snapshots)
+        writes: List[Tuple[str, bytes]] = []
+        superseded: List[str] = []
+        if record is not None:
+            blob = self._box.seal(
+                record, associated_data=_record_ad(epoch, length))
+            writes.append((_record_path(epoch, length), blob))
+            head = sha256(head, blob)
+            length += 1
+            log_bytes += len(blob)
+        elif operations or self._dirty_tables:
+            # Compact: reseal every table the log (or this batch) touches
+            # and start an empty log in a fresh epoch.
+            superseded = [_record_path(epoch, index)
+                          for index in range(length)]
+            epoch += 1
+            for table in sorted(log_tables | self._dirty_tables):
+                blob = self._box.seal(
+                    pickle.dumps(self.table(table)),
+                    associated_data=_snapshot_ad(table))
+                slot = 0
+                if table in snapshots:
+                    slot = 1 - snapshots[table][0]
+                    superseded.append(_snapshot_path(table, 1 - slot))
+                snapshots[table] = (slot, sha256(blob), len(blob))
+                writes.append((_snapshot_path(table, slot), blob))
+            length, head, log_bytes, log_tables = 0, _LOG_GENESIS, 0, set()
+        manifest = pickle.dumps((
+            self._data["version"], epoch, length, head,
+            {table: (slot, digest) for table, (slot, digest, _size)
+             in sorted(snapshots.items())}))
+        writes.append((_MANIFEST_PATH, self._box.seal(
+            manifest, associated_data=_MANIFEST_AD)))
+        written: List[str] = []
+        try:
+            for path, blob in writes:
+                self.store.write(path, blob)
+                written.append(path)
+        except StorageFaultError:
+            # The manifest on the volume still names only the old blobs.
+            for path in written:
+                self.store.delete(path)
+            raise
+        for path in superseded:
+            if self.store.exists(path):
+                self.store.delete(path)
+        self._snapshots = snapshots
+        self._epoch, self._log_length, self._log_head = epoch, length, head
+        self._log_bytes, self._log_tables = log_bytes, log_tables
+        self._dirty_keys.clear()
         self._dirty_tables.clear()
         self._meta_dirty = False
         self.telemetry.inc("palaemon_db_segment_bytes_written",
-                           amount=bytes_written)
+                           amount=sum(len(blob) for _path, blob in writes))
 
     def commit(self) -> Generator[Event, Any, None]:
         """Durably persist the database (simulated disk latency).
 
         Group commit: the first caller becomes the *leader* — it flushes
-        the dirty segments and pays one :meth:`DiskModel.commit`. Callers
+        the batch and pays one :meth:`DiskModel.commit`. Callers
         arriving while a commit is in flight enqueue as *waiters*; any
         waiter whose mutations were captured by the leader's flush shares
         the leader's completion, so N concurrent tag updates coalesce into
@@ -221,12 +348,18 @@ class PolicyStore:
     # -- tables ------------------------------------------------------------
 
     def table(self, name: str) -> Dict[str, Any]:
-        """A named table (a dict); created on first use."""
-        return self._data["tables"].setdefault(name, {})
+        """A named table (a dict); opened or created on first use."""
+        tables = self._data["tables"]
+        if name not in tables:
+            blob = self._unopened.pop(name, None)
+            tables[name] = {} if blob is None else self._open(
+                blob, _snapshot_ad(name), f"snapshot {name!r}")
+        return tables[name]
 
     def put(self, table: str, key: str, value: Any) -> None:
+        """Set ``key``; also the way to log an in-place mutated value."""
         self.table(table)[key] = value
-        self._mark_dirty(table)
+        self._mark_dirty(table, key)
 
     def get(self, table: str, key: str, default: Any = None) -> Any:
         return self.table(table).get(key, default)
@@ -234,20 +367,19 @@ class PolicyStore:
     def delete(self, table: str, key: str) -> bool:
         """Remove ``key``; returns whether it existed.
 
-        Only an actual removal dirties the table — deleting a missing key
-        must not force a segment rewrite on the next flush.
+        Only an actual removal is logged — deleting a missing key must not
+        force a write on the next flush.
         """
         removed = self.table(table).pop(key, _MISSING) is not _MISSING
         if removed:
-            self._mark_dirty(table)
+            self._mark_dirty(table, key)
         return removed
 
     def touch(self, table: str) -> None:
-        """Mark ``table`` dirty after an in-place mutation of a value.
+        """Snapshot the whole of ``table`` at the next flush.
 
-        ``put``/``delete`` track dirtiness themselves, but callers that
-        mutate a stored object directly (e.g. flipping a state flag) must
-        call this so the segment is rewritten on the next flush.
+        For bulk in-place mutation of many values; a single changed value
+        is cheaper to log with :meth:`put`.
         """
         self.table(table)
         self._mark_dirty(table)
@@ -263,7 +395,10 @@ class PolicyStore:
         table, key = table_key
         return key in self.table(table)
 
-    def _mark_dirty(self, table: str) -> None:
-        self._dirty_tables.add(table)
+    def _mark_dirty(self, table: str, key: Optional[str] = None) -> None:
+        if key is None:
+            self._dirty_tables.add(table)
+        else:
+            self._dirty_keys[(table, key)] = None
         self._keys_cache.pop(table, None)
         self._mutations += 1

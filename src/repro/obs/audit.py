@@ -17,6 +17,12 @@ comparing :meth:`AuditLog.head` against an externally anchored head hash
 The log is in-enclave state: an operator can read it out, but can only
 produce a *consistent* forgery by breaking SHA-256 or compromising the
 enclave itself — both outside the paper's threat model.
+
+A long-running service audits without end, so the log keeps only the
+newest :data:`MAX_AUDIT_RECORDS` records in memory. It remembers how many
+records it dropped and the hash of the last of them, so ``len()`` still
+counts every record, :meth:`AuditLog.head` is unchanged, and
+:meth:`AuditLog.verify_chain` walks the retained tail from that hash.
 """
 
 from __future__ import annotations
@@ -30,6 +36,9 @@ from repro.errors import IntegrityError
 
 #: The chain anchor for the first record.
 GENESIS_HASH = b"\x00" * 32
+
+#: Records a log keeps in memory.
+MAX_AUDIT_RECORDS = 1024
 
 
 def sanitize_details(details: Dict[str, object]) -> Dict[str, object]:
@@ -79,16 +88,24 @@ class AuditRecord:
 
 
 class AuditLog:
-    """An append-only record chain on an injected (simulator) clock."""
+    """An append-only record chain on an injected (simulator) clock.
+
+    ``records`` is the retained tail in sequence order, at most
+    :data:`MAX_AUDIT_RECORDS` long.
+    """
 
     def __init__(self, clock: Callable[[], float]) -> None:
         self._clock = clock
         self.records: List[AuditRecord] = []
+        # The trimmed prefix: how many records went, and the hash of the
+        # last of them, which the first retained record chains to.
+        self._dropped = 0
+        self._base_hash = GENESIS_HASH
 
     def append(self, kind: str, **details: object) -> AuditRecord:
         """Append one event; returns the chained record."""
         clean = sanitize_details(details)
-        sequence = len(self.records)
+        sequence = len(self)
         timestamp = self._clock()
         previous = self.head()
         record = AuditRecord(
@@ -97,24 +114,30 @@ class AuditLog:
             record_hash=record_digest(sequence, timestamp, kind, clean,
                                       previous))
         self.records.append(record)
+        if len(self.records) > MAX_AUDIT_RECORDS:
+            self._base_hash = self.records.pop(0).record_hash
+            self._dropped += 1
         return record
 
     def head(self) -> bytes:
         """The hash of the newest record (the value to anchor externally)."""
-        return self.records[-1].record_hash if self.records else GENESIS_HASH
+        return (self.records[-1].record_hash if self.records
+                else self._base_hash)
 
     def __len__(self) -> int:
-        return len(self.records)
+        """Every record ever appended, trimmed ones included."""
+        return self._dropped + len(self.records)
 
     def verify_chain(self, expected_head: Optional[bytes] = None) -> int:
         """Re-derive the chain; raises :class:`IntegrityError` on tampering.
 
-        Returns the number of verified records. Passing ``expected_head``
-        (an externally anchored copy of :meth:`head`) additionally detects
-        truncation of the log tail, which a pure chain walk cannot.
+        Returns the number of verified (retained) records. Passing
+        ``expected_head`` (an externally anchored copy of :meth:`head`)
+        additionally detects truncation of the log tail, which a pure
+        chain walk cannot.
         """
-        previous = GENESIS_HASH
-        for index, record in enumerate(self.records):
+        previous = self._base_hash
+        for index, record in enumerate(self.records, start=self._dropped):
             if record.sequence != index:
                 raise IntegrityError(
                     f"audit record at position {index} carries sequence "

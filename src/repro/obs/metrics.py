@@ -20,6 +20,9 @@ from typing import Dict, Iterator, List, Tuple
 
 from repro.sim.metrics import LatencySummary, summarize
 
+#: Samples a histogram keeps for its quantiles.
+MAX_HISTOGRAM_SAMPLES = 1024
+
 #: A label set in canonical form: sorted (key, value) pairs.
 LabelSet = Tuple[Tuple[str, str], ...]
 
@@ -68,9 +71,12 @@ class Gauge:
 class Histogram:
     """A distribution of observations (latencies, batch sizes).
 
-    Raw samples are retained; summaries are computed on demand through the
-    shared :func:`repro.sim.metrics.summarize` so percentile semantics match
-    the benchmark harness exactly.
+    ``count`` and ``total`` cover every observation. Raw samples are kept
+    for the newest :data:`MAX_HISTOGRAM_SAMPLES` observations — a sliding
+    window, like a Prometheus summary's — so memory stays bounded on a
+    long-running service. Summaries of that window are computed on demand
+    through the shared :func:`repro.sim.metrics.summarize` so percentile
+    semantics match the benchmark harness exactly.
     """
 
     kind = "histogram"
@@ -79,15 +85,15 @@ class Histogram:
         self.name = name
         self.labels = labels
         self.samples: List[float] = []
+        self.count = 0
         self.total = 0.0
 
     def observe(self, value: float) -> None:
         self.samples.append(float(value))
+        self.count += 1
         self.total += value
-
-    @property
-    def count(self) -> int:
-        return len(self.samples)
+        if len(self.samples) > MAX_HISTOGRAM_SAMPLES:
+            del self.samples[0]
 
     def summary(self) -> LatencySummary:
         return summarize(self.samples, name=self.name)

@@ -232,6 +232,35 @@ class TestWholeDocumentFlush:
         assert lint(tmp_path) == []
 
 
+class TestServiceTableTouch:
+    def test_touch_in_service_flagged(self, tmp_path):
+        write_module(tmp_path, "repro.core.service", """\
+            class PalaemonService:
+                def update_tag(self, name, tag):
+                    self.store.get("state", name).expected_tag = tag
+                    self.store.touch("state")
+                    self.telemetry.audit("tag.update", policy=name)
+            """)
+        findings = lint(tmp_path)
+        assert [(finding.code, finding.line) for finding in findings] == [
+            ("SRC110", 4)]
+
+    def test_put_in_service_and_touch_elsewhere_are_fine(self, tmp_path):
+        write_module(tmp_path, "repro.core.service", """\
+            class PalaemonService:
+                def update_tag(self, name, tag):
+                    states = self.store.get("state", name)
+                    states.expected_tag = tag
+                    self.store.put("state", name, states)
+                    self.telemetry.audit("tag.update", policy=name)
+            """)
+        write_module(tmp_path, "repro.benchlib.seed", """\
+            def seed(service):
+                service.store.touch("state")
+            """)
+        assert lint(tmp_path) == []
+
+
 class TestRawEndpointTraffic:
     def test_hand_rolled_channel_flagged(self, tmp_path):
         write_module(tmp_path, "repro.core.bad", """\

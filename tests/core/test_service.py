@@ -7,7 +7,6 @@ from repro.core.attestation import AttestationEvidence
 from repro.core.policy import ImportSpec, VolumeSpec
 from repro.core.secrets import SecretKind, SecretSpec
 from repro.core.service import PalaemonService
-from repro.core.store import _segment_path
 from repro.crypto.primitives import DeterministicRandom, sha256
 from repro.crypto.signatures import KeyPair
 from repro.errors import (
@@ -375,8 +374,8 @@ class TestSecretImportExport:
     def test_repeated_import_attestation_leaves_secrets_alone(self,
                                                               deployment):
         """Attesting an importer reads the exporter's secret; it never
-        reseals the secrets segment, and every attest writes the same
-        number of database bytes."""
+        reseals the secrets snapshot, and every attest logs a record of
+        the same size."""
         producer = deployment.make_policy(
             name="producer", secrets=[SecretSpec(
                 name="MODEL_KEY", kind=SecretKind.RANDOM,
@@ -388,16 +387,27 @@ class TestSecretImportExport:
                                 secret_name="MODEL_KEY")])
         deployment.client.create_policy(deployment.palaemon, consumer)
         volume = deployment.volume
-        secrets_segment = _segment_path("secrets")
-        generation = volume.generation(secrets_segment)
-        written = []
+        secrets_snapshots = [path for path in volume.list()
+                             if path.startswith("/palaemon.db.snap/secrets.")]
+        assert len(secrets_snapshots) == 1
+        generation = volume.generation(secrets_snapshots[0])
+        writes = []
+        original_write = volume.write
+
+        def recording_write(path, data):
+            writes.append((path, len(data)))
+            original_write(path, data)
+
+        volume.write = recording_write
         for _ in range(4):
-            before = volume.bytes_written
             deployment.palaemon.attest_application(
                 deployment.evidence_for("consumer"))
-            written.append(volume.bytes_written - before)
-        assert volume.generation(secrets_segment) == generation
-        assert len(set(written)) == 1
+        assert volume.generation(secrets_snapshots[0]) == generation
+        assert not [path for path, _size in writes
+                    if path.startswith("/palaemon.db.snap/secrets.")]
+        record_sizes = {size for path, size in writes
+                        if path.startswith("/palaemon.db.log/")}
+        assert len(record_sizes) == 1
 
     def test_import_from_unknown_policy(self, deployment):
         consumer = deployment.make_policy(

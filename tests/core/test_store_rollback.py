@@ -27,6 +27,96 @@ def make_store(store=None, seed=b"store-tests", sim=None):
                        rng.fork(b"store")), store, sim
 
 
+def snapshot_path(backing, table):
+    """The one snapshot blob of ``table`` on the volume."""
+    [path] = [path for path in backing.list()
+              if path.startswith(f"/palaemon.db.snap/{table}.")]
+    return path
+
+
+def logged_store():
+    """A store whose current epoch holds three log records, plus a clone
+    of its volume taken before the third one."""
+    db, backing, _ = make_store()
+    for index in range(20):
+        db.put("t", f"k{index}", b"v%d" % index)
+    db.commit_instant()  # the first flush writes snapshots
+    db.put("t", "k1", b"first")
+    db.commit_instant()
+    db.put("t", "k2", b"second")
+    db.commit_instant()
+    clone = BlockStore()
+    clone.restore(backing.snapshot())
+    db.put("t", "k3", b"third")
+    db.commit_instant()
+    records = [path for path in backing.list()
+               if path.startswith("/palaemon.db.log/")]
+    assert len(records) == 3
+    return db, backing, clone, records
+
+
+class TestLogTampering:
+    """Every way of editing the log on the volume raises IntegrityError."""
+
+    def test_untouched_log_replays(self):
+        _, backing, _, _ = logged_store()
+        reopened, _, _ = make_store(store=backing)
+        assert reopened.get("t", "k3") == b"third"
+        assert reopened.get("t", "k4") == b"v4"
+
+    def test_swapped_record_detected(self):
+        """A validly sealed record for the same position, from a fork of
+        the volume, fails the manifest's hash chain."""
+        _, backing, clone, records = logged_store()
+        forked, _, _ = make_store(store=clone)
+        forked.put("t", "k3", b"forked")
+        forked.commit_instant()
+        backing.tamper(records[2], clone.read(records[2]))
+        with pytest.raises(IntegrityError, match="log does not match"):
+            make_store(store=backing)
+
+    def test_truncated_log_detected(self):
+        _, backing, _, records = logged_store()
+        backing.delete(records[2])
+        with pytest.raises(IntegrityError, match="missing"):
+            make_store(store=backing)
+
+    def test_truncated_record_detected(self):
+        _, backing, _, records = logged_store()
+        backing.tamper(records[1], backing.read(records[1])[:-8])
+        with pytest.raises(IntegrityError):
+            make_store(store=backing)
+
+    def test_reordered_records_detected(self):
+        _, backing, _, records = logged_store()
+        first, second = backing.read(records[0]), backing.read(records[1])
+        backing.tamper(records[0], second)
+        backing.tamper(records[1], first)
+        with pytest.raises(IntegrityError):
+            make_store(store=backing)
+
+    def test_replayed_record_detected(self):
+        """A record from an earlier epoch that used the same path cannot
+        stand in for the current one."""
+        db, backing, _, records = logged_store()
+        old = backing.read(records[0])
+        for _ in range(2):  # two compactions: back on the same paths
+            db.touch("t")
+            db.commit_instant()
+        db.put("t", "k1", b"again")
+        db.commit_instant()
+        assert backing.exists(records[0])
+        backing.tamper(records[0], old)
+        with pytest.raises(IntegrityError):
+            make_store(store=backing)
+
+    def test_record_copied_to_another_position_detected(self):
+        _, backing, _, records = logged_store()
+        backing.tamper(records[2], backing.read(records[1]))
+        with pytest.raises(IntegrityError):
+            make_store(store=backing)
+
+
 class TestPolicyStore:
     def test_put_get_delete(self):
         db, _, _ = make_store()
@@ -61,13 +151,13 @@ class TestPolicyStore:
         db.commit_instant()
         assert backing.scan_for(b"plaintext-secret-value") == []
 
-    def test_segment_tampering_detected(self):
+    def test_snapshot_tampering_detected(self):
         db, backing, _ = make_store()
         db.put("t", "k", "v")
         db.commit_instant()
-        raw = backing.read("/palaemon.db.seg/t")
-        backing.tamper("/palaemon.db.seg/t",
-                       raw[:-1] + bytes([raw[-1] ^ 1]))
+        path = snapshot_path(backing, "t")
+        raw = backing.read(path)
+        backing.tamper(path, raw[:-1] + bytes([raw[-1] ^ 1]))
         with pytest.raises(IntegrityError):
             make_store(store=backing)
 
@@ -81,15 +171,15 @@ class TestPolicyStore:
         with pytest.raises(IntegrityError):
             make_store(store=backing)
 
-    def test_segment_swap_detected(self):
-        """A segment replayed from an older commit fails the manifest."""
+    def test_snapshot_swap_detected(self):
+        """A snapshot replayed from an older commit fails the manifest."""
         db, backing, _ = make_store()
         db.put("t", "k", "old")
         db.commit_instant()
-        stale = backing.read("/palaemon.db.seg/t")
+        stale = backing.read(snapshot_path(backing, "t"))
         db.put("t", "k", "new")
         db.commit_instant()
-        backing.tamper("/palaemon.db.seg/t", stale)
+        backing.tamper(snapshot_path(backing, "t"), stale)
         with pytest.raises(IntegrityError):
             make_store(store=backing)
 

@@ -1,9 +1,10 @@
-"""Tests for dirty-segment persistence and group commit.
+"""Tests for log-structured persistence and group commit.
 
 Companion to ``test_store_rollback.py``: that file covers integrity and
 the Fig 6 version protocol; this one covers the write-path mechanics —
-which segments get rewritten, and how concurrent committers coalesce
-into one disk commit.
+what a flush writes (a log record or snapshots), when the log compacts,
+that a failed write never breaks the database, and how concurrent
+committers coalesce into one disk commit.
 """
 
 import pytest
@@ -11,6 +12,8 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.store import PolicyStore
 from repro.crypto.primitives import DeterministicRandom
+from repro.crypto.symmetric import SecretBox
+from repro.errors import StorageFaultError
 from repro.fs.blockstore import BlockStore
 from repro.obs.telemetry import Telemetry
 from repro.sim.core import Simulator
@@ -24,12 +27,26 @@ def make_store(store=None, seed=b"segment-tests", sim=None, telemetry=None):
                        rng.fork(b"store"), telemetry=telemetry), store, sim
 
 
-def apply_operations(db, operations):
+def apply_operations(db, operations, model=None):
     for operation, table, key, value in operations:
         if operation == "put":
             db.put(table, key, value)
+            if model is not None:
+                model.setdefault(table, {})[key] = value
         else:
             db.delete(table, key)
+            if model is not None:
+                model.get(table, {}).pop(key, None)
+
+
+def assert_holds(db, model, tables):
+    for table in tables:
+        assert db.table(table) == model.get(table, {})
+        assert db.keys(table) == sorted(model.get(table, {}))
+
+
+def paths(backing, prefix):
+    return [path for path in backing.list() if path.startswith(prefix)]
 
 
 #: Random put/delete sequences over a small table/key alphabet, so
@@ -40,6 +57,30 @@ OPERATIONS = st.lists(
               st.sampled_from([f"k{i}" for i in range(6)]),
               st.binary(max_size=16)),
     max_size=30)
+
+
+#: Each table starts with twelve keys of ~40 bytes, so its snapshot
+#: outweighs a few log records and flushes append before they compact.
+SEED_OPERATIONS = [("put", table, f"k{index}", b"seed-%d" % index * 5)
+                   for table in ("policies", "state") for index in range(12)]
+
+#: Long runs of small batches over the seeded tables.
+BATCHES = st.lists(
+    st.lists(st.tuples(st.sampled_from(["put", "put", "delete"]),
+                       st.sampled_from(["policies", "state"]),
+                       st.sampled_from([f"k{i}" for i in range(14)]),
+                       st.binary(min_size=8, max_size=40)),
+             min_size=1, max_size=3),
+    min_size=10, max_size=40)
+
+
+def referenced_blobs(db):
+    """Every snapshot and record path the store's manifest names."""
+    blobs = [f"/palaemon.db.snap/{table}.{slot}"
+             for table, (slot, _hash, _size) in db._snapshots.items()]
+    blobs += [f"/palaemon.db.log/{db._epoch % 2}.{index}"
+              for index in range(db._log_length)]
+    return sorted(blobs)
 
 
 class TestSegmentedPersistence:
@@ -66,6 +107,68 @@ class TestSegmentedPersistence:
             assert reopened.table(table) == model.get(table, {})
             assert reopened.keys(table) == sorted(model.get(table, {}))
 
+    @settings(max_examples=30, deadline=None)
+    @given(BATCHES)
+    def test_round_trips_across_compactions(self, batches):
+        """Long runs of flushes append to the log and cross the compaction
+        boundary; a store reopened at any point — straight after a
+        compaction, or at the end — holds what the dict model holds."""
+        db, backing, _ = make_store(seed=b"rt-log")
+        model = {}
+        apply_operations(db, SEED_OPERATIONS, model)
+        db.commit_instant()
+        for batch in batches:
+            apply_operations(db, batch, model)
+            epoch = db._epoch
+            db.commit_instant()
+            if db._epoch != epoch:
+                db, _, _ = make_store(store=backing, seed=b"rt-log")
+                assert_holds(db, model, ("policies", "state"))
+        reopened, _, _ = make_store(store=backing, seed=b"rt-log")
+        assert_holds(reopened, model, ("policies", "state"))
+
+    def test_log_stays_within_the_snapshots_it_covers(self):
+        """Puts append records until the log would outgrow the snapshots
+        of the tables it touches; that flush compacts instead."""
+        db, backing, _ = make_store()
+        apply_operations(db, SEED_OPERATIONS)
+        db.commit_instant()
+        snapshot_bytes = sum(len(backing.read(path)) for path in
+                             paths(backing, "/palaemon.db.snap/state."))
+        epochs = []
+        for index in range(60):
+            db.put("state", "k1", b"%02d" % index + b"x" * 30)
+            db.commit_instant()
+            epochs.append(db._epoch)
+            log_bytes = sum(len(backing.read(path)) for path in
+                            paths(backing, "/palaemon.db.log/"))
+            assert log_bytes <= snapshot_bytes
+        assert epochs[-1] - epochs[0] >= 2  # compacted more than once
+        assert len(set(epochs)) < len(epochs) // 2  # mostly appends
+        reopened, _, _ = make_store(store=backing)
+        assert reopened.get("state", "k1") == b"59" + b"x" * 30
+
+    def test_snapshots_open_on_first_use(self, monkeypatch):
+        """Loading hash-checks every snapshot but decrypts a table only
+        when it is first used."""
+        db, backing, _ = make_store()
+        db.put("policies", "p1", {"name": "p1"})
+        db.put("state", "p1", {"flag": True})
+        db.commit_instant()
+        opened = []
+        original = SecretBox.open
+
+        def recording_open(box, sealed, associated_data=b""):
+            opened.append(associated_data)
+            return original(box, sealed, associated_data)
+
+        monkeypatch.setattr(SecretBox, "open", recording_open)
+        reopened, _, _ = make_store(store=backing)
+        assert opened == [b"palaemon-db-manifest"]
+        assert reopened.get("state", "p1") == {"flag": True}
+        assert reopened.keys("state") == ["p1"]
+        assert opened[1:] == [b"palaemon-db-snapshot:state"]
+
     def test_clean_commit_writes_nothing(self):
         db, backing, _ = make_store()
         db.put("tags", "app", b"tag")
@@ -74,18 +177,27 @@ class TestSegmentedPersistence:
         db.commit_instant()
         assert backing.write_count == writes
 
-    def test_only_dirty_segments_rewritten(self):
+    def test_only_dirty_keys_logged(self):
+        """An update of one key appends one log record and rewrites no
+        snapshot, neither its own table's nor a clean one's."""
         db, backing, _ = make_store()
-        db.put("tags", "app", b"tag")
+        for index in range(20):
+            db.put("tags", f"app-{index}", b"tag-%d" % index)
         db.put("policies", "p1", {"name": "p1"})
         db.commit_instant()
-        clean_generation = backing.generation("/palaemon.db.seg/policies")
-        dirty_generation = backing.generation("/palaemon.db.seg/tags")
-        db.put("tags", "app", b"tag-v2")
+        snapshots = {path: backing.generation(path)
+                     for path in paths(backing, "/palaemon.db.snap/")}
+        assert sorted(snapshots) == ["/palaemon.db.snap/policies.0",
+                                     "/palaemon.db.snap/tags.0"]
+        db.put("tags", "app-3", b"tag-v2")
         db.commit_instant()
-        assert backing.generation("/palaemon.db.seg/tags") > dirty_generation
-        assert (backing.generation("/palaemon.db.seg/policies")
-                == clean_generation)
+        assert {path: backing.generation(path)
+                for path in snapshots} == snapshots
+        [record] = paths(backing, "/palaemon.db.log/")
+        assert b"tag-v2" not in backing.read(record)  # sealed
+        reopened, _, _ = make_store(store=backing)
+        assert reopened.get("tags", "app-3") == b"tag-v2"
+        assert reopened.get("policies", "p1") == {"name": "p1"}
 
     def test_delete_dirties_only_on_removal(self):
         db, backing, _ = make_store()
@@ -116,11 +228,78 @@ class TestSegmentedPersistence:
         db, backing, _ = make_store()
         db.put("state", "p1", {"flag": False})
         db.commit_instant()
+        assert paths(backing, "/palaemon.db.snap/") == [
+            "/palaemon.db.snap/state.0"]
         db.get("state", "p1")["flag"] = True  # in-place mutation
         db.touch("state")
         db.commit_instant()
+        # The whole table is resealed to the other slot; nothing is logged.
+        assert paths(backing, "/palaemon.db.snap/") == [
+            "/palaemon.db.snap/state.1"]
+        assert paths(backing, "/palaemon.db.log/") == []
         reopened, _, _ = make_store(store=backing)
         assert reopened.get("state", "p1") == {"flag": True}
+
+
+class FailingStore(BlockStore):
+    """A block store whose ``fail_at``-th next write raises, once."""
+
+    fail_at = None
+
+    def write(self, path, data):
+        if self.fail_at == 0:
+            self.fail_at = None
+            raise StorageFaultError(f"injected write failure on {path!r}")
+        if self.fail_at is not None:
+            self.fail_at -= 1
+        super().write(path, data)
+
+
+class TestCrashSafeWrites:
+    """A failed block-store write at any point of a flush leaves the
+    volume loading exactly the old state; the retried flush the new."""
+
+    def old_state(self):
+        db, backing, _ = make_store(store=FailingStore(), seed=b"crash")
+        model = {}
+        apply_operations(db, SEED_OPERATIONS, model)
+        db.commit_instant()
+        apply_operations(db, [("put", "state", "k2", b"logged")], model)
+        db.commit_instant()  # one record in the log
+        return db, backing, model
+
+    @pytest.mark.parametrize("flush", ["append", "compaction"])
+    def test_every_write_of_a_flush_can_fail(self, flush):
+        def mutate(db, model):
+            apply_operations(db, [("put", "state", "k3", b"new"),
+                                  ("delete", "policies", "k4", b"")],
+                             model)
+            if flush == "compaction":
+                db.touch("state")  # reseals state and policies
+
+        db, backing, model = self.old_state()
+        writes = backing.write_count
+        mutate(db, {})
+        epoch = db._epoch
+        db.commit_instant()
+        flush_writes = backing.write_count - writes
+        assert (db._epoch != epoch) == (flush == "compaction")
+        assert flush_writes == (3 if flush == "compaction" else 2)
+        for failing in range(flush_writes):
+            db, backing, old = self.old_state()
+            new = {table: dict(rows) for table, rows in old.items()}
+            mutate(db, new)
+            backing.fail_at = failing
+            with pytest.raises(StorageFaultError):
+                db.commit_instant()
+            reopened, _, _ = make_store(store=backing, seed=b"crash")
+            assert_holds(reopened, old, ("policies", "state"))
+            db.commit_instant()  # the batch is still pending: retry
+            reopened, _, _ = make_store(store=backing, seed=b"crash")
+            assert_holds(reopened, new, ("policies", "state"))
+            # No orphan of the failed attempt stays on the volume.
+            assert paths(backing, "/palaemon.db.") == sorted(
+                ["/palaemon.db.manifest"] + referenced_blobs(reopened))
 
 
 class TestGroupCommit:

@@ -5,7 +5,12 @@ anchored head)."""
 import pytest
 
 from repro.errors import IntegrityError
-from repro.obs.audit import GENESIS_HASH, AuditLog, record_digest
+from repro.obs.audit import (
+    GENESIS_HASH,
+    MAX_AUDIT_RECORDS,
+    AuditLog,
+    record_digest,
+)
 
 
 def make_log(records=5):
@@ -129,4 +134,53 @@ class TestTamperDetection:
         log.records = replacement.records  # internally consistent forgery
         assert log.verify_chain() == 5
         with pytest.raises(IntegrityError):
+            log.verify_chain(expected_head=anchored)
+
+
+class TestBoundedTail:
+    """After many times the cap, the log keeps a bounded tail that still
+    verifies against the anchored head, and tampering with it is caught."""
+
+    APPENDS = 10 * MAX_AUDIT_RECORDS
+
+    def test_tail_is_bounded_and_len_counts_everything(self):
+        log = make_log(self.APPENDS)
+        assert len(log.records) == MAX_AUDIT_RECORDS
+        assert len(log) == self.APPENDS
+        assert log.records[-1].sequence == self.APPENDS - 1
+        assert log.head() == log.records[-1].record_hash
+
+    def test_tail_verifies_against_anchored_head(self):
+        log = make_log(self.APPENDS)
+        assert log.verify_chain(expected_head=log.head()) == len(log.records)
+
+    def test_head_matches_an_unbounded_chain(self):
+        """Dropping old records never changes the chain itself."""
+        log = make_log(self.APPENDS)
+        previous = GENESIS_HASH
+        for index in range(self.APPENDS):
+            details = {"policy": "p", "round": index, "service": "s"}
+            previous = record_digest(index, float(index + 1), "tag.update",
+                                     details, previous)
+        assert log.head() == previous
+
+    def test_editing_a_retained_record_detected(self):
+        log = make_log(self.APPENDS)
+        anchored = log.head()
+        log.records[len(log.records) // 2].details["policy"] = "forged"
+        with pytest.raises(IntegrityError, match="edited"):
+            log.verify_chain(expected_head=anchored)
+
+    def test_dropping_the_oldest_retained_record_detected(self):
+        log = make_log(self.APPENDS)
+        anchored = log.head()
+        del log.records[0]
+        with pytest.raises(IntegrityError):
+            log.verify_chain(expected_head=anchored)
+
+    def test_truncating_the_tail_detected(self):
+        log = make_log(self.APPENDS)
+        anchored = log.head()
+        log.records.pop()
+        with pytest.raises(IntegrityError, match="truncated"):
             log.verify_chain(expected_head=anchored)

@@ -5,7 +5,7 @@ all reduce samples through one implementation."""
 import pytest
 
 from repro.obs.export import render_prometheus
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.metrics import MAX_HISTOGRAM_SAMPLES, MetricsRegistry
 from repro.sim.metrics import (
     LatencyRecorder,
     percentile,
@@ -85,6 +85,20 @@ class TestHistogramSharedMath:
             summarize(samples))
         assert document["points"][0]["latency"]["p95"] == percentile(
             samples, 0.95)
+
+    def test_histogram_keeps_a_bounded_window(self):
+        """Count and sum cover every observation; quantiles come from the
+        newest ``MAX_HISTOGRAM_SAMPLES`` samples."""
+        histogram = MetricsRegistry().histogram("latency")
+        observations = 3 * MAX_HISTOGRAM_SAMPLES
+        for value in range(observations):
+            histogram.observe(float(value))
+        assert histogram.count == observations
+        assert histogram.total == sum(range(observations))
+        assert histogram.samples == [
+            float(value) for value in
+            range(observations - MAX_HISTOGRAM_SAMPLES, observations)]
+        assert histogram.summary().count == MAX_HISTOGRAM_SAMPLES
 
     def test_empty_histogram_summary_raises(self):
         registry = MetricsRegistry()

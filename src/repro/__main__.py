@@ -64,10 +64,6 @@ EXPERIMENTS = {
     "fig17d": ("test_fig17d_mariadb.py", "MariaDB buffer-pool sweep"),
     "sec6": ("test_sec6_production_ml.py", "Production ML use case"),
     "ablations": ("test_ablations.py", "Design-choice ablations"),
-    "ext-attestation": ("test_ext_attestation_paths.py",
-                        "IAS vs local vs DCAP verification"),
-    "ext-objectstore": ("test_ext_objectstore.py",
-                        "Replicated storage backend durability"),
     "tags": ("test_tag_throughput.py",
              "Tag-update write-path throughput (segments + group commit)"),
     "dispatch": ("test_dispatch_load.py",

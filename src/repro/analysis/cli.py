@@ -129,10 +129,10 @@ def _lint_policy_file(analyzer: Analyzer, path: Path, codes) -> list:
                         subject=display,
                         message=f"policy document does not parse: {exc}",
                         hint="fix the document before linting deeper")]
-    name = (document.get("name") or display) if isinstance(document, dict) \
-        else display
-    findings = analyzer.analyze_document(
-        name, document if isinstance(document, dict) else {}, codes=codes)
+    mapping = document if isinstance(document, dict) else {}
+    name = mapping.get("name")
+    name = name if isinstance(name, str) and name else display
+    findings = analyzer.analyze_document(name, mapping, codes=codes)
     try:
         policy = SecurityPolicy.from_dict(document)
     except PolicyValidationError as exc:

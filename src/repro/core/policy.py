@@ -13,6 +13,7 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.core import yamlish
 from repro.core.secrets import SecretSpec
+from repro.core.yamlish import integer, required
 from repro.crypto.certificates import Certificate
 from repro.errors import PolicyValidationError
 
@@ -78,8 +79,8 @@ class ServiceSpec:
     strict_mode: bool = False
 
     def validate(self) -> None:
-        if not self.name:
-            raise PolicyValidationError("service has no name")
+        if not isinstance(self.name, str) or not self.name:
+            raise PolicyValidationError(f"service has no name: {self.name!r}")
         if not self.mrenclaves:
             raise PolicyValidationError(
                 f"service {self.name!r} lists no permitted MRENCLAVEs")
@@ -148,8 +149,8 @@ class SecurityPolicy:
         default_factory=list)
 
     def validate(self) -> None:
-        if not self.name:
-            raise PolicyValidationError("policy has no name")
+        if not isinstance(self.name, str) or not self.name:
+            raise PolicyValidationError(f"policy has no name: {self.name!r}")
         service_names = [service.name for service in self.services]
         if len(set(service_names)) != len(service_names):
             raise PolicyValidationError(
@@ -339,8 +340,7 @@ class SecurityPolicy:
 
         services = []
         for raw in data.get("services", []) or []:
-            if not isinstance(raw, dict) or "name" not in raw:
-                raise PolicyValidationError("every service needs a name")
+            required(raw, "name", "service")
             injection_files = {
                 path: (content.encode() if isinstance(content, str)
                        else content)
@@ -363,25 +363,26 @@ class SecurityPolicy:
         secrets = [SecretSpec.from_dict(raw)
                    for raw in data.get("secrets", []) or []]
 
-        volumes = [VolumeSpec(name=raw["name"], path=raw.get("path", "/"),
-                              export_to=raw.get("export"))
+        volumes = [VolumeSpec(required(raw, "name", "volume"),
+                              raw.get("path", "/"), raw.get("export"))
                    for raw in data.get("volumes", []) or []]
 
-        imports = [ImportSpec(from_policy=raw["policy"],
-                              secret_name=raw["secret"],
-                              local_name=raw.get("as"))
+        imports = [ImportSpec(required(raw, "policy", "import"),
+                              required(raw, "secret", "import"), raw.get("as"))
                    for raw in data.get("imports", []) or []]
 
-        volume_imports = [VolumeImportSpec(from_policy=raw["policy"],
-                                           volume_name=raw["volume"])
+        volume_imports = [VolumeImportSpec(required(raw, "policy", "import"),
+                                           required(raw, "volume", "import"))
                           for raw in data.get("volume_imports", []) or []]
 
         board = None
         if data.get("board"):
             raw_board = data["board"]
+            if not isinstance(raw_board, dict):
+                raise PolicyValidationError("board must be a mapping")
             members = []
             for raw in raw_board.get("members", []):
-                cert_name = raw["certificate"]
+                cert_name = required(raw, "certificate", "board member")
                 try:
                     certificate = certificates[cert_name]
                 except KeyError:
@@ -389,9 +390,10 @@ class SecurityPolicy:
                         f"unknown certificate {cert_name!r} for board "
                         f"member {raw.get('name')!r}") from None
                 members.append(PolicyBoardMember(
-                    name=raw["name"],
+                    name=required(raw, "name", "board member"),
                     certificate=certificate,
-                    approval_endpoint=raw["approval_endpoint"],
+                    approval_endpoint=required(raw, "approval_endpoint",
+                                               "board member"),
                     veto=bool(raw.get("veto", False)),
                 ))
             raw_threshold = raw_board.get("threshold")
@@ -404,7 +406,7 @@ class SecurityPolicy:
                 # unreachable member freezes every access under n-of-n).
                 raw_threshold = len(members)
             board = BoardSpec(members=tuple(members),
-                              threshold=int(raw_threshold))
+                              threshold=integer(raw_threshold, "threshold"))
 
         policy = cls(name=data.get("name", ""), services=services,
                      secrets=secrets, volumes=volumes, imports=imports,

@@ -17,6 +17,7 @@ import enum
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
+from repro.core.yamlish import integer, required
 from repro.crypto.certificates import Certificate, CertificateAuthority
 from repro.crypto.primitives import DeterministicRandom
 from repro.crypto.signatures import KeyPair
@@ -47,7 +48,8 @@ class SecretSpec:
     export_to: tuple = ()
 
     def validate(self) -> None:
-        if not self.name or not self.name.replace("_", "").isalnum():
+        if not isinstance(self.name, str) or \
+                not self.name.replace("_", "").isalnum():
             raise PolicyValidationError(
                 f"invalid secret name {self.name!r}: use [A-Z0-9_]")
         if self.name != self.name.upper():
@@ -65,6 +67,7 @@ class SecretSpec:
 
     @classmethod
     def from_dict(cls, data: dict) -> "SecretSpec":
+        name = required(data, "name", "secret")
         try:
             kind = SecretKind(data.get("kind", "random"))
         except ValueError:
@@ -73,10 +76,10 @@ class SecretSpec:
         raw_value = data.get("value")
         value = raw_value.encode() if isinstance(raw_value, str) else raw_value
         spec = cls(
-            name=data["name"],
+            name=name,
             kind=kind,
             value=value,
-            size=int(data.get("size", 32)),
+            size=integer(data.get("size", 32), f"secret {name!r} size"),
             common_name=data.get("common_name"),
             export_to=tuple(data.get("export", []) or []),
         )

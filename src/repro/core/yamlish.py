@@ -110,6 +110,22 @@ def loads(text: str) -> Any:
     return value
 
 
+def required(entry: Any, key: str, what: str) -> Any:
+    """``entry[key]``, or a typed error if ``entry`` is no mapping with it."""
+    if not isinstance(entry, dict) or key not in entry:
+        raise PolicyValidationError(f"every {what} needs a {key}")
+    return entry[key]
+
+
+def integer(value: Any, what: str) -> int:
+    """``value`` as an int, or a typed error if it is not one."""
+    try:
+        return int(value)
+    except (TypeError, ValueError):
+        raise PolicyValidationError(
+            f"{what} {value!r} is not an integer") from None
+
+
 def _prepare_lines(text: str) -> List[Tuple[int, str, int]]:
     """Strip comments/blanks; return (indent, content, line_number) tuples."""
     prepared = []

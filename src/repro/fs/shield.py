@@ -83,7 +83,7 @@ class ProtectedFileSystem:
         self.store.write(path, ciphertext)
         self._fspf.set_entry(path, sha256(ciphertext), len(plaintext))
         self._cache[path] = plaintext
-        self._record_validation(path)
+        self._validated_generation[path] = self.store.generation(path)
 
     def read(self, path: str) -> bytes:
         """Read and transparently decrypt ``path``, verifying integrity."""
@@ -99,7 +99,7 @@ class ProtectedFileSystem:
         plaintext = self._box.open(ciphertext, associated_data=path.encode())
         self.decrypt_count += 1
         self._cache[path] = plaintext
-        self._record_validation(path)
+        self._validated_generation[path] = self.store.generation(path)
         return plaintext
 
     def delete(self, path: str) -> None:
@@ -133,17 +133,16 @@ class ProtectedFileSystem:
         later read() re-verifies against the store instead of serving a
         plaintext the store no longer backs. Paths whose store write
         generation is unchanged since their last validation are skipped —
-        their blocks cannot have changed, so sync no longer re-reads and
-        re-hashes every cached ciphertext.
+        their blocks cannot have changed, so sync does not re-read and
+        re-hash them.
         """
         for path in list(self._cache):
             entry = self._fspf.entries.get(path)
             if entry is None or not self.store.exists(path):
                 self._evict(path)
                 continue
-            generation = self._generation(path)
-            if generation is not None and \
-                    generation == self._validated_generation.get(path):
+            generation = self.store.generation(path)
+            if generation == self._validated_generation.get(path):
                 continue
             try:
                 ciphertext = self.store.read(path)
@@ -152,7 +151,7 @@ class ProtectedFileSystem:
                 continue
             if sha256(ciphertext) != entry.ciphertext_hash:
                 self._evict(path)
-            elif generation is not None:
+            else:
                 self._validated_generation[path] = generation
         return self._persist()
 
@@ -165,21 +164,6 @@ class ProtectedFileSystem:
     def _evict(self, path: str) -> None:
         self._cache.pop(path, None)
         self._validated_generation.pop(path, None)
-
-    def _generation(self, path: str) -> Optional[int]:
-        """The store's write generation for ``path``, if it offers one.
-
-        Backends that cannot soundly report "unchanged" (e.g. a replicated
-        store whose Byzantine replicas may diverge without a version bump)
-        simply lack the method, and sync falls back to full revalidation.
-        """
-        generation = getattr(self.store, "generation", None)
-        return generation(path) if generation is not None else None
-
-    def _record_validation(self, path: str) -> None:
-        generation = self._generation(path)
-        if generation is not None:
-            self._validated_generation[path] = generation
 
     def _persist(self) -> bytes:
         self.store.write(_FSPF_PATH, self._fspf.seal(self._box))

@@ -2,8 +2,7 @@
 
 One :class:`SGXPlatform` corresponds to one physical machine of the paper's
 cluster (Dell R330, Xeon E3-1270 v6, 128 MB EPC). Its microcode revision
-is the TCB level that IAS and DCAP attest (pre-Spectre vs
-post-Foreshadow).
+is the TCB level that IAS attests (pre-Spectre vs post-Foreshadow).
 """
 
 from __future__ import annotations

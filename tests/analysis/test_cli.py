@@ -64,3 +64,19 @@ def test_malformed_measurement_is_a_critical_finding(tmp_path, capsys):
     assert [(f["code"], f["severity"]) for f in findings] == [
         ("PAL000", "CRITICAL")]
     assert "not a hex string" in findings[0]["message"]
+
+
+def test_malformed_policy_documents_are_critical_findings(tmp_path, capsys):
+    """Documents that once crashed from_dict with ValueError, or were
+    accepted, each yield one PAL000 finding instead of a traceback."""
+    threshold = tmp_path / "threshold.yml"
+    threshold.write_text("name: bad\nboard:\n  threshold: two\n")
+    numeric_name = tmp_path / "numeric.yml"
+    numeric_name.write_text("name: 5\n")
+    assert main(["lint", "--policy", str(threshold), "--policy",
+                 str(numeric_name), "--format=json"]) == 1
+    findings = json.loads(capsys.readouterr().out)["findings"]
+    assert [(f["code"], f["subject"]) for f in findings] == [
+        ("PAL000", "bad"), ("PAL000", "numeric.yml")]
+    assert "not an integer" in findings[0]["message"]
+    assert "has no name: 5" in findings[1]["message"]

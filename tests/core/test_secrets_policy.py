@@ -309,3 +309,51 @@ board:
             certificate_registry={"alice-cert": cert})
         assert policy.board is not None
         assert policy.board.member("alice").veto
+
+
+_MRE = "ab" * 32
+_SERVICES = [{"name": "app", "mrenclaves": [_MRE]}]
+_MEMBER = {"name": "alice", "certificate": "alice-cert",
+           "approval_endpoint": "ep-alice"}
+
+
+def _without(entry, key):
+    return {k: v for k, v in entry.items() if k != key}
+
+
+#: Documents from outside the program that once escaped from_dict as
+#: ValueError, KeyError or AttributeError, or were accepted.
+MALFORMED_DOCUMENTS = {
+    "threshold-not-integer": {"name": "p", "services": _SERVICES,
+                              "board": {"threshold": "two",
+                                        "members": [_MEMBER]}},
+    "secret-size-not-integer": {"name": "p",
+                                "secrets": [{"name": "K", "size": "big"}]},
+    "secret-without-name": {"name": "p", "secrets": [{"kind": "random"}]},
+    "secret-not-a-mapping": {"name": "p", "secrets": ["K"]},
+    "secret-name-not-string": {"name": "p", "secrets": [{"name": 5}]},
+    "volume-without-name": {"name": "p", "volumes": [{"path": "/v"}]},
+    "member-without-name": {"name": "p", "services": _SERVICES,
+                            "board": {"members": [
+                                _without(_MEMBER, "name")]}},
+    "member-without-endpoint": {"name": "p", "services": _SERVICES,
+                                "board": {"members": [
+                                    _without(_MEMBER, "approval_endpoint")]}},
+    "board-not-a-mapping": {"name": "p", "board": "yes"},
+    "import-without-policy": {"name": "p", "imports": [{"secret": "K"}]},
+    "import-without-secret": {"name": "p", "imports": [{"policy": "q"}]},
+    "volume-import-without-volume": {"name": "p",
+                                     "volume_imports": [{"policy": "q"}]},
+    "policy-name-not-string": {"name": 5},
+    "service-name-not-string": {"name": "p", "services": [
+        {"name": 5, "mrenclaves": [_MRE]}]},
+}
+
+
+@pytest.mark.parametrize("document", MALFORMED_DOCUMENTS.values(),
+                         ids=MALFORMED_DOCUMENTS.keys())
+def test_malformed_document_raises_validation_error(document):
+    keys = KeyPair.generate(DeterministicRandom(b"alice"), bits=512)
+    registry = {"alice-cert": self_signed_certificate("alice", keys)}
+    with pytest.raises(PolicyValidationError):
+        SecurityPolicy.from_dict(document, certificate_registry=registry)

@@ -174,6 +174,18 @@ class TestAttestation:
         with pytest.raises(AttestationError, match="unenrolled"):
             deployment.palaemon.attest_application(evidence)
 
+    def test_key_substitution_rejected(self, deployment):
+        """A rogue platform that claims an enrolled platform's id still
+        signs with its own key, which is not the enrolled one."""
+        self.create(deployment)
+        rogue = SGXPlatform(deployment.simulator, "rogue",
+                            DeterministicRandom(b"rogue"))
+        rogue.quoting_enclave.platform_id = deployment.platform.platform_id
+        evidence = deployment.evidence_for("ml_policy", platform=rogue)
+        with pytest.raises(AttestationError,
+                           match="does not match the enrolled platform key"):
+            deployment.palaemon.attest_application(evidence)
+
     def test_revoked_platform_rejected(self, deployment):
         self.create(deployment)
         evidence = deployment.evidence_for("ml_policy")

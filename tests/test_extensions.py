@@ -1,4 +1,4 @@
-"""Tests for the extension features: DCAP, federation, and fail-over."""
+"""Tests for the extension features: federation and fail-over."""
 
 import pytest
 
@@ -8,19 +8,16 @@ from repro.core.federation import FederatedInstance, Federation
 from repro.core.policy import SecurityPolicy, ServiceSpec
 from repro.core.secrets import SecretKind, SecretSpec
 from repro.core.service import PalaemonService
-from repro.crypto.primitives import DeterministicRandom, sha256
+from repro.crypto.primitives import DeterministicRandom
 from repro.crypto.signatures import KeyPair
 from repro.errors import (
     AccessDeniedError,
     AttestationError,
     PolicyError,
     PolicyNotFoundError,
-    QuoteError,
 )
 from repro.fs.blockstore import BlockStore
 from repro.sim.network import Network, Site
-from repro.tee.dcap import DCAPVerifier, ProvisioningAuthority
-from repro.tee.image import build_image
 from repro.tee.platform import SGXPlatform
 
 from tests.core.conftest import (
@@ -33,78 +30,6 @@ from tests.core.conftest import (
 @pytest.fixture()
 def deployment():
     return Deployment(seed=b"extensions")
-
-
-class TestDCAP:
-    def make_verifier(self, deployment, minimum_tcb=0):
-        authority = ProvisioningAuthority(DeterministicRandom(b"intel"))
-        pck = authority.certify_platform(deployment.platform)
-        verifier = DCAPVerifier(authority.root_public_key,
-                                minimum_tcb=minimum_tcb)
-        verifier.install_certificate(pck)
-        return authority, verifier
-
-    def quote_from(self, deployment, image=None):
-        image = image or deployment.app_image
-        enclave = deployment.platform.launch_instant(image)
-        return deployment.platform.quoting_enclave.quote(enclave, b"data")
-
-    def test_offline_verification_succeeds(self, deployment):
-        _, verifier = self.make_verifier(deployment)
-        verifier.verify_quote(self.quote_from(deployment))
-        assert verifier.quotes_verified == 1
-
-    def test_unknown_platform_rejected(self, deployment):
-        authority = ProvisioningAuthority(DeterministicRandom(b"intel"))
-        verifier = DCAPVerifier(authority.root_public_key)
-        with pytest.raises(QuoteError, match="no cached platform"):
-            verifier.verify_quote(self.quote_from(deployment))
-
-    def test_wrong_root_rejected(self, deployment):
-        authority = ProvisioningAuthority(DeterministicRandom(b"intel"))
-        pck = authority.certify_platform(deployment.platform)
-        evil = ProvisioningAuthority(DeterministicRandom(b"evil"))
-        verifier = DCAPVerifier(evil.root_public_key)
-        from repro.errors import CertificateError
-
-        with pytest.raises(CertificateError):
-            verifier.install_certificate(pck)
-
-    def test_tcb_pinning(self, deployment):
-        """A pre-Spectre platform fails a post-Foreshadow TCB floor."""
-        sim = deployment.simulator
-        old_platform = SGXPlatform(sim, "old-node",
-                                   DeterministicRandom(b"old"),
-                                   microcode=calibration.MICROCODE_PRE_SPECTRE)
-        authority = ProvisioningAuthority(DeterministicRandom(b"intel"))
-        pck = authority.certify_platform(old_platform)
-        verifier = DCAPVerifier(
-            authority.root_public_key,
-            minimum_tcb=calibration.MICROCODE_POST_FORESHADOW.revision)
-        verifier.install_certificate(pck)
-        enclave = old_platform.launch_instant(build_image("app"))
-        quote = old_platform.quoting_enclave.quote(enclave, b"d")
-        with pytest.raises(QuoteError, match="TCB"):
-            verifier.verify_quote(quote)
-
-    def test_key_substitution_rejected(self, deployment):
-        """A quote signed by a non-certified key fails even if cached."""
-        _, verifier = self.make_verifier(deployment)
-        rogue = SGXPlatform(deployment.simulator, "rogue",
-                            DeterministicRandom(b"rogue"))
-        # The rogue claims the genuine platform's id in its report.
-        rogue.quoting_enclave.platform_id = deployment.platform.platform_id
-        enclave = rogue.launch_instant(build_image("app"))
-        quote = rogue.quoting_enclave.quote(enclave, b"d")
-        with pytest.raises(QuoteError, match="other than the certified"):
-            verifier.verify_quote(quote)
-
-    def test_lookup_serves_cached_certificates(self, deployment):
-        authority, _ = self.make_verifier(deployment)
-        pck = authority.lookup(deployment.platform.platform_id)
-        assert pck is not None
-        assert pck.tcb_revision == deployment.platform.microcode.revision
-        assert authority.lookup(b"\x00" * 16) is None
 
 
 def make_network(deployment, label=b"net"):

@@ -1,5 +1,7 @@
 """Tests for RSA-FDH signatures."""
 
+import math
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -14,6 +16,8 @@ from repro.crypto.signatures import (
     _generate_prime,
     _is_probable_prime,
     _modular_inverse,
+    _pocklington_certifies,
+    _prime_pair,
 )
 from repro.errors import SignatureError
 
@@ -43,7 +47,77 @@ class TestPrimality:
         rng = DeterministicRandom(b"gen")
         prime = _generate_prime(128, rng)
         assert prime.bit_length() == 128
+        assert prime >> 126 == 0b11
         assert prime % 2 == 1
+
+
+def certificate_holds(prime, factor):
+    """Pocklington's test of ``prime`` from ``factor``, written out
+    independently of the module: ``prime - 1 = 2k * factor``,
+    ``factor**2 > prime``, ``2^(prime-1) = 1`` and
+    ``gcd(2^(2k) - 1, prime) = 1``."""
+    k, remainder = divmod(prime - 1, 2 * factor)
+    return (remainder == 0 and factor * factor > prime
+            and pow(2, prime - 1, prime) == 1
+            and math.gcd(pow(2, 2 * k, prime) - 1, prime) == 1)
+
+
+def independently_prime(n):
+    """Miller-Rabin with witnesses from a DRBG no key is drawn from."""
+    return _is_probable_prime(n, DeterministicRandom(b"audit-witnesses"),
+                              rounds=40)
+
+
+class TestPrimeCertificates:
+    @pytest.mark.parametrize("bits", [128, 256, 512, 768])
+    def test_modulus_has_exactly_the_requested_size(self, bits):
+        for seed in range(200):
+            pair = KeyPair.generate(DeterministicRandom(b"size-%d" % seed),
+                                    bits=bits)
+            assert pair.public.modulus.bit_length() == bits, seed
+
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.binary(min_size=1, max_size=16),
+           bits=st.integers(min_value=128, max_value=768))
+    def test_every_prime_of_a_key_is_certified(self, seed, bits):
+        pair = KeyPair.generate(DeterministicRandom(seed), bits=bits)
+        primes = _prime_pair(bits, DeterministicRandom(seed))
+        private = pair.private
+        assert [prime for prime, _ in primes] == [private.prime_p,
+                                                  private.prime_q]
+        for (prime, factor), size in zip(primes, (bits // 2,
+                                                  bits - bits // 2)):
+            assert prime.bit_length() == size
+            assert prime >= 3 << (size - 2)
+            assert certificate_holds(prime, factor)
+            assert _pocklington_certifies(prime, factor)
+            assert independently_prime(prime)
+            assert independently_prime(factor)
+        assert private.prime_p != private.prime_q
+        totient = (private.prime_p - 1) * (private.prime_q - 1)
+        assert (pair.public.exponent * private.private_exponent) % totient == 1
+
+    @pytest.mark.parametrize("check", [certificate_holds,
+                                       _pocklington_certifies])
+    def test_composite_is_refused(self, check):
+        # 975 = 2*1*487 + 1 = 3 * 5^2 * 13 fails the Fermat test.
+        assert not check(975, 487)
+        # 23377 = 97 * 241 = 2*24*487 + 1 is a base-2 Fermat pseudoprime
+        # with 487^2 > 23377; only the gcd condition refuses it.
+        assert pow(2, 23376, 23377) == 1
+        assert not check(23377, 487)
+
+    @pytest.mark.parametrize("check", [certificate_holds,
+                                       _pocklington_certifies])
+    def test_factor_below_the_square_root_is_refused(self, check):
+        # A prime 2kq + 1 whose q^2 < p: the arithmetic conditions hold,
+        # but they no longer prove anything.
+        factor, k = 3_736_910_713, 1_099_511_627_795
+        prime = 2 * k * factor + 1
+        assert independently_prime(prime) and independently_prime(factor)
+        assert pow(2, prime - 1, prime) == 1
+        assert math.gcd(pow(2, 2 * k, prime) - 1, prime) == 1
+        assert not check(prime, factor)
 
 
 class TestModularInverse:
@@ -124,28 +198,32 @@ class TestPublicKeySerialization:
 
 
 @pytest.fixture(scope="module", params=[512, 768])
-def sized_key_pair(request):
-    return KeyPair.generate(DeterministicRandom(b"crt-pin"),
-                            bits=request.param)
+def key_bits(request):
+    return request.param
+
+
+@pytest.fixture(scope="module")
+def sized_key_pair(key_bits):
+    return KeyPair.generate(DeterministicRandom(b"crt-pin"), bits=key_bits)
 
 
 #: SHA-256 of the public key and of the signature on ``b"pinned message"``
-#: for ``KeyPair.generate(DeterministicRandom(b"crt-pin"), bits)``, recorded
-#: with full-modulus ``pow(m, d, n)`` signing: key generation draws the same
-#: DRBG bytes and CRT signing yields the same signature.
+#: for ``KeyPair.generate(DeterministicRandom(b"crt-pin"), bits)``, keyed by
+#: the requested size. Recorded when key generation took its primes from
+#: Pocklington certificates; the signatures equal full-modulus
+#: ``pow(m, d, n)``, which ``test_sign_equals_full_modulus_pow`` checks.
 PINNED_KEYS = {
-    512: ("a306b9dc9fd0467e2249312cfdaf2136b6b19e4baecc044b25b5a267933113af",
-          "022527406dc245d5b9082a48e1db93f0e5dea75fbd6d406fbba509747d119510"),
-    768: ("f1913e59243bc9ced06c039c3d9f46ec6aa215cc283c1ceddec62efbafd09eab",
-          "52ed6a2d5e02fddb7e11e3cb3ba1455b917a5d05b7b107fded5b8ab7b799f129"),
+    512: ("1696783987bb02e29372ee6c8f30dbe7be873be108b64f691940245d337bcae5",
+          "267532a67339bee6e08db133cbaf5b8a0af73005390a8c7485c1ce356e221d1f"),
+    768: ("a8afafb5f974cafe63937809d0a8b9001d7261a796f1b085c6473f2838af7edf",
+          "07543d4a9f1507ce726de8b54b51d5edc1baf894f9f9f865b259a1960ec26bc7"),
 }
 
 
 class TestCrtSigning:
-    def test_key_and_signature_match_the_pinned_reference(self,
+    def test_key_and_signature_match_the_pinned_reference(self, key_bits,
                                                           sized_key_pair):
-        bits = sized_key_pair.public.modulus.bit_length()
-        public_digest, signature_digest = PINNED_KEYS[bits]
+        public_digest, signature_digest = PINNED_KEYS[key_bits]
         assert sha256(sized_key_pair.public.to_bytes()).hex() == public_digest
         assert (sha256(sized_key_pair.sign(b"pinned message")).hex()
                 == signature_digest)
@@ -166,11 +244,10 @@ class TestCrtSigning:
             SecretSpec(name="TLS_KEY", kind=SecretKind.X509,
                        common_name="svc"),
             DeterministicRandom(b"x509-pin"), now=0.0)
-        # Digests recorded before signing used the CRT parameters.
         assert sha256(value.value).hex() == (
-            "4be0f7eadff60d3ee01b60f50e86756c235ba144d66628c71ecd643e34524d3f")
+            "32666e4639a60ef1776f763e59e612e1a64d425f2e392b68efbb0cc36ac9a781")
         assert sha256(value.certificate.signature).hex() == (
-            "bca8ebac1bfdf33c48ba45c93fc60a7fbec811aa4d51b054714f9f3215d1cbcc")
+            "5eccc18a6259f9d13fe7387eb91d8f8afb340c09bf64f3dab03bd8bf279029c5")
         public = value.certificate.public_key
         d = int.from_bytes(value.value, "big")
         assert pow(pow(12345, public.exponent, public.modulus), d,

@@ -18,7 +18,7 @@ from repro.tee.counters import PlatformCounterService
 #: change in whether the run reproduces itself.
 SEED_7_REPORT = """\
 chaos recovery summary
-  audit_head: 093ce3b2b225372bd99487a54227463ee136edb3812e5cd77dbd00f5e856b8e2
+  audit_head: b0c8f415e60265a86a4697b4c60753b8d4c3a163f71d712d5a9c7c24af8a1283
   audit_records: 17
   counter_outage_error: CounterUnavailableError
   faults_injected:

@@ -141,3 +141,53 @@ def test_api_md_operation_table_matches_registry():
     assert documented == render_operation_table(), (
         "docs/API.md operation table is out of date — regenerate it with "
         "repro.core.dispatch.render_operation_table()")
+
+
+@pytest.mark.parametrize("record", sorted(
+    path.name for path in ROOT.glob("BENCH_*.json")))
+def test_host_time_summaries_match_their_runs(record):
+    """Every committed ``BENCH_*.json`` summary is recomputed from the
+    result lines it keeps: quartiles with ``statistics.quantiles(n=4,
+    method="inclusive")`` to 4 decimals, the median ratio to 3, the pair
+    wins and relative worsening, each metric's bound from
+    ``BENCHMARK.json``, and the failed-op and correctness totals."""
+    import json
+    import statistics
+
+    metrics = {metric["name"]: metric for metric in json.loads(
+        (ROOT / "BENCHMARK.json").read_text())["end_to_end"]}
+    document = json.loads((ROOT / record).read_text())
+    assert document["workloads"], f"{record} records no workload"
+    for name, workload in document["workloads"].items():
+        runs = workload["runs"]
+        sides = ("parent", "change")
+        assert workload["failed"] == {
+            side: sum(run["result"]["failed"] for run in runs
+                      if run["side"] == side) for side in sides}, name
+        assert workload["all_correct"] == all(
+            run["result"]["correct"] for run in runs), name
+        for metric, summary in workload["summary"].items():
+            values = {side: [run["result"]["metrics"][metric]["value"]
+                             for run in runs if run["side"] == side]
+                      for side in sides}
+            quartiles = {side: statistics.quantiles(
+                values[side], n=4, method="inclusive") for side in sides}
+            where = f"{record} {name} {metric}"
+            for side in sides:
+                assert summary[f"{side}_q1_median_q3"] == [
+                    round(value, 4) for value in quartiles[side]], where
+            ratio = quartiles["change"][1] / quartiles["parent"][1]
+            assert summary["median_ratio_change_over_parent"] == round(
+                ratio, 3), where
+            higher = metrics[metric]["better"] == "higher"
+            pairs = {}
+            for run in runs:
+                pairs.setdefault(run["seed"], {})[run["side"]] = (
+                    run["result"]["metrics"][metric]["value"])
+            wins = sum((pair["change"] > pair["parent"]) == higher
+                       and pair["change"] != pair["parent"]
+                       for pair in pairs.values())
+            assert summary["change_wins"] == f"{wins}/{len(pairs)}", where
+            assert summary["change_worse_by"] == round(
+                1 - ratio if higher else ratio - 1, 3), where
+            assert summary["bound"] == metrics[metric]["bound"], where

@@ -7,11 +7,14 @@ the simulation can forge one without the private exponent. Keys default to
 but computationally honest and fast enough to generate thousands of keys in
 a test run.
 
-Each prime ``p`` is drawn as ``2kq + 1`` around a probable prime ``q`` of
-just over half its size and proven prime from ``q`` by Pocklington's
-theorem (the one-level form of FIPS 186-4 Appendix C.10 and Maurer's
-provable primes). Miller-Rabin runs only on the half-size ``q``, and the
-accepted ``p`` costs one and a half exponentiations instead of 24 rounds.
+Each prime is proven prime, not just tested: ``p = 2kq + 1`` is certified
+by Pocklington's theorem from a prime ``q`` of just over half its size,
+and ``q`` is itself built and certified the same way, down to a base
+case of at most 81 bits that a deterministic strong-probable-prime test
+over the first 13 prime bases decides exactly (Maurer's provable primes;
+the Shawe-Taylor routine of FIPS 186-4 Appendix C.6). No randomized
+primality test is involved, and an accepted ``p`` costs one
+exponentiation.
 """
 
 from __future__ import annotations
@@ -24,38 +27,54 @@ from repro.errors import SignatureError
 
 DEFAULT_KEY_BITS = 768
 
-_SMALL_PRIMES = (
-    2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67,
-    71, 73, 79, 83, 89, 97, 101, 103, 107, 109, 113, 127, 131, 137, 139, 149,
-)
+#: The first 13 primes. An odd number that is a strong probable prime to
+#: all of them and below psi_13 = 3,317,044,064,679,887,385,961,981 is
+#: prime (Sorenson & Webster, Math. Comp. 2017); psi_13 > 2**81.
+_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_BASE_CASE_BITS = 81
 
-#: Product of the odd primes below this bound; a candidate sharing a factor
-#: with it is rejected by one gcd before any exponentiation. Of the bounds
-#: 150 to 20,000, 1,000 generated 512- and 768-bit keys fastest.
-_SIEVE_BOUND = 1000
-_SIEVE_PRODUCT = math.prod(
-    n for n in range(3, _SIEVE_BOUND, 2)
-    if all(n % f for f in range(3, math.isqrt(n) + 1, 2)))
+
+def _odd_primes_product(low: int, high: int) -> int:
+    """The product of the odd primes in ``[low, high)``, by the sieve of
+    Eratosthenes."""
+    sieve = bytearray([1]) * high
+    for n in range(3, math.isqrt(high) + 1, 2):
+        if sieve[n]:
+            sieve[n * n::2 * n] = bytes(len(range(n * n, high, 2 * n)))
+    return math.prod(n for n in range(low | 1, high, 2) if sieve[n])
+
+
+#: A candidate sharing a factor with the odd primes below 1,000, or with
+#: those from 1,000 up to ``_SIEVE_BOUND``, is rejected by a gcd before any
+#: exponentiation; the second, larger product is tried only on the
+#: candidates the first lets through. Of the bounds 2,048 to 65,536,
+#: 4,096 to 16,384 generated 512- and 768-bit keys fastest, within the
+#: noise of each other; 65,536 was slower than one stage alone.
+_SIEVE_BOUND = 16384
+_SIEVE_BELOW_1000 = _odd_primes_product(3, 1000)
+_SIEVE_TO_BOUND = _odd_primes_product(1000, _SIEVE_BOUND)
 _EXPONENT = 65537
 
 
-def _is_probable_prime(candidate: int, rng: DeterministicRandom,
-                       rounds: int = 24) -> bool:
-    """Miller-Rabin primality test with DRBG-chosen witnesses."""
+def _is_strong_probable_prime(candidate: int) -> bool:
+    """Miller's strong test of ``candidate`` to every base in ``_BASES``.
+
+    Exact below psi_13 (> 2**81); psi_13 itself passes, so callers keep
+    to at most ``_BASE_CASE_BITS`` bits.
+    """
     if candidate < 2:
         return False
-    for prime in _SMALL_PRIMES:
-        if candidate % prime == 0:
-            return candidate == prime
+    for base in _BASES:
+        if candidate % base == 0:
+            return candidate == base
     # Write candidate - 1 as d * 2^r with d odd.
     d = candidate - 1
     r = 0
     while d % 2 == 0:
         d //= 2
         r += 1
-    for _ in range(rounds):
-        witness = rng.randint(2, candidate - 2)
-        x = pow(witness, d, candidate)
+    for base in _BASES:
+        x = pow(base, d, candidate)
         if x in (1, candidate - 1):
             continue
         for _ in range(r - 1):
@@ -67,13 +86,17 @@ def _is_probable_prime(candidate: int, rng: DeterministicRandom,
     return True
 
 
-def _generate_prime(bits: int, rng: DeterministicRandom) -> int:
-    """A random probable prime of ``bits`` bits whose top two bits are set."""
+def _base_case_prime(bits: int, rng: DeterministicRandom) -> int:
+    """A random prime of ``bits <= _BASE_CASE_BITS`` bits whose top two
+    bits are set, decided by the deterministic strong test."""
+    if bits > _BASE_CASE_BITS:
+        raise ValueError(f"the strong test over {len(_BASES)} bases is "
+                         f"exact only up to {_BASE_CASE_BITS} bits")
     while True:
         candidate = int.from_bytes(rng.bytes((bits + 7) // 8), "big")
         candidate &= (1 << bits) - 1
         candidate |= (3 << (bits - 2)) | 1
-        if _is_probable_prime(candidate, rng):
+        if _is_strong_probable_prime(candidate):
             return candidate
 
 
@@ -83,57 +106,52 @@ def _pocklington_certifies(prime: int, factor: int) -> bool:
     Pocklington: if ``prime - 1 = 2k * factor`` with ``factor`` prime and
     ``factor**2 > prime``, a witness ``a`` with ``a^(prime-1) = 1`` and
     ``gcd(a^(2k) - 1, prime) = 1`` leaves ``prime`` no prime divisor at
-    most its square root. The witness is 2.
+    most its square root. The witness is 2, and ``2^(prime-1)`` is
+    computed as ``(2^(2k))^factor``.
     """
     k, remainder = divmod(prime - 1, 2 * factor)
-    return (remainder == 0 and factor * factor > prime
-            and pow(2, prime - 1, prime) == 1
-            and math.gcd(pow(2, 2 * k, prime) - 1, prime) == 1)
+    if remainder or factor * factor <= prime:
+        return False
+    power = pow(2, 2 * k, prime)
+    return (pow(power, factor, prime) == 1
+            and math.gcd(power - 1, prime) == 1)
 
 
-def _certified_prime(bits: int, rng: DeterministicRandom) -> tuple[int, int]:
-    """A prime ``p`` of ``bits`` bits, at least ``3 * 2**(bits-2)``, and its
-    certifying factor ``q``.
+def _certified_prime(bits: int, rng: DeterministicRandom) -> tuple[int, ...]:
+    """A prime of ``bits`` bits, at least ``3 * 2**(bits-2)``, with its
+    certificate chain.
 
-    ``q`` is a probable prime of ``bits // 2 + 1`` bits, so ``q**2 > p``,
-    and ``p = 2kq + 1`` for a DRBG-drawn ``k``. Whenever ``q`` is prime,
-    Pocklington's theorem proves ``p`` prime: the one probabilistic test
-    is the Miller-Rabin on the half-size ``q``.
+    The chain is ``(p, q, ..., base)``. Each entry after the first has
+    ``b // 2 + 1`` bits, where ``b`` is the size of the entry before, so
+    its square exceeds that entry, and Pocklington's theorem proves that
+    entry prime from it (``p = 2kq + 1`` for a DRBG-drawn ``k``). The last
+    entry has at most ``_BASE_CASE_BITS`` bits and passed the
+    deterministic strong test.
     """
-    factor = _generate_prime(bits // 2 + 1, rng)
-    step = 2 * factor
+    if bits <= _BASE_CASE_BITS:
+        return (_base_case_prime(bits, rng),)
+    chain = _certified_prime(bits // 2 + 1, rng)
+    step = 2 * chain[0]
     # The k for which 3 * 2**(bits-2) <= k * step + 1 < 2**bits.
     low = -(-((3 << (bits - 2)) - 1) // step)
     high = ((1 << bits) - 2) // step
     while True:
         prime = rng.randint(low, high) * step + 1
-        if (math.gcd(prime, _SIEVE_PRODUCT) == 1
-                and _pocklington_certifies(prime, factor)):
-            return prime, factor
+        if (math.gcd(prime, _SIEVE_BELOW_1000) == 1
+                and math.gcd(prime, _SIEVE_TO_BOUND) == 1
+                and _pocklington_certifies(prime, chain[0])):
+            return (prime,) + chain
 
 
 def _prime_pair(bits: int, rng: DeterministicRandom
-                ) -> tuple[tuple[int, int], tuple[int, int]]:
+                ) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """The two distinct primes of a ``bits``-bit modulus, each with its
-    certifying factor, such that ``_EXPONENT`` is invertible mod phi."""
+    certificate chain, such that ``_EXPONENT`` is invertible mod phi."""
     while True:
         p = _certified_prime(bits // 2, rng)
         q = _certified_prime(bits - bits // 2, rng)
         if p[0] != q[0] and (p[0] - 1) * (q[0] - 1) % _EXPONENT != 0:
             return p, q
-
-
-def _modular_inverse(a: int, modulus: int) -> int:
-    """Return a^-1 mod modulus via the extended Euclidean algorithm."""
-    old_r, r = a, modulus
-    old_s, s = 1, 0
-    while r != 0:
-        quotient = old_r // r
-        old_r, r = r, old_r - quotient * r
-        old_s, s = s, old_s - quotient * s
-    if old_r != 1:
-        raise ValueError("inverse does not exist")
-    return old_s % modulus
 
 
 def _full_domain_hash(message: bytes, modulus: int) -> int:
@@ -163,13 +181,6 @@ class PublicKey:
                                         "big")
         e_bytes = self.exponent.to_bytes(4, "big")
         return len(n_bytes).to_bytes(2, "big") + n_bytes + e_bytes
-
-    @classmethod
-    def from_bytes(cls, data: bytes) -> "PublicKey":
-        n_len = int.from_bytes(data[:2], "big")
-        modulus = int.from_bytes(data[2:2 + n_len], "big")
-        exponent = int.from_bytes(data[2 + n_len:2 + n_len + 4], "big")
-        return cls(modulus=modulus, exponent=exponent)
 
     def verify(self, message: bytes, signature: bytes) -> None:
         """Raise :class:`SignatureError` unless ``signature`` is valid."""
@@ -224,17 +235,17 @@ class KeyPair:
         """Generate a fresh RSA key pair from the given DRBG."""
         if bits < 128:
             raise ValueError("key size too small even for simulation")
-        (p, _), (q, _) = _prime_pair(bits, rng)
+        (p, *_), (q, *_) = _prime_pair(bits, rng)
         totient = (p - 1) * (q - 1)
         modulus = p * q
-        private_exponent = _modular_inverse(_EXPONENT, totient)
+        private_exponent = pow(_EXPONENT, -1, totient)
         public = PublicKey(modulus=modulus, exponent=_EXPONENT)
         private = SigningKey(
             modulus=modulus, private_exponent=private_exponent,
             prime_p=p, prime_q=q,
             exponent_p=private_exponent % (p - 1),
             exponent_q=private_exponent % (q - 1),
-            coefficient=_modular_inverse(q, p))
+            coefficient=pow(q, -1, p))
         return cls(public=public, private=private)
 
     def sign(self, message: bytes) -> bytes:

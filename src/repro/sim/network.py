@@ -174,8 +174,10 @@ class Network:
     def one_way_delay(self, source: Site, destination: Site,
                       size_bytes: int) -> float:
         propagation = rtt_between(source, destination) / 2.0
-        jitter = propagation * self.jitter_fraction * self._rng.random()
         serialization = size_bytes / self.bandwidth_bytes_per_second
+        if self.jitter_fraction == 0:
+            return propagation + serialization
+        jitter = propagation * self.jitter_fraction * self._rng.random()
         return propagation + jitter + serialization
 
     def deliver(self, source: Endpoint, destination: Endpoint,

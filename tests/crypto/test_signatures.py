@@ -10,12 +10,13 @@ from repro.core.service import _decode_identity, _encode_identity
 from repro.crypto.primitives import DeterministicRandom, sha256
 from repro.crypto.signatures import (
     KeyPair,
-    PublicKey,
     verify_signature,
+    _BASE_CASE_BITS,
+    _BASES,
+    _base_case_prime,
+    _certified_prime,
     _full_domain_hash,
-    _generate_prime,
-    _is_probable_prime,
-    _modular_inverse,
+    _is_strong_probable_prime,
     _pocklington_certifies,
     _prime_pair,
 )
@@ -32,23 +33,79 @@ def other_key_pair():
     return KeyPair.generate(DeterministicRandom(b"sig-other"), bits=512)
 
 
+def strong_probable_prime(n, base):
+    """Miller's strong test of the odd ``n > 3`` to one ``base``."""
+    d, r = n - 1, 0
+    while d % 2 == 0:
+        d, r = d // 2, r + 1
+    x = pow(base, d, n)
+    if x in (1, n - 1):
+        return True
+    for _ in range(r - 1):
+        x = x * x % n
+        if x == n - 1:
+            return True
+    return False
+
+
+def independently_prime(n):
+    """Miller-Rabin with 40 witnesses from a DRBG no key is drawn from."""
+    if n < 4 or n % 2 == 0:
+        return n in (2, 3)
+    witnesses = DeterministicRandom(b"audit-witnesses")
+    return all(strong_probable_prime(n, witnesses.randint(2, n - 2))
+               for _ in range(40))
+
+
+#: psi_12 and psi_13: the least odd composites that are strong probable
+#: primes to the first 12 and the first 13 primes (Sorenson & Webster).
+PSI_12 = 318_665_857_834_031_151_167_461
+PSI_13 = 3_317_044_064_679_887_385_961_981
+
+
 class TestPrimality:
     def test_known_primes(self):
-        rng = DeterministicRandom(b"prime")
-        for prime in (2, 3, 5, 7, 97, 101, 104729):
-            assert _is_probable_prime(prime, rng)
+        for prime in (2, 3, 5, 7, 41, 97, 101, 104729, 2**61 - 1,
+                      2**64 - 59):
+            assert independently_prime(prime), prime
+            assert _is_strong_probable_prime(prime), prime
 
     def test_known_composites(self):
-        rng = DeterministicRandom(b"prime")
-        for composite in (0, 1, 4, 100, 104730, 561, 41041):  # Carmichaels too
-            assert not _is_probable_prime(composite, rng)
+        for composite in (0, 1, 4, 100, 104730,
+                          561, 41041,  # Carmichael numbers
+                          3_215_031_751,  # strong pseudoprime to 2, 3, 5, 7
+                          PSI_12):
+            assert not independently_prime(composite), composite
+            assert not _is_strong_probable_prime(composite), composite
+
+    def test_psi_12_is_refused_only_by_base_41(self):
+        assert PSI_12 == 399_165_290_221 * 798_330_580_441
+        assert [base for base in _BASES
+                if not strong_probable_prime(PSI_12, base)] == [41]
+
+    def test_psi_13_fools_every_base_so_the_base_case_stops_below_it(self):
+        assert PSI_13 == 1_287_836_182_261 * 2_575_672_364_521
+        assert all(strong_probable_prime(PSI_13, base) for base in _BASES)
+        assert _is_strong_probable_prime(PSI_13)
+        assert PSI_13.bit_length() == _BASE_CASE_BITS + 1
+        assert PSI_13 > 2**_BASE_CASE_BITS
+
+    def test_base_case_generator_refuses_more_than_81_bits(self):
+        with pytest.raises(ValueError):
+            _base_case_prime(_BASE_CASE_BITS + 1, DeterministicRandom(b"b"))
+
+    @pytest.mark.parametrize("bits", [64, 65, _BASE_CASE_BITS])
+    def test_base_case_prime_size(self, bits):
+        prime = _base_case_prime(bits, DeterministicRandom(b"gen"))
+        assert prime.bit_length() == bits
+        assert prime >> (bits - 2) == 0b11
+        assert independently_prime(prime)
 
     def test_generated_prime_size(self):
-        rng = DeterministicRandom(b"gen")
-        prime = _generate_prime(128, rng)
+        prime, *_ = _certified_prime(128, DeterministicRandom(b"gen"))
         assert prime.bit_length() == 128
         assert prime >> 126 == 0b11
-        assert prime % 2 == 1
+        assert independently_prime(prime)
 
 
 def certificate_holds(prime, factor):
@@ -60,12 +117,6 @@ def certificate_holds(prime, factor):
     return (remainder == 0 and factor * factor > prime
             and pow(2, prime - 1, prime) == 1
             and math.gcd(pow(2, 2 * k, prime) - 1, prime) == 1)
-
-
-def independently_prime(n):
-    """Miller-Rabin with witnesses from a DRBG no key is drawn from."""
-    return _is_probable_prime(n, DeterministicRandom(b"audit-witnesses"),
-                              rounds=40)
 
 
 class TestPrimeCertificates:
@@ -81,21 +132,30 @@ class TestPrimeCertificates:
            bits=st.integers(min_value=128, max_value=768))
     def test_every_prime_of_a_key_is_certified(self, seed, bits):
         pair = KeyPair.generate(DeterministicRandom(seed), bits=bits)
-        primes = _prime_pair(bits, DeterministicRandom(seed))
+        chains = _prime_pair(bits, DeterministicRandom(seed))
         private = pair.private
-        assert [prime for prime, _ in primes] == [private.prime_p,
+        assert [chain[0] for chain in chains] == [private.prime_p,
                                                   private.prime_q]
-        for (prime, factor), size in zip(primes, (bits // 2,
-                                                  bits - bits // 2)):
-            assert prime.bit_length() == size
-            assert prime >= 3 << (size - 2)
-            assert certificate_holds(prime, factor)
-            assert _pocklington_certifies(prime, factor)
-            assert independently_prime(prime)
-            assert independently_prime(factor)
-        assert private.prime_p != private.prime_q
-        totient = (private.prime_p - 1) * (private.prime_q - 1)
+        for chain, size in zip(chains, (bits // 2, bits - bits // 2)):
+            for prime in chain:
+                assert prime.bit_length() == size
+                assert prime >> (size - 2) == 0b11
+                assert independently_prime(prime)
+                size = size // 2 + 1
+            for prime, factor in zip(chain, chain[1:]):
+                assert certificate_holds(prime, factor)
+                assert _pocklington_certifies(prime, factor)
+            base = chain[-1]
+            assert base.bit_length() <= _BASE_CASE_BITS
+            assert _is_strong_probable_prime(base)
+            assert len(chain) == 1 or chain[-2].bit_length() > _BASE_CASE_BITS
+        p, q = private.prime_p, private.prime_q
+        assert p != q
+        totient = (p - 1) * (q - 1)
         assert (pair.public.exponent * private.private_exponent) % totient == 1
+        assert private.coefficient * q % p == 1
+        assert private.exponent_p == private.private_exponent % (p - 1)
+        assert private.exponent_q == private.private_exponent % (q - 1)
 
     @pytest.mark.parametrize("check", [certificate_holds,
                                        _pocklington_certifies])
@@ -118,15 +178,6 @@ class TestPrimeCertificates:
         assert pow(2, prime - 1, prime) == 1
         assert math.gcd(pow(2, 2 * k, prime) - 1, prime) == 1
         assert not check(prime, factor)
-
-
-class TestModularInverse:
-    def test_inverse(self):
-        assert (_modular_inverse(3, 11) * 3) % 11 == 1
-
-    def test_no_inverse(self):
-        with pytest.raises(ValueError):
-            _modular_inverse(6, 9)
 
 
 class TestSignatures:
@@ -183,10 +234,6 @@ class TestSignatures:
 
 
 class TestPublicKeySerialization:
-    def test_round_trip(self, key_pair):
-        restored = PublicKey.from_bytes(key_pair.public.to_bytes())
-        assert restored == key_pair.public
-
     def test_fingerprint_stable_and_distinct(self, key_pair, other_key_pair):
         assert key_pair.public.fingerprint() == key_pair.public.fingerprint()
         assert (key_pair.public.fingerprint()
@@ -209,14 +256,15 @@ def sized_key_pair(key_bits):
 
 #: SHA-256 of the public key and of the signature on ``b"pinned message"``
 #: for ``KeyPair.generate(DeterministicRandom(b"crt-pin"), bits)``, keyed by
-#: the requested size. Recorded when key generation took its primes from
-#: Pocklington certificates; the signatures equal full-modulus
-#: ``pow(m, d, n)``, which ``test_sign_equals_full_modulus_pow`` checks.
+#: the requested size. Recorded when every prime came with a chain of
+#: Pocklington certificates down to a base case of at most 81 bits; the
+#: signatures equal full-modulus ``pow(m, d, n)``, which
+#: ``test_sign_equals_full_modulus_pow`` checks.
 PINNED_KEYS = {
-    512: ("1696783987bb02e29372ee6c8f30dbe7be873be108b64f691940245d337bcae5",
-          "267532a67339bee6e08db133cbaf5b8a0af73005390a8c7485c1ce356e221d1f"),
-    768: ("a8afafb5f974cafe63937809d0a8b9001d7261a796f1b085c6473f2838af7edf",
-          "07543d4a9f1507ce726de8b54b51d5edc1baf894f9f9f865b259a1960ec26bc7"),
+    512: ("917ea3280d7aecafaad944f9555fe6e02ee1454b4fc299952a319e600ce619d9",
+          "4e8feeb4084fc9dafe6d3bcd91b8f8ab31bf924e5f86f4dc326913d4a321f3cb"),
+    768: ("a5492b5cef7eb940ddb2f51870670ed4cc85e59ead952bf98b9dd6ba6b8e1fce",
+          "a1021ba0a986d55107fe1bf3697883b11c9485f092cf90dda0cbb6fe0cdc91ab"),
 }
 
 
@@ -245,9 +293,9 @@ class TestCrtSigning:
                        common_name="svc"),
             DeterministicRandom(b"x509-pin"), now=0.0)
         assert sha256(value.value).hex() == (
-            "32666e4639a60ef1776f763e59e612e1a64d425f2e392b68efbb0cc36ac9a781")
+            "15b67a1c969c9018ee095b16c14db64798a65c83b9444092fd99bbb053b77839")
         assert sha256(value.certificate.signature).hex() == (
-            "5eccc18a6259f9d13fe7387eb91d8f8afb340c09bf64f3dab03bd8bf279029c5")
+            "41d658bfa2b71db6228c9dd410585e40e6bcabc73bb4fc32208c4d78764ea499")
         public = value.certificate.public_key
         d = int.from_bytes(value.value, "big")
         assert pow(pow(12345, public.exponent, public.modulus), d,

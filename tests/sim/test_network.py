@@ -3,6 +3,7 @@
 import pytest
 
 from repro import calibration
+from repro.crypto.primitives import DeterministicRandom
 from repro.errors import NetworkError
 from repro.sim.core import Simulator
 from repro.sim.faults import FaultPlan
@@ -185,3 +186,12 @@ class TestDelivery:
         assert a.bytes_sent == 100
         assert b.bytes_received == 100
         assert net.messages_delivered == 1
+
+    def test_jitter_free_delay_draws_no_randomness(self):
+        rng = DeterministicRandom(b"net")
+        net = Network(Simulator(), rng, jitter_fraction=0.0)
+        delays = {net.one_way_delay(Site.SAME_RACK, Site.REGIONAL_300KM, 100)
+                  for _ in range(50)}
+        assert delays == {calibration.RTT_300_KM / 2
+                          + 100 / net.bandwidth_bytes_per_second}
+        assert rng.bytes(16) == DeterministicRandom(b"net").bytes(16)

@@ -18,7 +18,7 @@ from repro.tee.counters import PlatformCounterService
 #: change in whether the run reproduces itself.
 SEED_7_REPORT = """\
 chaos recovery summary
-  audit_head: b0c8f415e60265a86a4697b4c60753b8d4c3a163f71d712d5a9c7c24af8a1283
+  audit_head: a45b0ceb43a05282fb7cff31c84bf2010c20636a36a714e9e7f729159e71ca37
   audit_records: 17
   counter_outage_error: CounterUnavailableError
   faults_injected:

@@ -20,12 +20,11 @@ Commands
 ``lint``
     Static analysis (palint): AST-lint the source tree and optionally
     policy documents (``--policy FILE``). ``--format=json`` for machine
-    output, ``--list-rules`` for the catalogue; exit 1 on unsuppressed
-    findings. See ``docs/ANALYSIS.md``.
+    output, ``--list-rules`` for the catalogue; exit 1 on findings. See
+    ``docs/ANALYSIS.md``.
 ``chaos``
     Run the seeded fault-injection scenario and print the recovery
-    summary. ``--seed`` picks the fault schedule's RNG seed, and
-    ``--no-retry`` reproduces the pre-retry deadlock. See
+    summary. ``--seed`` picks the fault schedule's RNG seed. See
     ``docs/CHAOS.md``.
 """
 
@@ -111,21 +110,10 @@ def cmd_observe(seed: str = "observe") -> int:
     return 0 if print_observe_report(service) else 1
 
 
-def cmd_chaos(seed: int, no_retry: bool) -> int:
+def cmd_chaos(seed: int) -> int:
     """Run the seeded chaos scenario."""
     from repro.chaos import render_summary, run_chaos
-    from repro.errors import SimulationError
 
-    if no_retry:
-        try:
-            run_chaos(seed, retries=False)
-        except SimulationError as exc:
-            print(f"chaos (retries disabled): {exc}")
-            print("the scenario hangs without the retry layer, as expected")
-            return 0
-        print("chaos (retries disabled): unexpectedly completed",
-              file=sys.stderr)
-        return 1
     print(render_summary(run_chaos(seed)))
     return 0
 
@@ -163,9 +151,6 @@ def main(argv=None) -> int:
         "chaos", help="seeded fault injection + recovery summary")
     chaos.add_argument("--seed", type=int, default=7,
                        help="fault-schedule seed (same seed, same output)")
-    chaos.add_argument("--no-retry", action="store_true",
-                       help="run without the retry layer (demonstrates "
-                            "the deadlock the retry layer fixes)")
     if argv is None:
         argv = sys.argv[1:]
     if argv and argv[0] == "lint":
@@ -181,7 +166,7 @@ def main(argv=None) -> int:
     if args.command == "observe":
         return cmd_observe(args.seed)
     if args.command == "chaos":
-        return cmd_chaos(args.seed, args.no_retry)
+        return cmd_chaos(args.seed)
     return cmd_examples()
 
 

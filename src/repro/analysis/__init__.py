@@ -9,7 +9,8 @@ happen ahead of runtime: a small rule engine with two rule families.
   documents: weak board quorums (threshold below ``f+1``), veto-less
   boards, silently-defaulted unanimity, dangling/cyclic imports, secrets
   injected through argv (world-readable via ``/proc``), debug-mode
-  environments, unused secrets and exports, and MRE allow-list drift.
+  environments, unused secrets and exports, and stale permitted
+  combinations.
 - **Repo lint** (``SRC1xx``) runs over our own sources with the stdlib
   ``ast`` module: wall-clock calls inside the deterministic packages
   (``repro.sim``, ``repro.obs``, ``repro.analysis``), bare ``except``,
@@ -17,7 +18,7 @@ happen ahead of runtime: a small rule engine with two rule families.
   state-changing ``PalaemonService`` methods that never emit an audit
   record.
 
-Everything is deterministic: rules run in registry order, findings sort
+Everything is deterministic: rules run in code order, findings sort
 on a stable key, reporters never embed timestamps — the same tree and
 the same policies produce byte-identical output on every run.
 
@@ -29,13 +30,12 @@ gate).  The rule catalogue lives in ``docs/ANALYSIS.md``.
 
 from repro.analysis.engine import Analyzer
 from repro.analysis.findings import Finding, Severity
-from repro.analysis.registry import DEFAULT_REGISTRY, Rule, RuleRegistry
+from repro.analysis.registry import RULES, Rule
 
 __all__ = [
     "Analyzer",
-    "DEFAULT_REGISTRY",
     "Finding",
+    "RULES",
     "Rule",
-    "RuleRegistry",
     "Severity",
 ]

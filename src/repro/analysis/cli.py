@@ -2,7 +2,7 @@
 
 Source-lints ``src/repro`` (or the given paths) and policy-lints any
 yamlish documents passed via ``--policy``.  Exit status: 0 clean, 1
-findings remain after the baseline, 2 usage error.
+findings, 2 usage error.
 """
 
 from __future__ import annotations
@@ -13,12 +13,9 @@ from pathlib import Path
 from typing import List, Optional
 
 from repro.analysis.engine import Analyzer, repo_root
+from repro.analysis.findings import Finding, Severity, sort_findings
+from repro.analysis.registry import RULES
 from repro.analysis.report import render_json, render_text
-from repro.analysis.suppress import (
-    BASELINE_FILENAME,
-    apply_baseline,
-    load_baseline,
-)
 from repro.core import yamlish
 from repro.core.policy import SecurityPolicy
 from repro.errors import PolicyValidationError
@@ -40,13 +37,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="FILE",
         help="also lint a yamlish policy document (repeatable)")
     parser.add_argument(
-        "--baseline", type=Path, default=None, metavar="FILE",
-        help=f"baseline file of tolerated findings "
-             f"(default: <repo>/{BASELINE_FILENAME} when present)")
-    parser.add_argument(
-        "--rules", default=None, metavar="CODES",
-        help="comma-separated rule codes to run (default: all)")
-    parser.add_argument(
         "--list-rules", action="store_true",
         help="print the rule catalogue and exit")
     return parser
@@ -67,21 +57,11 @@ def _run_lint(argv: Optional[List[str]]) -> int:
     analyzer = Analyzer()
 
     if args.list_rules:
-        for code in analyzer.registry.codes():
-            rule = analyzer.registry.get(code)
+        for code in sorted(RULES):
+            rule = RULES[code]
             print(f"{code}  {rule.severity.name.ljust(8)} "
                   f"[{rule.scope}] {rule.title}")
         return 0
-
-    codes = None
-    if args.rules:
-        codes = {part.strip().upper() for part in args.rules.split(",")
-                 if part.strip()}
-        try:
-            analyzer.registry.rules(codes=codes)
-        except KeyError as exc:
-            print(f"lint: {exc.args[0]}", file=sys.stderr)
-            return 2
 
     root = repo_root()
     findings = []
@@ -89,31 +69,18 @@ def _run_lint(argv: Optional[List[str]]) -> int:
         if not path.exists():
             print(f"lint: no such path: {path}", file=sys.stderr)
             return 2
-        findings.extend(
-            analyzer.analyze_sources(path, codes=codes, base=root))
+        findings.extend(analyzer.analyze_sources(path, base=root))
 
     for policy_path in args.policy:
-        findings.extend(
-            _lint_policy_file(analyzer, policy_path, codes))
+        findings.extend(_lint_policy_file(analyzer, policy_path))
 
-    baseline_path = args.baseline or (root / BASELINE_FILENAME)
-    try:
-        suppress_ids = load_baseline(baseline_path)
-    except ValueError as exc:
-        print(f"lint: {exc}", file=sys.stderr)
-        return 2
-    kept, suppressed = apply_baseline(sorted(set(findings),
-                                             key=lambda f: f.sort_key()),
-                                      suppress_ids)
-
+    findings = sort_findings(findings)
     renderer = render_json if args.format == "json" else render_text
-    sys.stdout.write(renderer(kept, suppressed=suppressed))
-    return 1 if kept else 0
+    sys.stdout.write(renderer(findings))
+    return 1 if findings else 0
 
 
-def _lint_policy_file(analyzer: Analyzer, path: Path, codes) -> list:
-    from repro.analysis.findings import Finding, Severity
-
+def _lint_policy_file(analyzer: Analyzer, path: Path) -> list:
     display = path.name
     try:
         text = path.read_text(encoding="utf-8")
@@ -132,7 +99,7 @@ def _lint_policy_file(analyzer: Analyzer, path: Path, codes) -> list:
     mapping = document if isinstance(document, dict) else {}
     name = mapping.get("name")
     name = name if isinstance(name, str) and name else display
-    findings = analyzer.analyze_document(name, mapping, codes=codes)
+    findings = analyzer.analyze_document(name, mapping)
     try:
         policy = SecurityPolicy.from_dict(document)
     except PolicyValidationError as exc:
@@ -141,6 +108,5 @@ def _lint_policy_file(analyzer: Analyzer, path: Path, codes) -> list:
             message=f"policy does not validate: {exc}",
             hint="from_dict/validate rejected the document"))
         return findings
-    findings.extend(analyzer.analyze_policy_set(
-        {policy.name: policy}, codes=codes))
+    findings.extend(analyzer.analyze_policy_set({policy.name: policy}))
     return findings

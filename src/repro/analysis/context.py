@@ -3,9 +3,9 @@
 from __future__ import annotations
 
 import ast
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, FrozenSet, List, Optional
+from typing import Dict, List
 
 from repro.core.policy import SecurityPolicy
 from repro.fs.injection import find_variables
@@ -13,18 +13,9 @@ from repro.fs.injection import find_variables
 
 @dataclass
 class PolicySetContext:
-    """Every policy under analysis, keyed by name, plus shared references.
-
-    ``documents`` carries the raw yamlish mappings for policies that were
-    parsed from text (document rules need the pre-default view).
-    ``mre_allowlist`` is the currently vouched-for MRENCLAVE set — from
-    the CA image or an image-policy export — against which PAL030 checks
-    for drift; ``None`` disables the check.
-    """
+    """Every policy under analysis, keyed by name."""
 
     policies: Dict[str, SecurityPolicy]
-    documents: Dict[str, dict] = field(default_factory=dict)
-    mre_allowlist: Optional[FrozenSet[bytes]] = None
 
     def names(self) -> List[str]:
         return sorted(self.policies)
@@ -58,20 +49,12 @@ class PolicySetContext:
 class SourceFile:
     """One parsed python source file under repo lint."""
 
-    path: Path
-    #: Repo-relative posix path, the stable display/baseline key.
+    #: Repo-relative posix path, the stable display key.
     display: str
     #: Dotted module name (``repro.obs.metrics``), derived from the
     #: ``__init__.py`` chain above the file.
     module: str
-    text: str
     tree: ast.Module
-    lines: List[str]
-
-    def line_text(self, line: int) -> str:
-        if 1 <= line <= len(self.lines):
-            return self.lines[line - 1]
-        return ""
 
 
 def module_name_for(path: Path) -> str:
@@ -85,19 +68,8 @@ def module_name_for(path: Path) -> str:
     return ".".join(parts)
 
 
-def load_source_file(path: Path, repo_root: Optional[Path] = None,
-                     ) -> SourceFile:
+def load_source_file(path: Path, display: str) -> SourceFile:
     """Read and parse one file; raises ``SyntaxError`` on broken sources."""
-    path = path.resolve()
-    text = path.read_text(encoding="utf-8")
-    if repo_root is not None:
-        try:
-            display = path.relative_to(repo_root.resolve()).as_posix()
-        except ValueError:
-            display = path.as_posix()
-    else:
-        display = path.as_posix()
-    tree = ast.parse(text, filename=display)
-    return SourceFile(path=path, display=display,
-                      module=module_name_for(path), text=text,
-                      tree=tree, lines=text.splitlines())
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=display)
+    return SourceFile(display=display, module=module_name_for(path),
+                      tree=tree)

@@ -20,8 +20,7 @@ _BOARD_KEYS = frozenset(("members", "threshold"))
 
 
 @rule("DOC001", "implicit unanimity threshold", scope="document",
-      severity=Severity.WARNING,
-      hint="state board.threshold explicitly (f+1 for the fault budget)")
+      severity=Severity.WARNING)
 def check_implicit_threshold(name: str, document: dict) -> Iterator[Finding]:
     board = document.get("board")
     if not isinstance(board, dict):
@@ -39,8 +38,7 @@ def check_implicit_threshold(name: str, document: dict) -> Iterator[Finding]:
 
 
 @rule("DOC002", "unknown document key", scope="document",
-      severity=Severity.WARNING,
-      hint="misspelled keys are silently ignored by the parser")
+      severity=Severity.WARNING)
 def check_unknown_keys(name: str, document: dict) -> Iterator[Finding]:
     if not isinstance(document, dict):
         return

@@ -24,13 +24,6 @@ class Severity(enum.IntEnum):
     #: (``create_policy(..., analyze=True)``) before board submission.
     CRITICAL = 40
 
-    @classmethod
-    def parse(cls, text: str) -> "Severity":
-        try:
-            return cls[text.strip().upper()]
-        except KeyError:
-            raise ValueError(f"unknown severity {text!r}") from None
-
 
 @dataclass(frozen=True)
 class Finding:
@@ -50,10 +43,6 @@ class Finding:
         if self.line is None:
             return self.subject
         return f"{self.subject}:{self.line}"
-
-    def identity(self) -> str:
-        """The stable key a baseline file suppresses findings by."""
-        return f"{self.code} {self.location}"
 
     def sort_key(self) -> Tuple[str, int, str, str]:
         return (self.subject, self.line or 0, self.code, self.message)

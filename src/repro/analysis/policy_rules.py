@@ -1,7 +1,7 @@
 """Policy-analysis rules (``PAL0xx``): trust misconfiguration, pre-runtime.
 
 Per-policy rules check boards, secret flow, and environments; set-scoped
-rules check the cross-policy import graph and allow-list drift.  Every
+rules check the cross-policy import graph.  Every
 rule yields :class:`Finding` objects with the policy name as subject.
 """
 
@@ -36,8 +36,7 @@ def required_threshold(member_count: int) -> Tuple[int, int]:
 
 
 @rule("PAL001", "weak board quorum", scope="policy",
-      severity=Severity.ERROR,
-      hint="raise the threshold to f+1 for the tolerated fault budget")
+      severity=Severity.ERROR)
 def check_weak_quorum(policy: SecurityPolicy,
                       ctx: PolicySetContext) -> Iterator[Finding]:
     board = policy.board
@@ -59,8 +58,7 @@ def check_weak_quorum(policy: SecurityPolicy,
 
 
 @rule("PAL002", "veto-less board", scope="policy",
-      severity=Severity.WARNING,
-      hint="grant at least one member veto power (any veto rejects)")
+      severity=Severity.WARNING)
 def check_vetoless_board(policy: SecurityPolicy,
                          ctx: PolicySetContext) -> Iterator[Finding]:
     board = policy.board
@@ -77,8 +75,7 @@ def check_vetoless_board(policy: SecurityPolicy,
 
 
 @rule("PAL014", "unused secret", scope="policy",
-      severity=Severity.WARNING,
-      hint="remove the secret or reference/export it")
+      severity=Severity.WARNING)
 def check_unused_secrets(policy: SecurityPolicy,
                          ctx: PolicySetContext) -> Iterator[Finding]:
     referenced = set(ctx.referenced_secret_names(policy))
@@ -94,8 +91,7 @@ def check_unused_secrets(policy: SecurityPolicy,
 
 
 @rule("PAL015", "undefined secret reference", scope="policy",
-      severity=Severity.ERROR,
-      hint="declare the secret or import it under the referenced name")
+      severity=Severity.ERROR)
 def check_undefined_references(policy: SecurityPolicy,
                                ctx: PolicySetContext) -> Iterator[Finding]:
     defined = {secret.name for secret in policy.secrets}
@@ -112,8 +108,7 @@ def check_undefined_references(policy: SecurityPolicy,
 
 
 @rule("PAL020", "secret injected via argv", scope="policy",
-      severity=Severity.CRITICAL,
-      hint="move the secret into an injected file or the environment")
+      severity=Severity.CRITICAL)
 def check_argv_secret(policy: SecurityPolicy,
                       ctx: PolicySetContext) -> Iterator[Finding]:
     from repro.fs.injection import find_variables
@@ -135,8 +130,7 @@ def check_argv_secret(policy: SecurityPolicy,
 
 
 @rule("PAL021", "debug attestation acceptance", scope="policy",
-      severity=Severity.CRITICAL,
-      hint="remove debug/simulation mode variables from the environment")
+      severity=Severity.CRITICAL)
 def check_debug_environment(policy: SecurityPolicy,
                             ctx: PolicySetContext) -> Iterator[Finding]:
     for service in policy.services:
@@ -158,8 +152,7 @@ def check_debug_environment(policy: SecurityPolicy,
 
 
 @rule("PAL031", "stale permitted combination", scope="policy",
-      severity=Severity.WARNING,
-      hint="prune combinations whose MRE no service lists")
+      severity=Severity.WARNING)
 def check_stale_combinations(policy: SecurityPolicy,
                              ctx: PolicySetContext) -> Iterator[Finding]:
     if not policy.permitted_combinations:
@@ -182,8 +175,7 @@ def check_stale_combinations(policy: SecurityPolicy,
 
 
 @rule("PAL010", "dangling secret import", scope="policyset",
-      severity=Severity.ERROR,
-      hint="create the exporting policy or fix its export list")
+      severity=Severity.ERROR)
 def check_dangling_imports(ctx: PolicySetContext) -> Iterator[Finding]:
     for name in ctx.names():
         policy = ctx.policies[name]
@@ -207,8 +199,7 @@ def check_dangling_imports(ctx: PolicySetContext) -> Iterator[Finding]:
 
 
 @rule("PAL011", "import cycle", scope="policyset",
-      severity=Severity.ERROR,
-      hint="break the cycle; secret flow must be a DAG")
+      severity=Severity.ERROR)
 def check_import_cycles(ctx: PolicySetContext) -> Iterator[Finding]:
     edges = {name: sorted(
         {spec.from_policy for spec in ctx.policies[name].imports
@@ -250,8 +241,7 @@ def check_import_cycles(ctx: PolicySetContext) -> Iterator[Finding]:
 
 
 @rule("PAL012", "dangling volume import", scope="policyset",
-      severity=Severity.ERROR,
-      hint="create the exporting policy or fix its volume export")
+      severity=Severity.ERROR)
 def check_dangling_volume_imports(ctx: PolicySetContext) -> Iterator[Finding]:
     for name in ctx.names():
         policy = ctx.policies[name]
@@ -275,8 +265,7 @@ def check_dangling_volume_imports(ctx: PolicySetContext) -> Iterator[Finding]:
 
 
 @rule("PAL013", "unused export", scope="policyset",
-      severity=Severity.WARNING,
-      hint="trim export lists to the policies that import")
+      severity=Severity.WARNING)
 def check_unused_exports(ctx: PolicySetContext) -> Iterator[Finding]:
     for name in ctx.names():
         policy = ctx.policies[name]
@@ -298,24 +287,3 @@ def check_unused_exports(ctx: PolicySetContext) -> Iterator[Finding]:
                         message=(f"secret {secret.name!r} is exported to "
                                  f"{target!r}, which never imports it"),
                         hint="remove the stale entry from the export list")
-
-
-@rule("PAL030", "MRE allow-list drift", scope="policyset",
-      severity=Severity.ERROR,
-      hint="board-approve a policy update or refresh the allow-list")
-def check_allowlist_drift(ctx: PolicySetContext) -> Iterator[Finding]:
-    if ctx.mre_allowlist is None:
-        return
-    for name in ctx.names():
-        policy = ctx.policies[name]
-        for service in policy.services:
-            for mre in service.mrenclaves:
-                if mre in ctx.mre_allowlist:
-                    continue
-                yield Finding(
-                    code="PAL030", severity=Severity.ERROR, subject=name,
-                    message=(f"service {service.name!r} permits MRENCLAVE "
-                             f"{mre.hex()[:16]}... which the current "
-                             f"CA/image allow-list no longer vouches for "
-                             f"(§III-E: revocations must propagate)"),
-                    hint="drop the retired MRE from the service")

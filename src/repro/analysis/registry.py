@@ -1,8 +1,8 @@
-"""The rule registry: every lint rule, addressable by code.
+"""The rule table: every lint rule, addressable by code.
 
 Rules declare a code (``PAL001``, ``DOC001``, ``SRC101``, ...), a scope
 that decides what input their check function receives, a default
-severity, and the check itself.  The registry iterates rules in code
+severity, and the check itself.  :func:`rules` returns them in code
 order so analysis output never depends on import order.
 
 Scopes
@@ -16,14 +16,14 @@ Scopes
     ``check(name, document)`` — the raw yamlish mapping, before parsing
     fills in defaults.
 ``source``
-    ``check(source)`` — one parsed :class:`SourceFile` (path, module
-    name, AST, source lines).
+    ``check(source)`` — one parsed :class:`SourceFile` (display path,
+    module name, AST).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, Optional, Tuple
+from typing import Callable, Dict, Tuple
 
 from repro.analysis.findings import Severity
 
@@ -39,66 +39,31 @@ class Rule:
     scope: str
     severity: Severity
     check: Callable = field(compare=False)
-    hint: str = ""
 
     def __post_init__(self) -> None:
         if self.scope not in SCOPES:
             raise ValueError(f"rule {self.code}: unknown scope {self.scope!r}")
 
 
-class RuleRegistry:
-    """A set of rules with stable iteration order."""
-
-    def __init__(self) -> None:
-        self._rules: Dict[str, Rule] = {}
-
-    def register(self, rule: Rule) -> Rule:
-        if rule.code in self._rules:
-            raise ValueError(f"duplicate rule code {rule.code!r}")
-        self._rules[rule.code] = rule
-        return rule
-
-    def get(self, code: str) -> Rule:
-        try:
-            return self._rules[code]
-        except KeyError:
-            raise KeyError(f"no rule with code {code!r}") from None
-
-    def codes(self) -> Tuple[str, ...]:
-        return tuple(sorted(self._rules))
-
-    def rules(self, scope: Optional[str] = None,
-              codes: Optional[Iterable[str]] = None) -> Tuple[Rule, ...]:
-        """Rules in code order, optionally filtered by scope and codes."""
-        wanted = None if codes is None else set(codes)
-        if wanted is not None:
-            unknown = wanted - set(self._rules)
-            if unknown:
-                raise KeyError(
-                    f"unknown rule codes: {', '.join(sorted(unknown))}")
-        selected = []
-        for code in sorted(self._rules):
-            rule = self._rules[code]
-            if scope is not None and rule.scope != scope:
-                continue
-            if wanted is not None and code not in wanted:
-                continue
-            selected.append(rule)
-        return tuple(selected)
+#: Every rule, keyed by code; the stock rule modules fill it on import.
+RULES: Dict[str, Rule] = {}
 
 
-#: The registry the stock rule modules populate on import.
-DEFAULT_REGISTRY = RuleRegistry()
+def rules(scope: str) -> Tuple[Rule, ...]:
+    """The rules of one scope, in code order."""
+    return tuple(RULES[code] for code in sorted(RULES)
+                 if RULES[code].scope == scope)
 
 
-def rule(code: str, title: str, scope: str, severity: Severity,
-         hint: str = "", registry: Optional[RuleRegistry] = None):
+def rule(code: str, title: str, scope: str, severity: Severity):
     """Decorator: register a check function as a rule."""
 
     def decorate(check: Callable) -> Callable:
-        (registry or DEFAULT_REGISTRY).register(Rule(
-            code=code, title=title, scope=scope, severity=severity,
-            check=check, hint=hint))
+        new = Rule(code=code, title=title, scope=scope, severity=severity,
+                   check=check)
+        if code in RULES:
+            raise ValueError(f"duplicate rule code {code!r}")
+        RULES[code] = new
         return check
 
     return decorate

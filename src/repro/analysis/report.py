@@ -20,7 +20,7 @@ _SEVERITY_TAGS = {
 }
 
 
-def render_text(findings: Iterable[Finding], suppressed: int = 0) -> str:
+def render_text(findings: Iterable[Finding]) -> str:
     """One line per finding plus a summary, sorted and stable."""
     findings = list(findings)
     lines: List[str] = []
@@ -31,18 +31,17 @@ def render_text(findings: Iterable[Finding], suppressed: int = 0) -> str:
             f"{finding.message}")
         if finding.hint:
             lines.append(f"    hint: {finding.hint}")
-    lines.append(_summary_line(findings, suppressed))
+    lines.append(_summary_line(findings))
     return "\n".join(lines) + "\n"
 
 
-def render_json(findings: Iterable[Finding], suppressed: int = 0) -> str:
+def render_json(findings: Iterable[Finding]) -> str:
     """Stable JSON: sorted keys, sorted findings, trailing newline."""
     findings = list(findings)
     document = {
         "findings": [finding.to_dict() for finding in findings],
         "summary": {
             "total": len(findings),
-            "suppressed": suppressed,
             "by_severity": {
                 severity.name: count
                 for severity in Severity
@@ -53,8 +52,8 @@ def render_json(findings: Iterable[Finding], suppressed: int = 0) -> str:
     return json.dumps(document, indent=2, sort_keys=True) + "\n"
 
 
-def _summary_line(findings: List[Finding], suppressed: int) -> str:
-    if not findings and not suppressed:
+def _summary_line(findings: List[Finding]) -> str:
+    if not findings:
         return "palint: clean (0 findings)"
     counts = []
     for severity in (Severity.CRITICAL, Severity.ERROR, Severity.WARNING,
@@ -63,7 +62,4 @@ def _summary_line(findings: List[Finding], suppressed: int) -> str:
                     if finding.severity is severity)
         if count:
             counts.append(f"{count} {severity.name.lower()}")
-    rendered = ", ".join(counts) if counts else "0 findings"
-    if suppressed:
-        rendered += f" ({suppressed} suppressed by baseline)"
-    return f"palint: {rendered}"
+    return f"palint: {', '.join(counts)}"

@@ -45,8 +45,7 @@ def _in_deterministic_package(module: str) -> bool:
 
 
 @rule("SRC101", "wall clock in deterministic package", scope="source",
-      severity=Severity.ERROR,
-      hint="derive every timestamp from the simulator clock")
+      severity=Severity.ERROR)
 def check_wall_clock(source: SourceFile) -> Iterator[Finding]:
     if not _in_deterministic_package(source.module):
         return
@@ -106,8 +105,7 @@ def _package_of(module: str) -> str:
 
 
 @rule("SRC102", "bare except", scope="source",
-      severity=Severity.WARNING,
-      hint="catch a concrete exception type (ReproError subclasses)")
+      severity=Severity.WARNING)
 def check_bare_except(source: SourceFile) -> Iterator[Finding]:
     for node in ast.walk(source.tree):
         if isinstance(node, ast.ExceptHandler) and node.type is None:
@@ -131,8 +129,7 @@ _BROAD_CATCH_BOUNDARY = "repro.core.dispatch"
 
 
 @rule("SRC105", "broad 'except Exception' outside the dispatch boundary",
-      scope="source", severity=Severity.ERROR,
-      hint="catch the concrete repro.errors type the caller can act on")
+      scope="source", severity=Severity.ERROR)
 def check_broad_except(source: SourceFile) -> Iterator[Finding]:
     if source.module == _BROAD_CATCH_BOUNDARY:
         return
@@ -167,8 +164,7 @@ _ERROR_CODE_MODULES = frozenset(("repro.core.rest", "repro.core.dispatch"))
 
 
 @rule("SRC103", "non-snake_case REST error code", scope="source",
-      severity=Severity.ERROR,
-      hint="REST error codes are API surface: ^[a-z][a-z0-9_]*$")
+      severity=Severity.ERROR)
 def check_rest_error_codes(source: SourceFile) -> Iterator[Finding]:
     if source.module not in _ERROR_CODE_MODULES:
         return
@@ -201,8 +197,7 @@ def _check_code_value(source: SourceFile,
 
 
 @rule("SRC104", "unaudited state change", scope="source",
-      severity=Severity.ERROR,
-      hint="every state-changing service method must telemetry.audit()")
+      severity=Severity.ERROR)
 def check_unaudited_state_change(source: SourceFile) -> Iterator[Finding]:
     if source.module != "repro.core.service":
         return
@@ -247,9 +242,7 @@ def _check_service_class(source: SourceFile,
 
 
 @rule("SRC106", "whole-database serialization on the flush path",
-      scope="source", severity=Severity.ERROR,
-      hint="append a log record of the changed keys, never the whole "
-           "document")
+      scope="source", severity=Severity.ERROR)
 def check_whole_document_flush(source: SourceFile) -> Iterator[Finding]:
     for node in ast.walk(source.tree):
         if isinstance(node, ast.Call) and _is_whole_document_dump(node):
@@ -263,8 +256,7 @@ def check_whole_document_flush(source: SourceFile) -> Iterator[Finding]:
 
 
 @rule("SRC110", "whole-table snapshot forced on a request path",
-      scope="source", severity=Severity.ERROR,
-      hint="log the changed value with store.put(table, key, value)")
+      scope="source", severity=Severity.ERROR)
 def check_service_table_touch(source: SourceFile) -> Iterator[Finding]:
     if source.module != "repro.core.service":
         return
@@ -319,9 +311,7 @@ _SERVICE_OPERATION_METHODS = frozenset((
 
 
 @rule("SRC107", "direct service call from a transport module",
-      scope="source", severity=Severity.ERROR,
-      hint="route the request through the dispatcher "
-           "(service.dispatcher.handle/dispatch)")
+      scope="source", severity=Severity.ERROR)
 def check_transport_bypasses_dispatcher(source: SourceFile,
                                         ) -> Iterator[Finding]:
     if source.module not in _TRANSPORT_MODULES:
@@ -344,8 +334,7 @@ def check_transport_bypasses_dispatcher(source: SourceFile,
 
 
 @rule("SRC108", "raw endpoint traffic outside repro.sim/repro.tls",
-      scope="source", severity=Severity.ERROR,
-      hint="send through TLSConnection.request and serve with TLSServer")
+      scope="source", severity=Severity.ERROR)
 def check_raw_endpoint_traffic(source: SourceFile) -> Iterator[Finding]:
     if _in_packages(source.module, RAW_TRAFFIC_PACKAGES):
         return
@@ -373,8 +362,7 @@ def check_raw_endpoint_traffic(source: SourceFile) -> Iterator[Finding]:
 
 
 @rule("SRC109", "retry wrapper outside repro.sim.retry", scope="source",
-      severity=Severity.ERROR,
-      hint="compose RetryPolicy(...).call(...) at the call site")
+      severity=Severity.ERROR)
 def check_retry_wrappers(source: SourceFile) -> Iterator[Finding]:
     if source.module == "repro.sim.retry":
         return

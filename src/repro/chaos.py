@@ -26,8 +26,7 @@ Everything probabilistic draws from one seeded
 :class:`~repro.crypto.primitives.DeterministicRandom`, all fault windows
 are virtual-time, and the summary renders with sorted keys — so the same
 seed produces a byte-identical report (``tests/test_chaos_recovery.py``
-asserts this, and also that the same scenario *deadlocks* when retries
-are disabled).
+asserts this).
 """
 
 from __future__ import annotations
@@ -68,16 +67,8 @@ def _make_instance(simulator: Simulator, ias, name: str, seed: bytes,
     return service
 
 
-def run_chaos(seed: int, retries: bool = True) -> Dict[str, Any]:
-    """Run the scenario; returns the recovery summary (a plain dict).
-
-    With ``retries=False`` the first faulted operation is issued without
-    a retry budget or deadline: the dropped message is never resent, the
-    main process never finishes, and
-    :meth:`~repro.sim.core.Simulator.run_process` raises
-    ``SimulationError("... did not finish (deadlock?)")`` — the honest
-    pre-retry behaviour, kept reachable as a regression guard.
-    """
+def run_chaos(seed: int) -> Dict[str, Any]:
+    """Run the scenario; returns the recovery summary (a plain dict)."""
     label = b"chaos:%d" % seed
     rng = DeterministicRandom(label)
     simulator = Simulator()
@@ -143,10 +134,7 @@ def run_chaos(seed: int, retries: bool = True) -> Dict[str, Any]:
     volume3 = BlockStore("palaemon-3-volume")
     rng3 = rng.fork(b"service-3")
 
-    summary: Dict[str, Any] = {
-        "seed": seed,
-        "retries": "on" if retries else "off",
-    }
+    summary: Dict[str, Any] = {"seed": seed}
 
     def advance_to(deadline: float):
         """Absolute-time phase alignment (never a negative timeout)."""
@@ -155,13 +143,6 @@ def run_chaos(seed: int, retries: bool = True) -> Dict[str, Any]:
     def scenario() -> Generator[Event, Any, None]:
         # -- phase A: partition-then-heal federation fetch ----------------
         yield advance_to(1.0)
-        if not retries:
-            # The pre-retry behaviour: one send, wait forever. The drop
-            # window eats the request and this process never finishes.
-            yield simulator.process(local.fetch_remote_secrets(
-                remote.name, "producer_policy", "consumer_policy",
-                ["SHARED_KEY"]))
-            return
         secrets = yield simulator.process(
             RetryPolicy(max_attempts=6, base_delay=0.2,
                         attempt_timeout=0.5).call(

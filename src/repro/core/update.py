@@ -135,7 +135,7 @@ class CAUpdateCoordinator:
         request = AccessRequest(
             policy_name="palaemon-ca", operation="update",
             requester_fingerprint=self.requester.fingerprint(),
-            change_digest=digest)
+            change_digest=digest, nonce=rng.bytes(16))
         outcome = self.evaluator.evaluate_local(self.board, request)
         BoardEvaluator.enforce(self.board, request, outcome)
         return current_ca.updated(new_mrenclaves, rng, version=version)

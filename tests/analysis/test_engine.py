@@ -4,8 +4,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.analysis.engine import Analyzer, max_severity
+from repro.analysis import RULES
+from repro.analysis.engine import Analyzer, repo_root
 from repro.analysis.findings import Finding, Severity, sort_findings
+from repro.analysis.registry import rule
 from repro.analysis.report import render_json, render_text
 from repro.core.policy import ImportSpec, SecurityPolicy
 from repro.core.secrets import SecretKind, SecretSpec
@@ -50,13 +52,23 @@ class TestDeterminism:
     @settings(max_examples=30, deadline=None)
     @given(policy_sets())
     def test_policy_lint_output_byte_identical(self, policies):
-        first = render_json(Analyzer().analyze_policy_set(policies))
+        findings = Analyzer().analyze_policy_set(policies)
+        first = render_json(findings)
         second = render_json(Analyzer().analyze_policy_set(policies))
         assert first == second
+        for finding in findings:
+            assert finding.code in RULES
+            declared = RULES[finding.code].severity
+            # PAL001 is the one rule that escalates: a threshold of one
+            # on a multi-member board is CRITICAL (docs/ANALYSIS.md).
+            assert (finding.severity is declared
+                    or (finding.code, finding.severity)
+                    == ("PAL001", Severity.CRITICAL))
 
     def test_repo_lint_output_byte_identical(self):
-        first = render_json(Analyzer().analyze_repo())
-        second = render_json(Analyzer().analyze_repo())
+        tree = repo_root() / "src" / "repro"
+        first = render_json(Analyzer().analyze_sources(tree))
+        second = render_json(Analyzer().analyze_sources(tree))
         assert first == second
 
     def test_findings_order_is_independent_of_input_order(self):
@@ -88,29 +100,19 @@ class TestReporters:
         import json
         finding = Finding(code="SRC102", severity=Severity.WARNING,
                           subject="src/x.py", message="bare", line=3)
-        document = json.loads(render_json([finding], suppressed=2))
+        document = json.loads(render_json([finding]))
         assert document["summary"] == {
-            "total": 1, "suppressed": 2, "by_severity": {"WARNING": 1}}
+            "total": 1, "by_severity": {"WARNING": 1}}
         assert document["findings"][0]["code"] == "SRC102"
         assert document["findings"][0]["line"] == 3
 
-    def test_suppressed_count_in_text_summary(self):
-        assert "(2 suppressed by baseline)" in render_text([], suppressed=2)
 
-
-class TestSeverity:
-    def test_parse_accepts_names(self):
-        assert Severity.parse("critical") is Severity.CRITICAL
-        assert Severity.parse("WARNING") is Severity.WARNING
-
-    def test_parse_rejects_unknown(self):
+class TestRuleTable:
+    @pytest.mark.parametrize("code, scope", [("PAL001", "policy"),
+                                             ("PAL999", "nowhere")])
+    def test_duplicate_code_and_unknown_scope_rejected(self, code, scope):
+        before = dict(RULES)
         with pytest.raises(ValueError):
-            Severity.parse("fatal")
-
-    def test_max_severity(self):
-        low = Finding(code="A", severity=Severity.INFO, subject="s",
-                      message="m")
-        high = Finding(code="B", severity=Severity.ERROR, subject="s",
-                       message="m")
-        assert max_severity([low, high]) is Severity.ERROR
-        assert max_severity([]) is None
+            rule(code, "bad", scope=scope, severity=Severity.INFO)(
+                lambda *_: ())
+        assert RULES == before

@@ -10,8 +10,8 @@ from repro.core.secrets import SecretKind, SecretSpec
 from tests.analysis import fixtures
 
 
-def analyze(policies, **kwargs):
-    return Analyzer().analyze_policy_set(policies, **kwargs)
+def analyze(policies):
+    return Analyzer().analyze_policy_set(policies)
 
 
 class TestSeededDefects:
@@ -168,13 +168,6 @@ class TestEnvironmentRules:
 
 
 class TestAllowlistRules:
-    def test_drift_flagged_against_allowlist(self):
-        policy = SecurityPolicy(name="drifted",
-                                services=[fixtures.service()])
-        findings = analyze({policy.name: policy},
-                           mre_allowlist=frozenset({b"\x02" * 32}))
-        assert [finding.code for finding in findings] == ["PAL030"]
-
     def test_no_allowlist_no_check(self):
         policy = SecurityPolicy(name="drifted",
                                 services=[fixtures.service()])

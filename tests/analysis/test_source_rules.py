@@ -1,13 +1,9 @@
 """AST source-rule tests over synthetic packages under tmp_path."""
 
-import json
 import textwrap
-
-import pytest
 
 from repro.analysis.engine import Analyzer, repo_root
 from repro.analysis.findings import Severity
-from repro.analysis.suppress import apply_baseline, load_baseline
 
 
 def write_module(tmp_path, dotted, text):
@@ -23,9 +19,8 @@ def write_module(tmp_path, dotted, text):
     return path
 
 
-def lint(tmp_path, codes=None):
-    return Analyzer().analyze_sources(tmp_path / "repro", codes=codes,
-                                      base=tmp_path)
+def lint(tmp_path):
+    return Analyzer().analyze_sources(tmp_path / "repro", base=tmp_path)
 
 
 class TestWallClock:
@@ -305,7 +300,8 @@ class TestRetryWrappers:
             def attest(client, *, retry_policy=None):
                 return client
             """)
-        findings = lint(tmp_path, codes={"SRC109"})
+        findings = [finding for finding in lint(tmp_path)
+                    if finding.code == "SRC109"]
         assert [(finding.code, finding.line) for finding in findings] == [
             ("SRC109", 2), ("SRC109", 5)]
 
@@ -392,22 +388,6 @@ class TestEngineBehaviour:
         assert [finding.code for finding in findings] == ["SRC100"]
         assert findings[0].severity is Severity.CRITICAL
 
-    def test_inline_suppression(self, tmp_path):
-        write_module(tmp_path, "repro.core.bad", """\
-            def swallow():
-                try:
-                    return 1
-                except:  # palint: disable=SRC102
-                    return None
-            """)
-        assert lint(tmp_path) == []
-
-    def test_inline_all_suppression(self, tmp_path):
-        write_module(tmp_path, "repro.sim.bad", """\
-            import time  # palint: disable=all
-            """)
-        assert lint(tmp_path) == []
-
     def test_code_filter(self, tmp_path):
         write_module(tmp_path, "repro.sim.bad", """\
             import time
@@ -418,46 +398,16 @@ class TestEngineBehaviour:
                 except:
                     return None
             """)
-        findings = lint(tmp_path, codes={"SRC102"})
+        findings = [finding for finding in lint(tmp_path)
+                    if finding.code == "SRC102"]
         assert [finding.code for finding in findings] == ["SRC102"]
-
-    def test_unknown_code_rejected(self, tmp_path):
-        with pytest.raises(KeyError):
-            lint(tmp_path, codes={"SRC999"})
-
-
-class TestBaseline:
-    def test_missing_baseline_is_empty(self, tmp_path):
-        assert load_baseline(tmp_path / "absent.json") == frozenset()
-
-    def test_baseline_suppresses_matching_identity(self, tmp_path):
-        write_module(tmp_path, "repro.core.bad", """\
-            def swallow():
-                try:
-                    return 1
-                except:
-                    return None
-            """)
-        findings = lint(tmp_path)
-        assert len(findings) == 1
-        baseline_path = tmp_path / ".palint-baseline.json"
-        baseline_path.write_text(json.dumps(
-            {"version": 1, "suppress": [findings[0].identity()]}))
-        kept, dropped = apply_baseline(findings,
-                                       load_baseline(baseline_path))
-        assert kept == []
-        assert dropped == 1
-
-    def test_bad_baseline_shape_rejected(self, tmp_path):
-        path = tmp_path / ".palint-baseline.json"
-        path.write_text(json.dumps({"version": 99, "suppress": []}))
-        with pytest.raises(ValueError):
-            load_baseline(path)
 
 
 class TestRepoIsClean:
     def test_shipping_tree_has_no_findings(self):
-        findings = Analyzer().analyze_repo(repo_root())
+        root = repo_root()
+        findings = Analyzer().analyze_sources(root / "src" / "repro",
+                                              base=root)
         assert findings == [], "\n".join(
             f"{finding.location}: [{finding.code}] {finding.message}"
             for finding in findings)

@@ -248,6 +248,24 @@ class TestCaUpdate:
         # The old instance can be re-certified by the new CA too.
         deployment.palaemon.obtain_certificate(new_ca)
 
+    def test_every_ca_update_round_draws_a_fresh_nonce(self, deployment):
+        """Two rounds over the same change are distinct requests, so a
+        verdict signed for one cannot be replayed into the other."""
+        requests = []
+        member = next(iter(deployment.approval_services.values()))
+        member.decision_rule = lambda request: requests.append(request) or True
+        coordinator = CAUpdateCoordinator(deployment.board,
+                                          deployment.evaluator,
+                                          deployment.client.certificate)
+        rng = DeterministicRandom(b"ca-v2")
+        for _ in range(2):
+            coordinator.approve_and_build(
+                deployment.ca, frozenset({deployment.palaemon.mrenclave}),
+                rng, version="2.0")
+        first, second = (request.nonce for request in requests)
+        assert len(first) == len(second) == 16
+        assert first != second
+
     def test_board_rejection_blocks_ca_update(self):
         deployment = Deployment(seed=b"ca-block")
         for service in deployment.approval_services.values():

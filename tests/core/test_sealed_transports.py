@@ -27,7 +27,9 @@ from repro.errors import (
     PolicyNotFoundError,
     ReproError,
     RetryExhaustedError,
+    SimulationError,
 )
+from repro.sim.faults import FaultPlan
 from repro.sim.network import Network, Site
 from repro.tls.handshake import handshake_latency
 
@@ -261,3 +263,19 @@ class TestPeering:
             handshake_latency(local.site, remote.site))
         assert local.peers() == [remote.name]
         assert remote.peers() == [local.name]
+
+
+class TestUnretriedFetchUnderPartition:
+    def test_fetch_without_retry_policy_never_finishes(self):
+        """The regression the retry layer exists to prevent: inside a
+        drop window, a fetch issued without a ``RetryPolicy`` sends once
+        and waits forever."""
+        deployment = Deployment()
+        network, local, remote, remote_service = peered_pair(deployment)
+        seed_exported_secret(deployment, remote_service)
+        now = deployment.simulator.now
+        FaultPlan(deployment.simulator).drop_link(
+            f"fed-{local.name}-to-{remote.name}", f"fed-{remote.name}",
+            start=now, end=now + 2.5).attach(network)
+        with pytest.raises(SimulationError, match="did not finish"):
+            fetch(deployment, local, remote)

@@ -129,6 +129,7 @@ def test_obs_sources_never_touch_the_wall_clock():
 
     obs_dir = (pathlib.Path(__file__).resolve().parents[2]
                / "src" / "repro" / "obs")
-    findings = Analyzer().analyze_sources(obs_dir, codes={"SRC101"})
+    findings = [finding for finding in Analyzer().analyze_sources(obs_dir)
+                if finding.code == "SRC101"]
     assert findings == [], "\n".join(
         f"{finding.location}: {finding.message}" for finding in findings)

@@ -6,7 +6,7 @@ from repro.chaos import render_summary, run_chaos
 from repro.core.rollback import RollbackGuard
 from repro.core.store import PolicyStore
 from repro.crypto.primitives import DeterministicRandom
-from repro.errors import CounterUnavailableError, SimulationError
+from repro.errors import CounterUnavailableError
 from repro.fs.blockstore import BlockStore
 from repro.sim.core import Simulator
 from repro.sim.faults import FaultPlan
@@ -35,7 +35,6 @@ chaos recovery summary
   replication_giveup: after-retries
   replication_lag: 1
   rest_attestation: recovered
-  retries: on
   retries_by_operation:
     failover.replicate:giveup: 1
     failover.replicate:retry: 4
@@ -104,12 +103,6 @@ class TestRecovery:
         # Every phase finishes under its retry budget: the whole run is
         # bounded, not an unbounded wait on the slowest fault window.
         assert summary["sim_time"] < 60.0
-
-
-class TestNoRetryRegression:
-    def test_without_retries_the_scenario_deadlocks(self):
-        with pytest.raises(SimulationError, match="did not finish"):
-            run_chaos(7, retries=False)
 
 
 class TestCounterOutageUnit:

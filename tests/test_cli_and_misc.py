@@ -61,10 +61,6 @@ class TestCli:
         assert main(["chaos", "--seed", "7"]) == 0
         assert capsys.readouterr().out.strip()
 
-    def test_chaos_without_retries_deadlocks(self, capsys):
-        assert main(["chaos", "--no-retry"]) == 0
-        assert "hangs without the retry layer" in capsys.readouterr().out
-
     @pytest.mark.parametrize("argv", [["chaos", "--check"], ["bench-tags"],
                                       ["bench-dispatch"]])
     def test_removed_commands_rejected(self, argv):

@@ -143,6 +143,26 @@ def test_api_md_operation_table_matches_registry():
         "repro.core.dispatch.render_operation_table()")
 
 
+def test_analysis_md_rule_tables_match_registry():
+    """docs/ANALYSIS.md lists every registered palint rule once, with its
+    declared severity; its only other codes are the two the CLI and the
+    engine emit themselves (PAL000, SRC100)."""
+    from repro.analysis import RULES
+
+    text = (ROOT / "docs/ANALYSIS.md").read_text()
+    rows = re.findall(r"^\| `([A-Z]{3}\d{3})` \| ([^|]+)\|", text,
+                      flags=re.MULTILINE)
+    codes = [code for code, _ in rows]
+    for code, rule in sorted(RULES.items()):
+        assert codes.count(code) == 1, (
+            f"docs/ANALYSIS.md lists {code} {codes.count(code)} times")
+        severity = dict(rows)[code].split()[0]
+        assert severity == rule.severity.name, (
+            f"docs/ANALYSIS.md gives {code} severity {severity}, "
+            f"the rule declares {rule.severity.name}")
+    assert set(codes) - set(RULES) <= {"PAL000", "SRC100"}
+
+
 @pytest.mark.parametrize("record", sorted(
     path.name for path in ROOT.glob("BENCH_*.json")))
 def test_host_time_summaries_match_their_runs(record):

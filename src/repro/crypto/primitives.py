@@ -20,12 +20,34 @@ def sha256(*parts: bytes) -> bytes:
     return digest.digest()
 
 
+_HMAC_BLOCK_SIZE = 64
+#: ``bytes.translate`` tables that XOR every byte with the HMAC pads.
+_INNER_PAD = bytes(x ^ 0x36 for x in range(256))
+_OUTER_PAD = bytes(x ^ 0x5C for x in range(256))
+
+
+def hmac_sha256_states(key: bytes):
+    """The HMAC-SHA-256 inner and outer hash states keyed with ``key``.
+
+    RFC 2104: a key longer than the 64-byte block is hashed first, the key
+    is zero-padded to the block, and the inner and outer states absorb it
+    XORed with 0x36 and 0x5C bytes. A holder of one key copies the states
+    per message instead of keying a new MAC.
+    """
+    if len(key) > _HMAC_BLOCK_SIZE:
+        key = hashlib.sha256(key).digest()
+    key = key.ljust(_HMAC_BLOCK_SIZE, b"\x00")
+    return (hashlib.sha256(key.translate(_INNER_PAD)),
+            hashlib.sha256(key.translate(_OUTER_PAD)))
+
+
 def hmac_sha256(key: bytes, *parts: bytes) -> bytes:
     """Compute HMAC-SHA-256 of the concatenation of ``parts`` under ``key``."""
-    mac = _hmac.new(key, digestmod=hashlib.sha256)
+    inner, outer = hmac_sha256_states(key)
     for part in parts:
-        mac.update(part)
-    return mac.digest()
+        inner.update(part)
+    outer.update(inner.digest())
+    return outer.digest()
 
 
 def constant_time_equal(a: bytes, b: bytes) -> bool:
@@ -53,12 +75,10 @@ def hkdf(key_material: bytes, info: bytes, length: int = 32,
     pseudo_random_key = hmac_sha256(salt or b"\x00" * 32, key_material)
     blocks = []
     previous = b""
-    counter = 1
-    while sum(len(b) for b in blocks) < length:
+    for counter in range(1, (length + 31) // 32 + 1):
         previous = hmac_sha256(pseudo_random_key, previous, info,
-                               bytes([counter]))
+                               bytes((counter,)))
         blocks.append(previous)
-        counter += 1
     return b"".join(blocks)[:length]
 
 

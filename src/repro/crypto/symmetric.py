@@ -7,7 +7,9 @@ simulation with zero dependencies; a deployment would use AES-GCM.
 
 Keystream block ``i`` is ``SHA-256(key || nonce || i)`` with ``i`` as a
 big-endian 64-bit counter. The ``key || nonce`` prefix is hashed once per
-message and each block continues from a copy of that state. The XOR runs
+message and each block continues from a copy of that state. The MAC is
+RFC 2104 HMAC, whose inner and outer states a cipher keys once and copies
+per message, so a message pays no HMAC key schedule. The XOR runs
 on whole chunks as Python integers rather than byte by byte. Data is
 processed in :data:`CHUNK_SIZE` pieces so that the keystream and the
 integers alive at any moment stay one chunk long: the peak allocation of
@@ -26,7 +28,7 @@ from repro.crypto.primitives import (
     DeterministicRandom,
     constant_time_equal,
     hkdf,
-    hmac_sha256,
+    hmac_sha256_states,
 )
 from repro.errors import IntegrityError
 
@@ -38,6 +40,9 @@ CHUNK_SIZE = 64 * 1024
 
 _BLOCK_SIZE = 32
 _pack_counter = struct.Struct(">Q").pack
+#: The packed counters of the first chunk's blocks.
+_FIRST_CHUNK_COUNTERS = tuple(map(_pack_counter,
+                                  range(CHUNK_SIZE // _BLOCK_SIZE)))
 
 
 @dataclass(frozen=True)
@@ -66,24 +71,33 @@ class Ciphertext:
         return len(self.nonce) + len(self.tag) + len(self.body)
 
 
+def _xor_chunk(prefix, chunk: bytes, counters) -> bytes:
+    """XOR ``chunk`` with the keystream blocks ``prefix || counter``."""
+    copy = prefix.copy
+    blocks = []
+    for counter in counters:
+        block = copy()
+        block.update(counter)
+        blocks.append(block.digest())
+    stream = b"".join(blocks)[:len(chunk)]
+    mixed = int.from_bytes(chunk, "little") ^ int.from_bytes(stream, "little")
+    return mixed.to_bytes(len(chunk), "little")
+
+
 def _xor_keystream(key: bytes, nonce: bytes, data: bytes) -> bytes:
     """XOR ``data`` with the (key, nonce) keystream, one chunk at a time."""
     prefix = hashlib.sha256(key)
     prefix.update(nonce)
+    if len(data) <= CHUNK_SIZE:
+        blocks = (len(data) + _BLOCK_SIZE - 1) // _BLOCK_SIZE
+        return _xor_chunk(prefix, data, _FIRST_CHUNK_COUNTERS[:blocks])
     pieces = []
     for start in range(0, len(data), CHUNK_SIZE):
         chunk = data[start:start + CHUNK_SIZE]
         first = start // _BLOCK_SIZE
         last = (start + len(chunk) + _BLOCK_SIZE - 1) // _BLOCK_SIZE
-        blocks = []
-        for counter in range(first, last):
-            block = prefix.copy()
-            block.update(_pack_counter(counter))
-            blocks.append(block.digest())
-        stream = b"".join(blocks)[:len(chunk)]
-        mixed = (int.from_bytes(chunk, "little")
-                 ^ int.from_bytes(stream, "little"))
-        pieces.append(mixed.to_bytes(len(chunk), "little"))
+        pieces.append(_xor_chunk(prefix, chunk,
+                                 map(_pack_counter, range(first, last))))
     return b"".join(pieces)
 
 
@@ -91,14 +105,32 @@ class AEADCipher:
     """Authenticated encryption with associated data under a single key.
 
     Separate encryption and MAC keys are derived from the master key via
-    HKDF so a single 32-byte secret drives the whole construction.
+    HKDF so a single 32-byte secret drives the whole construction. The MAC
+    key is kept only as keyed HMAC states, which every message copies.
+    The encryption key is kept as bytes: a state holding its 32 bytes
+    saves no compression, and a TLS server keeps both ciphers of every
+    session it has served, so each retained state costs memory.
     """
+
+    __slots__ = ("_encryption_key", "_mac_inner", "_mac_outer")
 
     def __init__(self, key: bytes) -> None:
         if len(key) != KEY_SIZE:
             raise ValueError(f"key must be {KEY_SIZE} bytes, got {len(key)}")
         self._encryption_key = hkdf(key, b"aead-encryption")
-        self._mac_key = hkdf(key, b"aead-mac")
+        self._mac_inner, self._mac_outer = hmac_sha256_states(
+            hkdf(key, b"aead-mac"))
+
+    def _mac(self, nonce: bytes, associated_data: bytes,
+             body: bytes) -> bytes:
+        """HMAC-SHA-256 of ``nonce || associated_data || body``."""
+        inner = self._mac_inner.copy()
+        inner.update(nonce)
+        inner.update(associated_data)
+        inner.update(body)
+        outer = self._mac_outer.copy()
+        outer.update(inner.digest())
+        return outer.digest()
 
     def encrypt(self, plaintext: bytes, nonce: bytes,
                 associated_data: bytes = b"") -> Ciphertext:
@@ -111,14 +143,14 @@ class AEADCipher:
         if len(nonce) != NONCE_SIZE:
             raise ValueError(f"nonce must be {NONCE_SIZE} bytes")
         body = _xor_keystream(self._encryption_key, nonce, plaintext)
-        tag = hmac_sha256(self._mac_key, nonce, associated_data, body)
+        tag = self._mac(nonce, associated_data, body)
         return Ciphertext(nonce=nonce, body=body, tag=tag)
 
     def decrypt(self, ciphertext: Ciphertext,
                 associated_data: bytes = b"") -> bytes:
         """Verify and decrypt; raises :class:`IntegrityError` on tampering."""
-        expected = hmac_sha256(self._mac_key, ciphertext.nonce,
-                               associated_data, ciphertext.body)
+        expected = self._mac(ciphertext.nonce, associated_data,
+                             ciphertext.body)
         if not constant_time_equal(expected, ciphertext.tag):
             raise IntegrityError("AEAD tag mismatch")
         return _xor_keystream(self._encryption_key, ciphertext.nonce,
@@ -131,6 +163,8 @@ class SecretBox:
     This is the shape most PALAEMON components want — "encrypt this blob" —
     with nonces drawn from a forked DRBG so two boxes never collide.
     """
+
+    __slots__ = ("_cipher", "_rng")
 
     def __init__(self, key: bytes, rng: DeterministicRandom) -> None:
         self._cipher = AEADCipher(key)

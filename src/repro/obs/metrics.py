@@ -100,13 +100,33 @@ class Histogram:
 
 
 class MetricsRegistry:
-    """All metrics of one telemetry domain, keyed by (name, labels)."""
+    """All metrics of one telemetry domain, keyed by (name, labels).
+
+    A repeated call finds its series in a cache keyed on the kind, the
+    name and the labels exactly as the caller passed them, so only a
+    call's first appearance pays for :func:`canonical_labels`. Only label
+    sets whose values are all ``str`` enter the cache: ``1``, ``1.0`` and
+    ``True`` are equal dict keys but name different series.
+    """
 
     def __init__(self) -> None:
         self._metrics: Dict[Tuple[str, LabelSet], object] = {}
         self._kinds: Dict[str, str] = {}
+        self._calls: Dict[tuple, object] = {}
 
     def _get(self, factory, name: str, labels: Dict[str, str]):
+        call = (factory.kind, name, *labels.items())
+        try:
+            return self._calls[call]
+        except KeyError:
+            metric = self._get_canonical(factory, name, labels)
+        except TypeError:  # an unhashable label value
+            return self._get_canonical(factory, name, labels)
+        if all(type(value) is str for value in labels.values()):
+            self._calls[call] = metric
+        return metric
+
+    def _get_canonical(self, factory, name: str, labels: Dict[str, str]):
         kind = factory.kind
         known = self._kinds.setdefault(name, kind)
         if known != kind:

@@ -29,6 +29,9 @@ class Event:
     already-processed event resumes the waiter immediately.
     """
 
+    __slots__ = ("simulator", "callbacks", "_value", "_failure", "triggered",
+                 "processed")
+
     def __init__(self, simulator: "Simulator") -> None:
         self.simulator = simulator
         self.callbacks: List[Callable[["Event"], None]] = []
@@ -71,6 +74,8 @@ class Event:
 class Timeout(Event):
     """An event that fires ``delay`` seconds of virtual time in the future."""
 
+    __slots__ = ()
+
     def __init__(self, simulator: "Simulator", delay: float,
                  value: Any = None) -> None:
         if delay < 0:
@@ -90,20 +95,20 @@ class Process(Event):
     exception propagates out of :meth:`Simulator.run` to avoid silent loss.
     """
 
+    __slots__ = ("name", "_generator")
+
     def __init__(self, simulator: "Simulator",
                  generator: Generator[Event, Any, Any],
                  name: str = "process") -> None:
         super().__init__(simulator)
         self.name = name
         self._generator = generator
-        self._waiting_on: Optional[Event] = None
         # Bootstrap: resume the generator at the current simulation time.
         bootstrap = Event(simulator)
         bootstrap.callbacks.append(self._resume)
         bootstrap.succeed()
 
     def _resume(self, event: Event) -> None:
-        self._waiting_on = None
         try:
             if event.failed:
                 target = self._generator.throw(event.failure)
@@ -122,22 +127,13 @@ class Process(Event):
             self.fail(SimulationError(
                 f"process {self.name!r} yielded {target!r}, not an Event"))
             return
-        self._waiting_on = target
         if target.processed:
             # The event already fired; resume on the next loop iteration.
             immediate = Event(self.simulator)
-            immediate.callbacks.append(
-                lambda _e: self._resume_from_processed(target))
+            immediate.callbacks.append(lambda _e: self._resume(target))
             immediate.succeed()
         else:
             target.callbacks.append(self._resume)
-
-    def _resume_from_processed(self, target: Event) -> None:
-        proxy = Event(self.simulator)
-        proxy.triggered = proxy.processed = True
-        proxy._value = target.value
-        proxy._failure = target.failure
-        self._resume(proxy)
 
     def interrupt(self, reason: str = "interrupted") -> None:
         """Throw :class:`ProcessInterrupt` into the process."""

@@ -11,7 +11,7 @@ cost more than small control messages.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, Optional
 
 from repro import calibration
@@ -72,7 +72,6 @@ class Message:
     payload: Any
     size_bytes: int = 256
     reply_to: Optional["Endpoint"] = None
-    headers: Dict[str, Any] = field(default_factory=dict)
 
 
 class Endpoint:

@@ -54,6 +54,60 @@ class TestRegistry:
         with pytest.raises(ValueError, match="already registered"):
             registry.gauge("m")
 
+    def test_name_cannot_change_kind_once_cached(self):
+        registry = MetricsRegistry()
+        registry.counter("m", route="a")
+        registry.counter("m", route="a")
+        with pytest.raises(ValueError, match="already registered"):
+            registry.gauge("m", route="a")
+
+
+class TestSeriesCache:
+    """A repeated call finds its series without canonicalising its labels;
+    every spelling of a label set still names the canonical series."""
+
+    def test_keyword_order_names_one_series(self):
+        registry = MetricsRegistry()
+        first = registry.counter("m", a="1", b="2")
+        assert registry.counter("m", b="2", a="1") is first
+        assert registry.counter("m", a="1", b="2") is first
+        assert len(registry) == 1
+
+    def test_int_and_str_values_name_one_series(self):
+        registry = MetricsRegistry()
+        for _ in range(2):
+            registry.counter("m", code=404).inc()
+            registry.counter("m", code="404").inc()
+        assert registry.counter("m", code="404").value == 4
+        assert len(registry) == 1
+
+    def test_equal_values_with_different_text_stay_apart(self):
+        registry = MetricsRegistry()
+        registry.counter("m", code=1).inc()
+        registry.counter("m", code=True).inc(2)
+        registry.counter("m", code=1.0).inc(4)
+        assert registry.counter("m", code="1").value == 1
+        assert registry.counter("m", code="True").value == 2
+        assert registry.counter("m", code="1.0").value == 4
+
+    def test_unhashable_value_takes_the_canonical_path(self):
+        registry = MetricsRegistry()
+        registry.counter("m", peers=["a", "b"]).inc()
+        registry.counter("m", peers=["a", "b"]).inc()
+        assert registry.counter("m", peers="['a', 'b']").value == 2
+        assert len(registry) == 1
+
+    def test_repeated_call_skips_canonical_labels(self, monkeypatch):
+        from repro.obs import metrics
+
+        registry = MetricsRegistry()
+        registry.histogram("h", route="tag.get", transport="rest")
+        calls = []
+        monkeypatch.setattr(metrics, "canonical_labels",
+                            lambda labels: calls.append(labels))
+        registry.histogram("h", route="tag.get", transport="rest")
+        assert calls == []
+
 
 class TestHistogramSharedMath:
     def test_histogram_percentiles_match_sim_metrics(self):

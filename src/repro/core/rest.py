@@ -95,6 +95,10 @@ class PalaemonRestClient:
         server.register_session(connection.session)
         return cls(connection)
 
+    def close(self) -> None:
+        """End the connection (see :meth:`TLSConnection.close`)."""
+        self.connection.close()
+
     def call(self, route: str, **fields) -> Generator[Event, Any, Any]:
         """One request/response; raises on error replies.
 

@@ -12,13 +12,16 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Any, Dict, Optional
+from typing import TYPE_CHECKING, Any, Dict, Optional
 
 from repro import calibration
 from repro.crypto.primitives import DeterministicRandom
 from repro.errors import NetworkError
 from repro.sim.core import Event, Simulator
 from repro.sim.resources import Store
+
+if TYPE_CHECKING:
+    from repro.tls.channel import TLSConnection
 
 
 class Site(enum.Enum):
@@ -89,6 +92,9 @@ class Endpoint:
         self.bytes_sent = 0
         self.bytes_received = 0
         self._closed = False
+        #: The live TLS connection sending from this endpoint, if any; see
+        #: :meth:`repro.tls.channel.TLSConnection.connect`.
+        self.connection: Optional["TLSConnection"] = None
 
     @property
     def simulator(self) -> Simulator:

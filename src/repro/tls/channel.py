@@ -11,21 +11,47 @@ A wire record is ``{"session": session_id, "data": sealed}``. Anything
 else a peer sends — a non-dict payload, an unknown session, a record that
 fails AEAD verification — is dropped like a TLS alert: it never crashes
 either end and never counts as an answer.
+
+Every client record seals a request id (``rid``) that grows by one per
+record on its connection. The server keeps, per session, the highest id
+it accepted and a bitmap of the :data:`REPLAY_WINDOW` ids below it, like
+the DTLS anti-replay window (RFC 9147 §4.5.1, RFC 6347 §4.1.2.6): a
+duplicate, or a record older than the window, is dropped before dispatch,
+so a record copied off the wire cannot run its request a second time.
+
+A connection ends with a close record, which the client sends without
+waiting for an answer, like TLS ``close_notify`` (RFC 8446 §6.1); the
+server forgets the session when it opens it. A client endpoint carries
+one connection at a time, the way one socket address carries one TCP
+connection: connecting again from it closes the previous connection, and
+a request on a closed connection raises :class:`NetworkError`. A server
+keeps at most :data:`MAX_SESSIONS` sessions and forgets the least
+recently used one past that, for clients that vanish without closing.
 """
 
 from __future__ import annotations
 
 import pickle
-from typing import Any, Callable, Generator, Optional
+from collections import Counter, OrderedDict
+from typing import Any, Callable, Generator, List, Optional
 
 from repro import calibration
 from repro.crypto.certificates import Certificate
 from repro.crypto.primitives import DeterministicRandom
 from repro.crypto.signatures import KeyPair, PublicKey
-from repro.errors import CryptoError
+from repro.errors import CryptoError, NetworkError
 from repro.sim.core import Event, ProcessInterrupt
 from repro.sim.network import Endpoint, Network, Site
 from repro.tls.handshake import TLSSession, perform_handshake
+
+#: Most sessions a :class:`TLSServer` keeps; registering one more forgets
+#: the least recently used.
+MAX_SESSIONS = 1024
+
+#: Request ids a session's anti-replay window remembers below the highest.
+REPLAY_WINDOW = 64
+
+_WINDOW_MASK = (1 << REPLAY_WINDOW) - 1
 
 
 def _encode(payload: Any) -> bytes:
@@ -73,7 +99,7 @@ class TLSConnection:
 
     Construction performs the handshake (latency + optional certificate
     verification); ``request`` sends one sealed request and waits for the
-    sealed reply.
+    sealed reply; ``close`` ends the connection.
     """
 
     def __init__(self, network: Network, client_endpoint: Endpoint,
@@ -89,6 +115,9 @@ class TLSConnection:
         self.requests_sent = 0
         self._request_seq = 0
         self.stale_replies_dropped = 0
+        self.closed = False
+        #: Mailbox getters of this connection's requests awaiting replies.
+        self._waiting: List[Event] = []
 
     @classmethod
     def connect(cls, network: Network, client_name: str, client_site: Site,
@@ -101,6 +130,8 @@ class TLSConnection:
                 ) -> Generator[Event, Any, "TLSConnection"]:
         """Handshake and build a connection; a simulation process.
 
+        The connection sends from the endpoint ``client_name``; a live
+        connection already on it is closed once the handshake succeeds.
         A ``client_certificate`` needs the ``client_keys`` behind it (see
         :func:`~repro.tls.handshake.perform_handshake`)."""
         session = yield network.simulator.process(perform_handshake(
@@ -113,7 +144,17 @@ class TLSConnection:
             client_keys=client_keys,
         ))
         client_endpoint = network.endpoint(client_name, client_site)
-        return cls(network, client_endpoint, server_endpoint, session, rng)
+        if client_endpoint.connection is not None:
+            client_endpoint.connection.close()
+        connection = cls(network, client_endpoint, server_endpoint, session,
+                         rng)
+        client_endpoint.connection = connection
+        return connection
+
+    def _closed_error(self) -> NetworkError:
+        return NetworkError(
+            f"TLS connection from {self.client_endpoint.name!r} to "
+            f"{self.server_endpoint.name!r} is closed")
 
     def request(self, payload: Any, size_bytes: int = 512,
                 ) -> Generator[Event, Any, Any]:
@@ -126,13 +167,19 @@ class TLSConnection:
         An interrupted request (a :meth:`Simulator.with_timeout` deadline)
         cancels its mailbox getter so the abandoned attempt cannot steal
         the reply meant for the retry. Records that are not authentic
-        replies on this session are dropped the same way.
+        replies on this session are dropped the same way. A request on a
+        closed connection, or one still waiting when the connection
+        closes, raises :class:`NetworkError`.
         """
+        if self.closed:
+            raise self._closed_error()
         simulator = self.network.simulator
         self._request_seq += 1
         rid = self._request_seq
         sealed = self.client_channel.seal({"rid": rid, "body": payload})
         yield simulator.timeout(calibration.TLS_RECORD_CRYPTO_SECONDS)
+        if self.closed:
+            raise self._closed_error()
         self.client_endpoint.send(self.server_endpoint,
                                   {"session": self.session.session_id,
                                    "data": sealed},
@@ -140,18 +187,78 @@ class TLSConnection:
                                   reply_to=self.client_endpoint)
         self.requests_sent += 1
         while True:
+            if self.closed:
+                raise self._closed_error()
             pending = self.client_endpoint.receive()
+            self._waiting.append(pending)
             try:
                 message = yield pending
             except ProcessInterrupt:
                 self.client_endpoint.inbox.cancel(pending)
                 raise
+            finally:
+                self._waiting.remove(pending)
             yield simulator.timeout(calibration.TLS_RECORD_CRYPTO_SECONDS)
             reply = _open_record(self.client_channel, self.session,
                                  message.payload)
             if isinstance(reply, dict) and reply.get("rid") == rid:
                 return reply.get("body")
             self.stale_replies_dropped += 1
+
+    def close(self) -> None:
+        """End the connection; closing twice does nothing.
+
+        Sends a sealed close record, without waiting for an answer, and
+        fails every request still waiting for its reply with
+        :class:`NetworkError`.
+        """
+        if self.closed:
+            return
+        self.closed = True
+        if self.client_endpoint.connection is self:
+            self.client_endpoint.connection = None
+        for pending in self._waiting:
+            if self.client_endpoint.inbox.cancel(pending):
+                pending.fail(self._closed_error())
+        self._request_seq += 1
+        sealed = self.client_channel.seal({"rid": self._request_seq,
+                                           "close": True})
+        self.client_endpoint.send(self.server_endpoint,
+                                  {"session": self.session.session_id,
+                                   "data": sealed},
+                                  size_bytes=len(sealed))
+
+
+class _ServerSession:
+    """A server's state for one session: its keys and anti-replay window.
+
+    It lives in the server's table, never on the :class:`TLSSession` the
+    client also holds.
+    """
+
+    __slots__ = ("session", "highest", "seen")
+
+    def __init__(self, session: TLSSession) -> None:
+        self.session = session
+        #: Highest request id accepted so far.
+        self.highest = 0
+        #: Bit ``i`` set: request id ``highest - i`` was accepted.
+        self.seen = 0
+
+    def admit(self, rid: int) -> Optional[str]:
+        """Mark ``rid`` accepted; the drop reason instead if it is a
+        duplicate or below the window."""
+        offset = self.highest - rid
+        if offset < 0:
+            self.seen = ((self.seen << -offset) | 1) & _WINDOW_MASK
+            self.highest = rid
+            return None
+        if offset >= REPLAY_WINDOW:
+            return "too_old"
+        if self.seen >> offset & 1:
+            return "replayed"
+        self.seen |= 1 << offset
+        return None
 
 
 class TLSServer:
@@ -161,7 +268,9 @@ class TLSServer:
     Sessions are tracked by id so the server can unseal with the right key
     (only registered sessions are served); the handler is a callable
     ``(request_payload, session) -> reply`` or a generator process for
-    handlers that consume simulated time.
+    handlers that consume simulated time. Records the server refuses are
+    counted by reason in ``records_dropped``: ``unknown_session``,
+    ``not_authentic``, ``replayed`` and ``too_old``.
     """
 
     def __init__(self, network: Network, endpoint: Endpoint,
@@ -169,12 +278,16 @@ class TLSServer:
         self.network = network
         self.endpoint = endpoint
         self.handler = handler
-        self._sessions: dict = {}
+        #: Session id -> state, least recently used first.
+        self._sessions: OrderedDict[bytes, _ServerSession] = OrderedDict()
         self.requests_served = 0
+        self.records_dropped: Counter = Counter()
         self._running = False
 
     def register_session(self, session: TLSSession) -> None:
-        self._sessions[session.session_id] = session
+        self._sessions[session.session_id] = _ServerSession(session)
+        if len(self._sessions) > MAX_SESSIONS:
+            self._sessions.popitem(last=False)
 
     def start(self) -> None:
         """Begin serving (spawns the accept loop as a process)."""
@@ -200,20 +313,32 @@ class TLSServer:
             payload = message.payload
             session_id = (payload.get("session")
                           if isinstance(payload, dict) else None)
-            session = (self._sessions.get(session_id)
-                       if isinstance(session_id, bytes) else None)
-            if session is None:
-                continue  # junk or unknown session: drop, like a TLS alert
+            state = (self._sessions.get(session_id)
+                     if isinstance(session_id, bytes) else None)
+            if state is None:
+                # Junk or unknown session: drop, like a TLS alert.
+                self.records_dropped["unknown_session"] += 1
+                continue
+            session = state.session
             server_channel = SecureChannel(session, is_client=False)
             envelope = _open_record(server_channel, session, payload)
-            if not isinstance(envelope, dict) or "rid" not in envelope:
-                continue  # failed AEAD or not a request record: drop
+            rid = envelope.get("rid") if isinstance(envelope, dict) else None
+            if not isinstance(rid, int):
+                self.records_dropped["not_authentic"] += 1
+                continue
+            refused = state.admit(rid)
+            if refused is not None:
+                self.records_dropped[refused] += 1
+                continue
+            if "close" in envelope:
+                del self._sessions[session_id]
+                continue
+            self._sessions.move_to_end(session_id)
             yield simulator.timeout(calibration.TLS_RECORD_CRYPTO_SECONDS)
             result = self.handler(envelope.get("body"), session)
             if hasattr(result, "__next__"):
                 result = yield simulator.process(result)
-            sealed = server_channel.seal({"rid": envelope["rid"],
-                                          "body": result})
+            sealed = server_channel.seal({"rid": rid, "body": result})
             self.requests_served += 1
             # Size the reply by its sealed record, so the latency model
             # reflects what the reply actually carries.

@@ -1,11 +1,11 @@
-"""Fixed per-request costs of a REST tag push and read.
+"""Fixed per-request costs of a REST tag push and read, and of a close.
 
 After warm-up, one ``tag.update`` and one ``tag.get`` over REST each seal
 and open a pinned number of AEAD messages, process a pinned number of
 simulator events, and canonicalise no metric label set: every series the
-request touches is already cached. The counts are deterministic, so a
-change that adds work to every request shows up here as a changed
-number.
+request touches is already cached. Closing the connection costs a pinned
+amount too. The counts are deterministic, so a change that adds work to
+every request shows up here as a changed number.
 """
 
 import pytest
@@ -20,11 +20,15 @@ from tests.core.test_sealed_transports import rest_call, rest_stack
 #: route -> (AEAD encrypts, AEAD decrypts, simulator events,
 #: ``canonical_labels`` calls) for one request after warm-up. Both routes
 #: seal and open the request and the reply record; an update also seals
-#: its store log record and the manifest.
+#: its store log record and the manifest. ``close`` is the connection's
+#: close record: the client seals it, the server opens it, and its two
+#: events are the delivery and the server's wake-up; nothing answers it.
 BUDGET = {
     "tag.update": (4, 2, 11, 0),
     "tag.get": (2, 2, 11, 0),
+    "close": (1, 1, 2, 0),
 }
+ROUTES = ["tag.get", "tag.update"]
 
 
 class _Costs:
@@ -73,7 +77,7 @@ def warmed_rest():
     return deployment, connection
 
 
-@pytest.mark.parametrize("route", sorted(BUDGET))
+@pytest.mark.parametrize("route", ROUTES)
 def test_one_request_runs_its_pinned_costs(warmed_rest, route, monkeypatch):
     deployment, connection = warmed_rest
     fields = {"policy": "ml_policy", "service": "ml_app"}
@@ -82,3 +86,13 @@ def test_one_request_runs_its_pinned_costs(warmed_rest, route, monkeypatch):
     costs = _Costs(monkeypatch)
     rest_call(deployment, connection, route, **fields)
     assert costs.snapshot() == BUDGET[route]
+
+
+def test_close_runs_its_pinned_costs(monkeypatch):
+    deployment = Deployment(seed=b"request-costs-close")
+    _network, _server, connection = rest_stack(deployment)
+    rest_call(deployment, connection, "instance.describe")
+    costs = _Costs(monkeypatch)
+    connection.close()
+    deployment.simulator.run()
+    assert costs.snapshot() == BUDGET["close"]

@@ -18,10 +18,9 @@ Commands
     verification result. ``--seed`` varies the run; the same seed prints
     identical output.
 ``lint``
-    Static analysis (palint): AST-lint the source tree and optionally
-    policy documents (``--policy FILE``). ``--format=json`` for machine
-    output, ``--list-rules`` for the catalogue; exit 1 on findings. See
-    ``docs/ANALYSIS.md``.
+    Static analysis (palint): AST-lint the source tree. ``--format=json``
+    for machine output, ``--list-rules`` for the catalogue; exit 1 on
+    findings. See ``docs/ANALYSIS.md``.
 ``chaos``
     Run the seeded fault-injection scenario and print the recovery
     summary. ``--seed`` picks the fault schedule's RNG seed. See

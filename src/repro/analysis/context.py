@@ -1,48 +1,10 @@
-"""Analysis inputs: the policy-set and source-file contexts rules see."""
+"""Analysis input: the parsed source file every rule sees."""
 
 from __future__ import annotations
 
 import ast
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, List
-
-from repro.core.policy import SecurityPolicy
-from repro.fs.injection import find_variables
-
-
-@dataclass
-class PolicySetContext:
-    """Every policy under analysis, keyed by name."""
-
-    policies: Dict[str, SecurityPolicy]
-
-    def names(self) -> List[str]:
-        return sorted(self.policies)
-
-    def referenced_secret_names(self, policy: SecurityPolicy) -> List[str]:
-        """Secret names a policy's services actually consume, sorted.
-
-        References appear as ``$$PALAEMON$NAME$$`` placeholders in
-        injection-file templates, environment values, and command argv —
-        exactly the three places the service substitutes at attestation.
-        """
-        referenced = set()
-        for service in policy.services:
-            for template in service.injection_files.values():
-                referenced.update(find_variables(template))
-            for value in service.environment.values():
-                referenced.update(find_variables(value.encode()))
-            for part in service.command:
-                referenced.update(find_variables(part.encode()))
-        return sorted(referenced)
-
-    def imports_of(self, importer: SecurityPolicy,
-                   source_name: str, secret_name: str) -> bool:
-        """Whether ``importer`` imports ``secret_name`` from ``source_name``."""
-        return any(spec.from_policy == source_name
-                   and spec.secret_name == secret_name
-                   for spec in importer.imports)
 
 
 @dataclass

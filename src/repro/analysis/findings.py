@@ -1,8 +1,8 @@
 """The finding model: what every lint rule produces.
 
 A :class:`Finding` is one defect at one location — a rule code, a
-severity, the subject (a policy name or a repo-relative file path), an
-optional line, the human message, and a fix hint.  Findings order on a
+severity, the subject (a repo-relative file path), an optional line, the
+human message, and a fix hint.  Findings order on a
 stable key so reports are byte-identical across runs regardless of rule
 execution order.
 """
@@ -17,11 +17,9 @@ from typing import Optional, Tuple
 class Severity(enum.IntEnum):
     """How bad a finding is; ordered so comparisons read naturally."""
 
-    INFO = 10
     WARNING = 20
     ERROR = 30
-    #: CRITICAL findings are rejected outright by the service gate
-    #: (``create_policy(..., analyze=True)``) before board submission.
+    #: A file that does not parse, so no other rule could run on it.
     CRITICAL = 40
 
 
@@ -31,8 +29,7 @@ class Finding:
 
     code: str
     severity: Severity
-    #: Policy name (policy/document rules) or repo-relative posix path
-    #: (source rules).
+    #: Repo-relative posix path.
     subject: str
     message: str
     line: Optional[int] = None

@@ -13,7 +13,6 @@ from typing import Iterable, List
 from repro.analysis.findings import Finding, Severity
 
 _SEVERITY_TAGS = {
-    Severity.INFO: "info",
     Severity.WARNING: "warning",
     Severity.ERROR: "error",
     Severity.CRITICAL: "CRITICAL",
@@ -56,8 +55,7 @@ def _summary_line(findings: List[Finding]) -> str:
     if not findings:
         return "palint: clean (0 findings)"
     counts = []
-    for severity in (Severity.CRITICAL, Severity.ERROR, Severity.WARNING,
-                     Severity.INFO):
+    for severity in (Severity.CRITICAL, Severity.ERROR, Severity.WARNING):
         count = sum(1 for finding in findings
                     if finding.severity is severity)
         if count:

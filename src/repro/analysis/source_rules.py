@@ -44,8 +44,7 @@ def _in_deterministic_package(module: str) -> bool:
     return _in_packages(module, DETERMINISTIC_PACKAGES)
 
 
-@rule("SRC101", "wall clock in deterministic package", scope="source",
-      severity=Severity.ERROR)
+@rule("SRC101", "wall clock in deterministic package", severity=Severity.ERROR)
 def check_wall_clock(source: SourceFile) -> Iterator[Finding]:
     if not _in_deterministic_package(source.module):
         return
@@ -104,8 +103,7 @@ def _package_of(module: str) -> str:
     return module
 
 
-@rule("SRC102", "bare except", scope="source",
-      severity=Severity.WARNING)
+@rule("SRC102", "bare except", severity=Severity.WARNING)
 def check_bare_except(source: SourceFile) -> Iterator[Finding]:
     for node in ast.walk(source.tree):
         if isinstance(node, ast.ExceptHandler) and node.type is None:
@@ -129,7 +127,7 @@ _BROAD_CATCH_BOUNDARY = "repro.core.dispatch"
 
 
 @rule("SRC105", "broad 'except Exception' outside the dispatch boundary",
-      scope="source", severity=Severity.ERROR)
+      severity=Severity.ERROR)
 def check_broad_except(source: SourceFile) -> Iterator[Finding]:
     if source.module == _BROAD_CATCH_BOUNDARY:
         return
@@ -163,8 +161,7 @@ def _catches_exception(handler_type) -> bool:
 _ERROR_CODE_MODULES = frozenset(("repro.core.rest", "repro.core.dispatch"))
 
 
-@rule("SRC103", "non-snake_case REST error code", scope="source",
-      severity=Severity.ERROR)
+@rule("SRC103", "non-snake_case REST error code", severity=Severity.ERROR)
 def check_rest_error_codes(source: SourceFile) -> Iterator[Finding]:
     if source.module not in _ERROR_CODE_MODULES:
         return
@@ -196,8 +193,7 @@ def _check_code_value(source: SourceFile,
         hint="use lowercase letters, digits, underscores")
 
 
-@rule("SRC104", "unaudited state change", scope="source",
-      severity=Severity.ERROR)
+@rule("SRC104", "unaudited state change", severity=Severity.ERROR)
 def check_unaudited_state_change(source: SourceFile) -> Iterator[Finding]:
     if source.module != "repro.core.service":
         return
@@ -242,7 +238,7 @@ def _check_service_class(source: SourceFile,
 
 
 @rule("SRC106", "whole-database serialization on the flush path",
-      scope="source", severity=Severity.ERROR)
+      severity=Severity.ERROR)
 def check_whole_document_flush(source: SourceFile) -> Iterator[Finding]:
     for node in ast.walk(source.tree):
         if isinstance(node, ast.Call) and _is_whole_document_dump(node):
@@ -256,7 +252,7 @@ def check_whole_document_flush(source: SourceFile) -> Iterator[Finding]:
 
 
 @rule("SRC110", "whole-table snapshot forced on a request path",
-      scope="source", severity=Severity.ERROR)
+      severity=Severity.ERROR)
 def check_service_table_touch(source: SourceFile) -> Iterator[Finding]:
     if source.module != "repro.core.service":
         return
@@ -311,7 +307,7 @@ _SERVICE_OPERATION_METHODS = frozenset((
 
 
 @rule("SRC107", "direct service call from a transport module",
-      scope="source", severity=Severity.ERROR)
+      severity=Severity.ERROR)
 def check_transport_bypasses_dispatcher(source: SourceFile,
                                         ) -> Iterator[Finding]:
     if source.module not in _TRANSPORT_MODULES:
@@ -334,7 +330,7 @@ def check_transport_bypasses_dispatcher(source: SourceFile,
 
 
 @rule("SRC108", "raw endpoint traffic outside repro.sim/repro.tls",
-      scope="source", severity=Severity.ERROR)
+      severity=Severity.ERROR)
 def check_raw_endpoint_traffic(source: SourceFile) -> Iterator[Finding]:
     if _in_packages(source.module, RAW_TRAFFIC_PACKAGES):
         return
@@ -361,7 +357,7 @@ def check_raw_endpoint_traffic(source: SourceFile) -> Iterator[Finding]:
             hint="use TLSConnection.request / TLSServer")
 
 
-@rule("SRC109", "retry wrapper outside repro.sim.retry", scope="source",
+@rule("SRC109", "retry wrapper outside repro.sim.retry",
       severity=Severity.ERROR)
 def check_retry_wrappers(source: SourceFile) -> Iterator[Finding]:
     if source.module == "repro.sim.retry":

@@ -114,59 +114,3 @@ class MariaDBServer(SimulatedServer):
     def handle_transaction(self) -> Generator[Event, Any, None]:
         """One TPC-C-ish transaction (cost model only)."""
         yield from self.serve()
-
-    # -- functional TPC-C-flavoured transactions ------------------------------
-
-    def setup_warehouse(self, warehouse_id: int, districts: int = 10,
-                        items: int = 100) -> None:
-        """Populate one warehouse: districts with order counters, a stock
-        table, and customer balances — the rows the transaction mix uses."""
-        for district in range(1, districts + 1):
-            self.put_row(f"district:{warehouse_id}:{district}",
-                         b"next_order=1")
-        for item in range(1, items + 1):
-            self.put_row(f"stock:{warehouse_id}:{item}", b"quantity=100")
-        for customer in range(1, districts * 3 + 1):
-            self.put_row(f"customer:{warehouse_id}:{customer}", b"balance=0")
-
-    def new_order(self, warehouse_id: int, district: int,
-                  item_ids: "list",
-                  ) -> Generator[Event, Any, int]:
-        """TPC-C NewOrder: allocate an order id, decrement stock rows."""
-        district_key = f"district:{warehouse_id}:{district}"
-        row = self.get_row(district_key)
-        if row is None:
-            raise KeyError(district_key)
-        order_id = int(row.split(b"=")[1])
-        self.put_row(district_key, b"next_order=%d" % (order_id + 1))
-        for item in item_ids:
-            stock_key = f"stock:{warehouse_id}:{item}"
-            stock = self.get_row(stock_key)
-            if stock is None:
-                raise KeyError(stock_key)
-            quantity = int(stock.split(b"=")[1])
-            if quantity <= 0:
-                raise ValueError(f"item {item} out of stock")
-            self.put_row(stock_key, b"quantity=%d" % (quantity - 1))
-        self.put_row(f"order:{warehouse_id}:{district}:{order_id}",
-                     (",".join(str(i) for i in item_ids)).encode())
-        yield self.simulator.process(self.handle_transaction())
-        return order_id
-
-    def payment(self, warehouse_id: int, customer: int, amount: int,
-                ) -> Generator[Event, Any, int]:
-        """TPC-C Payment: adjust one customer balance."""
-        key = f"customer:{warehouse_id}:{customer}"
-        row = self.get_row(key)
-        if row is None:
-            raise KeyError(key)
-        balance = int(row.split(b"=")[1]) + amount
-        self.put_row(key, b"balance=%d" % balance)
-        yield self.simulator.process(self.handle_transaction())
-        return balance
-
-    def order_status(self, warehouse_id: int, district: int, order_id: int,
-                     ) -> Generator[Event, Any, "Optional[bytes]"]:
-        """TPC-C OrderStatus: read-only lookup of one order."""
-        yield self.simulator.process(self.handle_transaction())
-        return self.get_row(f"order:{warehouse_id}:{district}:{order_id}")

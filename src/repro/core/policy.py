@@ -401,9 +401,8 @@ class SecurityPolicy:
                 # A document without a threshold means unanimity
                 # (n-of-n).  The default is deliberately explicit here —
                 # ``to_dict`` always serializes the resolved number, so a
-                # parse/serialize round trip surfaces it, and the DOC001
-                # lint rule warns on documents that omit it (an
-                # unreachable member freezes every access under n-of-n).
+                # parse/serialize round trip surfaces it (an unreachable
+                # member freezes every access under n-of-n).
                 raw_threshold = len(members)
             board = BoardSpec(members=tuple(members),
                               threshold=integer(raw_threshold, "threshold"))

@@ -37,7 +37,6 @@ from repro.errors import (
     PolicyError,
     PolicyExistsError,
     PolicyNotFoundError,
-    PolicyValidationError,
     ReproError,
     StrictModeError,
 )
@@ -245,25 +244,16 @@ class PalaemonService:
     # -- policy CRUD (§III-C, §IV-E) ------------------------------------------
 
     def create_policy(self, policy: SecurityPolicy,
-                      client_certificate: Certificate,
-                      analyze: bool = False) -> None:
+                      client_certificate: Certificate) -> None:
         """Create a policy; the new policy's own board must approve (§III-C).
 
         The creating client's certificate is stored; all further accesses
         require the same certificate *and* board approval.
-
-        With ``analyze=True`` the policy is linted against the instance's
-        existing policy set *before* board submission; any CRITICAL
-        finding (weak quorum, argv secret, debug environment, ...)
-        rejects the creation outright, so board members never waste a
-        round on a policy the analyzer already condemned.
         """
         self._check_serving()
         policy.validate()
         if (("policies", policy.name)) in self.store:
             raise PolicyExistsError(f"policy {policy.name!r} already exists")
-        if analyze:
-            self._analyze_policy(policy, operation="create")
         with self.telemetry.span("policy.create", policy=policy.name):
             self._create_policy(policy, client_certificate)
         self.telemetry.inc("palaemon_policy_ops_total", op="create")
@@ -297,41 +287,6 @@ class PalaemonService:
         # under the simulator and routes through the batched store.commit().
         self.store.commit_instant()
 
-    def _analyze_policy(self, policy: SecurityPolicy,
-                        operation: str) -> None:
-        """The pre-board lint gate (docs/ANALYSIS.md).
-
-        Runs the policy rules over the instance's policy set with the
-        candidate included, counts every finding into telemetry, and
-        rejects on CRITICAL — before any board member is contacted.
-        """
-        from repro.analysis.engine import Analyzer
-        from repro.analysis.findings import Severity
-
-        policies: Dict[str, SecurityPolicy] = {
-            name: self.store.get("policies", name)
-            for name in self.store.keys("policies")}
-        policies[policy.name] = policy
-        with self.telemetry.span("policy.analyze", policy=policy.name,
-                                 operation=operation):
-            findings = Analyzer().analyze_policy_set(policies)
-        for finding in findings:
-            self.telemetry.inc("palaemon_lint_findings_total",
-                               code=finding.code,
-                               severity=finding.severity.name.lower())
-        critical = [finding for finding in findings
-                    if finding.severity >= Severity.CRITICAL]
-        self.telemetry.audit(
-            "policy.analyze", policy=policy.name, operation=operation,
-            findings=len(findings), critical=len(critical))
-        if critical:
-            summary = "; ".join(
-                f"{finding.code} ({finding.subject}): {finding.message}"
-                for finding in critical)
-            raise PolicyValidationError(
-                f"policy {policy.name!r} rejected by the analyzer before "
-                f"board submission: {summary}")
-
     def _authorize(self, policy_name: str, operation: str,
                    client_certificate: Certificate,
                    change_digest: bytes = b"") -> SecurityPolicy:
@@ -356,18 +311,10 @@ class PalaemonService:
         return policy
 
     def update_policy(self, updated: SecurityPolicy,
-                      client_certificate: Certificate,
-                      analyze: bool = False) -> None:
-        """Replace a policy; new secrets are materialized, existing kept.
-
-        ``analyze=True`` applies the same pre-board lint gate as
-        :meth:`create_policy`, with the updated document standing in for
-        the stored one.
-        """
+                      client_certificate: Certificate) -> None:
+        """Replace a policy; new secrets are materialized, existing kept."""
         self._check_serving()
         updated.validate()
-        if analyze:
-            self._analyze_policy(updated, operation="update")
         with self.telemetry.span("policy.update", policy=updated.name):
             self._update_policy(updated, client_certificate)
         self.telemetry.inc("palaemon_policy_ops_total", op="update")

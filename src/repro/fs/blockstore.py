@@ -3,7 +3,7 @@
 This is the adversary's playground: a plain path -> bytes mapping standing
 in for the host file system / container volume. The attacker controls it
 completely, so it supports ``snapshot()`` / ``restore()`` — the rollback
-attack is literally restoring an old snapshot — plus arbitrary tampering.
+attack is literally restoring an old snapshot.
 Nothing in here is trusted; all protection comes from the shield layered on
 top.
 """
@@ -72,8 +72,8 @@ class BlockStore:
     def generation(self, path: str) -> int:
         """Monotonic per-path write generation (0 = never written).
 
-        Changes on every mutation of ``path``, including attacker-side
-        ``tamper``/``restore``, so a cached validation made at generation
+        Changes on every mutation of ``path``, including an attacker's
+        ``restore``, so a cached validation made at generation
         ``g`` is still sound while ``generation(path) == g``.
         """
         return self._generations.get(path, 0)
@@ -99,11 +99,6 @@ class BlockStore:
         self._files = dict(snapshot)
         for path in self._files:
             self._bump(path)
-
-    def tamper(self, path: str, data: bytes) -> None:
-        """Overwrite a file without going through the shield."""
-        self._files[path] = data
-        self._bump(path)
 
     def scan_for(self, needle: bytes) -> List[str]:
         """Paths whose raw content contains ``needle``.

@@ -36,15 +36,6 @@ class Resource:
         self.name = name
         self._in_use = 0
         self._waiters: Deque[Event] = deque()
-        self._peak_queue_length = 0
-
-    @property
-    def in_use(self) -> int:
-        return self._in_use
-
-    @property
-    def peak_queue_length(self) -> int:
-        return self._peak_queue_length
 
     def acquire(self) -> Event:
         """Return an event that fires when a slot is granted."""
@@ -54,8 +45,6 @@ class Resource:
             grant.succeed(self)
         else:
             self._waiters.append(grant)
-            self._peak_queue_length = max(self._peak_queue_length,
-                                          len(self._waiters))
         return grant
 
     def release(self) -> None:
@@ -67,14 +56,6 @@ class Resource:
             waiter.succeed(self)
         else:
             self._in_use -= 1
-
-    def use(self, duration: float) -> Generator[Event, Any, None]:
-        """A sub-process that acquires, holds for ``duration``, releases."""
-        yield self.acquire()
-        try:
-            yield self.simulator.timeout(duration)
-        finally:
-            self.release()
 
 
 class SimLock(Resource):
@@ -101,9 +82,6 @@ class Store:
         self._items: Deque[Any] = deque()
         self._getters: Deque[Event] = deque()
         self._closed = False
-
-    def __len__(self) -> int:
-        return len(self._items)
 
     def put(self, item: Any) -> None:
         if self._closed:
@@ -196,19 +174,11 @@ class CpuPool(Resource):
     def __init__(self, simulator: Simulator, threads: int,
                  name: str = "cpu") -> None:
         super().__init__(simulator, capacity=threads, name=name)
-        self.busy_seconds = 0.0
 
     def execute(self, cpu_seconds: float) -> Generator[Event, Any, None]:
         """Consume ``cpu_seconds`` of one hyper-thread."""
         yield self.acquire()
         try:
             yield self.simulator.timeout(cpu_seconds)
-            self.busy_seconds += cpu_seconds
         finally:
             self.release()
-
-    def utilization(self, elapsed: float) -> float:
-        """Average utilization over ``elapsed`` seconds of virtual time."""
-        if elapsed <= 0:
-            return 0.0
-        return min(1.0, self.busy_seconds / (elapsed * self.capacity))

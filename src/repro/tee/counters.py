@@ -109,14 +109,3 @@ class PlatformCounterService:
         except KeyError:
             raise CounterNotFoundError(
                 f"unknown counter {counter_id!r}") from None
-
-    def rollback_for_test(self, counter_id: str, value: int) -> None:
-        """Forcibly set a counter backwards.
-
-        Only attack-simulation tests use this: the paper's threat model says
-        applications can be rolled back *unless* the platform counters hold,
-        so tests that model a counter-rollback-capable attacker need a lever.
-        """
-        if counter_id not in self._values:
-            raise CounterNotFoundError(f"unknown counter {counter_id!r}")
-        self._values[counter_id] = value

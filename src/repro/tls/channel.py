@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import pickle
 from collections import Counter, OrderedDict
-from typing import Any, Callable, Generator, List, Optional
+from typing import Any, Callable, Dict, Generator, Optional
 
 from repro import calibration
 from repro.crypto.certificates import Certificate
@@ -116,8 +116,12 @@ class TLSConnection:
         self._request_seq = 0
         self.stale_replies_dropped = 0
         self.closed = False
-        #: Mailbox getters of this connection's requests awaiting replies.
-        self._waiting: List[Event] = []
+        #: Request id -> the mailbox getter that request waits on, or
+        #: ``None`` while it is busy with a record, for every request
+        #: still waiting for its reply.
+        self._waiting: Dict[int, Optional[Event]] = {}
+        #: Replies another request of this connection received, by id.
+        self._handed: Dict[int, Any] = {}
 
     @classmethod
     def connect(cls, network: Network, client_name: str, client_site: Site,
@@ -164,7 +168,9 @@ class TLSConnection:
         under retries, a stale or duplicated reply (the network may deliver
         twice, and a timed-out attempt's reply can arrive after the retry's
         request) is discarded instead of being mistaken for the answer.
-        An interrupted request (a :meth:`Simulator.with_timeout` deadline)
+        Concurrent requests on one connection share its mailbox, so a
+        request that receives another waiting request's reply hands it
+        to that request. An interrupted request (a :meth:`Simulator.with_timeout` deadline)
         cancels its mailbox getter so the abandoned attempt cannot steal
         the reply meant for the retry. Records that are not authentic
         replies on this session are dropped the same way. A request on a
@@ -186,24 +192,44 @@ class TLSConnection:
                                   size_bytes=size_bytes,
                                   reply_to=self.client_endpoint)
         self.requests_sent += 1
-        while True:
-            if self.closed:
-                raise self._closed_error()
-            pending = self.client_endpoint.receive()
-            self._waiting.append(pending)
-            try:
-                message = yield pending
-            except ProcessInterrupt:
-                self.client_endpoint.inbox.cancel(pending)
-                raise
-            finally:
-                self._waiting.remove(pending)
-            yield simulator.timeout(calibration.TLS_RECORD_CRYPTO_SECONDS)
-            reply = _open_record(self.client_channel, self.session,
-                                 message.payload)
-            if isinstance(reply, dict) and reply.get("rid") == rid:
-                return reply.get("body")
-            self.stale_replies_dropped += 1
+        self._waiting[rid] = None
+        try:
+            while True:
+                if self.closed:
+                    raise self._closed_error()
+                if rid in self._handed:
+                    return self._handed[rid]
+                pending = self.client_endpoint.receive()
+                self._waiting[rid] = pending
+                try:
+                    message = yield pending
+                except ProcessInterrupt:
+                    self.client_endpoint.inbox.cancel(pending)
+                    raise
+                finally:
+                    self._waiting[rid] = None
+                if message is None:
+                    continue  # woken by a hand-off: the reply is handed
+                yield simulator.timeout(calibration.TLS_RECORD_CRYPTO_SECONDS)
+                reply = _open_record(self.client_channel, self.session,
+                                     message.payload)
+                reply_rid = (reply.get("rid") if isinstance(reply, dict)
+                             else None)
+                if reply_rid == rid:
+                    return reply.get("body")
+                if reply_rid not in self._waiting:
+                    self.stale_replies_dropped += 1
+                    continue
+                # Another waiting request's reply: hand it over, and wake
+                # that request if it waits on the mailbox.
+                self._handed[reply_rid] = reply.get("body")
+                other = self._waiting[reply_rid]
+                if (other is not None
+                        and self.client_endpoint.inbox.cancel(other)):
+                    other.succeed(None)
+        finally:
+            del self._waiting[rid]
+            self._handed.pop(rid, None)
 
     def close(self) -> None:
         """End the connection; closing twice does nothing.
@@ -217,8 +243,9 @@ class TLSConnection:
         self.closed = True
         if self.client_endpoint.connection is self:
             self.client_endpoint.connection = None
-        for pending in self._waiting:
-            if self.client_endpoint.inbox.cancel(pending):
+        for pending in self._waiting.values():
+            if (pending is not None
+                    and self.client_endpoint.inbox.cancel(pending)):
                 pending.fail(self._closed_error())
         self._request_seq += 1
         sealed = self.client_channel.seal({"rid": self._request_seq,

@@ -2,7 +2,7 @@
 
 import textwrap
 
-from repro.analysis.engine import Analyzer, repo_root
+from repro.analysis.engine import analyze_sources, repo_root
 from repro.analysis.findings import Severity
 
 
@@ -20,7 +20,7 @@ def write_module(tmp_path, dotted, text):
 
 
 def lint(tmp_path):
-    return Analyzer().analyze_sources(tmp_path / "repro", base=tmp_path)
+    return analyze_sources(tmp_path / "repro", base=tmp_path)
 
 
 class TestWallClock:
@@ -406,8 +406,7 @@ class TestEngineBehaviour:
 class TestRepoIsClean:
     def test_shipping_tree_has_no_findings(self):
         root = repo_root()
-        findings = Analyzer().analyze_sources(root / "src" / "repro",
-                                              base=root)
+        findings = analyze_sources(root / "src" / "repro", base=root)
         assert findings == [], "\n".join(
             f"{finding.location}: [{finding.code}] {finding.message}"
             for finding in findings)

@@ -148,21 +148,6 @@ class TestImplicitThreshold:
         serialized, _certs = policy.to_dict()
         assert serialized["board"]["threshold"] == 3
 
-    def test_lint_warns_on_omitted_threshold(self):
-        from repro.analysis.engine import Analyzer
-
-        document, _certs = self.board_document(member_count=2)
-        findings = Analyzer().analyze_document("implicit", document)
-        assert "DOC001" in {finding.code for finding in findings}
-
-    def test_lint_silent_when_threshold_stated(self):
-        from repro.analysis.engine import Analyzer
-
-        document, _certs = self.board_document(member_count=2)
-        document["board"]["threshold"] = 2
-        findings = Analyzer().analyze_document("implicit", document)
-        assert "DOC001" not in {finding.code for finding in findings}
-
 
 class TestTypedParseErrors:
     """Malformed documents raise PolicyValidationError, never a bare
@@ -185,6 +170,30 @@ class TestTypedParseErrors:
         with pytest.raises(PolicyValidationError, match="needs a name"):
             SecurityPolicy.from_dict(
                 {"name": "p", "services": [{"image_name": "img"}]})
+
+    def test_unparseable_yaml_is_typed(self):
+        with pytest.raises(PolicyValidationError, match="unexpected indent"):
+            SecurityPolicy.from_yaml("name: broken\n  services: [\n")
+
+    def test_digit_measurement_in_yaml_is_typed(self):
+        """An unquoted all-digit MRENCLAVE parses as an int."""
+        document = (
+            "name: digits\n"
+            "services:\n"
+            "  - name: app\n"
+            "    image_name: app-image\n"
+            "    mrenclaves:\n"
+            "      - " + "12" + "01" * 31 + "\n")
+        with pytest.raises(PolicyValidationError, match="not a hex string"):
+            SecurityPolicy.from_yaml(document)
+
+    def test_bad_threshold_and_name_are_typed(self):
+        """Documents that once crashed from_dict with ValueError, or were
+        accepted."""
+        with pytest.raises(PolicyValidationError, match="not an integer"):
+            SecurityPolicy.from_yaml("name: bad\nboard:\n  threshold: two\n")
+        with pytest.raises(PolicyValidationError, match="has no name: 5"):
+            SecurityPolicy.from_yaml("name: 5\n")
 
 
 class TestBoardDigest:

@@ -17,6 +17,7 @@ from repro.sim.core import Simulator
 from repro.tee.counters import PlatformCounterService
 
 from tests.core.conftest import Deployment
+from tests.doubles import rollback_counter, tamper
 
 
 def make_store(store=None, seed=b"store-tests", sim=None):
@@ -71,7 +72,7 @@ class TestLogTampering:
         forked, _, _ = make_store(store=clone)
         forked.put("t", "k3", b"forked")
         forked.commit_instant()
-        backing.tamper(records[2], clone.read(records[2]))
+        tamper(backing, records[2], clone.read(records[2]))
         with pytest.raises(IntegrityError, match="log does not match"):
             make_store(store=backing)
 
@@ -83,15 +84,15 @@ class TestLogTampering:
 
     def test_truncated_record_detected(self):
         _, backing, _, records = logged_store()
-        backing.tamper(records[1], backing.read(records[1])[:-8])
+        tamper(backing, records[1], backing.read(records[1])[:-8])
         with pytest.raises(IntegrityError):
             make_store(store=backing)
 
     def test_reordered_records_detected(self):
         _, backing, _, records = logged_store()
         first, second = backing.read(records[0]), backing.read(records[1])
-        backing.tamper(records[0], second)
-        backing.tamper(records[1], first)
+        tamper(backing, records[0], second)
+        tamper(backing, records[1], first)
         with pytest.raises(IntegrityError):
             make_store(store=backing)
 
@@ -106,13 +107,13 @@ class TestLogTampering:
         db.put("t", "k1", b"again")
         db.commit_instant()
         assert backing.exists(records[0])
-        backing.tamper(records[0], old)
+        tamper(backing, records[0], old)
         with pytest.raises(IntegrityError):
             make_store(store=backing)
 
     def test_record_copied_to_another_position_detected(self):
         _, backing, _, records = logged_store()
-        backing.tamper(records[2], backing.read(records[1]))
+        tamper(backing, records[2], backing.read(records[1]))
         with pytest.raises(IntegrityError):
             make_store(store=backing)
 
@@ -157,7 +158,7 @@ class TestPolicyStore:
         db.commit_instant()
         path = snapshot_path(backing, "t")
         raw = backing.read(path)
-        backing.tamper(path, raw[:-1] + bytes([raw[-1] ^ 1]))
+        tamper(backing, path, raw[:-1] + bytes([raw[-1] ^ 1]))
         with pytest.raises(IntegrityError):
             make_store(store=backing)
 
@@ -166,7 +167,7 @@ class TestPolicyStore:
         db.put("t", "k", "v")
         db.commit_instant()
         raw = backing.read("/palaemon.db.manifest")
-        backing.tamper("/palaemon.db.manifest",
+        tamper(backing, "/palaemon.db.manifest",
                        raw[:-1] + bytes([raw[-1] ^ 1]))
         with pytest.raises(IntegrityError):
             make_store(store=backing)
@@ -179,7 +180,7 @@ class TestPolicyStore:
         stale = backing.read(snapshot_path(backing, "t"))
         db.put("t", "k", "new")
         db.commit_instant()
-        backing.tamper(snapshot_path(backing, "t"), stale)
+        tamper(backing, snapshot_path(backing, "t"), stale)
         with pytest.raises(IntegrityError):
             make_store(store=backing)
 
@@ -315,7 +316,7 @@ class TestRollbackProtocol:
 
         sim.run_process(run())
         backing.restore(old_snapshot)
-        counters.rollback_for_test("c", 0)  # the out-of-scope capability
+        rollback_counter(counters, "c", 0)  # the out-of-scope capability
 
         guard2, db2, _, sim2, _ = make_guard(backing=backing,
                                              counters=counters, sim=sim)
@@ -358,7 +359,7 @@ def test_stray_pre_segment_blob_cannot_reset_state():
     for path in volume.list():
         if path.startswith("/palaemon.db"):
             volume.delete(path)
-    volume.tamper("/palaemon.db", b"\x5a" * 256)
+    tamper(volume, "/palaemon.db", b"\x5a" * 256)
     restarted = PalaemonService(deployment.platform, volume,
                                 DeterministicRandom(b"restart"))
     assert restarted.store.version == 0

@@ -9,6 +9,8 @@ from repro.fs.blockstore import BlockStore
 from repro.fs.fspf import FileSystemProtectionFile
 from repro.fs.shield import ProtectedFileSystem
 
+from tests.doubles import tamper
+
 
 def make_fs(listener=None, seed=b"fs-test"):
     store = BlockStore()
@@ -203,7 +205,7 @@ class TestAttacks:
         fs, store, key, _ = make_fs()
         fs.write("/a", b"original")
         fs.sync()
-        store.tamper("/a", b"\x00" * 64)
+        tamper(store, "/a", b"\x00" * 64)
         remounted = ProtectedFileSystem(store, key,
                                         DeterministicRandom(b"r"))
         with pytest.raises(IntegrityError):
@@ -216,8 +218,8 @@ class TestAttacks:
         fs.write("/b", b"content-b")
         fs.sync()
         raw_a, raw_b = store.read("/a"), store.read("/b")
-        store.tamper("/a", raw_b)
-        store.tamper("/b", raw_a)
+        tamper(store, "/a", raw_b)
+        tamper(store, "/b", raw_a)
         remounted = ProtectedFileSystem(store, key,
                                         DeterministicRandom(b"r"))
         with pytest.raises(IntegrityError):
@@ -231,7 +233,7 @@ class TestAttacks:
         old_raw = store.read("/a")
         fs.delete("/a")
         expected = fs.sync()
-        store.tamper("/a", old_raw)
+        tamper(store, "/a", old_raw)
         remounted = ProtectedFileSystem(store, key,
                                         DeterministicRandom(b"r"))
         # The resurrected file is invisible (not in FSPF) and the tag holds.
@@ -242,7 +244,7 @@ class TestAttacks:
         fs, store, key, _ = make_fs()
         fs.write("/a", b"data")
         fs.sync()
-        store.tamper("/.fspf", b"\x41" * 128)
+        tamper(store, "/.fspf", b"\x41" * 128)
         with pytest.raises(IntegrityError):
             ProtectedFileSystem(store, key, DeterministicRandom(b"r"))
 
@@ -262,7 +264,7 @@ class TestSyncGenerations:
         fs, store, _, _ = make_fs()
         fs.write("/a", b"cached plaintext")
         fs.sync()
-        store.tamper("/a", b"\x00" * 64)  # bumps /a's generation
+        tamper(store, "/a", b"\x00" * 64)  # bumps /a's generation
         fs.sync()  # hash mismatch: the cached plaintext must be evicted
         with pytest.raises(IntegrityError):
             fs.read("/a")
@@ -286,7 +288,7 @@ class TestSyncGenerations:
         assert store.generation("/a") == 0
         store.write("/a", b"1")
         first = store.generation("/a")
-        store.tamper("/a", b"2")
+        tamper(store, "/a", b"2")
         second = store.generation("/a")
         store.restore({"/a": b"3"})
         third = store.generation("/a")

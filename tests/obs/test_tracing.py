@@ -125,11 +125,11 @@ def test_obs_sources_never_touch_the_wall_clock():
     so comments or string literals mentioning ``time.time`` cannot
     produce false positives — only real imports and calls count.
     """
-    from repro.analysis.engine import Analyzer
+    from repro.analysis.engine import analyze_sources
 
     obs_dir = (pathlib.Path(__file__).resolve().parents[2]
                / "src" / "repro" / "obs")
-    findings = [finding for finding in Analyzer().analyze_sources(obs_dir)
+    findings = [finding for finding in analyze_sources(obs_dir)
                 if finding.code == "SRC101"]
     assert findings == [], "\n".join(
         f"{finding.location}: {finding.message}" for finding in findings)

@@ -18,6 +18,8 @@ from repro.sim.network import Network, Site
 from repro.sim.resources import DiskModel, Store
 from repro.sim.retry import DEFAULT_RETRYABLE, RetryPolicy
 
+from tests.doubles import tamper
+
 
 class TestWindow:
     def test_half_open(self):
@@ -113,7 +115,7 @@ class TestAttachment:
         store = BlockStore("vol")
         plan = FaultPlan(sim).fail_store("vol", "write", end=1.0)
         plan.attach(store)
-        store.tamper("/f", b"old")
+        tamper(store, "/f", b"old")
         with pytest.raises(StorageFaultError):
             store.write("/f", b"x")
         assert store.read("/f") == b"old"  # reads unaffected

@@ -17,12 +17,15 @@ class TestResource:
     def test_capacity_limits_concurrency(self):
         sim = Simulator()
         resource = Resource(sim, capacity=2)
+        holding = [0]
         concurrent = []
 
         def worker():
             yield resource.acquire()
-            concurrent.append(resource.in_use)
+            holding[0] += 1
+            concurrent.append(holding[0])
             yield sim.timeout(1.0)
+            holding[0] -= 1
             resource.release()
 
         def main():
@@ -62,32 +65,6 @@ class TestResource:
     def test_invalid_capacity(self):
         with pytest.raises(ValueError):
             Resource(Simulator(), capacity=0)
-
-    def test_use_helper(self):
-        sim = Simulator()
-        resource = Resource(sim, capacity=1)
-
-        def main():
-            yield sim.process(resource.use(2.0))
-            return sim.now
-
-        assert sim.run_process(main()) == 2.0
-        assert resource.in_use == 0
-
-    def test_peak_queue_length(self):
-        sim = Simulator()
-        lock = SimLock(sim)
-
-        def worker():
-            yield lock.acquire()
-            yield sim.timeout(1.0)
-            lock.release()
-
-        def main():
-            yield sim.all_of([sim.process(worker()) for _ in range(5)])
-
-        sim.run_process(main())
-        assert lock.peak_queue_length == 4
 
 
 class TestStore:
@@ -180,16 +157,3 @@ class TestCpuPool:
             return sim.now
 
         assert sim.run_process(main()) == 2.0
-
-    def test_utilization(self):
-        sim = Simulator()
-        cpu = CpuPool(sim, threads=2)
-
-        def main():
-            yield sim.process(cpu.execute(1.0))
-
-        sim.run_process(main())
-        assert cpu.utilization(elapsed=1.0) == pytest.approx(0.5)
-
-    def test_utilization_zero_elapsed(self):
-        assert CpuPool(Simulator(), threads=1).utilization(0.0) == 0.0

@@ -145,8 +145,8 @@ def test_api_md_operation_table_matches_registry():
 
 def test_analysis_md_rule_tables_match_registry():
     """docs/ANALYSIS.md lists every registered palint rule once, with its
-    declared severity; its only other codes are the two the CLI and the
-    engine emit themselves (PAL000, SRC100)."""
+    declared severity; its only other code is the one the engine emits
+    itself (SRC100)."""
     from repro.analysis import RULES
 
     text = (ROOT / "docs/ANALYSIS.md").read_text()
@@ -160,7 +160,7 @@ def test_analysis_md_rule_tables_match_registry():
         assert severity == rule.severity.name, (
             f"docs/ANALYSIS.md gives {code} severity {severity}, "
             f"the rule declares {rule.severity.name}")
-    assert set(codes) - set(RULES) <= {"PAL000", "SRC100"}
+    assert set(codes) - set(RULES) <= {"SRC100"}
 
 
 @pytest.mark.parametrize("record", sorted(

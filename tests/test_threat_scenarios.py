@@ -32,6 +32,7 @@ from repro.tee.image import build_image
 from repro.tee.platform import SGXPlatform
 
 from tests.core.conftest import Deployment
+from tests.doubles import rollback_counter, tamper
 
 
 @pytest.fixture()
@@ -73,7 +74,7 @@ class TestRootLevelAttacker:
         app.write_file("/data/config", b"threshold=10")
         app.exit_cleanly()
         raw = volume.read("/data/config")
-        volume.tamper("/data/config", raw[:-1] + bytes([raw[-1] ^ 1]))
+        tamper(volume, "/data/config", raw[:-1] + bytes([raw[-1] ^ 1]))
         restarted = runtime.launch(deployment.app_image, "ml_policy",
                                    "ml_app", volume=volume)
         with pytest.raises(IntegrityError):
@@ -246,7 +247,7 @@ class TestScopeBoundaries:
         deployment.volume.restore(checkpoint)
         # The out-of-scope capability: rolling back the hardware counter.
         counter_id = deployment.palaemon.rollback_guard.counter_id
-        deployment.platform.counters.rollback_for_test(counter_id, 0)
+        rollback_counter(deployment.platform.counters, counter_id, 0)
         reborn = PalaemonService(deployment.platform, deployment.volume,
                                  DeterministicRandom(b"reborn2"),
                                  board_evaluator=deployment.evaluator)

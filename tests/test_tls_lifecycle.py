@@ -210,3 +210,32 @@ class TestOneConnectionPerEndpoint:
         except SimulationError:
             pytest.fail("a request waited for a reply that never came")
         assert outcome == {"first": "closed", "second": {"echo": "second"}}
+
+
+class TestConcurrentRequestsOnOneConnection:
+    """Concurrent requests on one connection share its mailbox; a request
+    that receives another's reply hands it over, so none waits for ever."""
+
+    @pytest.mark.parametrize("concurrency", [2, 8])
+    @pytest.mark.parametrize("seed", range(30))
+    def test_each_request_gets_its_own_reply(self, seed, concurrency):
+        sim, rng, net, server = echo_stack(
+            seed=b"one-conn-%d-%d" % (concurrency, seed),
+            jitter_fraction=0.5)
+        connection = connect(sim, rng, net, server)
+        replies = {}
+
+        def use(tag):
+            replies[tag] = yield sim.process(connection.request(tag))
+
+        def main():
+            yield sim.all_of([sim.process(use(tag))
+                              for tag in range(concurrency)])
+
+        try:
+            sim.run_process(main())
+        except SimulationError:
+            pytest.fail("a request waited for a reply that never came")
+        assert replies == {tag: {"echo": tag} for tag in range(concurrency)}
+        assert connection.stale_replies_dropped == 0
+        assert server.requests_served == concurrency

@@ -10,11 +10,12 @@ import pytest
 
 from repro.core.rest import PalaemonRestClient
 from repro.crypto.primitives import DeterministicRandom
-from repro.errors import NetworkError, SimulationError
+from repro.errors import (DeadlineExceededError, NetworkError,
+                          SimulationError)
 from repro.sim.core import Simulator
 from repro.sim.network import Network, Site
 from repro.tls import channel
-from repro.tls.channel import TLSConnection, TLSServer
+from repro.tls.channel import SecureChannel, TLSConnection, TLSServer
 
 from tests.core.conftest import Deployment
 from tests.core.test_sealed_transports import rest_call, rest_stack
@@ -239,3 +240,62 @@ class TestConcurrentRequestsOnOneConnection:
         assert replies == {tag: {"echo": tag} for tag in range(concurrency)}
         assert connection.stale_replies_dropped == 0
         assert server.requests_served == concurrency
+
+    def test_reply_no_request_waits_for_is_dropped(self):
+        """An authentic reply whose id no waiting request holds is dropped
+        and counted, and the waiting requests still get their own."""
+        sim, rng, net, server = echo_stack(seed=b"one-conn-orphan")
+        connection = connect(sim, rng, net, server)
+        orphan = SecureChannel(connection.session, is_client=False).seal(
+            {"rid": 99, "body": "orphan"})
+        replies = {}
+
+        def use(tag):
+            replies[tag] = yield sim.process(connection.request(tag))
+
+        def main():
+            users = [sim.process(use(tag)) for tag in range(2)]
+            server.endpoint.send(connection.client_endpoint,
+                                 {"session": connection.session.session_id,
+                                  "data": orphan})
+            yield sim.all_of(users)
+
+        sim.run_process(main())
+        assert replies == {0: {"echo": 0}, 1: {"echo": 1}}
+        assert connection.stale_replies_dropped == 1
+
+    def test_late_reply_of_a_timed_out_request_is_dropped(self):
+        """A request abandoned at its deadline no longer waits, so its late
+        reply reaches the other request as a stale one, not a hand-off."""
+        sim = Simulator()
+        rng = DeterministicRandom(b"one-conn-deadline")
+        net = Network(sim, rng.fork(b"net"))
+
+        def handler(request, _session):
+            if request == "slow":
+                yield sim.timeout(1.0)
+            return {"echo": request}
+
+        server = TLSServer(net, net.endpoint("server"), handler)
+        server.start()
+        connection = connect(sim, rng, net, server)
+        outcome = {}
+
+        def slow():
+            try:
+                yield sim.with_timeout(
+                    sim.process(connection.request("slow")), 0.5)
+            except DeadlineExceededError:
+                outcome["slow"] = "deadline"
+
+        def fast():
+            yield sim.timeout(0.1)  # the server is busy with "slow" by now
+            outcome["fast"] = yield sim.process(connection.request("fast"))
+
+        def main():
+            yield sim.all_of([sim.process(slow()), sim.process(fast())])
+
+        sim.run_process(main())
+        assert outcome == {"slow": "deadline", "fast": {"echo": "fast"}}
+        assert server.requests_served == 2
+        assert connection.stale_replies_dropped == 1

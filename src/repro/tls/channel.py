@@ -170,9 +170,11 @@ class TLSConnection:
         request) is discarded instead of being mistaken for the answer.
         Concurrent requests on one connection share its mailbox, so a
         request that receives another waiting request's reply hands it
-        to that request. An interrupted request (a :meth:`Simulator.with_timeout` deadline)
-        cancels its mailbox getter so the abandoned attempt cannot steal
-        the reply meant for the retry. Records that are not authentic
+        to that request, also when a deadline interrupts it while it
+        holds that reply. An interrupted request (a
+        :meth:`Simulator.with_timeout` deadline) cancels its mailbox getter
+        so the abandoned attempt cannot steal the reply meant for the
+        retry. Records that are not authentic
         replies on this session are dropped the same way. A request on a
         closed connection, or one still waiting when the connection
         closes, raises :class:`NetworkError`.
@@ -210,26 +212,36 @@ class TLSConnection:
                     self._waiting[rid] = None
                 if message is None:
                     continue  # woken by a hand-off: the reply is handed
-                yield simulator.timeout(calibration.TLS_RECORD_CRYPTO_SECONDS)
                 reply = _open_record(self.client_channel, self.session,
                                      message.payload)
                 reply_rid = (reply.get("rid") if isinstance(reply, dict)
                              else None)
+                try:
+                    yield simulator.timeout(
+                        calibration.TLS_RECORD_CRYPTO_SECONDS)
+                except ProcessInterrupt:
+                    # Abandoned while holding a record: a reply another
+                    # request waits for still reaches it.
+                    if reply_rid != rid and reply_rid in self._waiting:
+                        self._hand_off(reply_rid, reply.get("body"))
+                    raise
                 if reply_rid == rid:
                     return reply.get("body")
                 if reply_rid not in self._waiting:
                     self.stale_replies_dropped += 1
                     continue
-                # Another waiting request's reply: hand it over, and wake
-                # that request if it waits on the mailbox.
-                self._handed[reply_rid] = reply.get("body")
-                other = self._waiting[reply_rid]
-                if (other is not None
-                        and self.client_endpoint.inbox.cancel(other)):
-                    other.succeed(None)
+                self._hand_off(reply_rid, reply.get("body"))
         finally:
             del self._waiting[rid]
             self._handed.pop(rid, None)
+
+    def _hand_off(self, rid: int, body: Any) -> None:
+        """Give the reply ``body`` to the waiting request ``rid``, and wake
+        that request if it waits on the mailbox."""
+        self._handed[rid] = body
+        other = self._waiting[rid]
+        if other is not None and self.client_endpoint.inbox.cancel(other):
+            other.succeed(None)
 
     def close(self) -> None:
         """End the connection; closing twice does nothing.

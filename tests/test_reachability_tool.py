@@ -50,7 +50,7 @@ def source(tmp_path, reachability, monkeypatch):
 
 
 def test_plan_disables_benchmark_timing(reachability):
-    plan = reachability.runs(3.0)
+    plan = reachability.runs()
     assert plan[0] == ("module", "pytest",
                        ["benchmarks", "--benchmark-disable", "-q",
                         "-p", "no:cacheprovider"])
@@ -92,10 +92,29 @@ def test_child_records_only_called_source_functions(
     assert ("shapes.py", 1) in hits
 
 
+@pytest.mark.parametrize("argv, code, fails", [
+    ([], 0, False), ([], None, False), ([], 2, True), ([], 1, True),
+    (["lint"], 1, False), (["lint"], 2, True)])
+def test_child_fails_when_its_run_fails(reachability, tmp_path, monkeypatch,
+                                        argv, code, fails):
+    """A failed run stops the probe; only ``lint`` may exit 1 (findings)."""
+    script = tmp_path / "exits.py"
+    script.write_text(f"import sys\nsys.exit({code!r})\n")
+    monkeypatch.setattr(sys, "argv", list(sys.argv))
+    out = tmp_path / "hits.json"
+    if fails:
+        with pytest.raises(SystemExit):
+            reachability.child("script", str(script), argv, out)
+        assert not out.exists()
+    else:
+        reachability.child("script", str(script), argv, out)
+        assert json.loads(out.read_text()) == []
+
+
 def test_summary_counts_nested_lines_once(reachability, source, monkeypatch,
                                           capsys):
     monkeypatch.setattr(reachability, "probe",
-                        lambda _seconds: {("shapes.py", 4)})
+                        lambda: {("shapes.py", 4)})
     assert reachability.main([]) == 0
     lines = capsys.readouterr().out.splitlines()
     # cached (3 lines, inner's among them) and Box.method (1 line).

@@ -299,3 +299,47 @@ class TestConcurrentRequestsOnOneConnection:
         assert outcome == {"slow": "deadline", "fast": {"echo": "fast"}}
         assert server.requests_served == 2
         assert connection.stale_replies_dropped == 1
+
+    def test_deadline_while_holding_another_reply_hands_it_over(self):
+        """A request whose deadline falls while it decrypts the other
+        request's reply still hands that reply over."""
+        def run(deadline=None):
+            sim, rng, net, server = echo_stack(seed=b"one-conn-held-reply",
+                                               jitter_fraction=0.0)
+            connection = connect(sim, rng, net, server)
+            start = sim.now
+            outcome = {}
+
+            def slow():
+                # First on the mailbox, but its large request reaches the
+                # server after the small one, so it receives the other reply.
+                attempt = sim.process(connection.request(
+                    "slow", size_bytes=10_000_000))
+                try:
+                    outcome["slow"] = yield (
+                        attempt if deadline is None
+                        else sim.with_timeout(attempt, deadline))
+                except DeadlineExceededError:
+                    outcome["slow"] = "deadline"
+
+            def fast():
+                outcome["fast"] = yield sim.process(connection.request("fast"))
+                outcome["fast_at"] = sim.now - start
+
+            def main():
+                yield sim.all_of([sim.process(slow()), sim.process(fast())])
+
+            try:
+                sim.run_process(main())
+            except SimulationError:
+                pytest.fail("a request waited for a reply that never came")
+            return outcome
+
+        crypto = channel.calibration.TLS_RECORD_CRYPTO_SECONDS
+        first = run()
+        assert first["slow"] == {"echo": "slow"}
+        assert first["fast"] == {"echo": "fast"}
+        received = first["fast_at"] - crypto  # when the slow request took it
+        outcome = run(deadline=received + crypto / 2)
+        assert outcome["slow"] == "deadline"
+        assert outcome["fast"] == {"echo": "fast"}

@@ -8,7 +8,7 @@ every example, the ``observe``, ``chaos``, ``lint``, ``list`` and
 run is a child process of this script. A function none of them calls is
 unreached. Run from the root of a checkout:
 
-    python3 tools/reachability.py [--perfbench-seconds 3]
+    python3 tools/reachability.py
 
 It prints the number of functions under ``src/repro``, the number that
 no run reached with their body lines, and the unreached list. Body lines
@@ -19,6 +19,10 @@ report; no threshold is applied.
 ``--benchmark-disable`` matters: pytest-benchmark suspends profilers
 while it times a benchmark, so without it the modules the figures run
 look unreached.
+
+A run that fails stops the probe, so a broken entry point cannot pass
+for unreached code; ``repro lint`` may exit 1, which only reports
+findings.
 """
 
 from __future__ import annotations
@@ -38,9 +42,11 @@ from typing import List, Set, Tuple
 ROOT = Path(__file__).resolve().parents[1]
 SOURCE = ROOT / "src" / "repro"
 WORKLOADS = ("startup", "tag-churn", "governance")
+#: Seconds each perfbench workload runs.
+PERFBENCH_SECONDS = 3.0
 
 
-def runs(perfbench_seconds: float) -> List[Tuple[str, str, List[str]]]:
+def runs() -> List[Tuple[str, str, List[str]]]:
     """Every probed run as (kind, target, argv): ``module`` runs
     ``python -m target``, ``script`` runs a file."""
     plan = [("module", "pytest", ["benchmarks", "--benchmark-disable",
@@ -51,7 +57,7 @@ def runs(perfbench_seconds: float) -> List[Tuple[str, str, List[str]]]:
              for command in ("observe", "chaos", "lint", "list", "examples")]
     plan += [("script", str(ROOT / "perfbench" / "run.py"),
               ["--workload", workload, "--seed", "1",
-               "--seconds", str(perfbench_seconds)])
+               "--seconds", str(PERFBENCH_SECONDS)])
              for workload in WORKLOADS]
     return plan
 
@@ -73,8 +79,10 @@ def child(kind: str, target: str, argv: List[str], out: Path) -> None:
             runpy.run_module(target, run_name="__main__", alter_sys=True)
         else:
             runpy.run_path(target, run_name="__main__")
-    except SystemExit:
-        pass
+    except SystemExit as exc:
+        if exc.code not in (0, None) and not (
+                argv == ["lint"] and exc.code == 1):
+            raise
     finally:
         sys.setprofile(None)
         threading.setprofile(None)
@@ -114,7 +122,7 @@ def functions() -> List[dict]:
     return found
 
 
-def probe(perfbench_seconds: float) -> Set[Tuple[str, int]]:
+def probe() -> Set[Tuple[str, int]]:
     """The union of what every run called, each run in its own process."""
     reached: Set[Tuple[str, int]] = set()
     env = dict(os.environ)
@@ -122,7 +130,7 @@ def probe(perfbench_seconds: float) -> Set[Tuple[str, int]]:
         filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     with tempfile.TemporaryDirectory() as scratch:
         out = Path(scratch) / "hits.json"
-        for kind, target, argv in runs(perfbench_seconds):
+        for kind, target, argv in runs():
             print(f"probe: {kind} {Path(target).name} {' '.join(argv)}",
                   file=sys.stderr, flush=True)
             subprocess.run(
@@ -135,7 +143,6 @@ def probe(perfbench_seconds: float) -> Set[Tuple[str, int]]:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--perfbench-seconds", type=float, default=3.0)
     parser.add_argument("--child", nargs=2, metavar=("KIND", "TARGET"),
                         help=argparse.SUPPRESS)
     parser.add_argument("--out", type=Path, help=argparse.SUPPRESS)
@@ -145,7 +152,7 @@ def main(argv=None) -> int:
         child(*args.child, args.rest, args.out)
         return 0
 
-    reached = probe(args.perfbench_seconds)
+    reached = probe()
     every = functions()
     unreached = [entry for entry in every
                  if (entry["file"], entry["line"]) not in reached]

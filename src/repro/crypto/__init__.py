@@ -3,7 +3,7 @@
 Everything in this package is *functionally real* inside the simulation:
 encryption actually hides plaintext, MACs actually detect tampering, and
 signatures verify with nothing but the public key. The primitives are
-deliberately textbook (SHA-256 keystream AEAD, RSA-FDH signatures) because
+deliberately textbook (SHAKE-256 keystream AEAD, RSA-FDH signatures) because
 the paper's security argument depends on the *protocols* built on top, not
 on the specific ciphers; a production deployment would swap in AES-GCM and
 Ed25519.

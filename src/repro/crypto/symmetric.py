@@ -1,19 +1,19 @@
 """Authenticated symmetric encryption (AEAD).
 
-The cipher is SHA-256 in counter mode as a keystream generator, with an
-encrypt-then-MAC HMAC-SHA-256 tag over nonce, associated data, and
-ciphertext. This gives real confidentiality and integrity inside the
+The cipher XORs the message with a SHAKE-256 keystream (FIPS 202) and
+adds an encrypt-then-MAC HMAC-SHA-256 tag over nonce, associated data,
+and ciphertext. This gives real confidentiality and integrity inside the
 simulation with zero dependencies; a deployment would use AES-GCM.
 
-Keystream block ``i`` is ``SHA-256(key || nonce || i)`` with ``i`` as a
-big-endian 64-bit counter. The ``key || nonce`` prefix is hashed once per
-message and each block continues from a copy of that state. The MAC is
-RFC 2104 HMAC, whose inner and outer states a cipher keys once and copies
-per message, so a message pays no HMAC key schedule. The XOR runs
-on whole chunks as Python integers rather than byte by byte. Data is
-processed in :data:`CHUNK_SIZE` pieces so that the keystream and the
-integers alive at any moment stay one chunk long: the peak allocation of
-a seal is about twice its output (the chunk results and their join),
+Data is processed in :data:`CHUNK_SIZE` pieces. Chunk ``i`` is XORed
+with ``SHAKE-256(key || nonce || i)``, with ``i`` as a big-endian 64-bit
+counter, read to the chunk's length: one C call per chunk, whose
+fixed-width input fits one SHAKE-256 block. The MAC is RFC 2104 HMAC,
+whose inner and outer states a cipher keys once and copies per message,
+so a message pays no HMAC key schedule. The XOR runs on whole chunks as
+Python integers rather than byte by byte. Chunking keeps the keystream
+and the integers alive at any moment one chunk long: the peak allocation
+of a seal is about twice its output (the chunk results and their join),
 however large the message. A whole-message keystream and integer would
 almost triple that for the ~2 MB segments of a 1,000-policy database.
 """
@@ -21,7 +21,6 @@ almost triple that for the ~2 MB segments of a 1,000-policy database.
 from __future__ import annotations
 
 import hashlib
-import struct
 from dataclasses import dataclass
 
 from repro.crypto.primitives import (
@@ -35,14 +34,8 @@ from repro.errors import IntegrityError
 KEY_SIZE = 32
 NONCE_SIZE = 16
 TAG_SIZE = 32
-#: Bytes XORed per step; a multiple of the 32-byte keystream block.
+#: Bytes XORed per step, each step with its own keystream.
 CHUNK_SIZE = 64 * 1024
-
-_BLOCK_SIZE = 32
-_pack_counter = struct.Struct(">Q").pack
-#: The packed counters of the first chunk's blocks.
-_FIRST_CHUNK_COUNTERS = tuple(map(_pack_counter,
-                                  range(CHUNK_SIZE // _BLOCK_SIZE)))
 
 
 @dataclass(frozen=True)
@@ -71,33 +64,17 @@ class Ciphertext:
         return len(self.nonce) + len(self.tag) + len(self.body)
 
 
-def _xor_chunk(prefix, chunk: bytes, counters) -> bytes:
-    """XOR ``chunk`` with the keystream blocks ``prefix || counter``."""
-    copy = prefix.copy
-    blocks = []
-    for counter in counters:
-        block = copy()
-        block.update(counter)
-        blocks.append(block.digest())
-    stream = b"".join(blocks)[:len(chunk)]
-    mixed = int.from_bytes(chunk, "little") ^ int.from_bytes(stream, "little")
-    return mixed.to_bytes(len(chunk), "little")
-
-
 def _xor_keystream(key: bytes, nonce: bytes, data: bytes) -> bytes:
     """XOR ``data`` with the (key, nonce) keystream, one chunk at a time."""
-    prefix = hashlib.sha256(key)
-    prefix.update(nonce)
-    if len(data) <= CHUNK_SIZE:
-        blocks = (len(data) + _BLOCK_SIZE - 1) // _BLOCK_SIZE
-        return _xor_chunk(prefix, data, _FIRST_CHUNK_COUNTERS[:blocks])
+    prefix = key + nonce
     pieces = []
-    for start in range(0, len(data), CHUNK_SIZE):
+    for index, start in enumerate(range(0, len(data), CHUNK_SIZE)):
         chunk = data[start:start + CHUNK_SIZE]
-        first = start // _BLOCK_SIZE
-        last = (start + len(chunk) + _BLOCK_SIZE - 1) // _BLOCK_SIZE
-        pieces.append(_xor_chunk(prefix, chunk,
-                                 map(_pack_counter, range(first, last))))
+        stream = hashlib.shake_256(
+            prefix + index.to_bytes(8, "big")).digest(len(chunk))
+        mixed = (int.from_bytes(chunk, "little")
+                 ^ int.from_bytes(stream, "little"))
+        pieces.append(mixed.to_bytes(len(chunk), "little"))
     return b"".join(pieces)
 
 

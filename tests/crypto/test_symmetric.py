@@ -1,14 +1,17 @@
 """Tests for the AEAD cipher and SecretBox."""
 
 import hashlib
+import hmac
+import random
 import tracemalloc
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from repro.crypto.primitives import DeterministicRandom
 from repro.crypto.symmetric import (
     AEADCipher,
+    CHUNK_SIZE,
     Ciphertext,
     KEY_SIZE,
     NONCE_SIZE,
@@ -150,10 +153,37 @@ def pattern(size):
     return (bytes(range(256)) * (size // 256 + 1))[:size]
 
 
+def oracle_hkdf(key_material, info):
+    """RFC 5869 HKDF-SHA-256 with an empty salt, 32 bytes of output."""
+    pseudo_random_key = hmac.new(bytes(32), key_material,
+                                 hashlib.sha256).digest()
+    return hmac.new(pseudo_random_key, info + b"\x01",
+                    hashlib.sha256).digest()
+
+
+def oracle_seal(key, nonce, plaintext, associated_data):
+    """``nonce || tag || body`` computed from the specification alone.
+
+    64 KiB chunk ``i`` of the plaintext is XORed with SHAKE-256 of
+    ``encryption key || nonce || i`` (``i`` a big-endian u64); the tag is
+    HMAC-SHA-256 of ``nonce || associated_data || body``; both keys come
+    from HKDF of the master key.
+    """
+    encryption_key = oracle_hkdf(key, b"aead-encryption")
+    mac_key = oracle_hkdf(key, b"aead-mac")
+    keystream = b"".join(
+        hashlib.shake_256(encryption_key + nonce
+                          + index.to_bytes(8, "big")).digest(65536)
+        for index in range(-(-len(plaintext) // 65536)))
+    body = bytes(a ^ b for a, b in zip(plaintext, keystream))
+    tag = hmac.new(mac_key, nonce + associated_data + body,
+                   hashlib.sha256).digest()
+    return nonce + tag + body
+
+
 #: SHA-256 of ``encrypt(pattern(size), nonce, ad).to_bytes()`` under
-#: ``KAT_KEY``/``KAT_NONCE``, recorded with the byte-at-a-time reference
-#: implementation (one SHA-256 of key || nonce || counter per 32-byte
-#: block, XORed a byte at a time); sizes straddle the block and chunk
+#: ``KAT_KEY``/``KAT_NONCE``, computed with :func:`oracle_seal` (stdlib
+#: ``hmac`` and ``hashlib.shake_256`` only); sizes straddle the chunk
 #: edges and reach a 1,000-policy state segment.
 KAT_KEY = bytes(range(32))
 KAT_NONCE = bytes(range(16, 32))
@@ -161,22 +191,22 @@ KAT_AD = b"kat-associated-data"
 KNOWN_ANSWERS = {
     (0, False): "458686acef287b1bf08e55f366977c8f8e5705f7b86e0d8c31bb4d5e481555fb",
     (0, True): "0f156d6a3d32b3d8db7a8eaaa9ac38338f043ed9557afce8695288737bd48433",
-    (1, False): "599fee6737918ec28c078925ea2a125ecdf0f253fec935e6fa9fd00b0a0f8534",
-    (1, True): "c4b246383c87a31ff88c4b8509b0ad66f1e9912f92873a77ae81ffe1b91ac9c6",
-    (31, False): "c6dc1488833238052f41f9ed0ff3af3ca1bf378a47ab45780d99df247d856770",
-    (31, True): "15cbfd2474f658c7a58dcadb005e30e2303891afbbea3e59a4c54a2a2f4329f4",
-    (32, False): "19c96e56754b27fa4b5c30078458d38cb53c9035d50c3772aac5a99b09f1960d",
-    (32, True): "77706bcb8c995ca6a3df15b2540bc5527a0e19b58bd3339c96ea25223013feee",
-    (33, False): "d0311d07c03b647257016fab977579c77cbe645e9c3c7009f41eef41d53088bc",
-    (33, True): "0109047baf6341faecaddb6a34c4f505bf9e76806a68a4be7608ffe0df1556e2",
-    (65535, False): "ebb3c05fa1f8ea9ba146cf2f11a0c665badfb7015a6242d863b1cce22d85d4bd",
-    (65535, True): "17afe8f46580d97e2e8df2a29fd4d350207a0bd7fe21325e407394d924bf1c65",
-    (65536, False): "680f8cdaa9dc6fd667c5012d2787ba74f460e17060f60b0ee88deb4e6bb485bf",
-    (65536, True): "0a09c011552da088518c230a7a22a5aa0f54a7a33a3e224380de1b6816c3fa40",
-    (65537, False): "5959e64348ad9426056c1c798aad008ae9a0ecc1ed843f38bf44b1a9674f5e1e",
-    (65537, True): "e00eee82aa61f7482038ec82aee96c8814d045fbbc9a9248efbf1571dedc794a",
-    (2100000, False): "8aa7c6d728045c8a22fd837ddbd380f0481081bbf216fdbe36b34bc1b3e5ee90",
-    (2100000, True): "2d1f258fc2cb7ee0eb45a5cec7744165a74431f33170a898467b42b2d8f471e8",
+    (1, False): "cdce2bee7b745961c8f5ca0398fad2e52471c0462f50067960942e02ae7a0a43",
+    (1, True): "ed91729a76d5877ec6267d95e8f3bdce7244ce9ff34eef0bfff017860f92bc2e",
+    (31, False): "7d83262bab0cb15628d052ed460e730fbe65c72ae31402c74b667919e0e4e49e",
+    (31, True): "595340d0b2cca5d7223f70318d6504773c73e7227d5bbfa7e880d8b7726b05c3",
+    (32, False): "39444b1793b28af6d77b73ccf39c2a7b16a08c3b282091b3264375053e63a4d6",
+    (32, True): "ad7496b7019faebf2411415e43eebf7ad9ab870f55f36cf732f5b8aed10ca597",
+    (33, False): "fbedeebd9813a4be99ca62dae794cfe7da065d528c36e318a292847a97e58e82",
+    (33, True): "e275f35814dc4b84b3602a6609317b6b485b472bbe3e2ecc77faa5411696cc80",
+    (65535, False): "ad5eed502086ae1d6168f5c8b7f517abef9acfda6175aff573495dfe5e810627",
+    (65535, True): "a49ee73ad070d9c6add1f104942ae04e193e157dccdc4da322a7bc4391bf8460",
+    (65536, False): "b1ec4880287525969735159ec89143c854503bc7c3725964847cc1eeb6b5320a",
+    (65536, True): "7c519846ba94d94cd50aeeee1b1de1d138402d0c7f8282f441c27626fb352083",
+    (65537, False): "5e6921679cb46429a13023d59f1737356deda522b404a990e4a8424beace4f1f",
+    (65537, True): "e2457fd23e37d95c69dd9595f7bac425cb5c0b99ccf81381e1835671e8aa9ce0",
+    (2100000, False): "e58168bd2663fc37a8dce85a7ec4fd4e54752b25f41d7214229466da8d93abd8",
+    (2100000, True): "a5b3e81c0dd29e069e8af999bd070df308b4a28ab6cab49b103efa3a8181aa69",
 }
 
 
@@ -196,6 +226,30 @@ class TestKnownAnswers:
             with pytest.raises(IntegrityError):
                 cipher.decrypt(Ciphertext(nonce=ct.nonce, body=bytes(flipped),
                                           tag=ct.tag), associated_data)
+
+    @pytest.mark.parametrize("size,with_ad", sorted(KNOWN_ANSWERS))
+    def test_oracle_gives_the_pinned_digest(self, size, with_ad):
+        sealed = oracle_seal(KAT_KEY, KAT_NONCE, pattern(size),
+                             KAT_AD if with_ad else b"")
+        digest = hashlib.sha256(sealed).hexdigest()
+        assert digest == KNOWN_ANSWERS[(size, with_ad)]
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.one_of(st.sampled_from([CHUNK_SIZE - 1, CHUNK_SIZE,
+                                      CHUNK_SIZE + 1, 2 * CHUNK_SIZE,
+                                      3 * CHUNK_SIZE + 1]),
+                     st.integers(0, 3 * CHUNK_SIZE + 1)),
+           st.binary(min_size=KEY_SIZE, max_size=KEY_SIZE),
+           st.binary(min_size=NONCE_SIZE, max_size=NONCE_SIZE),
+           st.binary(max_size=64), st.integers(0, 2**32))
+    def test_encrypt_matches_oracle(self, size, key, nonce, associated_data,
+                                    seed):
+        plaintext = random.Random(seed).randbytes(size)
+        cipher = AEADCipher(key)
+        ct = cipher.encrypt(plaintext, nonce, associated_data)
+        assert ct.to_bytes() == oracle_seal(key, nonce, plaintext,
+                                            associated_data)
+        assert cipher.decrypt(ct, associated_data) == plaintext
 
 
 class TestSealMemory:

@@ -8,8 +8,10 @@ from repro.counters.platform import SGXPlatformCounter
 from repro.counters.rote import ROTECounterGroup
 from repro.counters.tpm import TPMCounter
 from repro.crypto.primitives import DeterministicRandom
-from repro.errors import CounterError, CounterWearError
+from repro.crypto.symmetric import NONCE_SIZE, TAG_SIZE
+from repro.errors import CounterError, CounterWearError, IntegrityError
 from repro.fs.blockstore import BlockStore
+from repro.fs.shield import ProtectedFileSystem
 from repro.sim.core import Simulator
 from repro.tee.counters import PlatformCounterService
 
@@ -152,7 +154,15 @@ class TestFileCounter:
         counter = FileCounter(sim, FileCounterMode.ENCRYPTED, store=store)
         measured_rate(sim, counter, increments=7)
         counter.close()
-        assert store.scan_for(b"7") == []
+        # NATIVE mode stores exactly b"7"; no encrypted path may.
+        assert [path for path in store.list()
+                if store.read(path) == b"7"] == []
+        sealed = store.read(FileCounter.COUNTER_PATH)
+        assert len(sealed) == NONCE_SIZE + TAG_SIZE + len(b"7")
+        with pytest.raises(IntegrityError):
+            ProtectedFileSystem(store, bytes(32), DeterministicRandom(b"other")
+                                ).read(FileCounter.COUNTER_PATH)
+        assert counter.read() == 7
 
     def test_native_counter_visible_in_store(self):
         sim = Simulator()

@@ -5,9 +5,11 @@ The cloud provider operates the PALAEMON instance and controls its host,
 volume, and network. The example shows what clients can and cannot be
 fooled into:
 
-1. clients attest a genuine instance via the CA, or explicitly via IAS;
-2. the provider runs a *modified* PALAEMON: no CA certificate, and explicit
-   attestation also fails — clients never talk to it;
+1. clients attest a genuine instance via the CA (with its public key
+   pinned), or explicitly via IAS;
+2. the provider runs a *modified* PALAEMON: no CA certificate, explicit
+   attestation fails, and it is not the pinned key — clients never talk
+   to it;
 3. the provider tries to clone the instance (two copies from the same
    sealed identity): the monotonic-counter protocol kills the clone;
 4. the provider rolls the instance's database back: the restart refuses;
@@ -56,13 +58,16 @@ def main() -> None:
     palaemon.obtain_certificate(ca)
 
     # --- 1. both attestation paths succeed on the genuine instance --------
+    # The tenant pre-approved this deployment and pins its public key
+    # (SS IV-B): the instance needs a CA certificate *and* that key.
+    pinned = frozenset({palaemon.public_key})
     client = PalaemonClient("tenant", rng.fork(b"tenant"))
-    client.attest_instance_via_ca(palaemon, ca.root_public_key,
+    client.attest_instance_pinned(palaemon, pinned, ca.root_public_key,
                                   now=simulator.now)
     client.attest_instance_explicitly(
         palaemon, ias, trusted_mrenclaves=frozenset({palaemon.mrenclave}))
-    print("1. Client attested the managed instance via CA *and* via "
-          "explicit IAS report.")
+    print("1. Client attested the managed instance via CA with its key "
+          "pinned *and* via explicit IAS report.")
 
     app_image = build_image("tenant-app", seed=b"v1")
     policy = SecurityPolicy(
@@ -90,6 +95,12 @@ def main() -> None:
         raise AssertionError("explicit attestation accepted it!")
     except AttestationError:
         print("   ...and explicit attestation rejects its MRENCLAVE.")
+    try:
+        fresh_client.attest_instance_pinned(evil, pinned, ca.root_public_key,
+                                            now=simulator.now)
+        raise AssertionError("a pinning client accepted another key!")
+    except AttestationError as exc:
+        print(f"   ...and a pinning client refuses it: {exc}")
 
     # --- 3. cloning the instance -------------------------------------------
     simulator.run_process(palaemon.shutdown())

@@ -7,14 +7,22 @@ Cast:
 - the *model provider* runs the engine on training data to produce models,
   and must never see the engine's code;
 - the software provider limits how many models may be produced; the model
-  provider tries to cheat with a rollback attack and gets caught.
+  provider tries to cheat with a rollback attack and gets caught;
+- each run publishes its model on an encrypted volume that the training
+  policy exports to a model-serving policy, whose application mounts it
+  with its own grant (List 1's ``export``; footnote 1's per-volume tags).
 
 Run:  python examples/ml_pipeline.py
 """
 
 from repro.core.ca import PalaemonCA
 from repro.core.client import PalaemonClient
-from repro.core.policy import SecurityPolicy, ServiceSpec
+from repro.core.policy import (
+    SecurityPolicy,
+    ServiceSpec,
+    VolumeImportSpec,
+    VolumeSpec,
+)
 from repro.core.secrets import SecretKind, SecretSpec
 from repro.core.service import PalaemonService
 from repro.crypto.primitives import DeterministicRandom
@@ -64,13 +72,17 @@ def main() -> None:
             strict_mode=True,
         )],
         secrets=[SecretSpec(name="CODE_KEY", kind=SecretKind.RANDOM)],
+        volumes=[VolumeSpec(name="models", path="/models",
+                            export_to="model_serving")],
     )
     software_provider.create_policy(palaemon, policy)
     print("Software provider registered the strict-mode training policy.")
 
-    # The model provider runs training jobs on a volume it controls.
+    # The model provider runs training jobs on a volume it controls, and
+    # publishes each model on the exported, encrypted models volume.
     runtime = SconeRuntime(platform, palaemon, rng.fork(b"runtime"))
     volume = BlockStore("model-provider-volume")
+    models_volume = BlockStore("models-volume")
 
     def train_once(label: str) -> None:
         executions = palaemon.execution_count("ml_training", "trainer")
@@ -80,9 +92,12 @@ def main() -> None:
         app = runtime.launch(engine_image, "ml_training", "trainer",
                              volume=volume)
         produced = executions + 1
-        app.write_file("/output/model.bin",
-                       f"model-{produced}-weights".encode())
+        weights = f"model-{produced}-weights".encode()
+        app.write_file("/output/model.bin", weights)
         app.write_file("/state/run-count", str(produced).encode())
+        models = app.mount_volume("models", models_volume)
+        models.write("/models/latest.bin", weights)
+        models.sync()  # pushes the volume tag to PALAEMON
         app.exit_cleanly()
         print(f"  {label}: produced model #{produced} "
               f"(PALAEMON counted {produced}/{MODEL_QUOTA} executions)")
@@ -121,23 +136,36 @@ def main() -> None:
     # readable from the untrusted volumes.
     assert volume.scan_for(b"model-1-weights") == []
     assert volume.scan_for(b"model-2-weights") == []
+    assert models_volume.scan_for(b"model-3-weights") == []
     print("Models on the model provider's volume are encrypted at rest.")
 
-    # Strict mode also freezes the pipeline after a crash: a crashed run
-    # never pushed its clean-exit tag, so restarts need a policy update.
-    app = None
+    # A model-serving policy imports the models volume: its application
+    # gets the volume's key and expected tag from PALAEMON, so it decrypts
+    # the newest model and would refuse a rolled-back volume.
+    server_image = build_image("model-server", seed=b"server-v1")
+    model_user = PalaemonClient("model-user", rng.fork(b"model-user"))
+    model_user.attest_instance_via_ca(palaemon, ca.root_public_key,
+                                      now=simulator.now)
+    model_user.create_policy(palaemon, SecurityPolicy(
+        name="model_serving",
+        services=[ServiceSpec(name="server", image_name="model-server",
+                              mrenclaves=[server_image.mrenclave()])],
+        volume_imports=[VolumeImportSpec(from_policy="ml_training",
+                                         volume_name="models")],
+    ))
+    server = runtime.launch(server_image, "model_serving", "server")
+    served = server.mount_volume("models", models_volume)
+    print(f"Model serving mounted the imported volume (tag verified) and "
+          f"loaded {served.read('/models/latest.bin').decode()}.")
+
+    # Strict mode also freezes the pipeline: the refused rollback run was
+    # attested but never exited cleanly, so restarts need a policy update.
     try:
-        app = runtime.launch(engine_image, "ml_training", "trainer",
-                             volume=BlockStore("fresh-volume"))
-    except StrictModeError:
-        pass
-    if app is not None:
-        app.crash()
-        try:
-            runtime.launch(engine_image, "ml_training", "trainer",
-                           volume=BlockStore("fresh-volume-2"))
-        except StrictModeError as exc:
-            print(f"Strict mode after a crash: {exc}")
+        runtime.launch(engine_image, "ml_training", "trainer",
+                       volume=BlockStore("fresh-volume"))
+        raise AssertionError("strict mode let the pipeline restart!")
+    except StrictModeError as exc:
+        print(f"Strict mode after the unclean run: {exc}")
     print("Done.")
 
 

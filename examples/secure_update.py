@@ -2,20 +2,30 @@
 """Secure updates under a Byzantine policy board (SS III-C / SS III-E).
 
 Scenario: a three-member board (developer, auditor, data provider with
-veto rights) governs an application policy. The example walks through:
+veto rights) governs an application policy. The auditor is a person, so
+their approval service also asks for the code on their device (two-factor
+approval, SS III-C). The example walks through:
 
-1. a legitimate update: new image version, f+1 approvals, rollout;
+1. a legitimate update while the data provider is offline: the auditor's
+   vote counts only with the device code; then f+1 approvals, rollout;
 2. a malicious insider pushing a backdoored build: one Byzantine approval
    is not enough, the update dies at the board;
 3. the data provider exercising its veto;
 4. an image provider revoking a vulnerable release, which automatically
-   disables it in the application policy (the intersection rule);
+   disables it in the application policy: only combinations that both the
+   image provider and the application allow may run (the intersection
+   rule);
 5. a board-approved update of the PALAEMON CA itself.
 
 Run:  python examples/secure_update.py
 """
 
-from repro.core.board import AccessRequest, ApprovalService, BoardEvaluator
+from repro.core.board import (
+    AccessRequest,
+    ApprovalService,
+    BoardEvaluator,
+    TwoFactorApprovalService,
+)
 from repro.core.ca import PalaemonCA
 from repro.core.client import PalaemonClient
 from repro.core.policy import (
@@ -66,7 +76,12 @@ def main() -> None:
                        ("data-provider", True)):
         keys = KeyPair.generate(rng.fork(name.encode()), bits=512)
         endpoint = f"approval-{name}"
-        service = ApprovalService(simulator, name, keys)
+        if name == "auditor":
+            service = TwoFactorApprovalService(
+                simulator, name, keys,
+                device_secret=rng.fork(b"auditor-device").bytes(32))
+        else:
+            service = ApprovalService(simulator, name, keys)
         approval_services[endpoint] = service
         decision_rules[name] = service
         members.append(PolicyBoardMember(
@@ -74,6 +89,12 @@ def main() -> None:
             approval_endpoint=endpoint, veto=veto))
     board = BoardSpec(members=tuple(members), threshold=2)  # f+1 with f=1
     evaluator = BoardEvaluator(simulator, approval_services)
+    auditor = decision_rules["auditor"]
+
+    def auditor_types_code() -> None:
+        """The auditor reads the current code off their device and types it;
+        the code counts for the next board round only."""
+        auditor.present_code(auditor.expected_code(simulator.now))
 
     palaemon = PalaemonService(platform, BlockStore("palaemon-volume"),
                                rng.fork(b"palaemon"),
@@ -104,13 +125,24 @@ def main() -> None:
     print("v1 attested and running.")
 
     # --- 1. legitimate update ---------------------------------------------
+    # The data provider is offline, so v2 needs the auditor's vote; a
+    # stolen auditor key alone cannot cast it.
     v2 = build_image("service-image", seed=b"v2", version="2.0")
     updated = operator.read_policy(palaemon, "governed_service")
     prepare_application_update(updated, "service", v2.mrenclave())
+    approval_services["approval-data-provider"].online = False
+    try:
+        operator.update_policy(palaemon, updated)
+        raise AssertionError("the auditor voted without the device code!")
+    except ApprovalDeniedError as exc:
+        print(f"1. Data provider offline; without the device code the "
+              f"auditor abstains: {exc}")
+    auditor_types_code()
     operator.update_policy(palaemon, updated)
+    approval_services["approval-data-provider"].online = True
     runtime.launch(v2, "governed_service", "service")
-    print("1. v2 rollout: board approved, new MRENCLAVE admitted, "
-          "v2 attested.")
+    print("   v2 rollout: board approved with the auditor's device code, "
+          "new MRENCLAVE admitted, v2 attested.")
 
     # --- 2. malicious insider ---------------------------------------------
     # Only the (compromised) developer approves; auditor and data provider
@@ -127,6 +159,7 @@ def main() -> None:
                              version="2.1")
     malicious = operator.read_policy(palaemon, "governed_service")
     prepare_application_update(malicious, "service", backdoored.mrenclave())
+    auditor_types_code()
     try:
         operator.update_policy(palaemon, malicious)
         raise AssertionError("malicious update went through!")
@@ -147,6 +180,7 @@ def main() -> None:
         leaky, "service",
         build_image("service-image", seed=b"leaky", version="2.2")
         .mrenclave())
+    auditor_types_code()
     try:
         operator.update_policy(palaemon, leaky)
         raise AssertionError("veto did not fire!")
@@ -155,20 +189,26 @@ def main() -> None:
     decision_rules["data-provider"].decision_rule = lambda _request: True
 
     # --- 4. image-policy revocation (the intersection rule) ---------------
-    # The image provider vouches for v1 and v2 (tag wildcard: the provider
-    # curates binaries; per-deployment volume tags stay with the app).
+    # The image provider vouches for v1, v2 and a v3 the application has
+    # not adopted (tag wildcard: the provider curates binaries;
+    # per-deployment volume tags stay with the app). The application allows
+    # v1 and v2.
+    v3 = build_image("service-image", seed=b"v3", version="3.0")
     export = ImagePolicyExport("service-image")
-    export.add_release(ImageRelease(v1.mrenclave(), b"", "1.0"))
-    export.add_release(ImageRelease(v2.mrenclave(), b"", "2.0"))
+    for image, version in ((v1, "1.0"), (v2, "2.0"), (v3, "3.0")):
+        export.add_release(ImageRelease(image.mrenclave(), b"", version))
+    app_allowed = {(v1.mrenclave(), b""), (v2.mrenclave(), b"")}
     with_import = operator.read_policy(palaemon, "governed_service")
-    apply_image_export(with_import, export)
+    apply_image_export(with_import, export, app_allowed)
     operator.update_policy(palaemon, with_import)
     runtime.launch(v1, "governed_service", "service")
-    print("4. image policy imported: curated v1 runs.")
+    print(f"4. intersection: {len(with_import.permitted_combinations)} of "
+          f"the image provider's {len(export.releases)} releases are "
+          f"permitted; curated v1 runs.")
 
     export.revoke("1.0")  # vulnerability discovered upstream
     revoked = operator.read_policy(palaemon, "governed_service")
-    apply_image_export(revoked, export)
+    apply_image_export(revoked, export, app_allowed)
     operator.update_policy(palaemon, revoked)
     try:
         runtime.launch(v1, "governed_service", "service")

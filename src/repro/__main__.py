@@ -145,7 +145,7 @@ def main(argv=None) -> int:
                          help="workload seed (same seed, same output)")
     subparsers.add_parser(
         "lint", add_help=False,
-        help="static analysis: policy + source lint (palint)")
+        help="static analysis: source lint (palint)")
     chaos = subparsers.add_parser(
         "chaos", help="seeded fault injection + recovery summary")
     chaos.add_argument("--seed", type=int, default=7,

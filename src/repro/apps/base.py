@@ -46,10 +46,6 @@ class SimulatedServer:
                                 name=f"{name}-workers")
         self.requests_served = 0
 
-    def peak_rate(self) -> float:
-        """Theoretical saturation throughput."""
-        return self.threads / self.service_seconds
-
     def serve(self) -> Generator[Event, Any, None]:
         """Occupy one worker for one request's service time."""
         yield self.workers.acquire()

@@ -62,9 +62,6 @@ class _EncryptedSecretStore:
             raise KeyError(name)
         return self._box.open(sealed, associated_data=name.encode())
 
-    def __len__(self) -> int:
-        return len(self._secrets)
-
 
 class BarbicanVariant(enum.Enum):
     """The Fig 14 contenders."""
@@ -107,11 +104,6 @@ class BarbicanServer(SimulatedServer):
         self.secrets = _EncryptedSecretStore(
             rng or DeterministicRandom(b"barbican"))
 
-    def handle_store(self, token: str, name: str,
-                     value: bytes) -> Generator[Event, Any, None]:
-        yield self.simulator.process(self.serve())
-        self.secrets.store(token, name, value)
-
     def handle_retrieve(self, token: str,
                         name: str) -> Generator[Event, Any, bytes]:
         yield self.simulator.process(self.serve())
@@ -143,8 +135,3 @@ class VaultServer(SimulatedServer):
                         name: str) -> Generator[Event, Any, bytes]:
         yield self.simulator.process(self.serve())
         return self.secrets.retrieve(token, name)
-
-    def handle_store(self, token: str, name: str,
-                     value: bytes) -> Generator[Event, Any, None]:
-        yield self.simulator.process(self.serve())
-        self.secrets.store(token, name, value)

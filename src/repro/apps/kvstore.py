@@ -42,11 +42,6 @@ class MemcachedServer(SimulatedServer):
         self.misses = 0
         self.evictions = 0
 
-    @property
-    def tls_enabled(self) -> bool:
-        return (self.tls_certificate is not None
-                and self.tls_private_key is not None)
-
     # -- functional operations (no simulated time) -----------------------
 
     def set(self, key: str, value: bytes) -> None:
@@ -65,12 +60,6 @@ class MemcachedServer(SimulatedServer):
         self._items.move_to_end(key)
         self.hits += 1
         return value
-
-    def delete(self, key: str) -> bool:
-        return self._items.pop(key, None) is not None
-
-    def __len__(self) -> int:
-        return len(self._items)
 
     # -- timed request handlers -----------------------------------------------
 

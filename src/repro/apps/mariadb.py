@@ -77,10 +77,6 @@ class MariaDBServer(SimulatedServer):
             return None
         return self._box.open(sealed, associated_data=key.encode())
 
-    def rows_encrypted_at_rest(self, needle: bytes) -> bool:
-        """No stored row blob contains the plaintext needle."""
-        return all(needle not in sealed for sealed in self._rows.values())
-
     # -- cost model -----------------------------------------------------------
 
     def hit_ratio(self) -> float:

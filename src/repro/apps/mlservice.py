@@ -85,7 +85,3 @@ class InferenceService(SimulatedServer):
 
     def fetch_result(self, image_id: str) -> bytes:
         return self.customer_fs.read(f"/outbox/{image_id}")
-
-    def slowdown_vs_native(self) -> float:
-        return (self.service_seconds
-                / calibration.ML_NATIVE_INFERENCE_SECONDS)

@@ -66,7 +66,6 @@ class ZooKeeperCluster:
         self.mode = mode
         self.site = site
         self.nodes: List[_Node] = [_Node(i) for i in range(nodes)]
-        self.leader_id = 0
         self._next_zxid = 1
         # Per-node request workers: reads scale across the cluster.
         read_threads = calibration.CPU_HYPERTHREADS * nodes
@@ -81,19 +80,8 @@ class ZooKeeperCluster:
                 _WRITE_FRACTIONS[mode]))
 
     @property
-    def leader(self) -> _Node:
-        return self.nodes[self.leader_id]
-
-    @property
     def quorum(self) -> int:
         return len(self.nodes) // 2 + 1
-
-    def fail_node(self, node_id: int) -> None:
-        self.nodes[node_id].alive = False
-        if node_id == self.leader_id:
-            survivors = [n.node_id for n in self.nodes if n.alive]
-            if survivors:
-                self.leader_id = survivors[0]
 
     # -- functional + timed operations ---------------------------------------
 
@@ -123,13 +111,3 @@ class ZooKeeperCluster:
         for node in alive:
             node.apply(zxid, path, value)
         return zxid
-
-    def read_local(self, path: str, node_id: int = 0) -> Optional[bytes]:
-        """Functional read without simulated time (tests)."""
-        return self.nodes[node_id].data.get(path)
-
-    def consistent(self) -> bool:
-        """All live replicas agree on data and zxid."""
-        live = [node for node in self.nodes if node.alive]
-        return all(node.data == live[0].data and node.zxid == live[0].zxid
-                   for node in live)

@@ -9,9 +9,8 @@ the three admission outcomes all occur:
 - **queued** requests wait their turn (FIFO, on the simulator clock) and
   then succeed, contributing the latency tail;
 - **shed** requests come back immediately with the typed ``overloaded``
-  error code — the load-shedding the ROADMAP's "heavy traffic from
-  millions of users" goal requires — instead of growing an unbounded
-  backlog.
+  error code — load shedding under heavy traffic — instead of growing an
+  unbounded backlog.
 
 Everything measured is simulated time and counters, so the document is
 identical across runs of the same configuration. Used by
@@ -107,4 +106,3 @@ def run_benchmark(clients: int = 32, requests_per_client: int = 4,
         "sim_seconds_total": round(
             max(o["elapsed"] for o in outcomes), 9),
     }
-

@@ -63,8 +63,3 @@ def export_experiment(path: Union[str, Path], experiment_id: str,
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(json.dumps(document, indent=2, sort_keys=True) + "\n")
     return path
-
-
-def load_experiment(path: Union[str, Path]) -> dict:
-    """Read back a document written by :func:`export_experiment`."""
-    return json.loads(Path(path).read_text())

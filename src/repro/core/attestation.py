@@ -62,9 +62,6 @@ class PlatformRegistry:
     def attestation_key(self, platform_id: bytes) -> Optional[PublicKey]:
         return self._platforms.get(platform_id)
 
-    def __len__(self) -> int:
-        return len(self._platforms)
-
 
 def verify_evidence(evidence: AttestationEvidence, policy: SecurityPolicy,
                     registry: PlatformRegistry) -> ServiceSpec:

@@ -111,11 +111,6 @@ class PalaemonCA:
         self.certificates_issued = 0
 
     @property
-    def mrenclave(self) -> bytes:
-        """The CA's own identity (clients attest the CA by this)."""
-        return self.enclave.mrenclave
-
-    @property
     def root_public_key(self) -> PublicKey:
         return self._authority.root_public_key
 

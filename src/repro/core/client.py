@@ -40,10 +40,6 @@ class PalaemonClient:
         #: Set after successful attestation of an instance.
         self.attested_instances: set = set()
 
-    @property
-    def public_key(self) -> PublicKey:
-        return self.key_pair.public
-
     # -- instance attestation -------------------------------------------------
 
     def attest_instance_via_ca(self, instance: PalaemonService,
@@ -135,7 +131,3 @@ class PalaemonClient:
 
     def update_policy(self, instance: PalaemonService, policy) -> None:
         self.invoke(instance, "policy.update", policy=policy)
-
-    def delete_policy(self, instance: PalaemonService,
-                      policy_name: str) -> None:
-        self.invoke(instance, "policy.delete", name=policy_name)

@@ -21,8 +21,8 @@ hand. This module replaces those four hand-rolled paths with:
   FIFO queue on the simulator clock. Requests beyond the queue (or whose
   queue wait exceeds the deadline) are shed with a typed
   :class:`~repro.errors.ServiceOverloadedError` (wire code
-  ``overloaded``) instead of piling up — the load-shedding boundary the
-  ROADMAP's "millions of users" goal needs.
+  ``overloaded``) instead of piling up — the load-shedding boundary a
+  service under heavy traffic needs.
 
 Entry points, one per transport style:
 
@@ -197,11 +197,9 @@ class OperationRegistry:
             return None
         return self._operations.get(name)
 
-    def names(self) -> List[str]:
-        return sorted(self._operations)
-
     def operations(self) -> List[Operation]:
-        return [self._operations[name] for name in self.names()]
+        """Every registered operation, sorted by name."""
+        return [self._operations[name] for name in sorted(self._operations)]
 
 
 #: The registry every transport consults. Service operations are
@@ -376,12 +374,6 @@ class AdmissionControl:
 
     def _state(self, route: str) -> _RouteAdmission:
         return self._routes.setdefault(route, _RouteAdmission())
-
-    def in_flight(self, route: str) -> int:
-        return self._state(route).in_flight
-
-    def queue_depth(self, route: str) -> int:
-        return len(self._state(route).waiters)
 
     def admit_instant(self, route: str) -> None:
         """Admit or shed immediately (synchronous transports never queue)."""

@@ -50,12 +50,6 @@ class BoardSpec:
         if len(set(names)) != len(names):
             raise PolicyValidationError("duplicate board member names")
 
-    def member(self, name: str) -> PolicyBoardMember:
-        for candidate in self.members:
-            if candidate.name == name:
-                return candidate
-        raise PolicyValidationError(f"no board member named {name!r}")
-
 
 @dataclass
 class ServiceSpec:

@@ -584,20 +584,31 @@ class PalaemonService:
         self.store.put("state", policy_name,
                        self.store.get("state", policy_name))
 
-    def update_tag_instant(self, policy_name: str, service_name: str,
-                           tag: bytes, clean_exit: bool = False) -> None:
-        """Record a new expected tag (functional path, no latency)."""
-        self._check_serving()
+    def _set_expected_tag(self, policy_name: str, service_name: str,
+                          tag: bytes, clean_exit: bool) -> None:
+        """Set a service's expected tag and log its states; the caller
+        commits."""
         state = self._service_state(policy_name, service_name)
         state.expected_tag = tag
         if clean_exit:
             state.clean_exit = True
         self._log_states(policy_name)
-        self.store.commit_instant()
+
+    def _count_tag_update(self, policy_name: str, service_name: str,
+                          tag: bytes, clean_exit: bool) -> None:
+        """Count and audit a committed tag update."""
         self.telemetry.inc("palaemon_tag_updates_total")
         self.telemetry.audit("tag.update", policy=policy_name,
                              service=service_name, tag=tag,
                              clean_exit=clean_exit)
+
+    def update_tag_instant(self, policy_name: str, service_name: str,
+                           tag: bytes, clean_exit: bool = False) -> None:
+        """Record a new expected tag (functional path, no latency)."""
+        self._check_serving()
+        self._set_expected_tag(policy_name, service_name, tag, clean_exit)
+        self.store.commit_instant()
+        self._count_tag_update(policy_name, service_name, tag, clean_exit)
 
     def update_tag(self, policy_name: str, service_name: str, tag: bytes,
                    clean_exit: bool = False) -> Generator[Event, Any, None]:
@@ -606,18 +617,12 @@ class PalaemonService:
         with self.telemetry.span("tag.update", policy=policy_name,
                                  service=service_name):
             started = self.simulator.now
-            state = self._service_state(policy_name, service_name)
-            state.expected_tag = tag
-            if clean_exit:
-                state.clean_exit = True
-            self._log_states(policy_name)
+            self._set_expected_tag(policy_name, service_name, tag,
+                                   clean_exit)
             yield self.simulator.process(self.store.commit())
             self.telemetry.observe("palaemon_tag_update_seconds",
                                    self.simulator.now - started)
-        self.telemetry.inc("palaemon_tag_updates_total")
-        self.telemetry.audit("tag.update", policy=policy_name,
-                             service=service_name, tag=tag,
-                             clean_exit=clean_exit)
+        self._count_tag_update(policy_name, service_name, tag, clean_exit)
 
     def get_tag_instant(self, policy_name: str,
                         service_name: str) -> Optional[bytes]:

@@ -13,9 +13,11 @@ The file-based variants are what the paper's design enables: because the
 file system is rollback-protected by tags, an ordinary file is as safe as a
 hardware counter under the crash-as-attack assumption — and 5 orders of
 magnitude faster.
+
+Each counter's ``increment()`` is a simulation process returning the new
+value; its distinctive time cost is the experiment of Fig 10.
 """
 
-from repro.counters.base import MonotonicCounter
 from repro.counters.platform import SGXPlatformCounter
 from repro.counters.tpm import TPMCounter
 from repro.counters.rote import ROTECounterGroup
@@ -24,7 +26,6 @@ from repro.counters.filecounter import FileCounter, FileCounterMode
 __all__ = [
     "FileCounter",
     "FileCounterMode",
-    "MonotonicCounter",
     "ROTECounterGroup",
     "SGXPlatformCounter",
     "TPMCounter",

@@ -22,7 +22,6 @@ import enum
 from typing import Any, Callable, Generator, Optional
 
 from repro import calibration
-from repro.counters.base import MonotonicCounter
 from repro.crypto.primitives import DeterministicRandom
 from repro.fs.blockstore import BlockStore
 from repro.fs.shield import ProtectedFileSystem
@@ -60,7 +59,7 @@ class FileCounterMode(enum.Enum):
         }[self]
 
 
-class FileCounter(MonotonicCounter):
+class FileCounter:
     """A counter persisted in a file, really backed by a (shielded) store."""
 
     COUNTER_PATH = "/counter"
@@ -86,10 +85,6 @@ class FileCounter(MonotonicCounter):
             if not self.store.exists(self.COUNTER_PATH):
                 self.store.write(self.COUNTER_PATH, b"0")
 
-    @property
-    def name(self) -> str:
-        return f"file counter ({self.mode.value})"
-
     def increment(self) -> Generator[Event, Any, int]:
         yield self.simulator.timeout(self.mode.increment_seconds)
         value = self.read() + 1
@@ -104,9 +99,3 @@ class FileCounter(MonotonicCounter):
         if self.fs is not None:
             return int(self.fs.read(self.COUNTER_PATH))
         return int(self.store.read(self.COUNTER_PATH))
-
-    def close(self) -> Optional[bytes]:
-        """Close the counter file; STRICT mode pushes the tag to PALAEMON."""
-        if self.fs is not None:
-            return self.fs.close_file(self.COUNTER_PATH)
-        return None

@@ -1,15 +1,14 @@
-"""SGX platform counters wrapped as :class:`MonotonicCounter`."""
+"""SGX platform counters as a Fig 10 contender."""
 
 from __future__ import annotations
 
 from typing import Any, Generator
 
-from repro.counters.base import MonotonicCounter
 from repro.sim.core import Event
 from repro.tee.counters import PlatformCounterService
 
 
-class SGXPlatformCounter(MonotonicCounter):
+class SGXPlatformCounter:
     """Variant (a) of Fig 10: the SGX SDK's platform counters."""
 
     def __init__(self, service: PlatformCounterService,
@@ -18,18 +17,7 @@ class SGXPlatformCounter(MonotonicCounter):
         self._counter_id = counter_id
         service.create(counter_id)
 
-    @property
-    def name(self) -> str:
-        return "SGX platform counter"
-
     def increment(self) -> Generator[Event, Any, int]:
         value = yield self._service.simulator.process(
             self._service.increment(self._counter_id))
         return value
-
-    def read(self) -> int:
-        return self._service.read(self._counter_id)
-
-    @property
-    def wear(self) -> int:
-        return self._service.writes(self._counter_id)

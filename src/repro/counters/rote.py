@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from typing import Any, Generator, List
 
-from repro.counters.base import MonotonicCounter
 from repro.errors import CounterError, CounterUnavailableError
 from repro.sim.core import Event, Simulator
 from repro.sim.network import Site, rtt_between
@@ -35,7 +34,7 @@ class _Replica:
         return True
 
 
-class ROTECounterGroup(MonotonicCounter):
+class ROTECounterGroup:
     """A counter replicated across a group of enclaves."""
 
     def __init__(self, simulator: Simulator, group_size: int = 4,
@@ -66,16 +65,8 @@ class ROTECounterGroup(MonotonicCounter):
                 f"(injected outage)")
 
     @property
-    def name(self) -> str:
-        return f"ROTE group ({len(self.replicas)} servers)"
-
-    @property
     def quorum(self) -> int:
         return len(self.replicas) // 2 + 1
-
-    def fail_replica(self, replica_id: int) -> None:
-        """Crash one group member (fault-injection tests)."""
-        self.replicas[replica_id].alive = False
 
     def increment(self) -> Generator[Event, Any, int]:
         self._check_available()
@@ -90,8 +81,4 @@ class ROTECounterGroup(MonotonicCounter):
             raise CounterError(
                 f"ROTE increment failed: {acks} acks < quorum {self.quorum}")
         self._value = proposed
-        return self._value
-
-    def read(self) -> int:
-        self._check_available()
         return self._value

@@ -10,12 +10,11 @@ from __future__ import annotations
 from typing import Any, Generator
 
 from repro import calibration
-from repro.counters.base import MonotonicCounter
 from repro.errors import CounterUnavailableError, CounterWearError
 from repro.sim.core import Event, Simulator
 
 
-class TPMCounter(MonotonicCounter):
+class TPMCounter:
     """A TPM NVRAM counter: slow, serialized, and wearing out."""
 
     def __init__(self, simulator: Simulator,
@@ -32,10 +31,6 @@ class TPMCounter(MonotonicCounter):
         #: via ``FaultPlan.attach``.
         self.fault_plan = None
         self.fault_name = "tpm"
-
-    @property
-    def name(self) -> str:
-        return "TPM counter"
 
     def _check_available(self) -> None:
         if (self.fault_plan is not None
@@ -57,11 +52,3 @@ class TPMCounter(MonotonicCounter):
         self._value += 1
         self._writes += 1
         return self._value
-
-    def read(self) -> int:
-        self._check_available()
-        return self._value
-
-    @property
-    def wear(self) -> int:
-        return self._writes

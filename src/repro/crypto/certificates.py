@@ -86,9 +86,6 @@ class Certificate:
                 f"certificate for {self.subject!r} has an invalid signature"
             ) from exc
 
-    def is_self_signed(self) -> bool:
-        return self.issuer_key == self.public_key
-
 
 class CertificateAuthority:
     """A signing authority with a root key pair.

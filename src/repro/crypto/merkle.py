@@ -60,18 +60,6 @@ class MerkleTree:
         self._order: List[str] = []
         self._levels: Optional[List[List[bytes]]] = None
 
-    def __len__(self) -> int:
-        return len(self._leaves)
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._leaves
-
-    def names(self) -> List[str]:
-        """Sorted leaf names."""
-        if self._levels is not None:
-            return list(self._order)
-        return sorted(self._leaves)
-
     def set_leaf(self, name: str, content: bytes) -> None:
         """Insert or update the leaf for ``name`` with a hash of ``content``."""
         self.set_leaf_hash(name, sha256(content))
@@ -111,12 +99,6 @@ class MerkleTree:
             self._levels = []
             return
         self._recompute_from(index)
-
-    def leaf_hash(self, name: str) -> bytes:
-        """The stored content hash for ``name``."""
-        if name not in self._leaves:
-            raise MerkleLeafNotFoundError(f"no Merkle leaf named {name!r}")
-        return self._leaves[name]
 
     def root(self) -> bytes:
         """The current root hash ("tag"). Empty trees have a fixed root."""

@@ -143,12 +143,6 @@ class DeterministicRandom:
         # 1 - random() is in (0, 1], so log() is defined.
         return -math.log(1.0 - self.random()) / rate
 
-    def choice(self, items: "list"):
-        """Return a uniformly chosen element of ``items``."""
-        if not items:
-            raise ValueError("cannot choose from an empty list")
-        return items[self.randint(0, len(items) - 1)]
-
     def shuffle(self, items: "list") -> None:
         """Shuffle ``items`` in place (Fisher-Yates)."""
         for i in range(len(items) - 1, 0, -1):

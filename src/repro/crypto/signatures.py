@@ -172,10 +172,6 @@ class PublicKey:
     modulus: int
     exponent: int
 
-    def fingerprint(self) -> bytes:
-        """A short stable identifier for this key."""
-        return sha256(self.to_bytes())[:16]
-
     def to_bytes(self) -> bytes:
         n_bytes = self.modulus.to_bytes((self.modulus.bit_length() + 7) // 8,
                                         "big")

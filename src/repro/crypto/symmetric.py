@@ -60,9 +60,6 @@ class Ciphertext:
         body = data[NONCE_SIZE + TAG_SIZE:]
         return cls(nonce=nonce, body=body, tag=tag)
 
-    def __len__(self) -> int:
-        return len(self.nonce) + len(self.tag) + len(self.body)
-
 
 def _xor_keystream(key: bytes, nonce: bytes, data: bytes) -> bytes:
     """XOR ``data`` with the (key, nonce) keystream, one chunk at a time."""
@@ -156,8 +153,3 @@ class SecretBox:
         """Decrypt a byte string produced by :meth:`seal`."""
         return self._cipher.decrypt(Ciphertext.from_bytes(sealed),
                                     associated_data)
-
-
-def generate_key(rng: DeterministicRandom) -> bytes:
-    """Draw a fresh symmetric key from ``rng``."""
-    return rng.bytes(KEY_SIZE)

@@ -85,9 +85,6 @@ class BlockStore:
     def list(self) -> List[str]:
         return sorted(self._files)
 
-    def total_bytes(self) -> int:
-        return sum(len(data) for data in self._files.values())
-
     # -- attack surface -----------------------------------------------------
 
     def snapshot(self) -> Dict[str, bytes]:

@@ -45,14 +45,6 @@ class FileSystemProtectionFile:
                                        size=size)
         self._tree.set_leaf_hash(path, ciphertext_hash)
 
-    def remove_entry(self, path: str) -> None:
-        del self.entries[path]
-        self._tree.remove_leaf(path)
-
-    def merkle_tree(self) -> MerkleTree:
-        """The live tree over all entries (do not mutate it directly)."""
-        return self._tree
-
     def tag(self) -> bytes:
         """The file-system tag: Merkle root over all file ciphertexts."""
         return self._tree.root()

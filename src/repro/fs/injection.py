@@ -80,7 +80,3 @@ class InjectedFileView:
         if self.spilled:
             return self._spill_fs.read(self.path)
         return self.content
-
-    @property
-    def variable_count(self) -> int:
-        return len(find_variables(self.template))

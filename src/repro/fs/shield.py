@@ -12,7 +12,7 @@ the expected tag recorded at PALAEMON.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, Optional
 
 from repro.crypto.primitives import DeterministicRandom, sha256
 from repro.crypto.symmetric import SecretBox
@@ -102,20 +102,8 @@ class ProtectedFileSystem:
         self._validated_generation[path] = self.store.generation(path)
         return plaintext
 
-    def delete(self, path: str) -> None:
-        self._check_path(path)
-        if path not in self._fspf.entries:
-            raise FileNotFoundError(path)
-        self.store.delete(path)
-        self._fspf.remove_entry(path)
-        self._cache.pop(path, None)
-        self._validated_generation.pop(path, None)
-
     def exists(self, path: str) -> bool:
         return path in self._fspf.entries
-
-    def list(self) -> List[str]:
-        return sorted(self._fspf.entries)
 
     # -- tag persistence -----------------------------------------------------
 

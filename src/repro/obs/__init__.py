@@ -11,16 +11,11 @@ clock so they are deterministic and free in virtual time:
 
 :class:`~repro.obs.telemetry.Telemetry` bundles the three;
 :data:`~repro.obs.telemetry.NULL_TELEMETRY` is the no-op sink.
-Exporters live in :mod:`repro.obs.export`.
+The Prometheus-style exporter lives in :mod:`repro.obs.export`.
 """
 
 from repro.obs.audit import GENESIS_HASH, AuditLog, AuditRecord
-from repro.obs.export import (
-    audit_to_jsonl,
-    events_to_jsonl,
-    render_prometheus,
-    spans_to_jsonl,
-)
+from repro.obs.export import render_prometheus
 from repro.obs.metrics import (
     Counter,
     Gauge,
@@ -42,8 +37,5 @@ __all__ = [
     "Span",
     "Telemetry",
     "Tracer",
-    "audit_to_jsonl",
-    "events_to_jsonl",
     "render_prometheus",
-    "spans_to_jsonl",
 ]

@@ -19,17 +19,19 @@ produce a *consistent* forgery by breaking SHA-256 or compromising the
 enclave itself — both outside the paper's threat model.
 
 A long-running service audits without end, so the log keeps only the
-newest :data:`MAX_AUDIT_RECORDS` records in memory. It remembers how many
-records it dropped and the hash of the last of them, so ``len()`` still
-counts every record, :meth:`AuditLog.head` is unchanged, and
-:meth:`AuditLog.verify_chain` walks the retained tail from that hash.
+newest :data:`MAX_AUDIT_RECORDS` records in memory, in a bounded ring. It
+remembers how many records it dropped and the hash of the last of them,
+so ``len()`` still counts every record, :meth:`AuditLog.head` is
+unchanged, and :meth:`AuditLog.verify_chain` walks the retained tail from
+that hash.
 """
 
 from __future__ import annotations
 
 import json
+from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Deque, Dict, Optional
 
 from repro.crypto.primitives import sha256
 from repro.errors import IntegrityError
@@ -76,16 +78,6 @@ class AuditRecord:
     previous_hash: bytes = GENESIS_HASH
     record_hash: bytes = b""
 
-    def to_dict(self) -> dict:
-        return {
-            "sequence": self.sequence,
-            "timestamp": self.timestamp,
-            "kind": self.kind,
-            "details": dict(self.details),
-            "previous_hash": self.previous_hash.hex(),
-            "record_hash": self.record_hash.hex(),
-        }
-
 
 class AuditLog:
     """An append-only record chain on an injected (simulator) clock.
@@ -96,7 +88,7 @@ class AuditLog:
 
     def __init__(self, clock: Callable[[], float]) -> None:
         self._clock = clock
-        self.records: List[AuditRecord] = []
+        self.records: Deque[AuditRecord] = deque(maxlen=MAX_AUDIT_RECORDS)
         # The trimmed prefix: how many records went, and the hash of the
         # last of them, which the first retained record chains to.
         self._dropped = 0
@@ -113,10 +105,11 @@ class AuditLog:
             details=clean, previous_hash=previous,
             record_hash=record_digest(sequence, timestamp, kind, clean,
                                       previous))
-        self.records.append(record)
-        if len(self.records) > MAX_AUDIT_RECORDS:
-            self._base_hash = self.records.pop(0).record_hash
+        if len(self.records) == MAX_AUDIT_RECORDS:
+            # The append pushes the oldest record out of the ring.
+            self._base_hash = self.records[0].record_hash
             self._dropped += 1
+        self.records.append(record)
         return record
 
     def head(self) -> bytes:
@@ -159,14 +152,3 @@ class AuditLog:
                 "audit log head does not match the anchored head: "
                 "the log tail was truncated or replaced")
         return len(self.records)
-
-    def is_valid(self, expected_head: Optional[bytes] = None) -> bool:
-        """Boolean form of :meth:`verify_chain`."""
-        try:
-            self.verify_chain(expected_head)
-        except IntegrityError:
-            return False
-        return True
-
-    def by_kind(self, kind: str) -> List[AuditRecord]:
-        return [record for record in self.records if record.kind == kind]

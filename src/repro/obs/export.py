@@ -1,21 +1,14 @@
-"""Exporters: Prometheus-style text snapshots and JSON-lines events.
+"""The Prometheus-style text exporter.
 
-Two formats, both deterministic for a given run:
-
-- :func:`render_prometheus` — a text snapshot of every metric series in
-  sorted order, with histograms rendered summary-style (``_count``,
-  ``_sum``, and ``quantile=""`` series), suitable for diffing between
-  runs or scraping out of a debug endpoint.
-- :func:`events_to_jsonl` — the audit-record stream followed by the
-  finished-span stream, one JSON object per line. Two runs of the same
-  seed produce byte-identical streams (the acceptance check for
-  simulator-clock-only tracing).
+:func:`render_prometheus` is a text snapshot of every metric series in
+sorted order, with histograms rendered summary-style (``_count``,
+``_sum``, and ``quantile=""`` series), suitable for diffing between runs
+or scraping out of a debug endpoint. It is deterministic for a given run.
 """
 
 from __future__ import annotations
 
-import json
-from typing import Iterable, List
+from typing import List
 
 from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
 from repro.sim.metrics import summarize
@@ -63,25 +56,3 @@ def render_prometheus(registry: MetricsRegistry) -> str:
             lines.append(f"{metric.name}_sum{_render_labels(labels)} "
                          f"{_format_value(metric.total)}")
     return "\n".join(lines) + ("\n" if lines else "")
-
-
-def _dump(document: dict) -> str:
-    return json.dumps(document, sort_keys=True, separators=(",", ":"))
-
-
-def audit_to_jsonl(records: Iterable) -> str:
-    """Audit records as one JSON object per line, in chain order."""
-    return "".join(_dump({"type": "audit", **record.to_dict()}) + "\n"
-                   for record in records)
-
-
-def spans_to_jsonl(spans: Iterable) -> str:
-    """Finished spans as one JSON object per line, in finish order."""
-    return "".join(_dump({"type": "span", **span.to_dict()}) + "\n"
-                   for span in spans)
-
-
-def events_to_jsonl(telemetry) -> str:
-    """The full event stream of one telemetry domain."""
-    return (audit_to_jsonl(telemetry.audit_log.records)
-            + spans_to_jsonl(telemetry.tracer.finished))

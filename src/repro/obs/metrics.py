@@ -16,9 +16,8 @@ virtual time) as uninstrumented ones.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Tuple
-
-from repro.sim.metrics import LatencySummary, summarize
+from collections import deque
+from typing import Deque, Dict, Iterator, Tuple
 
 #: Samples a histogram keeps for its quantiles.
 MAX_HISTOGRAM_SAMPLES = 1024
@@ -61,12 +60,6 @@ class Gauge:
     def set(self, value: float) -> None:
         self.value = float(value)
 
-    def inc(self, amount: float = 1.0) -> None:
-        self.value += amount
-
-    def dec(self, amount: float = 1.0) -> None:
-        self.value -= amount
-
 
 class Histogram:
     """A distribution of observations (latencies, batch sizes).
@@ -74,9 +67,9 @@ class Histogram:
     ``count`` and ``total`` cover every observation. Raw samples are kept
     for the newest :data:`MAX_HISTOGRAM_SAMPLES` observations — a sliding
     window, like a Prometheus summary's — so memory stays bounded on a
-    long-running service. Summaries of that window are computed on demand
-    through the shared :func:`repro.sim.metrics.summarize` so percentile
-    semantics match the benchmark harness exactly.
+    long-running service. The exporter summarizes that window through the
+    shared :func:`repro.sim.metrics.summarize`, so percentile semantics
+    match the benchmark harness exactly.
     """
 
     kind = "histogram"
@@ -84,7 +77,7 @@ class Histogram:
     def __init__(self, name: str, labels: LabelSet) -> None:
         self.name = name
         self.labels = labels
-        self.samples: List[float] = []
+        self.samples: Deque[float] = deque(maxlen=MAX_HISTOGRAM_SAMPLES)
         self.count = 0
         self.total = 0.0
 
@@ -92,11 +85,6 @@ class Histogram:
         self.samples.append(float(value))
         self.count += 1
         self.total += value
-        if len(self.samples) > MAX_HISTOGRAM_SAMPLES:
-            del self.samples[0]
-
-    def summary(self) -> LatencySummary:
-        return summarize(self.samples, name=self.name)
 
 
 class MetricsRegistry:
@@ -149,14 +137,7 @@ class MetricsRegistry:
     def histogram(self, name: str, **labels: str) -> Histogram:
         return self._get(Histogram, name, labels)
 
-    def names(self) -> List[str]:
-        """Distinct metric family names, sorted."""
-        return sorted(self._kinds)
-
     def series(self) -> Iterator[object]:
         """Every metric series in deterministic (name, labels) order."""
         for key in sorted(self._metrics):
             yield self._metrics[key]
-
-    def __len__(self) -> int:
-        return len(self._metrics)

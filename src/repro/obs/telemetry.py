@@ -20,19 +20,13 @@ from typing import Callable, Optional
 
 from repro.obs.audit import AuditLog, AuditRecord
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.tracing import Span, Tracer
+from repro.obs.tracing import Tracer
 
 
 class _NullSpan:
     """The span handle a disabled telemetry hands out."""
 
     span = None
-
-    def annotate(self, _message: str) -> None:
-        pass
-
-    def set_attribute(self, _key: str, _value: str) -> None:
-        pass
 
     def __enter__(self) -> "_NullSpan":
         return self
@@ -86,9 +80,6 @@ class Telemetry:
             return _NULL_SPAN
         return self.tracer.span(name, **attributes)
 
-    def spans(self) -> "list[Span]":
-        return list(self.tracer.finished)
-
     # -- audit ------------------------------------------------------------
 
     def audit(self, kind: str, **details: object) -> Optional[AuditRecord]:
@@ -107,12 +98,6 @@ class Telemetry:
         from repro.obs.export import render_prometheus
 
         return render_prometheus(self.metrics)
-
-    def events_jsonl(self) -> str:
-        """Audit records and finished spans as a JSON-lines stream."""
-        from repro.obs.export import events_to_jsonl
-
-        return events_to_jsonl(self)
 
 
 #: The shared no-op sink: accepts every call, records nothing.

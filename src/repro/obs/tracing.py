@@ -12,49 +12,30 @@ Span ids are sequence numbers assigned at start, which keeps them
 deterministic as well.
 
 A long-running service finishes spans without end, so the tracer keeps
-only the newest :data:`MAX_FINISHED_SPANS` of them: once ``finished``
-passes twice that many, the older ones are dropped in one step, which
-costs amortised O(1) per span. Exports read ``finished`` and so cover
-the retained window; span ids keep counting, so a gap shows what went.
+only the newest :data:`MAX_FINISHED_SPANS` of them in a bounded ring;
+span ids keep counting, so a gap shows what went.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Deque, Dict, List, Optional
 
-#: Finished spans a tracer keeps; it trims back to this many at twice this.
+#: Finished spans a tracer keeps.
 MAX_FINISHED_SPANS = 1024
 
 
 @dataclass
 class Span:
-    """One traced operation: name, interval, attributes, annotations."""
+    """One traced operation: name, interval, attributes."""
 
     span_id: int
     parent_id: Optional[int]
     name: str
     start: float
     attributes: Dict[str, str] = field(default_factory=dict)
-    annotations: List[Tuple[float, str]] = field(default_factory=list)
     end: Optional[float] = None
-
-    @property
-    def duration(self) -> float:
-        if self.end is None:
-            raise ValueError(f"span {self.name!r} has not finished")
-        return self.end - self.start
-
-    def to_dict(self) -> dict:
-        return {
-            "span_id": self.span_id,
-            "parent_id": self.parent_id,
-            "name": self.name,
-            "start": self.start,
-            "end": self.end,
-            "attributes": dict(self.attributes),
-            "annotations": [list(a) for a in self.annotations],
-        }
 
 
 class _SpanHandle:
@@ -63,12 +44,6 @@ class _SpanHandle:
     def __init__(self, tracer: "Tracer", span: Span) -> None:
         self._tracer = tracer
         self.span = span
-
-    def annotate(self, message: str) -> None:
-        self.span.annotations.append((self._tracer.now, str(message)))
-
-    def set_attribute(self, key: str, value: str) -> None:
-        self.span.attributes[str(key)] = str(value)
 
     def __enter__(self) -> "_SpanHandle":
         return self
@@ -82,15 +57,15 @@ class _SpanHandle:
 class Tracer:
     """Creates, nests, and retains spans against an injected clock.
 
-    ``finished`` is a list of the newest finished spans in finish order,
-    at most ``2 * MAX_FINISHED_SPANS`` long.
+    ``finished`` holds the newest finished spans in finish order, at most
+    :data:`MAX_FINISHED_SPANS` of them.
     """
 
     def __init__(self, clock: Callable[[], float]) -> None:
         self._clock = clock
         self._next_id = 1
         self._stack: List[Span] = []
-        self.finished: List[Span] = []
+        self.finished: Deque[Span] = deque(maxlen=MAX_FINISHED_SPANS)
 
     @property
     def now(self) -> float:
@@ -117,8 +92,3 @@ class Tracer:
             if top is span:
                 break
         self.finished.append(span)
-        if len(self.finished) > 2 * MAX_FINISHED_SPANS:
-            del self.finished[:-MAX_FINISHED_SPANS]
-
-    def open_depth(self) -> int:
-        return len(self._stack)

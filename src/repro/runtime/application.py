@@ -67,12 +67,6 @@ class RunningApplication:
     def write_file(self, path: str, content: bytes) -> None:
         self.fs.write(path, content)
 
-    def close_file(self, path: str) -> None:
-        self.fs.close_file(path)
-
-    def sync(self) -> None:
-        self.fs.sync()
-
     def argv(self) -> list:
         return list(self.config.command)
 
@@ -107,8 +101,3 @@ class RunningApplication:
         """Normal termination: final tag push with the clean-exit mark."""
         self.exited = True
         self.fs.on_exit()
-
-    def crash(self) -> None:
-        """Abnormal termination: no final push; strict mode will refuse a
-        restart until the policy board intervenes."""
-        self.exited = False

@@ -34,11 +34,6 @@ class LatencySummary:
     minimum: float
     maximum: float
 
-    def __str__(self) -> str:
-        return (f"n={self.count} mean={self.mean * 1e3:.3f}ms "
-                f"p50={self.p50 * 1e3:.3f}ms p95={self.p95 * 1e3:.3f}ms "
-                f"p99={self.p99 * 1e3:.3f}ms max={self.maximum * 1e3:.3f}ms")
-
 
 def summarize(samples: Sequence[float],
               name: str = "samples") -> LatencySummary:
@@ -86,14 +81,8 @@ class LatencyRecorder:
             raise ValueError("latency cannot be negative")
         self.samples.append(seconds)
 
-    def __len__(self) -> int:
-        return len(self.samples)
-
     def summary(self) -> LatencySummary:
         return summarize(self.samples, name=self.name)
-
-    def mean(self) -> float:
-        return sum(self.samples) / len(self.samples)
 
 
 class ThroughputMeter:
@@ -104,9 +93,6 @@ class ThroughputMeter:
         self.completed = 0
         self._start: Optional[float] = None
         self._end: Optional[float] = None
-
-    def start(self, now: float) -> None:
-        self._start = now
 
     def record(self, now: float) -> None:
         if self._start is None:
@@ -131,12 +117,6 @@ class ThroughputLatencyPoint:
     offered_rate: float
     achieved_rate: float
     latency: LatencySummary
-
-    def __str__(self) -> str:
-        return (f"offered={self.offered_rate:.1f}/s "
-                f"achieved={self.achieved_rate:.1f}/s "
-                f"mean={self.latency.mean * 1e3:.2f}ms "
-                f"p95={self.latency.p95 * 1e3:.2f}ms")
 
 
 def find_knee(points: Sequence[ThroughputLatencyPoint],

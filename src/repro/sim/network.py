@@ -96,10 +96,6 @@ class Endpoint:
         #: :meth:`repro.tls.channel.TLSConnection.connect`.
         self.connection: Optional["TLSConnection"] = None
 
-    @property
-    def simulator(self) -> Simulator:
-        return self.network.simulator
-
     def send(self, destination: "Endpoint", payload: Any,
              size_bytes: int = 256,
              reply_to: Optional["Endpoint"] = None) -> None:

@@ -62,10 +62,6 @@ class EnclaveImage:
         """Full enclave size including heap."""
         return self.measured_bytes + _page_aligned(self.heap_bytes)
 
-    @property
-    def measured_pages(self) -> int:
-        return self.measured_bytes // calibration.PAGE_SIZE
-
     def mrenclave(self) -> bytes:
         """The enclave measurement: SHA-256 over measured pages in order.
 
@@ -83,12 +79,6 @@ class EnclaveImage:
                 digest_parts.append(sha256(page))
                 offset += calibration.PAGE_SIZE
         return sha256(*digest_parts)
-
-    def with_patch(self, new_code: bytes, new_version: str) -> "EnclaveImage":
-        """A new image version — a software update, with a new MRENCLAVE."""
-        return EnclaveImage(name=self.name, code=new_code,
-                            initialized_data=self.initialized_data,
-                            heap_bytes=self.heap_bytes, version=new_version)
 
 
 def _page_aligned(size: int) -> int:

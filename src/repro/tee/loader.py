@@ -91,7 +91,3 @@ class EnclaveLoader:
             eviction_seconds=eviction_seconds,
             bookkeeping_seconds=bookkeeping_seconds,
         )
-
-    def unload(self, image: EnclaveImage) -> None:
-        """Free the image's EPC pages."""
-        self.epc.free(image.total_bytes)

@@ -152,7 +152,7 @@ class TestForgery:
         forged = Verdict(member_name="a",
                          request_digest=sha256(req.to_bytes()),
                          approve=True, signature=b"\x00" * 64)
-        BoardEvaluator._classify(board.member("a"), forged, outcome)
+        BoardEvaluator._classify(board.members[0], forged, outcome)
         assert forged not in outcome.approvals
         assert forged in outcome.invalid
         with pytest.raises(ApprovalDeniedError):
@@ -164,7 +164,7 @@ class TestForgery:
         board, evaluator, services = make_board(
             sim, [("a", approve_everything, False)], threshold=1)
         verdict = services["ep-a"].decide_local(request("read"))
-        verdict.verify(board.member("a").certificate)
+        verdict.verify(board.members[0].certificate)
         other_digest = sha256(request("delete").to_bytes())
         assert verdict.request_digest != other_digest
 
@@ -178,7 +178,7 @@ class TestForgery:
                           approve=True,  # attacker flips reject -> approve
                           signature=verdict.signature)
         with pytest.raises(SignatureError):
-            flipped.verify(board.member("a").certificate)
+            flipped.verify(board.members[0].certificate)
 
 
 class TestDecisionRules:

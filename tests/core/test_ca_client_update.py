@@ -244,7 +244,7 @@ class TestCaUpdate:
             deployment.ca,
             frozenset({deployment.palaemon.mrenclave, new_palaemon_mre}),
             DeterministicRandom(b"ca-v2"), version="2.0")
-        assert new_ca.mrenclave != deployment.ca.mrenclave
+        assert new_ca.enclave.mrenclave != deployment.ca.enclave.mrenclave
         # The old instance can be re-certified by the new CA too.
         deployment.palaemon.obtain_certificate(new_ca)
 

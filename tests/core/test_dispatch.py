@@ -43,7 +43,7 @@ TRANSPORTS = ("rest", "federation", "failover", "inprocess")
 
 class TestRegistry:
     def test_default_registry_covers_every_transport_route(self):
-        names = default_registry().names()
+        names = [op.name for op in default_registry().operations()]
         for route in ("policy.create", "policy.read", "policy.update",
                       "policy.delete", "policy.list", "app.attest",
                       "tag.get", "tag.update", "volume_tag.get",
@@ -390,6 +390,11 @@ class TestAdmissionControl:
                                queue_deadline=5.0))
         admission.admit_instant("r")
         order = []
+        metrics = deployment.palaemon.telemetry.metrics
+
+        def queue_depth():
+            return metrics.gauge("palaemon_admission_queue_depth",
+                                 route="r").value
 
         def waiter(index):
             yield from admission.admit("r")
@@ -400,7 +405,7 @@ class TestAdmissionControl:
             yield simulator.timeout(0.001)
             second = simulator.process(waiter(2))
             yield simulator.timeout(0.001)
-            assert admission.queue_depth("r") == 2
+            assert queue_depth() == 2
             admission.release("r")
             yield simulator.timeout(0.001)
             assert order == [1]
@@ -411,8 +416,9 @@ class TestAdmissionControl:
         assert order == [1, 2]
         # One holder remains (waiter 2 was handed the slot and never
         # released); in_flight must reflect exactly that.
-        assert admission.in_flight("r") == 1
-        assert admission.queue_depth("r") == 0
+        assert metrics.gauge("palaemon_admission_inflight",
+                             route="r").value == 1
+        assert queue_depth() == 0
 
     def test_overload_on_the_wire_uses_the_pinned_code(self):
         """A shed request surfaces to REST callers as code 'overloaded'."""
@@ -474,9 +480,10 @@ class TestOperationTableRendering:
         table = render_operation_table()
         lines = table.splitlines()
         registry = default_registry()
-        assert len(lines) == 2 + len(registry.names())
-        for name in registry.names():
-            assert f"| `{name}` |" in table
+        operations = registry.operations()
+        assert len(lines) == 2 + len(operations)
+        for operation in operations:
+            assert f"| `{operation.name}` |" in table
 
     def test_peer_routes_marked_with_peer_auth(self):
         from repro.core.dispatch import render_operation_table

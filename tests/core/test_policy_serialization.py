@@ -77,9 +77,13 @@ class TestToDict:
         assert restored.imports[0].bound_name == "LOCAL_UP"
         assert restored.volume_imports[0].volume_name == "shared"
         assert restored.board is not None
-        assert restored.board.member("alice").veto
-        assert (restored.board.member("alice").certificate.fingerprint()
-                == original.board.member("alice").certificate.fingerprint())
+        (restored_alice,) = [member for member in restored.board.members
+                             if member.name == "alice"]
+        (original_alice,) = [member for member in original.board.members
+                             if member.name == "alice"]
+        assert restored_alice.veto
+        assert (restored_alice.certificate.fingerprint()
+                == original_alice.certificate.fingerprint())
 
     def test_minimal_policy_round_trip(self):
         policy = SecurityPolicy(

@@ -208,12 +208,6 @@ class TestBoardSpec:
         with pytest.raises(PolicyValidationError, match="duplicate"):
             BoardSpec(members=members, threshold=1).validate()
 
-    def test_member_lookup(self):
-        board = BoardSpec(members=(self.make_member("a"),), threshold=1)
-        assert board.member("a").name == "a"
-        with pytest.raises(PolicyValidationError):
-            board.member("z")
-
 
 class TestPolicyFromYaml:
     def test_parse_paper_style_policy(self):
@@ -308,7 +302,8 @@ board:
             text, mrenclave_registry={"MRE": b"\x01" * 32},
             certificate_registry={"alice-cert": cert})
         assert policy.board is not None
-        assert policy.board.member("alice").veto
+        (alice,) = policy.board.members
+        assert alice.name == "alice" and alice.veto
 
 
 _MRE = "ab" * 32

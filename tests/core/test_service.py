@@ -83,7 +83,8 @@ class TestPolicyCrud:
     def test_delete_policy(self, deployment):
         policy = deployment.make_policy()
         deployment.client.create_policy(deployment.palaemon, policy)
-        deployment.client.delete_policy(deployment.palaemon, "ml_policy")
+        deployment.client.invoke(deployment.palaemon, "policy.delete",
+                                 name="ml_policy")
         assert deployment.palaemon.list_policies() == []
 
     def test_unattested_client_refused_locally(self, deployment):
@@ -513,7 +514,8 @@ class TestCreationKeysNeverRepeat:
         deployment.client.create_policy(deployment.palaemon,
                                         self.make_policy(deployment))
         first = self.keys(deployment.palaemon)
-        deployment.client.delete_policy(deployment.palaemon, "ml_policy")
+        deployment.client.invoke(deployment.palaemon, "policy.delete",
+                                 name="ml_policy")
         self.other_owner(deployment).create_policy(
             deployment.palaemon, self.make_policy(deployment))
         second = self.keys(deployment.palaemon)
@@ -524,7 +526,8 @@ class TestCreationKeysNeverRepeat:
         deployment.client.create_policy(deployment.palaemon,
                                         self.make_policy(deployment))
         first = self.keys(deployment.palaemon)
-        deployment.client.delete_policy(deployment.palaemon, "ml_policy")
+        deployment.client.invoke(deployment.palaemon, "policy.delete",
+                                 name="ml_policy")
         deployment.stop_palaemon()
         # The same binary with the same randomness source restarts.
         restarted = PalaemonService(

@@ -100,8 +100,8 @@ class TestSelfSigned:
         pair = KeyPair.generate(rng.fork(b"self"), bits=512)
         cert = self_signed_certificate("client-1", pair)
         cert.verify(now=0.0)
-        assert cert.is_self_signed()
+        assert cert.issuer_key == cert.public_key
 
     def test_ca_issued_is_not_self_signed(self, authority, subject_keys):
         cert = authority.issue("service", subject_keys.public, 0.0, 100.0)
-        assert not cert.is_self_signed()
+        assert cert.issuer_key != cert.public_key

@@ -70,8 +70,9 @@ class TestRoot:
         # Build a 2-leaf tree whose leaves are the 4-leaf tree's interior
         # hashes; its root must differ from the original.
         spliced = MerkleTree()
-        spliced.set_leaf_hash("/0", tree.leaf_hash("/0"))
-        spliced.set_leaf_hash("/1", tree.leaf_hash("/1"))
+        leaves = tree.snapshot()
+        spliced.set_leaf_hash("/0", leaves["/0"])
+        spliced.set_leaf_hash("/1", leaves["/1"])
         assert spliced.root() != root
 
     @given(st.dictionaries(st.text(min_size=1, max_size=10),
@@ -139,7 +140,7 @@ class TestProofs:
     def test_all_proofs_verify(self, size):
         tree = self.build_tree(size)
         root = tree.root()
-        for name in tree.names():
+        for name in tree.snapshot():
             tree.prove(name).verify(root)
 
     def test_proof_fails_against_other_root(self):
@@ -163,21 +164,6 @@ class TestProofs:
 
 
 class TestAccessors:
-    def test_contains_and_len(self):
-        tree = MerkleTree()
-        assert len(tree) == 0
-        tree.set_leaf("/a", b"x")
-        assert "/a" in tree
-        assert "/b" not in tree
-        assert len(tree) == 1
-
     def test_bad_hash_length_rejected(self):
         with pytest.raises(ValueError):
             MerkleTree().set_leaf_hash("/a", b"short")
-
-    def test_names_sorted(self):
-        tree = MerkleTree()
-        tree.set_leaf("/c", b"3")
-        tree.set_leaf("/a", b"1")
-        tree.set_leaf("/b", b"2")
-        assert tree.names() == ["/a", "/b", "/c"]

@@ -140,15 +140,6 @@ class TestDeterministicRandom:
         with pytest.raises(ValueError):
             DeterministicRandom(b"s").expovariate(0.0)
 
-    def test_choice(self):
-        rng = DeterministicRandom(b"choice")
-        items = ["a", "b", "c"]
-        assert rng.choice(items) in items
-
-    def test_choice_empty_rejected(self):
-        with pytest.raises(ValueError):
-            DeterministicRandom(b"s").choice([])
-
     def test_shuffle_is_permutation(self):
         rng = DeterministicRandom(b"shuffle")
         items = list(range(50))

@@ -234,11 +234,6 @@ class TestSignatures:
 
 
 class TestPublicKeySerialization:
-    def test_fingerprint_stable_and_distinct(self, key_pair, other_key_pair):
-        assert key_pair.public.fingerprint() == key_pair.public.fingerprint()
-        assert (key_pair.public.fingerprint()
-                != other_key_pair.public.fingerprint())
-
     def test_hashable(self, key_pair, other_key_pair):
         registry = {key_pair.public: "a", other_key_pair.public: "b"}
         assert registry[key_pair.public] == "a"

@@ -16,7 +16,6 @@ from repro.crypto.symmetric import (
     KEY_SIZE,
     NONCE_SIZE,
     SecretBox,
-    generate_key,
 )
 from repro.errors import IntegrityError
 
@@ -122,27 +121,22 @@ class TestCiphertextSerialization:
         with pytest.raises(IntegrityError):
             Ciphertext.from_bytes(b"too short")
 
-    def test_length(self):
-        cipher, rng = make_cipher()
-        ct = cipher.encrypt(b"12345", rng.bytes(NONCE_SIZE))
-        assert len(ct) == len(ct.to_bytes())
-
 
 class TestSecretBox:
     def test_round_trip(self):
         rng = DeterministicRandom(b"box")
-        box = SecretBox(generate_key(rng), rng.fork(b"nonces"))
+        box = SecretBox(rng.bytes(KEY_SIZE), rng.fork(b"nonces"))
         sealed = box.seal(b"secret")
         assert box.open(sealed) == b"secret"
 
     def test_distinct_nonces_per_seal(self):
         rng = DeterministicRandom(b"box")
-        box = SecretBox(generate_key(rng), rng.fork(b"nonces"))
+        box = SecretBox(rng.bytes(KEY_SIZE), rng.fork(b"nonces"))
         assert box.seal(b"same") != box.seal(b"same")
 
     def test_associated_data(self):
         rng = DeterministicRandom(b"box")
-        box = SecretBox(generate_key(rng), rng.fork(b"nonces"))
+        box = SecretBox(rng.bytes(KEY_SIZE), rng.fork(b"nonces"))
         sealed = box.seal(b"secret", associated_data=b"ad")
         with pytest.raises(IntegrityError):
             box.open(sealed)

@@ -64,11 +64,6 @@ class TestInjectedFileView:
         assert view.read() == b"secret=abc123"
         assert view.reads == 2
 
-    def test_variable_count(self):
-        view = InjectedFileView("/c", b"$$PALAEMON$A$$ $$PALAEMON$B$$",
-                                {"A": b"1", "B": b"2"})
-        assert view.variable_count == 2
-
     def test_template_preserved(self):
         template = b"x=$$PALAEMON$A$$"
         view = InjectedFileView("/c", template, {"A": b"1"})

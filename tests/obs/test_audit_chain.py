@@ -35,10 +35,10 @@ class TestChainConstruction:
     def test_records_chain_to_genesis(self):
         log = make_log(3)
         assert log.records[0].previous_hash == GENESIS_HASH
-        for prev, curr in zip(log.records, log.records[1:]):
+        records = list(log.records)
+        for prev, curr in zip(records, records[1:]):
             assert curr.previous_hash == prev.record_hash
         assert log.verify_chain() == 3
-        assert log.is_valid()
 
     def test_head_tracks_newest_record(self):
         log = make_log(4)
@@ -56,12 +56,6 @@ class TestChainConstruction:
         assert isinstance(record.details["other"], str)
         assert log.verify_chain() == 1
 
-    def test_by_kind_filters(self):
-        log = make_log(3)
-        log.append("policy.create", policy="q")
-        assert len(log.by_kind("tag.update")) == 3
-        assert len(log.by_kind("policy.create")) == 1
-
 
 class TestTamperDetection:
     @pytest.mark.parametrize("field,value", [
@@ -74,7 +68,6 @@ class TestTamperDetection:
         setattr(log.records[2], field, value)
         with pytest.raises(IntegrityError):
             log.verify_chain()
-        assert not log.is_valid()
 
     def test_editing_details_detected(self):
         log = make_log()
@@ -86,7 +79,8 @@ class TestTamperDetection:
         for position in range(5):
             log = make_log(5)
             log.records[position].details["round"] = 999
-            assert not log.is_valid(), f"edit at {position} missed"
+            with pytest.raises(IntegrityError):
+                log.verify_chain()
 
     def test_dropping_interior_record_detected(self):
         log = make_log()

@@ -14,6 +14,10 @@ from repro.sim.metrics import (
 )
 
 
+def series_count(registry):
+    return len(list(registry.series()))
+
+
 class TestRegistry:
     def test_counter_accumulates(self):
         registry = MetricsRegistry()
@@ -27,8 +31,8 @@ class TestRegistry:
         registry.counter("ops_total", op="delete").inc(2)
         assert registry.counter("ops_total", op="create").value == 1
         assert registry.counter("ops_total", op="delete").value == 2
-        assert registry.names() == ["ops_total"]
-        assert len(registry) == 2
+        assert {metric.name for metric in registry.series()} == {"ops_total"}
+        assert series_count(registry) == 2
 
     def test_label_order_is_canonical(self):
         registry = MetricsRegistry()
@@ -40,13 +44,12 @@ class TestRegistry:
         with pytest.raises(ValueError):
             registry.counter("c").inc(-1)
 
-    def test_gauge_moves_both_ways(self):
+    def test_gauge_holds_the_last_value(self):
         registry = MetricsRegistry()
         gauge = registry.gauge("depth")
         gauge.set(5)
-        gauge.dec(2)
-        gauge.inc()
-        assert gauge.value == 4
+        gauge.set(4)
+        assert registry.gauge("depth").value == 4
 
     def test_name_cannot_change_kind(self):
         registry = MetricsRegistry()
@@ -71,7 +74,7 @@ class TestSeriesCache:
         first = registry.counter("m", a="1", b="2")
         assert registry.counter("m", b="2", a="1") is first
         assert registry.counter("m", a="1", b="2") is first
-        assert len(registry) == 1
+        assert series_count(registry) == 1
 
     def test_int_and_str_values_name_one_series(self):
         registry = MetricsRegistry()
@@ -79,7 +82,7 @@ class TestSeriesCache:
             registry.counter("m", code=404).inc()
             registry.counter("m", code="404").inc()
         assert registry.counter("m", code="404").value == 4
-        assert len(registry) == 1
+        assert series_count(registry) == 1
 
     def test_equal_values_with_different_text_stay_apart(self):
         registry = MetricsRegistry()
@@ -95,7 +98,7 @@ class TestSeriesCache:
         registry.counter("m", peers=["a", "b"]).inc()
         registry.counter("m", peers=["a", "b"]).inc()
         assert registry.counter("m", peers="['a', 'b']").value == 2
-        assert len(registry) == 1
+        assert series_count(registry) == 1
 
     def test_repeated_call_skips_canonical_labels(self, monkeypatch):
         from repro.obs import metrics
@@ -119,7 +122,7 @@ class TestHistogramSharedMath:
         for sample in samples:
             histogram.observe(sample)
             recorder.record(sample)
-        hist_summary = histogram.summary()
+        hist_summary = summarize(histogram.samples)
         rec_summary = recorder.summary()
         assert hist_summary == rec_summary
         assert hist_summary.p95 == percentile(samples, 0.95)
@@ -149,15 +152,15 @@ class TestHistogramSharedMath:
             histogram.observe(float(value))
         assert histogram.count == observations
         assert histogram.total == sum(range(observations))
-        assert histogram.samples == [
+        assert list(histogram.samples) == [
             float(value) for value in
             range(observations - MAX_HISTOGRAM_SAMPLES, observations)]
-        assert histogram.summary().count == MAX_HISTOGRAM_SAMPLES
+        assert summarize(histogram.samples).count == MAX_HISTOGRAM_SAMPLES
 
     def test_empty_histogram_summary_raises(self):
         registry = MetricsRegistry()
         with pytest.raises(ValueError, match="no samples"):
-            registry.histogram("empty").summary()
+            summarize(registry.histogram("empty").samples)
 
 
 class TestPrometheusRendering:

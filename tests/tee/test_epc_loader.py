@@ -121,14 +121,3 @@ class TestLoader:
         assert first.eviction_seconds == 0.0
         assert second.eviction_seconds > 0.0
 
-    def test_unload_frees_pages(self):
-        sim, loader = self.make()
-        image = build_image("app", heap_bytes=calibration.MB)
-
-        def main():
-            yield sim.process(loader.load(image))
-
-        sim.run_process(main())
-        before = loader.epc.allocated_bytes
-        loader.unload(image)
-        assert loader.epc.allocated_bytes == before - image.total_bytes

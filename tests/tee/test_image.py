@@ -15,8 +15,10 @@ class TestMrenclave:
 
     def test_code_change_changes_measurement(self):
         image = build_image("app")
-        patched = image.with_patch(new_code=image.code[:-1] + b"\x01",
-                                   new_version="1.1")
+        patched = EnclaveImage(image.name, image.code[:-1] + b"\x01",
+                               image.initialized_data,
+                               heap_bytes=image.heap_bytes,
+                               version=image.version)
         assert patched.mrenclave() != image.mrenclave()
 
     def test_version_change_changes_measurement(self):
@@ -55,8 +57,7 @@ class TestSizes:
                             heap_bytes=4 * calibration.MB)
         assert image.measured_bytes == 96 * calibration.KB
         assert image.total_bytes == 96 * calibration.KB + 4 * calibration.MB
-        assert image.measured_pages * calibration.PAGE_SIZE == \
-            image.measured_bytes
+        assert image.measured_bytes % calibration.PAGE_SIZE == 0
 
     def test_empty_code_rejected(self):
         with pytest.raises(EnclaveError):

@@ -143,7 +143,7 @@ class TestWorkloadWarmup:
                                       duration=2.0, warmup=1.0)
         sim.run_process(generator.run())
         # Roughly half the issued requests fall inside the warmup window.
-        assert len(generator.latencies) < generator.issued
+        assert len(generator.latencies.samples) < generator.issued
         assert generator.issued > 150
 
 

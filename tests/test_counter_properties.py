@@ -45,17 +45,6 @@ class TestUniversalCounterProperties:
         assert values == sorted(set(values))
         assert values == list(range(1, 11))
 
-    def test_read_matches_last_increment(self, name, factory):
-        sim = Simulator()
-        counter = factory(sim)
-
-        def main():
-            for _ in range(5):
-                yield sim.process(counter.increment())
-
-        sim.run_process(main())
-        assert counter.read() == 5
-
     def test_increment_consumes_time(self, name, factory):
         sim = Simulator()
         counter = factory(sim)
@@ -65,9 +54,6 @@ class TestUniversalCounterProperties:
             return sim.now
 
         assert sim.run_process(main()) > 0.0
-
-    def test_has_display_name(self, name, factory):
-        assert factory(Simulator()).name
 
 
 class TestHypothesisCounterSequences:

@@ -48,9 +48,9 @@ class TestSGXPlatformCounter:
 
     def test_wear_tracked(self):
         sim = Simulator()
-        counter = SGXPlatformCounter(PlatformCounterService(sim), "c")
-        measured_rate(sim, counter, increments=5)
-        assert counter.wear == 5
+        service = PlatformCounterService(sim)
+        measured_rate(sim, SGXPlatformCounter(service, "c"), increments=5)
+        assert service.writes("c") == 5
 
 
 class TestTPMCounter:
@@ -91,7 +91,7 @@ class TestROTE:
     def test_tolerates_minority_failures(self):
         sim = Simulator()
         group = ROTECounterGroup(sim, group_size=4)
-        group.fail_replica(0)
+        group.replicas[0].alive = False
 
         def main():
             value = yield sim.process(group.increment())
@@ -103,7 +103,7 @@ class TestROTE:
         sim = Simulator()
         group = ROTECounterGroup(sim, group_size=4)
         for replica_id in (0, 1):
-            group.fail_replica(replica_id)
+            group.replicas[replica_id].alive = False
 
         def main():
             yield sim.process(group.increment())
@@ -153,7 +153,7 @@ class TestFileCounter:
         store = BlockStore()
         counter = FileCounter(sim, FileCounterMode.ENCRYPTED, store=store)
         measured_rate(sim, counter, increments=7)
-        counter.close()
+        counter.fs.close_file(FileCounter.COUNTER_PATH)
         # NATIVE mode stores exactly b"7"; no encrypted path may.
         assert [path for path in store.list()
                 if store.read(path) == b"7"] == []
@@ -177,7 +177,7 @@ class TestFileCounter:
         counter = FileCounter(sim, FileCounterMode.STRICT,
                               tag_listener=tags.append)
         measured_rate(sim, counter, increments=3)
-        counter.close()
+        counter.fs.close_file(FileCounter.COUNTER_PATH)
         assert len(tags) == 1
 
     def test_encrypted_mode_does_not_push_tags(self):
@@ -186,7 +186,7 @@ class TestFileCounter:
         counter = FileCounter(sim, FileCounterMode.ENCRYPTED,
                               tag_listener=tags.append)
         measured_rate(sim, counter, increments=3)
-        counter.close()
+        counter.fs.close_file(FileCounter.COUNTER_PATH)
         assert tags == []
 
     def test_rollback_attack_on_strict_counter_detected(self):
@@ -202,10 +202,10 @@ class TestFileCounter:
                               rng=DeterministicRandom(rng_seed),
                               tag_listener=tags.append)
         measured_rate(sim, counter, increments=2)
-        counter.close()
+        counter.fs.close_file(FileCounter.COUNTER_PATH)
         checkpoint = store.snapshot()
         measured_rate(sim, counter, increments=3)
-        counter.close()
+        counter.fs.close_file(FileCounter.COUNTER_PATH)
         expected_tag = tags[-1]
 
         store.restore(checkpoint)  # attacker rolls the volume back

@@ -24,16 +24,21 @@ _EXPECTED_MILESTONES = {
         "run 4 refused",
         "DETECTED: file system tag mismatch",
         "encrypted at rest",
+        "loaded model-3-weights",
+        "Strict mode after the unclean run",
     ],
     "secure_update.py": [
-        "v2 rollout: board approved",
+        "without the device code the auditor abstains",
+        "v2 rollout: board approved with the auditor's device code",
         "blocked at the board",
         "vetoed update",
+        "intersection: 2 of the image provider's 3 releases are permitted",
         "disabled downstream automatically",
         "board approved the CA update",
     ],
     "managed_cloud.py": [
         "CA refuses to certify",
+        "a pinning client refuses it",
         "Clone attempt",
         "Database rollback on restart",
         "0 plaintext hits",

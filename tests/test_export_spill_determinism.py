@@ -1,11 +1,12 @@
 """Tests for JSON export, injected-file spilling, and global determinism."""
 
+import json
+
 import pytest
 
 from repro.benchlib.export import (
     comparison_to_dict,
     export_experiment,
-    load_experiment,
     result_to_dict,
 )
 from repro.benchlib.harness import rate_sweep
@@ -38,7 +39,7 @@ class TestExport:
         path = export_experiment(tmp_path / "out" / "demo.json", "demo",
                                  curves=[curve], comparisons=[comparison],
                                  extra={"note": "test"})
-        document = load_experiment(path)
+        document = json.loads(path.read_text())
         assert document["experiment"] == "demo"
         assert len(document["curves"][0]["points"]) == 2
         assert document["paper_vs_measured"][0]["within_tolerance"]

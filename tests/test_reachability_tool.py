@@ -1,8 +1,10 @@
 """``tools/reachability.py``: the probe plan, the function table it reads
-from the sources, what a profiled run records, and the summary counts."""
+from the sources, what a profiled run records, the summary counts, and
+the keep table that explains what no run reaches."""
 
 import importlib.util
 import json
+import re
 import sys
 import textwrap
 from pathlib import Path
@@ -115,8 +117,53 @@ def test_summary_counts_nested_lines_once(reachability, source, monkeypatch,
                                           capsys):
     monkeypatch.setattr(reachability, "probe",
                         lambda: {("shapes.py", 4)})
-    assert reachability.main([]) == 0
+    monkeypatch.setattr(reachability, "KEEP", {})
+    assert reachability.main([]) == 1
     lines = capsys.readouterr().out.splitlines()
     # cached (3 lines, inner's among them) and Box.method (1 line).
-    assert lines[:2] == ["functions: 4", "unreached: 3 (4 body lines)"]
-    assert len(lines) == 5
+    assert lines[:4] == ["functions: 4", "unreached: 3 (4 body lines)",
+                         "explained: 0", "unexplained: 3"]
+    assert len(lines) == 7
+    assert all(line.endswith(": UNEXPLAINED") for line in lines[4:])
+
+
+def test_probe_passes_when_keep_explains_every_unreached_function(
+        reachability, source, monkeypatch, capsys):
+    monkeypatch.setattr(reachability, "probe",
+                        lambda: {("shapes.py", 4)})
+    monkeypatch.setattr(reachability, "KEEP", {
+        "shapes.py:cached": reachability.ORACLE,
+        "shapes.py:cached.inner": reachability.ORACLE,
+        "shapes.py:Box.method": reachability.reserved(1)})
+    assert reachability.main([]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[2:4] == ["explained: 3", "unexplained: 0"]
+    assert lines[-1].endswith(
+        "Box.method (1 lines): open ROADMAP item 1 reserves it")
+
+
+def open_roadmap_items():
+    """The numbers of the items under ROADMAP.md's "Open items"."""
+    text = (TOOL.parents[1] / "ROADMAP.md").read_text(encoding="utf-8")
+    section = text.split("## Open items", 1)[1].split("\n## ", 1)[0]
+    return {int(number)
+            for number in re.findall(r"^(\d+)\. \*\*", section, re.M)}
+
+
+class TestKeepTable:
+    """Every entry of the keep table names a function the sources define
+    and gives an allowed reason, so a rename or a deletion cannot leave a
+    stale entry behind. Reads the sources only; runs nothing."""
+
+    def test_every_entry_names_a_function(self, reachability):
+        defined = {f"{entry['file']}:{entry['name']}"
+                   for entry in reachability.functions()}
+        assert sorted(set(reachability.KEEP) - defined) == []
+
+    def test_every_entry_gives_an_allowed_reason(self, reachability):
+        items = open_roadmap_items()
+        assert items
+        allowed = set(reachability.REASONS) | {
+            reachability.reserved(item) for item in items}
+        for name, reason in reachability.KEEP.items():
+            assert reason in allowed, name

@@ -73,7 +73,7 @@ class TestApplicationLifecycle:
     def test_files_round_trip_and_tags_flow(self, deployment, runtime):
         app = self.make_app(deployment, runtime)
         app.write_file("/output/model.bin", b"weights")
-        app.sync()
+        app.fs.sync()
         assert deployment.palaemon.get_tag_instant(
             "ml_policy", "ml_app") == app.fs.tag()
 
@@ -110,7 +110,7 @@ class TestApplicationLifecycle:
         volume = BlockStore("strict-volume")
         app = self.make_app(deployment, runtime, volume=volume, strict=True)
         app.write_file("/state", b"working")
-        app.crash()  # no clean-exit push
+        # The app crashes: it never exits cleanly, so no clean-exit push.
         with pytest.raises(StrictModeError):
             runtime.launch(deployment.app_image, "ml_policy", "ml_app",
                            volume=volume)

@@ -177,7 +177,7 @@ class TestNetworkAdversary:
         """A verdict captured for one request cannot authorize another:
         the per-request nonce changes the signed digest."""
         service = deployment.approval_services["approval-member-0"]
-        member = deployment.board.member("member-0")
+        member = deployment.board.members[0]
         rng = DeterministicRandom(b"nonces")
         first = AccessRequest(policy_name="p", operation="update",
                               requester_fingerprint=b"\x01" * 16,
@@ -191,7 +191,7 @@ class TestNetworkAdversary:
         assert verdict.request_digest != sha256(replayed_at.to_bytes())
 
     def test_forged_verdict_signature_rejected(self, deployment):
-        member = deployment.board.member("member-1")
+        member = deployment.board.members[1]
         request = AccessRequest(policy_name="p", operation="update",
                                 requester_fingerprint=b"\x02" * 16)
         forged = Verdict(member_name=member.name,
@@ -215,7 +215,8 @@ class TestByzantineClient:
         # The legitimate owner turned hostile: reads fine, writes blocked.
         deployment.client.read_policy(deployment.palaemon, "ml_policy")
         with pytest.raises(ApprovalDeniedError):
-            deployment.client.delete_policy(deployment.palaemon, "ml_policy")
+            deployment.client.invoke(deployment.palaemon, "policy.delete",
+                                     name="ml_policy")
 
     def test_certificate_required_on_top_of_board(self, deployment):
         """Board approval alone is insufficient without the owner cert."""

@@ -218,6 +218,49 @@ class TestImagePolicyIntersection:
         with pytest.raises(UpdateError):
             export.revoke("9.9")
 
+    def test_apply_with_app_allowed_keeps_only_the_intersection(self):
+        r1, r2, r3 = (self.release("1.0", b"1"), self.release("1.1", b"2"),
+                      self.release("1.2", b"3"))
+        export = ImagePolicyExport("python-curated", [r1, r2])
+        policy = Deployment().make_policy()
+        apply_image_export(policy, export, app_allowed={
+            (r2.mrenclave, r2.fs_tag), (r3.mrenclave, r3.fs_tag)})
+        assert policy.permitted_combinations == [(r2.mrenclave, r2.fs_tag)]
+
+    def test_apply_without_app_allowed_takes_every_release(self):
+        r1, r2 = self.release("1.0", b"1"), self.release("1.1", b"2")
+        export = ImagePolicyExport("python-curated", [r1, r2])
+        policy = Deployment().make_policy()
+        apply_image_export(policy, export)
+        assert policy.permitted_combinations == sorted(
+            [(r1.mrenclave, r1.fs_tag), (r2.mrenclave, r2.fs_tag)])
+
+    @pytest.mark.parametrize("app_allows_own_build", [True, False])
+    def test_application_side_of_the_intersection_enforced(
+            self, deployment, app_allows_own_build):
+        """The image provider vouches for the running build; it is admitted
+        only if the application's own allowed set lists it too."""
+        deployment.client.create_policy(deployment.palaemon,
+                                        deployment.make_policy())
+        own = (deployment.app_image.mrenclave(), b"")
+        other = self.release("2.0", b"other")
+        export = ImagePolicyExport("ml-engine", [
+            ImageRelease(mrenclave=own[0], fs_tag=own[1], version="1.0"),
+            other])
+        app_allowed = {(other.mrenclave, other.fs_tag)}
+        if app_allows_own_build:
+            app_allowed.add(own)
+        policy = deployment.client.read_policy(deployment.palaemon,
+                                               "ml_policy")
+        apply_image_export(policy, export, app_allowed=app_allowed)
+        deployment.client.update_policy(deployment.palaemon, policy)
+        evidence = deployment.evidence_for("ml_policy")
+        if app_allows_own_build:
+            deployment.palaemon.attest_application(evidence)
+        else:
+            with pytest.raises(AttestationError, match="combination"):
+                deployment.palaemon.attest_application(evidence)
+
     def test_apply_to_policy_enforced_at_attestation(self, deployment):
         deployment.client.create_policy(deployment.palaemon,
                                         deployment.make_policy())

@@ -319,6 +319,50 @@ class TestTagsAndStrictMode:
         with pytest.raises(PolicyNotFoundError):
             deployment.palaemon.get_tag_instant("nope", "nope")
 
+    def update_after_a_run(self, timed, clean_exit):
+        """A strict-mode service runs once, then pushes a tag through the
+        timed or the instant path; returns the deployment."""
+        deployment = Deployment()
+        self.setup_policy(deployment, strict=True)
+        palaemon = deployment.palaemon
+        palaemon.attest_application(deployment.evidence_for("ml_policy"))
+        update = ("ml_policy", "ml_app", b"\x05" * 32)
+        if timed:
+            deployment.simulator.run_process(
+                palaemon.update_tag(*update, clean_exit=clean_exit))
+        else:
+            palaemon.update_tag_instant(*update, clean_exit=clean_exit)
+        return deployment
+
+    @pytest.mark.parametrize("clean_exit", [False, True])
+    def test_timed_and_instant_updates_record_alike(self, clean_exit):
+        """Both paths leave the same tag and exit state, count the update
+        once and audit it with the same details."""
+
+        def outcome(timed):
+            palaemon = self.update_after_a_run(timed, clean_exit).palaemon
+            state = palaemon._service_state("ml_policy", "ml_app")
+            telemetry = palaemon.telemetry
+            (record,) = [record for record in telemetry.audit_log.records
+                         if record.kind == "tag.update"]
+            return (state.expected_tag, state.clean_exit, record.details,
+                    telemetry.metrics.counter(
+                        "palaemon_tag_updates_total").value)
+
+        assert outcome(timed=True) == outcome(timed=False)
+        assert outcome(timed=True)[:2] == (b"\x05" * 32, clean_exit)
+        assert outcome(timed=True)[3] == 1
+
+    def test_only_the_timed_update_is_traced_and_timed(self):
+        for timed in (False, True):
+            telemetry = self.update_after_a_run(
+                timed, clean_exit=True).palaemon.telemetry
+            spans = [span for span in telemetry.tracer.finished
+                     if span.name == "tag.update"]
+            latency = telemetry.metrics.histogram(
+                "palaemon_tag_update_seconds")
+            assert len(spans) == latency.count == int(timed)
+
 
 class TestSecretImportExport:
     def test_cross_policy_import(self, deployment):

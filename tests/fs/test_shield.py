@@ -211,6 +211,21 @@ class TestAttacks:
         with pytest.raises(IntegrityError):
             remounted.read("/a")
 
+    def test_planted_file_is_invisible(self):
+        """A valid ciphertext copied to a path the FSPF does not list is
+        not part of the file system, and the tag still holds."""
+        fs, store, key, _ = make_fs()
+        fs.write("/a", b"genuine")
+        expected = fs.sync()
+        tamper(store, "/planted", store.read("/a"))
+        remounted = ProtectedFileSystem(store, key,
+                                        DeterministicRandom(b"r"))
+        assert not remounted.exists("/planted")
+        with pytest.raises(FileNotFoundError):
+            remounted.read("/planted")
+        remounted.verify_tag(expected)
+        assert remounted.read("/a") == b"genuine"
+
     def test_fspf_tampering_detected(self):
         fs, store, key, _ = make_fs()
         fs.write("/a", b"data")

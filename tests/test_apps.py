@@ -257,6 +257,23 @@ class TestZooKeeper:
         assert cluster.nodes[0].data["/a"] == b"1"
         assert b"1" not in cluster.nodes[2].data.values()
 
+    def test_leader_failover(self):
+        """Losing node 0, the first leader, does not stop writes: the
+        survivors commit them in zxid order."""
+        sim = Simulator()
+        cluster = ZooKeeperCluster(sim)
+        cluster.nodes[0].alive = False
+
+        def main():
+            first = yield sim.process(cluster.handle_write("/a", b"1"))
+            second = yield sim.process(cluster.handle_write("/a", b"2"))
+            return first, second
+
+        assert sim.run_process(main()) == (1, 2)
+        for node in cluster.nodes[1:]:
+            assert node.data["/a"] == b"2" and node.zxid == 2
+        assert "/a" not in cluster.nodes[0].data
+
     def test_quorum_loss_blocks_writes(self):
         sim = Simulator()
         cluster = ZooKeeperCluster(sim)

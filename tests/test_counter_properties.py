@@ -29,6 +29,19 @@ def all_counter_factories():
     ]
 
 
+def held_value(counter):
+    """The value a counter holds, read where it keeps it: the Fig 10
+    contenders expose only ``increment`` (and the file counter ``read``)."""
+    if isinstance(counter, FileCounter):
+        return counter.read()
+    if isinstance(counter, SGXPlatformCounter):
+        return counter._service.read(counter._counter_id)
+    if isinstance(counter, ROTECounterGroup):
+        assert all(replica.value == counter._value
+                   for replica in counter.replicas)
+    return counter._value
+
+
 @pytest.mark.parametrize("name,factory", all_counter_factories())
 class TestUniversalCounterProperties:
     def test_strictly_increasing(self, name, factory):
@@ -44,6 +57,48 @@ class TestUniversalCounterProperties:
         values = sim.run_process(main())
         assert values == sorted(set(values))
         assert values == list(range(1, 11))
+
+    def test_read_matches_last_increment(self, name, factory):
+        sim = Simulator()
+        counter = factory(sim)
+
+        def main():
+            for _ in range(5):
+                value = yield sim.process(counter.increment())
+            return value
+
+        assert sim.run_process(main()) == 5
+        assert held_value(counter) == 5
+
+    def test_instances_do_not_share_a_value(self, name, factory):
+        sim = Simulator()
+        first, second = factory(sim), factory(sim)
+
+        def main():
+            for _ in range(3):
+                yield sim.process(first.increment())
+            value = yield sim.process(second.increment())
+            return value
+
+        assert sim.run_process(main()) == 1
+        assert held_value(first) == 3
+
+    def test_every_increment_costs_the_same(self, name, factory):
+        """Fig 10 reports a rate, which assumes a steady per-increment
+        cost: no warm-up, no wear-dependent slowdown in the first few."""
+        sim = Simulator()
+        counter = factory(sim)
+
+        def main():
+            costs = []
+            for _ in range(6):
+                started = sim.now
+                yield sim.process(counter.increment())
+                costs.append(sim.now - started)
+            return costs
+
+        costs = sim.run_process(main())
+        assert costs == [pytest.approx(costs[0])] * len(costs)
 
     def test_increment_consumes_time(self, name, factory):
         sim = Simulator()

@@ -111,6 +111,24 @@ class TestROTE:
         with pytest.raises(CounterError, match="quorum"):
             sim.run_process(main())
 
+    def test_concurrent_increments_never_share_a_value(self):
+        """Two increments in flight propose the same value; the replicas
+        accept it once, so the later proposal fails instead of handing
+        the value out twice."""
+        sim = Simulator()
+        group = ROTECounterGroup(sim, group_size=4)
+
+        def main():
+            first = sim.process(group.increment())
+            second = sim.process(group.increment())
+            value = yield first
+            with pytest.raises(CounterError, match="quorum"):
+                yield second
+            return value
+
+        assert sim.run_process(main()) == 1
+        assert all(replica.value == 1 for replica in group.replicas)
+
     def test_too_small_group_rejected(self):
         with pytest.raises(CounterError):
             ROTECounterGroup(Simulator(), group_size=2)

@@ -2,17 +2,31 @@
 
 A client retrieves 1/5/50/100 secrets (32 bytes each) from a PALAEMON
 service deployed locally, in the same data centre, or on another continent.
-The reproduced shape: latency is flat in the number of secrets (they ride
-one connection) and dominated by TLS connection establishment, so only the
-remote-continent deployment is visibly slower.
+Each retrieval runs the real path: a TLS connection to the instance's
+:class:`~repro.core.rest.PalaemonRestServer` at that site, verifying the
+instance's CA certificate, then one REST ``app.attest`` for an application
+whose policy holds that many secrets. The reproduced shape: latency is
+flat in the number of secrets (they ride one reply) and dominated by TLS
+connection establishment, so only the remote-continent deployment is
+visibly slower.
 """
 
-from repro import calibration
 from repro.benchlib.tables import format_table
-from repro.crypto.primitives import DeterministicRandom
+from repro.core.attestation import AttestationEvidence
+from repro.core.ca import PalaemonCA
+from repro.core.client import PalaemonClient
+from repro.core.policy import SecurityPolicy, ServiceSpec
+from repro.core.rest import PalaemonRestClient, PalaemonRestServer
+from repro.core.secrets import SecretKind, SecretSpec
+from repro.core.service import PalaemonService
+from repro.crypto.primitives import DeterministicRandom, sha256
+from repro.crypto.signatures import KeyPair
+from repro.fs.blockstore import BlockStore
 from repro.sim.core import Simulator
 from repro.sim.network import Network, Site
-from repro.tls.channel import TLSConnection, TLSServer
+from repro.tee.ias import IntelAttestationService
+from repro.tee.image import build_image
+from repro.tee.platform import SGXPlatform
 
 from benchmarks.conftest import run_once
 
@@ -24,43 +38,80 @@ _DEPLOYMENTS = {
 }
 
 
-def _retrieve(site, count, seed):
-    """One full retrieval: TLS handshake + one request for `count` keys."""
-    sim = Simulator()
-    rng = DeterministicRandom(seed)
-    net = Network(sim, rng.fork(b"net"), jitter_fraction=0.0)
-    secrets = {f"KEY_{i}": rng.fork(b"secret%d" % i).bytes(32)
-               for i in range(count)}
+class _Deployment:
+    """A started, CA-certified instance holding one policy per secret
+    count, and the attestation evidence of the application they name."""
 
-    def handler(request, _session):
-        names = request["names"]
-        return {name: secrets[name] for name in names}
+    def __init__(self, seed: bytes) -> None:
+        rng = DeterministicRandom(seed)
+        self.rng = rng
+        self.sim = Simulator()
+        platform = SGXPlatform(self.sim, "fig12-node", rng.fork(b"platform"))
+        ias = IntelAttestationService(self.sim, Site.IAS_US,
+                                      rng.fork(b"ias"))
+        attestation_key = platform.quoting_enclave.attestation_public_key
+        ias.register_platform(attestation_key, platform.microcode.revision)
+        self.service = PalaemonService(platform, BlockStore("fig12-volume"),
+                                       rng.fork(b"palaemon"))
+        self.service.platform_registry.enroll(platform.platform_id,
+                                              attestation_key)
+        self.ca = PalaemonCA(platform, ias,
+                             frozenset({self.service.mrenclave}),
+                             rng.fork(b"ca"))
+        self.sim.run_process(self.service.start())
+        self.service.obtain_certificate(self.ca)
+        self.client = PalaemonClient("fig12-client", rng.fork(b"client"))
 
-    endpoint = net.endpoint("palaemon", site)
-    server = TLSServer(net, endpoint, handler)
-    server.start()
+        image = build_image("fig12-app", seed=b"v1")
+        for count in _SECRET_COUNTS:
+            self.service.create_policy(SecurityPolicy(
+                name=f"keys-{count}",
+                services=[ServiceSpec(name="app", image_name=image.name,
+                                      mrenclaves=[image.mrenclave()])],
+                secrets=[SecretSpec(name=f"KEY_{i}", kind=SecretKind.RANDOM,
+                                    size=32)
+                         for i in range(count)]), self.client.certificate)
+        tls_keys = KeyPair.generate(rng.fork(b"app-tls"), bits=512)
+        self.quote = platform.quoting_enclave.quote(
+            platform.launch_instant(image),
+            sha256(tls_keys.public.to_bytes()))
+        self.tls_public_key = tls_keys.public
 
-    def main():
-        start = sim.now
-        connection = yield sim.process(TLSConnection.connect(
-            net, "client", Site.SAME_RACK, endpoint, rng))
-        server.register_session(connection.session)
-        reply = yield sim.process(connection.request(
-            {"names": list(secrets)}, size_bytes=256 + 48 * count))
-        server.stop()
-        assert reply == secrets  # functional: all keys arrive intact
-        return sim.now - start
+    def retrieve(self, site: Site, count: int) -> float:
+        """One retrieval from an instance at ``site``: a verified connect
+        plus one ``app.attest`` returning ``count`` secrets."""
+        label = f"{site.value}-{count}".encode()
+        network = Network(self.sim, self.rng.fork(b"net:" + label),
+                          jitter_fraction=0.0)
+        server = PalaemonRestServer(self.service, network, site=site)
+        evidence = AttestationEvidence(
+            quote=self.quote, policy_name=f"keys-{count}",
+            service_name="app", tls_public_key=self.tls_public_key)
 
-    return sim.run_process(main())
+        def main():
+            start = self.sim.now
+            connection = yield self.sim.process(PalaemonRestClient.connect(
+                network, self.client, server, Site.SAME_RACK,
+                self.rng.fork(b"conn:" + label),
+                trusted_root=self.ca.root_public_key))
+            config = yield self.sim.process(
+                connection.call("app.attest", evidence=evidence))
+            elapsed = self.sim.now - start
+            server.stop()
+            # Functional: every key arrives intact.
+            assert sorted(config.secrets) == sorted(
+                f"KEY_{i}" for i in range(count))
+            assert all(len(value) == 32 for value in config.secrets.values())
+            return elapsed
+
+        return self.sim.run_process(main())
 
 
 def _measure_all():
-    results = {}
-    for deployment, site in _DEPLOYMENTS.items():
-        for count in _SECRET_COUNTS:
-            seed = f"{deployment}-{count}".encode()
-            results[(deployment, count)] = _retrieve(site, count, seed)
-    return results
+    deployment = _Deployment(b"fig12")
+    return {(name, count): deployment.retrieve(site, count)
+            for name, site in _DEPLOYMENTS.items()
+            for count in _SECRET_COUNTS}
 
 
 def test_fig12_secret_access(benchmark):

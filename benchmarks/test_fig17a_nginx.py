@@ -1,9 +1,11 @@
 """Fig 17a — NGINX GETs on 67 kB files across five variants.
 
 Native; PALAEMON EMU/HW (TLS material injected, plain docroot); and
-EMU/HW "+shield" where every served file is encrypted on disk. The
-reproduced shape: SGX alone costs little (EMU ~ HW), but encrypting all
-files costs far more than SGX itself.
+EMU/HW "+shield" where every served file is encrypted on disk. TLS
+termination is priced inside each variant's calibrated service time; no
+input of the server models it. The reproduced shape: SGX alone costs
+little (EMU ~ HW), but encrypting all files costs far more than SGX
+itself.
 """
 
 from repro import calibration
@@ -18,7 +20,6 @@ from benchmarks.conftest import run_once
 def _setup(variant):
     def setup(simulator):
         server = NginxServer(simulator, variant,
-                             tls_certificate=b"cert", tls_private_key=b"key",
                              rng=DeterministicRandom(b"nginx-docs"))
         page = DeterministicRandom(b"page").bytes(calibration.NGINX_FILE_SIZE)
         server.publish("/page.html", page)

@@ -6,9 +6,10 @@ Three PALAEMON instances — local, same data centre, and another continent —
 peer after mutually attesting via the CA and talk over one simulated
 network; a consumer policy on the local instance imports a secret exported
 by a policy held on the remote one.
-Then the local instance crashes, and its synchronous backup is promoted
-without losing the replicated tag state, while the crashed primary stays
-fenced forever.
+Then the local instance peers with a synchronous backup and replicates tag
+state to it over that attested link; the local instance crashes, the backup
+is promoted without losing the replicated state, and the crashed primary
+stays fenced forever.
 
 Run:  python examples/federation_failover.py
 """
@@ -109,7 +110,10 @@ def main() -> None:
     # --- fail-over -----------------------------------------------------------
     backup = make_instance(simulator, ias, ca, "local-backup",
                            b"seed-backup")
-    coordinator = FailoverCoordinator(local, backup, network)
+    backup_fed = FederatedInstance(backup, Site.SAME_DC, ca.root_public_key,
+                                   network)
+    simulator.run_process(local_fed.peer_with(backup_fed))
+    coordinator = FailoverCoordinator(local_fed, backup_fed)
 
     def replicate():
         for index in range(3):

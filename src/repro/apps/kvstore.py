@@ -1,9 +1,11 @@
-"""A memcached-like in-memory cache with TLS termination (Fig 16).
+"""A memcached-like in-memory cache (Fig 16).
 
 Functional semantics are real: SET stores, GET returns, DELETE removes,
 LRU eviction bounds memory. PALAEMON's role in the paper's benchmark is to
 inject the TLS certificate and private key so memcached can terminate TLS
-inside the enclave (native memcached needs a stunnel sidecar).
+inside the enclave (native memcached needs a stunnel sidecar). No input
+models that TLS termination: its cost is priced inside each mode's
+calibrated service time.
 """
 
 from __future__ import annotations
@@ -28,16 +30,12 @@ class MemcachedServer(SimulatedServer):
 
     def __init__(self, simulator: Simulator,
                  mode: ExecutionMode = ExecutionMode.NATIVE,
-                 capacity_items: int = 100_000,
-                 tls_certificate: Optional[bytes] = None,
-                 tls_private_key: Optional[bytes] = None) -> None:
+                 capacity_items: int = 100_000) -> None:
         super().__init__(simulator, "memcached", calibrated_service_seconds(
             calibration.MEMCACHED_NATIVE_PEAK_RPS, _MODE_FRACTIONS[mode]))
         self.mode = mode
         self.capacity_items = capacity_items
         self._items: "OrderedDict[str, bytes]" = OrderedDict()
-        self.tls_certificate = tls_certificate
-        self.tls_private_key = tls_private_key
         self.hits = 0
         self.misses = 0
         self.evictions = 0

@@ -4,7 +4,8 @@ Five variants from the paper: native; PALAEMON in EMU/HW (certificates and
 private key injected, served files in the clear); and "+shield" EMU/HW
 where *all served files* are additionally encrypted on disk — the paper's
 observation is that whole-corpus file encryption costs far more than SGX
-itself on this workload.
+itself on this workload. No input models the TLS termination: its cost is
+priced inside each variant's calibrated service time.
 """
 
 from __future__ import annotations
@@ -47,14 +48,10 @@ class NginxServer(SimulatedServer):
     """Serves GET requests for files from a (possibly shielded) docroot."""
 
     def __init__(self, simulator: Simulator, variant: NginxVariant,
-                 tls_certificate: Optional[bytes] = None,
-                 tls_private_key: Optional[bytes] = None,
                  rng: Optional[DeterministicRandom] = None) -> None:
         super().__init__(simulator, "nginx", calibrated_service_seconds(
             calibration.NGINX_NATIVE_PEAK_RPS, _VARIANT_FRACTIONS[variant]))
         self.variant = variant
-        self.tls_certificate = tls_certificate
-        self.tls_private_key = tls_private_key
         self._rng = rng or DeterministicRandom(b"nginx")
         self.store = BlockStore("nginx-docroot")
         self.fs: Optional[ProtectedFileSystem] = None

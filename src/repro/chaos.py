@@ -18,9 +18,13 @@ can inject:
   window; a tag update retries through it;
 - **endpoint blackout** — the REST front-end goes dark; a client
   attests the instance over REST under a retry budget;
-- **replication fault** — the replication link dies for good; the
-  primary gives up with positive replication lag, crashes, and the
-  backup is promoted exposing *only* acknowledged updates.
+- **duplicated replication** — a ``duplicate_link`` window on the
+  primary→backup peer link delivers the acknowledged replication batch
+  twice; the backup's anti-replay window drops the copy, so the batch is
+  applied once;
+- **replication fault** — the peer link then dies for good; the primary
+  gives up with positive replication lag, crashes, and the backup is
+  promoted exposing *only* acknowledged updates.
 
 Everything probabilistic draws from one seeded
 :class:`~repro.crypto.primitives.DeterministicRandom`, all fault windows
@@ -34,7 +38,7 @@ from __future__ import annotations
 from typing import Any, Dict, Generator, List
 
 from repro.core.client import PalaemonClient
-from repro.core.failover import FailoverCoordinator
+from repro.core.failover import REPLICA_ROW, FailoverCoordinator
 from repro.core.federation import FederatedInstance
 from repro.core.policy import SecurityPolicy, ServiceSpec
 from repro.core.rest import PalaemonRestClient, PalaemonRestServer
@@ -109,14 +113,14 @@ def run_chaos(seed: int) -> Dict[str, Any]:
         secrets=[])
     primary.create_policy(app_policy, client.certificate)
 
-    # Federation over the fabric (new transport), fail-over over the
-    # fabric, and the REST front-end — the three recovery surfaces.
+    # The federation peer link (secret fetches and fail-over replication
+    # both ride it) and the REST front-end — the recovery surfaces.
     local = FederatedInstance(primary, Site.SAME_RACK, ca.root_public_key,
                               network=network, rng=rng.fork(b"fed-1"))
     remote = FederatedInstance(backup, Site.SAME_RACK, ca.root_public_key,
                                network=network, rng=rng.fork(b"fed-2"))
     simulator.run_process(local.peer_with(remote), name="peering")
-    coordinator = FailoverCoordinator(primary, backup, network=network,
+    coordinator = FailoverCoordinator(local, remote,
                                       rng=rng.fork(b"repl-retry"))
     rest_server = PalaemonRestServer(primary, network)
 
@@ -125,7 +129,10 @@ def run_chaos(seed: int) -> Dict[str, Any]:
                    start=0.0, end=2.5)
     plan.fail_disk("palaemon-db-disk", start=15.0, end=20.7)
     plan.blackout_endpoint("palaemon-1-rest", start=25.0, end=30.8)
-    plan.drop_link("palaemon-1-repl", "palaemon-2-repl", start=40.5)
+    plan.duplicate_link("fed-palaemon-1-to-palaemon-2", "fed-palaemon-2",
+                        probability=1.0, start=40.0, end=40.5)
+    plan.drop_link("fed-palaemon-1-to-palaemon-2", "fed-palaemon-2",
+                   start=40.5)
 
     platform3 = SGXPlatform(simulator, "palaemon-3-node",
                             rng.fork(b"platform-3"))
@@ -221,6 +228,10 @@ def run_chaos(seed: int) -> Dict[str, Any]:
             coordinator.replicate("chaos", "k1", "acked"),
             name="replicate-k1")
         yield advance_to(40.5)
+        summary["replication_duplicated"] = (
+            f"applied_sequence="
+            f"{backup.store.get(*REPLICA_ROW)['applied_sequence']} "
+            f"replayed_dropped={remote._server.records_dropped['replayed']}")
         try:
             yield simulator.process(
                 coordinator.replicate("chaos", "k2", "unacked"),

@@ -1,12 +1,12 @@
 """One operation-dispatch layer for every path into a PALAEMON instance.
 
 The CIF guarantees (§IV-B) must hold identically however a request
-arrives. Four transports reach a :class:`~repro.core.service.
-PalaemonService` — the REST/TLS front-end, federation's sealed
-request/reply fabric, failover replication, and the in-process
-:class:`~repro.core.client.PalaemonClient` — and each used to re-implement
-certificate extraction, serving checks, error mapping, and telemetry by
-hand. This module replaces those four hand-rolled paths with:
+arrives. Three transports reach a :class:`~repro.core.service.
+PalaemonService` — the REST/TLS front-end, the federation peer link
+(which carries both secret fetches and fail-over replication), and the
+in-process :class:`~repro.core.client.PalaemonClient` — and each used to
+re-implement certificate extraction, serving checks, error mapping, and
+telemetry by hand. This module replaces those hand-rolled paths with:
 
 - an :class:`OperationRegistry` — every operation is declared **once**
   with its route name, required request fields, auth requirement
@@ -28,8 +28,8 @@ Entry points, one per transport style:
 
 - :meth:`Dispatcher.handle` — synchronous request → structured reply
   dict (``{"ok": ...}`` or ``{"error", "kind", "code"}``); never raises.
-  Used by the REST server, federation and failover TLS servers, and the
-  in-process :class:`PalaemonClient`.
+  Used by the REST and federation TLS servers and the in-process
+  :class:`PalaemonClient`.
 - :meth:`Dispatcher.dispatch` — the same pipeline as a simulation
   process: admission may *queue* (virtual time passes) and operations
   with a timed handler pay their modelled latency. Used by the load
@@ -128,10 +128,8 @@ class DispatchContext:
 
     service: Any  #: the PalaemonService
     request: Dict[str, Any]
-    transport: str
     certificate: Any = None  #: authenticated client certificate, if any
-    peer: Optional[str] = None  #: attested peer name (federation/failover)
-    target: Any = None  #: transport-specific receiver (defaults to service)
+    peer: Optional[str] = None  #: attested peer name (federation)
 
 
 @dataclass
@@ -454,13 +452,11 @@ class AdmissionControl:
 class Dispatcher:
     """Runs the middleware pipeline for one PALAEMON instance."""
 
-    def __init__(self, service, registry: Optional[OperationRegistry] = None,
-                 admission: Optional[AdmissionControl] = None) -> None:
+    def __init__(self, service) -> None:
         self.service = service
-        self.registry = (registry if registry is not None
-                         else default_registry())
-        self.admission = admission or AdmissionControl(
-            service.simulator, service.telemetry)
+        self.registry = default_registry()
+        self.admission = AdmissionControl(service.simulator,
+                                          service.telemetry)
 
     @property
     def telemetry(self):
@@ -469,16 +465,15 @@ class Dispatcher:
     # -- transport entry points -----------------------------------------
 
     def handle(self, request: Any, *, transport: str,
-               certificate: Any = None, peer: Optional[str] = None,
-               target: Any = None) -> Dict[str, Any]:
+               certificate: Any = None,
+               peer: Optional[str] = None) -> Dict[str, Any]:
         """Synchronous request -> structured reply; never raises."""
         operation = None
         try:
             operation = self._resolve(request)
             self._count_request(operation.name, transport)
             value = self._run(operation, request, transport,
-                              certificate=certificate, peer=peer,
-                              target=target)
+                              certificate=certificate, peer=peer)
             return {"ok": value}
         except ReproError as exc:
             return self._error_reply(exc, operation, transport)
@@ -487,7 +482,6 @@ class Dispatcher:
 
     def dispatch(self, request: Any, *, transport: str = "inprocess",
                  certificate: Any = None, peer: Optional[str] = None,
-                 target: Any = None,
                  ) -> Generator[Event, Any, Dict[str, Any]]:
         """The pipeline as a simulation process (queueing, timed handlers)."""
         operation = None
@@ -496,7 +490,7 @@ class Dispatcher:
             self._count_request(operation.name, transport)
             value = yield from self._run_process(
                 operation, request, transport, certificate=certificate,
-                peer=peer, target=target)
+                peer=peer)
             return {"ok": value}
         except ReproError as exc:
             return self._error_reply(exc, operation, transport)
@@ -516,8 +510,7 @@ class Dispatcher:
         return operation
 
     def _admitted(self, operation: Operation, request: Dict[str, Any],
-                  transport: str, certificate: Any, peer: Optional[str],
-                  target: Any) -> DispatchContext:
+                  certificate: Any, peer: Optional[str]) -> DispatchContext:
         """Middleware prefix shared by both execution paths: serving
         check -> required fields -> auth. Admission follows (it differs
         between the instant and queued paths)."""
@@ -529,10 +522,8 @@ class Dispatcher:
             raise BadRequestError(
                 f"route {operation.name!r} missing required field(s): "
                 f"{', '.join(missing)}")
-        context = DispatchContext(
-            service=self.service, request=request, transport=transport,
-            certificate=certificate,
-            peer=peer, target=target if target is not None else self.service)
+        context = DispatchContext(service=self.service, request=request,
+                                  certificate=certificate, peer=peer)
         if (operation.auth == AUTH_CLIENT_CERTIFICATE
                 and context.certificate is None):
             raise CertificateRequiredError(
@@ -544,10 +535,9 @@ class Dispatcher:
         return context
 
     def _run(self, operation: Operation, request: Dict[str, Any],
-             transport: str, *, certificate: Any, peer: Optional[str],
-             target: Any) -> Any:
-        context = self._admitted(operation, request, transport, certificate,
-                                 peer, target)
+             transport: str, *, certificate: Any,
+             peer: Optional[str]) -> Any:
+        context = self._admitted(operation, request, certificate, peer)
         started = self.service.simulator.now
         self.admission.admit_instant(operation.name)
         try:
@@ -563,11 +553,10 @@ class Dispatcher:
 
     def _run_process(self, operation: Operation, request: Dict[str, Any],
                      transport: str, *, certificate: Any,
-                     peer: Optional[str], target: Any,
+                     peer: Optional[str],
                      ) -> Generator[Event, Any, Any]:
         simulator = self.service.simulator
-        context = self._admitted(operation, request, transport, certificate,
-                                 peer, target)
+        context = self._admitted(operation, request, certificate, peer)
         started = simulator.now
         yield from self.admission.admit(operation.name)
         try:

@@ -9,10 +9,13 @@ preserving the freshness guarantee:
 
 - the primary streams sequenced state updates to a backup instance on a
   different platform (each with its *own* monotonic counter — counters
-  never move between machines);
-- on primary failure, an operator *promotes* the backup, which replays to
-  the last acknowledged sequence number and starts serving under its own
-  counter;
+  never move between machines) over the CA-verified federation session
+  the two opened when they peered;
+- the backup applies them to its own sealed store, recording the applied
+  sequence and its designated primary in the same flush, and acks only
+  after that flush — so an ack is durable, and no other peer can write;
+- on primary failure, an operator *promotes* the backup, which starts
+  serving under its own counter with what its store already holds;
 - a fenced (crashed or demoted) primary can never serve again: its own
   counter protocol refuses, and peers drop its epoch.
 
@@ -23,7 +26,7 @@ promotion epoch increments so stale primaries are fenced.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Generator, List, Optional
 
 from repro.core.dispatch import (
@@ -32,18 +35,27 @@ from repro.core.dispatch import (
     DispatchContext,
     decode_reply,
 )
+from repro.core.federation import FederatedInstance
 from repro.core.service import PalaemonService
 from repro.crypto.primitives import DeterministicRandom
-from repro.errors import PolicyError, RetryExhaustedError, RollbackDetectedError
+from repro.errors import (
+    AccessDeniedError,
+    BadRequestError,
+    PolicyError,
+    RetryExhaustedError,
+    RollbackDetectedError,
+)
 from repro.sim.core import Event, Simulator
-from repro.sim.network import Network, Site
 from repro.sim.retry import RetryPolicy
-from repro.tls.channel import TLSConnection, TLSServer
 
 
 #: The replication link's retry budget: a 0.5 s deadline per attempt.
 REPLICATION_RETRY = RetryPolicy(max_attempts=4, base_delay=0.05,
                                 attempt_timeout=0.5)
+
+#: The backup's reserved row, ``{"primary": name, "applied_sequence": n}``:
+#: the peer it accepts batches from and the last update it applied.
+REPLICA_ROW = ("failover", "replica")
 
 
 @dataclass(frozen=True)
@@ -56,71 +68,53 @@ class StateUpdate:
     value: Any
 
 
-@dataclass
-class ReplicaState:
-    """The backup's view of the replication stream."""
-
-    applied_sequence: int = 0
-    updates: List[StateUpdate] = field(default_factory=list)
+def _refuse_replica_row(table: str, key: str) -> None:
+    if (table, key) == REPLICA_ROW:
+        raise BadRequestError(
+            f"{table}/{key} is the backup's replication row")
 
 
 class FailoverCoordinator:
-    """Manages a primary and one synchronous backup.
+    """Manages a primary and one synchronous backup, two peered
+    :class:`~repro.core.federation.FederatedInstance` s.
 
-    The primary connects from its ``{primary}-repl`` endpoint to a
-    :class:`~repro.tls.channel.TLSServer` on ``{backup}-repl``, and
-    updates travel as sealed TLS records on ``network`` — so a fault
-    window of an attached :class:`~repro.sim.faults.FaultPlan` genuinely
-    prevents the ack, while no update value is readable on the wire. The
-    backup serves only the session the coordinator opened for the primary.
-    :meth:`replicate` retries under :data:`REPLICATION_RETRY` and, on
-    giving up, leaves :meth:`replication_lag` > 0 — which
-    :meth:`promote_backup` honours by replaying only the updates the
-    backup actually acknowledged (bounded-freshness fail-over).
+    Updates travel as sealed requests on the primary's peer link, so a
+    fault window on that link genuinely prevents the ack while no update
+    value is readable on the wire. :meth:`replicate` retries under
+    :data:`REPLICATION_RETRY` and, on giving up, leaves
+    :meth:`replication_lag` > 0: the update never reached the backup's
+    store, so :meth:`promote_backup` cannot expose it.
     """
 
-    def __init__(self, primary: PalaemonService, backup: PalaemonService,
-                 network: Network,
+    def __init__(self, primary: FederatedInstance, backup: FederatedInstance,
                  rng: Optional[DeterministicRandom] = None) -> None:
-        if primary.platform is backup.platform:
+        if primary.service.platform is backup.service.platform:
             raise PolicyError(
                 "backup must run on a different platform (its own counter)")
-        self.primary = primary
-        self.backup = backup
+        if backup.name not in primary.peers():
+            raise PolicyError(
+                f"{primary.name!r} and {backup.name!r} are not peered")
+        self._federation = primary
+        self.primary = primary.service
+        self.backup = backup.service
         self.epoch = 1
-        self._sequence = 0
-        self._replica = ReplicaState()
-        self.active: PalaemonService = primary
+        self.active: PalaemonService = self.primary
         self.fenced: List[str] = []
         self._rng = rng or DeterministicRandom(b"failover-retry")
         #: Updates the primary committed locally but the backup has not
         #: acknowledged; resent in order on every attempt.
         self._pending: List[StateUpdate] = []
-        self._server = TLSServer(
-            network, network.endpoint(f"{backup.name}-repl", Site.SAME_DC),
-            lambda request, _session: backup.dispatcher.handle(
-                request, transport="failover", peer=primary.name,
-                target=self))
-        self._server.start()
-        self._connection = self.simulator.process(
-            self._connect(network),
-            name=f"repl-connect-{primary.name}")
+        store = self.backup.store
+        row = store.get(*REPLICA_ROW)
+        if row is None or row["primary"] != self.primary.name:
+            row = {"primary": self.primary.name, "applied_sequence": 0}
+            store.put(*REPLICA_ROW, row)
+            store.commit_instant()
+        self._sequence = row["applied_sequence"]
 
     @property
     def simulator(self) -> Simulator:
         return self.primary.simulator
-
-    def _connect(self, network: Network,
-                 ) -> Generator[Event, Any, TLSConnection]:
-        """The primary's TLS connection to the backup's server."""
-        connection = yield from TLSConnection.connect(
-            network, f"{self.primary.name}-repl", Site.SAME_DC,
-            self._server.endpoint, self._rng.fork(b"repl-tls"),
-            server_certificate=self.backup.certificate,
-            client_certificate=self.primary.certificate,
-            client_keys=self.primary.key_pair)
-        self._server.register_session(connection.session)
-        return connection
 
     # -- replication -------------------------------------------------------
 
@@ -130,11 +124,11 @@ class FailoverCoordinator:
 
         Returns the acknowledged sequence number. Costs one round trip to
         the backup — the price of the availability the paper defers (the
-        TLS connection itself is opened once, when the coordinator is
-        built).
+        TLS connection itself is opened once, when the instances peer).
         """
         if self.active is not self.primary:
             raise PolicyError("replicate() is only valid before promotion")
+        _refuse_replica_row(table, key)
         self._sequence += 1
         update = StateUpdate(sequence=self._sequence, table=table, key=key,
                              value=value)
@@ -145,7 +139,10 @@ class FailoverCoordinator:
             self.primary.store.commit_instant()
             self._pending.append(update)
             try:
-                ack = yield from self._replicate_pending()
+                ack = yield self.simulator.process(REPLICATION_RETRY.call(
+                    self.simulator, self._send_pending, self._rng,
+                    operation="failover.replicate", telemetry=telemetry),
+                    name="failover-replicate-retry")
             except RetryExhaustedError:
                 # Locally committed but unacknowledged: the lag gauge goes
                 # positive and promote_backup() will not expose this update.
@@ -160,26 +157,14 @@ class FailoverCoordinator:
                         self.replication_lag())
         return update.sequence
 
-    def _replicate_pending(self) -> Generator[Event, Any, int]:
-        """Send all unacked updates in one sealed request; its reply is
-        the backup's cumulative ack. Retried under
-        :data:`REPLICATION_RETRY`; a refusal from the backup is a verdict
-        and propagates."""
-        connection = yield self._connection
-
-        def attempt() -> Generator[Event, Any, int]:
-            reply = yield from connection.request(
-                {"route": "failover.replicate",
-                 "updates": list(self._pending)},
-                size_bytes=256 + 128 * len(self._pending))
-            return decode_reply(reply)["ack"]
-
-        ack = yield self.simulator.process(REPLICATION_RETRY.call(
-            self.simulator, attempt, self._rng,
-            operation="failover.replicate",
-            telemetry=self.primary.telemetry),
-            name="failover-replicate-retry")
-        return ack
+    def _send_pending(self) -> Generator[Event, Any, int]:
+        """One attempt: every unacked update in one sealed request on the
+        peer link; the reply is the backup's cumulative ack. A refusal
+        from the backup is a verdict, not retried."""
+        reply = yield from self._federation.link(self.backup.name).request(
+            {"route": "failover.replicate", "updates": list(self._pending)},
+            size_bytes=256 + 128 * len(self._pending))
+        return decode_reply(reply)["ack"]
 
     # -- fail-over -----------------------------------------------------------
 
@@ -193,14 +178,11 @@ class FailoverCoordinator:
                                      epoch=self.epoch)
 
     def promote_backup(self) -> Generator[Event, Any, PalaemonService]:
-        """Operator-driven promotion: replay, start, bump the epoch."""
+        """Operator-driven promotion: start the backup, bump the epoch."""
         if self.primary.running:
             raise PolicyError("cannot promote while the primary is serving")
         with self.backup.telemetry.span("failover.promote",
                                         backup=self.backup.name):
-            for update in self._replica.updates:
-                self.backup.store.put(update.table, update.key, update.value)
-            self.backup.store.commit_instant()
             if not self.backup.running:
                 yield self.simulator.process(self.backup.start())
             self.epoch += 1
@@ -208,8 +190,7 @@ class FailoverCoordinator:
         self.backup.telemetry.inc("palaemon_failover_promotions_total")
         self.backup.telemetry.audit(
             "failover.promote", backup=self.backup.name, epoch=self.epoch,
-            replayed=len(self._replica.updates),
-            applied_sequence=self._replica.applied_sequence)
+            applied_sequence=self._applied_sequence())
         return self.backup
 
     def verify_primary_fenced(self) -> bool:
@@ -227,19 +208,36 @@ class FailoverCoordinator:
 
         return self.simulator.run_process(probe(), name="fence-check")
 
+    def _applied_sequence(self) -> int:
+        return self.backup.store.get(*REPLICA_ROW)["applied_sequence"]
+
     def replication_lag(self) -> int:
         """Updates the primary has that the backup has not acknowledged."""
-        return self._sequence - self._replica.applied_sequence
+        return self._sequence - self._applied_sequence()
 
 
 @DEFAULT_REGISTRY.operation(
     "failover.replicate", fields=("updates",), auth=AUTH_PEER,
-    serving_required=False, transports=("failover",),
-    summary="apply a replication batch in order; reply a cumulative ack")
+    serving_required=False, transports=("federation",),
+    summary="apply a replication batch from the designated primary in "
+            "order; flush, then reply a cumulative ack")
 def _failover_replicate(ctx: DispatchContext) -> Any:
-    replica = ctx.target._replica
-    for update in ctx.request["updates"]:
-        if update.sequence == replica.applied_sequence + 1:
-            replica.updates.append(update)
-            replica.applied_sequence = update.sequence
-    return {"ack": replica.applied_sequence}
+    store = ctx.service.store
+    row = store.get(*REPLICA_ROW)
+    if row is None or row["primary"] != ctx.peer:
+        raise AccessDeniedError(
+            f"peer {ctx.peer!r} is not the designated primary of "
+            f"{ctx.service.name!r}")
+    updates = ctx.request["updates"]
+    for update in updates:
+        _refuse_replica_row(update.table, update.key)
+    applied = row["applied_sequence"]
+    for update in updates:
+        if update.sequence == applied + 1:
+            store.put(update.table, update.key, update.value)
+            applied = update.sequence
+    if applied != row["applied_sequence"]:
+        store.put(*REPLICA_ROW, {"primary": ctx.peer,
+                                 "applied_sequence": applied})
+        store.commit_instant()
+    return {"ack": applied}

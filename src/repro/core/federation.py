@@ -12,7 +12,9 @@ other KMSs (§VII). This module implements that federation layer:
   cross-policy imports;
 - all peer traffic rides TLS sessions (:mod:`repro.tls.channel`) over the
   simulated network, so a fetch's latency is the real round trip between
-  the two sites and its records are sealed under per-connection keys.
+  the two sites and its records are sealed under per-connection keys;
+- fail-over replication (:mod:`repro.core.failover`) rides the same
+  links: a peer link is the one attested channel between two instances.
 """
 
 from __future__ import annotations
@@ -46,12 +48,13 @@ class FederatedInstance:
     Every instance serves a :class:`~repro.tls.channel.TLSServer` on its
     ``fed-{name}`` endpoint. Peering opens one TLS connection per
     direction, each from its own ``fed-{name}-to-{peer}`` client endpoint
-    (a shared inbox would mix the sessions' replies). Fetches are sealed
-    request/reply records under those per-connection session keys, so
-    they can be dropped, duplicated, delayed, or blacked out by an
-    attached :class:`~repro.sim.faults.FaultPlan`, but never read or
-    forged by anyone on the wire (the paper's "all peer traffic is TLS",
-    checkable via the wire log).
+    (a shared inbox would mix the sessions' replies). Fetches and
+    fail-over replication batches are sealed request/reply records under
+    those per-connection session keys, so they can be dropped,
+    duplicated, delayed, or blacked out by an attached
+    :class:`~repro.sim.faults.FaultPlan`, but never read or forged by
+    anyone on the wire (the paper's "all peer traffic is TLS", checkable
+    via the wire log).
     """
 
     def __init__(self, service: PalaemonService, site: Site,
@@ -126,6 +129,14 @@ class FederatedInstance:
     def peers(self) -> List[str]:
         return sorted(self._links)
 
+    def link(self, peer_name: str) -> TLSConnection:
+        """The outbound connection to an attested peer; fetches and
+        fail-over replication both ride it."""
+        connection = self._links.get(peer_name)
+        if connection is None:
+            raise AttestationError(f"no attested link to {peer_name!r}")
+        return connection
+
     # -- remote secret retrieval ----------------------------------------------
 
     def fetch_remote_secrets(self, peer_name: str, policy_name: str,
@@ -140,9 +151,7 @@ class FederatedInstance:
         secrets (the Fig 12 flatness). A refusal re-raises the typed error
         the peer decided.
         """
-        connection = self._links.get(peer_name)
-        if connection is None:
-            raise AttestationError(f"no attested link to {peer_name!r}")
+        connection = self.link(peer_name)
         telemetry = self.service.telemetry
         with telemetry.span("federation.fetch", peer=peer_name,
                             policy=policy_name):
@@ -163,31 +172,7 @@ class FederatedInstance:
         caller is the peer whose attested session carried it."""
         return self.service.dispatcher.handle(
             request, transport="federation",
-            peer=self._peer_sessions.get(session.session_id), target=self)
-
-    def _serve_secret_request(self, policy_name: str, requesting_policy: str,
-                              secret_names: List[str]) -> Dict[str, bytes]:
-        policy = self.service.store.get("policies", policy_name)
-        if policy is None:
-            raise PolicyNotFoundError(
-                f"peer {self.name!r} has no policy {policy_name!r}")
-        secrets = self.service.store.get("secrets", policy_name)
-        result: Dict[str, bytes] = {}
-        for name in secret_names:
-            if not policy.exports_secret_to(name, requesting_policy):
-                self.service.telemetry.audit(
-                    "federation.serve", policy=policy_name,
-                    requesting_policy=requesting_policy, secret=name,
-                    result="denied")
-                raise AccessDeniedError(
-                    f"policy {policy_name!r} does not export {name!r} to "
-                    f"{requesting_policy!r}")
-            result[name] = secrets[name].value
-        self.service.telemetry.audit(
-            "federation.serve", policy=policy_name,
-            requesting_policy=requesting_policy, secrets=len(result),
-            result="served")
-        return result
+            peer=self._peer_sessions.get(session.session_id))
 
 
 @DEFAULT_REGISTRY.operation(
@@ -196,9 +181,30 @@ class FederatedInstance:
     audit=("federation.serve",),
     summary="serve a peer's exported-secret fetch (export-list enforced)")
 def _federation_fetch(ctx: DispatchContext) -> Dict[str, bytes]:
-    return ctx.target._serve_secret_request(
-        ctx.request["policy"], ctx.request["requesting_policy"],
-        ctx.request["secrets"])
+    service = ctx.service
+    policy_name = ctx.request["policy"]
+    requesting_policy = ctx.request["requesting_policy"]
+    policy = service.store.get("policies", policy_name)
+    if policy is None:
+        raise PolicyNotFoundError(
+            f"peer {service.name!r} has no policy {policy_name!r}")
+    secrets = service.store.get("secrets", policy_name)
+    result: Dict[str, bytes] = {}
+    for name in ctx.request["secrets"]:
+        if not policy.exports_secret_to(name, requesting_policy):
+            service.telemetry.audit(
+                "federation.serve", policy=policy_name,
+                requesting_policy=requesting_policy, secret=name,
+                result="denied")
+            raise AccessDeniedError(
+                f"policy {policy_name!r} does not export {name!r} to "
+                f"{requesting_policy!r}")
+        result[name] = secrets[name].value
+    service.telemetry.audit(
+        "federation.serve", policy=policy_name,
+        requesting_policy=requesting_policy, secrets=len(result),
+        result="served")
+    return result
 
 
 class Federation:

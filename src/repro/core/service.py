@@ -150,7 +150,7 @@ class PalaemonService:
                                             telemetry=self.telemetry)
         self.rollback_guard.ensure_counter()
 
-        #: Every transport (REST, federation, failover, in-process client)
+        #: Every transport (REST, the federation peer link, in-process client)
         #: reaches this instance through the same middleware pipeline
         #: (docs/API.md, repro.core.dispatch).
         self.dispatcher = Dispatcher(self)

@@ -131,18 +131,16 @@ class Endpoint:
 class Network:
     """The message fabric: computes delays and delivers to mailboxes.
 
-    ``bandwidth_bps`` models link serialization; ``jitter_fraction`` adds
-    multiplicative uniform jitter to propagation so that latency percentiles
-    are not degenerate.
+    Every link serializes at :data:`~repro.calibration.LINK_BYTES_PER_SECOND`;
+    ``jitter_fraction`` adds multiplicative uniform jitter to propagation so
+    that latency percentiles are not degenerate.
     """
 
     def __init__(self, simulator: Simulator,
                  rng: Optional[DeterministicRandom] = None,
-                 bandwidth_bps: float = 20e9 / 8,
                  jitter_fraction: float = 0.05) -> None:
         self.simulator = simulator
         self._rng = rng or DeterministicRandom(b"network")
-        self.bandwidth_bytes_per_second = bandwidth_bps
         self.jitter_fraction = jitter_fraction
         self._endpoints: Dict[str, Endpoint] = {}
         self.messages_delivered = 0
@@ -175,7 +173,7 @@ class Network:
     def one_way_delay(self, source: Site, destination: Site,
                       size_bytes: int) -> float:
         propagation = rtt_between(source, destination) / 2.0
-        serialization = size_bytes / self.bandwidth_bytes_per_second
+        serialization = size_bytes / calibration.LINK_BYTES_PER_SECOND
         if self.jitter_fraction == 0:
             return propagation + serialization
         jitter = propagation * self.jitter_fraction * self._rng.random()

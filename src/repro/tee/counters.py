@@ -36,17 +36,9 @@ class PlatformCounterService:
     away (see ``RollbackGuard.ensure_counter``).
     """
 
-    def __init__(self, simulator: Simulator,
-                 increment_interval: float = (
-                     calibration.SGX_COUNTER_INCREMENT_INTERVAL_SECONDS),
-                 sdk_overhead_seconds: float = 0.027,
-                 wear_limit: int = calibration.SGX_COUNTER_WEAR_LIMIT) -> None:
+    def __init__(self, simulator: Simulator) -> None:
         self.simulator = simulator
-        self.increment_interval = increment_interval
-        #: Platform-services SDK round trip (AESM IPC + quoting) per call;
-        #: pushes the end-to-end rate from the 20/s spec to the measured 13/s.
-        self.sdk_overhead_seconds = sdk_overhead_seconds
-        self.wear_limit = wear_limit
+        self.wear_limit = calibration.SGX_COUNTER_WEAR_LIMIT
         self._values: Dict[str, int] = {}
         self._writes: Dict[str, int] = {}
         self._next_allowed: Dict[str, float] = {}
@@ -95,8 +87,9 @@ class PlatformCounterService:
         # sustain 1/interval (20/s at the 50 ms spec); a caller arriving
         # mid-increment waits the ~75 ms worst case the paper describes.
         wait = max(0.0, self._next_allowed[counter_id] - self.simulator.now)
-        yield self.simulator.timeout(wait + self.increment_interval
-                                     + self.sdk_overhead_seconds)
+        yield self.simulator.timeout(
+            wait + calibration.SGX_COUNTER_INCREMENT_INTERVAL_SECONDS
+            + calibration.SGX_COUNTER_SDK_OVERHEAD_SECONDS)
         self._next_allowed[counter_id] = self.simulator.now
         self._values[counter_id] += 1
         self._writes[counter_id] += 1

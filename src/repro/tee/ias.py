@@ -64,12 +64,10 @@ class IntelAttestationService:
     """The IAS backend: knows genuine platforms, signs verdicts."""
 
     def __init__(self, simulator: Simulator, site: Site,
-                 rng: DeterministicRandom,
-                 verification_seconds: float = 0.150) -> None:
+                 rng: DeterministicRandom) -> None:
         self.simulator = simulator
         self.site = site
         self._keys = KeyPair.generate(rng)
-        self.verification_seconds = verification_seconds
         #: Registered genuine platforms: attestation pubkey -> microcode rev.
         self._genuine: Dict[PublicKey, int] = {}
         self._revoked: set = set()
@@ -130,5 +128,6 @@ class IntelAttestationService:
         verification time, and the response propagation.
         """
         round_trip = rtt_between(client_site, self.site)
-        yield self.simulator.timeout(round_trip + self.verification_seconds)
+        yield self.simulator.timeout(
+            round_trip + calibration.IAS_VERIFICATION_SECONDS)
         return self.verify_quote_local(quote)

@@ -29,16 +29,15 @@ class SGXPlatform:
     def __init__(self, simulator: Simulator, name: str,
                  rng: DeterministicRandom,
                  microcode: calibration.MicrocodeLevel = (
-                     calibration.MICROCODE_POST_FORESHADOW),
-                 epc_bytes: int = calibration.EPC_SIZE_DEFAULT,
-                 cpu_threads: int = calibration.CPU_HYPERTHREADS) -> None:
+                     calibration.MICROCODE_POST_FORESHADOW)) -> None:
         self.simulator = simulator
         self.name = name
         self.microcode = microcode
         self.platform_id = rng.fork(b"platform-id").bytes(16)
-        self.epc = EnclavePageCache(simulator, size_bytes=epc_bytes)
+        self.epc = EnclavePageCache(simulator,
+                                    size_bytes=calibration.EPC_SIZE_DEFAULT)
         self.loader = EnclaveLoader(simulator, self.epc)
-        self.cpu = CpuPool(simulator, threads=cpu_threads,
+        self.cpu = CpuPool(simulator, threads=calibration.CPU_HYPERTHREADS,
                            name=f"{name}-cpu")
         self.quoting_enclave = QuotingEnclave(
             self.platform_id, KeyPair.generate(rng.fork(b"attest-key")))

@@ -2,7 +2,7 @@
 across every transport, admission control, and the in-process invoker.
 
 The contract under test: however a request reaches a PALAEMON instance —
-REST, federation, failover, or in-process — it goes through the same
+REST, federation, or in-process — it goes through the same
 registry and middleware pipeline, so malformed requests get the same
 ``bad_request`` code, unknown operations the same ``unknown_route`` code,
 and overload the same ``overloaded`` code, and no serve loop ever
@@ -38,7 +38,7 @@ from repro.errors import (
 
 from tests.core.conftest import Deployment, make_networked_pair
 
-TRANSPORTS = ("rest", "federation", "failover", "inprocess")
+TRANSPORTS = ("rest", "federation", "inprocess")
 
 
 class TestRegistry:
@@ -117,7 +117,7 @@ class TestErrorCodeAudit:
 
 
 class TestUniformErrorsAcrossTransports:
-    """Satellite: same codes over REST, federation, failover, in-process."""
+    """Same codes over REST, federation and in-process."""
 
     def test_unknown_route_code_is_transport_independent(self):
         deployment = Deployment()
@@ -196,14 +196,14 @@ class TestUniformErrorsAcrossTransports:
         deployment = Deployment()
         dispatcher = deployment.palaemon.dispatcher
         dispatcher.handle({"route": "nope"}, transport="federation")
-        dispatcher.handle(b"junk", transport="failover")
+        dispatcher.handle(b"junk", transport="inprocess")
         metrics = deployment.palaemon.telemetry.metrics
         assert metrics.counter(
             "palaemon_dispatch_errors_total", route="unknown",
             transport="federation", code="unknown_route").value == 1
         assert metrics.counter(
             "palaemon_dispatch_errors_total", route="unknown",
-            transport="failover", code="bad_request").value == 1
+            transport="inprocess", code="bad_request").value == 1
 
 
 def sealed_exchange(deployment, local, remote, request):

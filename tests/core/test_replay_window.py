@@ -14,11 +14,12 @@ from repro.core.failover import FailoverCoordinator
 from repro.core.rest import PalaemonRestClient
 from repro.crypto.primitives import DeterministicRandom
 from repro.sim.faults import FaultPlan
-from repro.sim.network import Network, Site
+from repro.sim.network import Site
 from repro.tls.channel import REPLAY_WINDOW, _ServerSession
 
-from tests.core.conftest import Deployment, make_second_instance
+from tests.core.conftest import Deployment
 from tests.core.test_sealed_transports import (
+    peered_pair,
     replicate,
     rest_call,
     rest_stack,
@@ -132,17 +133,17 @@ def splice_into_another_session():
 
 def replay_replication_record():
     deployment = Deployment(seed=b"replay-window")
-    backup = make_second_instance(deployment, name="palaemon-backup")
-    network = Network(deployment.simulator, DeterministicRandom(b"repl-net"))
+    network, local, remote, backup = peered_pair(deployment)
     network.wire_log_enabled = True
-    coordinator = FailoverCoordinator(deployment.palaemon, backup, network)
+    coordinator = FailoverCoordinator(local, remote)
     replicate(deployment, coordinator, OLDER)
-    server = coordinator._server
+    server = remote._server
     captured = last_record_to(network, server.endpoint)
     replicate(deployment, coordinator, NEWER)
     served = server.requests_served
     replay(network, server.endpoint, captured)
     return {"handled": server.requests_served - served,
+            "stored": backup.store.get("tags", "app"),
             "dropped": dict(server.records_dropped)}
 
 
@@ -175,7 +176,7 @@ ATTACKS = [
      {"stored_tag": OLDER, "dropped": {"not_authentic": 1}}),
     ("replication-record-replayed",
      replay_replication_record,
-     {"handled": 0, "dropped": {"replayed": 1}}),
+     {"handled": 0, "stored": NEWER, "dropped": {"replayed": 1}}),
     ("duplicate-link-delivery",
      duplicated_delivery,
      {"handled": 1, "stored_tag": NEWER, "dropped": {"replayed": 1}}),

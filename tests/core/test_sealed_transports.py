@@ -1,8 +1,8 @@
 """One sealed channel for every transport.
 
-REST, federation and fail-over replication all ride
-``TLSConnection``/``TLSServer``, and every structured reply is decoded by
-``decode_reply``. The probes here are the attacks the hand-rolled
+REST and the federation peer link, which carries fail-over replication
+too, ride ``TLSConnection``/``TLSServer``, and every structured reply is
+decoded by ``decode_reply``. The probes here are the attacks the hand-rolled
 channels let through: an observer who knows the instances' public keys
 reading the wire, a request forged under a key derived from those public
 keys, one junk packet stopping a server, plaintext replication records,
@@ -110,8 +110,7 @@ class TestWireConfidentiality:
         network, local, remote, remote_service = peered_pair(deployment)
         network.wire_log_enabled = True
         seed_exported_secret(deployment, remote_service)
-        coordinator = FailoverCoordinator(deployment.palaemon,
-                                          remote_service, network)
+        coordinator = FailoverCoordinator(local, remote)
         assert fetch(deployment, local, remote) == {"API_KEY": CANARY}
         replicate(deployment, coordinator, CANARY)
 
@@ -127,12 +126,9 @@ class TestWireConfidentiality:
 
     def test_no_plaintext_state_update_on_the_wire(self):
         deployment = Deployment()
-        backup = make_second_instance(deployment, name="palaemon-backup")
-        network = Network(deployment.simulator,
-                          DeterministicRandom(b"repl-net"))
+        network, local, remote, _ = peered_pair(deployment)
         network.wire_log_enabled = True
-        coordinator = FailoverCoordinator(deployment.palaemon, backup,
-                                          network)
+        coordinator = FailoverCoordinator(local, remote)
         assert replicate(deployment, coordinator, CANARY) == 1
         assert coordinator.replication_lag() == 0
         assert network.wire_log

@@ -65,7 +65,7 @@ class TestDelivery:
 
         arrival = sim.run_process(main())
         expected = (calibration.RTT_SAME_RACK / 2
-                    + 25_000_000 / net.bandwidth_bytes_per_second)
+                    + 25_000_000 / calibration.LINK_BYTES_PER_SECOND)
         assert arrival == pytest.approx(expected)
 
     def test_request_reply(self):
@@ -193,5 +193,5 @@ class TestDelivery:
         delays = {net.one_way_delay(Site.SAME_RACK, Site.REGIONAL_300KM, 100)
                   for _ in range(50)}
         assert delays == {calibration.RTT_300_KM / 2
-                          + 100 / net.bandwidth_bytes_per_second}
+                          + 100 / calibration.LINK_BYTES_PER_SECOND}
         assert rng.bytes(16) == DeterministicRandom(b"net").bytes(16)

@@ -18,7 +18,7 @@ from repro.tee.counters import PlatformCounterService
 #: change in whether the run reproduces itself.
 SEED_7_REPORT = """\
 chaos recovery summary
-  audit_head: a45b0ceb43a05282fb7cff31c84bf2010c20636a36a714e9e7f729159e71ca37
+  audit_head: b306d592b0ea91995db9983b81b947ff9d00dcfdf4d50dd01684c5bbf97c37bb
   audit_records: 17
   counter_outage_error: CounterUnavailableError
   faults_injected:
@@ -26,12 +26,14 @@ chaos recovery summary
     counter_outage: 3
     disk_fault: 3
     drop: 6
+    duplicate: 2
   federation_fetch: recovered
   promoted: palaemon-2
   promoted_epoch: 2
   replayed_updates:
     k1: acked
     k2: None
+  replication_duplicated: applied_sequence=1 replayed_dropped=1
   replication_giveup: after-retries
   replication_lag: 1
   rest_attestation: recovered
@@ -98,6 +100,13 @@ class TestRecovery:
         assert summary["replication_lag"] == 1
         assert summary["promoted"] == "palaemon-2"
         assert summary["replayed_updates"] == {"k1": "acked", "k2": None}
+
+    def test_duplicated_replication_is_applied_once(self, summary):
+        # The window duplicates the k1 batch and its ack (one fault each
+        # way); the backup's anti-replay window drops the second batch.
+        assert summary["faults_injected"]["duplicate"] == 2
+        assert summary["replication_duplicated"] == (
+            "applied_sequence=1 replayed_dropped=1")
 
     def test_bounded_wall_clock(self, summary):
         # Every phase finishes under its retry budget: the whole run is

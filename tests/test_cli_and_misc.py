@@ -1,11 +1,17 @@
 """Tests for the CLI entry point, yamlish dumps edge cases, and remaining
 corners of the substrate not covered elsewhere."""
 
+import difflib
+from pathlib import Path
+
 import pytest
 
 from repro.__main__ import EXPERIMENTS, cmd_bench, cmd_list, main
 from repro.core import yamlish
 from repro.core.yamlish import YamlishError
+
+#: The seed-``observe`` output of ``python -m repro observe``.
+OBSERVE_GOLDEN = Path(__file__).parent / "observe_seed_observe.txt"
 
 
 class TestCli:
@@ -50,6 +56,18 @@ class TestCli:
                         if line.startswith("# TYPE ")}
         assert len(metric_names) >= 8
         assert "palaemon_attestations_total" in metric_names
+
+    def test_observe_output_is_pinned(self, capsys):
+        """``observe`` prints exactly the committed seed-``observe`` run:
+        any change to a metric, span count, audit record or the chain
+        head shows up here as a unified diff."""
+        assert main(["observe"]) == 0
+        output = capsys.readouterr().out
+        golden = OBSERVE_GOLDEN.read_text()
+        assert output == golden, "".join(difflib.unified_diff(
+            golden.splitlines(keepends=True),
+            output.splitlines(keepends=True),
+            fromfile=OBSERVE_GOLDEN.name, tofile="observe"))
 
     def test_observe_same_seed_same_output(self, capsys):
         assert main(["observe", "--seed", "repeatable"]) == 0

@@ -1,9 +1,12 @@
 """Tests for the extension features: federation and fail-over."""
 
+from dataclasses import is_dataclass
+
 import pytest
 
 from repro import calibration
-from repro.core.failover import FailoverCoordinator, StateUpdate
+from repro.core.dispatch import decode_reply
+from repro.core.failover import REPLICA_ROW, FailoverCoordinator, StateUpdate
 from repro.core.federation import FederatedInstance, Federation
 from repro.core.policy import SecurityPolicy, ServiceSpec
 from repro.core.secrets import SecretKind, SecretSpec
@@ -13,6 +16,7 @@ from repro.crypto.signatures import KeyPair
 from repro.errors import (
     AccessDeniedError,
     AttestationError,
+    BadRequestError,
     PolicyError,
     PolicyNotFoundError,
 )
@@ -177,30 +181,89 @@ class TestFederation:
         assert federation.locate_policy("nowhere") is None
 
 
+def peered_backup(deployment, network=None, name="palaemon-backup"):
+    """The deployment's instance and a backup on its own platform, peered
+    over the federation link that replication rides."""
+    network = network or make_network(deployment, b"repl-net")
+    root = deployment.ca.root_public_key
+    primary = FederatedInstance(deployment.palaemon, Site.SAME_DC, root,
+                                network)
+    backup = FederatedInstance(make_second_instance(deployment, name=name),
+                               Site.SAME_DC, root, network)
+    deployment.simulator.run_process(primary.peer_with(backup))
+    return primary, backup
+
+
+def run_replicate(deployment, coordinator, key, value):
+    def main():
+        sequence = yield deployment.simulator.process(
+            coordinator.replicate("tags", key, value))
+        return sequence
+
+    return deployment.simulator.run_process(main())
+
+
+def send_batch(deployment, sender, backup, updates):
+    """One ``failover.replicate`` request over ``sender``'s peer link."""
+    def main():
+        reply = yield from sender.link(backup.name).request(
+            {"route": "failover.replicate", "updates": updates})
+        return reply
+
+    return decode_reply(deployment.simulator.run_process(main()))
+
+
+def held_updates(coordinator):
+    """State updates the coordinator's own fields (not the instances')
+    still reference."""
+    pending = [value for name, value in vars(coordinator).items()
+               if name not in ("primary", "backup", "active", "_federation")]
+    held = 0
+    while pending:
+        value = pending.pop()
+        if isinstance(value, StateUpdate):
+            held += 1
+        elif isinstance(value, dict):
+            pending.extend(value.values())
+        elif isinstance(value, (list, tuple, set)):
+            pending.extend(value)
+        elif is_dataclass(value):
+            pending.extend(vars(value).values())
+    return held
+
+
 class TestFailover:
     def make_coordinator(self, deployment, network=None):
-        backup = make_second_instance(deployment, name="palaemon-backup")
-        return FailoverCoordinator(
-            deployment.palaemon, backup,
-            network or make_network(deployment, b"repl-net"))
+        return FailoverCoordinator(*peered_backup(deployment, network))
 
     def test_same_platform_backup_rejected(self, deployment):
+        network = make_network(deployment)
         twin = PalaemonService(deployment.platform, BlockStore("twin"),
                                DeterministicRandom(b"twin"), name="twin")
+        root = deployment.ca.root_public_key
         with pytest.raises(PolicyError, match="different platform"):
-            FailoverCoordinator(deployment.palaemon, twin,
-                                make_network(deployment))
+            FailoverCoordinator(
+                FederatedInstance(deployment.palaemon, Site.SAME_DC, root,
+                                  network),
+                FederatedInstance(twin, Site.SAME_DC, root, network))
+
+    def test_instances_that_are_not_peered_rejected(self, deployment):
+        network = make_network(deployment)
+        root = deployment.ca.root_public_key
+        primary = FederatedInstance(deployment.palaemon, Site.SAME_DC, root,
+                                    network)
+        backup = FederatedInstance(
+            make_second_instance(deployment, name="palaemon-backup"),
+            Site.SAME_DC, root, network)
+        with pytest.raises(PolicyError, match="not peered"):
+            FailoverCoordinator(primary, backup)
 
     def test_replication_flows(self, deployment):
         coordinator = self.make_coordinator(deployment)
-
-        def main():
-            sequence = yield deployment.simulator.process(
-                coordinator.replicate("tags", "app", b"\x01" * 32))
-            return sequence
-
-        assert deployment.simulator.run_process(main()) == 1
+        assert run_replicate(deployment, coordinator, "app",
+                             b"\x01" * 32) == 1
         assert coordinator.replication_lag() == 0
+        assert coordinator.backup.store.get("tags", "app") == b"\x01" * 32
 
     def test_promotion_exposes_replicated_state(self, deployment):
         coordinator = self.make_coordinator(deployment)
@@ -253,7 +316,7 @@ class TestFailover:
 
     def test_batch_from_unknown_sender_is_dropped(self, deployment):
         """A forged replication batch is neither applied nor acknowledged,
-        so a later promotion replays nothing."""
+        so a later promotion exposes nothing."""
         network = make_network(deployment, b"repl-net")
         coordinator = self.make_coordinator(deployment, network)
         backup = coordinator.backup
@@ -262,7 +325,7 @@ class TestFailover:
                              value=b"\x66" * 32)
 
         def run():
-            forger.send(network.endpoint(f"{backup.name}-repl", Site.SAME_DC),
+            forger.send(network.endpoint(f"fed-{backup.name}", Site.SAME_DC),
                         {"kind": "repl", "updates": [forged]},
                         size_bytes=256, reply_to=forger)
             yield deployment.simulator.timeout(1.0)
@@ -276,5 +339,91 @@ class TestFailover:
                       in backup.telemetry.audit_log.records
                       if record.kind == "failover.promote"]
         assert promotions == [{"backup": backup.name, "epoch": 2,
-                               "replayed": 0, "applied_sequence": 0}]
+                               "applied_sequence": 0}]
         assert backup.store.get("tags", "app") is None
+
+    def test_batch_from_a_third_peer_is_refused(self, deployment):
+        """Another attested peer shares the backup's federation server,
+        but only the designated primary's batches are applied."""
+        network = make_network(deployment, b"repl-net")
+        primary, backup = peered_backup(deployment, network)
+        coordinator = FailoverCoordinator(primary, backup)
+        third = FederatedInstance(
+            make_second_instance(deployment, name="palaemon-3"),
+            Site.SAME_DC, deployment.ca.root_public_key, network)
+        deployment.simulator.run_process(third.peer_with(backup))
+        forged = StateUpdate(sequence=1, table="tags", key="app",
+                             value=b"\x66" * 32)
+        with pytest.raises(AccessDeniedError, match="designated primary"):
+            send_batch(deployment, third, backup, [forged])
+        assert coordinator.backup.store.get("tags", "app") is None
+        assert coordinator.backup.store.get(*REPLICA_ROW) == {
+            "primary": coordinator.primary.name, "applied_sequence": 0}
+        assert coordinator.replication_lag() == 0
+
+    def test_update_aimed_at_the_replication_row_refused(self, deployment):
+        primary, backup = peered_backup(deployment)
+        coordinator = FailoverCoordinator(primary, backup)
+        row = {"primary": "palaemon-3", "applied_sequence": 0}
+        with pytest.raises(BadRequestError):
+            deployment.simulator.run_process(
+                coordinator.replicate(*REPLICA_ROW, row))
+        with pytest.raises(BadRequestError):
+            send_batch(deployment, primary, backup,
+                       [StateUpdate(1, "tags", "app", b"\x05" * 32),
+                        StateUpdate(2, *REPLICA_ROW, row)])
+        assert backup.service.store.get(*REPLICA_ROW) == {
+            "primary": primary.name, "applied_sequence": 0}
+        assert backup.service.store.get("tags", "app") is None
+
+    def test_backup_rebuilt_from_its_volume_keeps_acked_updates(
+            self, deployment):
+        network = make_network(deployment, b"repl-net")
+        primary, backup = peered_backup(deployment, network)
+        coordinator = FailoverCoordinator(primary, backup)
+        values = {f"app-{index}": bytes([index]) * 32 for index in range(3)}
+        for key, value in values.items():
+            run_replicate(deployment, coordinator, key, value)
+
+        old = backup.service
+        deployment.simulator.run_process(old.shutdown())
+        backup._server.stop()
+        rebuilt = PalaemonService(old.platform, old.store.store,
+                                  DeterministicRandom(b"rebuilt"),
+                                  name=old.name)
+        deployment.simulator.run_process(rebuilt.start())
+        rebuilt.obtain_certificate(deployment.ca)
+        for key, value in values.items():
+            assert rebuilt.store.get("tags", key) == value
+        assert rebuilt.store.get(*REPLICA_ROW) == {
+            "primary": primary.name, "applied_sequence": 3}
+
+        rebuilt_fed = FederatedInstance(rebuilt, Site.SAME_DC,
+                                        deployment.ca.root_public_key,
+                                        network)
+        deployment.simulator.run_process(primary.peer_with(rebuilt_fed))
+        coordinator = FailoverCoordinator(primary, rebuilt_fed)
+        assert coordinator.replication_lag() == 0
+        coordinator.primary_crashed()
+        promoted = deployment.simulator.run_process(
+            coordinator.promote_backup())
+        assert promoted is rebuilt
+        for key, value in values.items():
+            assert promoted.store.get("tags", key) == value
+        promotions = [record.details for record
+                      in rebuilt.telemetry.audit_log.records
+                      if record.kind == "failover.promote"]
+        assert promotions == [{"backup": rebuilt.name, "epoch": 2,
+                               "applied_sequence": 3}]
+
+    def test_coordinator_holds_no_per_update_record(self, deployment):
+        coordinator = self.make_coordinator(deployment)
+        for index in range(200):
+            run_replicate(deployment, coordinator, f"app-{index}",
+                          index.to_bytes(32, "big"))
+        assert held_updates(coordinator) == 0
+        assert coordinator.replication_lag() == 0
+        assert coordinator.backup.store.get(*REPLICA_ROW)[
+            "applied_sequence"] == 200
+        assert coordinator.backup.store.get("tags", "app-199") == (
+            (199).to_bytes(32, "big"))

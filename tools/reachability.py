@@ -76,7 +76,6 @@ KEEP = {
     "tee/ias.py:IntelAttestationService.verify_quote": reserved(2),
     "core/rest.py:PalaemonRestClient.close": reserved(3),
     "sim/faults.py:FaultPlan.fail_store": reserved(5),
-    "sim/faults.py:FaultPlan.duplicate_link": reserved(10),
     "sim/faults.py:FaultPlan.delay_link": reserved(10),
     "sim/network.py:Endpoint.reopen": reserved(10),
     "core/yamlish.py:dumps": ORACLE,

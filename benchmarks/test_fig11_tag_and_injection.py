@@ -12,7 +12,7 @@ does not matter.
 from repro import calibration
 from repro.benchlib.tables import PaperComparison, format_table, paper_vs_measured
 from repro.crypto.primitives import DeterministicRandom
-from repro.fs.injection import InjectedFileView
+from repro.fs.injection import InjectedFileView, inject_secrets
 from repro.sim.core import Simulator
 
 from tests.core.conftest import Deployment
@@ -52,8 +52,9 @@ def _measure_injection_overheads():
     template_10 = (b"".join(b"secret_%d = $$PALAEMON$S%d$$\n" % (i, i)
                             for i in range(10)) + b"x" * 4096)[:4096]
     secrets = {f"S{i}": b"v" * 16 for i in range(10)}
-    view_1 = InjectedFileView("/cfg1", template_1, secrets)
-    view_10 = InjectedFileView("/cfg10", template_10, secrets)
+    view_1 = InjectedFileView("/cfg1", inject_secrets(template_1, secrets))
+    view_10 = InjectedFileView("/cfg10", inject_secrets(template_10,
+                                                        secrets))
     for view in (view_1, view_10):
         assert b"$$PALAEMON$" not in view.read()
     in_memory = plain * calibration.INJECTED_FILE_READ_FACTOR

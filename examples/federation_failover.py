@@ -125,6 +125,7 @@ def main() -> None:
           f"(lag = {coordinator.replication_lag()}).")
 
     coordinator.primary_crashed()
+    local_fed.stop()  # the crashed primary's peer endpoint goes down too
     simulator.run_process(coordinator.promote_backup())
     print(f"Primary crashed; backup promoted (epoch {coordinator.epoch}); "
           f"replicated state intact: "

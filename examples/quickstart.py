@@ -29,24 +29,32 @@ from repro.tee.image import build_image
 from repro.tee.platform import SGXPlatform
 
 POLICY_YAML = """
+# $NAME placeholders are filled in from the measured image at load time;
+# $$PALAEMON$NAME$$ variables are filled in by PALAEMON inside the TEE.
 name: quickstart_policy
 services:
   - name: web_app
     image_name: web-app-image
-    command: app --listen=0.0.0.0:8443
+    command: [app, '--listen=0.0.0.0:8443']
     environment:
       DEPLOYMENT: production
       API_KEY: $$PALAEMON$API_KEY$$
-    mrenclaves: ["$APP_MRENCLAVE"]
+    mrenclaves:
+      - $APP_MRENCLAVE
     inject_files:
-      /etc/app/tls.conf: "private_key = $$PALAEMON$TLS_KEY$$\\n"
+      "/etc/app/tls.conf": "private_key = $$PALAEMON$TLS_KEY$$\\n"
+      '/etc/app/db.conf': "password = $$PALAEMON$DB_PASSWORD$$\\n"
 secrets:
   - name: API_KEY
     kind: random
     size: 32
+    export:  # no other policy may import it
   - name: TLS_KEY
     kind: x509
     common_name: app.example.com
+  - name: DB_PASSWORD  # chosen by the operator, not generated
+    kind: explicit
+    value: 'correct horse battery staple'
 """
 
 
@@ -101,6 +109,9 @@ def main() -> None:
     print(f"  /etc/app/tls.conf starts with {tls_conf[:24]!r} "
           f"({len(tls_conf)} bytes, secret injected in enclave memory)")
     assert b"$$PALAEMON$" not in tls_conf
+    db_conf = app.read_file("/etc/app/db.conf")
+    assert b"correct horse battery staple" in db_conf
+    print("  /etc/app/db.conf carries the operator-chosen DB_PASSWORD")
 
     # --- the shielded file system in action ------------------------------
     app.write_file("/data/records.db", b"row1,row2,row3")

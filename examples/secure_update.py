@@ -28,12 +28,7 @@ from repro.core.board import (
 )
 from repro.core.ca import PalaemonCA
 from repro.core.client import PalaemonClient
-from repro.core.policy import (
-    BoardSpec,
-    PolicyBoardMember,
-    SecurityPolicy,
-    ServiceSpec,
-)
+from repro.core.policy import SecurityPolicy, ServiceSpec, VolumeSpec
 from repro.core.service import PalaemonService, build_palaemon_image
 from repro.core.update import (
     CAUpdateCoordinator,
@@ -59,6 +54,34 @@ from repro.tee.ias import IntelAttestationService
 from repro.tee.image import build_image
 from repro.tee.platform import SGXPlatform
 
+#: The governed policy as its stakeholders write it. The board section
+#: names each member's certificate, which the deployment tooling resolves
+#: to the member's self-signed certificate; the MRENCLAVE is the measured
+#: v1 build, written in as hex.
+POLICY_YAML = """
+# Every change to this policy needs the board's approval.
+name: governed_service
+services:
+  - name: service
+    image_name: 'service-image'
+    mrenclaves: ["{v1}"]
+    platforms: []  # any platform PALAEMON has enrolled
+board:
+  threshold: 2  # f+1 with f=1
+  members:
+    - name: developer
+      certificate: developer
+      approval_endpoint: approval-developer
+    - name: auditor
+      certificate: auditor
+      approval_endpoint: approval-auditor
+      veto: false
+    - name: data-provider
+      certificate: data-provider
+      approval_endpoint: approval-data-provider
+      veto: true
+"""
+
 
 def main() -> None:
     rng = DeterministicRandom(b"secure-update")
@@ -70,10 +93,9 @@ def main() -> None:
 
     # --- the board: developer, auditor, data provider (veto) --------------
     approval_services = {}
-    members = []
+    certificates = {}
     decision_rules = {}
-    for name, veto in (("developer", False), ("auditor", False),
-                       ("data-provider", True)):
+    for name in ("developer", "auditor", "data-provider"):
         keys = KeyPair.generate(rng.fork(name.encode()), bits=512)
         endpoint = f"approval-{name}"
         if name == "auditor":
@@ -84,10 +106,7 @@ def main() -> None:
             service = ApprovalService(simulator, name, keys)
         approval_services[endpoint] = service
         decision_rules[name] = service
-        members.append(PolicyBoardMember(
-            name=name, certificate=self_signed_certificate(name, keys),
-            approval_endpoint=endpoint, veto=veto))
-    board = BoardSpec(members=tuple(members), threshold=2)  # f+1 with f=1
+        certificates[name] = self_signed_certificate(name, keys)
     evaluator = BoardEvaluator(simulator, approval_services)
     auditor = decision_rules["auditor"]
 
@@ -112,11 +131,10 @@ def main() -> None:
                                     now=simulator.now)
 
     v1 = build_image("service-image", seed=b"v1", version="1.0")
-    policy = SecurityPolicy(
-        name="governed_service",
-        services=[ServiceSpec(name="service", image_name="service-image",
-                              mrenclaves=[v1.mrenclave()])],
-        board=board)
+    policy = SecurityPolicy.from_yaml(
+        POLICY_YAML.format(v1=v1.mrenclave().hex()),
+        certificate_registry=certificates)
+    board = policy.board
     operator.create_policy(palaemon, policy)
     print("Policy created under a 3-member board (threshold 2, "
           "data provider holds veto).")
@@ -126,10 +144,15 @@ def main() -> None:
 
     # --- 1. legitimate update ---------------------------------------------
     # The data provider is offline, so v2 needs the auditor's vote; a
-    # stolen auditor key alone cannot cast it.
+    # stolen auditor key alone cannot cast it. v2 also brings an archiver
+    # service and a volume for its archive, each with fresh keys.
     v2 = build_image("service-image", seed=b"v2", version="2.0")
     updated = operator.read_policy(palaemon, "governed_service")
     prepare_application_update(updated, "service", v2.mrenclave())
+    updated.services.append(ServiceSpec(
+        name="archiver", image_name="service-image",
+        mrenclaves=[v2.mrenclave()]))
+    updated.volumes.append(VolumeSpec(name="archive", path="/archive"))
     approval_services["approval-data-provider"].online = False
     try:
         operator.update_policy(palaemon, updated)

@@ -36,9 +36,6 @@ class MemcachedServer(SimulatedServer):
         self.mode = mode
         self.capacity_items = capacity_items
         self._items: "OrderedDict[str, bytes]" = OrderedDict()
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
 
     # -- functional operations (no simulated time) -----------------------
 
@@ -48,15 +45,11 @@ class MemcachedServer(SimulatedServer):
         self._items[key] = value
         if len(self._items) > self.capacity_items:
             self._items.popitem(last=False)
-            self.evictions += 1
 
     def get(self, key: str) -> Optional[bytes]:
         value = self._items.get(key)
-        if value is None:
-            self.misses += 1
-            return None
-        self._items.move_to_end(key)
-        self.hits += 1
+        if value is not None:
+            self._items.move_to_end(key)
         return value
 
     # -- timed request handlers -----------------------------------------------

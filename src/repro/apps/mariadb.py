@@ -86,9 +86,8 @@ class MariaDBServer(SimulatedServer):
         return min(0.995, coverage ** 0.45)
 
     def epc_overcommit_fraction(self) -> float:
-        """Fraction of buffer-pool accesses that fault in HW mode."""
-        if self.mode is not ExecutionMode.HARDWARE:
-            return 0.0
+        """Fraction of buffer-pool accesses that overflow the usable EPC,
+        and so fault in HW mode."""
         if self.buffer_pool_mb <= _EPC_USABLE_MB:
             return 0.0
         return (self.buffer_pool_mb - _EPC_USABLE_MB) / self.buffer_pool_mb

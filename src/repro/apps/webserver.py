@@ -59,7 +59,6 @@ class NginxServer(SimulatedServer):
             self.fs = ProtectedFileSystem(
                 self.store, self._rng.fork(b"docroot-key").bytes(32),
                 self._rng.fork(b"docroot"))
-        self.requests_404 = 0
 
     def publish(self, path: str, content: bytes) -> None:
         """Install a file in the docroot (encrypted in shield variants)."""
@@ -78,9 +77,7 @@ class NginxServer(SimulatedServer):
             return None
 
     def handle_get(self, path: str) -> Generator[Event, Any, Optional[bytes]]:
-        """One GET: worker time + the (real) file lookup."""
+        """One GET: worker time + the (real) file lookup; ``None`` is a
+        404."""
         yield self.simulator.process(self.serve())
-        content = self.read_document(path)
-        if content is None:
-            self.requests_404 += 1
-        return content
+        return self.read_document(path)

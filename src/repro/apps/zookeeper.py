@@ -34,11 +34,8 @@ class _Node:
         self.zxid = 0  # last applied transaction id
         self.alive = True
 
-    def apply(self, zxid: int, path: str, value: Optional[bytes]) -> None:
-        if value is None:
-            self.data.pop(path, None)
-        else:
-            self.data[path] = value
+    def apply(self, zxid: int, path: str, value: bytes) -> None:
+        self.data[path] = value
         self.zxid = zxid
 
 
@@ -95,7 +92,7 @@ class ZooKeeperCluster:
         yield self.simulator.process(self._read_server.serve())
         return node.data.get(path)
 
-    def handle_write(self, path: str, value: Optional[bytes],
+    def handle_write(self, path: str, value: bytes,
                      ) -> Generator[Event, Any, int]:
         """A write: leader proposal, quorum ack, then commit everywhere."""
         alive = [node for node in self.nodes if node.alive]

@@ -28,8 +28,6 @@ def format_table(headers: Sequence[str], rows: Sequence[Sequence],
 
 def _render(cell) -> str:
     if isinstance(cell, float):
-        if cell == 0:
-            return "0"
         if abs(cell) >= 1000:
             return f"{cell:,.0f}"
         if abs(cell) >= 1:

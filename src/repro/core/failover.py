@@ -16,12 +16,14 @@ preserving the freshness guarantee:
   after that flush — so an ack is durable, and no other peer can write;
 - on primary failure, an operator *promotes* the backup, which starts
   serving under its own counter with what its store already holds;
-- a fenced (crashed or demoted) primary can never serve again: its own
-  counter protocol refuses, and peers drop its epoch.
+- a primary that crashed (:meth:`FailoverCoordinator.primary_crashed`)
+  cannot serve again: its own counter protocol refuses the restart.
 
 Freshness across fail-over is bounded by the replication acknowledgement:
-promotion only exposes state the backup had durably applied, and the
-promotion epoch increments so stale primaries are fenced.
+promotion only exposes state the backup had durably applied. The fence
+holds only after a crash. A primary stopped gracefully reconciles its
+counter, so it can restart beside a promoted backup; the promotion epoch
+lives in the coordinator's memory, and no peer drops replies by epoch.
 """
 
 from __future__ import annotations
@@ -194,7 +196,8 @@ class FailoverCoordinator:
         return self.backup
 
     def verify_primary_fenced(self) -> bool:
-        """The old primary can never serve again (crash-as-attack)."""
+        """Whether the old primary is fenced: it crashed, and its counter
+        protocol refuses its restart (crash-as-attack)."""
         if self.primary.name not in self.fenced:
             return False
 

@@ -66,8 +66,6 @@ class FederatedInstance:
         self.network = network
         #: Outbound connection to each attested peer, by peer name.
         self._links: Dict[str, TLSConnection] = {}
-        #: Inbound session id -> the attested peer that opened it.
-        self._peer_sessions: Dict[bytes, str] = {}
         self._rng = rng or DeterministicRandom(
             b"federation:" + service.name.encode())
         self._server = TLSServer(
@@ -83,6 +81,11 @@ class FederatedInstance:
     def name(self) -> str:
         return self.service.name
 
+    def stop(self) -> None:
+        """Stop serving peers; another instance may then serve the
+        ``fed-{name}`` endpoint."""
+        self._server.stop()
+
     # -- peering ---------------------------------------------------------
 
     def peer_with(self, other: "FederatedInstance",
@@ -90,7 +93,9 @@ class FederatedInstance:
         """Mutually attest and open a TLS connection in each direction.
 
         Both directions' handshakes run concurrently, so peering costs one
-        handshake latency.
+        handshake latency. A certificate whose subject is not its
+        instance's name is refused, since the subject names the peer on
+        every request the link carries.
         """
         pairs = ((self, other), (other, self))
         for side, counterpart in pairs:
@@ -98,6 +103,10 @@ class FederatedInstance:
                 counterpart.name, counterpart.service.certificate,
                 counterpart.service.public_key, side.ca_root,
                 self.simulator.now)
+            if counterpart.service.certificate.subject != counterpart.name:
+                raise AttestationError(
+                    f"instance {counterpart.name!r} presents a certificate "
+                    f"for {counterpart.service.certificate.subject!r}")
         connections = yield self.simulator.all_of([
             self.simulator.process(side._connect(counterpart),
                                    name=f"fed-peer-{side.name}")
@@ -123,7 +132,6 @@ class FederatedInstance:
             client_certificate=self.service.certificate,
             client_keys=self.service.key_pair)
         peer._server.register_session(connection.session)
-        peer._peer_sessions[connection.session.session_id] = self.name
         return connection
 
     def peers(self) -> List[str]:
@@ -169,10 +177,11 @@ class FederatedInstance:
 
     def _serve(self, request: Any, session: TLSSession) -> Dict[str, Any]:
         """Answer one peer request through the dispatch pipeline; the
-        caller is the peer whose attested session carried it."""
+        caller is the peer whose certificate :meth:`peer_with` verified
+        before the session was registered."""
         return self.service.dispatcher.handle(
             request, transport="federation",
-            peer=self._peer_sessions.get(session.session_id))
+            peer=session.client_certificate.subject)
 
 
 @DEFAULT_REGISTRY.operation(

@@ -315,8 +315,6 @@ class SecurityPolicy:
         certificates = certificate_registry or {}
 
         def resolve(value: str) -> bytes:
-            if isinstance(value, bytes):
-                return value
             if not isinstance(value, str):
                 raise PolicyValidationError(
                     f"measurement {value!r} is not a hex string (quote it)")

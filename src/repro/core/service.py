@@ -356,8 +356,6 @@ class PalaemonService:
         self.store.put("state", updated.name, state)
         self.store.put("fs_keys", updated.name, fs_keys)
         self.store.put("volume_keys", updated.name, volume_keys)
-        if self.store.get("volume_tags", updated.name) is None:
-            self.store.put("volume_tags", updated.name, {})
         self.store.put("policies", updated.name, updated)
         self.store.commit_instant()
 

@@ -17,7 +17,7 @@ Three update shapes, all governed by policy boards:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import FrozenSet, List, Optional, Set, Tuple
+from typing import FrozenSet, List, Set, Tuple
 
 from repro.core.board import AccessRequest, BoardEvaluator
 from repro.core.ca import PalaemonCA
@@ -76,38 +76,27 @@ def intersect_permitted(image_export: ImagePolicyExport,
 
 def apply_image_export(policy: SecurityPolicy,
                        image_export: ImagePolicyExport,
-                       app_allowed: Optional[Set[Tuple[bytes, bytes]]] = None,
+                       app_allowed: Set[Tuple[bytes, bytes]],
                        ) -> SecurityPolicy:
-    """Refresh a policy's permitted combinations from an image export.
-
-    With ``app_allowed`` given, the intersection rule applies; without it,
-    the application accepts whatever the image provider currently vouches
-    for (the simple import case).
-    """
-    if app_allowed is None:
-        permitted = sorted(image_export.combinations())
-    else:
-        permitted = intersect_permitted(image_export, app_allowed)
-    policy.permitted_combinations = permitted
+    """Refresh a policy's permitted combinations from an image export: the
+    combinations both the image provider and the application allow."""
+    policy.permitted_combinations = intersect_permitted(image_export,
+                                                        app_allowed)
     return policy
 
 
 def prepare_application_update(policy: SecurityPolicy, service_name: str,
-                               new_mrenclave: bytes,
-                               keep_old: bool = True) -> SecurityPolicy:
+                               new_mrenclave: bytes) -> SecurityPolicy:
     """Produce the updated policy document admitting a new application MRE.
 
-    ``keep_old`` keeps the previous MREs listed during a rolling upgrade;
-    dropping them retires the old version. The returned document still has
-    to pass the policy board via ``update_policy``.
+    The previous MREs stay listed during a rolling upgrade; removing one
+    from the service's ``mrenclaves`` retires that version. The returned
+    document still has to pass the policy board via ``update_policy``.
     """
     service = policy.service(service_name)
     if new_mrenclave in service.mrenclaves:
         raise UpdateError("the new MRENCLAVE is already permitted")
-    if keep_old:
-        service.mrenclaves = list(service.mrenclaves) + [new_mrenclave]
-    else:
-        service.mrenclaves = [new_mrenclave]
+    service.mrenclaves = list(service.mrenclaves) + [new_mrenclave]
     return policy
 
 

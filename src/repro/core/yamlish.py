@@ -159,7 +159,7 @@ def _parse_block(lines: List[Tuple[int, str, int]], index: int,
                  indent: int) -> Tuple[Any, int]:
     """Parse one block (mapping or sequence) at the given indent."""
     _indent, content, _number = lines[index]
-    if content.startswith("- ") or content == "-":
+    if content.startswith("- "):
         return _parse_sequence(lines, index, indent)
     return _parse_mapping(lines, index, indent)
 
@@ -173,19 +173,9 @@ def _parse_sequence(lines: List[Tuple[int, str, int]], index: int,
             break
         if item_indent > indent:
             raise YamlishError(f"unexpected indent at line {number}")
-        if not (content.startswith("- ") or content == "-"):
+        if not content.startswith("- "):
             break
-        rest = content[1:].strip()
-        if not rest:
-            # The item body is the nested block on following lines.
-            if index + 1 < len(lines) and lines[index + 1][0] > indent:
-                value, index = _parse_block(lines, index + 1,
-                                            lines[index + 1][0])
-                items.append(value)
-            else:
-                items.append(None)
-                index += 1
-            continue
+        rest = content[2:].strip()
         if _looks_like_mapping_entry(rest):
             # "- key: value" starts an inline mapping item; treat the rest
             # as the first entry of a mapping indented past the dash.
@@ -260,6 +250,11 @@ def _looks_like_mapping_entry(content: str) -> bool:
         return False
 
 
+#: Scalars that parse to a boolean or to ``None``, lowercased.
+_KEYWORDS = {"true": True, "yes": True, "false": False, "no": False,
+             "null": None, "~": None}
+
+
 def _parse_scalar(text: str, number: int) -> Any:
     if text.startswith("[") and text.endswith("]"):
         inner = text[1:-1].strip()
@@ -278,12 +273,8 @@ def _parse_scalar(text: str, number: int) -> Any:
     if text.startswith("'") and text.endswith("'") and len(text) >= 2:
         return text[1:-1]
     lowered = text.lower()
-    if lowered in ("true", "yes"):
-        return True
-    if lowered in ("false", "no"):
-        return False
-    if lowered in ("null", "~"):
-        return None
+    if lowered in _KEYWORDS:
+        return _KEYWORDS[lowered]
     try:
         return int(text)
     except ValueError:

@@ -47,7 +47,8 @@ class MerkleTree:
     """A Merkle tree over a mutable mapping of name -> content hash.
 
     Internally keeps the full pyramid of hash levels (``_levels[0]`` is the
-    sorted leaf hashes, ``_levels[-1]`` is ``[root]``) so that ``root()`` is
+    sorted leaf hashes, ``_levels[-1]`` is ``[root]``, and an empty tree
+    is ``[[]]``) so that ``root()`` is
     O(1) on a clean tree and a leaf update is O(log n). The cache is built
     lazily: bulk loads (``from_snapshot``) stay O(n log n) total because the
     pyramid is only materialized on the first ``root()``/``prove()``.
@@ -73,10 +74,6 @@ class MerkleTree:
         if self._levels is None:
             return
         leaf = _leaf_hash(name, content_hash)
-        if not self._levels:  # built-but-empty pyramid: seed it directly
-            self._order = [name]
-            self._levels = [[leaf]]
-            return
         index = bisect_left(self._order, name)
         if existed:
             self._levels[0][index] = leaf
@@ -95,24 +92,21 @@ class MerkleTree:
         index = bisect_left(self._order, name)
         del self._order[index]
         del self._levels[0][index]
-        if not self._order:
-            self._levels = []
-            return
         self._recompute_from(index)
 
     def root(self) -> bytes:
         """The current root hash ("tag"). Empty trees have a fixed root."""
         levels = self._ensure_levels()
-        if not levels:
+        if not levels[0]:
             return _EMPTY_ROOT
         return levels[-1][0]
 
     def _ensure_levels(self) -> List[List[bytes]]:
         if self._levels is None:
             self._order = sorted(self._leaves)
-            leaf_level = [_leaf_hash(name, self._leaves[name])
-                          for name in self._order]
-            self._levels = _compute_levels(leaf_level)
+            self._levels = [[_leaf_hash(name, self._leaves[name])
+                             for name in self._order]]
+            self._recompute_from(0)
         return self._levels
 
     def _recompute_from(self, index: int) -> None:
@@ -120,7 +114,8 @@ class MerkleTree:
 
         Leaves before ``index`` are untouched, so each parent level only
         needs recomputing from ``index // 2`` onward; the suffix walk also
-        absorbs level-length changes after an insert or remove.
+        absorbs level-length changes after an insert or remove. From
+        ``index`` 0 it builds the whole pyramid (see ``_ensure_levels``).
         """
         levels = self._levels
         assert levels is not None
@@ -132,10 +127,8 @@ class MerkleTree:
             if depth + 1 == len(levels):
                 levels.append([b""] * parent_length)
             parent = levels[depth + 1]
-            if len(parent) > parent_length:
-                del parent[parent_length:]
-            elif len(parent) < parent_length:
-                parent.extend([b""] * (parent_length - len(parent)))
+            del parent[parent_length:]
+            parent.extend([b""] * (parent_length - len(parent)))
             for i in range(index, parent_length):
                 left = child[2 * i]
                 if 2 * i + 1 < len(child):
@@ -171,29 +164,6 @@ class MerkleTree:
         for name, content_hash in leaves:
             tree.set_leaf_hash(name, content_hash)
         return tree
-
-
-def _compute_levels(leaf_level: List[bytes]) -> List[List[bytes]]:
-    """Build the full level pyramid bottom-up from a list of leaf hashes.
-
-    Shared by ``root()`` and ``prove()`` (via ``_ensure_levels``): returns
-    ``[]`` for an empty tree, otherwise ``levels[0]`` is ``leaf_level`` and
-    ``levels[-1]`` is the single-element root level.
-    """
-    if not leaf_level:
-        return []
-    levels = [leaf_level]
-    while len(levels[-1]) > 1:
-        level = levels[-1]
-        paired = []
-        for i in range(0, len(level), 2):
-            if i + 1 < len(level):
-                paired.append(_node_hash(level[i], level[i + 1]))
-            else:
-                # Odd node is promoted; safe with domain separation.
-                paired.append(level[i])
-        levels.append(paired)
-    return levels
 
 
 class MerkleProof:

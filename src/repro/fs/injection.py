@@ -49,7 +49,8 @@ DEFAULT_MEMORY_LIMIT = 1 * 1024 * 1024
 
 
 class InjectedFileView:
-    """An in-enclave-memory view of a config file with secrets injected.
+    """An in-enclave-memory view of a config file whose secrets are
+    already injected (see :func:`inject_secrets`).
 
     Reads are served from memory (no decryption, no syscall), which is why
     injected files read *faster* than even plain files in Fig 11 (right).
@@ -57,15 +58,10 @@ class InjectedFileView:
     one is provided — still CIF-protected, just no longer memory-resident.
     """
 
-    def __init__(self, path: str, template: bytes,
-                 secrets: Dict[str, bytes],
+    def __init__(self, path: str, content: bytes,
                  memory_limit: int = DEFAULT_MEMORY_LIMIT,
                  spill_fs=None) -> None:
         self.path = path
-        self.template = template
-        self.memory_limit = memory_limit
-        self.reads = 0
-        content = inject_secrets(template, secrets)
         self.spilled = (len(content) > memory_limit
                         and spill_fs is not None)
         self._spill_fs = spill_fs
@@ -76,7 +72,6 @@ class InjectedFileView:
             self.content = content
 
     def read(self) -> bytes:
-        self.reads += 1
         if self.spilled:
             return self._spill_fs.read(self.path)
         return self.content

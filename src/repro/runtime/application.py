@@ -44,13 +44,8 @@ class RunningApplication:
             # Secrets were already substituted by PALAEMON; the view only
             # decides residency (enclave memory vs spill to the shielded
             # FS for oversized files, SSIV-A).
-            view = InjectedFileView(path, b"", {}, spill_fs=self.fs)
-            if len(content) > view.memory_limit:
-                view.spilled = True
-                self.fs.write(path, content)
-            else:
-                view.content = content
-            self.injected_files[path] = view
+            self.injected_files[path] = InjectedFileView(path, content,
+                                                         spill_fs=self.fs)
 
     def _push_tag(self, tag: bytes) -> None:
         self.palaemon.update_tag_instant(self.policy_name, self.service_name,

@@ -31,7 +31,7 @@ plan's seed, and all windows are in virtual time, so the same seed and
 the same event order produce the same faults — byte-identical recovery
 summaries across runs (``tests/test_chaos_recovery.py`` asserts exactly
 this). Every injected fault is counted in :attr:`FaultPlan.injected`
-and, when a telemetry domain is attached, in the
+and in the plan's telemetry domain, as the
 ``palaemon_faults_injected_total`` metric by ``kind``.
 """
 
@@ -74,15 +74,10 @@ class LinkFault:
 class FaultPlan:
     """A seeded, declarative schedule of faults for one simulation run."""
 
-    def __init__(self, simulator: Simulator, seed: bytes = b"fault-plan",
-                 telemetry=None) -> None:
+    def __init__(self, simulator: Simulator, telemetry,
+                 seed: bytes = b"fault-plan") -> None:
         self.simulator = simulator
         self._rng = DeterministicRandom(b"fault-plan:" + seed)
-        if telemetry is None:
-            # Imported lazily: repro.obs imports repro.sim.metrics, so a
-            # module-level import here would be circular.
-            from repro.obs.telemetry import NULL_TELEMETRY
-            telemetry = NULL_TELEMETRY
         self.telemetry = telemetry
         self._link_faults: List[LinkFault] = []
         #: Windowed faults by (kind, component name); see :meth:`injects`.

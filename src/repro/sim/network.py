@@ -21,7 +21,7 @@ from repro.sim.core import Event, Simulator
 from repro.sim.resources import Store
 
 if TYPE_CHECKING:
-    from repro.tls.channel import TLSConnection
+    from repro.tls.channel import TLSConnection, TLSServer
 
 
 class Site(enum.Enum):
@@ -95,6 +95,9 @@ class Endpoint:
         #: The live TLS connection sending from this endpoint, if any; see
         #: :meth:`repro.tls.channel.TLSConnection.connect`.
         self.connection: Optional["TLSConnection"] = None
+        #: The running TLS server serving this endpoint, if any; see
+        #: :meth:`repro.tls.channel.TLSServer.start`.
+        self.server: Optional["TLSServer"] = None
 
     def send(self, destination: "Endpoint", payload: Any,
              size_bytes: int = 256,

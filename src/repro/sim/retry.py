@@ -8,8 +8,8 @@ fallible simulation process into a bounded-recovery process.
 
 Callers compose it where the fault is expected —
 ``RetryPolicy(...).call(simulator, lambda: op(...), rng.fork(...),
-operation=...)`` — rather than through ``*_with_retry`` twins or
-``retry_policy`` knobs (palint rule ``SRC109``).
+telemetry=..., operation=...)`` — rather than through ``*_with_retry``
+twins or ``retry_policy`` knobs (palint rule ``SRC109``).
 
 Design points:
 
@@ -93,9 +93,8 @@ class RetryPolicy:
 
     def call(self, simulator: Simulator,
              attempt_factory: Callable[[], Generator[Event, Any, Any]],
-             rng: DeterministicRandom, *,
+             rng: DeterministicRandom, *, telemetry,
              operation: str = "operation",
-             telemetry=None,
              ) -> Generator[Event, Any, Any]:
         """Run ``attempt_factory()`` as a process until one attempt wins.
 
@@ -104,11 +103,6 @@ class RetryPolicy:
         Raises :class:`RetryExhaustedError` (chaining the last failure)
         when the budget runs out.
         """
-        if telemetry is None:
-            # Imported lazily: repro.obs imports repro.sim.metrics, so a
-            # module-level import here would be circular.
-            from repro.obs.telemetry import NULL_TELEMETRY
-            telemetry = NULL_TELEMETRY
         last_error: Optional[BaseException] = None
         for attempt in range(self.max_attempts):
             if attempt:

@@ -135,11 +135,18 @@ class TLSConnection:
         """Handshake and build a connection; a simulation process.
 
         The connection sends from the endpoint ``client_name``; a live
-        connection already on it is closed once the handshake succeeds.
-        A ``client_certificate`` needs the ``client_keys`` behind it (see
+        connection already on it is closed once the handshake succeeds,
+        and its session id is mixed into the new handshake's randomness,
+        so a reconnect with the same ``rng`` cannot repeat the session
+        whose close record the server is about to receive. A
+        ``client_certificate`` needs the ``client_keys`` behind it (see
         :func:`~repro.tls.handshake.perform_handshake`)."""
+        client_endpoint = network.endpoint(client_name, client_site)
+        label = b"handshake:" + client_name.encode()
+        if client_endpoint.connection is not None:
+            label += client_endpoint.connection.session.session_id
         session = yield network.simulator.process(perform_handshake(
-            network.simulator, rng.fork(b"handshake:" + client_name.encode()),
+            network.simulator, rng.fork(label),
             client_site, server_endpoint.site,
             server_certificate=server_certificate,
             trusted_root=trusted_root,
@@ -147,7 +154,6 @@ class TLSConnection:
             telemetry=telemetry,
             client_keys=client_keys,
         ))
-        client_endpoint = network.endpoint(client_name, client_site)
         if client_endpoint.connection is not None:
             client_endpoint.connection.close()
         connection = cls(network, client_endpoint, server_endpoint, session,
@@ -329,15 +335,26 @@ class TLSServer:
             self._sessions.popitem(last=False)
 
     def start(self) -> None:
-        """Begin serving (spawns the accept loop as a process)."""
+        """Begin serving (spawns the accept loop as a process).
+
+        An endpoint has at most one running server: starting a second one
+        on it raises :class:`NetworkError` until the first one stops.
+        """
         if self._running:
             return
+        if self.endpoint.server is not None:
+            raise NetworkError(
+                f"endpoint {self.endpoint.name!r} already has a running "
+                f"server")
+        self.endpoint.server = self
         self._running = True
         self.network.simulator.process(self._serve_loop(),
                                        name=f"tls-server-{self.endpoint.name}")
 
     def stop(self) -> None:
         self._running = False
+        if self.endpoint.server is self:
+            self.endpoint.server = None
         self.endpoint.close()
 
     def _serve_loop(self) -> Generator[Event, Any, None]:

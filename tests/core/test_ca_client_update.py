@@ -149,8 +149,9 @@ class TestApplicationUpdate:
         new_image = build_image("ml-engine", seed=b"v2", version="2.0")
         policy = deployment.client.read_policy(deployment.palaemon,
                                                "ml_policy")
-        prepare_application_update(policy, "ml_app", new_image.mrenclave(),
-                                   keep_old=False)
+        prepare_application_update(policy, "ml_app", new_image.mrenclave())
+        policy.service("ml_app").mrenclaves.remove(  # retire the old build
+            deployment.app_image.mrenclave())
         deployment.client.update_policy(deployment.palaemon, policy)
         from repro.errors import MrenclaveNotPermittedError
 
@@ -227,11 +228,11 @@ class TestImagePolicyIntersection:
             (r2.mrenclave, r2.fs_tag), (r3.mrenclave, r3.fs_tag)})
         assert policy.permitted_combinations == [(r2.mrenclave, r2.fs_tag)]
 
-    def test_apply_without_app_allowed_takes_every_release(self):
+    def test_apply_when_the_app_allows_every_release(self):
         r1, r2 = self.release("1.0", b"1"), self.release("1.1", b"2")
         export = ImagePolicyExport("python-curated", [r1, r2])
         policy = Deployment().make_policy()
-        apply_image_export(policy, export)
+        apply_image_export(policy, export, export.combinations())
         assert policy.permitted_combinations == sorted(
             [(r1.mrenclave, r1.fs_tag), (r2.mrenclave, r2.fs_tag)])
 
@@ -269,7 +270,7 @@ class TestImagePolicyIntersection:
         export = ImagePolicyExport("ml-engine", [other])
         policy = deployment.client.read_policy(deployment.palaemon,
                                                "ml_policy")
-        apply_image_export(policy, export)
+        apply_image_export(policy, export, export.combinations())
         deployment.client.update_policy(deployment.palaemon, policy)
         with pytest.raises(AttestationError, match="combination"):
             deployment.palaemon.attest_application(

@@ -13,6 +13,7 @@ from repro.core.client import PalaemonClient
 from repro.core.failover import FailoverCoordinator
 from repro.core.rest import PalaemonRestClient
 from repro.crypto.primitives import DeterministicRandom
+from repro.obs.telemetry import NULL_TELEMETRY
 from repro.sim.faults import FaultPlan
 from repro.sim.network import Site
 from repro.tls.channel import REPLAY_WINDOW, _ServerSession
@@ -150,7 +151,7 @@ def replay_replication_record():
 def duplicated_delivery():
     stack = Stack()
     served = stack.tls_server.requests_served
-    FaultPlan(stack.deployment.simulator).duplicate_link(
+    FaultPlan(stack.deployment.simulator, NULL_TELEMETRY).duplicate_link(
         stack.client.connection.client_endpoint.name,
         stack.server.endpoint.name, probability=1.0).attach(stack.network)
     stack.push_tag(NEWER)

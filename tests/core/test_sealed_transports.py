@@ -29,6 +29,7 @@ from repro.errors import (
     RetryExhaustedError,
     SimulationError,
 )
+from repro.obs.telemetry import NULL_TELEMETRY
 from repro.sim.faults import FaultPlan
 from repro.sim.network import Network, Site
 from repro.tls.handshake import handshake_latency
@@ -270,7 +271,7 @@ class TestUnretriedFetchUnderPartition:
         network, local, remote, remote_service = peered_pair(deployment)
         seed_exported_secret(deployment, remote_service)
         now = deployment.simulator.now
-        FaultPlan(deployment.simulator).drop_link(
+        FaultPlan(deployment.simulator, NULL_TELEMETRY).drop_link(
             f"fed-{local.name}-to-{remote.name}", f"fed-{remote.name}",
             start=now, end=now + 2.5).attach(network)
         with pytest.raises(SimulationError, match="did not finish"):

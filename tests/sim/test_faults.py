@@ -12,6 +12,7 @@ from repro.errors import (
     StorageFaultError,
 )
 from repro.fs.blockstore import BlockStore
+from repro.obs.telemetry import NULL_TELEMETRY
 from repro.sim.core import ProcessInterrupt, Simulator
 from repro.sim.faults import FaultPlan, LinkFault, Window
 from repro.sim.network import Network, Site
@@ -45,7 +46,8 @@ class TestLinkFault:
 class TestFaultPlanQueries:
     def test_drop_window(self):
         sim = Simulator()
-        plan = FaultPlan(sim).drop_link("a", "b", start=0.0, end=2.0)
+        plan = FaultPlan(sim, NULL_TELEMETRY).drop_link("a", "b", start=0.0,
+                                                        end=2.0)
         assert plan.message_fate("a", "b") == ("drop", 0.0)
         sim.run(until=3.0)
         assert plan.message_fate("a", "b") == ("deliver", 0.0)
@@ -53,7 +55,8 @@ class TestFaultPlanQueries:
 
     def test_blackout_beats_link_state(self):
         sim = Simulator()
-        plan = FaultPlan(sim).blackout_endpoint("a", start=0.0, end=1.0)
+        plan = FaultPlan(sim, NULL_TELEMETRY).blackout_endpoint(
+            "a", start=0.0, end=1.0)
         assert plan.message_fate("a", "b") == ("drop", 0.0)
         assert plan.message_fate("c", "a") == ("drop", 0.0)
         assert plan.message_fate("b", "c") == ("deliver", 0.0)
@@ -61,14 +64,14 @@ class TestFaultPlanQueries:
 
     def test_delay_accumulates(self):
         sim = Simulator()
-        plan = (FaultPlan(sim)
+        plan = (FaultPlan(sim, NULL_TELEMETRY)
                 .delay_link("a", "b", 0.5)
                 .delay_link("a", "b", 0.25))
         assert plan.message_fate("a", "b") == ("deliver", 0.75)
 
     def test_probabilistic_drop_is_seed_deterministic(self):
         def fates(seed):
-            plan = FaultPlan(Simulator(), seed=seed)
+            plan = FaultPlan(Simulator(), NULL_TELEMETRY, seed=seed)
             plan.drop_link("a", "b", probability=0.5)
             return [plan.message_fate("a", "b")[0] for _ in range(64)]
 
@@ -78,7 +81,7 @@ class TestFaultPlanQueries:
 
     def test_counter_and_disk_windows(self):
         sim = Simulator()
-        plan = (FaultPlan(sim)
+        plan = (FaultPlan(sim, NULL_TELEMETRY)
                 .counter_outage("ctr", start=0.0, end=1.0)
                 .fail_disk("disk", start=0.0, end=1.0))
         assert plan.injects("counter_outage", "ctr")
@@ -92,14 +95,16 @@ class TestFaultPlanQueries:
 
     def test_fail_store_rejects_unknown_operation(self):
         with pytest.raises(ValueError):
-            FaultPlan(Simulator()).fail_store("s", operation="chmod")
+            FaultPlan(Simulator(), NULL_TELEMETRY).fail_store(
+                "s", operation="chmod")
 
 
 class TestAttachment:
     def test_disk_commit_fails_during_window(self):
         sim = Simulator()
         disk = DiskModel(sim, 0.01, name="d")
-        plan = FaultPlan(sim).fail_disk("d", end=1.0).attach(disk)
+        plan = FaultPlan(sim, NULL_TELEMETRY).fail_disk(
+            "d", end=1.0).attach(disk)
 
         def attempt():
             yield sim.process(disk.commit())
@@ -113,7 +118,8 @@ class TestAttachment:
     def test_blockstore_hook(self):
         sim = Simulator()
         store = BlockStore("vol")
-        plan = FaultPlan(sim).fail_store("vol", "write", end=1.0)
+        plan = FaultPlan(sim, NULL_TELEMETRY).fail_store("vol", "write",
+                                                         end=1.0)
         plan.attach(store)
         tamper(store, "/f", b"old")
         with pytest.raises(StorageFaultError):
@@ -127,7 +133,8 @@ class TestAttachment:
     def test_network_drop_then_heal(self):
         sim = Simulator()
         network = Network(sim, DeterministicRandom(b"net"))
-        FaultPlan(sim).drop_link("a", "b", end=1.0).attach(network)
+        FaultPlan(sim, NULL_TELEMETRY).drop_link(
+            "a", "b", end=1.0).attach(network)
         a = network.endpoint("a", Site.SAME_RACK)
         b = network.endpoint("b", Site.SAME_RACK)
 
@@ -252,7 +259,8 @@ class TestRetryPolicy:
         policy = RetryPolicy(max_attempts=5, base_delay=0.1,
                              jitter_fraction=0.0)
         result = sim.run_process(policy.call(
-            sim, attempt, DeterministicRandom(b"r"), operation="op"))
+            sim, attempt, DeterministicRandom(b"r"), operation="op",
+            telemetry=NULL_TELEMETRY))
         assert result == "ok"
         assert len(calls) == 3
         assert calls[1] == pytest.approx(0.1)   # base_delay
@@ -269,7 +277,8 @@ class TestRetryPolicy:
                              jitter_fraction=0.0)
         with pytest.raises(RetryExhaustedError) as info:
             sim.run_process(policy.call(
-                sim, attempt, DeterministicRandom(b"r"), operation="op"))
+                sim, attempt, DeterministicRandom(b"r"), operation="op",
+                telemetry=NULL_TELEMETRY))
         assert info.value.attempts == 3
         assert isinstance(info.value.last_error, StorageFaultError)
 
@@ -285,7 +294,8 @@ class TestRetryPolicy:
         policy = RetryPolicy(max_attempts=5, base_delay=0.01)
         with pytest.raises(AccessDeniedError):
             sim.run_process(policy.call(
-                sim, attempt, DeterministicRandom(b"r"), operation="op"))
+                sim, attempt, DeterministicRandom(b"r"), operation="op",
+                telemetry=NULL_TELEMETRY))
         assert calls == [1]  # a security verdict propagates immediately
 
     def test_attempt_timeout_turns_hang_into_retry(self):
@@ -302,7 +312,7 @@ class TestRetryPolicy:
                              jitter_fraction=0.0, attempt_timeout=0.5)
         assert sim.run_process(policy.call(
             sim, attempt, DeterministicRandom(b"r"),
-            operation="op")) == "ok"
+            operation="op", telemetry=NULL_TELEMETRY)) == "ok"
         assert len(calls) == 2
         assert calls[1] == pytest.approx(0.6)  # deadline + backoff, not 100s
 
@@ -320,7 +330,8 @@ class TestRetryPolicy:
         assert policy.attempt_timeout is None
         with pytest.raises(RetryExhaustedError) as info:
             sim.run_process(policy.call(
-                sim, attempt, DeterministicRandom(b"r"), operation="op"))
+                sim, attempt, DeterministicRandom(b"r"), operation="op",
+                telemetry=NULL_TELEMETRY))
         assert calls == [0.0]
         assert info.value.attempts == 1
         assert DeadlineExceededError in DEFAULT_RETRYABLE

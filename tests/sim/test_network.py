@@ -5,6 +5,7 @@ import pytest
 from repro import calibration
 from repro.crypto.primitives import DeterministicRandom
 from repro.errors import NetworkError
+from repro.obs.telemetry import NULL_TELEMETRY
 from repro.sim.core import Simulator
 from repro.sim.faults import FaultPlan
 from repro.sim.network import Network, Site, rtt_between
@@ -132,7 +133,7 @@ class TestDelivery:
         sim, net = self.make_net()
         a = net.endpoint("a")
         b = net.endpoint("b")
-        plan = FaultPlan(sim).drop_link("a", "b").attach(net)
+        plan = FaultPlan(sim, NULL_TELEMETRY).drop_link("a", "b").attach(net)
 
         def main():
             a.send(b, "lost")
@@ -148,7 +149,8 @@ class TestDelivery:
         sim, net = self.make_net()
         a = net.endpoint("a")
         b = net.endpoint("b")
-        FaultPlan(sim).drop_link("a", "b", end=1.0).attach(net)
+        FaultPlan(sim, NULL_TELEMETRY).drop_link("a", "b",
+                                                 end=1.0).attach(net)
 
         def main():
             a.send(b, "lost")

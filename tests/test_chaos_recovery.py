@@ -8,6 +8,7 @@ from repro.core.store import PolicyStore
 from repro.crypto.primitives import DeterministicRandom
 from repro.errors import CounterUnavailableError
 from repro.fs.blockstore import BlockStore
+from repro.obs.telemetry import NULL_TELEMETRY
 from repro.sim.core import Simulator
 from repro.sim.faults import FaultPlan
 from repro.tee.counters import PlatformCounterService
@@ -127,8 +128,8 @@ class TestCounterOutageUnit:
     def test_outage_propagates_from_ensure_counter(self):
         sim = Simulator()
         counters = PlatformCounterService(sim)
-        FaultPlan(sim).counter_outage(counters.fault_name,
-                                      end=1.0).attach(counters)
+        FaultPlan(sim, NULL_TELEMETRY).counter_outage(
+            counters.fault_name, end=1.0).attach(counters)
         guard = self.make_guard(sim, counters)
         with pytest.raises(CounterUnavailableError):
             guard.ensure_counter()

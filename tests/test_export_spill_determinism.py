@@ -13,7 +13,11 @@ from repro.benchlib.harness import rate_sweep
 from repro.benchlib.tables import PaperComparison
 from repro.crypto.primitives import DeterministicRandom
 from repro.fs.blockstore import BlockStore
-from repro.fs.injection import DEFAULT_MEMORY_LIMIT, InjectedFileView
+from repro.fs.injection import (
+    DEFAULT_MEMORY_LIMIT,
+    InjectedFileView,
+    inject_secrets,
+)
 from repro.fs.shield import ProtectedFileSystem
 from repro.sim.resources import Resource
 
@@ -73,16 +77,18 @@ class TestInjectedFileSpill:
                                    rng.fork(b"fs"))
 
     def test_small_files_stay_in_memory(self):
-        view = InjectedFileView("/cfg", b"k=$$PALAEMON$S$$", {"S": b"v"},
-                                spill_fs=self.make_fs())
+        view = InjectedFileView(
+            "/cfg", inject_secrets(b"k=$$PALAEMON$S$$", {"S": b"v"}),
+            spill_fs=self.make_fs())
         assert not view.spilled
         assert view.read() == b"k=v"
 
     def test_large_files_spill_to_shielded_fs(self):
         fs = self.make_fs()
         big_template = b"k=$$PALAEMON$S$$" + b"#" * (DEFAULT_MEMORY_LIMIT + 10)
-        view = InjectedFileView("/big.cfg", big_template, {"S": b"v"},
-                                spill_fs=fs)
+        view = InjectedFileView(
+            "/big.cfg", inject_secrets(big_template, {"S": b"v"}),
+            spill_fs=fs)
         assert view.spilled
         assert view.content == b""  # not memory-resident
         assert view.read().startswith(b"k=v")
@@ -92,18 +98,20 @@ class TestInjectedFileSpill:
         fs = self.make_fs()
         secret = b"spilled-secret-material-xyz"
         template = (b"key=$$PALAEMON$S$$" + b"#" * DEFAULT_MEMORY_LIMIT)
-        InjectedFileView("/big.cfg", template, {"S": secret}, spill_fs=fs)
+        InjectedFileView("/big.cfg", inject_secrets(template, {"S": secret}),
+                         spill_fs=fs)
         assert fs.store.scan_for(secret) == []
 
     def test_no_spill_fs_keeps_memory_resident(self):
         template = b"k=$$PALAEMON$S$$" + b"#" * (DEFAULT_MEMORY_LIMIT + 10)
-        view = InjectedFileView("/big.cfg", template, {"S": b"v"})
+        view = InjectedFileView("/big.cfg",
+                                inject_secrets(template, {"S": b"v"}))
         assert not view.spilled
         assert view.read().startswith(b"k=v")
 
     def test_custom_limit(self):
         fs = self.make_fs()
-        view = InjectedFileView("/c", b"0123456789", {}, memory_limit=4,
+        view = InjectedFileView("/c", b"0123456789", memory_limit=4,
                                 spill_fs=fs)
         assert view.spilled
 

@@ -11,12 +11,13 @@ from repro.core.federation import FederatedInstance, Federation
 from repro.core.policy import SecurityPolicy, ServiceSpec
 from repro.core.secrets import SecretKind, SecretSpec
 from repro.core.service import PalaemonService
-from repro.crypto.primitives import DeterministicRandom
+from repro.crypto.primitives import DeterministicRandom, sha256
 from repro.crypto.signatures import KeyPair
 from repro.errors import (
     AccessDeniedError,
     AttestationError,
     BadRequestError,
+    NetworkError,
     PolicyError,
     PolicyNotFoundError,
 )
@@ -179,6 +180,63 @@ class TestFederation:
         self.seed_remote_policy(deployment, second.service)
         assert federation.locate_policy("producer_policy") == second.name
         assert federation.locate_policy("nowhere") is None
+
+    def test_second_instance_on_one_endpoint_refused(self, deployment):
+        """A second instance for one service would start a second serve
+        loop on ``fed-{name}``; it is refused until the first stops."""
+        local, remote, remote_service = self.make_pair(deployment)
+        with pytest.raises(NetworkError, match="already has a running"):
+            FederatedInstance(remote_service, remote.site,
+                              deployment.ca.root_public_key, local.network)
+        remote.stop()
+        restarted = FederatedInstance(remote_service, remote.site,
+                                      deployment.ca.root_public_key,
+                                      local.network)
+        deployment.simulator.run_process(local.peer_with(restarted))
+        self.seed_remote_policy(deployment, remote_service)
+        secrets = deployment.simulator.run_process(
+            local.fetch_remote_secrets(remote.name, "producer_policy",
+                                       "consumer_policy", ["SHARED_KEY"]))
+        assert list(secrets) == ["SHARED_KEY"]
+
+    def test_repeering_leaves_no_per_peering_state(self, deployment):
+        """Each re-peering closes the connection it replaces, so neither
+        server keeps a session per peering, and peers stay named by their
+        certificates."""
+        local, remote, remote_service = self.make_pair(deployment)
+        sim = deployment.simulator
+        for _ in range(3):
+            sim.run_process(local.peer_with(remote))
+        sim.run(until=sim.now + 1.0)  # the close records arrive
+        for instance, peer in ((local, remote), (remote, local)):
+            assert instance.peers() == [peer.name]
+            assert len(instance._server._sessions) == 1
+            containers = [value for value in vars(instance).values()
+                          if isinstance(value, (dict, list, set))]
+            assert containers and all(len(value) == 1
+                                      for value in containers)
+        self.seed_remote_policy(deployment, remote_service)
+        secrets = sim.run_process(local.fetch_remote_secrets(
+            remote.name, "producer_policy", "consumer_policy",
+            ["SHARED_KEY"]))
+        assert list(secrets) == ["SHARED_KEY"]
+
+    def test_certificate_for_another_name_refused(self, deployment):
+        """The certificate subject names the peer on every request, so a
+        certificate issued for another name cannot peer."""
+        network = make_network(deployment)
+        local = FederatedInstance(deployment.palaemon, Site.SAME_RACK,
+                                  deployment.ca.root_public_key, network)
+        impostor = make_second_instance(deployment, name="palaemon-x")
+        quote = impostor.platform.quoting_enclave.quote(
+            impostor.enclave, sha256(impostor.public_key.to_bytes()))
+        impostor.certificate = deployment.ca.issue_instance_certificate(
+            quote, impostor.public_key, subject=deployment.palaemon.name)
+        other = FederatedInstance(impostor, Site.SAME_DC,
+                                  deployment.ca.root_public_key, network)
+        with pytest.raises(AttestationError, match="certificate for"):
+            deployment.simulator.run_process(local.peer_with(other))
+        assert local.peers() == [] and other.peers() == []
 
 
 def peered_backup(deployment, network=None, name="palaemon-backup"):
@@ -387,7 +445,7 @@ class TestFailover:
 
         old = backup.service
         deployment.simulator.run_process(old.shutdown())
-        backup._server.stop()
+        backup.stop()
         rebuilt = PalaemonService(old.platform, old.store.store,
                                   DeterministicRandom(b"rebuilt"),
                                   name=old.name)

@@ -180,8 +180,9 @@ class TestChallenge4RollbackProtection:
         new_image = build_image("ml-engine", seed=b"patched")
         policy = deployment.client.read_policy(deployment.palaemon,
                                                "ml_policy")
-        prepare_application_update(policy, "ml_app", new_image.mrenclave(),
-                                   keep_old=False)
+        prepare_application_update(policy, "ml_app", new_image.mrenclave())
+        policy.service("ml_app").mrenclaves.remove(  # retire the old build
+            deployment.app_image.mrenclave())
         deployment.client.update_policy(deployment.palaemon, policy)
         with pytest.raises(MrenclaveNotPermittedError):
             runtime.launch(deployment.app_image, "ml_policy", "ml_app")

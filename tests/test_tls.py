@@ -7,6 +7,7 @@ from repro.crypto.certificates import CertificateAuthority
 from repro.crypto.primitives import DeterministicRandom
 from repro.crypto.signatures import KeyPair
 from repro.errors import CertificateError
+from repro.obs.telemetry import NULL_TELEMETRY
 from repro.sim.core import Simulator
 from repro.sim.faults import FaultPlan
 from repro.sim.network import Network, Site
@@ -181,8 +182,8 @@ class TestConnection:
         to the next request."""
         sim = Simulator()
         net = Network(sim, rng.fork(b"net"))
-        plan = FaultPlan(sim).duplicate_link("server", "client",
-                                             probability=1.0)
+        plan = FaultPlan(sim, NULL_TELEMETRY).duplicate_link(
+            "server", "client", probability=1.0)
         plan.attach(net)
         server = self.make_server(
             sim, net, lambda request, _session: {"echo": request})

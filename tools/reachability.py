@@ -1,24 +1,38 @@
 #!/usr/bin/env python3
-"""Which functions of ``src/repro`` only the tests run.
+"""Which lines of ``src/repro`` only the tests run.
 
-Runs every entry point that is not a unit test under ``sys.setprofile``:
-the paper-figure benchmarks (``pytest benchmarks --benchmark-disable``),
-every example, the ``observe``, ``chaos``, ``lint``, ``list`` and
-``examples`` commands, and a short run of each perfbench workload. Each
-run is a child process of this script. A function none of them calls is
-unreached. Run from the root of a checkout:
+Runs every entry point that is not a unit test under one ``sys.settrace``
+line tracer: the paper-figure benchmarks (``pytest benchmarks
+--benchmark-disable``), every example, the ``observe``, ``chaos``,
+``lint``, ``list`` and ``examples`` commands, and a short run of each
+perfbench workload. Each run is a child process of this script. It
+records the ``call`` of every ``src/repro`` code object and the lines
+each one runs; the tracer returns ``None`` for every other frame, and
+for a code object once all of its lines have run. Run from the root of a
+checkout:
 
     python3 tools/reachability.py
 
-It prints the number of functions under ``src/repro``, the number that
-no run reached with their body lines, how many of those :data:`KEEP`
-explains and how many it does not, and the unreached list with each
-function's reason. Body lines count from the line after ``def`` to the
-end of the function; a function nested in an unreached one adds no lines
-of its own. It exits 1 when an unreached function has no reason: such a
-function either gains a caller on a measured path or leaves ``src/``.
+A function no run calls is unreached. In a function that runs, the
+statements no run executes group by the AST into blocks: the function
+body, an if/elif/else arm, a loop body, a try/except/else/finally body,
+a ``with`` body or a match case. An *error path* needs no reason: an
+``except`` body, or a block whose last unexecuted statement is a
+``raise``. Every other block, and every unreached function, needs a
+reason in :data:`KEEP`. A function is keyed ``file:qualified name``
+relative to ``src/repro``; a block is keyed ``file:qualified name:`` and
+the text of the first line of its first unexecuted statement, so an edit
+elsewhere in the file leaves the key unchanged. A key explains every
+block of the function that it matches.
 
-``--benchmark-disable`` matters: pytest-benchmark suspends profilers
+It prints the counts (functions, unreached functions with their body
+lines, unexecuted blocks split into error paths and other blocks, and
+how many of the unreached functions and other blocks :data:`KEEP`
+explains) and then each unreached function and each block with its
+reason. It exits 1 when one has no reason: such code either gains a
+caller on a measured path or leaves ``src/``.
+
+``--benchmark-disable`` matters: pytest-benchmark suspends tracers
 while it times a benchmark, so without it the modules the figures run
 look unreached.
 
@@ -31,6 +45,7 @@ from __future__ import annotations
 
 import argparse
 import ast
+import dis
 import json
 import os
 import runpy
@@ -38,8 +53,9 @@ import subprocess
 import sys
 import tempfile
 import threading
+from collections import defaultdict
 from pathlib import Path
-from typing import List, Set, Tuple
+from typing import Dict, List, Set, Tuple
 
 ROOT = Path(__file__).resolve().parents[1]
 SOURCE = ROOT / "src" / "repro"
@@ -47,24 +63,24 @@ WORKLOADS = ("startup", "tag-churn", "governance")
 #: Seconds each perfbench workload runs.
 PERFBENCH_SECONDS = 3.0
 
-#: The reasons an unreached function may stay in ``src/``, besides
+#: The reasons unreached code may stay in ``src/``, besides
 #: :func:`reserved`.
 PERFBENCH = "perfbench wraps it by name"
 ORACLE = "test oracle"
-UNCLEAN = ("error builder, security refusal or document generator "
+UNCLEAN = ("refusal, bound, failure handling or document generator "
            "that a clean run never triggers")
 REASONS = (PERFBENCH, ORACLE, UNCLEAN)
 
 
 def reserved(item: int) -> str:
-    """The reason of a function that an open ROADMAP item will use."""
+    """The reason of code that an open ROADMAP item will use."""
     return f"open ROADMAP item {item} reserves it"
 
 
-#: Why each function no run reaches stays, keyed ``file:qualified name``
-#: relative to ``src/repro``. perfbench's ``HostTracer.install`` reads the
-#: functions it wraps out of ``owner.__dict__``, so they must exist even
-#: when no workload calls them.
+#: Why each unreached function or unexecuted block stays. perfbench's
+#: ``HostTracer.install`` reads the functions it wraps out of
+#: ``owner.__dict__``, so they must exist even when no workload calls
+#: them.
 KEEP = {
     "crypto/merkle.py:MerkleTree.set_leaf": PERFBENCH,
     "crypto/merkle.py:MerkleTree.remove_leaf": PERFBENCH,
@@ -102,6 +118,141 @@ KEEP = {
     "tee/platform.py:SGXPlatform.set_microcode": UNCLEAN,
     "tls/channel.py:TLSConnection._closed_error": UNCLEAN,
     "tls/channel.py:TLSConnection._hand_off": UNCLEAN,
+    # Blocks of functions that run.
+    ("__main__.py:cmd_observe:"
+     'print("observe: --seed must be non-empty", file=sys.stderr)'): UNCLEAN,
+    "__main__.py:main:return cmd_bench(args.ids)": UNCLEAN,
+    "analysis/cli.py:_run_lint:for code in sorted(RULES):": UNCLEAN,
+    ("analysis/cli.py:_run_lint:"
+     'print(f"lint: no such path: {path}", file=sys.stderr)'): UNCLEAN,
+    "analysis/report.py:_summary_line:counts = []": UNCLEAN,
+    ("analysis/report.py:render_text:"
+     "tag = _SEVERITY_TAGS[finding.severity]"): UNCLEAN,
+    "analysis/source_rules.py:_catches_exception:return False": UNCLEAN,
+    "analysis/source_rules.py:_check_code_value:return": UNCLEAN,
+    "analysis/source_rules.py:_check_code_value:yield Finding(": UNCLEAN,
+    ("analysis/source_rules.py:_check_service_class.closure:"
+     "return False"): UNCLEAN,
+    "analysis/source_rules.py:_check_service_class:yield Finding(": UNCLEAN,
+    "analysis/source_rules.py:check_bare_except:yield Finding(": UNCLEAN,
+    "analysis/source_rules.py:check_broad_except:yield Finding(": UNCLEAN,
+    ("analysis/source_rules.py:check_raw_endpoint_traffic:"
+     'call = ".receive()"'): UNCLEAN,
+    ("analysis/source_rules.py:check_raw_endpoint_traffic:"
+     'call = ".send(...)"'): UNCLEAN,
+    ("analysis/source_rules.py:check_raw_endpoint_traffic:"
+     "yield Finding("): UNCLEAN,
+    ("analysis/source_rules.py:check_retry_wrappers:"
+     'what = f"defines {node.name}()"'): UNCLEAN,
+    ("analysis/source_rules.py:check_retry_wrappers:"
+     'what = f"{node.name}() takes a retry_policy parameter"'): UNCLEAN,
+    "analysis/source_rules.py:check_retry_wrappers:yield Finding(": UNCLEAN,
+    ("analysis/source_rules.py:check_service_table_touch:"
+     "owner = call.func.value"): UNCLEAN,
+    ("analysis/source_rules.py:check_transport_bypasses_dispatcher:"
+     "yield Finding("): UNCLEAN,
+    ("analysis/source_rules.py:check_wall_clock:"
+     'names = ", ".join(alias.name for alias in node.names)'): UNCLEAN,
+    ("analysis/source_rules.py:check_wall_clock:"
+     "yield _wall_clock_finding("): UNCLEAN,
+    ("analysis/source_rules.py:check_whole_document_flush:"
+     "yield Finding("): UNCLEAN,
+    ("apps/kvstore.py:MemcachedServer.set:"
+     "self._items.popitem(last=False)"): UNCLEAN,
+    "apps/mariadb.py:MariaDBServer.get_row:return None": UNCLEAN,
+    ("benchlib/tables.py:PaperComparison.ratio:"
+     'return float("inf") if self.measured_value else 1.0'): UNCLEAN,
+    "core/board.py:ApprovalService.decide:return None": UNCLEAN,
+    ("core/board.py:BoardEvaluator.evaluate:"
+     "outcome.unreachable.append(member.name)"): UNCLEAN,
+    ("core/dispatch.py:Dispatcher._run_process:"
+     "value = operation.handler(context)"): reserved(2),
+    "core/dispatch.py:OperationRegistry.get:return None": UNCLEAN,
+    'core/dispatch.py:error_code:return "internal"': UNCLEAN,
+    ("core/failover.py:FailoverCoordinator.promote_backup:"
+     "yield self.simulator.process(self.backup.start())"): reserved(16),
+    ("core/failover.py:FailoverCoordinator.verify_primary_fenced.probe:"
+     "return False"): reserved(16),
+    ("core/failover.py:FailoverCoordinator.verify_primary_fenced:"
+     "return False"): reserved(16),
+    "core/federation.py:Federation.locate_policy:return None": UNCLEAN,
+    ("core/policy.py:SecurityPolicy.from_dict:"
+     "raw_threshold = len(members)"): UNCLEAN,
+    "core/rollback.py:RollbackGuard.shutdown:return": UNCLEAN,
+    "core/store.py:PolicyStore._flush:return": UNCLEAN,
+    "core/store.py:PolicyStore._load:rows.pop(operation[1], None)": UNCLEAN,
+    "core/store.py:PolicyStore.commit:gate.fail(exc)": UNCLEAN,
+    "core/yamlish.py:_parse_mapping:break": UNCLEAN,
+    "core/yamlish.py:_parse_sequence:break": UNCLEAN,
+    "core/yamlish.py:loads:return {}": UNCLEAN,
+    "counters/rote.py:_Replica.prepare:return False": UNCLEAN,
+    "crypto/merkle.py:MerkleTree.root:return _EMPTY_ROOT": UNCLEAN,
+    ("crypto/primitives.py:hmac_sha256_states:"
+     "key = hashlib.sha256(key).digest()"): UNCLEAN,
+    "crypto/signatures.py:_is_strong_probable_prime:return False": UNCLEAN,
+    "crypto/signatures.py:_pocklington_certifies:return False": UNCLEAN,
+    "crypto/signatures.py:verify_signature:return False": UNCLEAN,
+    ("fs/injection.py:InjectedFileView.__init__:"
+     "spill_fs.write(path, content)"): UNCLEAN,
+    ("fs/injection.py:InjectedFileView.read:"
+     "return self._spill_fs.read(self.path)"): UNCLEAN,
+    "fs/shield.py:ProtectedFileSystem.sync:self._evict(path)": UNCLEAN,
+    "fs/shield.py:ProtectedFileSystem.sync:try:": UNCLEAN,
+    "obs/audit.py:sanitize_details:clean[str(key)] = str(value)": UNCLEAN,
+    "obs/telemetry.py:Telemetry.audit:return None": UNCLEAN,
+    "obs/tracing.py:Tracer.finish:return": UNCLEAN,
+    "sim/core.py:Process._resume:immediate = Event(self.simulator)": UNCLEAN,
+    "sim/core.py:Process._resume:self.fail(SimulationError(": UNCLEAN,
+    "sim/core.py:Process.interrupt:return": UNCLEAN,
+    ("sim/core.py:Simulator.all_of.make_callback.callback:"
+     "gate.fail(event.failure)"): UNCLEAN,
+    "sim/core.py:Simulator.all_of.make_callback.callback:return": UNCLEAN,
+    "sim/core.py:Simulator.all_of:gate.fail(event.failure)": UNCLEAN,
+    "sim/core.py:Simulator.all_of:gate.succeed([])": UNCLEAN,
+    "sim/core.py:Simulator.run:break": UNCLEAN,
+    "sim/core.py:Simulator.run:self.now = max(self.now, until)": UNCLEAN,
+    "sim/core.py:Simulator.run:self.now = until": UNCLEAN,
+    "sim/core.py:Simulator.step:return False": UNCLEAN,
+    "sim/core.py:Simulator.with_timeout:on_event(event)": UNCLEAN,
+    'sim/faults.py:FaultPlan.message_fate:self._record("delay")': reserved(10),
+    "sim/metrics.py:ThroughputMeter.rate:return 0.0": UNCLEAN,
+    ("sim/metrics.py:ThroughputMeter.rate:"
+     'return float("inf") if self.completed else 0.0'): UNCLEAN,
+    "sim/network.py:Network.deliver.arrival:return": UNCLEAN,
+    ("sim/network.py:Network.deliver:"
+     "self.wire_log.append((self.simulator.now, source.name,"): ORACLE,
+    "sim/network.py:Network.endpoint:existing.reopen()": reserved(10),
+    "sim/resources.py:Store.get:event.fail(StoreClosed(self.name))": UNCLEAN,
+    "tee/enclave.py:Enclave.destroy:return": UNCLEAN,
+    ("tee/ias.py:IntelAttestationService._judge:"
+     "return AttestationVerdict.GROUP_OUT_OF_DATE"): UNCLEAN,
+    ("tee/ias.py:IntelAttestationService._judge:"
+     "return AttestationVerdict.KEY_REVOKED"): UNCLEAN,
+    ("tee/ias.py:IntelAttestationService._judge:"
+     "return AttestationVerdict.SIGNATURE_INVALID"): UNCLEAN,
+    ("tee/quoting.py:QuotingEnclave.create_report:"
+     "report_data = sha256(report_data)"): UNCLEAN,
+    "tls/channel.py:TLSConnection.close:if (pending is not None": UNCLEAN,
+    "tls/channel.py:TLSConnection.close:return": UNCLEAN,
+    ("tls/channel.py:TLSConnection.request:"
+     "continue  # woken by a hand-off: the reply is handed"): reserved(2),
+    ("tls/channel.py:TLSConnection.request:"
+     "return self._handed[rid]"): reserved(2),
+    ("tls/channel.py:TLSConnection.request:"
+     'self._hand_off(reply_rid, reply.get("body"))'): reserved(2),
+    ("tls/channel.py:TLSServer._serve_loop:"
+     "result = yield simulator.process(result)"): reserved(2),
+    ("tls/channel.py:TLSServer._serve_loop:"
+     'self.records_dropped["not_authentic"] += 1'): UNCLEAN,
+    ("tls/channel.py:TLSServer._serve_loop:"
+     'self.records_dropped["unknown_session"] += 1'): UNCLEAN,
+    ("tls/channel.py:TLSServer.register_session:"
+     "self._sessions.popitem(last=False)"): UNCLEAN,
+    "tls/channel.py:TLSServer.start:return": UNCLEAN,
+    'tls/channel.py:_ServerSession.admit:return "too_old"': UNCLEAN,
+    ("tls/channel.py:_ServerSession.admit:"
+     "self.seen |= 1 << offset"): reserved(2),
+    "tls/channel.py:_open_record:return None": UNCLEAN,
 }
 
 
@@ -121,18 +272,46 @@ def runs() -> List[Tuple[str, str, List[str]]]:
     return plan
 
 
-def child(kind: str, target: str, argv: List[str], out: Path) -> None:
-    """Run one entry point under the profiler and write the
-    ``(file, first line)`` of every ``src/repro`` code object it called."""
-    called: Set = set()
+def _line_starts(code) -> Set[int]:
+    """The lines a ``line`` event can name in ``code``, less its first
+    line, which holds only the frame's entry."""
+    return {line for _, line in dis.findlinestarts(code)
+            if line is not None} - {code.co_firstlineno}
 
-    def profile(frame, event, _arg):
-        if event == "call":
-            called.add(frame.f_code)
+
+def child(kind: str, target: str, argv: List[str], out: Path) -> None:
+    """Run one entry point under the line tracer and write the
+    ``(file, first line)`` of every ``src/repro`` code object it called
+    and, per file, the lines it ran."""
+    prefix = str(SOURCE) + os.sep
+    # id(code) -> the lines of a source code object that have not run
+    # yet, or None for every other code object. ``codes`` keeps each code
+    # object alive, so no id is reused during the run.
+    pending: Dict[int, object] = {}
+    codes: list = []
+
+    def lines(frame, event, _arg):
+        if event == "line":
+            left = pending[id(frame.f_code)]
+            left.discard(frame.f_lineno)
+            if not left:
+                frame.f_trace_lines = False
+        return lines
+
+    def trace(frame, _event, _arg):
+        code = frame.f_code
+        try:
+            left = pending[id(code)]
+        except KeyError:
+            codes.append(code)
+            left = (_line_starts(code)
+                    if code.co_filename.startswith(prefix) else None)
+            pending[id(code)] = left
+        return lines if left else None
 
     sys.argv = [target] + argv
-    threading.setprofile(profile)
-    sys.setprofile(profile)
+    threading.settrace(trace)
+    sys.settrace(trace)
     try:
         if kind == "module":
             runpy.run_module(target, run_name="__main__", alter_sys=True)
@@ -143,22 +322,33 @@ def child(kind: str, target: str, argv: List[str], out: Path) -> None:
                 argv == ["lint"] and exc.code == 1):
             raise
     finally:
-        sys.setprofile(None)
-        threading.setprofile(None)
-    prefix = str(SOURCE) + os.sep
-    hits = sorted({(code.co_filename[len(prefix):], code.co_firstlineno)
-                   for code in called
-                   if code.co_filename.startswith(prefix)})
-    out.write_text(json.dumps(hits))
+        sys.settrace(None)
+        threading.settrace(None)
+    called: Set[Tuple[str, int]] = set()
+    ran: Dict[str, Set[int]] = defaultdict(set)
+    for code in codes:
+        left = pending[id(code)]
+        if left is None:
+            continue
+        relative = code.co_filename[len(prefix):]
+        called.add((relative, code.co_firstlineno))
+        # A code object that was called ran its first line too, which
+        # holds the whole body of a one-line function.
+        ran[relative] |= (_line_starts(code) - left) | {code.co_firstlineno}
+    out.write_text(json.dumps({
+        "called": sorted(called),
+        "lines": {file: sorted(ran[file]) for file in sorted(ran)}}))
 
 
 def functions() -> List[dict]:
     """Every function and method under ``src/repro``, with the line its
-    code object starts on (the first decorator, if any)."""
+    code object starts on (the first decorator, if any) and its AST."""
     found = []
     for path in sorted(SOURCE.rglob("*.py")):
         relative = path.relative_to(SOURCE).as_posix()
-        tree = ast.parse(path.read_text(encoding="utf-8"))
+        text = path.read_text(encoding="utf-8")
+        source = text.splitlines()
+        tree = ast.parse(text)
 
         def visit(node, scope, outer):
             for item in ast.iter_child_nodes(node):
@@ -169,7 +359,8 @@ def functions() -> List[dict]:
                     entry = {"file": relative, "line": start,
                              "name": ".".join(scope + [item.name]),
                              "body_lines": item.end_lineno - item.lineno,
-                             "outer": outer}
+                             "outer": outer, "node": item,
+                             "source": source}
                     found.append(entry)
                     visit(item, scope + [item.name], entry)
                 elif isinstance(item, ast.ClassDef):
@@ -181,9 +372,100 @@ def functions() -> List[dict]:
     return found
 
 
-def probe() -> Set[Tuple[str, int]]:
-    """The union of what every run called, each run in its own process."""
-    reached: Set[Tuple[str, int]] = set()
+_DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+_LOOPS = (ast.For, ast.AsyncFor, ast.While)
+_WITHS = (ast.With, ast.AsyncWith)
+_TRIES = (ast.Try,) + ((ast.TryStar,) if hasattr(ast, "TryStar") else ())
+_MATCH = getattr(ast, "Match", ())
+
+
+def _arms(statement) -> List[Tuple[str, list]]:
+    """The blocks a compound statement holds, each as (kind, body)."""
+    if isinstance(statement, ast.If):
+        return [("if arm", statement.body), ("else arm", statement.orelse)]
+    if isinstance(statement, _LOOPS):
+        return [("loop body", statement.body),
+                ("loop else", statement.orelse)]
+    if isinstance(statement, _TRIES):
+        return ([("try body", statement.body)]
+                + [("except", handler.body)
+                   for handler in statement.handlers]
+                + [("try else", statement.orelse),
+                   ("finally", statement.finalbody)])
+    if isinstance(statement, _WITHS):
+        return [("with body", statement.body)]
+    if isinstance(statement, _MATCH):
+        return [("match case", case.body) for case in statement.cases]
+    return []
+
+
+def _silent(statement, docstring: bool) -> bool:
+    """A statement that compiles to no line event: the docstring, a
+    ``global`` or ``nonlocal`` declaration, or a bare annotation."""
+    return ((docstring and isinstance(statement, ast.Expr)
+             and isinstance(statement.value, ast.Constant)
+             and isinstance(statement.value.value, str))
+            or isinstance(statement, (ast.Global, ast.Nonlocal))
+            or (isinstance(statement, ast.AnnAssign)
+                and statement.value is None))
+
+
+def blocks(entry: dict, ran: Set[int]) -> List[dict]:
+    """The unexecuted blocks of one function that ran, given the lines
+    of its file that ran. A statement ran when any of its lines did; the
+    unexecuted statements of one body form its block, and the bodies
+    inside a statement that ran are blocks of their own. Nested
+    functions and classes are left to their own entries."""
+    found = []
+
+    def walk(kind: str, body: list, top: bool) -> None:
+        idle = [statement for index, statement in enumerate(body)
+                if not _silent(statement, top and index == 0)
+                and not ran.intersection(range(statement.lineno,
+                                               statement.end_lineno + 1))]
+        if idle:
+            first = idle[0]
+            text = entry["source"][first.lineno - 1].strip()
+            found.append({
+                "file": entry["file"], "name": entry["name"],
+                "kind": kind, "line": first.lineno,
+                "key": f"{entry['file']}:{entry['name']}:{text}",
+                "lines": sum(statement.end_lineno - statement.lineno + 1
+                             for statement in idle),
+                "error": kind == "except"
+                or isinstance(idle[-1], ast.Raise)})
+        for statement in body:
+            if statement not in idle and not isinstance(statement, _DEFS):
+                for arm_kind, arm in _arms(statement):
+                    walk(arm_kind, arm, False)
+
+    walk("function body", entry["node"].body, True)
+    return found
+
+
+def statement_keys(entry: dict) -> Set[str]:
+    """The key each statement of a function would give a block that
+    starts with it; nested functions and classes are left out."""
+    keys = set()
+
+    def walk(body: list) -> None:
+        for statement in body:
+            text = entry["source"][statement.lineno - 1].strip()
+            keys.add(f"{entry['file']}:{entry['name']}:{text}")
+            if not isinstance(statement, _DEFS):
+                for _, arm in _arms(statement):
+                    walk(arm)
+
+    walk(entry["node"].body)
+    return keys
+
+
+def probe() -> dict:
+    """The union of what every run called and ran, each run in its own
+    process: ``called`` holds ``(file, first line)`` pairs and ``lines``
+    maps each file to the set of lines that ran."""
+    called: Set[Tuple[str, int]] = set()
+    ran: Dict[str, Set[int]] = defaultdict(set)
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
@@ -196,8 +478,16 @@ def probe() -> Set[Tuple[str, int]]:
                 [sys.executable, __file__, "--child", kind, target,
                  "--out", str(out), "--"] + argv,
                 cwd=ROOT, env=env, stdout=subprocess.DEVNULL, check=True)
-            reached.update(map(tuple, json.loads(out.read_text())))
-    return reached
+            hits = json.loads(out.read_text())
+            called.update(map(tuple, hits["called"]))
+            for file, lines in hits["lines"].items():
+                ran[file].update(lines)
+    return {"called": called, "lines": ran}
+
+
+def _where(block: dict) -> str:
+    return (f"src/repro/{block['file']}:{block['line']} {block['kind']} of "
+            f"{block['name']} ({block['lines']} lines)")
 
 
 def main(argv=None) -> int:
@@ -211,24 +501,36 @@ def main(argv=None) -> int:
         child(*args.child, args.rest, args.out)
         return 0
 
-    reached = probe()
+    hits = probe()
     every = functions()
     unreached = [entry for entry in every
-                 if (entry["file"], entry["line"]) not in reached]
+                 if (entry["file"], entry["line"]) not in hits["called"]]
     unreached_ids = {id(entry) for entry in unreached}
     body_lines = sum(entry["body_lines"] for entry in unreached
                      if id(entry["outer"]) not in unreached_ids)
-    reasons = [KEEP.get(f"{entry['file']}:{entry['name']}")
+    found = [block for entry in every if id(entry) not in unreached_ids
+             for block in blocks(entry, hits["lines"].get(entry["file"],
+                                                          set()))]
+    errors = [block for block in found if block["error"]]
+    others = [block for block in found if not block["error"]]
+    listed = ([(f"src/repro/{entry['file']}:{entry['line']} {entry['name']}"
+                f" ({entry['body_lines']} lines)",
+                KEEP.get(f"{entry['file']}:{entry['name']}"))
                for entry in unreached]
-    unexplained = reasons.count(None)
+              + [(_where(block), KEEP.get(block["key"]))
+                 for block in others])
+    unexplained = [line for line, reason in listed if reason is None]
     print(f"functions: {len(every)}")
-    print(f"unreached: {len(unreached)} ({body_lines} body lines)")
-    print(f"explained: {len(unreached) - unexplained}")
-    print(f"unexplained: {unexplained}")
-    for entry, reason in zip(unreached, reasons):
-        print(f"  src/repro/{entry['file']}:{entry['line']} "
-              f"{entry['name']} ({entry['body_lines']} lines): "
-              f"{reason or 'UNEXPLAINED'}")
+    print(f"unreached functions: {len(unreached)} ({body_lines} body lines)")
+    print(f"unexecuted blocks: {len(found)} (error paths: {len(errors)}, "
+          f"{sum(block['lines'] for block in errors)} lines; other: "
+          f"{len(others)}, {sum(block['lines'] for block in others)} lines)")
+    print(f"explained: {len(listed) - len(unexplained)}")
+    print(f"unexplained: {len(unexplained)}")
+    for line, reason in listed:
+        print(f"  {line}: {reason or 'UNEXPLAINED'}")
+    for block in errors:
+        print(f"  {_where(block)}: error path")
     return 1 if unexplained else 0
 
 

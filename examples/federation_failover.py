@@ -6,10 +6,13 @@ Three PALAEMON instances — local, same data centre, and another continent —
 peer after mutually attesting via the CA and talk over one simulated
 network; a consumer policy on the local instance imports a secret exported
 by a policy held on the remote one.
-Then the local instance peers with a synchronous backup and replicates tag
-state to it over that attested link; the local instance crashes, the backup
-is promoted without losing the replicated state, and the crashed primary
-stays fenced forever.
+Then the local instance peers with a synchronous backup, which it enrols
+with a copy of its policies; each tag update on the local instance then
+returns only once the backup has acknowledged the store flush that holds
+it, over that attested link, and a policy deletion reaches the backup the
+same way. The local instance crashes, the backup is
+promoted holding the policy and every acknowledged tag, and the crashed
+primary stays fenced forever.
 
 Run:  python examples/federation_failover.py
 """
@@ -108,6 +111,15 @@ def main() -> None:
     print(f"Policy discovery: 'model_producer' lives on {holder!r}.")
 
     # --- fail-over -----------------------------------------------------------
+    app_owner = PalaemonClient("app-owner", rng.fork(b"app-owner"))
+    app_owner.attest_instance_via_ca(local, ca.root_public_key,
+                                     now=simulator.now)
+    for name in ("app_policy", "staging_policy"):
+        app_owner.create_policy(local, SecurityPolicy(
+            name=name,
+            services=[ServiceSpec(name=f"app-{index}", image_name="img",
+                                  mrenclaves=[image.mrenclave()])
+                      for index in range(3)]))
     backup = make_instance(simulator, ias, ca, "local-backup",
                            b"seed-backup")
     backup_fed = FederatedInstance(backup, Site.SAME_DC, ca.root_public_key,
@@ -115,21 +127,26 @@ def main() -> None:
     simulator.run_process(local_fed.peer_with(backup_fed))
     coordinator = FailoverCoordinator(local_fed, backup_fed)
 
-    def replicate():
+    def push_tags():
         for index in range(3):
-            yield simulator.process(coordinator.replicate(
-                "tags", f"app-{index}", bytes([index]) * 32))
+            yield simulator.process(local.update_tag(
+                "app_policy", f"app-{index}", bytes([index]) * 32))
 
-    simulator.run_process(replicate())
-    print(f"Primary replicated 3 tag updates to the backup "
+    simulator.run_process(push_tags())
+    print(f"Backup enrolled with both policies; 3 tag updates each "
+          f"returned on the backup's ack "
           f"(lag = {coordinator.replication_lag()}).")
+    app_owner.invoke(local, "policy.delete", name="staging_policy")
+    simulator.run()
+    print(f"Primary deleted 'staging_policy'; the backup holds "
+          f"{coordinator.backup.list_policies()}.")
 
     coordinator.primary_crashed()
     local_fed.stop()  # the crashed primary's peer endpoint goes down too
     simulator.run_process(coordinator.promote_backup())
+    promoted_tag = coordinator.backup.get_tag_instant("app_policy", "app-2")
     print(f"Primary crashed; backup promoted (epoch {coordinator.epoch}); "
-          f"replicated state intact: "
-          f"{coordinator.backup.store.get('tags', 'app-2') == bytes([2]) * 32}")
+          f"replicated state intact: {promoted_tag == bytes([2]) * 32}")
     print(f"Crashed primary permanently fenced: "
           f"{coordinator.verify_primary_fenced()}. Done.")
 

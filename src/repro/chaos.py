@@ -19,12 +19,12 @@ can inject:
 - **endpoint blackout** — the REST front-end goes dark; a client
   attests the instance over REST under a retry budget;
 - **duplicated replication** — a ``duplicate_link`` window on the
-  primary→backup peer link delivers the acknowledged replication batch
-  twice; the backup's anti-replay window drops the copy, so the batch is
-  applied once;
-- **replication fault** — the peer link then dies for good; the primary
-  gives up with positive replication lag, crashes, and the backup is
-  promoted exposing *only* acknowledged updates.
+  primary→backup peer link delivers a tag update's batch twice; the
+  backup's anti-replay window drops the copy, so it is applied once;
+- **replication fault** — the peer link then dies for good; the next tag
+  update gives up with positive replication lag, the primary crashes,
+  and the backup, enrolled before any fault, is promoted exposing *only*
+  acknowledged updates.
 
 Everything probabilistic draws from one seeded
 :class:`~repro.crypto.primitives.DeterministicRandom`, all fault windows
@@ -105,7 +105,7 @@ def run_chaos(seed: int) -> Dict[str, Any]:
                               mrenclaves=[app_image.mrenclave()])],
         secrets=[SecretSpec(name="SHARED_KEY", kind=SecretKind.RANDOM,
                             export_to=("consumer_policy",))])
-    backup.create_policy(producer, client.certificate)
+    primary.create_policy(producer, client.certificate)
     app_policy = SecurityPolicy(
         name="app_policy",
         services=[ServiceSpec(name="svc", image_name="chaos-app",
@@ -122,6 +122,7 @@ def run_chaos(seed: int) -> Dict[str, Any]:
     simulator.run_process(local.peer_with(remote), name="peering")
     coordinator = FailoverCoordinator(local, remote,
                                       rng=rng.fork(b"repl-retry"))
+    simulator.run()  # the enrolment batch, acked before any fault
     rest_server = PalaemonRestServer(primary, network)
 
     # The fault schedule (all windows in virtual seconds).
@@ -224,9 +225,12 @@ def run_chaos(seed: int) -> Dict[str, Any]:
 
         # -- phase E: replication fault, give-up, promotion ---------------
         yield advance_to(40.0)
+        tags = {rng.fork(label).bytes(32): label.decode()
+                for label in (b"acked", b"unacked")}
+        acked, unacked = tags
         yield simulator.process(
-            coordinator.replicate("chaos", "k1", "acked"),
-            name="replicate-k1")
+            primary.update_tag("app_policy", "svc", acked),
+            name="tag-update-acked")
         yield advance_to(40.5)
         summary["replication_duplicated"] = (
             f"applied_sequence="
@@ -234,8 +238,8 @@ def run_chaos(seed: int) -> Dict[str, Any]:
             f"replayed_dropped={remote._server.records_dropped['replayed']}")
         try:
             yield simulator.process(
-                coordinator.replicate("chaos", "k2", "unacked"),
-                name="replicate-k2")
+                primary.update_tag("app_policy", "svc", unacked),
+                name="tag-update-unacked")
         except RetryExhaustedError:
             summary["replication_giveup"] = "after-retries"
         summary["replication_lag"] = coordinator.replication_lag()
@@ -244,10 +248,8 @@ def run_chaos(seed: int) -> Dict[str, Any]:
                                            name="promote")
         summary["promoted"] = promoted.name
         summary["promoted_epoch"] = coordinator.epoch
-        summary["replayed_updates"] = {
-            "k1": promoted.store.get("chaos", "k1"),
-            "k2": promoted.store.get("chaos", "k2"),
-        }
+        summary["promoted_tag"] = tags.get(
+            promoted.get_tag_instant("app_policy", "svc"), "other")
 
     simulator.run_process(scenario(), name="chaos-main")
 

@@ -40,12 +40,19 @@ refuses once the counter is ahead.
 one disk-commit window coalesce into a single :meth:`DiskModel.commit`,
 with one leader flushing the batch and waiters sharing its completion
 event (the classic write-ahead-log group commit).
+
+On a primary with a designated backup, each flush that changes a table
+ships its put/delete operations and every ``touch()``ed table whole to
+the :class:`~repro.core.failover.FailoverCoordinator` in
+``replication``, and ``commit()`` completes on the backup's ack. The
+version never ships: each instance pairs its own with its own counter.
 """
 
 from __future__ import annotations
 
 import pickle
-from typing import Any, Dict, Generator, List, Optional, Set, Tuple
+from typing import (TYPE_CHECKING, Any, Dict, Generator, List, Optional,
+                    Set, Tuple)
 
 from repro import calibration
 from repro.crypto.primitives import DeterministicRandom, sha256
@@ -56,6 +63,9 @@ from repro.fs.blockstore import BlockStore
 from repro.obs.telemetry import NULL_TELEMETRY, Telemetry
 from repro.sim.core import Event, Simulator
 from repro.sim.resources import DiskModel
+
+if TYPE_CHECKING:
+    from repro.core.failover import FailoverCoordinator
 
 _MANIFEST_PATH = "/palaemon.db.manifest"
 _MANIFEST_AD = b"palaemon-db-manifest"
@@ -133,6 +143,8 @@ class PolicyStore:
         self._mutations = 0
         self._committer_active = False
         self._commit_waiters: List[Tuple[int, Event]] = []
+        #: The coordinator each flush ships to, on a primary with a backup.
+        self.replication: Optional["FailoverCoordinator"] = None
         if store.exists(_MANIFEST_PATH):
             self._load()
 
@@ -261,6 +273,10 @@ class PolicyStore:
         for path in superseded:
             if self.store.exists(path):
                 self.store.delete(path)
+        if self.replication is not None and (operations or self._dirty_tables):
+            self.replication.ship({
+                table: self.table(table)
+                for table in sorted(self._dirty_tables)}, operations)
         self._snapshots = snapshots
         self._epoch, self._log_length, self._log_head = epoch, length, head
         self._log_bytes, self._log_tables = log_bytes, log_tables
@@ -281,7 +297,10 @@ class PolicyStore:
         a single disk commit. A waiter whose mutations arrived after the
         flush is promoted to lead the next batch. If the disk commit
         fails, every queued waiter fails with the same error — none of
-        their mutations became durable.
+        their mutations became durable. A leader also waits until the backup
+        acks every batch shipped up to its flush, its own and any an
+        instant commit shipped for a waiter; a replication give-up fails
+        the same way.
         """
         while True:
             if self._committer_active:
@@ -296,7 +315,13 @@ class PolicyStore:
             try:
                 self._flush()
                 flushed_at = self._mutations
+                # Every batch shipped so far, not only this flush's: an
+                # instant commit may have shipped a queued committer's rows.
+                replication = self.replication
+                shipped = replication.shipped if replication else 0
                 yield self.simulator.process(self.disk.commit())
+                if replication is not None:
+                    yield from replication.acked(shipped)
             except BaseException as exc:
                 self._committer_active = False
                 waiters, self._commit_waiters = self._commit_waiters, []
@@ -324,7 +349,7 @@ class PolicyStore:
             return
 
     def commit_instant(self) -> None:
-        """Persist without simulating latency (functional paths)."""
+        """Persist without simulating latency (or waiting for a backup)."""
         self._flush()
 
     # -- version (rollback protocol) -----------------------------------------
@@ -383,6 +408,10 @@ class PolicyStore:
         """
         self.table(table)
         self._mark_dirty(table)
+
+    def tables(self) -> List[str]:
+        """Every table's name, opened or not."""
+        return sorted(set(self._data["tables"]) | set(self._unopened))
 
     def keys(self, table: str) -> list:
         cached = self._keys_cache.get(table)

@@ -95,6 +95,8 @@ class Endpoint:
         #: The live TLS connection sending from this endpoint, if any; see
         #: :meth:`repro.tls.channel.TLSConnection.connect`.
         self.connection: Optional["TLSConnection"] = None
+        #: TLS connections opened from this endpoint so far.
+        self.connections = 0
         #: The running TLS server serving this endpoint, if any; see
         #: :meth:`repro.tls.channel.TLSServer.start`.
         self.server: Optional["TLSServer"] = None

@@ -135,16 +135,17 @@ class TLSConnection:
         """Handshake and build a connection; a simulation process.
 
         The connection sends from the endpoint ``client_name``; a live
-        connection already on it is closed once the handshake succeeds,
-        and its session id is mixed into the new handshake's randomness,
-        so a reconnect with the same ``rng`` cannot repeat the session
-        whose close record the server is about to receive. A
+        connection already on it is closed once the handshake succeeds.
+        The endpoint's connection count is mixed into every handshake
+        after its first, so a reconnect with the same ``rng`` cannot
+        repeat an earlier session and run its records again. A
         ``client_certificate`` needs the ``client_keys`` behind it (see
         :func:`~repro.tls.handshake.perform_handshake`)."""
         client_endpoint = network.endpoint(client_name, client_site)
         label = b"handshake:" + client_name.encode()
-        if client_endpoint.connection is not None:
-            label += client_endpoint.connection.session.session_id
+        if client_endpoint.connections:
+            label += b"\x00%d" % client_endpoint.connections
+        client_endpoint.connections += 1
         session = yield network.simulator.process(perform_handshake(
             network.simulator, rng.fork(label),
             client_site, server_endpoint.site,

@@ -10,7 +10,6 @@ it must have; each row builds its own deployment.
 import pytest
 
 from repro.core.client import PalaemonClient
-from repro.core.failover import FailoverCoordinator
 from repro.core.rest import PalaemonRestClient
 from repro.crypto.primitives import DeterministicRandom
 from repro.obs.telemetry import NULL_TELEMETRY
@@ -20,8 +19,9 @@ from repro.tls.channel import REPLAY_WINDOW, _ServerSession
 
 from tests.core.conftest import Deployment
 from tests.core.test_sealed_transports import (
+    designate_backup,
     peered_pair,
-    replicate,
+    push_tag,
     rest_call,
     rest_stack,
 )
@@ -136,15 +136,15 @@ def replay_replication_record():
     deployment = Deployment(seed=b"replay-window")
     network, local, remote, backup = peered_pair(deployment)
     network.wire_log_enabled = True
-    coordinator = FailoverCoordinator(local, remote)
-    replicate(deployment, coordinator, OLDER)
+    designate_backup(deployment, local, remote)
+    push_tag(deployment, OLDER)
     server = remote._server
     captured = last_record_to(network, server.endpoint)
-    replicate(deployment, coordinator, NEWER)
+    push_tag(deployment, NEWER)
     served = server.requests_served
     replay(network, server.endpoint, captured)
     return {"handled": server.requests_served - served,
-            "stored": backup.store.get("tags", "app"),
+            "stored": backup.get_tag_instant("ml_policy", "ml_app"),
             "dropped": dict(server.records_dropped)}
 
 

@@ -74,12 +74,22 @@ def fetch(deployment, local, remote, policy="producer_policy"):
     return deployment.simulator.run_process(main())
 
 
-def replicate(deployment, coordinator, value):
-    def main():
-        sequence = yield from coordinator.replicate("tags", "app", value)
-        return sequence
+def designate_backup(deployment, local, remote):
+    """Give the primary ``ml_policy``, then designate ``remote`` as its
+    backup; the enrolment batch carries the policy."""
+    deployment.palaemon.create_policy(deployment.make_policy(with_board=False),
+                                      deployment.client.certificate)
+    return FailoverCoordinator(local, remote)
 
-    return deployment.simulator.run_process(main())
+
+def push_tag(deployment, value):
+    """A timed tag update on the primary; it returns on the backup's ack
+    of the flush that holds it."""
+    def main():
+        yield from deployment.palaemon.update_tag("ml_policy", "ml_app",
+                                                  value)
+
+    deployment.simulator.run_process(main())
 
 
 def rest_stack(deployment, client=None):
@@ -108,12 +118,13 @@ def rest_call(deployment, connection, route, **fields):
 class TestWireConfidentiality:
     def test_public_keys_open_no_peer_or_replication_record(self):
         deployment = Deployment()
-        network, local, remote, remote_service = peered_pair(deployment)
+        network, local, remote, _ = peered_pair(deployment)
         network.wire_log_enabled = True
-        seed_exported_secret(deployment, remote_service)
-        coordinator = FailoverCoordinator(local, remote)
+        # The backup serves the fetch from its enrolled copy.
+        seed_exported_secret(deployment, deployment.palaemon)
+        designate_backup(deployment, local, remote)
         assert fetch(deployment, local, remote) == {"API_KEY": CANARY}
-        replicate(deployment, coordinator, CANARY)
+        push_tag(deployment, CANARY)
 
         observer = SecretBox(public_key_link_key(local, remote),
                              DeterministicRandom(b"observer"))
@@ -123,14 +134,15 @@ class TestWireConfidentiality:
             with pytest.raises(CryptoError):
                 observer.open(payload["data"])
             assert CANARY not in pickle.dumps(payload)
-        assert records == 4  # a fetch and a replication, there and back
+        # The enrolment, a fetch and a tag update's batch, there and back.
+        assert records == 6
 
     def test_no_plaintext_state_update_on_the_wire(self):
         deployment = Deployment()
         network, local, remote, _ = peered_pair(deployment)
         network.wire_log_enabled = True
-        coordinator = FailoverCoordinator(local, remote)
-        assert replicate(deployment, coordinator, CANARY) == 1
+        coordinator = designate_backup(deployment, local, remote)
+        push_tag(deployment, CANARY)
         assert coordinator.replication_lag() == 0
         assert network.wire_log
         for _time, _source, _destination, payload in network.wire_log:

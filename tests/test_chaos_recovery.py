@@ -19,8 +19,8 @@ from repro.tee.counters import PlatformCounterService
 #: change in whether the run reproduces itself.
 SEED_7_REPORT = """\
 chaos recovery summary
-  audit_head: b306d592b0ea91995db9983b81b947ff9d00dcfdf4d50dd01684c5bbf97c37bb
-  audit_records: 17
+  audit_head: 0b1fe9d9a0b57eca3289f9bd236ca534a0c985b0f5fd1bb3029ccd77fec16658
+  audit_records: 18
   counter_outage_error: CounterUnavailableError
   faults_injected:
     blackout: 4
@@ -31,10 +31,8 @@ chaos recovery summary
   federation_fetch: recovered
   promoted: palaemon-2
   promoted_epoch: 2
-  replayed_updates:
-    k1: acked
-    k2: None
-  replication_duplicated: applied_sequence=1 replayed_dropped=1
+  promoted_tag: acked
+  replication_duplicated: applied_sequence=6 replayed_dropped=1
   replication_giveup: after-retries
   replication_lag: 1
   rest_attestation: recovered
@@ -100,14 +98,16 @@ class TestRecovery:
         assert summary["replication_giveup"] == "after-retries"
         assert summary["replication_lag"] == 1
         assert summary["promoted"] == "palaemon-2"
-        assert summary["replayed_updates"] == {"k1": "acked", "k2": None}
+        assert summary["promoted_tag"] == "acked"
 
     def test_duplicated_replication_is_applied_once(self, summary):
-        # The window duplicates the k1 batch and its ack (one fault each
-        # way); the backup's anti-replay window drops the second batch.
+        # The window duplicates the acked tag update's batch and its ack
+        # (one fault each way); the backup's anti-replay window drops the
+        # second copy. Position 6: the enrolment, phase C's four attempts'
+        # flushes, and this batch.
         assert summary["faults_injected"]["duplicate"] == 2
         assert summary["replication_duplicated"] == (
-            "applied_sequence=1 replayed_dropped=1")
+            "applied_sequence=6 replayed_dropped=1")
 
     def test_bounded_wall_clock(self, summary):
         # Every phase finishes under its retry budget: the whole run is

@@ -1,12 +1,13 @@
 """Tests for the extension features: federation and fail-over."""
 
-from dataclasses import is_dataclass
+import pickle
 
 import pytest
 
 from repro import calibration
+from repro.core.client import PalaemonClient
 from repro.core.dispatch import decode_reply
-from repro.core.failover import REPLICA_ROW, FailoverCoordinator, StateUpdate
+from repro.core.failover import REPLICA_ROW, FailoverCoordinator
 from repro.core.federation import FederatedInstance, Federation
 from repro.core.policy import SecurityPolicy, ServiceSpec
 from repro.core.secrets import SecretKind, SecretSpec
@@ -19,9 +20,12 @@ from repro.errors import (
     BadRequestError,
     NetworkError,
     PolicyError,
+    PolicyExistsError,
     PolicyNotFoundError,
+    RetryExhaustedError,
 )
 from repro.fs.blockstore import BlockStore
+from repro.sim.faults import FaultPlan
 from repro.sim.network import Network, Site
 from repro.tee.platform import SGXPlatform
 
@@ -240,9 +244,13 @@ class TestFederation:
 
 
 def peered_backup(deployment, network=None, name="palaemon-backup"):
-    """The deployment's instance and a backup on its own platform, peered
-    over the federation link that replication rides."""
+    """The deployment's instance, holding ``ml_policy``, and a backup on
+    its own platform, peered over the federation link that replication
+    rides."""
     network = network or make_network(deployment, b"repl-net")
+    deployment.palaemon.create_policy(
+        deployment.make_policy(with_board=False),
+        deployment.client.certificate)
     root = deployment.ca.root_public_key
     primary = FederatedInstance(deployment.palaemon, Site.SAME_DC, root,
                                 network)
@@ -252,42 +260,62 @@ def peered_backup(deployment, network=None, name="palaemon-backup"):
     return primary, backup
 
 
-def run_replicate(deployment, coordinator, key, value):
+def push_tag(deployment, tag, service="ml_app"):
+    """A timed tag update on the primary; returns once it is acked."""
     def main():
-        sequence = yield deployment.simulator.process(
-            coordinator.replicate("tags", key, value))
-        return sequence
+        yield deployment.simulator.process(
+            deployment.palaemon.update_tag("ml_policy", service, tag))
 
-    return deployment.simulator.run_process(main())
+    deployment.simulator.run_process(main())
 
 
-def send_batch(deployment, sender, backup, updates):
+def tag_on(service, name="ml_app"):
+    return service.get_tag_instant("ml_policy", name)
+
+
+def batch(tables=None, operations=()):
+    """A serialized batch in the format the primary's store ships."""
+    return pickle.dumps((dict(tables or {}), list(operations)))
+
+
+def send_batch(deployment, sender, backup, batches):
     """One ``failover.replicate`` request over ``sender``'s peer link."""
     def main():
         reply = yield from sender.link(backup.name).request(
-            {"route": "failover.replicate", "updates": updates})
+            {"route": "failover.replicate", "batches": batches})
         return reply
 
     return decode_reply(deployment.simulator.run_process(main()))
 
 
-def held_updates(coordinator):
-    """State updates the coordinator's own fields (not the instances')
-    still reference."""
+def held_batches(coordinator):
+    """Serialized batches the coordinator's own fields (not the
+    instances') still reference."""
     pending = [value for name, value in vars(coordinator).items()
-               if name not in ("primary", "backup", "active", "_federation")]
+               if name not in ("primary", "backup", "_federation")]
     held = 0
     while pending:
         value = pending.pop()
-        if isinstance(value, StateUpdate):
+        if isinstance(value, bytes):
             held += 1
         elif isinstance(value, dict):
             pending.extend(value.values())
         elif isinstance(value, (list, tuple, set)):
             pending.extend(value)
-        elif is_dataclass(value):
-            pending.extend(vars(value).values())
     return held
+
+
+def drop_replication(deployment, primary, backup):
+    """Drop every message on the primary→backup peer link from now on."""
+    plan = FaultPlan(deployment.simulator, deployment.palaemon.telemetry)
+    plan.drop_link(f"fed-{primary.name}-to-{backup.name}",
+                   f"fed-{backup.name}", start=deployment.simulator.now)
+    plan.attach(primary.network)
+
+
+def promote(deployment, coordinator):
+    coordinator.primary_crashed()
+    return deployment.simulator.run_process(coordinator.promote_backup())
 
 
 class TestFailover:
@@ -318,25 +346,127 @@ class TestFailover:
 
     def test_replication_flows(self, deployment):
         coordinator = self.make_coordinator(deployment)
-        assert run_replicate(deployment, coordinator, "app",
-                             b"\x01" * 32) == 1
+        push_tag(deployment, b"\x01" * 32)
         assert coordinator.replication_lag() == 0
-        assert coordinator.backup.store.get("tags", "app") == b"\x01" * 32
+        assert tag_on(coordinator.backup) == b"\x01" * 32
+
+    def test_timed_tag_update_returns_on_the_backup_ack(self, deployment):
+        primary, backup = peered_backup(deployment)
+        coordinator = FailoverCoordinator(primary, backup)
+        deployment.simulator.run()  # the enrolment
+        FaultPlan(deployment.simulator, deployment.palaemon.telemetry
+                  ).delay_link(f"fed-{primary.name}-to-{backup.name}",
+                               f"fed-{backup.name}", extra_delay=0.2
+                               ).attach(primary.network)
+        sim = deployment.simulator
+
+        def main():
+            started = sim.now
+            yield sim.process(deployment.palaemon.update_tag(
+                "ml_policy", "ml_app", b"\x07" * 32))
+            return sim.now - started, coordinator.replication_lag()
+
+        # The disk commit takes under 0.03 s; the ack needs 0.2 s each way.
+        elapsed, lag = sim.run_process(main())
+        assert elapsed > 0.4 and lag == 0
+        assert tag_on(coordinator.backup) == b"\x07" * 32
+
+    def test_dropped_link_fails_the_update_and_promotion_hides_it(
+            self, deployment):
+        primary, backup = peered_backup(deployment)
+        coordinator = FailoverCoordinator(primary, backup)
+        push_tag(deployment, b"\x01" * 32)
+        drop_replication(deployment, primary, backup)
+        with pytest.raises(RetryExhaustedError):
+            push_tag(deployment, b"\x02" * 32)
+        assert coordinator.replication_lag() == 1
+        promoted = promote(deployment, coordinator)
+        assert tag_on(promoted) == b"\x01" * 32
+
+    def test_concurrent_updates_share_one_batch_and_its_outcome(
+            self, deployment):
+        primary, backup = peered_backup(deployment)
+        policy = deployment.make_policy(name="second", with_board=False)
+        deployment.palaemon.create_policy(policy,
+                                          deployment.client.certificate)
+        coordinator = FailoverCoordinator(primary, backup)
+        sim = deployment.simulator
+        outcomes = []
+
+        def update(policy_name, tag):
+            try:
+                yield sim.process(deployment.palaemon.update_tag(
+                    policy_name, "ml_app", tag))
+                outcomes.append("ok")
+            except RetryExhaustedError as exc:
+                outcomes.append(exc)
+
+        def both():
+            yield sim.all_of([sim.process(update("ml_policy", b"\x01" * 32)),
+                              sim.process(update("second", b"\x02" * 32))])
+
+        sim.run_process(both())
+        assert outcomes == ["ok", "ok"]
+        assert coordinator.backup.store.get(*REPLICA_ROW)[
+            "applied_sequence"] == 2  # the enrolment and one batch
+        outcomes.clear()
+        drop_replication(deployment, primary, backup)
+        sim.run_process(both())
+        assert len(outcomes) == 2 and outcomes[0] is outcomes[1]
+        assert isinstance(outcomes[0], RetryExhaustedError)
+        assert coordinator.replication_lag() == 1
+
+    def test_waiter_shipped_by_an_instant_commit_waits_for_its_ack(
+            self, deployment):
+        """A queued tag update whose row an instant commit shipped returns
+        only on that batch's ack: with the link dropped after the leader's
+        ack, it raises, and promotion does not expose it."""
+        primary, backup = peered_backup(deployment)
+        for name in ("second", "third"):
+            deployment.palaemon.create_policy(
+                deployment.make_policy(name=name, with_board=False),
+                deployment.client.certificate)
+        coordinator = FailoverCoordinator(primary, backup)
+        sim = deployment.simulator
+        sim.run()  # the enrolment
+        link = (f"fed-{primary.name}-to-{backup.name}", f"fed-{backup.name}")
+        # The leader's batch arrives at +0.2 s and its ack at +0.4 s; the
+        # instant commit's batch, sent after that ack, is dropped.
+        FaultPlan(sim, deployment.palaemon.telemetry).delay_link(
+            *link, extra_delay=0.2).drop_link(
+            *link, start=sim.now + 0.3).attach(primary.network)
+        outcomes = {}
+
+        def update(policy_name, tag):
+            try:
+                yield sim.process(deployment.palaemon.update_tag(
+                    policy_name, "ml_app", tag))
+                outcomes[policy_name] = "ok"
+            except RetryExhaustedError:
+                outcomes[policy_name] = "gave up"
+
+        def main():
+            leader = sim.process(update("ml_policy", b"\x01" * 32))
+            yield sim.timeout(0.005)  # the leader has flushed
+            waiter = sim.process(update("second", b"\x02" * 32))
+            yield sim.timeout(0.005)  # "second" waits for the leader
+            deployment.palaemon.update_tag_instant("third", "ml_app",
+                                                   b"\x03" * 32)
+            yield sim.all_of([leader, waiter])
+
+        sim.run_process(main())
+        assert outcomes == {"ml_policy": "ok", "second": "gave up"}
+        assert coordinator.replication_lag() == 1
+        promoted = promote(deployment, coordinator)
+        assert tag_on(promoted) == b"\x01" * 32
+        assert promoted.get_tag_instant("second", "ml_app") is None
 
     def test_promotion_exposes_replicated_state(self, deployment):
         coordinator = self.make_coordinator(deployment)
-
-        def run():
-            yield deployment.simulator.process(
-                coordinator.replicate("tags", "app", b"\x02" * 32))
-            coordinator.primary_crashed()
-            promoted = yield deployment.simulator.process(
-                coordinator.promote_backup())
-            return promoted
-
-        promoted = deployment.simulator.run_process(run())
+        push_tag(deployment, b"\x02" * 32)
+        promoted = promote(deployment, coordinator)
         assert promoted is coordinator.backup
-        assert promoted.store.get("tags", "app") == b"\x02" * 32
+        assert tag_on(promoted) == b"\x02" * 32
         assert coordinator.epoch == 2
 
     def test_promotion_refused_while_primary_serves(self, deployment):
@@ -350,27 +480,21 @@ class TestFailover:
 
     def test_fenced_primary_cannot_restart(self, deployment):
         coordinator = self.make_coordinator(deployment)
-
-        def run():
-            yield deployment.simulator.process(
-                coordinator.replicate("tags", "app", b"\x03" * 32))
-            coordinator.primary_crashed()
-            yield deployment.simulator.process(coordinator.promote_backup())
-
-        deployment.simulator.run_process(run())
+        push_tag(deployment, b"\x03" * 32)
+        promote(deployment, coordinator)
         assert coordinator.verify_primary_fenced()
 
     def test_no_writes_after_promotion_via_old_path(self, deployment):
+        """The crashed primary takes no write, so none reaches the
+        promoted backup."""
         coordinator = self.make_coordinator(deployment)
-
-        def run():
-            coordinator.primary_crashed()
-            yield deployment.simulator.process(coordinator.promote_backup())
-            yield deployment.simulator.process(
-                coordinator.replicate("tags", "app", b"\x04" * 32))
-
-        with pytest.raises(PolicyError, match="before promotion"):
-            deployment.simulator.run_process(run())
+        deployment.simulator.run()  # the enrolment is acked
+        promoted = promote(deployment, coordinator)
+        applied = promoted.store.get(*REPLICA_ROW)
+        with pytest.raises(PolicyError, match="not serving"):
+            push_tag(deployment, b"\x04" * 32)
+        assert promoted.store.get(*REPLICA_ROW) == applied
+        assert tag_on(promoted) is None
 
     def test_batch_from_unknown_sender_is_dropped(self, deployment):
         """A forged replication batch is neither applied nor acknowledged,
@@ -379,12 +503,11 @@ class TestFailover:
         coordinator = self.make_coordinator(deployment, network)
         backup = coordinator.backup
         forger = network.endpoint("forger", Site.SAME_DC)
-        forged = StateUpdate(sequence=1, table="tags", key="app",
-                             value=b"\x66" * 32)
+        forged = batch(operations=[("tags", "app", b"\x66" * 32)])
 
         def run():
             forger.send(network.endpoint(f"fed-{backup.name}", Site.SAME_DC),
-                        {"kind": "repl", "updates": [forged]},
+                        {"kind": "repl", "batches": [(2, forged)]},
                         size_bytes=256, reply_to=forger)
             yield deployment.simulator.timeout(1.0)
             coordinator.primary_crashed()
@@ -397,7 +520,7 @@ class TestFailover:
                       in backup.telemetry.audit_log.records
                       if record.kind == "failover.promote"]
         assert promotions == [{"backup": backup.name, "epoch": 2,
-                               "applied_sequence": 0}]
+                               "applied_sequence": 1}]
         assert backup.store.get("tags", "app") is None
 
     def test_batch_from_a_third_peer_is_refused(self, deployment):
@@ -410,38 +533,80 @@ class TestFailover:
             make_second_instance(deployment, name="palaemon-3"),
             Site.SAME_DC, deployment.ca.root_public_key, network)
         deployment.simulator.run_process(third.peer_with(backup))
-        forged = StateUpdate(sequence=1, table="tags", key="app",
-                             value=b"\x66" * 32)
+        forged = batch(operations=[("tags", "app", b"\x66" * 32)])
         with pytest.raises(AccessDeniedError, match="designated primary"):
-            send_batch(deployment, third, backup, [forged])
+            send_batch(deployment, third, backup, [(2, forged)])
         assert coordinator.backup.store.get("tags", "app") is None
         assert coordinator.backup.store.get(*REPLICA_ROW) == {
-            "primary": coordinator.primary.name, "applied_sequence": 0}
+            "primary": coordinator.primary.name, "applied_sequence": 1}
         assert coordinator.replication_lag() == 0
 
     def test_update_aimed_at_the_replication_row_refused(self, deployment):
         primary, backup = peered_backup(deployment)
         coordinator = FailoverCoordinator(primary, backup)
+        deployment.simulator.run()  # the enrolment
         row = {"primary": "palaemon-3", "applied_sequence": 0}
-        with pytest.raises(BadRequestError):
-            deployment.simulator.run_process(
-                coordinator.replicate(*REPLICA_ROW, row))
-        with pytest.raises(BadRequestError):
-            send_batch(deployment, primary, backup,
-                       [StateUpdate(1, "tags", "app", b"\x05" * 32),
-                        StateUpdate(2, *REPLICA_ROW, row)])
+        for aimed in (batch(operations=[("tags", "app", b"\x05" * 32),
+                                        (*REPLICA_ROW, row)]),
+                      batch(tables={REPLICA_ROW[0]: {}})):
+            with pytest.raises(BadRequestError):
+                send_batch(deployment, primary, backup,
+                           [(2, batch(operations=[("tags", "x", b"")])),
+                            (3, aimed)])
         assert backup.service.store.get(*REPLICA_ROW) == {
-            "primary": primary.name, "applied_sequence": 0}
+            "primary": primary.name, "applied_sequence": 1}
+        assert backup.service.store.get("tags", "x") is None
         assert backup.service.store.get("tags", "app") is None
+        assert coordinator.replication_lag() == 0
+
+    def test_batch_that_skips_a_position_refused(self, deployment):
+        primary, backup = peered_backup(deployment)
+        coordinator = FailoverCoordinator(primary, backup)
+        deployment.simulator.run()  # the enrolment: position 1
+        skipping = [(2, batch(operations=[("tags", "x", b"")])),
+                    (4, batch(operations=[("tags", "y", b"")]))]
+        with pytest.raises(BadRequestError, match="is not batch"):
+            send_batch(deployment, primary, backup, skipping)
+        assert backup.service.store.get("tags", "x") is None
+        assert coordinator.replication_lag() == 0
+
+    def test_policy_delete_reaches_the_backup(self, deployment):
+        coordinator = self.make_coordinator(deployment)
+        deployment.simulator.run()
+        assert coordinator.backup.list_policies() == ["ml_policy"]
+        deployment.palaemon.delete_policy("ml_policy",
+                                          deployment.client.certificate)
+        deployment.simulator.run()
+        assert coordinator.backup.list_policies() == []
+        assert coordinator.backup.store.get("owners", "ml_policy") is None
+
+    def test_touched_table_ships_whole(self, deployment):
+        coordinator = self.make_coordinator(deployment)
+        store = deployment.palaemon.store
+        store.table("state")["ml_policy"]["ml_app"].expected_tag = b"\x09" * 32
+        store.touch("state")
+        store.commit_instant()
+        deployment.simulator.run()
+        assert coordinator.replication_lag() == 0
+        assert tag_on(coordinator.backup) == b"\x09" * 32
+
+    def test_enrolment_makes_the_backup_a_mirror(self, deployment):
+        primary, backup = peered_backup(deployment)
+        own = deployment.make_policy(name="backup_only", with_board=False)
+        backup.service.create_policy(own, deployment.client.certificate)
+        FailoverCoordinator(primary, backup)
+        deployment.simulator.run()
+        assert backup.service.list_policies() == ["ml_policy"]
+        assert backup.service.store.get("owners", "backup_only") is None
 
     def test_backup_rebuilt_from_its_volume_keeps_acked_updates(
             self, deployment):
         network = make_network(deployment, b"repl-net")
         primary, backup = peered_backup(deployment, network)
         coordinator = FailoverCoordinator(primary, backup)
-        values = {f"app-{index}": bytes([index]) * 32 for index in range(3)}
-        for key, value in values.items():
-            run_replicate(deployment, coordinator, key, value)
+        values = [bytes([index]) * 32 for index in range(3)]
+        for value in values:
+            push_tag(deployment, value)
 
         old = backup.service
         deployment.simulator.run_process(old.shutdown())
@@ -451,37 +616,70 @@ class TestFailover:
                                   name=old.name)
         deployment.simulator.run_process(rebuilt.start())
         rebuilt.obtain_certificate(deployment.ca)
-        for key, value in values.items():
-            assert rebuilt.store.get("tags", key) == value
+        assert tag_on(rebuilt) == values[-1]
         assert rebuilt.store.get(*REPLICA_ROW) == {
-            "primary": primary.name, "applied_sequence": 3}
+            "primary": primary.name, "applied_sequence": 4}
 
         rebuilt_fed = FederatedInstance(rebuilt, Site.SAME_DC,
                                         deployment.ca.root_public_key,
                                         network)
         deployment.simulator.run_process(primary.peer_with(rebuilt_fed))
         coordinator = FailoverCoordinator(primary, rebuilt_fed)
+        assert coordinator.replication_lag() == 1  # the new enrolment
+        deployment.simulator.run()
         assert coordinator.replication_lag() == 0
-        coordinator.primary_crashed()
-        promoted = deployment.simulator.run_process(
-            coordinator.promote_backup())
+        promoted = promote(deployment, coordinator)
         assert promoted is rebuilt
-        for key, value in values.items():
-            assert promoted.store.get("tags", key) == value
+        assert tag_on(promoted) == values[-1]
         promotions = [record.details for record
                       in rebuilt.telemetry.audit_log.records
                       if record.kind == "failover.promote"]
         assert promotions == [{"backup": rebuilt.name, "epoch": 2,
-                               "applied_sequence": 3}]
+                               "applied_sequence": 5}]
 
     def test_coordinator_holds_no_per_update_record(self, deployment):
         coordinator = self.make_coordinator(deployment)
         for index in range(200):
-            run_replicate(deployment, coordinator, f"app-{index}",
-                          index.to_bytes(32, "big"))
-        assert held_updates(coordinator) == 0
+            push_tag(deployment, index.to_bytes(32, "big"))
+        assert held_batches(coordinator) == 0
         assert coordinator.replication_lag() == 0
         assert coordinator.backup.store.get(*REPLICA_ROW)[
-            "applied_sequence"] == 200
-        assert coordinator.backup.store.get("tags", "app-199") == (
-            (199).to_bytes(32, "big"))
+            "applied_sequence"] == 201
+        assert tag_on(coordinator.backup) == (199).to_bytes(32, "big")
+
+
+class TestFailoverProbe:
+    """A backup designated after the primary already holds state: the
+    enrolment carries it, and a later flush carries the next write."""
+
+    def test_promoted_backup_holds_the_primary_state(self, deployment):
+        policy = SecurityPolicy(
+            name="ml_policy",
+            services=[ServiceSpec(name=name, image_name="img",
+                                  mrenclaves=[deployment.app_image
+                                              .mrenclave()])
+                      for name in ("ml_app", "ml_worker")])
+        deployment.palaemon.create_policy(policy,
+                                          deployment.client.certificate)
+        deployment.palaemon.update_tag_instant("ml_policy", "ml_app",
+                                               b"\x01" * 32)
+        network = make_network(deployment, b"repl-net")
+        root = deployment.ca.root_public_key
+        primary = FederatedInstance(deployment.palaemon, Site.SAME_DC, root,
+                                    network)
+        backup = FederatedInstance(make_second_instance(deployment),
+                                   Site.SAME_DC, root, network)
+        deployment.simulator.run_process(primary.peer_with(backup))
+        coordinator = FailoverCoordinator(primary, backup)
+        push_tag(deployment, b"\x02" * 32, service="ml_worker")
+        assert coordinator.replication_lag() == 0
+
+        promoted = promote(deployment, coordinator)
+        assert promoted.list_policies() == ["ml_policy"]
+        assert tag_on(promoted, "ml_app") == b"\x01" * 32
+        assert tag_on(promoted, "ml_worker") == b"\x02" * 32
+        rival = PalaemonClient("client-2", DeterministicRandom(b"client-2"))
+        rival.attest_instance_via_ca(promoted, root,
+                                     now=deployment.simulator.now)
+        with pytest.raises(PolicyExistsError):
+            rival.create_policy(promoted, policy)

@@ -159,6 +159,52 @@ class TestClose:
         assert server.requests_served == 1
 
 
+class TestReconnectWithTheSameRng:
+    """A client that closes and connects again from the same endpoint with
+    the same ``rng`` gets a new session: a record copied off the closed
+    connection does not run on the new one, and the client's own first
+    request there is not mistaken for a replay."""
+
+    def test_copied_record_does_not_run_on_the_reconnected_session(self):
+        sim, rng, net, _echo = echo_stack(seed=b"reconnect-same-rng")
+        net.wire_log_enabled = True
+        served = []
+
+        def store_tag(request, _session):
+            served.append(request["tag"])
+            return {"stored": request["tag"]}
+
+        server = TLSServer(net, net.endpoint("tags"), store_tag)
+        server.start()
+
+        def connect_again():
+            def main():
+                connection = yield sim.process(TLSConnection.connect(
+                    net, "client", Site.SAME_DC, server.endpoint,
+                    rng.fork(b"conn")))
+                server.register_session(connection.session)
+                return connection
+
+            return sim.run_process(main())
+
+        first = connect_again()
+        assert request(sim, first, {"tag": "old"}) == {"stored": "old"}
+        copied = [payload for _time, _source, destination, payload
+                  in net.wire_log if destination == "tags"][-1]
+        first.close()
+        sim.run()
+        second = connect_again()
+        assert second.session.session_id != first.session.session_id
+
+        attacker = net.endpoint("attacker")
+        attacker.send(server.endpoint, copied, reply_to=attacker)
+        sim.run()
+        assert served == ["old"]
+        assert request(sim, second, {"tag": "new"}) == {"stored": "new"}
+        assert served == ["old", "new"]
+        assert server.records_dropped == {"unknown_session": 1}
+
+
 class TestSessionBound:
     def test_table_stays_at_the_bound_and_keeps_the_recent_session(
             self, monkeypatch):

@@ -142,7 +142,6 @@ def main() -> None:
           f"{coordinator.backup.list_policies()}.")
 
     coordinator.primary_crashed()
-    local_fed.stop()  # the crashed primary's peer endpoint goes down too
     simulator.run_process(coordinator.promote_backup())
     promoted_tag = coordinator.backup.get_tag_instant("app_policy", "app-2")
     print(f"Primary crashed; backup promoted (epoch {coordinator.epoch}); "

@@ -176,8 +176,15 @@ class FailoverCoordinator:
     # -- fail-over -----------------------------------------------------------
 
     def primary_crashed(self) -> None:
-        """The primary dies uncleanly: its counter protocol fences it."""
+        """The primary dies uncleanly: its counter protocol fences it, and
+        it leaves the network the way a dead machine does. Its federation
+        server stops and the endpoints its peer links send from close,
+        with no close record, so nothing more leaves it and a commit
+        waiting for an ack raises."""
         self.primary.crash()
+        self._federation.stop()
+        for peer in self._federation.peers():
+            self._federation.link(peer).client_endpoint.close()
         self.fenced.append(self.primary.name)
         self.primary.telemetry.inc("palaemon_failover_fences_total")
         self.primary.telemetry.audit("failover.fence",

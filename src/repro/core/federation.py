@@ -131,7 +131,6 @@ class FederatedInstance:
             trusted_root=self.ca_root,
             client_certificate=self.service.certificate,
             client_keys=self.service.key_pair)
-        peer._server.register_session(connection.session)
         return connection
 
     def peers(self) -> List[str]:

@@ -36,7 +36,7 @@ from repro.core.client import PalaemonClient
 from repro.core.dispatch import decode_reply
 from repro.core.service import PalaemonService
 from repro.crypto.primitives import DeterministicRandom
-from repro.sim.core import Event, ProcessInterrupt
+from repro.sim.core import Event
 from repro.sim.network import Endpoint, Network, Site
 from repro.tls.channel import TLSConnection, TLSServer
 from repro.tls.handshake import TLSSession
@@ -53,9 +53,6 @@ class PalaemonRestServer:
             f"{service.name}-rest", site)
         self._server = TLSServer(network, self.endpoint, self._handle)
         self._server.start()
-
-    def register_session(self, session: TLSSession) -> None:
-        self._server.register_session(session)
 
     def stop(self) -> None:
         self._server.stop()
@@ -92,7 +89,6 @@ class PalaemonRestClient:
             client_certificate=client.certificate,
             client_keys=client.key_pair,
             telemetry=server.service.telemetry))
-        server.register_session(connection.session)
         return cls(connection)
 
     def close(self) -> None:
@@ -100,25 +96,12 @@ class PalaemonRestClient:
         self.connection.close()
 
     def call(self, route: str, **fields) -> Generator[Event, Any, Any]:
-        """One request/response; raises on error replies.
-
-        Interruption (a :meth:`Simulator.with_timeout` deadline on this
-        call) cascades into the underlying TLS request so the abandoned
-        attempt releases its mailbox getter instead of stealing the next
-        reply.
-        """
+        """One request/response; raises on error replies."""
         payload = {"route": route}
         payload.update(fields)
         simulator = self.connection.network.simulator
         started = simulator.now
-        inner = simulator.process(self.connection.request(payload),
-                                  name=f"rest-request-{route}")
-        try:
-            reply = yield inner
-        except ProcessInterrupt:
-            if not inner.triggered:
-                inner.interrupt("caller abandoned the request")
-            raise
+        reply = yield from self.connection.request(payload)
         self.telemetry.observe("palaemon_rest_client_seconds",
                                simulator.now - started, route=route)
         return decode_reply(reply)

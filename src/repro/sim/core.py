@@ -214,8 +214,9 @@ class Simulator:
         so letting it fire late is free — but a late *failure* is
         swallowed rather than crashing the loop, and if the inner event
         is an unfinished :class:`Process` it is interrupted so it can
-        release resources (cancel mailbox getters, run ``finally``
-        blocks) instead of consuming messages meant for a retry.
+        release what it holds (run ``finally`` blocks, such as the one
+        that makes a TLS request forget its request id) instead of
+        taking a reply meant for a retry.
         """
         if deadline < 0:
             raise SimTimeError(f"negative timeout deadline: {deadline}")

@@ -104,9 +104,10 @@ class Store:
     def cancel(self, event: Event) -> bool:
         """Withdraw a pending ``get`` event from the waiter queue.
 
-        A getter abandoned by a timed-out caller would otherwise consume
-        the next item put into the store — stealing the message a retry
-        is waiting for. Returns True if the event was still queued.
+        A getter whose owner has gone would otherwise consume the next
+        item put into the store; a closed TLS connection withdraws its
+        reader's getter this way, so the endpoint's next connection reads
+        every record. Returns True if the event was still queued.
         """
         try:
             self._getters.remove(event)

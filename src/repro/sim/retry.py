@@ -20,8 +20,8 @@ Design points:
 - **Per-attempt timeout** — each attempt is wrapped in
   :meth:`Simulator.with_timeout`, so a dropped message fails the attempt
   with :class:`DeadlineExceededError` instead of hanging; the abandoned
-  attempt process is interrupted so it can cancel its mailbox getters
-  (see :meth:`repro.sim.resources.Store.cancel`).
+  attempt process is interrupted so it can let go of what it waits for
+  (see :meth:`repro.sim.core.Simulator.with_timeout`).
 - **Typed retryability** — only ``DEFAULT_RETRYABLE`` faults are retried;
   anything else (an :class:`AccessDeniedError`, a rollback detection) is
   a *verdict*, not a fault, and propagates immediately.

@@ -19,6 +19,14 @@ the DTLS anti-replay window (RFC 9147 §4.5.1, RFC 6347 §4.1.2.6): a
 duplicate, or a record older than the window, is dropped before dispatch,
 so a record copied off the wire cannot run its request a second time.
 
+:meth:`TLSConnection.connect` registers the session on the server that
+runs on the destination endpoint, and refuses an endpoint no running
+server serves before any handshake, like a refused TCP connection. Each
+connection runs one reader process: it opens every record arriving at
+the client endpoint and wakes the request waiting for its request id, so
+concurrent requests on one connection each get their own reply; any
+other record is dropped as stale.
+
 A connection ends with a close record, which the client sends without
 waiting for an answer, like TLS ``close_notify`` (RFC 8446 §6.1); the
 server forgets the session when it opens it. A client endpoint carries
@@ -40,8 +48,9 @@ from repro.crypto.certificates import Certificate
 from repro.crypto.primitives import DeterministicRandom
 from repro.crypto.signatures import KeyPair, PublicKey
 from repro.errors import CryptoError, NetworkError
-from repro.sim.core import Event, ProcessInterrupt
+from repro.sim.core import Event
 from repro.sim.network import Endpoint, Network, Site
+from repro.sim.resources import StoreClosed
 from repro.tls.handshake import TLSSession, perform_handshake
 
 #: Most sessions a :class:`TLSServer` keeps; registering one more forgets
@@ -97,31 +106,28 @@ def _open_record(channel: SecureChannel, session: TLSSession,
 class TLSConnection:
     """A client-side TLS connection to a server endpoint.
 
-    Construction performs the handshake (latency + optional certificate
-    verification); ``request`` sends one sealed request and waits for the
-    sealed reply; ``close`` ends the connection.
+    :meth:`connect` performs the handshake (latency + optional certificate
+    verification) and registers the session; ``request`` sends one sealed
+    request and waits for the reply the connection's reader hands it;
+    ``close`` ends the connection.
     """
 
     def __init__(self, network: Network, client_endpoint: Endpoint,
-                 server_endpoint: Endpoint, session: TLSSession,
-                 rng: DeterministicRandom) -> None:
+                 server_endpoint: Endpoint, session: TLSSession) -> None:
         self.network = network
         self.client_endpoint = client_endpoint
         self.server_endpoint = server_endpoint
         self.session = session
-        self._rng = rng
         self.client_channel = SecureChannel(session, is_client=True)
-        self.server_channel = SecureChannel(session, is_client=False)
-        self.requests_sent = 0
         self._request_seq = 0
         self.stale_replies_dropped = 0
         self.closed = False
-        #: Request id -> the mailbox getter that request waits on, or
-        #: ``None`` while it is busy with a record, for every request
-        #: still waiting for its reply.
-        self._waiting: Dict[int, Optional[Event]] = {}
-        #: Replies another request of this connection received, by id.
-        self._handed: Dict[int, Any] = {}
+        #: Request id -> the event of the request waiting for that reply.
+        self._replies: Dict[int, Event] = {}
+        #: The reader's pending mailbox getter.
+        self._getter: Optional[Event] = None
+        network.simulator.process(
+            self._read(), name=f"tls-reader-{client_endpoint.name}")
 
     @classmethod
     def connect(cls, network: Network, client_name: str, client_site: Site,
@@ -132,15 +138,22 @@ class TLSConnection:
                 telemetry=None,
                 client_keys: Optional[KeyPair] = None,
                 ) -> Generator[Event, Any, "TLSConnection"]:
-        """Handshake and build a connection; a simulation process.
+        """Handshake, register the session on the server and build a
+        connection; a simulation process.
 
-        The connection sends from the endpoint ``client_name``; a live
-        connection already on it is closed once the handshake succeeds.
-        The endpoint's connection count is mixed into every handshake
-        after its first, so a reconnect with the same ``rng`` cannot
-        repeat an earlier session and run its records again. A
-        ``client_certificate`` needs the ``client_keys`` behind it (see
-        :func:`~repro.tls.handshake.perform_handshake`)."""
+        With no running server on ``server_endpoint`` it raises
+        :class:`NetworkError` before the handshake, like a refused TCP
+        connection. The connection sends from the endpoint
+        ``client_name``; a live connection already on it is closed once
+        the handshake succeeds. The endpoint's connection count is mixed
+        into every handshake after its first, so a reconnect with the
+        same ``rng`` cannot repeat an earlier session and run its records
+        again. A ``client_certificate`` needs the ``client_keys`` behind
+        it (see :func:`~repro.tls.handshake.perform_handshake`)."""
+        server = server_endpoint.server
+        if server is None:
+            raise NetworkError(
+                f"no server serves {server_endpoint.name!r}")
         client_endpoint = network.endpoint(client_name, client_site)
         label = b"handshake:" + client_name.encode()
         if client_endpoint.connections:
@@ -155,10 +168,10 @@ class TLSConnection:
             telemetry=telemetry,
             client_keys=client_keys,
         ))
+        server._register_session(session)
         if client_endpoint.connection is not None:
             client_endpoint.connection.close()
-        connection = cls(network, client_endpoint, server_endpoint, session,
-                         rng)
+        connection = cls(network, client_endpoint, server_endpoint, session)
         client_endpoint.connection = connection
         return connection
 
@@ -171,20 +184,17 @@ class TLSConnection:
                 ) -> Generator[Event, Any, Any]:
         """Send one request and wait for the reply; returns the reply payload.
 
-        Each request carries a sealed request id and the reply echoes it:
-        under retries, a stale or duplicated reply (the network may deliver
-        twice, and a timed-out attempt's reply can arrive after the retry's
-        request) is discarded instead of being mistaken for the answer.
-        Concurrent requests on one connection share its mailbox, so a
-        request that receives another waiting request's reply hands it
-        to that request, also when a deadline interrupts it while it
-        holds that reply. An interrupted request (a
-        :meth:`Simulator.with_timeout` deadline) cancels its mailbox getter
-        so the abandoned attempt cannot steal the reply meant for the
-        retry. Records that are not authentic
-        replies on this session are dropped the same way. A request on a
-        closed connection, or one still waiting when the connection
-        closes, raises :class:`NetworkError`.
+        Each request carries a sealed request id and the reply echoes it;
+        the connection's reader wakes the request waiting for that id, so
+        concurrent requests on one connection each get their own reply.
+        Under retries, a stale or duplicated reply (the network may
+        deliver twice, and a timed-out attempt's reply can arrive after
+        the retry's request) is dropped instead of being mistaken for the
+        answer. An interrupted request (a
+        :meth:`Simulator.with_timeout` deadline) only forgets its id, so
+        its late reply is dropped too. A request on a closed connection,
+        or one still waiting when the connection or its endpoint closes,
+        raises :class:`NetworkError`.
         """
         if self.closed:
             raise self._closed_error()
@@ -200,72 +210,56 @@ class TLSConnection:
                                    "data": sealed},
                                   size_bytes=size_bytes,
                                   reply_to=self.client_endpoint)
-        self.requests_sent += 1
-        self._waiting[rid] = None
+        reply = self._replies[rid] = simulator.event()
         try:
-            while True:
-                if self.closed:
-                    raise self._closed_error()
-                if rid in self._handed:
-                    return self._handed[rid]
-                pending = self.client_endpoint.receive()
-                self._waiting[rid] = pending
-                try:
-                    message = yield pending
-                except ProcessInterrupt:
-                    self.client_endpoint.inbox.cancel(pending)
-                    raise
-                finally:
-                    self._waiting[rid] = None
-                if message is None:
-                    continue  # woken by a hand-off: the reply is handed
-                reply = _open_record(self.client_channel, self.session,
-                                     message.payload)
-                reply_rid = (reply.get("rid") if isinstance(reply, dict)
-                             else None)
-                try:
-                    yield simulator.timeout(
-                        calibration.TLS_RECORD_CRYPTO_SECONDS)
-                except ProcessInterrupt:
-                    # Abandoned while holding a record: a reply another
-                    # request waits for still reaches it.
-                    if reply_rid != rid and reply_rid in self._waiting:
-                        self._hand_off(reply_rid, reply.get("body"))
-                    raise
-                if reply_rid == rid:
-                    return reply.get("body")
-                if reply_rid not in self._waiting:
-                    self.stale_replies_dropped += 1
-                    continue
-                self._hand_off(reply_rid, reply.get("body"))
+            return (yield reply)
         finally:
-            del self._waiting[rid]
-            self._handed.pop(rid, None)
+            self._replies.pop(rid, None)
 
-    def _hand_off(self, rid: int, body: Any) -> None:
-        """Give the reply ``body`` to the waiting request ``rid``, and wake
-        that request if it waits on the mailbox."""
-        self._handed[rid] = body
-        other = self._waiting[rid]
-        if other is not None and self.client_endpoint.inbox.cancel(other):
-            other.succeed(None)
+    def _read(self) -> Generator[Event, Any, None]:
+        """The reader: open each record on the client endpoint and wake
+        the request waiting for its id; count any other as stale."""
+        simulator = self.network.simulator
+        while not self.closed:
+            self._getter = self.client_endpoint.receive()
+            try:
+                message = yield self._getter
+            except StoreClosed:  # the endpoint closed: so does the connection
+                self.closed = True
+                self._fail_waiting()
+                return
+            reply = _open_record(self.client_channel, self.session,
+                                 message.payload)
+            yield simulator.timeout(calibration.TLS_RECORD_CRYPTO_SECONDS)
+            if self.closed:
+                return
+            waiting = self._replies.pop(
+                reply.get("rid") if isinstance(reply, dict) else None, None)
+            if waiting is None:
+                self.stale_replies_dropped += 1
+            else:
+                waiting.succeed(reply.get("body"))
+
+    def _fail_waiting(self) -> None:
+        """Fail every request still waiting for its reply."""
+        for waiting in self._replies.values():
+            waiting.fail(self._closed_error())
+        self._replies.clear()
 
     def close(self) -> None:
         """End the connection; closing twice does nothing.
 
-        Sends a sealed close record, without waiting for an answer, and
-        fails every request still waiting for its reply with
-        :class:`NetworkError`.
+        Sends a sealed close record, without waiting for an answer,
+        withdraws the reader's mailbox getter, and fails every request
+        still waiting for its reply with :class:`NetworkError`.
         """
         if self.closed:
             return
         self.closed = True
         if self.client_endpoint.connection is self:
             self.client_endpoint.connection = None
-        for pending in self._waiting.values():
-            if (pending is not None
-                    and self.client_endpoint.inbox.cancel(pending)):
-                pending.fail(self._closed_error())
+        self.client_endpoint.inbox.cancel(self._getter)
+        self._fail_waiting()
         self._request_seq += 1
         sealed = self.client_channel.seal({"rid": self._request_seq,
                                            "close": True})
@@ -330,7 +324,9 @@ class TLSServer:
         self.records_dropped: Counter = Counter()
         self._running = False
 
-    def register_session(self, session: TLSSession) -> None:
+    def _register_session(self, session: TLSSession) -> None:
+        """Serve ``session``; :meth:`TLSConnection.connect` calls it after
+        the handshake."""
         self._sessions[session.session_id] = _ServerSession(session)
         if len(self._sessions) > MAX_SESSIONS:
             self._sessions.popitem(last=False)
@@ -359,8 +355,6 @@ class TLSServer:
         self.endpoint.close()
 
     def _serve_loop(self) -> Generator[Event, Any, None]:
-        from repro.sim.resources import StoreClosed
-
         simulator = self.network.simulator
         while self._running:
             try:

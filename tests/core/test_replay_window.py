@@ -3,8 +3,10 @@
 An attacker on the path copies a sealed REST or replication record off
 the wire and sends it again. The record still authenticates, so only the
 server's per-session anti-replay window stands between it and a second
-run of its request. Each row of ``ATTACKS`` is one attack and the outcome
-it must have; each row builds its own deployment.
+run of its request. A copied reply meets the client's check instead: it
+seals the id of the request it answered, and a connection sends each id
+once, so it answers no later request. Each row of ``ATTACKS`` is one
+attack and the outcome it must have; each row builds its own deployment.
 """
 
 import pytest
@@ -12,6 +14,7 @@ import pytest
 from repro.core.client import PalaemonClient
 from repro.core.rest import PalaemonRestClient
 from repro.crypto.primitives import DeterministicRandom
+from repro.errors import RetryExhaustedError
 from repro.obs.telemetry import NULL_TELEMETRY
 from repro.sim.faults import FaultPlan
 from repro.sim.network import Site
@@ -148,6 +151,38 @@ def replay_replication_record():
             "dropped": dict(server.records_dropped)}
 
 
+def replay_replication_ack():
+    """The backup's ack of one batch, re-delivered to the primary while
+    the next batch is held behind a drop window, is not that batch's
+    ack: its sealed request id names the earlier request."""
+    deployment = Deployment(seed=b"replay-window")
+    network, local, remote, _backup = peered_pair(deployment)
+    network.wire_log_enabled = True
+    coordinator = designate_backup(deployment, local, remote)
+    push_tag(deployment, OLDER)
+    link = local.link(remote.name)
+    captured = last_record_to(network, link.client_endpoint)
+    simulator = deployment.simulator
+    FaultPlan(simulator, NULL_TELEMETRY).drop_link(
+        link.client_endpoint.name, remote._server.endpoint.name,
+        start=simulator.now).attach(network)
+    outcome = {}
+
+    def commit():
+        try:
+            yield from deployment.palaemon.update_tag("ml_policy", "ml_app",
+                                                      NEWER)
+            outcome["commit"] = "completed"
+        except RetryExhaustedError:
+            outcome["commit"] = "gave up"
+
+    simulator.process(commit())
+    simulator.run(until=simulator.now + 0.1)  # the batch is dropped
+    replay(network, link.client_endpoint, captured)
+    return {**outcome, "lag": coordinator.replication_lag(),
+            "stale": link.stale_replies_dropped}
+
+
 def duplicated_delivery():
     stack = Stack()
     served = stack.tls_server.requests_served
@@ -178,6 +213,9 @@ ATTACKS = [
     ("replication-record-replayed",
      replay_replication_record,
      {"handled": 0, "stored": NEWER, "dropped": {"replayed": 1}}),
+    ("replication-ack-replayed",
+     replay_replication_ack,
+     {"commit": "gave up", "lag": 1, "stale": 1}),
     ("duplicate-link-delivery",
      duplicated_delivery,
      {"handled": 1, "stored_tag": NEWER, "dropped": {"replayed": 1}}),

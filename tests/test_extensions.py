@@ -496,6 +496,39 @@ class TestFailover:
         assert promoted.store.get(*REPLICA_ROW) == applied
         assert tag_on(promoted) is None
 
+    def test_crashed_primary_sends_nothing_more(self, deployment):
+        """A primary that crashes while its batch is held behind a drop
+        window leaves the network: no retry leaves its link endpoint, the
+        backup applies nothing, and the commit waiting for the ack
+        raises."""
+        primary, backup = peered_backup(deployment)
+        coordinator = FailoverCoordinator(primary, backup)
+        sim = deployment.simulator
+        sim.run()  # the enrolment
+        FaultPlan(sim, deployment.palaemon.telemetry).drop_link(
+            f"fed-{primary.name}-to-{backup.name}", f"fed-{backup.name}",
+            start=sim.now, end=sim.now + 0.3).attach(primary.network)
+        outcome = {}
+
+        def update():
+            try:
+                yield sim.process(deployment.palaemon.update_tag(
+                    "ml_policy", "ml_app", b"\x05" * 32))
+                outcome["update"] = "ok"
+            except RetryExhaustedError:
+                outcome["update"] = "gave up"
+
+        sim.process(update())
+        sim.run(until=sim.now + 0.1)  # the batch is sent and dropped
+        endpoint = primary.link(backup.name).client_endpoint
+        sent = endpoint.bytes_sent
+        coordinator.primary_crashed()
+        sim.run()
+        assert endpoint.bytes_sent == sent
+        assert coordinator.backup.store.get(*REPLICA_ROW)[
+            "applied_sequence"] == 1
+        assert outcome == {"update": "gave up"}
+
     def test_batch_from_unknown_sender_is_dropped(self, deployment):
         """A forged replication batch is neither applied nor acknowledged,
         so a later promotion exposes nothing."""

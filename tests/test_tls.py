@@ -127,7 +127,6 @@ class TestConnection:
         def main():
             connection = yield sim.process(TLSConnection.connect(
                 net, "client", Site.SAME_DC, server.endpoint, rng))
-            server.register_session(connection.session)
             reply = yield sim.process(connection.request({"ping": 1}))
             server.stop()
             return reply
@@ -144,7 +143,6 @@ class TestConnection:
         def main():
             connection = yield sim.process(TLSConnection.connect(
                 net, "client", Site.SAME_DC, server.endpoint, rng))
-            server.register_session(connection.session)
             yield sim.process(connection.request(
                 {"secret": "plaintext-password"}))
             server.stop()
@@ -167,7 +165,6 @@ class TestConnection:
         def main():
             connection = yield sim.process(TLSConnection.connect(
                 net, "client", Site.SAME_RACK, server.endpoint, rng))
-            server.register_session(connection.session)
             start = sim.now
             reply = yield sim.process(connection.request(21))
             server.stop()
@@ -191,7 +188,6 @@ class TestConnection:
         def main():
             connection = yield sim.process(TLSConnection.connect(
                 net, "client", Site.SAME_DC, server.endpoint, rng))
-            server.register_session(connection.session)
             first = yield sim.process(connection.request(1))
             second = yield sim.process(connection.request(2))
             server.stop()
@@ -200,13 +196,13 @@ class TestConnection:
         connection, first, second = sim.run_process(main())
         assert (first, second) == ({"echo": 1}, {"echo": 2})
         # Each request arrives twice and the server's anti-replay window
-        # drops the second copy, so each runs once; the first reply is
-        # duplicated, and the second request reads and drops that stale
-        # copy before its own reply.
+        # drops the second copy, so each runs once; each reply arrives
+        # twice too, and the connection's reader drops both second copies
+        # as stale.
         assert plan.injected["duplicate"] >= 3
         assert server.requests_served == 2
         assert server.records_dropped == {"replayed": 2}
-        assert connection.stale_replies_dropped == 1
+        assert connection.stale_replies_dropped == 2
 
     def test_unknown_session_dropped(self, rng):
         sim = Simulator()
@@ -218,7 +214,7 @@ class TestConnection:
         def main():
             connection = yield sim.process(TLSConnection.connect(
                 net, "client", Site.SAME_RACK, server.endpoint, rng))
-            # Session deliberately NOT registered with the server.
+            # A record under a session id the server never registered.
             connection.client_endpoint.send(
                 server.endpoint,
                 {"session": b"bogus-session-id",

@@ -7,7 +7,7 @@ import pytest
 from repro.crypto.primitives import DeterministicRandom
 from repro.sim.core import Simulator
 from repro.sim.network import Network, Site
-from repro.tls.channel import TLSConnection, TLSServer
+from repro.tls.channel import SecureChannel, TLSConnection, TLSServer
 
 
 def make_stack(handler):
@@ -32,7 +32,6 @@ class TestConcurrentClients:
             connection = yield sim.process(TLSConnection.connect(
                 net, f"client-{index}", Site.SAME_DC, server.endpoint,
                 rng.fork(b"client%d" % index)))
-            server.register_session(connection.session)
             reply = yield sim.process(connection.request(
                 {"client": index}))
             replies[index] = reply
@@ -65,7 +64,7 @@ class TestConcurrentClients:
         server.stop()
         sealed_by_a = a.client_channel.seal({"secret": 1})
         with pytest.raises(IntegrityError):
-            b.server_channel.open(sealed_by_a)
+            SecureChannel(b.session, is_client=False).open(sealed_by_a)
 
     def test_serialized_handler_queues_fairly(self):
         """A slow generator handler serves clients in arrival order."""
@@ -85,7 +84,6 @@ class TestConcurrentClients:
             connection = yield sim.process(TLSConnection.connect(
                 net, f"c{index}", Site.SAME_RACK, endpoint,
                 rng.fork(b"cc%d" % index)))
-            server.register_session(connection.session)
             yield sim.timeout(index * 0.001)  # staggered arrivals
             reply = yield sim.process(connection.request({"client": index}))
             assert reply == index
@@ -105,7 +103,6 @@ class TestConcurrentClients:
             connection = yield sim.process(TLSConnection.connect(
                 net, "client", Site.SAME_RACK, server.endpoint,
                 rng.fork(b"c")))
-            server.register_session(connection.session)
             reply = yield sim.process(connection.request("ping"))
             return reply
 

@@ -38,7 +38,6 @@ def connect(sim, rng, net, server, name="client", label=b""):
         connection = yield sim.process(TLSConnection.connect(
             net, name, Site.SAME_DC, server.endpoint,
             rng.fork(name.encode() + label)))
-        server.register_session(connection.session)
         return connection
 
     return sim.run_process(main())
@@ -79,6 +78,8 @@ class TestRestSessions:
         assert deployment.palaemon.get_tag_instant(
             "ml_policy", "ml_app") == (999).to_bytes(32, "big")
         assert server._server.records_dropped == {}
+        # Only the live connection's reader waits on the endpoint.
+        assert len(client.connection.client_endpoint.inbox._getters) <= 1
 
     def test_rest_client_close_forgets_the_session(self):
         deployment = Deployment(seed=b"rest-close")
@@ -88,6 +89,32 @@ class TestRestSessions:
         assert len(server._server._sessions) == 0
         with pytest.raises(NetworkError, match="closed"):
             rest_call(deployment, client, "instance.describe")
+
+
+class TestConnect:
+    @pytest.mark.parametrize("started", [False, True])
+    def test_endpoint_no_running_server_serves_is_refused(self, started):
+        """Before any handshake time passes, like a refused TCP
+        connection; a stopped server refuses like one never started."""
+        sim, rng, net, _echo = echo_stack()
+        server = TLSServer(net, net.endpoint("nobody"),
+                           lambda request, _session: request)
+        if started:
+            server.start()
+            server.stop()
+
+        def main():
+            start = sim.now
+            try:
+                yield sim.process(TLSConnection.connect(
+                    net, "client", Site.SAME_DC, server.endpoint,
+                    rng.fork(b"refused")))
+            except NetworkError:
+                return sim.now - start
+            return "connected"
+
+        assert sim.run_process(main()) == 0.0
+        assert len(server._sessions) == 0
 
 
 class TestClose:
@@ -136,7 +163,6 @@ class TestClose:
             waiting = sim.process(in_flight())
             new = yield sim.process(TLSConnection.connect(
                 net, "client", Site.SAME_DC, server.endpoint, rng.fork(b"n")))
-            server.register_session(new.session)
             yield waiting
             outcome["new"] = yield sim.process(new.request(2))
 
@@ -182,7 +208,6 @@ class TestReconnectWithTheSameRng:
                 connection = yield sim.process(TLSConnection.connect(
                     net, "client", Site.SAME_DC, server.endpoint,
                     rng.fork(b"conn")))
-                server.register_session(connection.session)
                 return connection
 
             return sim.run_process(main())
@@ -245,10 +270,8 @@ class TestOneConnectionPerEndpoint:
         def main():
             first = yield sim.process(TLSConnection.connect(
                 net, "client", Site.SAME_DC, server.endpoint, rng.fork(b"a")))
-            server.register_session(first.session)
             second = yield sim.process(TLSConnection.connect(
                 net, "client", Site.SAME_DC, server.endpoint, rng.fork(b"b")))
-            server.register_session(second.session)
             yield sim.all_of([sim.process(use(first, "first")),
                               sim.process(use(second, "second"))])
 
@@ -260,8 +283,8 @@ class TestOneConnectionPerEndpoint:
 
 
 class TestConcurrentRequestsOnOneConnection:
-    """Concurrent requests on one connection share its mailbox; a request
-    that receives another's reply hands it over, so none waits for ever."""
+    """Concurrent requests on one connection share its reader, which wakes
+    each request with its own reply, so none waits for ever."""
 
     @pytest.mark.parametrize("concurrency", [2, 8])
     @pytest.mark.parametrize("seed", range(30))
@@ -311,8 +334,8 @@ class TestConcurrentRequestsOnOneConnection:
         assert connection.stale_replies_dropped == 1
 
     def test_late_reply_of_a_timed_out_request_is_dropped(self):
-        """A request abandoned at its deadline no longer waits, so its late
-        reply reaches the other request as a stale one, not a hand-off."""
+        """A request abandoned at its deadline forgets its id, so its late
+        reply is dropped as stale while the other request still waits."""
         sim = Simulator()
         rng = DeterministicRandom(b"one-conn-deadline")
         net = Network(sim, rng.fork(b"net"))
@@ -346,9 +369,9 @@ class TestConcurrentRequestsOnOneConnection:
         assert server.requests_served == 2
         assert connection.stale_replies_dropped == 1
 
-    def test_deadline_while_holding_another_reply_hands_it_over(self):
-        """A request whose deadline falls while it decrypts the other
-        request's reply still hands that reply over."""
+    def test_deadline_while_the_other_reply_is_opened(self):
+        """A request whose deadline falls while the reader opens the other
+        request's reply leaves that reply to the other request."""
         def run(deadline=None):
             sim, rng, net, server = echo_stack(seed=b"one-conn-held-reply",
                                                jitter_fraction=0.0)
@@ -357,8 +380,8 @@ class TestConcurrentRequestsOnOneConnection:
             outcome = {}
 
             def slow():
-                # First on the mailbox, but its large request reaches the
-                # server after the small one, so it receives the other reply.
+                # Sent first, but its large request reaches the server
+                # after the small one, so the other reply arrives first.
                 attempt = sim.process(connection.request(
                     "slow", size_bytes=10_000_000))
                 try:
@@ -385,7 +408,7 @@ class TestConcurrentRequestsOnOneConnection:
         first = run()
         assert first["slow"] == {"echo": "slow"}
         assert first["fast"] == {"echo": "fast"}
-        received = first["fast_at"] - crypto  # when the slow request took it
+        received = first["fast_at"] - crypto  # when the reader took it
         outcome = run(deadline=received + crypto / 2)
         assert outcome["slow"] == "deadline"
         assert outcome["fast"] == {"echo": "fast"}

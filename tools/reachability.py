@@ -117,7 +117,6 @@ KEEP = {
     "tee/ias.py:IntelAttestationService.revoke_platform": UNCLEAN,
     "tee/platform.py:SGXPlatform.set_microcode": UNCLEAN,
     "tls/channel.py:TLSConnection._closed_error": UNCLEAN,
-    "tls/channel.py:TLSConnection._hand_off": UNCLEAN,
     # Blocks of functions that run.
     ("__main__.py:cmd_observe:"
      'print("observe: --seed must be non-empty", file=sys.stderr)'): UNCLEAN,
@@ -232,21 +231,19 @@ KEEP = {
      "return AttestationVerdict.SIGNATURE_INVALID"): UNCLEAN,
     ("tee/quoting.py:QuotingEnclave.create_report:"
      "report_data = sha256(report_data)"): UNCLEAN,
-    "tls/channel.py:TLSConnection.close:if (pending is not None": UNCLEAN,
+    # No clean run closes a connection, or its endpoint, while a request
+    # waits for its reply, or while the reader opens a record.
+    ("tls/channel.py:TLSConnection._fail_waiting:"
+     "waiting.fail(self._closed_error())"): UNCLEAN,
+    "tls/channel.py:TLSConnection._read:return": UNCLEAN,
     "tls/channel.py:TLSConnection.close:return": UNCLEAN,
-    ("tls/channel.py:TLSConnection.request:"
-     "continue  # woken by a hand-off: the reply is handed"): reserved(2),
-    ("tls/channel.py:TLSConnection.request:"
-     "return self._handed[rid]"): reserved(2),
-    ("tls/channel.py:TLSConnection.request:"
-     'self._hand_off(reply_rid, reply.get("body"))'): reserved(2),
     ("tls/channel.py:TLSServer._serve_loop:"
      "result = yield simulator.process(result)"): reserved(2),
     ("tls/channel.py:TLSServer._serve_loop:"
      'self.records_dropped["not_authentic"] += 1'): UNCLEAN,
     ("tls/channel.py:TLSServer._serve_loop:"
      'self.records_dropped["unknown_session"] += 1'): UNCLEAN,
-    ("tls/channel.py:TLSServer.register_session:"
+    ("tls/channel.py:TLSServer._register_session:"
      "self._sessions.popitem(last=False)"): UNCLEAN,
     "tls/channel.py:TLSServer.start:return": UNCLEAN,
     'tls/channel.py:_ServerSession.admit:return "too_old"': UNCLEAN,

@@ -9,47 +9,53 @@ are 5 orders of magnitude faster than platform counters.
 from repro import calibration
 from repro.benchlib.tables import PaperComparison, format_table, paper_vs_measured
 from repro.counters.filecounter import FileCounter, FileCounterMode
-from repro.counters.platform import SGXPlatformCounter
 from repro.counters.rote import ROTECounterGroup
-from repro.counters.tpm import TPMCounter
 from repro.sim.core import Simulator
-from repro.tee.counters import PlatformCounterService
+from repro.tee.counters import PlatformCounterService, TPMCounterService
 
 from benchmarks.conftest import run_once
 
 
-def _rate(counter_factory, increments):
+def _rate(increment_factory, increments):
+    """Increments per second of ``increment_factory(simulator)()``."""
     simulator = Simulator()
-    counter = counter_factory(simulator)
+    increment = increment_factory(simulator)
 
     def main():
         start = simulator.now
         for _ in range(increments):
-            yield simulator.process(counter.increment())
+            yield simulator.process(increment())
         return increments / (simulator.now - start)
 
     return simulator.run_process(main())
 
 
+def _nvram(service_class):
+    """Increment one counter of an NVRAM counter service."""
+    def factory(simulator):
+        service = service_class(simulator)
+        service.create("c")
+        return lambda: service.increment("c")
+    return factory
+
+
+def _file(mode):
+    return lambda simulator: FileCounter(simulator, mode).increment
+
+
 def _measure_all():
     return {
-        "Counter (SGX platform)": _rate(
-            lambda sim: SGXPlatformCounter(PlatformCounterService(sim), "c"),
-            increments=30),
-        "TPM counter": _rate(lambda sim: TPMCounter(sim), increments=30),
+        "Counter (SGX platform)": _rate(_nvram(PlatformCounterService),
+                                        increments=30),
+        "TPM counter": _rate(_nvram(TPMCounterService), increments=30),
         "ROTE (4 servers)": _rate(
-            lambda sim: ROTECounterGroup(sim, group_size=4), increments=200),
-        "Native": _rate(
-            lambda sim: FileCounter(sim, FileCounterMode.NATIVE),
-            increments=300),
-        "SGX": _rate(lambda sim: FileCounter(sim, FileCounterMode.SGX),
-                     increments=300),
-        "+ encrypted FS": _rate(
-            lambda sim: FileCounter(sim, FileCounterMode.ENCRYPTED),
-            increments=300),
-        "+ Palaemon": _rate(
-            lambda sim: FileCounter(sim, FileCounterMode.STRICT),
-            increments=300),
+            lambda sim: ROTECounterGroup(sim, group_size=4).increment,
+            increments=200),
+        "Native": _rate(_file(FileCounterMode.NATIVE), increments=300),
+        "SGX": _rate(_file(FileCounterMode.SGX), increments=300),
+        "+ encrypted FS": _rate(_file(FileCounterMode.ENCRYPTED),
+                                increments=300),
+        "+ Palaemon": _rate(_file(FileCounterMode.STRICT), increments=300),
     }
 
 

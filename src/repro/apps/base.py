@@ -48,9 +48,5 @@ class SimulatedServer:
 
     def serve(self) -> Generator[Event, Any, None]:
         """Occupy one worker for one request's service time."""
-        yield self.workers.acquire()
-        try:
-            yield self.simulator.timeout(self.service_seconds)
-            self.requests_served += 1
-        finally:
-            self.workers.release()
+        yield from self.workers.hold(self.service_seconds)
+        self.requests_served += 1

@@ -139,11 +139,7 @@ class ApprovalService:
         if self.use_tls:
             round_trip += handshake_latency(caller_site, self.site)
         yield self.simulator.timeout(round_trip)
-        yield self.worker.acquire()
-        try:
-            yield self.simulator.timeout(self.service_seconds)
-        finally:
-            self.worker.release()
+        yield from self.worker.hold(self.service_seconds)
         return self.decide_local(request)
 
 

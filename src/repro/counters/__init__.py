@@ -2,9 +2,11 @@
 
 Five ways to count monotonically, with wildly different throughput:
 
-- :class:`SGXPlatformCounter` — the hardware counters PALAEMON rejects for
-  per-update use (13/s, wear out).
-- :class:`TPMCounter` — TPM 2.0 NVRAM counters (~10/s, 300k-1.4M writes).
+- SGX platform counters — the hardware counters PALAEMON rejects for
+  per-update use (13/s, wear out):
+  :class:`repro.tee.counters.PlatformCounterService`.
+- TPM 2.0 NVRAM counters (~10/s, 300k-1.4M writes): the same rate-limited
+  NVRAM model, :class:`repro.tee.counters.TPMCounterService`.
 - :class:`ROTECounterGroup` — ROTE-style distributed counters (~500/s LAN).
 - :class:`FileCounter` — a counter in a file, in four modes: native, inside
   SGX (memory-mapped), + transparent encryption, + PALAEMON strict mode.
@@ -15,11 +17,10 @@ hardware counter under the crash-as-attack assumption — and 5 orders of
 magnitude faster.
 
 Each counter's ``increment()`` is a simulation process returning the new
-value; its distinctive time cost is the experiment of Fig 10.
+value (the NVRAM services take the counter's id); its distinctive time cost
+is the experiment of Fig 10.
 """
 
-from repro.counters.platform import SGXPlatformCounter
-from repro.counters.tpm import TPMCounter
 from repro.counters.rote import ROTECounterGroup
 from repro.counters.filecounter import FileCounter, FileCounterMode
 
@@ -27,6 +28,4 @@ __all__ = [
     "FileCounter",
     "FileCounterMode",
     "ROTECounterGroup",
-    "SGXPlatformCounter",
-    "TPMCounter",
 ]

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from typing import Any, Generator, List
 
+from repro import calibration
 from repro.errors import CounterError, CounterUnavailableError
 from repro.sim.core import Event, Simulator
 from repro.sim.network import Site, rtt_between
@@ -20,9 +21,7 @@ from repro.sim.network import Site, rtt_between
 class _Replica:
     """One group member holding the counter in enclave memory."""
 
-    def __init__(self, replica_id: int, site: Site) -> None:
-        self.replica_id = replica_id
-        self.site = site
+    def __init__(self) -> None:
         self.value = 0
         self.alive = True
 
@@ -35,21 +34,14 @@ class _Replica:
 
 
 class ROTECounterGroup:
-    """A counter replicated across a group of enclaves."""
+    """A counter replicated across a group of enclaves in one data centre."""
 
-    def __init__(self, simulator: Simulator, group_size: int = 4,
-                 site: Site = Site.SAME_DC,
-                 processing_seconds: float = 1.2e-3) -> None:
+    def __init__(self, simulator: Simulator, group_size: int = 4) -> None:
         if group_size < 3:
             raise CounterError("ROTE needs a group of at least 3")
         self.simulator = simulator
-        self.site = site
-        #: Per-request enclave processing cost at each replica (quorum of
-        #: enclave transitions + ECDSA-class crypto), calibrated so a
-        #: 4-server LAN group lands near the cited ~500 ops/s.
-        self.processing_seconds = processing_seconds
         self.replicas: List[_Replica] = [
-            _Replica(i, site) for i in range(group_size)]
+            _Replica() for _ in range(group_size)]
         self._value = 0
         #: Fault injection (:class:`repro.sim.faults.FaultPlan`), attached
         #: via ``FaultPlan.attach``.
@@ -74,8 +66,9 @@ class ROTECounterGroup:
         # One round: send to all replicas, wait for a quorum of acks. The
         # round costs a LAN round trip plus per-replica processing,
         # serialized at the coordinating enclave.
-        round_trip = rtt_between(Site.SAME_RACK, self.site)
-        yield self.simulator.timeout(round_trip + self.processing_seconds)
+        round_trip = rtt_between(Site.SAME_RACK, Site.SAME_DC)
+        yield self.simulator.timeout(
+            round_trip + calibration.ROTE_PROCESSING_SECONDS)
         acks = sum(1 for replica in self.replicas if replica.prepare(proposed))
         if acks < self.quorum:
             raise CounterError(

@@ -130,11 +130,7 @@ class StartupModel:
         # EPID crypto plus the extra round trip that embeds verifier data.
         yield sim.timeout(calibration.ATTEST_SEND_QUOTE_IAS_SECONDS)
         lap("send_quote")
-        yield self.ias_frontend.acquire()
-        try:
-            yield sim.timeout(self.ias_wait_seconds)
-        finally:
-            self.ias_frontend.release()
+        yield from self.ias_frontend.hold(self.ias_wait_seconds)
         lap("wait_confirmation")
         yield sim.timeout(calibration.ATTEST_RECEIVE_CONFIG_SECONDS)
         lap("receive_config")

@@ -121,7 +121,6 @@ class Process(Event):
         except BaseException as exc:  # noqa: BLE001 - deliberately broad
             if not self.triggered:
                 self.fail(exc)
-                self.simulator._note_process_failure(self, exc)
             return
         if not isinstance(target, Event):
             self.fail(SimulationError(
@@ -155,7 +154,6 @@ class Simulator:
         self.now: float = 0.0
         self._queue: List[Tuple[float, int, Event]] = []
         self._sequence = 0
-        self._unhandled_failures: List[Tuple[Process, BaseException]] = []
 
     # -- event construction helpers ------------------------------------
 
@@ -252,10 +250,6 @@ class Simulator:
             raise SimTimeError(f"event scheduled in the past: {at} < {self.now}")
         heapq.heappush(self._queue, (at, self._sequence, event))
         self._sequence += 1
-
-    def _note_process_failure(self, process: Process,
-                              exc: BaseException) -> None:
-        self._unhandled_failures.append((process, exc))
 
     # -- running ----------------------------------------------------------
 

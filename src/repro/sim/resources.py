@@ -1,7 +1,8 @@
-"""Queueing primitives: resources, locks, and stores.
+"""Queueing primitives: resources and stores.
 
-These model contended hardware and software: CPU thread pools, the SGX
-driver's global EPC lock, disk commit queues, and mailboxes. Queueing
+A :class:`Resource` models every contended device: CPU thread pools, the
+SGX driver's global EPC lock and the disk's commit queue (capacity one),
+approval and app-server workers. A :class:`Store` is a mailbox. Queueing
 discipline is FIFO, which is what makes the throughput/latency hockey-stick
 curves in the paper's figures emerge naturally under open-loop load.
 """
@@ -18,13 +19,9 @@ from repro.sim.core import Event, Simulator
 class Resource:
     """A counted resource with FIFO waiting (like a thread pool).
 
-    Usage inside a process::
-
-        grant = yield resource.acquire()
-        try:
-            yield simulator.timeout(service_time)
-        finally:
-            resource.release()
+    A request that only occupies a slot for a calibrated time runs
+    ``yield from resource.hold(seconds)``; one that works inside the slot
+    pairs :meth:`acquire` with :meth:`release` in a ``finally``.
     """
 
     def __init__(self, simulator: Simulator, capacity: int,
@@ -57,16 +54,22 @@ class Resource:
         else:
             self._in_use -= 1
 
+    def hold(self, seconds: float) -> Generator[Event, Any, None]:
+        """Occupy one slot for ``seconds`` of virtual time.
 
-class SimLock(Resource):
-    """A mutex: a resource with capacity one.
-
-    Models e.g. the SGX driver's global EPC allocation lock that serializes
-    enclave startups (Fig 9's "SGX w/o" bottleneck).
-    """
-
-    def __init__(self, simulator: Simulator, name: str = "lock") -> None:
-        super().__init__(simulator, capacity=1, name=name)
+        The slot is given back however the hold ends: an interrupt (a
+        :meth:`Simulator.with_timeout` deadline) while queued withdraws
+        the request, and one while holding releases the slot.
+        """
+        grant = self.acquire()
+        try:
+            yield grant
+            yield self.simulator.timeout(seconds)
+        finally:
+            if grant.triggered:
+                self.release()
+            else:
+                self._waiters.remove(grant)
 
 
 class Store:
@@ -142,9 +145,8 @@ class DiskModel:
         self.simulator = simulator
         self.commit_latency = commit_latency
         self.name = name
-        self._queue = SimLock(simulator, name=f"{name}-queue")
+        self._queue = Resource(simulator, capacity=1, name=f"{name}-queue")
         self.commits = 0
-        self.failed_commits = 0
         #: Optional fault injection (:class:`repro.sim.faults.FaultPlan`);
         #: attached via ``FaultPlan.attach``, never set on hot paths.
         self.fault_plan = None
@@ -156,30 +158,9 @@ class DiskModel:
         fault window still pays the latency (the drive spun, the write
         failed) and then raises :class:`StorageFaultError`.
         """
-        yield self._queue.acquire()
-        try:
-            yield self.simulator.timeout(self.commit_latency)
-            if (self.fault_plan is not None
-                    and self.fault_plan.injects("disk_fault", self.name)):
-                self.failed_commits += 1
-                raise StorageFaultError(
-                    f"disk {self.name!r}: injected commit failure")
-            self.commits += 1
-        finally:
-            self._queue.release()
-
-
-class CpuPool(Resource):
-    """A pool of hyper-threads; ``execute`` runs a CPU burst on one."""
-
-    def __init__(self, simulator: Simulator, threads: int,
-                 name: str = "cpu") -> None:
-        super().__init__(simulator, capacity=threads, name=name)
-
-    def execute(self, cpu_seconds: float) -> Generator[Event, Any, None]:
-        """Consume ``cpu_seconds`` of one hyper-thread."""
-        yield self.acquire()
-        try:
-            yield self.simulator.timeout(cpu_seconds)
-        finally:
-            self.release()
+        yield from self._queue.hold(self.commit_latency)
+        if (self.fault_plan is not None
+                and self.fault_plan.injects("disk_fault", self.name)):
+            raise StorageFaultError(
+                f"disk {self.name!r}: injected commit failure")
+        self.commits += 1

@@ -56,40 +56,38 @@ DEFAULT_RETRYABLE: Tuple[Type[BaseException], ...] = (
     NetworkError,
 )
 
+#: Each retry waits this many times longer than the one before ...
+BACKOFF_MULTIPLIER = 2.0
+#: ... up to this many seconds ...
+MAX_BACKOFF_SECONDS = 2.0
+#: ... scaled by a deterministic jitter in ``[1, 1 + JITTER_FRACTION)``.
+JITTER_FRACTION = 0.1
+
 
 @dataclass(frozen=True)
 class RetryPolicy:
     """How hard to try: attempts, backoff shape, and per-attempt deadline.
 
     The delay before attempt ``n+1`` is
-    ``min(base_delay * multiplier**n, max_delay)`` scaled by a
-    deterministic jitter in ``[1, 1 + jitter_fraction)``.
+    ``min(base_delay * BACKOFF_MULTIPLIER**n, MAX_BACKOFF_SECONDS)`` scaled
+    by a deterministic jitter in ``[1, 1 + JITTER_FRACTION)``.
     """
 
     max_attempts: int = 4
     base_delay: float = 0.05
-    multiplier: float = 2.0
-    max_delay: float = 2.0
-    jitter_fraction: float = 0.1
     attempt_timeout: Optional[float] = None
 
     def __post_init__(self) -> None:
         if self.max_attempts < 1:
             raise ValueError("max_attempts must be at least 1")
-        if self.base_delay < 0 or self.max_delay < 0:
-            raise ValueError("backoff delays must be non-negative")
-        if self.multiplier < 1.0:
-            raise ValueError("multiplier must be at least 1")
-        if self.jitter_fraction < 0:
-            raise ValueError("jitter_fraction must be non-negative")
+        if self.base_delay < 0:
+            raise ValueError("base_delay must be non-negative")
 
     def backoff_delay(self, attempt: int, rng: DeterministicRandom) -> float:
         """Delay after failed attempt number ``attempt`` (0-based)."""
-        delay = min(self.base_delay * self.multiplier ** attempt,
-                    self.max_delay)
-        if self.jitter_fraction > 0:
-            delay *= 1.0 + self.jitter_fraction * rng.random()
-        return delay
+        delay = min(self.base_delay * BACKOFF_MULTIPLIER ** attempt,
+                    MAX_BACKOFF_SECONDS)
+        return delay * (1.0 + JITTER_FRACTION * rng.random())
 
     def call(self, simulator: Simulator,
              attempt_factory: Callable[[], Generator[Event, Any, Any]],

@@ -15,7 +15,7 @@ from repro.tee.loader import EnclaveLoader, LoadReport, MeasurementScope
 from repro.tee.enclave import Enclave, ExecutionMode
 from repro.tee.quoting import Quote, QuotingEnclave, Report
 from repro.tee.sealing import SealedBlob, SealingService
-from repro.tee.counters import PlatformCounterService
+from repro.tee.counters import PlatformCounterService, TPMCounterService
 from repro.tee.ias import AttestationVerdict, IASReport, IntelAttestationService
 from repro.tee.platform import SGXPlatform
 
@@ -37,5 +37,6 @@ __all__ = [
     "SGXPlatform",
     "SealedBlob",
     "SealingService",
+    "TPMCounterService",
     "build_image",
 ]

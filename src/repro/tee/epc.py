@@ -19,7 +19,7 @@ from typing import Any, Generator
 from repro import calibration
 from repro.errors import EnclaveError
 from repro.sim.core import Event, Simulator
-from repro.sim.resources import SimLock
+from repro.sim.resources import Resource
 
 
 class EnclavePageCache:
@@ -33,7 +33,8 @@ class EnclavePageCache:
         self.size_bytes = size_bytes
         self.usable_bytes = int(size_bytes * usable_fraction)
         self.allocated_bytes = 0
-        self.driver_lock = SimLock(simulator, name="sgx-driver-epc-lock")
+        self.driver_lock = Resource(simulator, capacity=1,
+                                    name="sgx-driver-epc-lock")
         self.evicted_bytes = 0
 
     @property

@@ -13,7 +13,7 @@ from repro import calibration
 from repro.crypto.primitives import DeterministicRandom
 from repro.crypto.signatures import KeyPair
 from repro.sim.core import Event, Simulator
-from repro.sim.resources import CpuPool
+from repro.sim.resources import Resource
 from repro.tee.counters import PlatformCounterService
 from repro.tee.enclave import Enclave, ExecutionMode
 from repro.tee.epc import EnclavePageCache
@@ -37,8 +37,8 @@ class SGXPlatform:
         self.epc = EnclavePageCache(simulator,
                                     size_bytes=calibration.EPC_SIZE_DEFAULT)
         self.loader = EnclaveLoader(simulator, self.epc)
-        self.cpu = CpuPool(simulator, threads=calibration.CPU_HYPERTHREADS,
-                           name=f"{name}-cpu")
+        self.cpu = Resource(simulator, capacity=calibration.CPU_HYPERTHREADS,
+                            name=f"{name}-cpu")
         self.quoting_enclave = QuotingEnclave(
             self.platform_id, KeyPair.generate(rng.fork(b"attest-key")))
         self.sealing = SealingService(self.platform_id,
@@ -59,7 +59,7 @@ class SGXPlatform:
         if mode is ExecutionMode.HARDWARE:
             yield self.simulator.process(self.loader.load(image, scope=scope))
         yield self.simulator.process(
-            self.cpu.execute(calibration.NATIVE_START_CPU_SECONDS))
+            self.cpu.hold(calibration.NATIVE_START_CPU_SECONDS))
         return Enclave(self, image, mode=mode)
 
     def launch_instant(self, image: EnclaveImage,

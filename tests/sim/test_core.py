@@ -1,5 +1,8 @@
 """Tests for the discrete-event simulation kernel."""
 
+import gc
+import weakref
+
 import pytest
 
 from repro.errors import SimTimeError, SimulationError
@@ -164,6 +167,31 @@ class TestProcesses:
             return result
 
         assert sim.run_process(main()) == "interrupted"
+
+    def test_caught_failures_are_not_retained(self):
+        """A failure its waiter caught is gone once the waiter drops it:
+        the simulator keeps no record of handled process failures."""
+        sim = Simulator()
+        failures = []
+
+        class Boom(Exception):
+            pass
+
+        def fails():
+            yield sim.timeout(0.1)
+            raise Boom("handled")
+
+        def main():
+            for _ in range(100):
+                try:
+                    yield sim.process(fails())
+                except Boom as exc:
+                    failures.append(weakref.ref(exc))
+
+        sim.run_process(main())
+        gc.collect()
+        assert len(failures) == 100
+        assert [ref for ref in failures if ref() is not None] == []
 
 
 class TestEvents:

@@ -17,7 +17,13 @@ from repro.sim.core import ProcessInterrupt, Simulator
 from repro.sim.faults import FaultPlan, LinkFault, Window
 from repro.sim.network import Network, Site
 from repro.sim.resources import DiskModel, Store
-from repro.sim.retry import DEFAULT_RETRYABLE, RetryPolicy
+from repro.sim.retry import (
+    BACKOFF_MULTIPLIER,
+    DEFAULT_RETRYABLE,
+    JITTER_FRACTION,
+    MAX_BACKOFF_SECONDS,
+    RetryPolicy,
+)
 
 from tests.doubles import tamper
 
@@ -225,25 +231,26 @@ class TestRetryPolicy:
         with pytest.raises(ValueError):
             RetryPolicy(max_attempts=0)
         with pytest.raises(ValueError):
-            RetryPolicy(multiplier=0.5)
-        with pytest.raises(ValueError):
             RetryPolicy(base_delay=-1.0)
 
     def test_backoff_shape(self):
-        policy = RetryPolicy(base_delay=0.1, multiplier=2.0, max_delay=0.5,
-                             jitter_fraction=0.0)
+        policy = RetryPolicy(base_delay=0.1)
         rng = DeterministicRandom(b"jitter")
-        delays = [policy.backoff_delay(n, rng) for n in range(5)]
-        assert delays == [0.1, 0.2, 0.4, 0.5, 0.5]  # capped
+        delays = [policy.backoff_delay(n, rng) for n in range(7)]
+        unjittered = [min(0.1 * BACKOFF_MULTIPLIER ** n, MAX_BACKOFF_SECONDS)
+                      for n in range(7)]
+        assert unjittered == [0.1, 0.2, 0.4, 0.8, 1.6, 2.0, 2.0]  # capped
+        for delay, floor in zip(delays, unjittered):
+            assert floor <= delay < floor * (1 + JITTER_FRACTION)
 
     def test_jitter_is_bounded_and_deterministic(self):
-        policy = RetryPolicy(base_delay=1.0, jitter_fraction=0.1)
+        policy = RetryPolicy(base_delay=1.0)
         first = [policy.backoff_delay(0, DeterministicRandom(b"j"))
                  for _ in range(3)]
         second = [policy.backoff_delay(0, DeterministicRandom(b"j"))
                   for _ in range(3)]
         assert first == second
-        assert all(1.0 <= delay < 1.1 for delay in first)
+        assert all(1.0 <= delay < 1.0 + JITTER_FRACTION for delay in first)
 
     def test_recovers_after_transient_failures(self):
         sim = Simulator()
@@ -256,15 +263,19 @@ class TestRetryPolicy:
             yield sim.timeout(0.01)
             return "ok"
 
-        policy = RetryPolicy(max_attempts=5, base_delay=0.1,
-                             jitter_fraction=0.0)
+        policy = RetryPolicy(max_attempts=5, base_delay=0.1)
         result = sim.run_process(policy.call(
             sim, attempt, DeterministicRandom(b"r"), operation="op",
             telemetry=NULL_TELEMETRY))
         assert result == "ok"
         assert len(calls) == 3
-        assert calls[1] == pytest.approx(0.1)   # base_delay
-        assert calls[2] == pytest.approx(0.3)   # + base_delay * 2
+        # The same seed draws the same jitter: base_delay, then twice it.
+        rng = DeterministicRandom(b"r")
+        first, second = (policy.backoff_delay(n, rng) for n in range(2))
+        assert 0.1 <= first < 0.1 * (1 + JITTER_FRACTION)
+        assert 0.2 <= second < 0.2 * (1 + JITTER_FRACTION)
+        assert calls[1] == pytest.approx(first)
+        assert calls[2] == pytest.approx(first + second)
 
     def test_gives_up_with_chained_error(self):
         sim = Simulator()
@@ -273,8 +284,7 @@ class TestRetryPolicy:
             raise StorageFaultError("still broken")
             yield  # pragma: no cover
 
-        policy = RetryPolicy(max_attempts=3, base_delay=0.01,
-                             jitter_fraction=0.0)
+        policy = RetryPolicy(max_attempts=3, base_delay=0.01)
         with pytest.raises(RetryExhaustedError) as info:
             sim.run_process(policy.call(
                 sim, attempt, DeterministicRandom(b"r"), operation="op",
@@ -309,12 +319,15 @@ class TestRetryPolicy:
             return "ok"
 
         policy = RetryPolicy(max_attempts=3, base_delay=0.1,
-                             jitter_fraction=0.0, attempt_timeout=0.5)
+                             attempt_timeout=0.5)
         assert sim.run_process(policy.call(
             sim, attempt, DeterministicRandom(b"r"),
             operation="op", telemetry=NULL_TELEMETRY)) == "ok"
         assert len(calls) == 2
-        assert calls[1] == pytest.approx(0.6)  # deadline + backoff, not 100s
+        # deadline + backoff, not 100s
+        backoff = policy.backoff_delay(0, DeterministicRandom(b"r"))
+        assert calls[1] == pytest.approx(0.5 + backoff)
+        assert 0.6 <= calls[1] < 0.6 + 0.1 * JITTER_FRACTION
 
     def test_no_retry_policy_is_single_shot(self):
         sim = Simulator()
@@ -325,8 +338,7 @@ class TestRetryPolicy:
             raise DeadlineExceededError("lost")
             yield  # pragma: no cover
 
-        policy = RetryPolicy(max_attempts=1, base_delay=0.0,
-                             jitter_fraction=0.0)
+        policy = RetryPolicy(max_attempts=1, base_delay=0.0)
         assert policy.attempt_timeout is None
         with pytest.raises(RetryExhaustedError) as info:
             sim.run_process(policy.call(

@@ -1,16 +1,10 @@
-"""Tests for resources, locks, stores, and the disk/CPU models."""
+"""Tests for resources, holds, stores, and the disk model."""
 
 import pytest
 
+from repro.errors import DeadlineExceededError
 from repro.sim.core import Simulator
-from repro.sim.resources import (
-    CpuPool,
-    DiskModel,
-    Resource,
-    SimLock,
-    Store,
-    StoreClosed,
-)
+from repro.sim.resources import DiskModel, Resource, Store, StoreClosed
 
 
 class TestResource:
@@ -38,7 +32,7 @@ class TestResource:
 
     def test_fifo_ordering(self):
         sim = Simulator()
-        lock = SimLock(sim)
+        lock = Resource(sim, capacity=1)
         order = []
 
         def worker(name):
@@ -65,6 +59,72 @@ class TestResource:
     def test_invalid_capacity(self):
         with pytest.raises(ValueError):
             Resource(Simulator(), capacity=0)
+
+
+class TestHold:
+    def test_parallel_holds_fill_the_capacity(self):
+        sim = Simulator()
+        cpu = Resource(sim, capacity=4)
+
+        def main():
+            yield sim.all_of([sim.process(cpu.hold(1.0)) for _ in range(8)])
+            return sim.now
+
+        assert sim.run_process(main()) == 2.0
+
+    def test_holds_are_granted_in_arrival_order(self):
+        sim = Simulator()
+        lock = Resource(sim, capacity=1)
+        finished = []
+
+        def holder(name):
+            yield from lock.hold(1.0)
+            finished.append((name, sim.now))
+
+        def main():
+            procs = []
+            for name in range(3):
+                procs.append(sim.process(holder(name)))
+                yield sim.timeout(0.1)
+            yield sim.all_of(procs)
+
+        sim.run_process(main())
+        assert finished == [(0, 1.0), (1, 2.0), (2, 3.0)]
+
+    def test_interrupted_holder_frees_its_slot(self):
+        """A deadline that interrupts a hold mid-way releases the slot, so
+        the next waiter starts at the deadline, not when the hold would
+        have ended."""
+        sim = Simulator()
+        lock = Resource(sim, capacity=1)
+
+        def main():
+            slow = sim.with_timeout(sim.process(lock.hold(10.0)), 1.0)
+            waiter = sim.process(lock.hold(0.5))
+            with pytest.raises(DeadlineExceededError):
+                yield slow
+            yield waiter
+            return sim.now
+
+        assert sim.run_process(main()) == 1.5
+
+    def test_interrupted_waiter_leaves_the_queue(self):
+        """A hold whose deadline passes while it still queues withdraws its
+        request: the slot goes to the next waiter, not to nobody."""
+        sim = Simulator()
+        lock = Resource(sim, capacity=1)
+
+        def main():
+            first = sim.process(lock.hold(2.0))
+            impatient = sim.with_timeout(sim.process(lock.hold(5.0)), 1.0)
+            last = sim.process(lock.hold(1.0))
+            with pytest.raises(DeadlineExceededError):
+                yield impatient
+            yield sim.all_of([first, last])
+            return sim.now
+
+        assert sim.run_process(main()) == 3.0
+        assert lock.acquire().triggered  # the slot is free again
 
 
 class TestStore:
@@ -145,15 +205,3 @@ class TestDiskModel:
         assert sim.run_process(main()) == pytest.approx(0.050)
         assert disk.commits == 5
 
-
-class TestCpuPool:
-    def test_parallel_execution(self):
-        sim = Simulator()
-        cpu = CpuPool(sim, threads=4)
-
-        def main():
-            yield sim.all_of([sim.process(cpu.execute(1.0))
-                              for _ in range(8)])
-            return sim.now
-
-        assert sim.run_process(main()) == 2.0

@@ -166,13 +166,16 @@ class TestWorkloadWarmup:
 
 
 class TestRoteProcessingParameter:
-    def test_faster_processing_raises_rate(self):
+    def test_faster_processing_raises_rate(self, monkeypatch):
+        from repro import calibration
         from repro.counters.rote import ROTECounterGroup
         from repro.sim.core import Simulator
 
         def rate(processing):
+            monkeypatch.setattr(calibration, "ROTE_PROCESSING_SECONDS",
+                                processing)
             sim = Simulator()
-            group = ROTECounterGroup(sim, processing_seconds=processing)
+            group = ROTECounterGroup(sim)
 
             def main():
                 start = sim.now

@@ -5,53 +5,66 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.counters.filecounter import FileCounter, FileCounterMode
-from repro.counters.platform import SGXPlatformCounter
 from repro.counters.rote import ROTECounterGroup
-from repro.counters.tpm import TPMCounter
 from repro.crypto.primitives import DeterministicRandom
 from repro.crypto.symmetric import AEADCipher, KEY_SIZE, NONCE_SIZE
 from repro.sim.core import Simulator
-from repro.tee.counters import PlatformCounterService
+from repro.tee.counters import PlatformCounterService, TPMCounterService
+
+
+def nvram(service_class):
+    """An NVRAM counter service holding one counter, as an
+    ``(increment, read)`` pair."""
+    def factory(sim):
+        service = service_class(sim)
+        service.create("c")
+        return (lambda: service.increment("c")), (lambda: service.read("c"))
+    return factory
+
+
+def rote(sim):
+    group = ROTECounterGroup(sim)
+
+    def read():
+        assert all(replica.value == group._value
+                   for replica in group.replicas)
+        return group._value
+
+    return group.increment, read
+
+
+def file_counter(mode):
+    def factory(sim):
+        counter = FileCounter(sim, mode)
+        return counter.increment, counter.read
+    return factory
 
 
 def all_counter_factories():
+    """Each Fig 10 contender as a factory of an ``(increment, read)`` pair:
+    ``increment()`` is a process returning the new value, ``read()`` the
+    value the counter holds."""
     return [
-        ("sgx-platform",
-         lambda sim: SGXPlatformCounter(PlatformCounterService(sim), "c")),
-        ("tpm", lambda sim: TPMCounter(sim)),
-        ("rote", lambda sim: ROTECounterGroup(sim)),
-        ("file-native", lambda sim: FileCounter(sim, FileCounterMode.NATIVE)),
-        ("file-sgx", lambda sim: FileCounter(sim, FileCounterMode.SGX)),
-        ("file-encrypted",
-         lambda sim: FileCounter(sim, FileCounterMode.ENCRYPTED)),
-        ("file-strict",
-         lambda sim: FileCounter(sim, FileCounterMode.STRICT)),
+        ("sgx-platform", nvram(PlatformCounterService)),
+        ("tpm", nvram(TPMCounterService)),
+        ("rote", rote),
+        ("file-native", file_counter(FileCounterMode.NATIVE)),
+        ("file-sgx", file_counter(FileCounterMode.SGX)),
+        ("file-encrypted", file_counter(FileCounterMode.ENCRYPTED)),
+        ("file-strict", file_counter(FileCounterMode.STRICT)),
     ]
-
-
-def held_value(counter):
-    """The value a counter holds, read where it keeps it: the Fig 10
-    contenders expose only ``increment`` (and the file counter ``read``)."""
-    if isinstance(counter, FileCounter):
-        return counter.read()
-    if isinstance(counter, SGXPlatformCounter):
-        return counter._service.read(counter._counter_id)
-    if isinstance(counter, ROTECounterGroup):
-        assert all(replica.value == counter._value
-                   for replica in counter.replicas)
-    return counter._value
 
 
 @pytest.mark.parametrize("name,factory", all_counter_factories())
 class TestUniversalCounterProperties:
     def test_strictly_increasing(self, name, factory):
         sim = Simulator()
-        counter = factory(sim)
+        increment, _read = factory(sim)
 
         def main():
             values = []
             for _ in range(10):
-                values.append((yield sim.process(counter.increment())))
+                values.append((yield sim.process(increment())))
             return values
 
         values = sim.run_process(main())
@@ -60,40 +73,40 @@ class TestUniversalCounterProperties:
 
     def test_read_matches_last_increment(self, name, factory):
         sim = Simulator()
-        counter = factory(sim)
+        increment, read = factory(sim)
 
         def main():
             for _ in range(5):
-                value = yield sim.process(counter.increment())
+                value = yield sim.process(increment())
             return value
 
         assert sim.run_process(main()) == 5
-        assert held_value(counter) == 5
+        assert read() == 5
 
     def test_instances_do_not_share_a_value(self, name, factory):
         sim = Simulator()
-        first, second = factory(sim), factory(sim)
+        (first, read_first), (second, _read) = factory(sim), factory(sim)
 
         def main():
             for _ in range(3):
-                yield sim.process(first.increment())
-            value = yield sim.process(second.increment())
+                yield sim.process(first())
+            value = yield sim.process(second())
             return value
 
         assert sim.run_process(main()) == 1
-        assert held_value(first) == 3
+        assert read_first() == 3
 
     def test_every_increment_costs_the_same(self, name, factory):
         """Fig 10 reports a rate, which assumes a steady per-increment
         cost: no warm-up, no wear-dependent slowdown in the first few."""
         sim = Simulator()
-        counter = factory(sim)
+        increment, _read = factory(sim)
 
         def main():
             costs = []
             for _ in range(6):
                 started = sim.now
-                yield sim.process(counter.increment())
+                yield sim.process(increment())
                 costs.append(sim.now - started)
             return costs
 
@@ -102,10 +115,10 @@ class TestUniversalCounterProperties:
 
     def test_increment_consumes_time(self, name, factory):
         sim = Simulator()
-        counter = factory(sim)
+        increment, _read = factory(sim)
 
         def main():
-            yield sim.process(counter.increment())
+            yield sim.process(increment())
             return sim.now
 
         assert sim.run_process(main()) > 0.0

@@ -4,16 +4,14 @@ import pytest
 
 from repro import calibration
 from repro.counters.filecounter import FileCounter, FileCounterMode
-from repro.counters.platform import SGXPlatformCounter
 from repro.counters.rote import ROTECounterGroup
-from repro.counters.tpm import TPMCounter
 from repro.crypto.primitives import DeterministicRandom
 from repro.crypto.symmetric import NONCE_SIZE, TAG_SIZE
 from repro.errors import CounterError, CounterWearError, IntegrityError
 from repro.fs.blockstore import BlockStore
 from repro.fs.shield import ProtectedFileSystem
 from repro.sim.core import Simulator
-from repro.tee.counters import PlatformCounterService
+from repro.tee.counters import PlatformCounterService, TPMCounterService
 
 
 def measured_rate(simulator, counter, increments=50):
@@ -27,52 +25,68 @@ def measured_rate(simulator, counter, increments=50):
     return simulator.run_process(main())
 
 
+def nvram_rate(service, increments):
+    """The increment rate of counter ``"c"`` on an NVRAM counter service."""
+    service.create("c")
+
+    def main():
+        start = service.simulator.now
+        for _ in range(increments):
+            yield service.simulator.process(service.increment("c"))
+        return increments / (service.simulator.now - start)
+
+    return service.simulator.run_process(main())
+
+
 class TestSGXPlatformCounter:
     def test_monotone(self):
         sim = Simulator()
-        counter = SGXPlatformCounter(PlatformCounterService(sim), "c")
+        service = PlatformCounterService(sim)
+        service.create("c")
 
         def main():
             values = []
             for _ in range(3):
-                values.append((yield sim.process(counter.increment())))
+                values.append((yield sim.process(service.increment("c"))))
             return values
 
         assert sim.run_process(main()) == [1, 2, 3]
 
     def test_rate_near_paper_value(self):
-        sim = Simulator()
-        counter = SGXPlatformCounter(PlatformCounterService(sim), "c")
-        rate = measured_rate(sim, counter, increments=30)
+        rate = nvram_rate(PlatformCounterService(Simulator()), increments=30)
         assert 8 <= rate <= 20  # paper: 13/s measured, 20/s spec limit
 
     def test_wear_tracked(self):
-        sim = Simulator()
-        service = PlatformCounterService(sim)
-        measured_rate(sim, SGXPlatformCounter(service, "c"), increments=5)
+        service = PlatformCounterService(Simulator())
+        nvram_rate(service, increments=5)
         assert service.writes("c") == 5
 
 
 class TestTPMCounter:
     def test_rate_near_paper_value(self):
-        sim = Simulator()
-        rate = measured_rate(sim, TPMCounter(sim), increments=30)
+        rate = nvram_rate(TPMCounterService(Simulator()), increments=30)
         assert 7 <= rate <= 12  # paper: ~10/s
 
     def test_wear_out(self):
         sim = Simulator()
-        counter = TPMCounter(sim, wear_limit=2)
+        tpm = TPMCounterService(sim)
+        tpm.wear_limit = 2
+        tpm.create("c")
 
         def main():
             for _ in range(3):
-                yield sim.process(counter.increment())
+                yield sim.process(tpm.increment("c"))
 
         with pytest.raises(CounterWearError):
             sim.run_process(main())
+        assert tpm.read("c") == 2
 
     def test_endurance_band_constants(self):
-        assert calibration.TPM_COUNTER_WEAR_LIMIT_MIN == 300_000
-        assert calibration.TPM_COUNTER_WEAR_LIMIT_MAX == 1_400_000
+        """The TPM wears out at the low end of its 300k-1.4M endurance
+        band; the SGX counters share the NVRAM model at their own."""
+        assert TPMCounterService.wear_limit == 300_000
+        assert (PlatformCounterService.wear_limit
+                == calibration.SGX_COUNTER_WEAR_LIMIT)
 
 
 class TestROTE:
@@ -157,10 +171,8 @@ class TestFileCounter:
     def test_five_orders_of_magnitude_headline(self):
         """The paper's headline claim: file counters are ~1e5x faster than
         platform counters."""
-        sim = Simulator()
-        platform_rate = measured_rate(
-            sim, SGXPlatformCounter(PlatformCounterService(sim), "c"),
-            increments=20)
+        platform_rate = nvram_rate(PlatformCounterService(Simulator()),
+                                   increments=20)
         sim2 = Simulator()
         file_rate = measured_rate(
             sim2, FileCounter(sim2, FileCounterMode.STRICT), increments=100)

@@ -84,13 +84,29 @@ class VolumeGrant:
     owner_policy: str
 
 
-@dataclass
+@dataclass(init=False)
 class _ServiceState:
-    """Per-(policy, service) runtime state PALAEMON tracks."""
+    """Per-(policy, service) runtime state PALAEMON tracks.
 
-    expected_tag: Optional[bytes] = None
-    clean_exit: bool = True
-    executions: int = 0
+    Slotted and pickled as a positional triple, so a ``state`` snapshot or
+    log record holds one class reference and a 3-tuple per service, not a
+    field-name dict per service.
+    """
+
+    __slots__ = ("expected_tag", "clean_exit", "executions")
+    expected_tag: Optional[bytes]
+    clean_exit: bool
+    executions: int
+
+    def __init__(self, expected_tag: Optional[bytes] = None,
+                 clean_exit: bool = True, executions: int = 0) -> None:
+        self.expected_tag = expected_tag
+        self.clean_exit = clean_exit
+        self.executions = executions
+
+    def __reduce__(self) -> Tuple[type, Tuple[Optional[bytes], bool, int]]:
+        return _ServiceState, (self.expected_tag, self.clean_exit,
+                               self.executions)
 
 
 class PalaemonService:

@@ -115,8 +115,9 @@ class StartupModel:
         yield sim.timeout(calibration.ATTEST_INIT_SECONDS)
         lap("initialization")
         if variant is AttestationVariant.PALAEMON:
-            yield self.palaemon_worker.acquire()
+            grant = self.palaemon_worker.acquire()
             try:
+                yield grant
                 yield sim.timeout(
                     calibration.ATTEST_SEND_QUOTE_PALAEMON_SECONDS)
                 lap("send_quote")
@@ -125,7 +126,7 @@ class StartupModel:
                 yield sim.timeout(calibration.ATTEST_RECEIVE_CONFIG_SECONDS)
                 lap("receive_config")
             finally:
-                self.palaemon_worker.release()
+                self.palaemon_worker.give_back(grant)
             return phases
         # EPID crypto plus the extra round trip that embeds verifier data.
         yield sim.timeout(calibration.ATTEST_SEND_QUOTE_IAS_SECONDS)

@@ -21,7 +21,8 @@ class Resource:
 
     A request that only occupies a slot for a calibrated time runs
     ``yield from resource.hold(seconds)``; one that works inside the slot
-    pairs :meth:`acquire` with :meth:`release` in a ``finally``.
+    yields the grant of :meth:`acquire` inside a ``try`` and hands it to
+    :meth:`give_back` in the ``finally``.
     """
 
     def __init__(self, simulator: Simulator, capacity: int,
@@ -54,22 +55,27 @@ class Resource:
         else:
             self._in_use -= 1
 
-    def hold(self, seconds: float) -> Generator[Event, Any, None]:
-        """Occupy one slot for ``seconds`` of virtual time.
+    def give_back(self, grant: Event) -> None:
+        """End the request ``grant`` came from, however it ended.
 
-        The slot is given back however the hold ends: an interrupt (a
-        :meth:`Simulator.with_timeout` deadline) while queued withdraws
-        the request, and one while holding releases the slot.
+        A granted slot is released. A request still queued (an interrupt,
+        such as a :meth:`Simulator.with_timeout` deadline, reached its
+        process before the grant) is withdrawn, so the slot is never
+        granted to a process that has stopped waiting for it.
         """
+        if grant.triggered:
+            self.release()
+        else:
+            self._waiters.remove(grant)
+
+    def hold(self, seconds: float) -> Generator[Event, Any, None]:
+        """Occupy one slot for ``seconds`` of virtual time."""
         grant = self.acquire()
         try:
             yield grant
             yield self.simulator.timeout(seconds)
         finally:
-            if grant.triggered:
-                self.release()
-            else:
-                self._waiters.remove(grant)
+            self.give_back(grant)
 
 
 class Store:

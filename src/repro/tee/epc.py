@@ -51,8 +51,9 @@ class EnclavePageCache:
         """
         if nbytes < 0:
             raise EnclaveError("cannot allocate negative bytes")
-        yield self.driver_lock.acquire()
+        grant = self.driver_lock.acquire()
         try:
+            yield grant
             if hold_driver_lock_seconds > 0:
                 yield self.simulator.timeout(hold_driver_lock_seconds)
             evicted = 0
@@ -63,7 +64,7 @@ class EnclavePageCache:
             self.allocated_bytes += nbytes
             return evicted
         finally:
-            self.driver_lock.release()
+            self.driver_lock.give_back(grant)
 
     def free(self, nbytes: int) -> None:
         """Return pages to the EPC (enclave teardown)."""

@@ -73,7 +73,6 @@ class IntelAttestationService:
         self._revoked: set = set()
         #: Microcode revisions considered out of date (TCB recovery events).
         self.minimum_microcode: int = 0
-        self.requests_served = 0
 
     @property
     def public_key(self) -> PublicKey:
@@ -113,7 +112,6 @@ class IntelAttestationService:
             signature=b"",
         )
         signature = self._keys.sign(report.to_signed_bytes())
-        self.requests_served += 1
         return IASReport(
             verdict=report.verdict, mrenclave=report.mrenclave,
             platform_id=report.platform_id, report_data=report.report_data,

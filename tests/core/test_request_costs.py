@@ -1,11 +1,12 @@
 """Fixed per-request costs of a REST tag push and read, and of a close.
 
 After warm-up, one ``tag.update`` and one ``tag.get`` over REST each seal
-and open a pinned number of AEAD messages, process a pinned number of
-simulator events, and canonicalise no metric label set: every series the
-request touches is already cached. Closing the connection costs a pinned
-amount too. The counts are deterministic, so a change that adds work to
-every request shows up here as a changed number.
+and open a pinned number of AEAD messages, seal a pinned number of
+plaintext bytes, process a pinned number of simulator events, and
+canonicalise no metric label set: every series the request touches is
+already cached. Closing the connection costs a pinned amount too. The
+counts are deterministic, so a change that adds work to every request
+shows up here as a changed number.
 """
 
 import pytest
@@ -18,17 +19,17 @@ from tests.core.conftest import Deployment
 from tests.core.test_sealed_transports import rest_call, rest_stack
 
 #: route -> (AEAD encrypts, AEAD decrypts, simulator events,
-#: ``canonical_labels`` calls) for one request after warm-up. Both routes
-#: seal and open the request and the reply record; an update also seals
-#: its store log record and the manifest; the events include the
-#: connection reader's wake-up of the waiting request. ``close`` is the
-#: connection's close record: the client seals it, the server opens it,
-#: and its two events are the delivery and the server's wake-up; nothing
-#: answers it.
+#: ``canonical_labels`` calls, AEAD plaintext bytes sealed) for one request
+#: after warm-up. Both routes seal and open the request and the reply
+#: record; an update also seals its store log record and the manifest; the
+#: events include the connection reader's wake-up of the waiting request.
+#: ``close`` is the connection's close record: the client seals it, the
+#: server opens it, and its two events are the delivery and the server's
+#: wake-up; nothing answers it.
 BUDGET = {
-    "tag.update": (4, 2, 10, 0),
-    "tag.get": (2, 2, 10, 0),
-    "close": (1, 1, 2, 0),
+    "tag.update": (4, 2, 10, 0, 718),
+    "tag.get": (2, 2, 10, 0, 167),
+    "close": (1, 1, 2, 0, 33),
 }
 ROUTES = ["tag.get", "tag.update"]
 
@@ -36,12 +37,14 @@ ROUTES = ["tag.get", "tag.update"]
 class _Costs:
     def __init__(self, monkeypatch):
         self.encrypts = self.decrypts = self.events = self.labels = 0
+        self.sealed_bytes = 0
         encrypt, decrypt = AEADCipher.encrypt, AEADCipher.decrypt
         step, canonical = Simulator.step, metrics.canonical_labels
 
-        def counted_encrypt(cipher, *args, **kwargs):
+        def counted_encrypt(cipher, plaintext, *args, **kwargs):
             self.encrypts += 1
-            return encrypt(cipher, *args, **kwargs)
+            self.sealed_bytes += len(plaintext)
+            return encrypt(cipher, plaintext, *args, **kwargs)
 
         def counted_decrypt(cipher, *args, **kwargs):
             self.decrypts += 1
@@ -62,7 +65,8 @@ class _Costs:
         monkeypatch.setattr(metrics, "canonical_labels", counted_canonical)
 
     def snapshot(self):
-        return (self.encrypts, self.decrypts, self.events, self.labels)
+        return (self.encrypts, self.decrypts, self.events, self.labels,
+                self.sealed_bytes)
 
 
 @pytest.fixture(scope="module")

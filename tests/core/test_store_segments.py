@@ -7,9 +7,13 @@ that a failed write never breaks the database, and how concurrent
 committers coalesce into one disk commit.
 """
 
+import copy
+import pickle
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.core.service import _ServiceState
 from repro.core.store import PolicyStore
 from repro.crypto.primitives import DeterministicRandom
 from repro.crypto.symmetric import SecretBox
@@ -239,6 +243,48 @@ class TestSegmentedPersistence:
         assert paths(backing, "/palaemon.db.log/") == []
         reopened, _, _ = make_store(store=backing)
         assert reopened.get("state", "p1") == {"flag": True}
+
+
+class TestServiceStateEncoding:
+    """A service state pickles as its class and a positional triple."""
+
+    STATE = _ServiceState(expected_tag=b"\x5a" * 32, clean_exit=False,
+                          executions=7)
+
+    def test_survives_a_restart_with_every_field(self):
+        db, backing, _ = make_store()
+        db.put("state", "p1", {"svc": copy.deepcopy(self.STATE)})
+        db.commit_instant()
+        reopened, _, _ = make_store(store=backing)
+        restored = reopened.get("state", "p1")["svc"]
+        assert (restored.expected_tag, restored.clean_exit,
+                restored.executions) == (b"\x5a" * 32, False, 7)
+
+    def test_in_place_tag_write_then_touch_survives_a_restart(self):
+        db, backing, _ = make_store()
+        db.put("state", "p1", {"svc": _ServiceState()})
+        db.commit_instant()
+        db.get("state", "p1")["svc"].expected_tag = b"\x11" * 32
+        db.touch("state")
+        db.commit_instant()
+        reopened, _, _ = make_store(store=backing)
+        assert reopened.get("state", "p1")["svc"] == _ServiceState(
+            expected_tag=b"\x11" * 32)
+
+    def test_pickle_names_no_field(self):
+        encoded = pickle.dumps(self.STATE)
+        for name in (b"expected_tag", b"clean_exit", b"executions"):
+            assert name not in encoded
+        assert pickle.loads(encoded) == self.STATE
+
+    def test_has_no_instance_dict(self):
+        assert not hasattr(_ServiceState(), "__dict__")
+
+    def test_deepcopy_is_equal_and_separate(self):
+        clone = copy.deepcopy(self.STATE)
+        assert clone == self.STATE and clone is not self.STATE
+        clone.executions += 1
+        assert clone != self.STATE
 
 
 class FailingStore(BlockStore):

@@ -3,7 +3,7 @@
 import pytest
 
 from repro import calibration
-from repro.errors import EnclaveError
+from repro.errors import DeadlineExceededError, EnclaveError
 from repro.sim.core import Simulator
 from repro.tee.epc import EnclavePageCache
 from repro.tee.image import build_image
@@ -51,6 +51,30 @@ class TestEpcAccounting:
     def test_negative_free_rejected(self):
         with pytest.raises(EnclaveError):
             EnclavePageCache(Simulator()).free(-1)
+
+    def test_interrupted_waiter_leaves_the_driver_lock(self):
+        """An allocation whose deadline passes while it queues for the
+        driver lock withdraws its request, so the lock passes to the next
+        allocation instead of to the interrupted one for good."""
+        sim = Simulator()
+        epc = EnclavePageCache(sim)
+
+        def late():
+            yield sim.timeout(0.5)
+            yield sim.process(epc.allocate(0, hold_driver_lock_seconds=1.0))
+
+        def main():
+            first = sim.process(epc.allocate(0, hold_driver_lock_seconds=2.0))
+            impatient = sim.with_timeout(sim.process(
+                epc.allocate(0, hold_driver_lock_seconds=1.0)), 1.0)
+            last = sim.process(late())
+            with pytest.raises(DeadlineExceededError):
+                yield impatient
+            yield sim.all_of([first, last])
+            return sim.now
+
+        assert sim.run_process(main()) == 3.0
+        assert epc.driver_lock.acquire().triggered  # the lock is free again
 
 
 class TestLoader:

@@ -5,6 +5,7 @@ import pytest
 
 from repro import calibration
 from repro.errors import (
+    DeadlineExceededError,
     MrenclaveNotPermittedError,
     QuoteError,
     StrictModeError,
@@ -187,6 +188,31 @@ class TestStartupModel:
                                duration=5.0)
         assert (native.achieved_rate > sgx.achieved_rate
                 > palaemon.achieved_rate > ias.achieved_rate)
+
+    def test_interrupted_palaemon_leg_leaves_the_worker(self):
+        """A PALAEMON leg whose deadline passes while it queues for the
+        worker withdraws its request; the next leg gets the worker."""
+        sim = Simulator()
+        model = StartupModel(sim)
+        init = calibration.ATTEST_INIT_SECONDS
+        held = (calibration.ATTEST_SEND_QUOTE_PALAEMON_SECONDS
+                + calibration.ATTEST_WAIT_PALAEMON_SECONDS
+                + calibration.ATTEST_RECEIVE_CONFIG_SECONDS)
+
+        def leg():
+            return sim.process(model.attest(AttestationVariant.PALAEMON))
+
+        def main():
+            first = leg()
+            impatient = sim.with_timeout(leg(), init + held / 2)
+            last = leg()
+            with pytest.raises(DeadlineExceededError):
+                yield impatient
+            yield sim.all_of([first, last])
+            return sim.now
+
+        assert sim.run_process(main()) == pytest.approx(init + 2 * held)
+        assert model.palaemon_worker.acquire().triggered
 
     @pytest.mark.parametrize("variant", list(AttestationVariant))
     def test_epc_allocation_restored_after_sweep(self, variant):

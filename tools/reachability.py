@@ -221,8 +221,9 @@ KEEP = {
     ("sim/network.py:Network.deliver:"
      "self.wire_log.append((self.simulator.now, source.name,"): ORACLE,
     "sim/network.py:Network.endpoint:existing.reopen()": reserved(10),
-    # A deadline that passes while a hold still queues.
-    "sim/resources.py:Resource.hold:self._waiters.remove(grant)": UNCLEAN,
+    # A deadline that passes while a request still queues.
+    ("sim/resources.py:Resource.give_back:"
+     "self._waiters.remove(grant)"): UNCLEAN,
     "sim/resources.py:Store.get:event.fail(StoreClosed(self.name))": UNCLEAN,
     "tee/enclave.py:Enclave.destroy:return": UNCLEAN,
     ("tee/ias.py:IntelAttestationService._judge:"

@@ -278,6 +278,56 @@ def check_service_table_touch(source: SourceFile) -> Iterator[Finding]:
                          "key, value)")
 
 
+#: Where ``src/repro`` may unpickle, as (module, qualified name of a
+#: function or class, its body included): the one decoder of records and
+#: replication batches, and the at-rest readers, which open only bytes
+#: the instance's own keys sealed.
+_UNPICKLERS = frozenset((
+    ("repro.tls.channel", "_WireUnpickler"),
+    ("repro.core.store", "PolicyStore._open"),
+    ("repro.fs.fspf", "FileSystemProtectionFile.unseal"),
+    ("repro.core.service", "_decode_identity"),
+))
+_UNPICKLING_NAMES = frozenset(("loads", "load", "Unpickler"))
+
+
+@rule("SRC111", "unpickling outside the record decoder",
+      severity=Severity.ERROR)
+def check_unpickling(source: SourceFile) -> Iterator[Finding]:
+    for node, scope in _scoped_nodes(source.tree, ""):
+        if isinstance(node, ast.Attribute):
+            names = [node.attr] if (isinstance(node.value, ast.Name)
+                                    and node.value.id == "pickle") else []
+        elif isinstance(node, ast.ImportFrom) and node.module == "pickle":
+            names = [alias.name for alias in node.names]
+        else:
+            continue
+        for name in names:
+            if name in _UNPICKLING_NAMES and not any(
+                    module == source.module
+                    and (scope + ".").startswith(reader + ".")
+                    for module, reader in _UNPICKLERS):
+                yield Finding(
+                    code="SRC111", severity=Severity.ERROR,
+                    subject=source.display, line=node.lineno,
+                    message=(f"pickle.{name} outside the record decoder: "
+                             f"unpickling bytes a peer or client sealed "
+                             f"can run any code the payload names"),
+                    hint="decode with repro.tls.channel.decode_record")
+
+
+def _scoped_nodes(node: ast.AST, scope: str):
+    """Each node under ``node`` with the qualified name of the function
+    or class it belongs to; a class's bases belong to the class."""
+    for child in ast.iter_child_nodes(node):
+        inner = scope
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
+                              ast.ClassDef)):
+            inner = f"{scope}.{child.name}" if scope else child.name
+        yield child, inner
+        yield from _scoped_nodes(child, inner)
+
+
 def _is_whole_document_dump(call: ast.Call) -> bool:
     func = call.func
     if not (isinstance(func, ast.Attribute) and func.attr == "dumps"

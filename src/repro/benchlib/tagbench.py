@@ -89,7 +89,8 @@ def measure_sequential(policies: int, updates: int,
         payload_bytes=payload_bytes)
     backing = service.store.store
     bytes_before = backing.bytes_written
-    commits_before = service.store.disk.commits
+    commits = service.telemetry.metrics.counter("palaemon_db_commits_total")
+    commits_before = commits.value
     sim_before = simulator.now
     for index in range(updates):
         target = _policy_name((index * 37) % policies)
@@ -107,7 +108,7 @@ def measure_sequential(policies: int, updates: int,
         "database_bytes": sum(
             len(backing.read(path)) for path in backing.list()
             if path.startswith(_DATABASE_PATH_PREFIX)),
-        "disk_commits": service.store.disk.commits - commits_before,
+        "disk_commits": int(commits.value - commits_before),
     }
 
 
@@ -118,7 +119,8 @@ def measure_concurrent(policies: int, workers: int,
     simulator, service = build_service(
         "tagbench-concurrent", b"tagbench:concurrent", policies,
         payload_bytes=payload_bytes)
-    commits_before = service.store.disk.commits
+    commits = service.telemetry.metrics.counter("palaemon_db_commits_total")
+    commits_before = commits.value
     sim_before = simulator.now
 
     def drive() -> Generator[Event, Any, float]:
@@ -131,14 +133,13 @@ def measure_concurrent(policies: int, workers: int,
         return simulator.now
 
     finished = simulator.run_process(drive(), name="concurrent-updates")
-    disk_commits = service.store.disk.commits - commits_before
     coalesced = service.telemetry.metrics.counter(
         "palaemon_db_commits_coalesced_total").value
     return {
         "policies": policies,
         "workers": workers,
         "sim_seconds_total": finished - sim_before,
-        "disk_commits": disk_commits,
+        "disk_commits": int(commits.value - commits_before),
         "coalesced_commits": int(coalesced),
         "expected_tags_recorded": sum(
             1 for index in range(workers)

@@ -14,8 +14,8 @@ can inject:
   :class:`~repro.errors.CounterUnavailableError` (never by minting a
   fresh counter — that would silently discard rollback protection) and
   succeeds once the outage ends;
-- **disk fault** — the primary's database disk refuses commits for a
-  window; a tag update retries through it;
+- **store fault** — the primary's volume fails writes for a window; a
+  tag update's commits raise, leave no trace, and retry through it;
 - **endpoint blackout** — the REST front-end goes dark; a client
   attests the instance over REST under a retry budget;
 - **duplicated replication** — a ``duplicate_link`` window on the
@@ -128,7 +128,7 @@ def run_chaos(seed: int) -> Dict[str, Any]:
     # The fault schedule (all windows in virtual seconds).
     plan.drop_link("fed-palaemon-1-to-palaemon-2", "fed-palaemon-2",
                    start=0.0, end=2.5)
-    plan.fail_disk("palaemon-db-disk", start=15.0, end=20.7)
+    plan.fail_store(primary.store.store.name, start=15.0, end=20.7)
     plan.blackout_endpoint("palaemon-1-rest", start=25.0, end=30.8)
     plan.duplicate_link("fed-palaemon-1-to-palaemon-2", "fed-palaemon-2",
                         probability=1.0, start=40.0, end=40.5)
@@ -138,7 +138,7 @@ def run_chaos(seed: int) -> Dict[str, Any]:
     platform3 = SGXPlatform(simulator, "palaemon-3-node",
                             rng.fork(b"platform-3"))
     plan.counter_outage(platform3.counters.fault_name, start=0.0, end=11.0)
-    plan.attach(network, primary.store.disk, platform3.counters)
+    plan.attach(network, primary.store.store, platform3.counters)
     volume3 = BlockStore("palaemon-3-volume")
     rng3 = rng.fork(b"service-3")
 
@@ -188,7 +188,7 @@ def run_chaos(seed: int) -> Dict[str, Any]:
         summary["third_instance"] = (
             "started" if third.running else "not-started")
 
-        # -- phase C: disk fault under a tag update -----------------------
+        # -- phase C: store fault under a tag update ----------------------
         yield advance_to(20.0)
         tag = rng.fork(b"tag").bytes(32)
         yield simulator.process(

@@ -53,6 +53,7 @@ from repro.errors import (
 )
 from repro.sim.core import Event
 from repro.sim.retry import RetryPolicy
+from repro.tls.channel import decode_record
 
 
 #: The replication link's retry budget: a 0.5 s deadline per attempt.
@@ -121,8 +122,8 @@ class FailoverCoordinator:
     def ship(self, tables: Dict[str, Dict[str, Any]],
              operations: List[tuple]) -> None:
         """Queue a batch that replaces ``tables`` whole, then replays the
-        put/delete ``operations``. Serialized now, as the store mutates
-        values in place."""
+        put/delete ``operations``. The store calls it after its commit
+        point; serialized now, as the live tables it names keep changing."""
         self.shipped += 1
         self._unacked.append((self.shipped, pickle.dumps((tables,
                                                           operations))))
@@ -249,7 +250,7 @@ def _failover_replicate_batches(ctx: DispatchContext) -> Any:
             f"peer {ctx.peer!r} is not the designated primary of "
             f"{ctx.service.name!r}")
     applied = row["applied_sequence"]
-    batches = [(position, pickle.loads(batch))
+    batches = [(position, decode_record(batch))
                for position, batch in ctx.request["batches"]
                if position > applied]
     for offset, (position, (tables, operations)) in enumerate(

@@ -104,7 +104,7 @@ class RollbackGuard:
         with self.telemetry.span("guard.shutdown", counter=self.counter_id):
             counter_value = self.counters.read(self.counter_id)
             self.store.set_version(counter_value)
-            yield self.store.simulator.process(self.store.commit())
+            yield from self.store.commit()
             self.active = False
         self.telemetry.audit("guard.shutdown", counter=self.counter_id,
                              version=counter_value,

@@ -355,19 +355,19 @@ class PalaemonService:
         fresh = materialize_all(new_specs, self._fresh_rng(),
                                 now=self.simulator.now)
         existing_secrets.update(fresh)
-        state: Dict[str, _ServiceState] = self.store.get("state", updated.name)
-        fs_keys: Dict[str, bytes] = self.store.get("fs_keys", updated.name)
+        state: Dict[str, _ServiceState] = dict(
+            self.store.get("state", updated.name))
+        fs_keys: Dict[str, bytes] = dict(
+            self.store.get("fs_keys", updated.name))
         for service in updated.services:
             state.setdefault(service.name, _ServiceState())
             if service.name not in fs_keys:
                 fs_keys[service.name] = self._fresh_rng().bytes(32)
-        volume_keys: Dict[str, bytes] = self.store.get(
-            "volume_keys", updated.name, default={})
+        volume_keys: Dict[str, bytes] = dict(self.store.get(
+            "volume_keys", updated.name, default={}))
         for volume in updated.volumes:
             if volume.name not in volume_keys:
                 volume_keys[volume.name] = self._fresh_rng().bytes(32)
-        # The dicts above were mutated in place; re-put them so the next
-        # flush logs them.
         self.store.put("secrets", updated.name, existing_secrets)
         self.store.put("state", updated.name, state)
         self.store.put("fs_keys", updated.name, fs_keys)
@@ -442,9 +442,9 @@ class PalaemonService:
             raise StrictModeError(
                 f"service {service.name!r} exited uncleanly; strict mode "
                 f"requires a board-approved policy update to restart")
-        state.clean_exit = False  # session open; set true again on exit
-        state.executions += 1
-        self._log_states(policy.name)
+        # The session is open: clean_exit is set again on exit.
+        self._put_state(policy.name, service.name, _ServiceState(
+            state.expected_tag, False, state.executions + 1))
         secrets = self._resolve_secrets(policy)
         secret_bytes = {name: value.value for name, value in secrets.items()}
         injected = {}
@@ -517,7 +517,7 @@ class PalaemonService:
         if policy is None:
             raise PolicyNotFoundError(f"no policy named {policy_name!r}")
         policy.volume(volume_name)  # raises if undeclared
-        tags = self.store.get("volume_tags", policy_name)
+        tags = dict(self.store.get("volume_tags", policy_name))
         tags[volume_name] = tag
         self.store.put("volume_tags", policy_name, tags)
         self.store.commit_instant()
@@ -593,20 +593,19 @@ class PalaemonService:
                 f"no state for {policy_name!r}/{service_name!r}")
         return states[service_name]
 
-    def _log_states(self, policy_name: str) -> None:
-        """Log one policy's service states after an in-place change."""
-        self.store.put("state", policy_name,
-                       self.store.get("state", policy_name))
+    def _put_state(self, policy_name: str, service_name: str,
+                   state: _ServiceState) -> None:
+        """Store one service's new state in a new states dict."""
+        states = dict(self.store.get("state", policy_name))
+        states[service_name] = state
+        self.store.put("state", policy_name, states)
 
     def _set_expected_tag(self, policy_name: str, service_name: str,
                           tag: bytes, clean_exit: bool) -> None:
-        """Set a service's expected tag and log its states; the caller
-        commits."""
+        """Set a service's expected tag; the caller commits."""
         state = self._service_state(policy_name, service_name)
-        state.expected_tag = tag
-        if clean_exit:
-            state.clean_exit = True
-        self._log_states(policy_name)
+        self._put_state(policy_name, service_name, _ServiceState(
+            tag, clean_exit or state.clean_exit, state.executions))
 
     def _count_tag_update(self, policy_name: str, service_name: str,
                           tag: bytes, clean_exit: bool) -> None:
@@ -633,7 +632,7 @@ class PalaemonService:
             started = self.simulator.now
             self._set_expected_tag(policy_name, service_name, tag,
                                    clean_exit)
-            yield self.simulator.process(self.store.commit())
+            yield from self.store.commit()
             self.telemetry.observe("palaemon_tag_update_seconds",
                                    self.simulator.now - started)
         self._count_tag_update(policy_name, service_name, tag, clean_exit)

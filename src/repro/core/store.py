@@ -30,16 +30,19 @@ and the amortized write therefore stay bounded by the snapshot size, and a
 bulk load writes snapshots directly. ``touch(table)`` forces a snapshot of
 that table at the next flush.
 
-Writes are crash-safe: records and snapshots go to fresh paths, the
-manifest is written last, and superseded blobs are deleted only after it,
-so a failure at any write leaves the old state loadable. A volume without
-a manifest opens as an empty database at version 0, which the Fig 6 check
-refuses once the counter is ahead.
+Writes are crash-safe: records and snapshots go to fresh paths, and the
+manifest, written last, is the commit point. A flush whose write raises
+deletes what it wrote, ships nothing, and puts back from memory (never
+from the untrusted volume, which may hold a state an attacker restored)
+what it changed, so a commit that raised leaves no trace; hence stored
+values are never mutated in place. Superseded blobs are deleted after
+the manifest. A volume without a manifest opens as an empty database at
+version 0, which the Fig 6 check refuses once the counter is ahead.
 
 ``commit()`` adds **group-commit batching**: concurrent committers inside
-one disk-commit window coalesce into a single :meth:`DiskModel.commit`,
-with one leader flushing the batch and waiters sharing its completion
-event (the classic write-ahead-log group commit).
+one disk-commit window coalesce into one hold of the database disk, with
+one leader flushing the batch and waiters sharing its completion event
+(the classic write-ahead-log group commit).
 
 On a primary with a designated backup, each flush that changes a table
 ships its put/delete operations and every ``touch()``ed table whole to
@@ -62,7 +65,7 @@ from repro.errors import (IntegrityError, PolicyValidationError,
 from repro.fs.blockstore import BlockStore
 from repro.obs.telemetry import NULL_TELEMETRY, Telemetry
 from repro.sim.core import Event, Simulator
-from repro.sim.resources import DiskModel
+from repro.sim.resources import Resource
 
 if TYPE_CHECKING:
     from repro.core.failover import FailoverCoordinator
@@ -115,15 +118,16 @@ class PolicyStore:
         self.store = store
         self.telemetry = telemetry if telemetry is not None else NULL_TELEMETRY
         self._box = SecretBox(db_key, rng.fork(b"db-nonces"))
-        self.disk = DiskModel(simulator, _COMMIT_LATENCY_SECONDS,
-                              name="palaemon-db-disk")
+        #: The database disk, held for each commit's latency.
+        self.disk = Resource(simulator, 1, name="palaemon-db-disk")
         self._data: Dict[str, Any] = {"version": 0, "tables": {}}
-        # Changes since the last flush: keys to log (insertion-ordered, so
-        # records are deterministic), tables to snapshot whole, and whether
-        # the version moved.
-        self._dirty_keys: Dict[Tuple[str, str], None] = {}
-        self._dirty_tables: Set[str] = set()
-        self._meta_dirty = False
+        # Changes since the last flush with what a failed one puts back:
+        # keys to log (insertion-ordered, so records are deterministic)
+        # with their durable value, tables to snapshot whole with touch()'s
+        # copy, and the version before it moved (None: it did not).
+        self._dirty_keys: Dict[Tuple[str, str], Any] = {}
+        self._dirty_tables: Dict[str, Dict[str, Any]] = {}
+        self._version_before: Optional[int] = None
         # What the durable manifest binds: each table's snapshot as
         # (slot, hash, sealed size), and the log of the current epoch. A
         # snapshot alternates between two slots, so a new one never
@@ -138,9 +142,11 @@ class PolicyStore:
         self._log_bytes = 0
         self._log_tables: Set[str] = set()
         self._keys_cache: Dict[str, List[str]] = {}
-        # Group commit: a monotonically increasing mutation ticket, the
-        # active-leader flag, and the queue of (ticket, event) waiters.
+        # Group commit: a monotonically increasing mutation ticket, the one
+        # the last flush covered, the active-leader flag, and the queue of
+        # (ticket, event) committers.
         self._mutations = 0
+        self._flushed = 0
         self._committer_active = False
         self._commit_waiters: List[Tuple[int, Event]] = []
         #: The coordinator each flush ships to, on a primary with a backup.
@@ -205,7 +211,8 @@ class PolicyStore:
 
     def _flush(self) -> None:
         """Append one log record (or compact), then rewrite the manifest."""
-        if not (self._dirty_keys or self._dirty_tables or self._meta_dirty):
+        if not (self._dirty_keys or self._dirty_tables
+                or self._version_before is not None):
             return
         tables = self._data["tables"]
         operations = []
@@ -243,7 +250,7 @@ class PolicyStore:
             superseded = [_record_path(epoch, index)
                           for index in range(length)]
             epoch += 1
-            for table in sorted(log_tables | self._dirty_tables):
+            for table in sorted(log_tables.union(self._dirty_tables)):
                 blob = self._box.seal(
                     pickle.dumps(self.table(table)),
                     associated_data=_snapshot_ad(table))
@@ -265,10 +272,11 @@ class PolicyStore:
             for path, blob in writes:
                 self.store.write(path, blob)
                 written.append(path)
-        except StorageFaultError:
+        except StorageFaultError as exc:
             # The manifest on the volume still names only the old blobs.
             for path in written:
                 self.store.delete(path)
+            self._roll_back(exc)
             raise
         for path in superseded:
             if self.store.exists(path):
@@ -282,71 +290,98 @@ class PolicyStore:
         self._log_bytes, self._log_tables = log_bytes, log_tables
         self._dirty_keys.clear()
         self._dirty_tables.clear()
-        self._meta_dirty = False
+        self._version_before = None
+        self._flushed = self._mutations
         self.telemetry.inc("palaemon_db_segment_bytes_written",
                            amount=sum(len(blob) for _path, blob in writes))
 
-    def commit(self) -> Generator[Event, Any, None]:
-        """Durably persist the database (simulated disk latency).
+    def _roll_back(self, error: BaseException) -> None:
+        """Put back the last durable value of all the failed batch changed
+        and fail each committer whose change that drops."""
+        tables = self._data["tables"]
+        tables.update(self._dirty_tables)
+        # After the tables: a key changed before its table's touch() holds
+        # its durable value here, not in the copy.
+        for (table, key), value in self._dirty_keys.items():
+            if value is _MISSING:
+                tables[table].pop(key, None)
+            else:
+                tables[table][key] = value
+        if self._version_before is not None:
+            self._data["version"] = self._version_before
+        self._dirty_keys.clear()
+        self._dirty_tables.clear()
+        self._version_before = None
+        self._keys_cache.clear()
+        # A committer flushed already waits on an in-flight commit.
+        for entry in [entry for entry in self._commit_waiters
+                      if entry[0] > self._flushed]:
+            self._commit_waiters.remove(entry)
+            entry[1].fail(error)
 
-        Group commit: the first caller becomes the *leader* — it flushes
-        the batch and pays one :meth:`DiskModel.commit`. Callers
-        arriving while a commit is in flight enqueue as *waiters*; any
-        waiter whose mutations were captured by the leader's flush shares
-        the leader's completion, so N concurrent tag updates coalesce into
-        a single disk commit. A waiter whose mutations arrived after the
-        flush is promoted to lead the next batch. If the disk commit
-        fails, every queued waiter fails with the same error — none of
-        their mutations became durable. A leader also waits until the backup
-        acks every batch shipped up to its flush, its own and any an
-        instant commit shipped for a waiter; a replication give-up fails
-        the same way.
+    def commit(self) -> Generator[Event, Any, None]:
+        """Durably persist the database (simulated disk latency). Run it
+        with ``yield from`` in the step of the change: it queues there.
+
+        Group commit: the first caller becomes the *leader* — it lets the
+        same instant's committers join, flushes the batch and holds the
+        disk once. Callers arriving while a commit is in flight enqueue as
+        *waiters*; any waiter whose mutations the leader's flush captured
+        shares the leader's outcome, so N concurrent tag updates coalesce
+        into a single disk commit. A waiter whose mutations arrived after
+        the flush is promoted to lead the next batch. A failed flush fails
+        every committer whose change it put back. A leader also waits until
+        the backup acks every batch shipped up to its flush, its own and any
+        an instant commit shipped for a waiter; a replication give-up fails
+        the batch the same way.
         """
-        while True:
-            if self._committer_active:
-                ticket = self._mutations
-                gate = self.simulator.event()
-                self._commit_waiters.append((ticket, gate))
-                role = yield gate
-                if role == "durable":
-                    return
-                continue  # promoted: lead the next batch
-            self._committer_active = True
-            try:
-                self._flush()
-                flushed_at = self._mutations
-                # Every batch shipped so far, not only this flush's: an
-                # instant commit may have shipped a queued committer's rows.
-                replication = self.replication
-                shipped = replication.shipped if replication else 0
-                yield self.simulator.process(self.disk.commit())
-                if replication is not None:
-                    yield from replication.acked(shipped)
-            except BaseException as exc:
-                self._committer_active = False
-                waiters, self._commit_waiters = self._commit_waiters, []
-                for _ticket, gate in waiters:
-                    gate.fail(exc)
-                raise
-            self._committer_active = False
+        entry = (self._mutations, self.simulator.event())
+        self._commit_waiters.append(entry)
+        while self._committer_active:
+            entry = yield entry[1]
+            if entry is None:
+                return  # durable; else promoted, with a fresh entry
+        self._committer_active = True
+        flushed_at, error = self._mutations, None
+        try:
+            yield self.simulator.timeout(0)  # this instant's committers join
+            if entry[1].triggered:  # an instant flush put the change back
+                raise entry[1].failure
+            self._flush()
+            self._commit_waiters.remove(entry)
+            flushed_at = self._mutations
+            # Every batch shipped so far, not only this flush's: an
+            # instant commit may have shipped a queued committer's rows.
+            replication = self.replication
+            shipped = replication.shipped if replication else 0
+            yield from self.disk.hold(_COMMIT_LATENCY_SECONDS)
+            if replication is not None:
+                yield from replication.acked(shipped)
+        except BaseException as exc:
+            error = exc
+        self._committer_active = False
+        settled = [gate for ticket, gate in self._commit_waiters
+                   if ticket <= flushed_at]
+        self._commit_waiters = [(ticket, gate) for ticket, gate
+                                in self._commit_waiters if ticket > flushed_at]
+        if error is None:
             self.telemetry.inc("palaemon_db_commits_total")
-            durable = [gate for ticket, gate in self._commit_waiters
-                       if ticket <= flushed_at]
-            pending = [(ticket, gate) for ticket, gate in self._commit_waiters
-                       if ticket > flushed_at]
-            self._commit_waiters = pending
-            if durable:
+            if settled:
                 self.telemetry.inc("palaemon_db_commits_coalesced_total",
-                                   amount=len(durable))
-                self.telemetry.audit("db.commit",
-                                     batch=1 + len(durable),
-                                     coalesced=len(durable))
-            for gate in durable:
-                gate.succeed("durable")
-            if pending:
-                _ticket, gate = pending.pop(0)
-                gate.succeed("lead")
-            return
+                                   amount=len(settled))
+                self.telemetry.audit("db.commit", batch=1 + len(settled),
+                                     coalesced=len(settled))
+        for gate in settled:
+            if error is None:
+                gate.succeed(None)
+            else:
+                gate.fail(error)
+        if self._commit_waiters:  # the oldest leads the next batch
+            ticket, gate = self._commit_waiters[0]
+            self._commit_waiters[0] = (ticket, self.simulator.event())
+            gate.succeed(self._commit_waiters[0])
+        if error is not None:
+            raise error
 
     def commit_instant(self) -> None:
         """Persist without simulating latency (or waiting for a backup)."""
@@ -366,8 +401,9 @@ class PolicyStore:
             raise PolicyValidationError(
                 f"database version must not decrease "
                 f"({version} < {self._data['version']})")
+        if self._version_before is None:
+            self._version_before = self._data["version"]
         self._data["version"] = version
-        self._meta_dirty = True
         self._mutations += 1
 
     # -- tables ------------------------------------------------------------
@@ -382,9 +418,11 @@ class PolicyStore:
         return tables[name]
 
     def put(self, table: str, key: str, value: Any) -> None:
-        """Set ``key``; also the way to log an in-place mutated value."""
-        self.table(table)[key] = value
-        self._mark_dirty(table, key)
+        """Set ``key`` to a new value, never to one mutated in place."""
+        rows = self.table(table)
+        before = rows.get(key, _MISSING)
+        rows[key] = value
+        self._mark_dirty(table, key, before)
 
     def get(self, table: str, key: str, default: Any = None) -> Any:
         return self.table(table).get(key, default)
@@ -395,18 +433,19 @@ class PolicyStore:
         Only an actual removal is logged — deleting a missing key must not
         force a write on the next flush.
         """
-        removed = self.table(table).pop(key, _MISSING) is not _MISSING
-        if removed:
-            self._mark_dirty(table, key)
-        return removed
+        before = self.table(table).pop(key, _MISSING)
+        if before is not _MISSING:
+            self._mark_dirty(table, key, before)
+        return before is not _MISSING
 
     def touch(self, table: str) -> None:
         """Snapshot the whole of ``table`` at the next flush.
 
-        For bulk in-place mutation of many values; a single changed value
-        is cheaper to log with :meth:`put`.
+        Call it before a bulk change of many values; a single changed
+        value is cheaper to log with :meth:`put`.
         """
-        self.table(table)
+        if table not in self._dirty_tables:
+            self._dirty_tables[table] = dict(self.table(table))
         self._mark_dirty(table)
 
     def tables(self) -> List[str]:
@@ -424,10 +463,10 @@ class PolicyStore:
         table, key = table_key
         return key in self.table(table)
 
-    def _mark_dirty(self, table: str, key: Optional[str] = None) -> None:
-        if key is None:
-            self._dirty_tables.add(table)
-        else:
-            self._dirty_keys[(table, key)] = None
+    def _mark_dirty(self, table: str, key: Optional[str] = None,
+                    before: Any = None) -> None:
+        # A touched table's copy already holds what a key in it had then.
+        if key is not None and table not in self._dirty_tables:
+            self._dirty_keys.setdefault((table, key), before)
         self._keys_cache.pop(table, None)
         self._mutations += 1

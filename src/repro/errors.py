@@ -77,7 +77,7 @@ class FaultInjectedError(SimulationError):
 
 
 class StorageFaultError(FaultInjectedError):
-    """An injected disk-commit or block-store failure."""
+    """An injected block-store failure."""
 
 
 class TEEError(ReproError):

@@ -4,7 +4,7 @@ The paper's stance is *crash-as-attack* (§IV-D): PALAEMON trades
 availability for freshness and defers availability to fail-over and
 federation. Exercising those recovery paths honestly requires injecting
 partial failure — dropped and duplicated messages, endpoint blackouts,
-disk-commit failures, counter-service outages — and observing *bounded*
+failed volume writes, counter-service outages — and observing *bounded*
 recovery rather than a deadlocked simulation.
 
 A :class:`FaultPlan` is a declarative, seed-driven schedule of faults:
@@ -13,8 +13,6 @@ A :class:`FaultPlan` is a declarative, seed-driven schedule of faults:
   consulted by :meth:`repro.sim.network.Network.deliver`;
 - **endpoint blackouts** — windows during which a named endpoint neither
   sends nor receives (a crashed or wedged front-end);
-- **disk faults** — windows during which a named
-  :class:`~repro.sim.resources.DiskModel` fails commits;
 - **counter outages** — windows during which a named counter service
   raises :class:`~repro.errors.CounterUnavailableError`;
 - **block-store faults** — windows during which a named
@@ -83,7 +81,7 @@ class FaultPlan:
         #: Windowed faults by (kind, component name); see :meth:`injects`.
         self._windows: Dict[Tuple[str, str], List[Window]] = {}
         #: Injected fault counts by kind (drop/duplicate/delay/blackout/
-        #: disk_fault/counter_outage/store_fault) — the chaos summary.
+        #: counter_outage/store_fault) — the chaos summary.
         self.injected: Dict[str, int] = {}
 
     # -- authoring ---------------------------------------------------------
@@ -124,11 +122,6 @@ class FaultPlan:
         """The endpoint neither sends nor receives during the window."""
         return self._add_window("blackout", name, start, end)
 
-    def fail_disk(self, disk_name: str, start: float = 0.0,
-                  end: float = math.inf) -> "FaultPlan":
-        """Commits on the named disk fail during the window."""
-        return self._add_window("disk_fault", disk_name, start, end)
-
     def counter_outage(self, service_name: str, start: float = 0.0,
                        end: float = math.inf) -> "FaultPlan":
         """The named counter service is unreachable during the window."""
@@ -146,8 +139,8 @@ class FaultPlan:
     # -- attachment --------------------------------------------------------
 
     def attach(self, *components) -> "FaultPlan":
-        """Make each component (a :class:`Network`, ``DiskModel``, counter
-        service or ``BlockStore``) consult this plan."""
+        """Make each component (a :class:`Network`, counter service or
+        ``BlockStore``) consult this plan."""
         for component in components:
             component.fault_plan = self
         return self

@@ -1,7 +1,7 @@
 """Queueing primitives: resources and stores.
 
 A :class:`Resource` models every contended device: CPU thread pools, the
-SGX driver's global EPC lock and the disk's commit queue (capacity one),
+SGX driver's global EPC lock, the policy database's disk (capacity one),
 approval and app-server workers. A :class:`Store` is a mailbox. Queueing
 discipline is FIFO, which is what makes the throughput/latency hockey-stick
 curves in the paper's figures emerge naturally under open-loop load.
@@ -12,7 +12,6 @@ from __future__ import annotations
 from collections import deque
 from typing import Any, Deque, Generator
 
-from repro.errors import StorageFaultError
 from repro.sim.core import Event, Simulator
 
 
@@ -137,36 +136,3 @@ class StoreClosed(Exception):
     def __init__(self, name: str) -> None:
         super().__init__(f"store {name!r} closed")
         self.store_name = name
-
-
-class DiskModel:
-    """A single-spindle disk: serialized commits with fixed latency.
-
-    PALAEMON's policy database commits to disk on every tag *update* but not
-    on reads — the source of the ~6x read/update latency gap in Fig 11.
-    """
-
-    def __init__(self, simulator: Simulator, commit_latency: float,
-                 name: str = "disk") -> None:
-        self.simulator = simulator
-        self.commit_latency = commit_latency
-        self.name = name
-        self._queue = Resource(simulator, capacity=1, name=f"{name}-queue")
-        self.commits = 0
-        #: Optional fault injection (:class:`repro.sim.faults.FaultPlan`);
-        #: attached via ``FaultPlan.attach``, never set on hot paths.
-        self.fault_plan = None
-
-    def commit(self) -> Generator[Event, Any, None]:
-        """A sub-process performing one durable commit.
-
-        With a fault plan attached, a commit falling in a scheduled disk
-        fault window still pays the latency (the drive spun, the write
-        failed) and then raises :class:`StorageFaultError`.
-        """
-        yield from self._queue.hold(self.commit_latency)
-        if (self.fault_plan is not None
-                and self.fault_plan.injects("disk_fault", self.name)):
-            raise StorageFaultError(
-                f"disk {self.name!r}: injected commit failure")
-        self.commits += 1

@@ -9,8 +9,12 @@ checkable by scanning ``Network.wire_log``.
 
 A wire record is ``{"session": session_id, "data": sealed}``. Anything
 else a peer sends — a non-dict payload, an unknown session, a record that
-fails AEAD verification — is dropped like a TLS alert: it never crashes
-either end and never counts as an answer.
+fails AEAD verification, or an authentic one whose body does not decode —
+is dropped like a TLS alert: it never crashes either end and never counts
+as an answer. Bodies are pickles, but :func:`decode_record` admits only
+the classes of :data:`WIRE_CLASSES`, so a record carries data, never code
+(the Python documentation warns that unpickling untrusted data can run
+arbitrary code).
 
 Every client record seals a request id (``rid``) that grows by one per
 record on its connection. The server keeps, per session, the highest id
@@ -39,6 +43,7 @@ recently used one past that, for clients that vanish without closing.
 
 from __future__ import annotations
 
+import io
 import pickle
 from collections import Counter, OrderedDict
 from typing import Any, Callable, Dict, Generator, Optional
@@ -47,7 +52,8 @@ from repro import calibration
 from repro.crypto.certificates import Certificate
 from repro.crypto.primitives import DeterministicRandom
 from repro.crypto.signatures import KeyPair, PublicKey
-from repro.errors import CryptoError, NetworkError
+from repro.errors import (BadRequestError, CryptoError, NetworkError,
+                          ReproError)
 from repro.sim.core import Event
 from repro.sim.network import Endpoint, Network, Site
 from repro.sim.resources import StoreClosed
@@ -63,12 +69,56 @@ REPLAY_WINDOW = 64
 _WINDOW_MASK = (1 << REPLAY_WINDOW) - 1
 
 
+#: Every class a record or a replication batch may name, as (module,
+#: name). The decoder refuses any other, so a record carries data and
+#: never names code to run (builtin containers and scalars need no name).
+WIRE_CLASSES = frozenset((
+    ("repro.crypto.signatures", "PublicKey"),
+    ("repro.crypto.certificates", "Certificate"),
+    ("repro.core.policy", "SecurityPolicy"),
+    ("repro.core.policy", "ServiceSpec"),
+    ("repro.core.policy", "PolicyBoardMember"),
+    ("repro.core.policy", "BoardSpec"),
+    ("repro.core.policy", "VolumeSpec"),
+    ("repro.core.secrets", "SecretSpec"),
+    ("repro.core.secrets", "SecretKind"),
+    ("repro.core.secrets", "SecretValue"),
+    ("repro.core.service", "_ServiceState"),
+    ("repro.core.service", "AppConfig"),
+    ("repro.core.service", "VolumeGrant"),
+    ("repro.tee.quoting", "Quote"),
+    ("repro.tee.quoting", "Report"),
+    ("repro.core.attestation", "AttestationEvidence"),
+))
+
+#: What decoding a malformed payload raises: the unpickler's errors, and
+#: a wire class's own when it is built from the wrong arguments.
+_MALFORMED = (pickle.UnpicklingError, EOFError, ValueError, TypeError,
+              LookupError, AttributeError, OverflowError, RecursionError,
+              ReproError)
+
+
+class _WireUnpickler(pickle.Unpickler):
+    def find_class(self, module: str, name: str) -> Any:
+        if (module, name) not in WIRE_CLASSES:
+            raise pickle.UnpicklingError(f"{module}.{name} is not a wire "
+                                         f"class")
+        return super().find_class(module, name)
+
+
 def _encode(payload: Any) -> bytes:
     return pickle.dumps(payload)
 
 
-def _decode(data: bytes) -> Any:
-    return pickle.loads(data)
+def decode_record(data: bytes) -> Any:
+    """The value ``data`` encodes: the one decoder of every record and
+    every replication batch. Raises :class:`BadRequestError` if ``data``
+    does not decode, or names a class outside :data:`WIRE_CLASSES`."""
+    try:
+        return _WireUnpickler(io.BytesIO(data)).load()
+    except _MALFORMED as exc:
+        raise BadRequestError(
+            f"record does not decode ({type(exc).__name__})") from None
 
 
 class SecureChannel:
@@ -86,13 +136,15 @@ class SecureChannel:
     def open(self, sealed: bytes) -> Any:
         box = (self._session.server_box if self._is_client
                else self._session.client_box)
-        return _decode(box.open(sealed))
+        return decode_record(box.open(sealed))
 
 
 def _open_record(channel: SecureChannel, session: TLSSession,
                  payload: Any) -> Any:
     """The opened body of a wire record for ``session``; ``None`` when the
-    payload is not one (junk, another session, or a failed AEAD check)."""
+    payload is not one (junk, another session, or a failed AEAD check).
+    Raises :class:`BadRequestError` when an authentic body does not
+    decode."""
     if (not isinstance(payload, dict)
             or payload.get("session") != session.session_id
             or not isinstance(payload.get("data"), bytes)):
@@ -228,8 +280,11 @@ class TLSConnection:
                 self.closed = True
                 self._fail_waiting()
                 return
-            reply = _open_record(self.client_channel, self.session,
-                                 message.payload)
+            try:
+                reply = _open_record(self.client_channel, self.session,
+                                     message.payload)
+            except BadRequestError:
+                reply = None  # dropped as stale below
             yield simulator.timeout(calibration.TLS_RECORD_CRYPTO_SECONDS)
             if self.closed:
                 return
@@ -310,7 +365,7 @@ class TLSServer:
     ``(request_payload, session) -> reply`` or a generator process for
     handlers that consume simulated time. Records the server refuses are
     counted by reason in ``records_dropped``: ``unknown_session``,
-    ``not_authentic``, ``replayed`` and ``too_old``.
+    ``not_authentic``, ``malformed``, ``replayed`` and ``too_old``.
     """
 
     def __init__(self, network: Network, endpoint: Endpoint,
@@ -372,7 +427,11 @@ class TLSServer:
                 continue
             session = state.session
             server_channel = SecureChannel(session, is_client=False)
-            envelope = _open_record(server_channel, session, payload)
+            try:
+                envelope = _open_record(server_channel, session, payload)
+            except BadRequestError:
+                self.records_dropped["malformed"] += 1
+                continue
             rid = envelope.get("rid") if isinstance(envelope, dict) else None
             if not isinstance(rid, int):
                 self.records_dropped["not_authentic"] += 1

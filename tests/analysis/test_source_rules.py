@@ -256,6 +256,58 @@ class TestServiceTableTouch:
         assert lint(tmp_path) == []
 
 
+class TestUnpickling:
+    def test_unpickling_outside_the_decoder_flagged(self, tmp_path):
+        write_module(tmp_path, "repro.core.bad", """\
+            import pickle
+            from pickle import loads
+
+            class Reader(pickle.Unpickler):
+                pass
+
+            def open_batch(batch, stream):
+                return pickle.loads(batch), pickle.load(stream)
+            """)
+        findings = lint(tmp_path)
+        assert [(finding.code, finding.line) for finding in findings] == [
+            ("SRC111", 2), ("SRC111", 4), ("SRC111", 8), ("SRC111", 8)]
+
+    def test_decoder_at_rest_readers_and_dumps_are_fine(self, tmp_path):
+        write_module(tmp_path, "repro.tls.channel", """\
+            import pickle
+
+            class _WireUnpickler(pickle.Unpickler):
+                def find_class(self, module, name):
+                    return pickle.Unpickler.find_class(self, module, name)
+            """)
+        write_module(tmp_path, "repro.core.store", """\
+            import pickle
+
+            class PolicyStore:
+                def _open(self, payload):
+                    return pickle.loads(payload)
+
+                def _seal(self, value):
+                    return pickle.dumps(value)
+            """)
+        write_module(tmp_path, "repro.core.service", """\
+            import pickle
+
+            def _decode_identity(material):
+                return pickle.loads(material)
+            """)
+        assert lint(tmp_path) == []
+
+    def test_a_reader_name_in_another_module_is_flagged(self, tmp_path):
+        write_module(tmp_path, "repro.core.failover", """\
+            import pickle
+
+            def _decode_identity(material):
+                return pickle.loads(material)
+            """)
+        assert [finding.code for finding in lint(tmp_path)] == ["SRC111"]
+
+
 class TestRawEndpointTraffic:
     def test_hand_rolled_channel_flagged(self, tmp_path):
         write_module(tmp_path, "repro.core.bad", """\

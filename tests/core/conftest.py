@@ -159,6 +159,14 @@ def make_second_instance(deployment, name="palaemon-2"):
     return service
 
 
+def tag_on_volume(service, policy_name="ml_policy", service_name="ml_app"):
+    """The expected tag a new instance reads off ``service``'s volume."""
+    reader = PalaemonService(service.platform, service.store.store,
+                             DeterministicRandom(b"volume-reader"),
+                             name=service.name)
+    return reader.store.get("state", policy_name)[service_name].expected_tag
+
+
 def make_networked_pair(deployment, remote_site=Site.SAME_DC):
     """Two CA-certified instances peered over the message fabric."""
     network = Network(deployment.simulator, deployment.rng.fork(b"fed-net"))

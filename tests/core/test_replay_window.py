@@ -7,14 +7,22 @@ run of its request. A copied reply meets the client's check instead: it
 seals the id of the request it answered, and a connection sends each id
 once, so it answers no later request. Each row of ``ATTACKS`` is one
 attack and the outcome it must have; each row builds its own deployment.
+
+A party that holds session keys — any REST client, or a peer — can seal
+what it likes. A record or replication batch whose payload names code
+runs nothing, and one that does not decode is dropped and counted; the
+owner's next request is served either way.
 """
+
+import pickle
 
 import pytest
 
 from repro.core.client import PalaemonClient
 from repro.core.rest import PalaemonRestClient
 from repro.crypto.primitives import DeterministicRandom
-from repro.errors import RetryExhaustedError
+from repro.core.dispatch import decode_reply
+from repro.errors import ReproError, RetryExhaustedError
 from repro.obs.telemetry import NULL_TELEMETRY
 from repro.sim.faults import FaultPlan
 from repro.sim.network import Site
@@ -32,6 +40,26 @@ from tests.core.test_sealed_transports import (
 OLDER = b"\x01" * 32
 NEWER = b"\x02" * 32
 
+#: What a payload that names code appends to when it runs.
+RAN = []
+
+
+class RunsCode:
+    """A field whose unpickling would run code: it reduces to ``exec``."""
+
+    def __reduce__(self):
+        return exec, (f"__import__('sys').modules[{__name__!r}]"
+                      f".RAN.append('ran')",)
+
+
+#: Payloads a party holding session keys seals: one names code, one is
+#: not a pickle at all.
+HOSTILE = {
+    "code": pickle.dumps({"rid": 1, "body": {
+        "route": "tag.get", "policy": RunsCode(), "service": "ml_app"}}),
+    "malformed": b"not a pickle",
+}
+
 
 def last_record_to(network, endpoint):
     """The sealed record last sent to ``endpoint``, as the wire saw it."""
@@ -44,6 +72,13 @@ def replay(network, endpoint, record):
     attacker = network.endpoint("attacker")
     attacker.send(endpoint, record, reply_to=attacker)
     network.simulator.run()
+
+
+def forge(network, endpoint, session, plaintext):
+    """Seal ``plaintext`` under ``session``'s client key and send it to
+    ``endpoint``: the record an owner of the session can build."""
+    replay(network, endpoint, {"session": session.session_id,
+                               "data": session.client_box.seal(plaintext)})
 
 
 class Stack:
@@ -196,6 +231,62 @@ def duplicated_delivery():
             "dropped": dict(stack.tls_server.records_dropped)}
 
 
+def hostile_record_from_a_stranger(payload):
+    """A client that owns no policy opens a REST session and seals a
+    hostile payload; the policy owner then pushes a tag."""
+    RAN.clear()
+    stack = Stack()
+    stranger = stack.connect(PalaemonClient(
+        "stranger", DeterministicRandom(b"stranger")))
+    forge(stack.network, stack.server.endpoint,
+          stranger.connection.session, HOSTILE[payload])
+    stack.push_tag(NEWER)
+    return {"ran": list(RAN), "stored_tag": stack.stored_tag(),
+            "dropped": dict(stack.tls_server.records_dropped)}
+
+
+def replicating_pair():
+    deployment = Deployment(seed=b"replay-window")
+    network, local, remote, backup = peered_pair(deployment)
+    designate_backup(deployment, local, remote)
+    return deployment, network, local, remote, backup
+
+
+def hostile_peer_record(payload):
+    """A hostile payload sealed on the primary's peer session; the next
+    replicated tag update still reaches the backup."""
+    RAN.clear()
+    deployment, network, local, remote, backup = replicating_pair()
+    forge(network, remote._server.endpoint,
+          local.link(remote.name).session, HOSTILE[payload])
+    push_tag(deployment, NEWER)
+    return {"ran": list(RAN),
+            "stored": backup.get_tag_instant("ml_policy", "ml_app"),
+            "dropped": dict(remote._server.records_dropped)}
+
+
+def hostile_replication_batch(payload):
+    """The primary's peer link carries a batch that names code or does
+    not decode; the backup refuses it, and the next batch applies."""
+    RAN.clear()
+    deployment, _network, local, remote, backup = replicating_pair()
+    batch = pickle.dumps(RunsCode()) if payload == "code" else b"junk"
+
+    def main():
+        reply = yield from local.link(remote.name).request(
+            {"route": "failover.replicate", "batches": [(2, batch)]})
+        return reply
+
+    try:
+        decode_reply(deployment.simulator.run_process(main()))
+        refused = None
+    except ReproError as exc:
+        refused = type(exc).__name__
+    push_tag(deployment, NEWER)
+    return {"ran": list(RAN), "refused": refused,
+            "stored": backup.get_tag_instant("ml_policy", "ml_app")}
+
+
 #: (id, attack, expected outcome)
 ATTACKS = [
     ("tag-update-replayed-after-a-newer-write",
@@ -219,6 +310,24 @@ ATTACKS = [
     ("duplicate-link-delivery",
      duplicated_delivery,
      {"handled": 1, "stored_tag": NEWER, "dropped": {"replayed": 1}}),
+    ("stranger-record-naming-exec",
+     lambda: hostile_record_from_a_stranger("code"),
+     {"ran": [], "stored_tag": NEWER, "dropped": {"malformed": 1}}),
+    ("stranger-record-that-does-not-decode",
+     lambda: hostile_record_from_a_stranger("malformed"),
+     {"ran": [], "stored_tag": NEWER, "dropped": {"malformed": 1}}),
+    ("peer-record-naming-exec",
+     lambda: hostile_peer_record("code"),
+     {"ran": [], "stored": NEWER, "dropped": {"malformed": 1}}),
+    ("peer-record-that-does-not-decode",
+     lambda: hostile_peer_record("malformed"),
+     {"ran": [], "stored": NEWER, "dropped": {"malformed": 1}}),
+    ("replication-batch-naming-exec",
+     lambda: hostile_replication_batch("code"),
+     {"ran": [], "refused": "BadRequestError", "stored": NEWER}),
+    ("replication-batch-that-does-not-decode",
+     lambda: hostile_replication_batch("malformed"),
+     {"ran": [], "refused": "BadRequestError", "stored": NEWER}),
 ]
 
 

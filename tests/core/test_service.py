@@ -17,13 +17,15 @@ from repro.errors import (
     PolicyError,
     PolicyExistsError,
     PolicyNotFoundError,
+    StorageFaultError,
     StrictModeError,
 )
 from repro.fs.blockstore import BlockStore
+from repro.sim.faults import FaultPlan
 from repro.tee.image import build_image
 from repro.tee.platform import SGXPlatform
 
-from tests.core.conftest import Deployment
+from tests.core.conftest import Deployment, tag_on_volume
 
 
 class TestPolicyCrud:
@@ -314,6 +316,82 @@ class TestTagsAndStrictMode:
         update_latency = sim.run_process(timed_update())
         read_latency = sim.run_process(timed_read())
         assert 4 <= update_latency / read_latency <= 8
+
+    def test_simultaneous_updates_in_a_write_fault_both_raise(
+            self, deployment):
+        """Two timed updates started in one instant inside a write-fault
+        window share its failed flush: both raise, and neither tag is in
+        memory or on the volume. Each queues its commit in the step of
+        its change, so the flush that drops the change fails it; after
+        the window both land."""
+        self.setup_policy(deployment)
+        palaemon = deployment.palaemon
+        palaemon.create_policy(
+            deployment.make_policy(name="second", with_board=False),
+            deployment.client.certificate)
+        sim = deployment.simulator
+        FaultPlan(sim, palaemon.telemetry).fail_store(
+            deployment.volume.name, end=sim.now + 1.0).attach(
+                deployment.volume)
+        outcomes = {}
+
+        def update(policy_name, tag):
+            try:
+                yield from palaemon.update_tag(policy_name, "ml_app", tag)
+                outcomes[policy_name] = "ok"
+            except StorageFaultError:
+                outcomes[policy_name] = "raised"
+
+        def both():
+            yield sim.all_of([sim.process(update("ml_policy", b"\x01" * 32)),
+                              sim.process(update("second", b"\x02" * 32))])
+
+        sim.run_process(both())
+        assert outcomes == {"ml_policy": "raised", "second": "raised"}
+        for policy_name in ("ml_policy", "second"):
+            assert palaemon.get_tag_instant(policy_name, "ml_app") is None
+            assert tag_on_volume(palaemon, policy_name) is None
+        sim.run(until=sim.now + 1.0)
+        sim.run_process(both())
+        assert outcomes == {"ml_policy": "ok", "second": "ok"}
+        assert tag_on_volume(palaemon, "second") == b"\x02" * 32
+
+    def test_timed_update_fails_with_the_instant_flush_that_drops_it(
+            self, deployment):
+        """A timed update queues its commit in the step of its change, so
+        an instant update's failed flush in the same instant, which puts
+        both changes back, fails the timed one too."""
+        self.setup_policy(deployment)
+        palaemon = deployment.palaemon
+        palaemon.create_policy(
+            deployment.make_policy(name="second", with_board=False),
+            deployment.client.certificate)
+        sim = deployment.simulator
+        FaultPlan(sim, palaemon.telemetry).fail_store(
+            deployment.volume.name, end=sim.now + 1.0).attach(
+                deployment.volume)
+        outcomes = []
+
+        def timed():
+            try:
+                yield from palaemon.update_tag("ml_policy", "ml_app",
+                                               b"\x01" * 32)
+                outcomes.append("ok")
+            except StorageFaultError:
+                outcomes.append("raised")
+
+        def instant():
+            with pytest.raises(StorageFaultError):
+                palaemon.update_tag_instant("second", "ml_app", b"\x02" * 32)
+            yield sim.timeout(0)
+
+        def both():
+            yield sim.all_of([sim.process(timed()), sim.process(instant())])
+
+        sim.run_process(both())
+        assert outcomes == ["raised"]
+        assert palaemon.get_tag_instant("ml_policy", "ml_app") is None
+        assert tag_on_volume(palaemon) is None
 
     def test_unknown_service_state(self, deployment):
         with pytest.raises(PolicyNotFoundError):

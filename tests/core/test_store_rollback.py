@@ -4,7 +4,7 @@ import pytest
 
 from repro.core.rollback import RollbackGuard
 from repro.core.service import PalaemonService
-from repro.core.store import PolicyStore
+from repro.core.store import _COMMIT_LATENCY_SECONDS, PolicyStore
 from repro.crypto.primitives import DeterministicRandom
 from repro.errors import (
     ConcurrentInstanceError,
@@ -198,7 +198,7 @@ class TestPolicyStore:
             return sim.now
 
         elapsed = sim.run_process(main())
-        assert elapsed == pytest.approx(db.disk.commit_latency)
+        assert elapsed == pytest.approx(_COMMIT_LATENCY_SECONDS)
 
 
 def make_guard(backing=None, sim=None, counters=None, counter_id="c"):

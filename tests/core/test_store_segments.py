@@ -11,10 +11,10 @@ import copy
 import pickle
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from repro.core.service import _ServiceState
-from repro.core.store import PolicyStore
+from repro.core.store import _COMMIT_LATENCY_SECONDS, PolicyStore
 from repro.crypto.primitives import DeterministicRandom
 from repro.crypto.symmetric import SecretBox
 from repro.errors import StorageFaultError
@@ -29,6 +29,19 @@ def make_store(store=None, seed=b"segment-tests", sim=None, telemetry=None):
     rng = DeterministicRandom(seed)
     return PolicyStore(sim, store, rng.fork(b"db-key").bytes(32),
                        rng.fork(b"store"), telemetry=telemetry), store, sim
+
+
+def make_counted_store(store=None, seed=b"segment-tests"):
+    """A store whose telemetry counts its commits (see :func:`commits`)."""
+    sim = Simulator()
+    telemetry = Telemetry.for_simulator(sim)
+    db, store, sim = make_store(store=store, seed=seed, sim=sim,
+                                telemetry=telemetry)
+    return db, store, sim, telemetry
+
+
+def commits(telemetry):
+    return int(telemetry.metrics.counter("palaemon_db_commits_total").value)
 
 
 def apply_operations(db, operations, model=None):
@@ -303,7 +316,10 @@ class FailingStore(BlockStore):
 
 class TestCrashSafeWrites:
     """A failed block-store write at any point of a flush leaves the
-    volume loading exactly the old state; the retried flush the new."""
+    volume loading exactly the old state and memory holding it too; a
+    retry that re-applies the change stores the new."""
+
+    TABLES = ("policies", "state", "tags")
 
     def old_state(self):
         db, backing, _ = make_store(store=FailingStore(), seed=b"crash")
@@ -338,14 +354,83 @@ class TestCrashSafeWrites:
             backing.fail_at = failing
             with pytest.raises(StorageFaultError):
                 db.commit_instant()
+            assert_holds(db, old, ("policies", "state"))
             reopened, _, _ = make_store(store=backing, seed=b"crash")
             assert_holds(reopened, old, ("policies", "state"))
-            db.commit_instant()  # the batch is still pending: retry
+            mutate(db, {})  # nothing of the failed batch is left: re-apply
+            db.commit_instant()
             reopened, _, _ = make_store(store=backing, seed=b"crash")
             assert_holds(reopened, new, ("policies", "state"))
             # No orphan of the failed attempt stays on the volume.
             assert paths(backing, "/palaemon.db.") == sorted(
                 ["/palaemon.db.manifest"] + referenced_blobs(reopened))
+
+    @settings(max_examples=40, deadline=None)
+    @given(OPERATIONS, st.booleans(), st.booleans(),
+           st.integers(min_value=0, max_value=63),
+           st.sampled_from(["commit", "commit_instant"]))
+    def test_a_failed_flush_leaves_no_trace(self, operations, compact,
+                                            bump, failing, flush):
+        """For a random batch, failing write and flush kind: after the
+        raise, memory and a reopened store hold the last durable model,
+        the next instant commit writes no blob, and re-applying the batch
+        stores it once."""
+        def apply(db, model=None):
+            apply_operations(db, operations, model)
+            if compact:
+                db.touch("state")
+            if bump:
+                db.set_version(db.version + 1)
+
+        reference, reference_backing, _ = self.old_state()
+        apply(reference)
+        writes = reference_backing.write_count
+        reference.commit_instant()
+        flush_writes = reference_backing.write_count - writes
+        assume(flush_writes > 0)
+        db, backing, old = self.old_state()
+        new = {table: dict(rows) for table, rows in old.items()}
+        apply(db, new)
+        backing.fail_at = failing % flush_writes
+        with pytest.raises(StorageFaultError):
+            if flush == "commit":
+                db.simulator.run_process(db.commit())
+            else:
+                db.commit_instant()
+        assert_holds(db, old, self.TABLES)
+        assert db.version == 0
+        reopened, _, _ = make_store(store=backing, seed=b"crash")
+        assert_holds(reopened, old, self.TABLES)
+        assert reopened.version == 0
+        writes = backing.write_count
+        db.commit_instant()
+        assert backing.write_count == writes
+        apply(db)
+        db.commit_instant()
+        assert backing.write_count - writes == flush_writes
+        assert referenced_blobs(db) == referenced_blobs(reference)
+        reopened, _, _ = make_store(store=backing, seed=b"crash")
+        assert_holds(reopened, new, self.TABLES)
+        assert reopened.version == reference.version
+
+    def test_touch_then_bulk_change_is_put_back(self):
+        """The fail-over apply's pattern: touch() a table, then replace
+        its rows in bulk and put into it; a failed flush puts back the
+        durable table, keys changed before the touch included."""
+        db, backing, old = self.old_state()
+        db.put("state", "k1", b"before the touch")
+        db.touch("state")
+        rows = db.table("state")
+        rows.clear()
+        rows.update({"bulk": b"replaced"})
+        db.put("state", "k5", b"after the touch")
+        db.put("policies", "k0", b"beside it")
+        backing.fail_at = 0
+        with pytest.raises(StorageFaultError):
+            db.commit_instant()
+        assert_holds(db, old, ("policies", "state"))
+        reopened, _, _ = make_store(store=backing, seed=b"crash")
+        assert_holds(reopened, old, ("policies", "state"))
 
 
 class TestGroupCommit:
@@ -354,14 +439,16 @@ class TestGroupCommit:
     def test_coalesced_matches_serial_on_disk(self, workers, operations):
         """Group-committed mutations leave the same durable state as
         committing each one serially — only the disk-commit count differs."""
-        group, group_backing, group_sim = make_store(seed=b"grp")
-        serial, serial_backing, serial_sim = make_store(seed=b"grp")
+        group, group_backing, group_sim, group_telemetry = \
+            make_counted_store(seed=b"grp")
+        serial, serial_backing, serial_sim, serial_telemetry = \
+            make_counted_store(seed=b"grp")
         apply_operations(group, operations)
         apply_operations(serial, operations)
 
         def committer(index):
             group.put("tags", f"app-{index}", b"tag-%d" % index)
-            yield group_sim.process(group.commit())
+            yield from group.commit()
 
         def drive():
             yield group_sim.all_of(
@@ -371,7 +458,7 @@ class TestGroupCommit:
         for index in range(workers):
             serial.put("tags", f"app-{index}", b"tag-%d" % index)
             serial_sim.run_process(serial.commit())
-        assert group.disk.commits < serial.disk.commits
+        assert commits(group_telemetry) < commits(serial_telemetry)
         reopened_group, _, _ = make_store(store=group_backing, seed=b"grp")
         reopened_serial, _, _ = make_store(store=serial_backing, seed=b"grp")
         for table in ("policies", "state", "tags"):
@@ -379,22 +466,18 @@ class TestGroupCommit:
                     == reopened_serial.table(table))
 
     def test_concurrent_committers_share_one_disk_commit(self):
-        telemetry_sim = Simulator()
-        telemetry = Telemetry.for_simulator(telemetry_sim)
-        db, _, sim = make_store(sim=telemetry_sim, telemetry=telemetry)
+        db, _, sim, telemetry = make_counted_store()
 
         def committer(index):
             db.put("tags", f"app-{index}", b"tag")
-            yield sim.process(db.commit())
+            yield from db.commit()
 
         def drive():
             yield sim.all_of(
                 [sim.process(committer(i)) for i in range(5)])
 
         sim.run_process(drive())
-        assert db.disk.commits == 1
-        assert telemetry.metrics.counter(
-            "palaemon_db_commits_total").value == 1
+        assert commits(telemetry) == 1
         assert telemetry.metrics.counter(
             "palaemon_db_commits_coalesced_total").value == 4
         batches = [record for record in telemetry.audit_log.records
@@ -404,42 +487,37 @@ class TestGroupCommit:
 
     def test_late_mutation_leads_the_next_batch(self):
         """A waiter whose mutation missed the flush pays its own commit."""
-        db, backing, sim = make_store()
+        db, backing, sim, telemetry = make_counted_store()
 
         def early():
             db.put("tags", "a", b"1")
-            yield sim.process(db.commit())
+            yield from db.commit()
 
         def late():
             # Arrive mid-window, after the leader's flush captured "a".
-            yield sim.timeout(db.disk.commit_latency / 2)
+            yield sim.timeout(_COMMIT_LATENCY_SECONDS / 2)
             db.put("tags", "b", b"2")
-            yield sim.process(db.commit())
+            yield from db.commit()
 
         def drive():
             yield sim.all_of([sim.process(early()), sim.process(late())])
 
         sim.run_process(drive())
-        assert db.disk.commits == 2
+        assert commits(telemetry) == 2
         reopened, _, _ = make_store(store=backing)
         assert reopened.get("tags", "a") == b"1"
         assert reopened.get("tags", "b") == b"2"
 
     def test_commit_failure_propagates_to_every_waiter(self):
-        db, _, sim = make_store()
+        db, backing, sim, telemetry = make_counted_store(store=FailingStore())
+        backing.fail_at = 0
         failures = []
-
-        def broken_commit():
-            raise OSError("disk died")
-            yield  # pragma: no cover - makes this a generator
-
-        db.disk.commit = broken_commit
 
         def committer(index):
             db.put("tags", f"app-{index}", b"tag")
             try:
-                yield sim.process(db.commit())
-            except OSError:
+                yield from db.commit()
+            except StorageFaultError:
                 failures.append(index)
 
         def drive():
@@ -447,32 +525,65 @@ class TestGroupCommit:
                 [sim.process(committer(i)) for i in range(3)])
 
         sim.run_process(drive())
-        # Leader and both coalesced waiters all saw the disk failure...
+        # Leader and both coalesced waiters all saw the write fail, and
+        # none of their writes stayed...
         assert sorted(failures) == [0, 1, 2]
-        # ...and the store is reusable once the disk recovers.
+        assert db.table("tags") == {} and backing.list() == []
+        # ...and the store is reusable once the volume recovers.
         assert db._commit_waiters == []
         assert db._committer_active is False
-        db.disk = type(db.disk)(sim, 0.001, name="recovered")
 
         def retry():
-            yield sim.process(db.commit())
+            db.put("tags", "app-0", b"tag")
+            yield from db.commit()
 
         sim.run_process(retry())
-        assert db.disk.commits == 1
+        assert commits(telemetry) == 1
+        assert make_store(store=backing)[0].get("tags", "app-0") == b"tag"
+
+    def test_instant_failure_fails_a_leader_yet_to_flush(self):
+        """A committer is queued from the step of its change: an instant
+        flush that fails before the leader's flush drops that change, so
+        the leader raises instead of committing an empty batch."""
+        db, backing, sim, telemetry = make_counted_store(store=FailingStore())
+        outcome = []
+
+        def committer():
+            db.put("tags", "a", b"1")
+            try:
+                yield from db.commit()
+                outcome.append("ok")
+            except StorageFaultError:
+                outcome.append("raised")
+
+        def instant():
+            backing.fail_at = 0
+            with pytest.raises(StorageFaultError):
+                db.commit_instant()
+            yield sim.timeout(0)
+
+        def drive():
+            yield sim.all_of([sim.process(committer()),
+                              sim.process(instant())])
+
+        sim.run_process(drive())
+        assert outcome == ["raised"]
+        assert db.get("tags", "a") is None
+        assert commits(telemetry) == 0
 
 
 class TestCommitLatencyModel:
     def test_sequential_commits_each_pay_the_window(self):
         """Batching must not change the sequential Fig 11 cost model."""
-        db, _, sim = make_store()
+        db, _, sim, telemetry = make_counted_store()
 
         def run():
             start = sim.now
             for index in range(3):
                 db.put("tags", f"app-{index}", b"tag")
-                yield sim.process(db.commit())
+                yield from db.commit()
             return sim.now - start
 
         elapsed = sim.run_process(run())
-        assert elapsed == pytest.approx(3 * db.disk.commit_latency)
-        assert db.disk.commits == 3
+        assert elapsed == pytest.approx(3 * _COMMIT_LATENCY_SECONDS)
+        assert commits(telemetry) == 3

@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from repro.core.store import PolicyStore
 from repro.crypto.primitives import DeterministicRandom
 from repro.errors import (
     AccessDeniedError,
@@ -16,7 +17,7 @@ from repro.obs.telemetry import NULL_TELEMETRY
 from repro.sim.core import ProcessInterrupt, Simulator
 from repro.sim.faults import FaultPlan, LinkFault, Window
 from repro.sim.network import Network, Site
-from repro.sim.resources import DiskModel, Store
+from repro.sim.resources import Store
 from repro.sim.retry import (
     BACKOFF_MULTIPLIER,
     DEFAULT_RETRYABLE,
@@ -85,19 +86,20 @@ class TestFaultPlanQueries:
         assert fates(b"s1") != fates(b"s2")
         assert set(fates(b"s1")) == {"drop", "deliver"}
 
-    def test_counter_and_disk_windows(self):
+    def test_counter_and_store_windows(self):
         sim = Simulator()
         plan = (FaultPlan(sim, NULL_TELEMETRY)
                 .counter_outage("ctr", start=0.0, end=1.0)
-                .fail_disk("disk", start=0.0, end=1.0))
+                .fail_store("vol", start=0.0, end=1.0))
         assert plan.injects("counter_outage", "ctr")
-        assert plan.injects("disk_fault", "disk")
+        assert plan.injects("store_fault", "vol:write")
         assert not plan.injects("counter_outage", "other")
-        assert not plan.injects("disk_fault", "ctr")  # kinds do not mix
+        assert not plan.injects("store_fault", "vol:read")
+        assert not plan.injects("store_fault", "ctr")  # kinds do not mix
         sim.run(until=1.0)
         assert not plan.injects("counter_outage", "ctr")
-        assert not plan.injects("disk_fault", "disk")
-        assert plan.summary() == {"counter_outage": 1, "disk_fault": 1}
+        assert not plan.injects("store_fault", "vol:write")
+        assert plan.summary() == {"counter_outage": 1, "store_fault": 1}
 
     def test_fail_store_rejects_unknown_operation(self):
         with pytest.raises(ValueError):
@@ -106,20 +108,27 @@ class TestFaultPlanQueries:
 
 
 class TestAttachment:
-    def test_disk_commit_fails_during_window(self):
+    def test_commit_fails_during_store_window(self):
         sim = Simulator()
-        disk = DiskModel(sim, 0.01, name="d")
-        plan = FaultPlan(sim, NULL_TELEMETRY).fail_disk(
-            "d", end=1.0).attach(disk)
+        rng = DeterministicRandom(b"store-window")
+        volume = BlockStore("vol")
+        db = PolicyStore(sim, volume, rng.fork(b"key").bytes(32),
+                         rng.fork(b"store"))
+        plan = FaultPlan(sim, NULL_TELEMETRY).fail_store(
+            "vol", end=1.0).attach(volume)
 
         def attempt():
-            yield sim.process(disk.commit())
+            db.put("tags", "app", b"tag")
+            yield from db.commit()
 
         with pytest.raises(StorageFaultError):
             sim.run_process(attempt())
+        assert db.get("tags", "app") is None
+        assert volume.list() == []
         sim.run(until=1.0)
         sim.run_process(attempt())  # window over: commits succeed
-        assert plan.injected["disk_fault"] == 1
+        assert db.get("tags", "app") == b"tag"
+        assert plan.injected["store_fault"] == 1
 
     def test_blockstore_hook(self):
         sim = Simulator()

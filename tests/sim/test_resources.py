@@ -1,10 +1,10 @@
-"""Tests for resources, holds, stores, and the disk model."""
+"""Tests for resources, holds and stores."""
 
 import pytest
 
 from repro.errors import DeadlineExceededError
 from repro.sim.core import Simulator
-from repro.sim.resources import DiskModel, Resource, Store, StoreClosed
+from repro.sim.resources import Resource, Store, StoreClosed
 
 
 class TestResource:
@@ -191,17 +191,3 @@ class TestStore:
         store.close()
         with pytest.raises(RuntimeError):
             store.put("x")
-
-
-class TestDiskModel:
-    def test_commits_serialize(self):
-        sim = Simulator()
-        disk = DiskModel(sim, commit_latency=0.010)
-
-        def main():
-            yield sim.all_of([sim.process(disk.commit()) for _ in range(5)])
-            return sim.now
-
-        assert sim.run_process(main()) == pytest.approx(0.050)
-        assert disk.commits == 5
-

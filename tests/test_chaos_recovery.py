@@ -19,20 +19,20 @@ from repro.tee.counters import PlatformCounterService
 #: change in whether the run reproduces itself.
 SEED_7_REPORT = """\
 chaos recovery summary
-  audit_head: 0b1fe9d9a0b57eca3289f9bd236ca534a0c985b0f5fd1bb3029ccd77fec16658
+  audit_head: deff7b3d946c2b06de02ec7cd9bebacee56db5574411143c4d9faef1b26f8483
   audit_records: 18
   counter_outage_error: CounterUnavailableError
   faults_injected:
     blackout: 4
     counter_outage: 3
-    disk_fault: 3
     drop: 6
     duplicate: 2
+    store_fault: 3
   federation_fetch: recovered
   promoted: palaemon-2
   promoted_epoch: 2
   promoted_tag: acked
-  replication_duplicated: applied_sequence=6 replayed_dropped=1
+  replication_duplicated: applied_sequence=3 replayed_dropped=1
   replication_giveup: after-retries
   replication_lag: 1
   rest_attestation: recovered
@@ -82,9 +82,9 @@ class TestRecovery:
             "federation.fetch:recovered"] == 1
         assert summary["retries_by_operation"]["federation.fetch:retry"] >= 1
 
-    def test_disk_fault_recovers(self, summary):
+    def test_store_fault_recovers(self, summary):
         assert summary["tag_update"] == "recovered"
-        assert summary["faults_injected"]["disk_fault"] >= 1
+        assert summary["faults_injected"]["store_fault"] >= 1
 
     def test_rest_blackout_recovers(self, summary):
         assert summary["rest_attestation"] == "recovered"
@@ -103,11 +103,12 @@ class TestRecovery:
     def test_duplicated_replication_is_applied_once(self, summary):
         # The window duplicates the acked tag update's batch and its ack
         # (one fault each way); the backup's anti-replay window drops the
-        # second copy. Position 6: the enrolment, phase C's four attempts'
-        # flushes, and this batch.
+        # second copy. Position 3: the enrolment, phase C's one successful
+        # attempt (its three failed attempts shipped nothing), and this
+        # batch.
         assert summary["faults_injected"]["duplicate"] == 2
         assert summary["replication_duplicated"] == (
-            "applied_sequence=6 replayed_dropped=1")
+            "applied_sequence=3 replayed_dropped=1")
 
     def test_bounded_wall_clock(self, summary):
         # Every phase finishes under its retry budget: the whole run is

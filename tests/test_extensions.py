@@ -23,6 +23,7 @@ from repro.errors import (
     PolicyExistsError,
     PolicyNotFoundError,
     RetryExhaustedError,
+    StorageFaultError,
 )
 from repro.fs.blockstore import BlockStore
 from repro.sim.faults import FaultPlan
@@ -33,6 +34,7 @@ from tests.core.conftest import (
     Deployment,
     make_networked_pair,
     make_second_instance,
+    tag_on_volume,
 )
 
 
@@ -382,6 +384,31 @@ class TestFailover:
         assert coordinator.replication_lag() == 1
         promoted = promote(deployment, coordinator)
         assert tag_on(promoted) == b"\x01" * 32
+
+    def test_failed_commit_leaves_no_trace_on_either_side(self, deployment):
+        """A timed update whose flush fails a write raises, and memory,
+        a new instance on the volume and the backup all hold the old tag;
+        the retry stores the new tag and ships exactly one batch."""
+        coordinator = self.make_coordinator(deployment)
+        push_tag(deployment, b"\x01" * 32)
+        shipped = coordinator.shipped
+        sim = deployment.simulator
+        volume = deployment.palaemon.store.store
+        FaultPlan(sim, deployment.palaemon.telemetry).fail_store(
+            volume.name, end=sim.now + 1.0).attach(volume)
+        with pytest.raises(StorageFaultError):
+            push_tag(deployment, b"\x02" * 32)
+        assert tag_on(deployment.palaemon) == b"\x01" * 32
+        assert tag_on_volume(deployment.palaemon) == b"\x01" * 32
+        assert tag_on(coordinator.backup) == b"\x01" * 32
+        assert coordinator.shipped == shipped
+        sim.run(until=sim.now + 1.0)
+        push_tag(deployment, b"\x02" * 32)
+        assert tag_on(deployment.palaemon) == b"\x02" * 32
+        assert tag_on_volume(deployment.palaemon) == b"\x02" * 32
+        assert tag_on(coordinator.backup) == b"\x02" * 32
+        assert coordinator.shipped == shipped + 1
+        assert coordinator.replication_lag() == 0
 
     def test_concurrent_updates_share_one_batch_and_its_outcome(
             self, deployment):

@@ -91,7 +91,6 @@ KEEP = {
     "core/dispatch.py:_tag_get_process": reserved(2),
     "tee/ias.py:IntelAttestationService.verify_quote": reserved(2),
     "core/rest.py:PalaemonRestClient.close": reserved(3),
-    "sim/faults.py:FaultPlan.fail_store": reserved(5),
     "sim/faults.py:FaultPlan.delay_link": reserved(10),
     "sim/network.py:Endpoint.reopen": reserved(10),
     "core/yamlish.py:dumps": ORACLE,
@@ -146,6 +145,9 @@ KEEP = {
     ("analysis/source_rules.py:check_retry_wrappers:"
      'what = f"{node.name}() takes a retry_policy parameter"'): UNCLEAN,
     "analysis/source_rules.py:check_retry_wrappers:yield Finding(": UNCLEAN,
+    ("analysis/source_rules.py:check_unpickling:"
+     "names = [alias.name for alias in node.names]"): UNCLEAN,
+    "analysis/source_rules.py:check_unpickling:yield Finding(": UNCLEAN,
     ("analysis/source_rules.py:check_service_table_touch:"
      "owner = call.func.value"): UNCLEAN,
     ("analysis/source_rules.py:check_transport_bypasses_dispatcher:"
@@ -180,7 +182,12 @@ KEEP = {
     "core/rollback.py:RollbackGuard.shutdown:return": UNCLEAN,
     "core/store.py:PolicyStore._flush:return": UNCLEAN,
     "core/store.py:PolicyStore._load:rows.pop(operation[1], None)": UNCLEAN,
-    "core/store.py:PolicyStore.commit:gate.fail(exc)": UNCLEAN,
+    "core/store.py:PolicyStore._flush:self.store.delete(path)": UNCLEAN,
+    "core/store.py:PolicyStore._roll_back:tables[table].pop(key, None)":
+        UNCLEAN,
+    ('core/store.py:PolicyStore._roll_back:'
+     'self._data["version"] = self._version_before'): UNCLEAN,
+    "core/store.py:PolicyStore.commit:gate.fail(error)": UNCLEAN,
     "core/yamlish.py:_parse_mapping:break": UNCLEAN,
     "core/yamlish.py:_parse_sequence:break": UNCLEAN,
     "core/yamlish.py:loads:return {}": UNCLEAN,

@@ -332,8 +332,9 @@ class PolicyStore:
         the flush is promoted to lead the next batch. A failed flush fails
         every committer whose change it put back. A leader also waits until
         the backup acks every batch shipped up to its flush, its own and any
-        an instant commit shipped for a waiter; a replication give-up fails
-        the batch the same way.
+        an instant commit shipped for a waiter. A replication give-up raises
+        in every committer of the batch too, but after the commit point: the
+        write stays in memory and on the volume of the primary.
         """
         entry = (self._mutations, self.simulator.event())
         self._commit_waiters.append(entry)

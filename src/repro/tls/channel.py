@@ -72,6 +72,8 @@ _WINDOW_MASK = (1 << REPLAY_WINDOW) - 1
 #: Every class a record or a replication batch may name, as (module,
 #: name). The decoder refuses any other, so a record carries data and
 #: never names code to run (builtin containers and scalars need no name).
+#: Each class a member's fields name is a member too; a test walks the
+#: field annotations to keep it so.
 WIRE_CLASSES = frozenset((
     ("repro.crypto.signatures", "PublicKey"),
     ("repro.crypto.certificates", "Certificate"),
@@ -80,6 +82,8 @@ WIRE_CLASSES = frozenset((
     ("repro.core.policy", "PolicyBoardMember"),
     ("repro.core.policy", "BoardSpec"),
     ("repro.core.policy", "VolumeSpec"),
+    ("repro.core.policy", "ImportSpec"),
+    ("repro.core.policy", "VolumeImportSpec"),
     ("repro.core.secrets", "SecretSpec"),
     ("repro.core.secrets", "SecretKind"),
     ("repro.core.secrets", "SecretValue"),

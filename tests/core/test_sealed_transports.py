@@ -9,7 +9,9 @@ keys, one junk packet stopping a server, plaintext replication records,
 and a client certificate smuggled into a request body.
 """
 
+import importlib
 import pickle
+import typing
 
 import pytest
 
@@ -17,6 +19,7 @@ from repro.core.client import PalaemonClient
 from repro.core.dispatch import decode_reply
 from repro.core.failover import FailoverCoordinator
 from repro.core.federation import FederatedInstance
+from repro.core.policy import ImportSpec, VolumeImportSpec, VolumeSpec
 from repro.core.rest import PalaemonRestClient, PalaemonRestServer
 from repro.core.secrets import SecretKind, SecretSpec
 from repro.crypto.primitives import DeterministicRandom, hkdf, sha256
@@ -32,6 +35,7 @@ from repro.errors import (
 from repro.obs.telemetry import NULL_TELEMETRY
 from repro.sim.faults import FaultPlan
 from repro.sim.network import Network, Site
+from repro.tls.channel import WIRE_CLASSES
 from repro.tls.handshake import handshake_latency
 
 from tests.core.conftest import Deployment, make_second_instance
@@ -254,6 +258,78 @@ class TestOneReplyFormat:
             with pytest.raises(ReproError) as info:
                 decode_reply(reply)
             assert type(info.value) is ReproError
+
+
+def importing_policies(deployment):
+    """A producer that exports a secret and a volume to ``consumer``, and
+    the consumer that imports both: every policy field type at once."""
+    producer = deployment.make_policy(name="producer", with_board=False,
+                                      secrets=[SecretSpec(
+                                          name="MODEL_KEY",
+                                          kind=SecretKind.RANDOM,
+                                          export_to=("consumer",))])
+    producer.volumes.append(VolumeSpec(name="out", export_to="consumer"))
+    consumer = deployment.make_policy(
+        name="consumer", service_name="reader", with_board=False,
+        secrets=[], imports=[ImportSpec(from_policy="producer",
+                                        secret_name="MODEL_KEY")])
+    consumer.volume_imports.append(VolumeImportSpec(from_policy="producer",
+                                                    volume_name="out"))
+    return producer, consumer
+
+
+def wire_class_fields(cls):
+    """The ``repro`` classes the field annotations of ``cls`` name, through
+    List, Tuple, Dict and Optional."""
+    found = set()
+
+    def walk(hint):
+        if isinstance(hint, type):
+            if hint.__module__.startswith("repro."):
+                found.add((hint.__module__, hint.__qualname__))
+            return
+        for argument in typing.get_args(hint):
+            walk(argument)
+
+    for hint in typing.get_type_hints(cls).values():
+        walk(hint)
+    return found
+
+
+class TestWireClasses:
+    def test_wire_classes_close_over_their_field_types(self):
+        """A record carries a wire class whole, so every class one of its
+        fields names must decode too."""
+        for module, name in WIRE_CLASSES:
+            cls = getattr(importlib.import_module(module), name)
+            assert wire_class_fields(cls) <= WIRE_CLASSES, (module, name)
+
+    def test_importing_policy_is_created_and_read_over_rest(self):
+        deployment = Deployment()
+        producer, consumer = importing_policies(deployment)
+        _network, server, connection = rest_stack(deployment)
+        rest_call(deployment, connection, "policy.create", policy=producer)
+        rest_call(deployment, connection, "policy.create", policy=consumer)
+        assert rest_call(deployment, connection, "policy.read",
+                         name="consumer") == consumer
+        consumer.volume_imports.clear()
+        rest_call(deployment, connection, "policy.update", policy=consumer)
+        assert deployment.palaemon.store.get("policies",
+                                             "consumer") == consumer
+        assert sum(server._server.records_dropped.values()) == 0
+        server.stop()
+
+    def test_importing_policy_enrols_on_the_backup(self):
+        deployment = Deployment()
+        _network, local, remote, backup = peered_pair(deployment)
+        for policy in importing_policies(deployment):
+            deployment.palaemon.create_policy(policy,
+                                              deployment.client.certificate)
+        coordinator = designate_backup(deployment, local, remote)
+        deployment.simulator.run()
+        assert coordinator.replication_lag() == 0
+        assert (backup.store.get("policies", "consumer")
+                == deployment.palaemon.store.get("policies", "consumer"))
 
 
 class TestPeering:

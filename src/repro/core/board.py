@@ -16,7 +16,7 @@ network cannot manufacture approvals.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Dict, Generator, List, Optional
 
 from repro import calibration
@@ -121,10 +121,8 @@ class ApprovalService:
         verdict = Verdict(member_name=self.member_name,
                           request_digest=sha256(request.to_bytes()),
                           approve=approve, signature=b"")
-        signature = self._keys.sign(verdict.signed_payload())
-        return Verdict(member_name=verdict.member_name,
-                       request_digest=verdict.request_digest,
-                       approve=verdict.approve, signature=signature)
+        return replace(verdict,
+                       signature=self._keys.sign(verdict.signed_payload()))
 
     def decide(self, request: AccessRequest, caller_site: Site,
                ) -> Generator[Event, Any, Optional[Verdict]]:

@@ -7,6 +7,13 @@ the simulation can forge one without the private exponent. Keys default to
 but computationally honest and fast enough to generate thousands of keys in
 a test run.
 
+Every modulus is the product of four distinct primes of about a quarter of
+its size each (multi-prime RSA, RFC 8017 §3.2). The public key, the
+private exponent ``d = e^-1 mod phi(n)`` and the signature
+``pow(FDH(m), d, n)`` are those of any RSA key; only signing is cheaper,
+because :meth:`SigningKey.sign` runs four quarter-size exponentiations and
+recombines them by the Chinese remainder theorem.
+
 Each prime is proven prime, not just tested: ``p = 2kq + 1`` is certified
 by Pocklington's theorem from a prime ``q`` of just over half its size,
 and ``q`` is itself built and certified the same way, down to a base
@@ -54,6 +61,10 @@ _SIEVE_BOUND = 16384
 _SIEVE_BELOW_1000 = _odd_primes_product(3, 1000)
 _SIEVE_TO_BOUND = _odd_primes_product(1000, _SIEVE_BOUND)
 _EXPONENT = 65537
+#: Primes per modulus. Four keep every prime of a 512-bit key at 128 bits;
+#: a 768-bit signature took 0.43 ms with three, 0.36 ms with four and
+#: 0.30 ms with six (docs/PERFORMANCE.md, "Signing: four-prime keys").
+_PRIME_COUNT = 4
 
 
 def _is_strong_probable_prime(candidate: int) -> bool:
@@ -87,7 +98,7 @@ def _is_strong_probable_prime(candidate: int) -> bool:
 
 
 def _base_case_prime(bits: int, rng: DeterministicRandom) -> int:
-    """A random prime of ``bits <= _BASE_CASE_BITS`` bits whose top two
+    """A random prime of ``bits <= _BASE_CASE_BITS`` bits whose top three
     bits are set, decided by the deterministic strong test."""
     if bits > _BASE_CASE_BITS:
         raise ValueError(f"the strong test over {len(_BASES)} bases is "
@@ -95,7 +106,7 @@ def _base_case_prime(bits: int, rng: DeterministicRandom) -> int:
     while True:
         candidate = int.from_bytes(rng.bytes((bits + 7) // 8), "big")
         candidate &= (1 << bits) - 1
-        candidate |= (3 << (bits - 2)) | 1
+        candidate |= (7 << (bits - 3)) | 1
         if _is_strong_probable_prime(candidate):
             return candidate
 
@@ -118,22 +129,22 @@ def _pocklington_certifies(prime: int, factor: int) -> bool:
 
 
 def _certified_prime(bits: int, rng: DeterministicRandom) -> tuple[int, ...]:
-    """A prime of ``bits`` bits, at least ``3 * 2**(bits-2)``, with its
+    """A prime of ``bits`` bits, at least ``7 * 2**(bits-3)``, with its
     certificate chain.
 
-    The chain is ``(p, q, ..., base)``. Each entry after the first has
-    ``b // 2 + 1`` bits, where ``b`` is the size of the entry before, so
-    its square exceeds that entry, and Pocklington's theorem proves that
-    entry prime from it (``p = 2kq + 1`` for a DRBG-drawn ``k``). The last
-    entry has at most ``_BASE_CASE_BITS`` bits and passed the
-    deterministic strong test.
+    Every entry of the chain ``(p, q, ..., base)`` has its top three bits
+    set. Each entry after the first has ``b // 2 + 1`` bits, where ``b`` is
+    the size of the entry before, so its square exceeds that entry, and
+    Pocklington's theorem proves that entry prime from it
+    (``p = 2kq + 1`` for a DRBG-drawn ``k``). The last entry has at most
+    ``_BASE_CASE_BITS`` bits and passed the deterministic strong test.
     """
     if bits <= _BASE_CASE_BITS:
         return (_base_case_prime(bits, rng),)
     chain = _certified_prime(bits // 2 + 1, rng)
     step = 2 * chain[0]
-    # The k for which 3 * 2**(bits-2) <= k * step + 1 < 2**bits.
-    low = -(-((3 << (bits - 2)) - 1) // step)
+    # The k for which 7 * 2**(bits-3) <= k * step + 1 < 2**bits.
+    low = -(-((7 << (bits - 3)) - 1) // step)
     high = ((1 << bits) - 2) // step
     while True:
         prime = rng.randint(low, high) * step + 1
@@ -143,15 +154,25 @@ def _certified_prime(bits: int, rng: DeterministicRandom) -> tuple[int, ...]:
             return (prime,) + chain
 
 
-def _prime_pair(bits: int, rng: DeterministicRandom
-                ) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """The two distinct primes of a ``bits``-bit modulus, each with its
-    certificate chain, such that ``_EXPONENT`` is invertible mod phi."""
-    while True:
-        p = _certified_prime(bits // 2, rng)
-        q = _certified_prime(bits - bits // 2, rng)
-        if p[0] != q[0] and (p[0] - 1) * (q[0] - 1) % _EXPONENT != 0:
-            return p, q
+def _primes(bits: int, rng: DeterministicRandom
+            ) -> tuple[tuple[int, ...], ...]:
+    """The ``_PRIME_COUNT`` distinct primes of a ``bits``-bit modulus, each
+    with its certificate chain, such that ``_EXPONENT`` is invertible mod
+    phi.
+
+    The sizes are ``bits // _PRIME_COUNT``, the first ``bits %
+    _PRIME_COUNT`` of them one bit larger. Each prime is at least 7/8 of
+    ``2**size`` and (7/8)**4 > 1/2, so the product has exactly ``bits``
+    bits.
+    """
+    chains: list[tuple[int, ...]] = []
+    while len(chains) < _PRIME_COUNT:
+        size = bits // _PRIME_COUNT + (len(chains) < bits % _PRIME_COUNT)
+        chain = _certified_prime(size, rng)
+        if ((chain[0] - 1) % _EXPONENT != 0
+                and all(chain[0] != other[0] for other in chains)):
+            chains.append(chain)
+    return tuple(chains)
 
 
 def _full_domain_hash(message: bytes, modulus: int) -> int:
@@ -188,32 +209,36 @@ class PublicKey:
 class SigningKey:
     """The private half of a key pair, with its CRT parameters.
 
-    Besides ``d`` itself the key keeps the primes and the Chinese-remainder
-    values ``d mod (p-1)``, ``d mod (q-1)`` and ``q^-1 mod p`` (PKCS #1
-    §3.2), so :meth:`sign` does two half-size exponentiations instead of
-    one full-modulus ``pow(m, d, n)``: about twice as fast, same signature.
+    Besides ``d`` itself the key keeps its primes ``r_1, ..., r_4``, the
+    exponents ``d mod (r_i - 1)`` and, for ``i > 1``, the coefficients
+    ``(r_1 * ... * r_(i-1))^-1 mod r_i`` (RFC 8017 §3.2), so :meth:`sign`
+    does four quarter-size exponentiations instead of one full-modulus
+    ``pow(m, d, n)``: the same signature for a fraction of the work.
     """
 
     modulus: int
     private_exponent: int
-    prime_p: int
-    prime_q: int
-    exponent_p: int
-    exponent_q: int
-    coefficient: int
+    primes: tuple[int, ...]
+    exponents: tuple[int, ...]
+    coefficients: tuple[int, ...]
 
     def sign(self, message: bytes) -> bytes:
         """Produce an RSA-FDH signature over ``message``.
 
-        Garner's recombination of ``m^d mod p`` and ``m^d mod q`` equals
-        ``m^d mod n`` for every ``m`` in ``Z_n``, so the bytes are those
-        of the textbook ``pow(m, d, n)``.
+        Garner's rule lifts ``m^d mod r_1`` one prime at a time to
+        ``m^d mod r_1 * ... * r_i``; the last step gives ``m^d mod n`` for
+        every ``m`` in ``Z_n``, so the bytes are those of the textbook
+        ``pow(m, d, n)``.
         """
         digest = _full_domain_hash(message, self.modulus)
-        mod_p = pow(digest, self.exponent_p, self.prime_p)
-        mod_q = pow(digest, self.exponent_q, self.prime_q)
-        h = (self.coefficient * (mod_p - mod_q)) % self.prime_p
-        signature = mod_q + h * self.prime_q
+        signature = pow(digest, self.exponents[0], self.primes[0])
+        product = self.primes[0]
+        for prime, exponent, coefficient in zip(
+                self.primes[1:], self.exponents[1:], self.coefficients):
+            residue = pow(digest, exponent, prime)
+            signature += product * ((residue - signature) * coefficient
+                                    % prime)
+            product *= prime
         nbytes = (self.modulus.bit_length() + 7) // 8
         return signature.to_bytes(nbytes, "big")
 
@@ -231,17 +256,18 @@ class KeyPair:
         """Generate a fresh RSA key pair from the given DRBG."""
         if bits < 128:
             raise ValueError("key size too small even for simulation")
-        (p, *_), (q, *_) = _prime_pair(bits, rng)
-        totient = (p - 1) * (q - 1)
-        modulus = p * q
-        private_exponent = pow(_EXPONENT, -1, totient)
+        primes = tuple(chain[0] for chain in _primes(bits, rng))
+        modulus = math.prod(primes)
+        private_exponent = pow(_EXPONENT, -1,
+                               math.prod(prime - 1 for prime in primes))
         public = PublicKey(modulus=modulus, exponent=_EXPONENT)
         private = SigningKey(
             modulus=modulus, private_exponent=private_exponent,
-            prime_p=p, prime_q=q,
-            exponent_p=private_exponent % (p - 1),
-            exponent_q=private_exponent % (q - 1),
-            coefficient=pow(q, -1, p))
+            primes=primes,
+            exponents=tuple(private_exponent % (prime - 1)
+                            for prime in primes),
+            coefficients=tuple(pow(math.prod(primes[:i]), -1, primes[i])
+                               for i in range(1, len(primes))))
         return cls(public=public, private=private)
 
     def sign(self, message: bytes) -> bytes:

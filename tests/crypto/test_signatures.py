@@ -1,5 +1,6 @@
 """Tests for RSA-FDH signatures."""
 
+import dataclasses
 import math
 
 import pytest
@@ -18,7 +19,7 @@ from repro.crypto.signatures import (
     _full_domain_hash,
     _is_strong_probable_prime,
     _pocklington_certifies,
-    _prime_pair,
+    _primes,
 )
 from repro.errors import SignatureError
 
@@ -98,13 +99,13 @@ class TestPrimality:
     def test_base_case_prime_size(self, bits):
         prime = _base_case_prime(bits, DeterministicRandom(b"gen"))
         assert prime.bit_length() == bits
-        assert prime >> (bits - 2) == 0b11
+        assert prime >> (bits - 3) == 0b111
         assert independently_prime(prime)
 
     def test_generated_prime_size(self):
         prime, *_ = _certified_prime(128, DeterministicRandom(b"gen"))
         assert prime.bit_length() == 128
-        assert prime >> 126 == 0b11
+        assert prime >> 125 == 0b111
         assert independently_prime(prime)
 
 
@@ -132,14 +133,17 @@ class TestPrimeCertificates:
            bits=st.integers(min_value=128, max_value=768))
     def test_every_prime_of_a_key_is_certified(self, seed, bits):
         pair = KeyPair.generate(DeterministicRandom(seed), bits=bits)
-        chains = _prime_pair(bits, DeterministicRandom(seed))
+        chains = _primes(bits, DeterministicRandom(seed))
         private = pair.private
-        assert [chain[0] for chain in chains] == [private.prime_p,
-                                                  private.prime_q]
-        for chain, size in zip(chains, (bits // 2, bits - bits // 2)):
+        primes = private.primes
+        assert [chain[0] for chain in chains] == list(primes)
+        assert len(primes) == 4
+        sizes = [prime.bit_length() for prime in primes]
+        assert sum(sizes) == bits and max(sizes) - min(sizes) <= 1
+        for chain, size in zip(chains, sizes):
             for prime in chain:
                 assert prime.bit_length() == size
-                assert prime >> (size - 2) == 0b11
+                assert prime >> (size - 3) == 0b111
                 assert independently_prime(prime)
                 size = size // 2 + 1
             for prime, factor in zip(chain, chain[1:]):
@@ -149,13 +153,18 @@ class TestPrimeCertificates:
             assert base.bit_length() <= _BASE_CASE_BITS
             assert _is_strong_probable_prime(base)
             assert len(chain) == 1 or chain[-2].bit_length() > _BASE_CASE_BITS
-        p, q = private.prime_p, private.prime_q
-        assert p != q
-        totient = (p - 1) * (q - 1)
-        assert (pair.public.exponent * private.private_exponent) % totient == 1
-        assert private.coefficient * q % p == 1
-        assert private.exponent_p == private.private_exponent % (p - 1)
-        assert private.exponent_q == private.private_exponent % (q - 1)
+        assert len(set(primes)) == 4
+        assert math.prod(primes) == private.modulus == pair.public.modulus
+        d, e = private.private_exponent, pair.public.exponent
+        for prime in primes:
+            assert math.gcd(e, prime - 1) == 1
+        totient = math.prod(prime - 1 for prime in primes)
+        assert e * d % totient == 1
+        assert list(private.exponents) == [d % (prime - 1)
+                                           for prime in primes]
+        assert len(private.coefficients) == 3
+        for i, coefficient in enumerate(private.coefficients, start=1):
+            assert coefficient * math.prod(primes[:i]) % primes[i] == 1
 
     @pytest.mark.parametrize("check", [certificate_holds,
                                        _pocklington_certifies])
@@ -251,15 +260,15 @@ def sized_key_pair(key_bits):
 
 #: SHA-256 of the public key and of the signature on ``b"pinned message"``
 #: for ``KeyPair.generate(DeterministicRandom(b"crt-pin"), bits)``, keyed by
-#: the requested size. Recorded when every prime came with a chain of
-#: Pocklington certificates down to a base case of at most 81 bits; the
-#: signatures equal full-modulus ``pow(m, d, n)``, which
-#: ``test_sign_equals_full_modulus_pow`` checks.
+#: the requested size. Recorded when every modulus was the product of four
+#: primes, each with a chain of Pocklington certificates down to a base
+#: case of at most 81 bits; the signatures equal full-modulus
+#: ``pow(m, d, n)``, which ``test_sign_equals_full_modulus_pow`` checks.
 PINNED_KEYS = {
-    512: ("917ea3280d7aecafaad944f9555fe6e02ee1454b4fc299952a319e600ce619d9",
-          "4e8feeb4084fc9dafe6d3bcd91b8f8ab31bf924e5f86f4dc326913d4a321f3cb"),
-    768: ("a5492b5cef7eb940ddb2f51870670ed4cc85e59ead952bf98b9dd6ba6b8e1fce",
-          "a1021ba0a986d55107fe1bf3697883b11c9485f092cf90dda0cbb6fe0cdc91ab"),
+    512: ("17e7df9c5c757a1444074c2dcdaf367c135748a3121e7a223d00c82bd0c5ae91",
+          "a7409eaf69843e75e8f30ae35dd26fc0b94390db13daafc606c6cdcda1dad62d"),
+    768: ("39c9f61085c79a67271398f0cdcd0df3638cce88961b9c8855ee38e9fbe9b7fb",
+          "a1f591da2b5c434935237998cf5fe73d68666ecf9dd20d7138605f0339b5d82b"),
 }
 
 
@@ -282,15 +291,28 @@ class TestCrtSigning:
         assert signature == reference.to_bytes(nbytes, "big")
         assert verify_signature(sized_key_pair.public, message, signature)
 
+    @pytest.mark.parametrize("index", range(3))
+    def test_a_corrupted_coefficient_signs_what_the_verifier_refuses(
+            self, sized_key_pair, index):
+        private = sized_key_pair.private
+        coefficients = list(private.coefficients)
+        coefficients[index] += 1
+        broken = dataclasses.replace(private,
+                                     coefficients=tuple(coefficients))
+        signature = broken.sign(b"pinned message")
+        assert signature != private.sign(b"pinned message")
+        assert not verify_signature(sized_key_pair.public, b"pinned message",
+                                    signature)
+
     def test_x509_secret_is_the_private_exponent(self):
         value = materialize(
             SecretSpec(name="TLS_KEY", kind=SecretKind.X509,
                        common_name="svc"),
             DeterministicRandom(b"x509-pin"), now=0.0)
         assert sha256(value.value).hex() == (
-            "15b67a1c969c9018ee095b16c14db64798a65c83b9444092fd99bbb053b77839")
+            "98740b9c25b46c4a6dcbb5c4da64560c314bc3bd7f68089fe57858ffaea7fcc0")
         assert sha256(value.certificate.signature).hex() == (
-            "41d658bfa2b71db6228c9dd410585e40e6bcabc73bb4fc32208c4d78764ea499")
+            "3b63f106ea9f3287e3080b082d0ab24f550beb90d767560ead00e5d6f6f5e0c3")
         public = value.certificate.public_key
         d = int.from_bytes(value.value, "big")
         assert pow(pow(12345, public.exponent, public.modulus), d,

@@ -19,7 +19,7 @@ from repro.tee.counters import PlatformCounterService
 #: change in whether the run reproduces itself.
 SEED_7_REPORT = """\
 chaos recovery summary
-  audit_head: deff7b3d946c2b06de02ec7cd9bebacee56db5574411143c4d9faef1b26f8483
+  audit_head: 15c44f7d147ece4f55b26174693a353a706e925b6abe6459f35b500950edd6fc
   audit_records: 18
   counter_outage_error: CounterUnavailableError
   faults_injected:

@@ -17,9 +17,12 @@ recombines them by the Chinese remainder theorem.
 Each prime is proven prime, not just tested: ``p = 2kq + 1`` is certified
 by Pocklington's theorem from a prime ``q`` of just over half its size,
 and ``q`` is itself built and certified the same way, down to a base
-case of at most 81 bits that a deterministic strong-probable-prime test
-over the first 13 prime bases decides exactly (Maurer's provable primes;
-the Shawe-Taylor routine of FIPS 186-4 Appendix C.6). No randomized
+case of at most 40 bits that the strong-probable-prime test to the bases
+2, 3, 5, 7 and 11 decides exactly (Maurer's provable primes; the
+Shawe-Taylor routine of FIPS 186-4 Appendix C.6). As in that routine,
+each level of the chain takes one DRBG draw for its starting point and
+then steps through its range (``k + 1``, or ``candidate + 2`` in the base
+case), wrapping from the top of the range to its bottom. No randomized
 primality test is involved, and an accepted ``p`` costs one
 exponentiation.
 """
@@ -34,11 +37,11 @@ from repro.errors import SignatureError
 
 DEFAULT_KEY_BITS = 768
 
-#: The first 13 primes. An odd number that is a strong probable prime to
-#: all of them and below psi_13 = 3,317,044,064,679,887,385,961,981 is
-#: prime (Sorenson & Webster, Math. Comp. 2017); psi_13 > 2**81.
-_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
-_BASE_CASE_BITS = 81
+#: The first 5 primes. An odd number that is a strong probable prime to
+#: all of them and below psi_5 = 2,152,302,898,747 is prime (Jaeschke,
+#: Math. Comp. 1993); psi_5 > 2**40.
+_BASES = (2, 3, 5, 7, 11)
+_BASE_CASE_BITS = 40
 
 
 def _odd_primes_product(low: int, high: int) -> int:
@@ -54,10 +57,21 @@ def _odd_primes_product(low: int, high: int) -> int:
 #: A candidate sharing a factor with the odd primes below 1,000, or with
 #: those from 1,000 up to ``_SIEVE_BOUND``, is rejected by a gcd before any
 #: exponentiation; the second, larger product is tried only on the
-#: candidates the first lets through. Of the bounds 2,048 to 65,536,
-#: 4,096 to 16,384 generated 512- and 768-bit keys fastest, within the
-#: noise of each other; 65,536 was slower than one stage alone.
-_SIEVE_BOUND = 16384
+#: candidates the first lets through. ``KeyPair.generate`` in ms per key
+#: (median of 9 interleaved passes over 100 512-bit and 40 768-bit seeds,
+#: process time, 2-vCPU shared VM; two runs each):
+#:
+#:   bound     512-bit      768-bit
+#:   1,000     3.28  2.62   7.91  6.36   (second stage off)
+#:   2,048     3.20  2.62   7.74  6.35
+#:   4,096     3.16  2.49   7.40  6.16
+#:   8,192     3.28  2.74   7.55  6.33
+#:   16,384    3.67  3.11   8.13  6.81
+#:
+#: One gcd against the 4,431-bit product to 4,096 costs about 4 us; one
+#: against the 22,072-bit product to 16,384 costs about 15 us, more than
+#: the Pocklington tests its extra primes save.
+_SIEVE_BOUND = 4096
 _SIEVE_BELOW_1000 = _odd_primes_product(3, 1000)
 _SIEVE_TO_BOUND = _odd_primes_product(1000, _SIEVE_BOUND)
 _EXPONENT = 65537
@@ -70,7 +84,7 @@ _PRIME_COUNT = 4
 def _is_strong_probable_prime(candidate: int) -> bool:
     """Miller's strong test of ``candidate`` to every base in ``_BASES``.
 
-    Exact below psi_13 (> 2**81); psi_13 itself passes, so callers keep
+    Exact below psi_5 (> 2**40); psi_5 itself passes, so callers keep
     to at most ``_BASE_CASE_BITS`` bits.
     """
     if candidate < 2:
@@ -99,16 +113,20 @@ def _is_strong_probable_prime(candidate: int) -> bool:
 
 def _base_case_prime(bits: int, rng: DeterministicRandom) -> int:
     """A random prime of ``bits <= _BASE_CASE_BITS`` bits whose top three
-    bits are set, decided by the deterministic strong test."""
+    bits are set, decided by the deterministic strong test.
+
+    One DRBG draw picks the first odd candidate; the search then steps by
+    2, wrapping from the top of the range to its bottom.
+    """
     if bits > _BASE_CASE_BITS:
         raise ValueError(f"the strong test over {len(_BASES)} bases is "
                          f"exact only up to {_BASE_CASE_BITS} bits")
-    while True:
-        candidate = int.from_bytes(rng.bytes((bits + 7) // 8), "big")
-        candidate &= (1 << bits) - 1
-        candidate |= (7 << (bits - 3)) | 1
-        if _is_strong_probable_prime(candidate):
-            return candidate
+    low, high = (7 << (bits - 3)) | 1, (1 << bits) - 1
+    candidate = int.from_bytes(rng.bytes((bits + 7) // 8), "big")
+    candidate = (candidate & high) | low
+    while not _is_strong_probable_prime(candidate):
+        candidate = candidate + 2 if candidate < high else low
+    return candidate
 
 
 def _pocklington_certifies(prime: int, factor: int) -> bool:
@@ -136,8 +154,9 @@ def _certified_prime(bits: int, rng: DeterministicRandom) -> tuple[int, ...]:
     set. Each entry after the first has ``b // 2 + 1`` bits, where ``b`` is
     the size of the entry before, so its square exceeds that entry, and
     Pocklington's theorem proves that entry prime from it
-    (``p = 2kq + 1`` for a DRBG-drawn ``k``). The last entry has at most
-    ``_BASE_CASE_BITS`` bits and passed the deterministic strong test.
+    (``p = 2kq + 1``, ``k`` drawn once and then stepped by 1, wrapping
+    within its range). The last entry has at most ``_BASE_CASE_BITS``
+    bits and passed the deterministic strong test.
     """
     if bits <= _BASE_CASE_BITS:
         return (_base_case_prime(bits, rng),)
@@ -146,12 +165,14 @@ def _certified_prime(bits: int, rng: DeterministicRandom) -> tuple[int, ...]:
     # The k for which 7 * 2**(bits-3) <= k * step + 1 < 2**bits.
     low = -(-((7 << (bits - 3)) - 1) // step)
     high = ((1 << bits) - 2) // step
+    k = rng.randint(low, high)
     while True:
-        prime = rng.randint(low, high) * step + 1
+        prime = k * step + 1
         if (math.gcd(prime, _SIEVE_BELOW_1000) == 1
                 and math.gcd(prime, _SIEVE_TO_BOUND) == 1
                 and _pocklington_certifies(prime, chain[0])):
             return (prime,) + chain
+        k = k + 1 if k < high else low
 
 
 def _primes(bits: int, rng: DeterministicRandom

@@ -11,7 +11,7 @@ startup (Fig 7) sound.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from repro import calibration
 from repro.crypto.primitives import sha256
@@ -44,12 +44,15 @@ class EnclaveImage:
     initialized_data: bytes
     heap_bytes: int
     version: str = "1.0"
+    _mrenclave: bytes = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if not self.code:
             raise EnclaveError(f"image {self.name!r} has no code")
         if self.heap_bytes < 0:
             raise EnclaveError("heap size cannot be negative")
+        # The image is frozen, so it is measured once.
+        object.__setattr__(self, "_mrenclave", self._measure())
 
     @property
     def measured_bytes(self) -> int:
@@ -69,6 +72,9 @@ class EnclaveImage:
         digest together with its offset, so both content and layout are
         bound.
         """
+        return self._mrenclave
+
+    def _measure(self) -> bytes:
         digest_parts = [b"mrenclave-v1", self.version.encode()]
         offset = 0
         for segment in (self.code, self.initialized_data):

@@ -58,49 +58,83 @@ def independently_prime(n):
                for _ in range(40))
 
 
-#: psi_12 and psi_13: the least odd composites that are strong probable
-#: primes to the first 12 and the first 13 primes (Sorenson & Webster).
-PSI_12 = 318_665_857_834_031_151_167_461
-PSI_13 = 3_317_044_064_679_887_385_961_981
+#: psi_4 and psi_5: the least odd composites that are strong probable
+#: primes to the first 4 and the first 5 primes (Jaeschke 1993).
+PSI_4 = 3_215_031_751
+PSI_5 = 2_152_302_898_747
+
+
+class TopOfRange(DeterministicRandom):
+    """A DRBG stub whose every draw is the top of the range asked for."""
+
+    def bytes(self, length):
+        return b"\xff" * length
+
+    def randint(self, low, high):
+        return high
 
 
 class TestPrimality:
     def test_known_primes(self):
-        for prime in (2, 3, 5, 7, 41, 97, 101, 104729, 2**61 - 1,
-                      2**64 - 59):
+        for prime in (2, 3, 5, 7, 41, 97, 101, 104729, 2**40 - 87,
+                      2**61 - 1, 2**64 - 59):
             assert independently_prime(prime), prime
             assert _is_strong_probable_prime(prime), prime
 
     def test_known_composites(self):
         for composite in (0, 1, 4, 100, 104730,
                           561, 41041,  # Carmichael numbers
-                          3_215_031_751,  # strong pseudoprime to 2, 3, 5, 7
-                          PSI_12):
+                          PSI_4):
             assert not independently_prime(composite), composite
             assert not _is_strong_probable_prime(composite), composite
 
-    def test_psi_12_is_refused_only_by_base_41(self):
-        assert PSI_12 == 399_165_290_221 * 798_330_580_441
+    def test_agrees_with_a_sieve_below_2_to_the_20(self):
+        limit = 1 << 20
+        sieve = bytearray([1]) * limit
+        sieve[0] = sieve[1] = 0
+        for n in range(2, math.isqrt(limit) + 1):
+            if sieve[n]:
+                sieve[n * n::n] = bytes(len(range(n * n, limit, n)))
+        assert [n for n in range(limit)
+                if _is_strong_probable_prime(n) != sieve[n]] == []
+
+    def test_psi_4_is_refused_only_by_base_11(self):
+        assert PSI_4 == 151 * 751 * 28_351
         assert [base for base in _BASES
-                if not strong_probable_prime(PSI_12, base)] == [41]
+                if not strong_probable_prime(PSI_4, base)] == [11]
 
-    def test_psi_13_fools_every_base_so_the_base_case_stops_below_it(self):
-        assert PSI_13 == 1_287_836_182_261 * 2_575_672_364_521
-        assert all(strong_probable_prime(PSI_13, base) for base in _BASES)
-        assert _is_strong_probable_prime(PSI_13)
-        assert PSI_13.bit_length() == _BASE_CASE_BITS + 1
-        assert PSI_13 > 2**_BASE_CASE_BITS
+    def test_psi_5_fools_every_base_so_the_base_case_stops_below_it(self):
+        assert PSI_5 == 6_763 * 10_627 * 29_947
+        assert all(strong_probable_prime(PSI_5, base) for base in _BASES)
+        assert _is_strong_probable_prime(PSI_5)
+        assert PSI_5.bit_length() == _BASE_CASE_BITS + 1
+        assert PSI_5 > 2**_BASE_CASE_BITS
 
-    def test_base_case_generator_refuses_more_than_81_bits(self):
+    def test_base_case_generator_refuses_more_than_40_bits(self):
         with pytest.raises(ValueError):
             _base_case_prime(_BASE_CASE_BITS + 1, DeterministicRandom(b"b"))
 
-    @pytest.mark.parametrize("bits", [64, 65, _BASE_CASE_BITS])
+    @pytest.mark.parametrize("bits", [33, _BASE_CASE_BITS])
     def test_base_case_prime_size(self, bits):
         prime = _base_case_prime(bits, DeterministicRandom(b"gen"))
         assert prime.bit_length() == bits
         assert prime >> (bits - 3) == 0b111
         assert independently_prime(prime)
+
+    @pytest.mark.parametrize("bits", [33, 128, 192])
+    def test_search_from_the_top_of_the_range_wraps_to_its_bottom(self,
+                                                                 bits):
+        chain = _certified_prime(bits, TopOfRange(b"top"))
+        for prime in chain:
+            size = prime.bit_length()
+            assert size == bits and prime >> (size - 3) == 0b111
+            # Wrapped: the prime lies in the lower half of the range
+            # [7 * 2**(size-3), 2**size) rather than past its top.
+            assert prime < (15 << (size - 4))
+            assert independently_prime(prime)
+            bits = bits // 2 + 1
+        for prime, factor in zip(chain, chain[1:]):
+            assert certificate_holds(prime, factor)
 
     def test_generated_prime_size(self):
         prime, *_ = _certified_prime(128, DeterministicRandom(b"gen"))
@@ -262,13 +296,14 @@ def sized_key_pair(key_bits):
 #: for ``KeyPair.generate(DeterministicRandom(b"crt-pin"), bits)``, keyed by
 #: the requested size. Recorded when every modulus was the product of four
 #: primes, each with a chain of Pocklington certificates down to a base
-#: case of at most 81 bits; the signatures equal full-modulus
+#: case of at most 40 bits found by stepping from one DRBG draw per
+#: level; the signatures equal full-modulus
 #: ``pow(m, d, n)``, which ``test_sign_equals_full_modulus_pow`` checks.
 PINNED_KEYS = {
-    512: ("17e7df9c5c757a1444074c2dcdaf367c135748a3121e7a223d00c82bd0c5ae91",
-          "a7409eaf69843e75e8f30ae35dd26fc0b94390db13daafc606c6cdcda1dad62d"),
-    768: ("39c9f61085c79a67271398f0cdcd0df3638cce88961b9c8855ee38e9fbe9b7fb",
-          "a1f591da2b5c434935237998cf5fe73d68666ecf9dd20d7138605f0339b5d82b"),
+    512: ("482d130af3b8aab5d14df57dee93d584075a7ac2f105b7bf6649b4257c23366b",
+          "c96a7d8c67a15a1800ae8b34504550325722ca38bdbd42039c6e428da6def1e4"),
+    768: ("78d140d3671cc1a8edf32194291f8805c744ea244db2cbfacec9d699dfee798f",
+          "89d8d44f7a13a2752e3dd95fabd8321239d9bc233c27e7ba5a71aaaaa04df533"),
 }
 
 
@@ -310,9 +345,9 @@ class TestCrtSigning:
                        common_name="svc"),
             DeterministicRandom(b"x509-pin"), now=0.0)
         assert sha256(value.value).hex() == (
-            "98740b9c25b46c4a6dcbb5c4da64560c314bc3bd7f68089fe57858ffaea7fcc0")
+            "4da115e8705356812bb080a4641f2900bc1f9b6f65f41a60dcf0ee85e8fddc93")
         assert sha256(value.certificate.signature).hex() == (
-            "3b63f106ea9f3287e3080b082d0ab24f550beb90d767560ead00e5d6f6f5e0c3")
+            "342a974e731ff7f9d3b4778a848d7f4e59f3ba3b2d85acd22bba17e11c95e257")
         public = value.certificate.public_key
         d = int.from_bytes(value.value, "big")
         assert pow(pow(12345, public.exponent, public.modulus), d,

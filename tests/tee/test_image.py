@@ -1,10 +1,28 @@
 """Tests for enclave images and MRENCLAVE measurement."""
 
+import dataclasses
+
 import pytest
 
 from repro import calibration
+from repro.crypto.primitives import sha256
 from repro.errors import EnclaveError
 from repro.tee.image import EnclaveImage, build_image
+
+
+def measured(image):
+    """MRENCLAVE written out: every page of the code and then the data
+    segment, zero-padded, extends the digest with its offset."""
+    page = calibration.PAGE_SIZE
+    parts = [b"mrenclave-v1", image.version.encode()]
+    offset = 0
+    for segment in (image.code, image.initialized_data):
+        segment += b"\x00" * (-len(segment) % page)
+        for start in range(0, len(segment), page):
+            parts += [offset.to_bytes(8, "big"),
+                      sha256(segment[start:start + page])]
+            offset += page
+    return sha256(*parts)
 
 
 class TestMrenclave:
@@ -43,6 +61,27 @@ class TestMrenclave:
         a = EnclaveImage("app", b"codeX", b"data", heap_bytes=0)
         b = EnclaveImage("app", b"code", b"Xdata", heap_bytes=0)
         assert a.mrenclave() != b.mrenclave()
+
+
+class TestMeasuredOnce:
+    def test_cached_value_is_the_full_measurement(self):
+        for image in (build_image("app", seed=b"s"),
+                      EnclaveImage("app", b"x" * 5000, b"", heap_bytes=0)):
+            assert image.mrenclave() == measured(image)
+            assert image.mrenclave() is image.mrenclave()
+
+    def test_replace_measures_the_new_image(self):
+        image = build_image("app", version="1.0")
+        update = dataclasses.replace(image, version="2.0")
+        assert update.mrenclave() == measured(update)
+        assert update.mrenclave() != image.mrenclave()
+
+    def test_equal_images_compare_equal(self):
+        a = build_image("app", seed=b"s")
+        b = EnclaveImage(a.name, bytes(a.code), bytes(a.initialized_data),
+                         heap_bytes=a.heap_bytes, version=a.version)
+        assert a == b and hash(a) == hash(b)
+        assert "_mrenclave" not in repr(a)
 
 
 class TestSizes:

@@ -19,7 +19,7 @@ from repro.tee.counters import PlatformCounterService
 #: change in whether the run reproduces itself.
 SEED_7_REPORT = """\
 chaos recovery summary
-  audit_head: 15c44f7d147ece4f55b26174693a353a706e925b6abe6459f35b500950edd6fc
+  audit_head: 10e1cd31454e4bfe5a321b1482b3c4ae24c58f3abb763f3eef3156b8369771ac
   audit_records: 18
   counter_outage_error: CounterUnavailableError
   faults_injected:

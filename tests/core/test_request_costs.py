@@ -1,7 +1,8 @@
-"""Fixed per-request costs of REST requests, and of a close.
+"""Fixed per-request costs of REST and peer requests, and of a close.
 
 After warm-up, one ``tag.update``, ``tag.get``, ``app.attest`` or
-board-governed ``policy.read`` over REST seals and opens a pinned number
+board-governed ``policy.read`` over REST, and one ``federation.fetch`` or
+``failover.replicate`` over a peer link, seals and opens a pinned number
 of AEAD messages, seals a pinned number of plaintext bytes, processes a
 pinned number of simulator events, canonicalises no metric label set
 (every series the request touches is already cached), and makes a pinned
@@ -20,7 +21,14 @@ from repro.obs import metrics
 from repro.sim.core import Simulator
 
 from tests.core.conftest import Deployment
-from tests.core.test_sealed_transports import rest_call, rest_stack
+from tests.core.test_sealed_transports import (
+    designate_backup,
+    fetch,
+    peered_pair,
+    rest_call,
+    rest_stack,
+    seed_exported_secret,
+)
 
 #: route -> (AEAD encrypts, AEAD decrypts, simulator events,
 #: ``canonical_labels`` calls, AEAD plaintext bytes sealed, RSA signatures,
@@ -33,12 +41,18 @@ from tests.core.test_sealed_transports import rest_call, rest_stack
 #: answers it. ``app.attest`` verifies the quote's signature and commits
 #: the service's new state; a board-governed ``policy.read`` takes one board
 #: round, a signed verdict from each of the three members.
+#: ``federation.fetch`` is one secret fetched from a peer.
+#: ``failover.replicate`` is the round an instant commit on the primary
+#: starts: the backup opens the batch, seals its own log record and
+#: manifest, and seals the ack the primary opens.
 BUDGET = {
     "tag.update": (4, 2, 10, 0, 718, 0, 0, 0),
     "tag.get": (2, 2, 10, 0, 167, 0, 0, 0),
     "app.attest": (4, 2, 10, 0, 1598, 0, 1, 0),
     "policy.read": (2, 2, 10, 0, 1736, 3, 3, 0),
     "close": (1, 1, 2, 0, 33, 0, 0, 0),
+    "federation.fetch": (2, 2, 10, 0, 236, 0, 0, 0),
+    "failover.replicate": (4, 2, 16, 0, 929, 0, 0, 0),
 }
 ROUTES = ["tag.get", "tag.update"]
 
@@ -158,3 +172,30 @@ def test_board_governed_request_runs_its_pinned_costs(warmed_board_rest,
     costs = _Costs(monkeypatch)
     rest_call(deployment, connection, route, **fields)
     assert costs.snapshot() == BUDGET[route]
+
+
+def test_peer_fetch_runs_its_pinned_costs(monkeypatch):
+    deployment = Deployment(seed=b"request-costs-fetch")
+    _network, local, remote, remote_service = peered_pair(deployment)
+    seed_exported_secret(deployment, remote_service)
+    for _round in range(3):
+        fetch(deployment, local, remote)
+    costs = _Costs(monkeypatch)
+    fetch(deployment, local, remote)
+    assert costs.snapshot() == BUDGET["federation.fetch"]
+
+
+def test_replication_round_runs_its_pinned_costs(monkeypatch):
+    deployment = Deployment(seed=b"request-costs-replicate")
+    _network, local, remote, _remote_service = peered_pair(deployment)
+    coordinator = designate_backup(deployment, local, remote)
+    primary = deployment.palaemon
+    for round_ in range(3):
+        primary.update_tag_instant("ml_policy", "ml_app",
+                                   bytes([round_]) * 32)
+        deployment.simulator.run()
+    primary.update_tag_instant("ml_policy", "ml_app", b"\x07" * 32)
+    costs = _Costs(monkeypatch)
+    deployment.simulator.run()
+    assert coordinator.replication_lag() == 0
+    assert costs.snapshot() == BUDGET["failover.replicate"]

@@ -28,12 +28,12 @@ Entry points, one per transport style:
 
 - :meth:`Dispatcher.handle` — synchronous request → structured reply
   dict (``{"ok": ...}`` or ``{"error", "kind", "code"}``); never raises.
-  Used by the REST and federation TLS servers and the in-process
-  :class:`PalaemonClient`.
+  Used by the REST TLS server and the in-process :class:`PalaemonClient`,
+  neither of which has an attested peer.
 - :meth:`Dispatcher.dispatch` — the same pipeline as a simulation
   process: admission may *queue* (virtual time passes) and operations
-  with a timed handler pay their modelled latency. Used by the load
-  benchmark (``python -m repro bench dispatch``).
+  with a timed handler pay their modelled latency. Used by the federation
+  TLS server and the load benchmark (``python -m repro bench dispatch``).
 
 Every caller turns a reply back into a value with :func:`decode_reply`,
 which re-raises an error reply as its typed :mod:`repro.errors` class —
@@ -147,8 +147,8 @@ class Operation:
     transports: Tuple[str, ...] = ("rest", "inprocess")
     summary: str = ""
     #: Optional timed variant: a generator paying modelled latency.
-    #: :meth:`Dispatcher.dispatch` prefers it; sync entry points use
-    #: ``handler`` (the instant, functional path).
+    #: :meth:`Dispatcher.dispatch` prefers it, and runs a generator
+    #: ``handler`` as one too; ``handle`` calls ``handler`` (instantly).
     process_handler: Optional[
         Callable[[DispatchContext], Generator[Event, Any, Any]]] = None
 
@@ -465,15 +465,14 @@ class Dispatcher:
     # -- transport entry points -----------------------------------------
 
     def handle(self, request: Any, *, transport: str,
-               certificate: Any = None,
-               peer: Optional[str] = None) -> Dict[str, Any]:
+               certificate: Any = None) -> Dict[str, Any]:
         """Synchronous request -> structured reply; never raises."""
         operation = None
         try:
             operation = self._resolve(request)
             self._count_request(operation.name, transport)
             value = self._run(operation, request, transport,
-                              certificate=certificate, peer=peer)
+                              certificate=certificate)
             return {"ok": value}
         except ReproError as exc:
             return self._error_reply(exc, operation, transport)
@@ -535,9 +534,8 @@ class Dispatcher:
         return context
 
     def _run(self, operation: Operation, request: Dict[str, Any],
-             transport: str, *, certificate: Any,
-             peer: Optional[str]) -> Any:
-        context = self._admitted(operation, request, certificate, peer)
+             transport: str, *, certificate: Any) -> Any:
+        context = self._admitted(operation, request, certificate, None)
         started = self.service.simulator.now
         self.admission.admit_instant(operation.name)
         try:
@@ -562,12 +560,11 @@ class Dispatcher:
         try:
             with self.telemetry.span("dispatch." + operation.name,
                                      transport=transport):
-                if operation.process_handler is not None:
+                value = (operation.process_handler
+                         or operation.handler)(context)
+                if hasattr(value, "__next__"):
                     value = yield simulator.process(
-                        operation.process_handler(context),
-                        name=f"dispatch-{operation.name}")
-                else:
-                    value = operation.handler(context)
+                        value, name=f"dispatch-{operation.name}")
         finally:
             self.admission.release(operation.name)
         self.telemetry.observe("palaemon_dispatch_route_seconds",

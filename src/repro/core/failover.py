@@ -14,8 +14,8 @@ preserving the freshness guarantee:
   batch, sent in order over the CA-verified federation session the two
   opened when they peered, and a timed commit completes on its ack;
 - the backup applies them to its own sealed store, recording the applied
-  position and its designated primary in the same flush, and acks only
-  after that flush — so an ack is durable, and no other peer can write;
+  position and its designated primary in one timed commit, and acks only
+  after its disk hold — so an ack is durable, and no other peer can write;
 - on primary failure, an operator *promotes* the backup, which starts
   serving under its own counter with what its store already holds and
   from then on refuses every batch from the old primary;
@@ -76,7 +76,8 @@ class FailoverCoordinator:
     :data:`REPLICATION_RETRY` and, on giving up, fails the commits waiting
     for its batches and leaves :meth:`replication_lag` > 0: the batches
     never reached the backup's store, so :meth:`promote_backup` cannot
-    expose them. The next flush sends them again.
+    expose them. The writes stay committed on the primary, which keeps
+    serving them. The next flush sends them again.
     """
 
     def __init__(self, primary: FederatedInstance, backup: FederatedInstance,
@@ -103,6 +104,7 @@ class FailoverCoordinator:
         store = self.backup.store
         row = store.get(*REPLICA_ROW)
         if row is None or row["primary"] != self.primary.name:
+            # Instant, as a constructor cannot wait; no ack rests on it.
             row = {"primary": self.primary.name, "applied_sequence": 0}
             store.put(*REPLICA_ROW, row)
             store.commit_instant()
@@ -132,13 +134,19 @@ class FailoverCoordinator:
                                                   name="failover-sender")
 
     def acked(self, position: int) -> Generator[Event, Any, None]:
-        """Wait until the backup acks batch ``position``; raises what the
-        sender gave up on, such as :class:`RetryExhaustedError`, if it
-        gives up first."""
+        """Wait until the backup acks batch ``position``. If the sender
+        gives up first, raise what it gave up on, such as
+        :class:`RetryExhaustedError`, saying the write stays committed on
+        the primary only; the next commit's round sends it again."""
         while self._unacked and self._unacked[0][0] <= position:
             error = yield self._sender
             if error is not None:
-                raise error
+                given_up = type(error)(
+                    f"batch {position} is committed on primary "
+                    f"{self.primary.name!r} and not acknowledged by backup "
+                    f"{self.backup.name!r}: {error}")
+                given_up.__dict__.update(vars(error))  # attempts, last_error
+                raise given_up from error
 
     def _send(self) -> Generator[Event, Any, Optional[ReproError]]:
         """One round of the sender: every unacked batch, in order, under
@@ -205,7 +213,7 @@ class FailoverCoordinator:
             self.backup.store.put(*REPLICA_ROW, {
                 "primary": None,
                 "applied_sequence": self._applied_sequence()})
-            self.backup.store.commit_instant()
+            yield from self.backup.store.commit()
             self.epoch += 1
         self.backup.telemetry.inc("palaemon_failover_promotions_total")
         self.backup.telemetry.audit(
@@ -242,7 +250,10 @@ class FailoverCoordinator:
     serving_required=False, transports=("federation",),
     summary="apply the designated primary's next replication batches in "
             "order; flush, then reply a cumulative ack")
-def _failover_replicate_batches(ctx: DispatchContext) -> Any:
+def _failover_replicate_batches(ctx: DispatchContext,
+                                ) -> Generator[Event, Any, Any]:
+    """Apply the batches and commit them in the same step, one disk hold;
+    ack once durable. A failed commit puts every row back for a retry."""
     store = ctx.service.store
     row = store.get(*REPLICA_ROW)
     if row is None or row["primary"] != ctx.peer:
@@ -273,5 +284,5 @@ def _failover_replicate_batches(ctx: DispatchContext) -> Any:
     if batches:
         store.put(*REPLICA_ROW, {"primary": ctx.peer,
                                  "applied_sequence": applied})
-        store.commit_instant()
+        yield from store.commit()
     return {"ack": applied}

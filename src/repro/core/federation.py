@@ -13,6 +13,8 @@ other KMSs (§VII). This module implements that federation layer:
 - all peer traffic rides TLS sessions (:mod:`repro.tls.channel`) over the
   simulated network, so a fetch's latency is the real round trip between
   the two sites and its records are sealed under per-connection keys;
+- each peer request runs the dispatcher's timed pipeline, so a handler
+  pays its modelled latency (a backup's disk commit) before the reply;
 - fail-over replication (:mod:`repro.core.failover`) rides the same
   links: a peer link is the one attested channel between two instances.
 """
@@ -48,10 +50,11 @@ class FederatedInstance:
     Every instance serves a :class:`~repro.tls.channel.TLSServer` on its
     ``fed-{name}`` endpoint. Peering opens one TLS connection per
     direction, each from its own ``fed-{name}-to-{peer}`` client endpoint
-    (a shared inbox would mix the sessions' replies). Fetches and
-    fail-over replication batches are sealed request/reply records under
-    those per-connection session keys, so they can be dropped,
-    duplicated, delayed, or blacked out by an attached
+    (a shared inbox would mix the sessions' replies). The server runs
+    one request at a time through the dispatcher's timed pipeline.
+    Fetches and fail-over replication batches are sealed request/reply
+    records under those per-connection session keys, so they can be
+    dropped, duplicated, delayed, or blacked out by an attached
     :class:`~repro.sim.faults.FaultPlan`, but never read or forged by
     anyone on the wire (the paper's "all peer traffic is TLS", checkable
     via the wire log).
@@ -174,11 +177,12 @@ class FederatedInstance:
                         secrets=len(secrets))
         return secrets
 
-    def _serve(self, request: Any, session: TLSSession) -> Dict[str, Any]:
-        """Answer one peer request through the dispatch pipeline; the
+    def _serve(self, request: Any, session: TLSSession,
+               ) -> Generator[Event, Any, Dict[str, Any]]:
+        """Answer one peer request with the timed dispatch pipeline; the
         caller is the peer whose certificate :meth:`peer_with` verified
         before the session was registered."""
-        return self.service.dispatcher.handle(
+        return self.service.dispatcher.dispatch(
             request, transport="federation",
             peer=session.client_certificate.subject)
 

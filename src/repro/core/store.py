@@ -334,7 +334,8 @@ class PolicyStore:
         the backup acks every batch shipped up to its flush, its own and any
         an instant commit shipped for a waiter. A replication give-up raises
         in every committer of the batch too, but after the commit point: the
-        write stays in memory and on the volume of the primary.
+        write is committed on the primary, which keeps serving it, and not
+        acknowledged by the backup (``FailoverCoordinator.acked``).
         """
         entry = (self._mutations, self.simulator.event())
         self._commit_waiters.append(entry)

@@ -41,6 +41,17 @@ from tests.core.conftest import Deployment, make_networked_pair
 TRANSPORTS = ("rest", "federation", "inprocess")
 
 
+def reply_over(deployment, request, transport):
+    """The reply from the entry point that serves ``transport``: the
+    federation server runs ``dispatch``; REST and in-process call
+    ``handle``."""
+    dispatcher = deployment.palaemon.dispatcher
+    if transport == "federation":
+        return deployment.simulator.run_process(
+            dispatcher.dispatch(request, transport=transport))
+    return dispatcher.handle(request, transport=transport)
+
+
 class TestRegistry:
     def test_default_registry_covers_every_transport_route(self):
         names = [op.name for op in default_registry().operations()]
@@ -121,19 +132,17 @@ class TestUniformErrorsAcrossTransports:
 
     def test_unknown_route_code_is_transport_independent(self):
         deployment = Deployment()
-        dispatcher = deployment.palaemon.dispatcher
         for transport in TRANSPORTS:
-            reply = dispatcher.handle({"route": "no.such.op"},
-                                      transport=transport)
+            reply = reply_over(deployment, {"route": "no.such.op"},
+                               transport)
             assert reply["code"] == "unknown_route"
             assert reply["kind"] == "UnknownRouteError"
 
     def test_non_mapping_request_is_bad_request_everywhere(self):
         deployment = Deployment()
-        dispatcher = deployment.palaemon.dispatcher
         for transport in TRANSPORTS:
             for junk in (b"\x00\x01", ["route", "tag.get"], None, 17):
-                reply = dispatcher.handle(junk, transport=transport)
+                reply = reply_over(deployment, junk, transport)
                 assert reply["code"] == "bad_request"
                 assert reply["kind"] == "BadRequestError"
 
@@ -194,9 +203,8 @@ class TestUniformErrorsAcrossTransports:
 
     def test_error_replies_count_dispatch_error_metrics(self):
         deployment = Deployment()
-        dispatcher = deployment.palaemon.dispatcher
-        dispatcher.handle({"route": "nope"}, transport="federation")
-        dispatcher.handle(b"junk", transport="inprocess")
+        reply_over(deployment, {"route": "nope"}, "federation")
+        reply_over(deployment, b"junk", "inprocess")
         metrics = deployment.palaemon.telemetry.metrics
         assert metrics.counter(
             "palaemon_dispatch_errors_total", route="unknown",

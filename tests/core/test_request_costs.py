@@ -41,18 +41,20 @@ from tests.core.test_sealed_transports import (
 #: answers it. ``app.attest`` verifies the quote's signature and commits
 #: the service's new state; a board-governed ``policy.read`` takes one board
 #: round, a signed verdict from each of the three members.
-#: ``federation.fetch`` is one secret fetched from a peer.
+#: ``federation.fetch`` is one secret fetched from a peer; the peer serves
+#: it as a dispatch process, whose start and end are two of its events.
 #: ``failover.replicate`` is the round an instant commit on the primary
 #: starts: the backup opens the batch, seals its own log record and
-#: manifest, and seals the ack the primary opens.
+#: manifest, holds its disk for the commit, and seals the ack the primary
+#: opens.
 BUDGET = {
     "tag.update": (4, 2, 10, 0, 718, 0, 0, 0),
     "tag.get": (2, 2, 10, 0, 167, 0, 0, 0),
     "app.attest": (4, 2, 10, 0, 1598, 0, 1, 0),
     "policy.read": (2, 2, 10, 0, 1736, 3, 3, 0),
     "close": (1, 1, 2, 0, 33, 0, 0, 0),
-    "federation.fetch": (2, 2, 10, 0, 236, 0, 0, 0),
-    "failover.replicate": (4, 2, 16, 0, 929, 0, 0, 0),
+    "federation.fetch": (2, 2, 12, 0, 236, 0, 0, 0),
+    "failover.replicate": (4, 2, 23, 0, 929, 0, 0, 0),
 }
 ROUTES = ["tag.get", "tag.update"]
 

@@ -19,7 +19,7 @@ from repro.tee.counters import PlatformCounterService
 #: change in whether the run reproduces itself.
 SEED_7_REPORT = """\
 chaos recovery summary
-  audit_head: 10e1cd31454e4bfe5a321b1482b3c4ae24c58f3abb763f3eef3156b8369771ac
+  audit_head: f21e34a0852595651112431566e69877ff353345e3fa7621aad8e19577067b4b
   audit_records: 18
   counter_outage_error: CounterUnavailableError
   faults_injected:
@@ -48,7 +48,7 @@ chaos recovery summary
     tag.update:recovered: 1
     tag.update:retry: 3
   seed: 7
-  sim_time: 42.869627
+  sim_time: 42.892127
   tag_update: recovered
   third_instance: started"""
 

@@ -12,6 +12,7 @@ from repro.core.federation import FederatedInstance, Federation
 from repro.core.policy import SecurityPolicy, ServiceSpec
 from repro.core.secrets import SecretKind, SecretSpec
 from repro.core.service import PalaemonService
+from repro.core.store import _COMMIT_LATENCY_SECONDS
 from repro.crypto.primitives import DeterministicRandom, sha256
 from repro.crypto.signatures import KeyPair
 from repro.errors import (
@@ -27,7 +28,7 @@ from repro.errors import (
 )
 from repro.fs.blockstore import BlockStore
 from repro.sim.faults import FaultPlan
-from repro.sim.network import Network, Site
+from repro.sim.network import Network, Site, rtt_between
 from repro.tee.platform import SGXPlatform
 
 from tests.core.conftest import (
@@ -245,10 +246,11 @@ class TestFederation:
         assert local.peers() == [] and other.peers() == []
 
 
-def peered_backup(deployment, network=None, name="palaemon-backup"):
+def peered_backup(deployment, network=None, name="palaemon-backup",
+                  backup_site=Site.SAME_DC):
     """The deployment's instance, holding ``ml_policy``, and a backup on
-    its own platform, peered over the federation link that replication
-    rides."""
+    its own platform at ``backup_site``, peered over the federation link
+    that replication rides."""
     network = network or make_network(deployment, b"repl-net")
     deployment.palaemon.create_policy(
         deployment.make_policy(with_board=False),
@@ -257,7 +259,7 @@ def peered_backup(deployment, network=None, name="palaemon-backup"):
     primary = FederatedInstance(deployment.palaemon, Site.SAME_DC, root,
                                 network)
     backup = FederatedInstance(make_second_instance(deployment, name=name),
-                               Site.SAME_DC, root, network)
+                               backup_site, root, network)
     deployment.simulator.run_process(primary.peer_with(backup))
     return primary, backup
 
@@ -318,6 +320,11 @@ def drop_replication(deployment, primary, backup):
 def promote(deployment, coordinator):
     coordinator.primary_crashed()
     return deployment.simulator.run_process(coordinator.promote_backup())
+
+
+def commits_on(service):
+    return service.telemetry.metrics.counter(
+        "palaemon_db_commits_total").value
 
 
 class TestFailover:
@@ -706,6 +713,130 @@ class TestFailover:
         assert coordinator.backup.store.get(*REPLICA_ROW)[
             "applied_sequence"] == 201
         assert tag_on(coordinator.backup) == (199).to_bytes(32, "big")
+
+
+class TestTimedApply:
+    """The backup applies each round in one timed commit of its own store
+    and acks only after that commit's disk hold."""
+
+    def test_backup_commits_once_per_applied_round(self, deployment):
+        coordinator = FailoverCoordinator(*peered_backup(deployment))
+        deployment.simulator.run()  # the enrolment
+        commits = commits_on(coordinator.backup)
+        applied = coordinator.backup.store.get(*REPLICA_ROW)[
+            "applied_sequence"]
+        assert commits == 1 and applied == 1
+        for index in range(3):
+            push_tag(deployment, bytes([index]) * 32)
+        assert commits_on(coordinator.backup) == commits + 3
+        assert coordinator.backup.store.get(*REPLICA_ROW)[
+            "applied_sequence"] == applied + 3
+
+    def test_replicated_update_waits_for_the_backup_disk(self, deployment):
+        primary, backup = peered_backup(
+            deployment, backup_site=Site.CONTINENTAL_7000KM)
+        coordinator = FailoverCoordinator(primary, backup)
+        sim = deployment.simulator
+        sim.run()  # the enrolment
+
+        def main():
+            started = sim.now
+            yield sim.process(deployment.palaemon.update_tag(
+                "ml_policy", "ml_app", b"\x07" * 32))
+            return sim.now - started
+
+        elapsed = sim.run_process(main())
+        assert elapsed >= (rtt_between(primary.site, backup.site)
+                           + _COMMIT_LATENCY_SECONDS)
+        assert coordinator.replication_lag() == 0
+
+    def test_storage_fault_on_the_backup_is_retried_and_applied_once(
+            self, deployment):
+        """A write fault on the backup's volume fails its commit of the
+        round: memory, the volume and the applied position keep the old
+        state, no ack leaves, and the primary's retry applies the batch
+        once the window closes."""
+        coordinator = FailoverCoordinator(*peered_backup(deployment))
+        sim = deployment.simulator
+        push_tag(deployment, b"\x01" * 32)
+        backup = coordinator.backup
+        volume = backup.store.store
+        before = backup.store.get(*REPLICA_ROW)
+        commits = commits_on(backup)
+        plan = FaultPlan(sim, backup.telemetry).fail_store(
+            volume.name, "write", end=sim.now + 0.1).attach(volume)
+        update = sim.process(deployment.palaemon.update_tag(
+            "ml_policy", "ml_app", b"\x02" * 32))
+        sim.run(until=sim.now + 0.05)  # the first attempt has failed
+        assert plan.injected["store_fault"] >= 1
+        assert backup.store.get(*REPLICA_ROW) == before
+        assert tag_on(backup) == b"\x01" * 32
+        assert tag_on_volume(backup) == b"\x01" * 32
+        assert coordinator.replication_lag() == 1
+        sim.run()
+        assert update.processed and not update.failed
+        assert backup.store.get(*REPLICA_ROW)["applied_sequence"] == (
+            before["applied_sequence"] + 1)
+        assert commits_on(backup) == commits + 1
+        assert tag_on(backup) == tag_on_volume(backup) == b"\x02" * 32
+        assert coordinator.replication_lag() == 0
+        assert deployment.palaemon.telemetry.metrics.counter(
+            "palaemon_retries_total", operation="failover.replicate",
+            outcome="recovered").value == 1
+
+    def test_promotion_commits_on_the_backup_disk(self, deployment):
+        coordinator = FailoverCoordinator(*peered_backup(deployment))
+        sim = deployment.simulator
+        sim.run()  # the enrolment
+        commits = commits_on(coordinator.backup)
+        coordinator.primary_crashed()
+
+        def main():
+            started = sim.now
+            yield sim.process(coordinator.promote_backup())
+            return sim.now - started
+
+        assert sim.run_process(main()) == pytest.approx(
+            _COMMIT_LATENCY_SECONDS)
+        assert commits_on(coordinator.backup) == commits + 1
+
+    def test_give_up_keeps_the_write_served_by_the_primary(self, deployment):
+        """A replication give-up raises in the committer, naming both
+        instances and the batch; the primary serves the new tag, the
+        backup the old, and once the link heals the next commit's round
+        delivers the batch."""
+        primary, backup = peered_backup(deployment)
+        deployment.palaemon.create_policy(
+            deployment.make_policy(name="second", with_board=False),
+            deployment.client.certificate)
+        coordinator = FailoverCoordinator(primary, backup)
+        sim = deployment.simulator
+        push_tag(deployment, b"\x01" * 32)
+        heals = sim.now + 5.0
+        FaultPlan(sim, deployment.palaemon.telemetry).drop_link(
+            f"fed-{primary.name}-to-{backup.name}", f"fed-{backup.name}",
+            start=sim.now, end=heals).attach(primary.network)
+        with pytest.raises(RetryExhaustedError) as raised:
+            push_tag(deployment, b"\x02" * 32)
+        assert str(raised.value).startswith(
+            f"batch {coordinator.shipped} is committed on primary "
+            f"{primary.name!r} and not acknowledged by backup "
+            f"{backup.name!r}: ")
+        assert raised.value.attempts == 4
+        assert tag_on(deployment.palaemon) == b"\x02" * 32
+        assert tag_on(coordinator.backup) == b"\x01" * 32
+        assert coordinator.replication_lag() == 1
+        sim.run(until=heals)
+
+        def heal():
+            yield sim.process(deployment.palaemon.update_tag(
+                "second", "ml_app", b"\x03" * 32))
+
+        sim.run_process(heal())
+        assert coordinator.replication_lag() == 0
+        assert tag_on(coordinator.backup) == b"\x02" * 32
+        assert coordinator.backup.get_tag_instant(
+            "second", "ml_app") == b"\x03" * 32
 
 
 class TestFailoverProbe:

@@ -147,7 +147,8 @@ class FailoverMachine(RuleBasedStateMachine):
         which refuses them."""
         self.coordinator.primary_crashed()
         promotion = self.sim.process(self.coordinator.promote_backup())
-        self.sim.run(until=self.sim.now)
+        while not promotion.processed:  # it waits for its disk commit
+            self.sim.step()
         self.promoted = promotion.value
         self.applied = self.promoted.store.get(*REPLICA_ROW)[
             "applied_sequence"]

@@ -339,6 +339,32 @@ def test_an_unexplained_block_fails_the_probe(reachability, source,
         f"function body of error_paths (1 lines): {reachability.UNCLEAN}")
 
 
+def test_a_stale_reason_fails_the_probe(reachability, source, monkeypatch,
+                                        capsys):
+    """A key that names a function that ran, or a statement that ran or
+    that only an error path holds, has outlived its code."""
+    monkeypatch.setattr(reachability, "probe", fake_probe(
+        reachability, KINDS,
+        ["called", "cached", "cached.inner", "Box.method", "error_paths"]))
+    explained = {"shapes.py:every_kind": reachability.reserved(1),
+                 "shapes.py:error_paths:return 2  # idle":
+                     reachability.UNCLEAN}
+    stale = ["shapes.py:called", "shapes.py:error_paths:if flag:",
+             'shapes.py:error_paths:reason = "refused"  # idle']
+    monkeypatch.setattr(reachability, "KEEP", {
+        **explained, **dict.fromkeys(stale, reachability.UNCLEAN)})
+    assert reachability.main([]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[3:5] == ["explained: 2", "unexplained: 0"]
+    assert lines[-3:] == [
+        f"  {key}: STALE (no unreached function or other block)"
+        for key in sorted(stale)]
+
+    monkeypatch.setattr(reachability, "KEEP", explained)
+    assert reachability.main([]) == 0
+    assert "STALE" not in capsys.readouterr().out
+
+
 def open_roadmap_items():
     """The numbers of the items under ROADMAP.md's "Open items"."""
     text = (TOOL.parents[1] / "ROADMAP.md").read_text(encoding="utf-8")

@@ -30,7 +30,10 @@ lines, unexecuted blocks split into error paths and other blocks, and
 how many of the unreached functions and other blocks :data:`KEEP`
 explains) and then each unreached function and each block with its
 reason. It exits 1 when one has no reason: such code either gains a
-caller on a measured path or leaves ``src/``.
+caller on a measured path or leaves ``src/``. It also exits 1, listing
+the key as ``STALE``, when a key of :data:`KEEP` names neither an
+unreached function nor an unexecuted block that is not an error path:
+that reason has outlived its code.
 
 ``--benchmark-disable`` matters: pytest-benchmark suspends tracers
 while it times a benchmark, so without it the modules the figures run
@@ -166,8 +169,6 @@ KEEP = {
     "core/board.py:ApprovalService.decide:return None": UNCLEAN,
     ("core/board.py:BoardEvaluator.evaluate:"
      "outcome.unreachable.append(member.name)"): UNCLEAN,
-    ("core/dispatch.py:Dispatcher._run_process:"
-     "value = operation.handler(context)"): reserved(2),
     "core/dispatch.py:OperationRegistry.get:return None": UNCLEAN,
     'core/dispatch.py:error_code:return "internal"': UNCLEAN,
     ("core/failover.py:FailoverCoordinator.promote_backup:"
@@ -247,8 +248,6 @@ KEEP = {
      "waiting.fail(self._closed_error())"): UNCLEAN,
     "tls/channel.py:TLSConnection._read:return": UNCLEAN,
     "tls/channel.py:TLSConnection.close:return": UNCLEAN,
-    ("tls/channel.py:TLSServer._serve_loop:"
-     "result = yield simulator.process(result)"): reserved(2),
     ("tls/channel.py:TLSServer._serve_loop:"
      'self.records_dropped["not_authentic"] += 1'): UNCLEAN,
     ("tls/channel.py:TLSServer._serve_loop:"
@@ -527,6 +526,9 @@ def main(argv=None) -> int:
               + [(_where(block), KEEP.get(block["key"]))
                  for block in others])
     unexplained = [line for line, reason in listed if reason is None]
+    stale = sorted(set(KEEP).difference(
+        [f"{entry['file']}:{entry['name']}" for entry in unreached],
+        [block["key"] for block in others]))
     print(f"functions: {len(every)}")
     print(f"unreached functions: {len(unreached)} ({body_lines} body lines)")
     print(f"unexecuted blocks: {len(found)} (error paths: {len(errors)}, "
@@ -538,7 +540,9 @@ def main(argv=None) -> int:
         print(f"  {line}: {reason or 'UNEXPLAINED'}")
     for block in errors:
         print(f"  {_where(block)}: error path")
-    return 1 if unexplained else 0
+    for key in stale:
+        print(f"  {key}: STALE (no unreached function or other block)")
+    return 1 if unexplained or stale else 0
 
 
 if __name__ == "__main__":

@@ -19,7 +19,7 @@ the paper measures:
 from __future__ import annotations
 
 import enum
-from typing import Any, Dict, Generator, Optional
+from typing import Any, Dict, Generator
 
 from repro import calibration
 from repro.apps.base import SimulatedServer, calibrated_service_seconds
@@ -91,7 +91,6 @@ class BarbicanServer(SimulatedServer):
     """Barbican: an interpreted-Python KMS."""
 
     def __init__(self, simulator: Simulator, variant: BarbicanVariant,
-                 rng: Optional[DeterministicRandom] = None,
                  microcode: calibration.MicrocodeLevel = (
                      calibration.MICROCODE_PRE_SPECTRE)) -> None:
         # Barbican's interpreted request path is effectively serial: one
@@ -100,9 +99,7 @@ class BarbicanServer(SimulatedServer):
         super().__init__(simulator, "barbican",
                          1 / _barbican_peak_rps(variant, microcode),
                          threads=1)
-        self.variant = variant
-        self.secrets = _EncryptedSecretStore(
-            rng or DeterministicRandom(b"barbican"))
+        self.secrets = _EncryptedSecretStore(DeterministicRandom(b"barbican"))
 
     def handle_retrieve(self, token: str,
                         name: str) -> Generator[Event, Any, bytes]:
@@ -123,13 +120,11 @@ class VaultServer(SimulatedServer):
     HEAP_BYTES = int(1.9 * calibration.GB)
 
     def __init__(self, simulator: Simulator,
-                 mode: ExecutionMode = ExecutionMode.NATIVE,
-                 rng: Optional[DeterministicRandom] = None) -> None:
+                 mode: ExecutionMode = ExecutionMode.NATIVE) -> None:
         super().__init__(simulator, "vault", calibrated_service_seconds(
             calibration.VAULT_NATIVE_PEAK_RPS, _VAULT_MODE_FRACTIONS[mode]))
         self.mode = mode
-        self.secrets = _EncryptedSecretStore(
-            rng or DeterministicRandom(b"vault"))
+        self.secrets = _EncryptedSecretStore(DeterministicRandom(b"vault"))
 
     def handle_retrieve(self, token: str,
                         name: str) -> Generator[Event, Any, bytes]:

@@ -51,19 +51,17 @@ class MariaDBServer(SimulatedServer):
 
     def __init__(self, simulator: Simulator,
                  buffer_pool_mb: int,
-                 mode: ExecutionMode = ExecutionMode.NATIVE,
-                 rng: Optional[DeterministicRandom] = None,
-                 threads: int = calibration.CPU_HYPERTHREADS) -> None:
+                 mode: ExecutionMode = ExecutionMode.NATIVE) -> None:
         if buffer_pool_mb <= 0:
             raise ValueError("buffer pool must be positive")
         self.buffer_pool_mb = buffer_pool_mb
         self.mode = mode
         super().__init__(simulator, "db", self._tx_service_seconds(),
-                         threads=threads)
-        self._rng = rng or DeterministicRandom(b"mariadb")
+                         threads=calibration.CPU_HYPERTHREADS)
+        rng = DeterministicRandom(b"mariadb")
         # Encryption at rest: rows sealed under the injected key.
-        self._box = SecretBox(self._rng.fork(b"at-rest-key").bytes(32),
-                              self._rng.fork(b"nonces"))
+        self._box = SecretBox(rng.fork(b"at-rest-key").bytes(32),
+                              rng.fork(b"nonces"))
         self._rows: Dict[str, bytes] = {}
 
     # -- functional row storage (encrypted at rest) ----------------------

@@ -13,7 +13,7 @@ The measured numbers: 323 ms per image natively, 1202 ms under PALAEMON
 
 from __future__ import annotations
 
-from typing import Any, Generator, Optional
+from typing import Any, Generator
 
 from repro import calibration
 from repro.apps.base import SimulatedServer
@@ -35,25 +35,23 @@ class InferenceService(SimulatedServer):
     """The handwriting-inference pipeline over shielded volumes."""
 
     def __init__(self, simulator: Simulator,
-                 mode: ExecutionMode = ExecutionMode.HARDWARE,
-                 rng: Optional[DeterministicRandom] = None,
-                 threads: int = 4) -> None:
+                 mode: ExecutionMode = ExecutionMode.HARDWARE) -> None:
         super().__init__(simulator, "inference", _INFERENCE_SECONDS[mode],
-                         threads=threads)
+                         threads=4)
         self.mode = mode
-        self._rng = rng or DeterministicRandom(b"ml-service")
+        rng = DeterministicRandom(b"ml-service")
         # Two separately keyed shielded volumes: the company's (code +
         # models) and the customer's (input images, output text).
         self.company_volume = BlockStore("company-volume")
-        self.company_key = self._rng.fork(b"company-key").bytes(32)
+        self.company_key = rng.fork(b"company-key").bytes(32)
         self.company_fs = ProtectedFileSystem(
             self.company_volume, self.company_key,
-            self._rng.fork(b"company-fs"))
+            rng.fork(b"company-fs"))
         self.customer_volume = BlockStore("customer-volume")
-        self.customer_key = self._rng.fork(b"customer-key").bytes(32)
+        self.customer_key = rng.fork(b"customer-key").bytes(32)
         self.customer_fs = ProtectedFileSystem(
             self.customer_volume, self.customer_key,
-            self._rng.fork(b"customer-fs"))
+            rng.fork(b"customer-fs"))
         self.images_processed = 0
 
     def install_model(self, name: str, weights: bytes) -> bytes:

@@ -51,7 +51,6 @@ class NginxServer(SimulatedServer):
                  rng: Optional[DeterministicRandom] = None) -> None:
         super().__init__(simulator, "nginx", calibrated_service_seconds(
             calibration.NGINX_NATIVE_PEAK_RPS, _VARIANT_FRACTIONS[variant]))
-        self.variant = variant
         self._rng = rng or DeterministicRandom(b"nginx")
         self.store = BlockStore("nginx-docroot")
         self.fs: Optional[ProtectedFileSystem] = None

@@ -56,12 +56,11 @@ class ZooKeeperCluster:
 
     def __init__(self, simulator: Simulator,
                  mode: ExecutionMode = ExecutionMode.NATIVE,
-                 nodes: int = 3, site: Site = Site.SAME_DC) -> None:
+                 nodes: int = 3) -> None:
         if nodes < 3 or nodes % 2 == 0:
             raise ValueError("cluster size must be an odd number >= 3")
         self.simulator = simulator
         self.mode = mode
-        self.site = site
         self.nodes: List[_Node] = [_Node(i) for i in range(nodes)]
         self._next_zxid = 1
         # Per-node request workers: reads scale across the cluster.
@@ -100,9 +99,10 @@ class ZooKeeperCluster:
             raise NetworkError("cluster has lost its quorum")
         # Leader-side processing (the contended resource under load).
         yield self.simulator.process(self._write_server.serve())
-        # One proposal round trip to the followers (parallel; one RTT).
-        yield self.simulator.timeout(rtt_between(self.site, self.site)
-                                     + rtt_between(Site.SAME_RACK, self.site))
+        # One proposal round trip to the followers (parallel; one RTT) in
+        # the ensemble's data centre.
+        yield self.simulator.timeout(rtt_between(Site.SAME_DC, Site.SAME_DC)
+                                     + rtt_between(Site.SAME_RACK, Site.SAME_DC))
         zxid = self._next_zxid
         self._next_zxid += 1
         for node in alive:

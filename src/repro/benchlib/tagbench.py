@@ -35,6 +35,9 @@ from repro.tee.platform import SGXPlatform
 #: estate (List 1 policies carry injection-file templates of this order).
 DEFAULT_PAYLOAD_BYTES = 2048
 DEFAULT_POLICIES = 1000
+#: Updates of the sequential phase and updaters of the concurrent one.
+_SEQUENTIAL_UPDATES = 12
+_WORKERS = 8
 
 #: Every blob of the sealed database (manifest, snapshots and log records)
 #: lives under this path on the volume; the sealed identity does not.
@@ -75,9 +78,7 @@ def _policy_name(index: int) -> str:
     return f"bench-{index:04d}"
 
 
-def measure_sequential(policies: int, updates: int,
-                       payload_bytes: int = DEFAULT_PAYLOAD_BYTES,
-                       ) -> Dict[str, Any]:
+def measure_sequential(policies: int, updates: int) -> Dict[str, Any]:
     """Sequential tag updates through the timed write path.
 
     ``database_bytes`` is the sealed database left on the volume
@@ -85,8 +86,7 @@ def measure_sequential(policies: int, updates: int,
     flush would rewrite.
     """
     simulator, service = build_service(
-        "tagbench-segmented", b"tagbench:segmented", policies,
-        payload_bytes=payload_bytes)
+        "tagbench-segmented", b"tagbench:segmented", policies)
     backing = service.store.store
     bytes_before = backing.bytes_written
     commits = service.telemetry.metrics.counter("palaemon_db_commits_total")
@@ -112,13 +112,10 @@ def measure_sequential(policies: int, updates: int,
     }
 
 
-def measure_concurrent(policies: int, workers: int,
-                       payload_bytes: int = DEFAULT_PAYLOAD_BYTES,
-                       ) -> Dict[str, Any]:
+def measure_concurrent(policies: int, workers: int) -> Dict[str, Any]:
     """``workers`` simultaneous tag updates through the group commit."""
     simulator, service = build_service(
-        "tagbench-concurrent", b"tagbench:concurrent", policies,
-        payload_bytes=payload_bytes)
+        "tagbench-concurrent", b"tagbench:concurrent", policies)
     commits = service.telemetry.metrics.counter("palaemon_db_commits_total")
     commits_before = commits.value
     sim_before = simulator.now
@@ -148,21 +145,16 @@ def measure_concurrent(policies: int, workers: int,
     }
 
 
-def run_benchmark(policies: int = DEFAULT_POLICIES,
-                  sequential_updates: int = 12,
-                  workers: int = 8,
-                  payload_bytes: int = DEFAULT_PAYLOAD_BYTES,
-                  ) -> Dict[str, Any]:
+def run_benchmark() -> Dict[str, Any]:
     """Run both phases; return the deterministic result document."""
     return {
         "config": {
-            "policies": policies,
-            "payload_bytes": payload_bytes,
-            "sequential_updates": sequential_updates,
-            "concurrent_workers": workers,
+            "policies": DEFAULT_POLICIES,
+            "payload_bytes": DEFAULT_PAYLOAD_BYTES,
+            "sequential_updates": _SEQUENTIAL_UPDATES,
+            "concurrent_workers": _WORKERS,
         },
-        "sequential": measure_sequential(
-            policies, sequential_updates, payload_bytes=payload_bytes),
-        "concurrent": measure_concurrent(
-            policies, workers, payload_bytes=payload_bytes),
+        "sequential": measure_sequential(DEFAULT_POLICIES,
+                                         _SEQUENTIAL_UPDATES),
+        "concurrent": measure_concurrent(DEFAULT_POLICIES, _WORKERS),
     }

@@ -156,12 +156,8 @@ class TwoFactorApprovalService(ApprovalService):
     CODE_WINDOW_SECONDS = 30.0
 
     def __init__(self, simulator: Simulator, member_name: str,
-                 keys: KeyPair, device_secret: bytes,
-                 site: Site = Site.SAME_RACK,
-                 decision_rule: DecisionRule = approve_everything) -> None:
-        super().__init__(simulator, member_name, keys, site=site,
-                         decision_rule=decision_rule, in_tee=True,
-                         use_tls=True)
+                 keys: KeyPair, device_secret: bytes) -> None:
+        super().__init__(simulator, member_name, keys)
         self._device_secret = device_secret
         self._presented_code: Optional[bytes] = None
 
@@ -197,17 +193,17 @@ class BoardEvaluator:
     """Collects member verdicts and applies the quorum/veto rule.
 
     Every vote cast in a round is counted into the evaluator's telemetry
-    (``palaemon_board_votes_total`` by verdict class); a
-    :class:`~repro.core.service.PalaemonService` sharing its telemetry with
-    its evaluator therefore observes the full quorum traffic.
+    (``palaemon_board_votes_total`` by verdict class). It starts on the
+    no-op sink; the :class:`~repro.core.service.PalaemonService` it serves
+    points it at the service's telemetry, which so observes the full quorum
+    traffic.
     """
 
     def __init__(self, simulator: Simulator,
-                 services: Dict[str, ApprovalService],
-                 telemetry: Optional[Telemetry] = None) -> None:
+                 services: Dict[str, ApprovalService]) -> None:
         self.simulator = simulator
         self._services = services
-        self.telemetry = telemetry if telemetry is not None else NULL_TELEMETRY
+        self.telemetry: Telemetry = NULL_TELEMETRY
 
     def evaluate_local(self, board: BoardSpec,
                        request: AccessRequest) -> ApprovalOutcome:
@@ -228,9 +224,9 @@ class BoardEvaluator:
         return outcome
 
     def evaluate(self, board: BoardSpec, request: AccessRequest,
-                 caller_site: Site = Site.SAME_RACK,
                  ) -> Generator[Event, Any, ApprovalOutcome]:
-        """Run a board round with member queries in parallel over TLS."""
+        """Run a board round with member queries in parallel over TLS,
+        sent from PALAEMON's rack."""
         outcome = ApprovalOutcome()
         waits = []
         members = []
@@ -241,7 +237,7 @@ class BoardEvaluator:
                 continue
             members.append(member)
             waits.append(self.simulator.process(
-                service.decide(request, caller_site),
+                service.decide(request, Site.SAME_RACK),
                 name=f"approval-{member.name}"))
         with self.telemetry.span("board.evaluate",
                                  policy=request.policy_name,

@@ -143,8 +143,6 @@ class Operation:
     serving_required: bool = True
     #: Audit record kinds the handler emits (documentation metadata).
     audit: Tuple[str, ...] = ()
-    #: Transports expected to carry this operation (documentation).
-    transports: Tuple[str, ...] = ("rest", "inprocess")
     summary: str = ""
     #: Optional timed variant: a generator paying modelled latency.
     #: :meth:`Dispatcher.dispatch` prefers it, and runs a generator
@@ -172,7 +170,6 @@ class OperationRegistry:
     def operation(self, name: str, *, fields: Tuple[str, ...] = (),
                   auth: str = AUTH_NONE, serving_required: bool = True,
                   audit: Tuple[str, ...] = (),
-                  transports: Tuple[str, ...] = ("rest", "inprocess"),
                   summary: str = "") -> Callable:
         """Decorator form of :meth:`register`."""
 
@@ -180,8 +177,7 @@ class OperationRegistry:
             self.register(Operation(
                 name=name, handler=handler, required_fields=tuple(fields),
                 auth=auth, serving_required=serving_required,
-                audit=tuple(audit), transports=tuple(transports),
-                summary=summary))
+                audit=tuple(audit), summary=summary))
             return handler
 
         return decorate
@@ -604,16 +600,18 @@ class Dispatcher:
 
 # -- documentation ----------------------------------------------------------
 
-def render_operation_table(registry: Optional[OperationRegistry] = None,
-                           ) -> str:
+def render_operation_table() -> str:
     """The ``docs/API.md`` route table, generated from the registry."""
-    registry = registry if registry is not None else default_registry()
     lines = [
         "| operation | auth | required fields | serving | transports "
         "| audit records | summary |",
         "|---|---|---|---|---|---|---|",
     ]
-    for operation in registry.operations():
+    for operation in default_registry().operations():
+        # Peer routes ride the federation link; every other route REST and
+        # the in-process client.
+        transports = ("federation" if operation.auth == AUTH_PEER
+                      else "rest, inprocess")
         fields = ", ".join(f"`{name}`" for name in operation.required_fields)
         audit = ", ".join(f"`{kind}`" for kind in operation.audit)
         lines.append(
@@ -621,7 +619,7 @@ def render_operation_table(registry: Optional[OperationRegistry] = None,
             f"| {operation.auth.replace('_', ' ')} "
             f"| {fields or '—'} "
             f"| {'required' if operation.serving_required else 'not required'} "
-            f"| {', '.join(operation.transports)} "
+            f"| {transports} "
             f"| {audit or '—'} "
             f"| {operation.summary} |")
     return "\n".join(lines)

@@ -247,7 +247,7 @@ class FailoverCoordinator:
 
 @DEFAULT_REGISTRY.operation(
     "failover.replicate", fields=("batches",), auth=AUTH_PEER,
-    serving_required=False, transports=("federation",),
+    serving_required=False,
     summary="apply the designated primary's next replication batches in "
             "order; flush, then reply a cumulative ack")
 def _failover_replicate_batches(ctx: DispatchContext,

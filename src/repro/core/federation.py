@@ -189,8 +189,7 @@ class FederatedInstance:
 
 @DEFAULT_REGISTRY.operation(
     "federation.fetch", fields=("policy", "requesting_policy", "secrets"),
-    auth=AUTH_PEER, serving_required=False, transports=("federation",),
-    audit=("federation.serve",),
+    auth=AUTH_PEER, serving_required=False, audit=("federation.serve",),
     summary="serve a peer's exported-secret fetch (export-list enforced)")
 def _federation_fetch(ctx: DispatchContext) -> Dict[str, bytes]:
     service = ctx.service

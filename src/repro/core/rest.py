@@ -30,7 +30,7 @@ The client re-raises it as the typed error with
 
 from __future__ import annotations
 
-from typing import Any, Dict, Generator
+from typing import Any, Generator
 
 from repro.core.client import PalaemonClient
 from repro.core.dispatch import decode_reply
@@ -68,13 +68,13 @@ class PalaemonRestServer:
 class PalaemonRestClient:
     """Client-side: TLS connection + typed request helpers."""
 
-    def __init__(self, connection: TLSConnection, telemetry=None) -> None:
+    def __init__(self, connection: TLSConnection) -> None:
         self.connection = connection
-        #: Optional telemetry for client-observed latencies; defaults to
-        #: the no-op sink so benchmarks pay nothing.
+        #: Telemetry for client-observed latencies: the no-op sink, so
+        #: benchmarks pay nothing, unless a caller assigns its own.
         from repro.obs.telemetry import NULL_TELEMETRY
 
-        self.telemetry = telemetry if telemetry is not None else NULL_TELEMETRY
+        self.telemetry = NULL_TELEMETRY
 
     @classmethod
     def connect(cls, network: Network, client: PalaemonClient,

@@ -99,8 +99,7 @@ class SecretValue:
 
 
 def materialize(spec: SecretSpec, rng: DeterministicRandom,
-                now: float, issuing_ca: Optional[CertificateAuthority] = None,
-                ) -> SecretValue:
+                now: float) -> SecretValue:
     """Create the value for a secret spec at policy-creation time."""
     spec.validate()
     if spec.kind is SecretKind.EXPLICIT:
@@ -109,10 +108,10 @@ def materialize(spec: SecretSpec, rng: DeterministicRandom,
     if spec.kind is SecretKind.RANDOM:
         return SecretValue(name=spec.name, kind=spec.kind,
                            value=rng.bytes(spec.size))
-    # X509: generate a key pair; the private key is the secret value and the
-    # certificate rides along for injection next to it.
+    # X509: the private key is the secret value; the certificate, from the
+    # secret's own CA, rides along for injection next to it.
     key_pair = KeyPair.generate(rng.fork(b"x509:" + spec.name.encode()))
-    authority = issuing_ca or CertificateAuthority(
+    authority = CertificateAuthority(
         f"palaemon-secret-ca:{spec.name}",
         KeyPair.generate(rng.fork(b"x509-ca:" + spec.name.encode())))
     certificate = authority.issue(
@@ -125,13 +124,11 @@ def materialize(spec: SecretSpec, rng: DeterministicRandom,
 
 
 def materialize_all(specs: List[SecretSpec], rng: DeterministicRandom,
-                    now: float,
-                    issuing_ca: Optional[CertificateAuthority] = None,
-                    ) -> Dict[str, SecretValue]:
+                    now: float) -> Dict[str, SecretValue]:
     """Materialize every secret of a policy; names must be unique."""
     values: Dict[str, SecretValue] = {}
     for spec in specs:
         if spec.name in values:
             raise PolicyValidationError(f"duplicate secret {spec.name!r}")
-        values[spec.name] = materialize(spec, rng, now, issuing_ca)
+        values[spec.name] = materialize(spec, rng, now)
     return values

@@ -26,7 +26,7 @@ class YamlishError(PolicyValidationError):
     """Raised on input outside the supported subset."""
 
 
-def dumps(value: Any, _indent: int = 0) -> str:
+def dumps(value: Any) -> str:
     """Serialize dicts/lists/scalars back into the supported subset.
 
     ``loads(dumps(x)) == x`` for any value built from the supported types

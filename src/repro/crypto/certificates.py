@@ -135,12 +135,8 @@ class CertificateAuthority:
         )
 
 
-def self_signed_certificate(subject: str, key_pair: KeyPair,
-                            not_before: float = 0.0,
-                            not_after: float = float("inf"),
-                            attributes: Optional[Dict[str, str]] = None,
-                            ) -> Certificate:
-    """Create a self-signed identity certificate (used by clients)."""
+def self_signed_certificate(subject: str, key_pair: KeyPair) -> Certificate:
+    """Create a self-signed identity certificate (used by clients), valid
+    from time 0 on."""
     authority = CertificateAuthority(subject, key_pair)
-    return authority.issue(subject, key_pair.public, not_before, not_after,
-                           attributes)
+    return authority.issue(subject, key_pair.public, 0.0, float("inf"))

@@ -43,7 +43,6 @@ class ProtectedFileSystem:
         # whose backing blocks have not changed since.
         self._validated_generation: Dict[str, int] = {}
         self.decrypt_count = 0
-        self.encrypt_count = 0
         if store.exists(_FSPF_PATH):
             self._fspf = FileSystemProtectionFile.unseal(
                 self._box, store.read(_FSPF_PATH))
@@ -79,7 +78,6 @@ class ProtectedFileSystem:
         """Encrypt and stage ``plaintext`` at ``path`` (not yet durable)."""
         self._check_path(path)
         ciphertext = self._box.seal(plaintext, associated_data=path.encode())
-        self.encrypt_count += 1
         self.store.write(path, ciphertext)
         self._fspf.set_entry(path, sha256(ciphertext), len(plaintext))
         self._cache[path] = plaintext

@@ -16,8 +16,6 @@ output (including every span timestamp).
 
 from __future__ import annotations
 
-from typing import Callable
-
 from repro.core.board import ApprovalService, BoardEvaluator
 from repro.core.ca import PalaemonCA
 from repro.core.client import PalaemonClient
@@ -171,23 +169,22 @@ def run_observe_workload(seed: bytes = b"observe") -> PalaemonService:
     return service
 
 
-def print_observe_report(service: PalaemonService,
-                         write: Callable[[str], None] = print) -> bool:
+def print_observe_report(service: PalaemonService) -> bool:
     """Render the snapshot + audit verdict; returns chain validity."""
     telemetry = service.telemetry
-    write(f"# instance {service.name}: metrics snapshot "
+    print(f"# instance {service.name}: metrics snapshot "
           f"(virtual time {telemetry.now:.6f}s)")
-    write(telemetry.snapshot_text().rstrip("\n"))
-    write("")
+    print(telemetry.snapshot_text().rstrip("\n"))
+    print("")
     spans = telemetry.tracer.finished
-    write(f"# trace: {len(spans)} finished spans, "
+    print(f"# trace: {len(spans)} finished spans, "
           f"{len(set(s.name for s in spans))} distinct operations")
-    write(f"# audit log: {len(telemetry.audit_log)} records, "
+    print(f"# audit log: {len(telemetry.audit_log)} records, "
           f"head {telemetry.audit_log.head().hex()[:16]}...")
     try:
         verified = telemetry.verify_audit_chain()
     except IntegrityError as exc:
-        write(f"# audit chain: INVALID ({exc})")
+        print(f"# audit chain: INVALID ({exc})")
         return False
-    write(f"# audit chain: valid ({verified} records verified)")
+    print(f"# audit chain: valid ({verified} records verified)")
     return True

@@ -12,9 +12,14 @@ leg, whose four phases are Fig 8's.
 - ``PALAEMON`` — SGX + attestation against a rack-local PALAEMON: ~15 ms per
   start. PALAEMON serves one quote at a time from send-quote to
   receive-config (11 ms), which saturates near ~90 starts/s.
-- ``IAS``      — SGX + per-start IAS attestation: ~280+ ms per start. IAS
-  verifies ten quotes at a time, so only heavy parallelism partially hides
-  the latency (peaks ~40/s at 60 parallel instances, at >1 s latency).
+- ``IAS``      — SGX + per-start IAS attestation: ~270+ ms per start. The
+  wait phase is :meth:`IntelAttestationService.verify_quote` on a real
+  quote of the model's platform; IAS verifies ten quotes at a time, so
+  only heavy parallelism partially hides the latency (peaks ~40/s at 60
+  parallel instances, at >1 s latency).
+
+The PALAEMON leg is still a stand-in: a capacity-1 worker held for the
+calibrated send-quote, wait and receive-config phases.
 """
 
 from __future__ import annotations
@@ -28,6 +33,7 @@ from repro.sim.core import Event, Simulator
 from repro.sim.network import Site
 from repro.sim.resources import Resource
 from repro.tee.enclave import ExecutionMode
+from repro.tee.ias import IntelAttestationService
 from repro.tee.image import build_image
 from repro.tee.platform import SGXPlatform
 
@@ -41,35 +47,29 @@ class AttestationVariant(enum.Enum):
     IAS = "ias"
 
 
-#: Fig 8's IAS wait phase per client site; it already includes the network.
-_IAS_WAIT_SECONDS = {
-    Site.IAS_US: calibration.ATTEST_WAIT_IAS_US_SECONDS,
-    Site.IAS_EU: calibration.ATTEST_WAIT_IAS_EU_SECONDS,
-}
-
-
 class StartupModel:
     """One SGX machine and the attestation services its starts contend for."""
 
-    #: Quotes the IAS front end verifies concurrently.
-    IAS_FRONTEND_SLOTS = 10
-
     def __init__(self, simulator: Simulator,
                  ias_site: Site = Site.IAS_US) -> None:
-        if ias_site not in _IAS_WAIT_SECONDS:
-            raise ValueError(f"no IAS wait phase for site {ias_site}")
         self.simulator = simulator
         self.platform = SGXPlatform(simulator, "startup-node",
                                     DeterministicRandom(b"startup-node"))
         #: Fig 7's smallest enclave: the 80 kB binary in 1 MB.
         self.image = build_image("startup-app", heap_bytes=(
             calibration.MB - 96 * calibration.KB))
-        self.ias_wait_seconds = _IAS_WAIT_SECONDS[ias_site]
+        self.ias = IntelAttestationService(simulator, ias_site,
+                                           DeterministicRandom(b"startup-ias"))
+        self.ias.register_platform(
+            self.platform.quoting_enclave.attestation_public_key,
+            self.platform.microcode.revision)
+        # Every IAS leg submits this one quote of the model's image.
+        enclave = self.platform.launch_instant(self.image)
+        self._quote = self.platform.quoting_enclave.quote(enclave,
+                                                          b"startup-app")
+        enclave.destroy()
         self.palaemon_worker = Resource(simulator, capacity=1,
                                         name="palaemon-worker")
-        self.ias_frontend = Resource(simulator,
-                                     capacity=self.IAS_FRONTEND_SLOTS,
-                                     name="ias-frontend")
 
     def start_one(self, variant: AttestationVariant,
                   ) -> Generator[Event, Any, float]:
@@ -96,8 +96,10 @@ class StartupModel:
         """One attestation leg; returns Fig 8's four phases in seconds.
 
         PALAEMON holds its single worker from send-quote to receive-config;
-        IAS holds a front-end slot while it verifies the quote. Time spent
-        queueing for the server counts towards the phase that waits for it.
+        IAS holds a front-end slot while it verifies the quote, and a
+        verdict other than OK raises :class:`~repro.errors.QuoteError`.
+        Time spent queueing for the server counts towards the phase that
+        waits for it.
         """
         if variant not in (AttestationVariant.PALAEMON,
                            AttestationVariant.IAS):
@@ -131,7 +133,8 @@ class StartupModel:
         # EPID crypto plus the extra round trip that embeds verifier data.
         yield sim.timeout(calibration.ATTEST_SEND_QUOTE_IAS_SECONDS)
         lap("send_quote")
-        yield from self.ias_frontend.hold(self.ias_wait_seconds)
+        report = yield from self.ias.verify_quote(self._quote, Site.SAME_RACK)
+        report.verify(self.ias.public_key)
         lap("wait_confirmation")
         yield sim.timeout(calibration.ATTEST_RECEIVE_CONFIG_SECONDS)
         lap("receive_config")

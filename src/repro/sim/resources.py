@@ -135,4 +135,3 @@ class StoreClosed(Exception):
 
     def __init__(self, name: str) -> None:
         super().__init__(f"store {name!r} closed")
-        self.store_name = name

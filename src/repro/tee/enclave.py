@@ -11,7 +11,6 @@ apps (Figs 14-17, §VI) charge calibrated per-request service times instead
 from __future__ import annotations
 
 import enum
-import itertools
 from typing import Any
 
 from repro.tee.image import EnclaveImage
@@ -28,9 +27,6 @@ class ExecutionMode(enum.Enum):
     HARDWARE = "hw"
 
 
-_enclave_ids = itertools.count(1)
-
-
 class Enclave:
     """A loaded enclave instance on a platform."""
 
@@ -39,7 +35,6 @@ class Enclave:
         self.platform = platform
         self.image = image
         self.mode = mode
-        self.enclave_id = next(_enclave_ids)
         self.mrenclave = image.mrenclave()
         self.destroyed = False
         #: Enclave-private memory (never visible to the untrusted side).

@@ -67,7 +67,6 @@ class QuotingEnclave:
                  attestation_keys: KeyPair) -> None:
         self.platform_id = platform_id
         self._keys = attestation_keys
-        self.quotes_issued = 0
 
     @property
     def attestation_public_key(self) -> PublicKey:
@@ -92,6 +91,5 @@ class QuotingEnclave:
             raise QuoteError("cannot quote a destroyed enclave")
         report = self.create_report(enclave, report_data)
         signature = self._keys.sign(report.to_bytes())
-        self.quotes_issued += 1
         return Quote(report=report, signature=signature,
                      attestation_key=self._keys.public)

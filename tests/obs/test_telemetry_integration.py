@@ -3,12 +3,11 @@ REST failures become structured errors and error metrics, tampering with
 a live service's audit log is detected, and two runs of the same seed
 produce identical event streams."""
 
-from types import SimpleNamespace
-
 import pytest
 
 from repro.core.dispatch import decode_reply, error_code
-from repro.core.rest import PalaemonRestServer
+from repro.core.rest import PalaemonRestClient, PalaemonRestServer
+from repro.crypto.primitives import DeterministicRandom
 from repro.errors import (
     AttestationError,
     IntegrityError,
@@ -17,6 +16,7 @@ from repro.errors import (
 )
 from repro.obs.demo import print_observe_report, run_observe_workload
 from repro.obs.telemetry import NULL_TELEMETRY, Telemetry
+from repro.sim.network import Network, Site
 
 from tests.core.conftest import Deployment
 
@@ -116,15 +116,20 @@ def _advance(simulator, delay):
     yield simulator.timeout(delay)
 
 
-#: A TLS session whose client presented no certificate.
-NO_CERTIFICATE = SimpleNamespace(client_certificate=None)
+def rest_reply(deployment, request):
+    """The raw reply payload to ``request``, sent over a REST connection
+    to the deployment's instance."""
+    network = Network(deployment.simulator, DeterministicRandom(b"rest-net"))
+    server = PalaemonRestServer(deployment.palaemon, network)
 
+    def main():
+        rest = yield from PalaemonRestClient.connect(
+            network, deployment.client, server, Site.SAME_DC,
+            DeterministicRandom(b"rest-client"),
+            trusted_root=deployment.ca.root_public_key)
+        return (yield from rest.connection.request(request))
 
-def rest_codec(deployment):
-    """The REST front-end's codec, without a network behind it."""
-    server = PalaemonRestServer.__new__(PalaemonRestServer)
-    server.service = deployment.palaemon
-    return server
+    return deployment.simulator.run_process(main())
 
 
 class TestRestStructuredErrors:
@@ -135,11 +140,9 @@ class TestRestStructuredErrors:
 
     def test_missing_fields_become_bad_request(self):
         deployment = Deployment()
-        server = rest_codec(deployment)
         # tag.update without its required fields: the pipeline's field
         # check refuses before the handler ever runs.
-        reply = server._handle({"route": "tag.update"},
-                               session=NO_CERTIFICATE)
+        reply = rest_reply(deployment, {"route": "tag.update"})
         assert reply["code"] == "bad_request"
         assert reply["kind"] == "BadRequestError"
         for field in ("policy", "service", "tag"):
@@ -151,12 +154,11 @@ class TestRestStructuredErrors:
 
     def test_handler_crash_becomes_structured_internal_error(self):
         deployment = Deployment()
-        server = rest_codec(deployment)
         # An unhashable policy key crashes inside the handler (TypeError);
         # it must surface as a structured reply, not an exception.
-        reply = server._handle(
-            {"route": "tag.update", "policy": {}, "service": "s",
-             "tag": b"t"}, session=NO_CERTIFICATE)
+        reply = rest_reply(deployment, {
+            "route": "tag.update", "policy": {}, "service": "s",
+            "tag": b"t"})
         assert reply["code"] == "internal"
         assert reply["kind"] == "InternalError"
         assert "TypeError" in reply["error"]
@@ -166,18 +168,13 @@ class TestRestStructuredErrors:
                                code="internal").value == 1
 
     def test_unknown_route_structured(self):
-        deployment = Deployment()
-        server = rest_codec(deployment)
-        reply = server._handle({"route": "nope"}, session=NO_CERTIFICATE)
+        reply = rest_reply(Deployment(), {"route": "nope"})
         assert reply["code"] == "unknown_route"
         assert "error" in reply
 
     def test_repro_error_keeps_kind_and_code(self):
-        deployment = Deployment()
-        server = rest_codec(deployment)
-        reply = server._handle(
-            {"route": "tag.get", "policy": "ghost", "service": "s"},
-            session=NO_CERTIFICATE)
+        reply = rest_reply(Deployment(), {
+            "route": "tag.get", "policy": "ghost", "service": "s"})
         assert reply["kind"] == "PolicyNotFoundError"
         assert reply["code"] == "policy_not_found"
 

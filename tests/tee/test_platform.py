@@ -11,7 +11,7 @@ from repro.errors import (
     SealingError,
 )
 from repro.sim.core import Simulator
-from repro.sim.network import Site
+from repro.sim.network import Site, rtt_between
 from repro.tee.enclave import ExecutionMode
 from repro.tee.ias import AttestationVerdict, IntelAttestationService
 from repro.tee.image import build_image
@@ -271,6 +271,31 @@ class TestIAS:
         assert report.verdict is AttestationVerdict.OK
         # Must include the server-side verification wait.
         assert elapsed >= calibration.IAS_VERIFICATION_SECONDS
+
+    def test_frontend_verifies_ten_quotes_at_a_time(self, sim, platform,
+                                                    image):
+        """Of 11 concurrent quotes, the 11th queues for a front-end slot
+        and finishes exactly one hold after the first ten."""
+        ias = self.make_ias(sim)
+        ias.register_platform(platform.quoting_enclave.attestation_public_key,
+                              platform.microcode.revision)
+        quote = platform.quoting_enclave.quote(platform.launch_instant(image),
+                                               b"data")
+        finished = []
+
+        def one():
+            report = yield from ias.verify_quote(quote, Site.SAME_RACK)
+            assert report.verdict is AttestationVerdict.OK
+            finished.append(sim.now)
+
+        def main():
+            yield sim.all_of([sim.process(one()) for _ in range(11)])
+
+        sim.run_process(main())
+        hold = (rtt_between(Site.SAME_RACK, Site.IAS_US)
+                + calibration.IAS_VERIFICATION_SECONDS)
+        assert finished[:10] == [pytest.approx(hold, abs=1e-12)] * 10
+        assert finished[10] == pytest.approx(2 * hold, abs=1e-12)
 
     def test_tampered_ias_report_rejected(self, sim, platform, image):
         ias = self.make_ias(sim)

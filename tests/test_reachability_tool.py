@@ -192,6 +192,23 @@ def test_child_fails_when_its_run_fails(reachability, tmp_path, monkeypatch,
         assert json.loads(out.read_text()) == {"called": [], "lines": {}}
 
 
+def test_probe_prints_each_run_wall_time_slowest_first(
+        reachability, tmp_path, monkeypatch, capsys):
+    fast = tmp_path / "fast.py"
+    fast.write_text("")
+    slow = tmp_path / "slow.py"
+    slow.write_text("import time\ntime.sleep(0.5)\n")
+    monkeypatch.setattr(reachability, "runs", lambda: [
+        ("script", str(fast), []), ("script", str(slow), ["--flag"])])
+    assert reachability.probe() == {"called": set(), "lines": {}}
+    walls = capsys.readouterr().err.splitlines()[-3:]
+    assert [line.split(" s  ", 1)[1] for line in walls] == [
+        "script slow.py --flag", "script fast.py", "total"]
+    seconds = [float(line.split()[1]) for line in walls]
+    assert seconds[0] >= 0.5
+    assert seconds[2] == pytest.approx(seconds[0] + seconds[1], abs=0.11)
+
+
 class TestBlocks:
     """Unexecuted statements group by the AST into the blocks that hold
     them; an ``except`` body, or a block ending in ``raise``, is an error

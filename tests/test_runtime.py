@@ -15,9 +15,10 @@ from repro.fs.blockstore import BlockStore
 from repro.runtime.scone import SconeRuntime
 from repro.runtime.startup import AttestationVariant, StartupModel
 from repro.sim.core import Simulator
-from repro.sim.network import Site
+from repro.sim.network import Site, rtt_between
 from repro.sim.workload import run_closed_loop
 from repro.tee.enclave import ExecutionMode
+from repro.tee.ias import IntelAttestationService
 from repro.tee.image import build_image
 from repro.crypto.primitives import DeterministicRandom
 
@@ -214,6 +215,16 @@ class TestStartupModel:
         assert sim.run_process(main()) == pytest.approx(init + 2 * held)
         assert model.palaemon_worker.acquire().triggered
 
+    def test_ias_leg_refuses_a_platform_its_ias_does_not_know(self):
+        """The IAS leg submits a real quote and checks the signed verdict:
+        an IAS that never enrolled the model's platform fails the leg."""
+        sim = Simulator()
+        model = StartupModel(sim)
+        model.ias = IntelAttestationService(sim, Site.IAS_US,
+                                            DeterministicRandom(b"other-ias"))
+        with pytest.raises(QuoteError, match="SIGNATURE_INVALID"):
+            sim.run_process(model.attest(AttestationVariant.IAS))
+
     @pytest.mark.parametrize("variant", list(AttestationVariant))
     def test_epc_allocation_restored_after_sweep(self, variant):
         sim = Simulator()
@@ -255,6 +266,21 @@ class TestAttestationPhases:
         us = self.phases(AttestationVariant.IAS, Site.IAS_US)
         eu = self.phases(AttestationVariant.IAS, Site.IAS_EU)
         assert eu["wait_confirmation"] > us["wait_confirmation"]
+
+    @pytest.mark.parametrize("ias_site, wait", [(Site.IAS_US, 0.230),
+                                                (Site.IAS_EU, 0.245)])
+    def test_ias_phases_are_fig8s(self, ias_site, wait):
+        """Fig 8's four IAS phases, the wait being IAS's own hold: the
+        round trip to its site plus its verification time."""
+        phases = self.phases(AttestationVariant.IAS, ias_site)
+        assert phases == {
+            "initialization": pytest.approx(0.004, abs=1e-12),
+            "send_quote": pytest.approx(0.035, abs=1e-12),
+            "wait_confirmation": pytest.approx(wait, abs=1e-12),
+            "receive_config": pytest.approx(0.0015, abs=1e-12)}
+        assert phases["wait_confirmation"] == pytest.approx(
+            rtt_between(Site.SAME_RACK, ias_site)
+            + calibration.IAS_VERIFICATION_SECONDS, abs=1e-12)
 
     def test_native_has_no_phases(self):
         with pytest.raises(ValueError):

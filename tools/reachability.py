@@ -56,6 +56,7 @@ import subprocess
 import sys
 import tempfile
 import threading
+import time
 from collections import defaultdict
 from pathlib import Path
 from typing import Dict, List, Set, Tuple
@@ -92,7 +93,6 @@ KEEP = {
     "crypto/merkle.py:MerkleProof.verify": PERFBENCH,
     "fs/shield.py:ProtectedFileSystem.close_file": PERFBENCH,
     "core/dispatch.py:_tag_get_process": reserved(2),
-    "tee/ias.py:IntelAttestationService.verify_quote": reserved(2),
     "core/rest.py:PalaemonRestClient.close": reserved(3),
     "sim/faults.py:FaultPlan.delay_link": reserved(10),
     "sim/network.py:Endpoint.reopen": reserved(10),
@@ -469,25 +469,33 @@ def statement_keys(entry: dict) -> Set[str]:
 def probe() -> dict:
     """The union of what every run called and ran, each run in its own
     process: ``called`` holds ``(file, first line)`` pairs and ``lines``
-    maps each file to the set of lines that ran."""
+    maps each file to the set of lines that ran. Prints each run's wall
+    time, slowest first, and their total to stderr."""
     called: Set[Tuple[str, int]] = set()
     ran: Dict[str, Set[int]] = defaultdict(set)
+    walls: List[Tuple[float, str]] = []
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     with tempfile.TemporaryDirectory() as scratch:
         out = Path(scratch) / "hits.json"
         for kind, target, argv in runs():
-            print(f"probe: {kind} {Path(target).name} {' '.join(argv)}",
-                  file=sys.stderr, flush=True)
+            label = " ".join([kind, Path(target).name] + argv)
+            print(f"probe: {label}", file=sys.stderr, flush=True)
+            started = time.monotonic()
             subprocess.run(
                 [sys.executable, __file__, "--child", kind, target,
                  "--out", str(out), "--"] + argv,
                 cwd=ROOT, env=env, stdout=subprocess.DEVNULL, check=True)
+            walls.append((time.monotonic() - started, label))
             hits = json.loads(out.read_text())
             called.update(map(tuple, hits["called"]))
             for file, lines in hits["lines"].items():
                 ran[file].update(lines)
+    for seconds, label in sorted(walls, reverse=True):
+        print(f"probe: {seconds:6.1f} s  {label}", file=sys.stderr)
+    print(f"probe: {sum(seconds for seconds, _ in walls):6.1f} s  total",
+          file=sys.stderr, flush=True)
     return {"called": called, "lines": ran}
 
 
